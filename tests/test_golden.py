@@ -1,0 +1,108 @@
+"""Byte-level contract of the command line on every bundled model.
+
+``analyze --json`` and ``extract --json`` run on each bundled model in
+fresh interpreters, once under each of two hash seeds.  The exit code,
+stdout, stderr without its ``timing:`` lines, and the JSON document
+must equal the golden files in tests/golden/ byte for byte:
+``<command>-<model>.txt`` holds the exit code and the two streams, and
+``<command>-<model>.json`` the document, when the run writes one.
+
+After an intended change of the output, regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS_DIR = ROOT / "models"
+GOLDEN_DIR = ROOT / "tests" / "golden"
+MODELS = (
+    "chain2",
+    "flat4",
+    "nonflat_bilinear",
+    "quad_chain",
+    "quad_integrator",
+    "redundant_input",
+    "sfl_quadratic",
+    "shift1",
+)
+COMMANDS = ("analyze", "extract")
+HASH_SEEDS = ("0", "1")
+CASES = [(command, model) for command in COMMANDS for model in MODELS]
+
+
+def _start(command, model, seed, workdir):
+    """Launch one CLI run in ``workdir``, which holds a copy of the model,
+    so that every path the run prints is relative."""
+    shutil.copy(MODELS_DIR / ("%s.sys" % model), workdir)
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    argv = [sys.executable, "-m", "flatcheck.cli", command, "%s.sys" % model,
+            "--json", "doc.json"]
+    return subprocess.Popen(argv, cwd=workdir, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+
+
+def _finish(proc, workdir):
+    """Rendered text record and JSON document (or None) of a finished run."""
+    out, err = proc.communicate()
+    err_lines = err.decode("utf-8").splitlines(keepends=True)
+    err = "".join(line for line in err_lines if not line.startswith("timing:"))
+    record = "exit %d\n--- stdout\n%s--- stderr\n%s" % (
+        proc.returncode, out.decode("utf-8"), err)
+    doc_path = pathlib.Path(workdir) / "doc.json"
+    doc = doc_path.read_bytes() if doc_path.exists() else None
+    return record, doc
+
+
+def run_case(command, model, seeds=HASH_SEEDS):
+    """Run one case under every seed concurrently; results in seed order."""
+    with tempfile.TemporaryDirectory() as base:
+        workdirs = [os.path.join(base, seed) for seed in seeds]
+        procs = []
+        for seed, workdir in zip(seeds, workdirs):
+            os.mkdir(workdir)
+            procs.append(_start(command, model, seed, workdir))
+        return [_finish(proc, workdir) for proc, workdir in zip(procs, workdirs)]
+
+
+def _golden_paths(command, model):
+    stem = "%s-%s" % (command, model)
+    return GOLDEN_DIR / (stem + ".txt"), GOLDEN_DIR / (stem + ".json")
+
+
+@pytest.mark.parametrize("command, model", CASES)
+def test_cli_matches_golden(command, model):
+    text_path, doc_path = _golden_paths(command, model)
+    expected_text = text_path.read_text(encoding="utf-8")
+    expected_doc = doc_path.read_bytes() if doc_path.exists() else None
+    for seed, (record, doc) in zip(HASH_SEEDS, run_case(command, model)):
+        assert record == expected_text, "PYTHONHASHSEED=%s" % seed
+        assert doc == expected_doc, "PYTHONHASHSEED=%s" % seed
+
+
+def regenerate():
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for command, model in CASES:
+        (record, doc), = run_case(command, model, seeds=HASH_SEEDS[:1])
+        text_path, doc_path = _golden_paths(command, model)
+        text_path.write_text(record, encoding="utf-8")
+        if doc is None:
+            doc_path.unlink(missing_ok=True)
+        else:
+            doc_path.write_bytes(doc)
+        print("wrote %s" % text_path.name)
+
+
+if __name__ == "__main__":
+    regenerate()
