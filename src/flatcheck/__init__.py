@@ -33,6 +33,7 @@ from .errors import (
     ModelSemanticsError,
     ModelSyntaxError,
     NotProjectableError,
+    RedundantInputsError,
     SimulationError,
     StraighteningError,
     UnsupportedEquationError,
@@ -91,6 +92,7 @@ __all__ = [
     "ModelSyntaxError",
     "NotProjectableError",
     "NumericVerification",
+    "RedundantInputsError",
     "SequenceStep",
     "SimulationError",
     "StateTransformation",

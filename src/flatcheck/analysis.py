@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geometry
-from .errors import FlatcheckError, ValidationError
+from .errors import FlatcheckError, RedundantInputsError
 from .model import DiscreteTimeSystem, validate_system
 
 
@@ -71,14 +71,15 @@ def run_algorithm1(system: DiscreteTimeSystem, max_steps=None) -> FlatnessReport
 
     The system must be submersive with rank df/du = m; redundant inputs
     have to be eliminated beforehand (see
-    model.eliminate_redundant_inputs).  max_steps defaults to n + 1 and
+    model.eliminate_redundant_inputs); RedundantInputsError is raised
+    otherwise.  max_steps defaults to n + 1 and
     exists purely as a bug guard: the sequence provably stagnates within
     n steps, so exceeding the bound raises an internal error instead of
     looping.
     """
     validation = validate_system(system)
     if validation.redundant_inputs:
-        raise ValidationError(
+        raise RedundantInputsError(
             "rank df/du = %d < m = %d; eliminate redundant inputs before "
             "the flatness analysis" % (validation.input_rank_generic, system.m)
         )

@@ -28,7 +28,12 @@ import time
 import sympy as sp
 
 from . import analysis, construction, document, model, modelfile, symbolic, verification
-from .errors import FlatcheckError, ImplicitSolveError, StraighteningError
+from .errors import (
+    FlatcheckError,
+    ImplicitSolveError,
+    RedundantInputsError,
+    StraighteningError,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -51,15 +56,13 @@ def _emit_timings(timings):
 
 
 def _prepare(system):
-    """Validate, reduce redundant inputs if needed, run the analysis."""
-    validation = model.validate_system(system)
-    reduction = None
-    work = system
-    if validation.redundant_inputs:
+    """Run the analysis, which validates the system first; on redundant
+    inputs, reduce them and analyze the reduced system instead."""
+    try:
+        return system, None, analysis.run_algorithm1(system)
+    except RedundantInputsError:
         reduction = model.eliminate_redundant_inputs(system)
-        work = reduction.reduced
-    report = analysis.run_algorithm1(work)
-    return work, reduction, report
+    return reduction.reduced, reduction, analysis.run_algorithm1(reduction.reduced)
 
 
 def _print_reduction_note(reduction):

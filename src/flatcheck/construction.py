@@ -988,25 +988,13 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
         sp.cancel(sp.together(trace.z_inverse[u].subs(param, simultaneous=True)))
         for u in system.inputs
     )
-    m = len(form.y_symbols)
-    max_x = [None] * m
-    max_u = [None] * m
-    for exprs, store in ((F_x, max_x), (F_u, max_u)):
-        for e in exprs:
-            for sym in e.free_symbols:
-                j, s = verification.parse_jet_symbol(sym)
-                if j is None:
-                    raise FlatcheckError(
-                        "parametrization retains a non-jet symbol %s" % sym
-                    )
-                if store[j - 1] is None or s > store[j - 1]:
-                    store[j - 1] = s
-    R = []
-    for j in range(m):
-        candidates = [1]
-        if max_u[j] is not None:
-            candidates.append(max_u[j])
-        if max_x[j] is not None:
-            candidates.append(max_x[j] + 1)
-        R.append(max(candidates))
-    return verification.FlatParametrization(F_x=F_x, F_u=F_u, R=tuple(R))
+    R = verification._shift_ranks(F_x, F_u, len(form.y_symbols))
+    if R is None:
+        stray = next(
+            sym
+            for e in F_x + F_u
+            for sym in e.free_symbols
+            if verification.parse_jet_symbol(sym)[0] is None
+        )
+        raise FlatcheckError("parametrization retains a non-jet symbol %s" % stray)
+    return verification.FlatParametrization(F_x=F_x, F_u=F_u, R=R)

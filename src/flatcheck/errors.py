@@ -24,6 +24,10 @@ class ValidationError(FlatcheckError):
     """The system fails submersivity, equilibrium, or input-rank checks."""
 
 
+class RedundantInputsError(ValidationError):
+    """rank df/du < m: the inputs must be reduced before the analysis."""
+
+
 class InconsistentSystemError(FlatcheckError):
     """An equation system contains a provable contradiction."""
 

@@ -12,14 +12,18 @@ over an explicit coordinate tuple.  On the base space the coordinates
 are the system variables (x, u); on the image space they are shifted
 state symbols x<i>_p1.  All linear algebra runs over the field of
 rational functions through the symbolic module, so every basis produced
-here is deterministic.
+here is deterministic.  Fields in chart coordinates, as returned by
+transform_vector_field, carry elements of the chart's fraction field
+instead of sympy expressions; the chart stores its inverse map and the
+Jacobian of its forward map in that field, so a transform is two
+substitutions and a matrix-vector product.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import sympy as sp
 
@@ -63,12 +67,16 @@ class Distribution:
     dimension is just the number of basis fields.  witness_rows, when
     present, are extra denominator-free component rows spanning the
     same distribution generically; they allow rank evaluations at
-    points where the preferred basis has poles.
+    points where the preferred basis has poles.  chart_fields, when
+    present, are the basis fields transformed into the coordinates of
+    chart (see transform_vector_field), in basis order.
     """
 
     coords: tuple
     fields: tuple
     witness_rows: tuple = ()
+    chart: object = field(default=None, compare=False, repr=False)
+    chart_fields: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         for f in self.fields:
@@ -105,7 +113,7 @@ def make_distribution(coords, rows) -> Distribution:
     rows = [r for r in rows if any(symbolic.is_zero(e) is not True for e in r)]
     if not rows:
         return Distribution(coords=tuple(coords), fields=())
-    res = symbolic.function_field_rref(sp.Matrix(rows), var_order=tuple(coords))
+    res = symbolic.function_field_rref(sp.Matrix(rows))
     basis = []
     for i in range(len(res.pivots)):
         row = [res.rref[i, j] for j in range(len(coords))]
@@ -120,6 +128,13 @@ class Chart:
     forward maps each chart symbol to its expression in the base
     variables; inverse maps each base variable back.  xi_choice records
     which base coordinates serve as the fibre coordinates xi.
+
+    function_field is QQ over the base variables and the chart symbols
+    together, generators sorted by name.  substitution holds, per
+    generator, the inverse map as a (numerator, denominator) pair of
+    polynomials, or None for the chart symbols, which stay.  jacobian
+    holds d forward[c] / d v composed with the inverse, one row per
+    chart coordinate c and one column per base variable v.
     """
 
     system_vars: tuple
@@ -128,6 +143,9 @@ class Chart:
     forward: dict
     inverse: dict
     xi_choice: tuple
+    function_field: object = field(default=None, compare=False, repr=False)
+    substitution: tuple = field(default=(), compare=False, repr=False)
+    jacobian: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def coords(self) -> tuple:
@@ -212,13 +230,32 @@ def build_adapted_chart(system) -> Chart:
             % (tuple(map(str, xi_choice)),)
         )
 
-    for c in tuple(theta) + tuple(xi):
-        residual = symbolic.canonicalize(
-            forward[c].subs(inverse, simultaneous=True) - c
+    coords = tuple(theta) + tuple(xi)
+    K = symbolic.function_field(
+        tuple(sorted(tuple(variables) + coords, key=lambda s: s.name))
+    )
+    converted = symbolic.to_elements([inverse[v] for v in variables], K.symbols)
+    if converted is None:
+        raise ChartError(
+            "the inverse branch through the equilibrium is not rational "
+            "(xi = %s)" % (tuple(map(str, xi_choice)),)
         )
-        if symbolic.is_zero(residual) is not True:
+    images = dict(zip(variables, converted[1]))
+    substitution = tuple(
+        (images[s].numer, images[s].denom) if s in images else None
+        for s in K.symbols
+    )
+    forward_elements = {c: K.from_sympy(forward[c]) for c in coords}
+    for c in coords:
+        residual = _compose(forward_elements[c], substitution) - K.from_sympy(c)
+        if residual:
             raise ChartError("chart maps do not invert: residual %s on %s"
-                             % (residual, c))
+                             % (K.to_sympy(residual), c))
+    generators = [K.from_sympy(v) for v in variables]
+    jacobian = tuple(
+        tuple(_compose(forward_elements[c].diff(g), substitution) for g in generators)
+        for c in coords
+    )
     return Chart(
         system_vars=tuple(variables),
         theta=theta,
@@ -226,25 +263,83 @@ def build_adapted_chart(system) -> Chart:
         forward=forward,
         inverse=inverse,
         xi_choice=xi_choice,
+        function_field=K,
+        substitution=substitution,
+        jacobian=jacobian,
     )
 
 
+def _substitute(poly, substitution):
+    """poly with generator i replaced by the fraction substitution[i] (kept
+    where that is None), as a (numerator, denominator) pair of polynomials.
+
+    Every term is brought over the common denominator prod d_i^deg_i, so
+    the sum is taken in the polynomial ring without any gcd.
+    """
+    ring = poly.ring
+    if not poly:
+        return poly, ring.one
+    degrees = poly.degrees()
+    moved = [i for i, image in enumerate(substitution) if image is not None and degrees[i]]
+    if not moved:
+        return poly, ring.one
+    powers = {}
+
+    def power(i, part, k):
+        if (i, part, k) not in powers:
+            powers[i, part, k] = substitution[i][part] ** k
+        return powers[i, part, k]
+
+    total = {}
+    for monom, coeff in poly.iterterms():
+        kept = list(monom)
+        factor = ring.one
+        for i in moved:
+            e, kept[i] = monom[i], 0
+            if e:
+                factor = factor * power(i, 0, e)
+            if degrees[i] - e:
+                factor = factor * power(i, 1, degrees[i] - e)
+        for m, c in factor.mul_term((tuple(kept), coeff)).iterterms():
+            total[m] = total.get(m, 0) + c
+    numerator = ring.from_dict({m: c for m, c in total.items() if c})
+    denominator = ring.one
+    for i in moved:
+        denominator = denominator * power(i, 1, degrees[i])
+    return numerator, denominator
+
+
+def _compose(a, substitution):
+    """Element a of a chart's function field with the inverse chart map
+    substituted for the base variables."""
+    num, num_den = _substitute(a.numer, substitution)
+    den, den_den = _substitute(a.denom, substitution)
+    return a.field.new(num * den_den, den * num_den)
+
+
 def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
-    """Rewrite a field given over the base variables in chart coordinates."""
+    """Rewrite a field given over the base variables in chart coordinates.
+
+    The components of the result are elements of chart.function_field:
+    the Jacobian of the forward map applied to the field, both composed
+    with the inverse map.  Chart symbols occurring in the components of
+    v are kept as they are.
+    """
     if v.coords != chart.system_vars:
         raise ValueError("field is not over the chart's base variables")
-    new_components = []
-    for c in chart.coords:
-        expr = chart.forward[c]
-        comp = sp.Integer(0)
-        for var, vc in zip(v.coords, v.components):
-            if symbolic.is_zero(vc) is True:
-                continue
-            comp = comp + sp.diff(expr, var) * vc
-        comp = sp.cancel(sp.together(comp))
-        comp = sp.cancel(comp.subs(chart.inverse, simultaneous=True))
-        new_components.append(comp)
-    return VectorField(chart.coords, tuple(new_components))
+    K = chart.function_field
+    converted = symbolic.to_elements(v.components, K.symbols)
+    if converted is None:
+        raise ValueError("field components are not rational in the chart's variables")
+    moved = [_compose(c, chart.substitution) if c else None for c in converted[1]]
+    components = []
+    for row in chart.jacobian:
+        total = K.zero
+        for d, c in zip(row, moved):
+            if c is not None and d:
+                total += d * c
+        components.append(total)
+    return VectorField(chart.coords, tuple(components))
 
 
 def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
@@ -262,18 +357,17 @@ def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
     return VectorField(coords, tuple(comps))
 
 
-def is_projectable(v: VectorField, system, chart: Chart):
-    """Whether the field pushes forward to a well-defined field.
+def _fibre_generators(chart: Chart) -> list:
+    return [chart.function_field.from_sympy(x) for x in chart.xi]
 
-    True iff every theta component, written in the adapted chart, is
-    free of all fibre coordinates xi.  Returns None when a zero test is
-    undecidable.
-    """
-    ad = transform_vector_field(v, chart)
+
+def _projectability(adapted: VectorField, system, chart: Chart):
+    """is_projectable on a field already in chart coordinates."""
     undecided = False
+    fibre = _fibre_generators(chart)
     for i in range(system.n):
-        for x in chart.xi:
-            z = symbolic.is_zero(sp.diff(ad.components[i], x))
+        for x in fibre:
+            z = symbolic.is_zero(adapted.components[i].diff(x))
             if z is False:
                 return False
             if z is None:
@@ -281,12 +375,23 @@ def is_projectable(v: VectorField, system, chart: Chart):
     return None if undecided else True
 
 
-def pushforward_vector_field(v: VectorField, system, chart: Chart) -> VectorField:
-    """Image of a projectable field: theta components renamed to x+."""
-    ad = transform_vector_field(v, chart)
+def is_projectable(v: VectorField, system, chart: Chart):
+    """Whether the field pushes forward to a well-defined field.
+
+    True iff every theta component, written in the adapted chart, is
+    free of all fibre coordinates xi.  Returns None when a zero test is
+    undecidable.
+    """
+    return _projectability(transform_vector_field(v, chart), system, chart)
+
+
+def _image_components(adapted: VectorField, system, chart: Chart) -> list:
+    """Theta components of a projectable field in chart coordinates, as
+    expressions over the image coordinates x+."""
+    fibre = list(zip(chart.xi, _fibre_generators(chart)))
     for i in range(system.n):
-        for x in chart.xi:
-            z = symbolic.is_zero(sp.diff(ad.components[i], x))
+        for x, g in fibre:
+            z = symbolic.is_zero(adapted.components[i].diff(g))
             if z is None:
                 raise IndeterminateRankError(
                     "cannot decide projectability of component %d" % (i + 1)
@@ -294,15 +399,17 @@ def pushforward_vector_field(v: VectorField, system, chart: Chart) -> VectorFiel
             if z is False:
                 raise NotProjectableError(
                     "field is not projectable: component %s depends on %s"
-                    % (ad.components[i], x)
+                    % (chart.function_field.to_sympy(adapted.components[i]), x)
                 )
-    xplus = shifted_state_symbols(system)
-    rename = dict(zip(chart.theta, xplus))
-    comps = tuple(
-        sp.cancel(ad.components[i].subs(rename, simultaneous=True))
-        for i in range(system.n)
-    )
-    return VectorField(xplus, comps)
+    rename = dict(zip(chart.theta, shifted_state_symbols(system)))
+    symbols = [rename.get(s, s) for s in chart.function_field.symbols]
+    return [adapted.components[i].as_expr(*symbols) for i in range(system.n)]
+
+
+def pushforward_vector_field(v: VectorField, system, chart: Chart) -> VectorField:
+    """Image of a projectable field: theta components renamed to x+."""
+    comps = _image_components(transform_vector_field(v, chart), system, chart)
+    return VectorField(shifted_state_symbols(system), tuple(comps))
 
 
 def is_involutive(dist: Distribution) -> bool:
@@ -336,19 +443,25 @@ def contains_distribution(outer: Distribution, inner: Distribution) -> bool:
     return all(contains_field(outer, f) for f in inner.fields)
 
 
-def _theta_block(fields_adapted, n) -> list:
-    return [[f.components[i] for i in range(n)] for f in fields_adapted]
-
-
 def _reduce_mod_rows(row, reduced_rows, pivots):
     """Residual of a row modulo an echelon row set."""
-    row = [sp.cancel(e) for e in row]
     for r, pc in zip(reduced_rows, pivots):
         fac = row[pc]
-        if symbolic.is_zero(fac) is True:
-            continue
-        row = [sp.cancel(row[k] - fac * r[k]) for k in range(len(row))]
+        if fac:
+            row = [a - fac * b for a, b in zip(row, r)]
     return row
+
+
+def _combine(coeffs, rows, zero):
+    """sum_a coeffs[a] * rows[a], entry by entry."""
+    out = []
+    for k in range(len(rows[0])):
+        total = zero
+        for c, row in zip(coeffs, rows):
+            if c and row[k]:
+                total += c * row[k]
+        out.append(total)
+    return out
 
 
 def largest_projectable_subdistribution(
@@ -363,6 +476,14 @@ def largest_projectable_subdistribution(
     derivative terms of the brackets stay in the candidate by linearity.
     At the fixed point, a projectable basis is extracted through the
     echelon form of the theta block, and rechecked field by field.
+
+    The candidate fields are carried both over the base variables and
+    in chart coordinates.  Only the fields of dist are transformed: the
+    kernel coefficients are functions of the chart coordinates, so the
+    chart form of sum_a c_a v_a is sum_a c_a * chart(v_a), times the
+    cleared denominator's factor composed with the inverse map.  The
+    extracted basis is transformed afresh by the recheck, and those
+    transforms are carried on the result as its chart_fields.
     """
     n = system.n
     if dist.dim == 0:
@@ -374,100 +495,69 @@ def largest_projectable_subdistribution(
             stacklevel=2,
         )
 
-    cur = [VectorField(dist.coords, f.components) for f in dist.fields]
-    while cur:
-        adapted = [transform_vector_field(f, chart) for f in cur]
-        theta_rows = _theta_block(adapted, n)
-        nonzero = [
-            r for r in theta_rows
-            if any(symbolic.is_zero(e) is not True for e in r)
+    K = chart.function_field
+    fibre = _fibre_generators(chart)
+    adapted = [list(transform_vector_field(f, chart).components) for f in dist.fields]
+    cur = [symbolic.to_elements(f.components, K.symbols)[1] for f in dist.fields]
+    while True:
+        nonzero = [a[:n] for a in adapted if any(a[:n])]
+        reduced, pivots = symbolic.element_rref(K, nonzero, n)
+        reduced = reduced[: len(pivots)]
+        # residuals[j][a]: d/d xi_j of the theta block of field a, modulo
+        # the span of the theta block
+        residuals = [
+            [_reduce_mod_rows([c.diff(x) for c in a[:n]], reduced, pivots)
+             for a in adapted]
+            for x in fibre
         ]
-        if nonzero:
-            res = symbolic.function_field_rref(
-                sp.Matrix(nonzero), var_order=chart.coords
-            )
-            reduced = [
-                [res.rref[i, j] for j in range(n)] for i in range(len(res.pivots))
-            ]
-            pivots = list(res.pivots)
-        else:
-            reduced, pivots = [], []
-
-        residual_rows = []
-        for x in chart.xi:
-            for f in adapted:
-                g = [sp.cancel(sp.diff(f.components[i], x)) for i in range(n)]
-                residual_rows.append(_reduce_mod_rows(g, reduced, pivots))
-
-        K = sp.Matrix(
-            [
-                [residual_rows[j * len(cur) + a][i] for j in range(len(chart.xi))
-                 for i in range(n)]
-                for a in range(len(cur))
-            ]
-        )
-        kernel = symbolic.nullspace(K.T)
+        relations = [
+            [residuals[j][a][i] for a in range(len(cur))]
+            for j in range(len(fibre))
+            for i in range(n)
+        ]
+        rref, kernel_pivots = symbolic.element_rref(K, relations, len(cur))
+        kernel = symbolic.element_nullspace(K, rref, kernel_pivots, len(cur))
         if len(kernel) == len(cur):
             break
-        new_cur = []
+        if not kernel:
+            return Distribution(coords=dist.coords, fields=())
+        new_cur, new_adapted = [], []
         for vec in kernel:
-            comps = [
-                sp.cancel(
-                    sp.together(
-                        sum(vec[a] * cur[a].components[k] for a in range(len(cur)))
-                    )
-                )
-                for k in range(len(dist.coords))
-            ]
-            comps = symbolic.clear_denominators(comps)
-            new_cur.append(VectorField(dist.coords, tuple(comps)))
-        cur = new_cur
-
-    if not cur:
-        return Distribution(coords=dist.coords, fields=())
+            comps, factor = symbolic.clear_element_row(K, _combine(vec, cur, K.zero))
+            new_cur.append(comps)
+            factor = _compose(factor, chart.substitution)
+            new_adapted.append([factor * c for c in _combine(vec, adapted, K.zero)])
+        cur, adapted = new_cur, new_adapted
 
     # Extraction: echelon-reduce the theta block with an identity block
     # alongside, so the transform rows recombine the basis into fields
     # with xi-free theta components (top rows) and vertical fields
     # (zero-theta rows).
-    adapted = [transform_vector_field(f, chart) for f in cur]
-    aug = sp.Matrix(
-        [
-            [adapted[a].components[i] for i in range(n)]
-            + [sp.Integer(1) if b == a else sp.Integer(0) for b in range(len(cur))]
-            for a in range(len(cur))
-        ]
-    )
-    res = symbolic.function_field_rref(aug, var_order=chart.coords)
+    aug = [
+        a[:n] + [K.one if b == i else K.zero for b in range(len(cur))]
+        for i, a in enumerate(adapted)
+    ]
+    rref, _ = symbolic.element_rref(K, aug, n + len(cur))
     out_fields = []
-    for r in range(len(cur)):
-        coeffs = [res.rref[r, n + a] for a in range(len(cur))]
-        comps = [
-            sp.cancel(
-                sp.together(
-                    sum(coeffs[a] * cur[a].components[k] for a in range(len(cur)))
-                )
-            )
-            for k in range(len(dist.coords))
-        ]
+    for row in rref:
+        comps = _combine(row[n:], cur, K.zero)
         # Rescaling a field by a coordinate-dependent factor changes its
         # theta components' xi-derivatives, so denominators may only be
         # cleared on vertical rows, whose theta block is zero anyway.
-        theta_zero = all(
-            symbolic.is_zero(res.rref[r, i]) is True for i in range(n)
+        if not any(row[:n]):
+            comps, _ = symbolic.clear_element_row(K, comps)
+        out_fields.append(
+            VectorField(dist.coords, tuple(K.to_sympy(c) for c in comps))
         )
-        if theta_zero:
-            comps = symbolic.clear_denominators(comps)
-        out_fields.append(VectorField(dist.coords, tuple(comps)))
 
     witness = tuple(
-        tuple(symbolic.clear_denominators(list(f.components))) for f in cur
+        tuple(K.to_sympy(c) for c in symbolic.clear_element_row(K, comps)[0])
+        for comps in cur
     )
-    result = Distribution(
-        coords=dist.coords, fields=tuple(out_fields), witness_rows=witness
-    )
-    for f in result.fields:
-        verdict = is_projectable(f, system, chart)
+    chart_fields = []
+    for f in out_fields:
+        adapted_f = transform_vector_field(f, chart)
+        verdict = _projectability(adapted_f, system, chart)
         if verdict is None:
             raise IndeterminateRankError(
                 "projectability of an extracted basis field is undecidable"
@@ -476,6 +566,14 @@ def largest_projectable_subdistribution(
             raise NotProjectableError(
                 "projectable basis extraction failed: %s" % (f.components,)
             )
+        chart_fields.append(adapted_f)
+    result = Distribution(
+        coords=dist.coords,
+        fields=tuple(out_fields),
+        witness_rows=witness,
+        chart=chart,
+        chart_fields=tuple(chart_fields),
+    )
 
     point = system.equilibrium_point()
     W = result.witness_matrix()
@@ -497,15 +595,20 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
     constant-dimension assumption underlying the whole analysis fails.
     That is checked twice: on the pushed component rows themselves, and
     pointwise through the update Jacobian at the equilibrium, which
-    catches drops that a rescaled basis would hide.
+    catches drops that a rescaled basis would hide.  Chart forms carried
+    on dist for this chart are used instead of transforming again.
     """
     xplus = shifted_state_symbols(system)
     if dist.dim == 0:
         return Distribution(coords=xplus, fields=())
-    rows = []
-    for f in dist.fields:
-        w = pushforward_vector_field(f, system, chart)
-        rows.append(symbolic.clear_denominators(list(w.components)))
+    if dist.chart is chart and len(dist.chart_fields) == dist.dim:
+        adapted = dist.chart_fields
+    else:
+        adapted = [transform_vector_field(f, chart) for f in dist.fields]
+    rows = [
+        symbolic.clear_denominators(_image_components(a, system, chart))
+        for a in adapted
+    ]
     rows = [r for r in rows if any(symbolic.is_zero(e) is not True for e in r)]
     if not rows:
         return Distribution(coords=xplus, fields=())
@@ -515,36 +618,28 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
         xp: symbolic.evaluate_exact(fi, point)
         for xp, fi in zip(xplus, system.update)
     }
-    M = sp.Matrix(rows)
-    generic = symbolic.generic_rank(M)
-    at_eq = symbolic.rank_at_point(M, image_point)
+    image = make_distribution(xplus, rows)
+    generic = image.dim
+    at_eq = symbolic.rank_at_point(sp.Matrix(rows), image_point)
     if at_eq < generic:
         raise ConstantDimensionError(
             "pushforward has dimension %d generically but %d at the "
             "equilibrium image" % (generic, at_eq)
         )
 
-    jac_eq = sp.Matrix(
-        [
-            [symbolic.evaluate_exact(system.jacobian()[i, j], point)
-             for j in range(system.n + system.m)]
-            for i in range(system.n)
-        ]
+    jac_eq = system.jacobian().applyfunc(
+        lambda e: symbolic.evaluate_exact(e, point)
     )
-    W = dist.witness_matrix()
-    image_rows = []
-    for a in range(W.rows):
-        vec = sp.Matrix(
-            [[symbolic.evaluate_exact(W[a, j], point)] for j in range(W.cols)]
-        )
-        image_rows.append(list((jac_eq * vec).T))
-    pointwise = sp.Matrix(image_rows).rank() if image_rows else 0
+    W = dist.witness_matrix().applyfunc(
+        lambda e: symbolic.evaluate_exact(e, point)
+    )
+    pointwise = symbolic.generic_rank(W * jac_eq.T) if W.rows else 0
     if pointwise != generic:
         raise ConstantDimensionError(
             "pushforward has dimension %d generically but %d at the "
             "equilibrium image" % (generic, pointwise)
         )
-    return make_distribution(xplus, rows)
+    return image
 
 
 def lift_distribution(delta: Distribution, system) -> Distribution:
@@ -560,7 +655,7 @@ def lift_distribution(delta: Distribution, system) -> Distribution:
     fields = []
     for f in delta.fields:
         comps = [
-            sp.cancel(c.subs(rename, simultaneous=True)) for c in f.components
+            c.subs(rename, simultaneous=True) for c in f.components
         ] + [sp.Integer(0)] * m
         fields.append(VectorField(tuple(variables), tuple(comps)))
     for j in range(m):

@@ -197,7 +197,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
 
     # Non-pivot original inputs come along unchanged as utilde coordinates.
     ijac_cols = sp.Matrix([[ijac[i, j] for j in range(m)] for i in comp_used])
-    colres = symbolic.function_field_rref(ijac_cols, var_order=system.variables)
+    colres = symbolic.function_field_rref(ijac_cols)
     pivot_cols = list(colres.pivots)
     free_cols = [j for j in range(m) if j not in pivot_cols]
     removed = tuple(system.inputs[j] for j in free_cols)

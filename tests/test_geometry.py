@@ -12,7 +12,7 @@ x1, x2, x3 = sp.symbols("x1 x2 x3")
 
 def _rref_of(dist):
     M = dist.component_matrix()
-    return symbolic.function_field_rref(M, var_order=dist.coords).rref
+    return symbolic.function_field_rref(M).rref
 
 
 class TestDistribution:
@@ -145,6 +145,18 @@ class TestSequenceSteps:
         normalized = symbolic.function_field_rref(u_part).rref
         expected = symbolic.function_field_rref(sp.Matrix([[-2, 1]])).rref
         assert sp.simplify(normalized - expected) == sp.zeros(1, 2)
+
+    @pytest.mark.parametrize("report_fixture", ["flat4_report", "chain2_report"])
+    def test_carried_chart_forms_match_fresh_transforms(self, request, report_fixture):
+        report = request.getfixturevalue(report_fixture)
+        for step in report.steps:
+            assert step.D.chart is report.chart
+            assert len(step.D.chart_fields) == step.D.dim
+            for field, carried in zip(step.D.fields, step.D.chart_fields):
+                fresh = geometry.transform_vector_field(field, report.chart)
+                assert carried.coords == fresh.coords
+                for a, b in zip(carried.components, fresh.components):
+                    assert symbolic.is_zero(a - b) is True
 
     def test_projectability_of_extracted_fields(self, flat4, flat4_report):
         chart = flat4_report.chart

@@ -47,7 +47,7 @@ class TestIsZero:
 class TestFunctionFieldRref:
     def test_pivots_and_zero_rows(self):
         M = sp.Matrix([[1, x, 0], [0, 0, 1], [1, x, 1]])
-        res = symbolic.function_field_rref(M, var_order=(x,))
+        res = symbolic.function_field_rref(M)
         assert res.pivots == (0, 2)
         assert res.rref.rows == 3
         assert res.rref[2, :] == sp.zeros(1, 3)
@@ -55,7 +55,7 @@ class TestFunctionFieldRref:
     def test_deterministic_under_row_mixing(self):
         rng = random.Random(7)
         base = sp.Matrix([[1, x, y], [0, 1, x * y]])
-        reference = symbolic.function_field_rref(base, var_order=(x, y)).rref
+        reference = symbolic.function_field_rref(base).rref
         for _ in range(10):
             a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
             if a * d - b * c == 0:
@@ -66,12 +66,12 @@ class TestFunctionFieldRref:
                     [c * base[0, j] + d * base[1, j] for j in range(3)],
                 ]
             )
-            res = symbolic.function_field_rref(mixed, var_order=(x, y))
+            res = symbolic.function_field_rref(mixed)
             assert sp.simplify(res.rref - reference) == sp.zeros(2, 3)
 
     def test_rational_entries(self):
         M = sp.Matrix([[1 / x, 1], [1, x]])
-        res = symbolic.function_field_rref(M, var_order=(x,))
+        res = symbolic.function_field_rref(M)
         assert len(res.pivots) == 1
 
 
@@ -91,7 +91,7 @@ class TestRanks:
 
     def test_nullspace_matches_matrix(self):
         M = sp.Matrix([[1, x, 0], [0, 0, 1]])
-        vectors = symbolic.nullspace(M, var_order=(x,))
+        vectors = symbolic.nullspace(M)
         assert len(vectors) == 1
         v = sp.Matrix(vectors[0])
         assert sp.simplify(M * v) == sp.zeros(2, 1)
@@ -139,6 +139,9 @@ class TestEvaluateExact:
     def test_pole_raises(self):
         with pytest.raises(ZeroDivisionError):
             symbolic.evaluate_exact(1 / x, {x: 0})
+
+    def test_removable_singularity_is_not_a_pole(self):
+        assert symbolic.evaluate_exact((x**2 - 1) / (x - 1), {x: 1}) == 2
 
 
 class TestToInfix:
