@@ -63,7 +63,7 @@ def is_rational_expression(e, variables: Optional[Sequence[sp.Symbol]] = None) -
     return not e.has(sp.Float)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def function_field(gens: tuple):
     """The field QQ(gens) as a sympy domain; QQ itself when gens is empty."""
     return QQ.frac_field(*gens) if gens else QQ
@@ -144,7 +144,7 @@ def to_elements(exprs, gens=None):
     return K, [K.field.new(num, den) for num, den in pairs]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _name_order(symbols) -> tuple:
     return tuple(sorted(range(len(symbols)), key=lambda i: symbols[i].name))
 

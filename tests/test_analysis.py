@@ -3,7 +3,7 @@
 import pytest
 
 from flatcheck import analysis
-from flatcheck.errors import ConstantDimensionError, ValidationError
+from flatcheck.errors import ConstantDimensionError, RedundantInputsError
 
 FLAGSHIP_TRACE = [
     # k, dim_delta, dim_E, dim_D, rho, mu
@@ -70,7 +70,7 @@ class TestNegativeAndInvalid:
         assert report.steps[0].dim_D == 0
 
     def test_redundant_inputs_must_be_reduced_first(self, redundant_input):
-        with pytest.raises(ValidationError):
+        with pytest.raises(RedundantInputsError):
             analysis.run_algorithm1(redundant_input)
 
     def test_constant_dimension_violation(self, load_system):

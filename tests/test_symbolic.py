@@ -84,6 +84,10 @@ class TestRanks:
         M = sp.Matrix([[x, x * y], [1, y]])
         assert symbolic.generic_rank(M) == 1
 
+    def test_generic_rank_with_radical_entries(self):
+        M = sp.Matrix([[sp.sqrt(2) * x, x], [2, sp.sqrt(2)]])
+        assert symbolic.generic_rank(M) == 1
+
     def test_rank_at_point_drop(self):
         M = sp.Matrix([[x, 0], [0, 1]])
         assert symbolic.rank_at_point(M, {x: 0}) == 1
