@@ -601,7 +601,7 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
     xplus = shifted_state_symbols(system)
     if dist.dim == 0:
         return Distribution(coords=xplus, fields=())
-    if dist.chart is chart and len(dist.chart_fields) == dist.dim:
+    if dist.chart is chart:
         adapted = dist.chart_fields
     else:
         adapted = [transform_vector_field(f, chart) for f in dist.fields]

@@ -4,8 +4,10 @@ Everything downstream manipulates rational expressions in the system
 variables with exact rational coefficients.  Inside this module such an
 expression is an element of sympy's fraction field ``QQ(gens)`` (a
 ``FracElement``, always stored in lowest terms), and matrices of them
-are ``DomainMatrix`` objects; expressions cross over to sympy ``Expr``
-only at the public functions.  This module pins down the canonical
+are ``DomainMatrix`` objects.  Functions taking sympy expressions
+convert at their boundary; ``element_rref``, ``element_nullspace`` and
+``clear_element_row`` work on field elements for callers that keep
+them, such as the geometry layer.  This module pins down the canonical
 form, the three-valued zero test, equation solving, and row reduction
 over the function field.  All functions are pure.
 
