@@ -29,7 +29,7 @@ from .errors import (
     FlatcheckError,
     ImplicitSolveError,
     InconsistentSystemError,
-    IndeterminateRankError,
+    IrrationalSolutionError,
     ModelSemanticsError,
     ModelSyntaxError,
     NotProjectableError,
@@ -86,8 +86,8 @@ __all__ = [
     "ImplicitSolveError",
     "ImplicitTriangularForm",
     "InconsistentSystemError",
-    "IndeterminateRankError",
     "InputReduction",
+    "IrrationalSolutionError",
     "ModelSemanticsError",
     "ModelSyntaxError",
     "NotProjectableError",

@@ -87,9 +87,8 @@ def _write_json(path, doc):
     print("wrote %s" % path, file=sys.stderr)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, timings) -> int:
     system = modelfile.load_model(args.model)
-    timings = {}
     with _stage(timings, "analyze"):
         work, reduction, report = _prepare(system)
     _print_reduction_note(reduction)
@@ -98,7 +97,6 @@ def cmd_analyze(args) -> int:
         doc = document.new_document(system, report)
         doc.timings = dict(timings)
         _write_json(args.json, doc)
-    _emit_timings(timings)
     return EXIT_OK if report.flat else EXIT_NEGATIVE
 
 
@@ -113,9 +111,8 @@ def _present_flat_output(flat_output, reduction):
     return list(zip(names, comps))
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args, timings) -> int:
     system = modelfile.load_model(args.model)
-    timings = {}
     with _stage(timings, "analyze"):
         work, reduction, report = _prepare(system)
     _print_reduction_note(reduction)
@@ -126,7 +123,6 @@ def cmd_extract(args) -> int:
             doc = document.new_document(system, report)
             doc.timings = dict(timings)
             _write_json(args.json, doc)
-        _emit_timings(timings)
         return EXIT_NEGATIVE
 
     with _stage(timings, "construct"):
@@ -190,14 +186,13 @@ def cmd_extract(args) -> int:
         doc.numeric_verification = num_rep
         doc.timings = dict(timings)
         _write_json(args.json, doc)
-    _emit_timings(timings)
     if sym_rep.status != "PASS" or num_rep.status != "PASS":
         print("construction verification failed", file=sys.stderr)
         return EXIT_CONSTRUCTION
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, timings) -> int:
     system = modelfile.load_model(args.model)
     model.validate_system(system)
     parts = [piece.strip() for piece in args.output.split(";")]
@@ -211,7 +206,6 @@ def cmd_verify(args) -> int:
         return EXIT_ERROR
     candidate = tuple(modelfile.parse_expression(piece, system) for piece in parts)
 
-    timings = {}
     with _stage(timings, "symbolic"):
         p, sym_rep = verification.verify_flat_output_symbolic(system, candidate)
     capped = " (bound cap reached)" if sym_rep.capped else ""
@@ -220,7 +214,6 @@ def cmd_verify(args) -> int:
         % (sym_rep.status, sym_rep.bound, capped, sym_rep.detail)
     )
     if p is None:
-        _emit_timings(timings)
         return EXIT_NEGATIVE
     for u, e in zip(system.inputs, p.F_u):
         print("  %s = %s" % (u, symbolic.to_infix(e)))
@@ -239,7 +232,6 @@ def cmd_verify(args) -> int:
         "numeric: %s (trials=%d, horizon=%d, max residual %.3e)"
         % (num_rep.status, num_rep.trials, num_rep.horizon, num_rep.max_residual)
     )
-    _emit_timings(timings)
     return EXIT_OK if num_rep.status == "PASS" else EXIT_NEGATIVE
 
 
@@ -277,7 +269,7 @@ def _format_value(value):
     return str(value)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, timings) -> int:
     system = modelfile.load_model(args.model)
     try:
         x0 = [_scalar(t.strip(), args.exact) for t in args.x0.split(",")]
@@ -376,10 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the timings of the stages that ran go to stderr
+    on every exit path."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    timings = {}
     try:
-        return args.func(args)
+        return args.func(args, timings)
     except (StraighteningError, ImplicitSolveError) as exc:
         print("construction failed: %s" % exc, file=sys.stderr)
         return EXIT_CONSTRUCTION
@@ -389,6 +384,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        _emit_timings(timings)
 
 
 if __name__ == "__main__":

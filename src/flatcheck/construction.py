@@ -23,7 +23,12 @@ import itertools
 import sympy as sp
 
 from . import geometry, symbolic, verification
-from .errors import FlatcheckError, ImplicitSolveError, StraighteningError
+from .errors import (
+    FlatcheckError,
+    ImplicitSolveError,
+    IrrationalSolutionError,
+    StraighteningError,
+)
 
 __all__ = [
     "polynomial_invariants",
@@ -294,7 +299,7 @@ def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> Sta
         if set(sol) != set(states):
             continue
         if all(
-            symbolic.is_zero(sp.cancel(sol[s].subs(fwd_items, simultaneous=True) - s)) is True
+            symbolic.is_zero(sol[s].subs(fwd_items, simultaneous=True) - s)
             for s in states
         ):
             inverse = {s: sp.cancel(sp.together(sol[s])) for s in states}
@@ -328,7 +333,7 @@ def _verify_straightening(chain, st: StateTransformation):
                     continue
                 comp = sum(f.components[a] * jac[c][a] for a in range(len(states)))
                 comp = _sub(comp, st.inverse)
-                if symbolic.is_zero(comp) is not True:
+                if not symbolic.is_zero(comp):
                     raise StraighteningError(
                         "straightened chain has a stray component of member %d along %s"
                         % (k, c)
@@ -401,15 +406,12 @@ def _pick_inverse_branch(state, equations, unknowns, new_forward, context):
     for sol in solutions:
         if set(sol) != set(unknowns):
             continue
-        good = True
-        for g in unknowns:
-            back = sp.cancel(
+        if all(
+            symbolic.is_zero(
                 sol[g].subs(eval_map, simultaneous=True) - state.forward_all[g]
             )
-            if symbolic.is_zero(back) is not True:
-                good = False
-                break
-        if good:
+            for g in unknowns
+        ):
             return {g: sp.cancel(sp.together(sol[g])) for g in unknowns}
     raise StraighteningError(
         "fibre transformation at %s could not be inverted rationally" % context
@@ -540,7 +542,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
     rows = _transform_distribution(state, basis, coords)
     for row in rows:
         for idx in range(len(remaining)):
-            if symbolic.is_zero(row[idx]) is not True:
+            if not symbolic.is_zero(row[idx]):
                 raise FlatcheckError(
                     "projectable distribution leaves the fibre at step %d" % k
                 )
@@ -613,7 +615,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
     n_outside = len(new_coords) - len(state.verticals)
     for row in rows:
         for idx in range(n_outside):
-            if symbolic.is_zero(row[idx]) is not True:
+            if not symbolic.is_zero(row[idx]):
                 raise FlatcheckError(
                     "straightened distribution at step %d is not vertical" % k
                 )
@@ -940,7 +942,13 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
             if j is None:
                 raise FlatcheckError("unexpected symbol %s in implicit solution" % sym)
             extra[sym] = trace.z_point[form.y_symbols[j - 1]]
-        return sp.simplify(expr.subs({**jet_point, **extra}, simultaneous=True))
+        return symbolic.evaluate_exact(expr, {**jet_point, **extra})
+
+    def through_equilibrium(sol):
+        try:
+            return all(eq_value(v) == trace.z_point[z] for z, v in sol.items())
+        except ZeroDivisionError:
+            return False
 
     for block in form.blocks:
         unknowns = list(block.solved_for)
@@ -950,20 +958,21 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
         ]
         try:
             solutions = symbolic.solve_algebraic(equations, unknowns)
+        except IrrationalSolutionError as exc:
+            raise ImplicitSolveError(
+                "implicit solve failed for block %s: solution for %s is not "
+                "rational in the flat output shifts" % (block.label, exc.unknown)
+            ) from None
         except FlatcheckError as exc:
             raise ImplicitSolveError(
                 "implicit solve failed for block %s: %s (%s)"
                 % (block.label, _format_equations(equations), exc)
             )
-        chosen = None
-        for sol in solutions:
-            if set(sol) != set(unknowns):
-                continue
-            if all(
-                sp.simplify(eq_value(sol[z]) - trace.z_point[z]) == 0 for z in unknowns
-            ):
-                chosen = sol
-                break
+        chosen = next(
+            (sol for sol in solutions
+             if set(sol) == set(unknowns) and through_equilibrium(sol)),
+            None,
+        )
         if chosen is None:
             raise ImplicitSolveError(
                 "implicit solve failed for block %s: %s"
@@ -971,12 +980,6 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
             )
         for z in unknowns:
             expr = sp.cancel(sp.together(chosen[z]))
-            jets = [s for s in expr.free_symbols]
-            if not symbolic.is_rational_expression(expr, jets):
-                raise ImplicitSolveError(
-                    "implicit solve failed for block %s: solution for %s is not "
-                    "rational in the flat output shifts" % (block.label, z)
-                )
             param[z] = expr
             param[form.shifted[z]] = verification.shift_function(expr)
 

@@ -33,11 +33,16 @@ class InconsistentSystemError(FlatcheckError):
 
 
 class UnsupportedEquationError(FlatcheckError):
-    """An equation depends non-rationally on an unknown being solved for."""
+    """An expression is not a rational function with rational coefficients."""
 
 
-class IndeterminateRankError(FlatcheckError):
-    """A pivot decision hit an expression whose zero-test is undecided."""
+class IrrationalSolutionError(UnsupportedEquationError):
+    """The solver found solution branches, but none of them is rational.
+    unknown is the first unknown whose value in the first branch is not."""
+
+    def __init__(self, unknown):
+        self.unknown = unknown
+        super().__init__("no solution branch is rational in %s" % unknown)
 
 
 class ChartError(FlatcheckError):

@@ -31,7 +31,7 @@ from . import symbolic
 from .errors import (
     ChartError,
     ConstantDimensionError,
-    IndeterminateRankError,
+    IrrationalSolutionError,
     NotProjectableError,
 )
 
@@ -56,7 +56,7 @@ class VectorField:
             )
 
     def is_zero_field(self) -> bool:
-        return all(symbolic.is_zero(c) is True for c in self.components)
+        return all(symbolic.is_zero(c) for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class Distribution:
         rows = [list(r) for r in self.witness_rows]
         for f in self.fields:
             rows.append(symbolic.clear_denominators(list(f.components)))
-        rows = [r for r in rows if any(symbolic.is_zero(e) is not True for e in r)]
+        rows = [r for r in rows if not all(symbolic.is_zero(e) for e in r)]
         if not rows:
             return sp.zeros(0, len(self.coords))
         return sp.Matrix(rows)
@@ -110,7 +110,7 @@ def make_distribution(coords, rows) -> Distribution:
     vectors, which makes the stored basis canonical for the span.
     """
     rows = [list(r) for r in rows]
-    rows = [r for r in rows if any(symbolic.is_zero(e) is not True for e in r)]
+    rows = [r for r in rows if not all(symbolic.is_zero(e) for e in r)]
     if not rows:
         return Distribution(coords=tuple(coords), fields=())
     res = symbolic.function_field_rref(sp.Matrix(rows))
@@ -201,7 +201,13 @@ def build_adapted_chart(system) -> Chart:
     forward = {theta[i]: system.update[i] for i in range(n)}
     forward.update({xi[j]: xi_choice[j] for j in range(m)})
     equations = [sp.Eq(c, forward[c]) for c in tuple(theta) + tuple(xi)]
-    solutions = symbolic.solve_algebraic(equations, list(variables))
+    try:
+        solutions = symbolic.solve_algebraic(equations, list(variables))
+    except IrrationalSolutionError:
+        raise ChartError(
+            "the chart inverse has no rational branch (xi = %s)"
+            % (tuple(map(str, xi_choice)),)
+        ) from None
     if not solutions:
         raise ChartError(
             "chart inversion failed for xi = %s" % (tuple(map(str, xi_choice)),)
@@ -234,13 +240,8 @@ def build_adapted_chart(system) -> Chart:
     K = symbolic.function_field(
         tuple(sorted(tuple(variables) + coords, key=lambda s: s.name))
     )
-    converted = symbolic.to_elements([inverse[v] for v in variables], K.symbols)
-    if converted is None:
-        raise ChartError(
-            "the inverse branch through the equilibrium is not rational "
-            "(xi = %s)" % (tuple(map(str, xi_choice)),)
-        )
-    images = dict(zip(variables, converted[1]))
+    _, elements = symbolic.to_elements([inverse[v] for v in variables], K.symbols)
+    images = dict(zip(variables, elements))
     substitution = tuple(
         (images[s].numer, images[s].denom) if s in images else None
         for s in K.symbols
@@ -328,10 +329,8 @@ def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
     if v.coords != chart.system_vars:
         raise ValueError("field is not over the chart's base variables")
     K = chart.function_field
-    converted = symbolic.to_elements(v.components, K.symbols)
-    if converted is None:
-        raise ValueError("field components are not rational in the chart's variables")
-    moved = [_compose(c, chart.substitution) if c else None for c in converted[1]]
+    _, elements = symbolic.to_elements(v.components, K.symbols)
+    moved = [_compose(c, chart.substitution) if c else None for c in elements]
     components = []
     for row in chart.jacobian:
         total = K.zero
@@ -343,44 +342,47 @@ def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
 
 
 def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
-    """Standard Lie bracket of two fields over the same coordinates."""
+    """Standard Lie bracket of two fields over the same coordinates,
+    computed in the fraction field of the coordinates and the symbols of
+    both fields."""
     if v1.coords != v2.coords:
         raise ValueError("bracket of fields over different coordinates")
-    coords = v1.coords
+    n = len(v1.coords)
+    K, elements = symbolic.to_elements(
+        list(v1.components) + list(v2.components) + list(v1.coords)
+    )
+    a, b, coords = elements[:n], elements[n:2 * n], elements[2 * n:]
     comps = []
-    for i in range(len(coords)):
-        term = sp.Integer(0)
-        for j in range(len(coords)):
-            term = term + v1.components[j] * sp.diff(v2.components[i], coords[j])
-            term = term - v2.components[j] * sp.diff(v1.components[i], coords[j])
-        comps.append(sp.cancel(sp.together(term)))
-    return VectorField(coords, tuple(comps))
+    for i in range(n):
+        term = K.zero
+        for aj, bj, x in zip(a, b, coords):
+            if aj:
+                term += aj * b[i].diff(x)
+            if bj:
+                term -= bj * a[i].diff(x)
+        comps.append(K.to_sympy(term))
+    return VectorField(v1.coords, tuple(comps))
 
 
 def _fibre_generators(chart: Chart) -> list:
     return [chart.function_field.from_sympy(x) for x in chart.xi]
 
 
-def _projectability(adapted: VectorField, system, chart: Chart):
+def _projectability(adapted: VectorField, system, chart: Chart) -> bool:
     """is_projectable on a field already in chart coordinates."""
-    undecided = False
     fibre = _fibre_generators(chart)
-    for i in range(system.n):
-        for x in fibre:
-            z = symbolic.is_zero(adapted.components[i].diff(x))
-            if z is False:
-                return False
-            if z is None:
-                undecided = True
-    return None if undecided else True
+    return all(
+        symbolic.is_zero(adapted.components[i].diff(x))
+        for i in range(system.n)
+        for x in fibre
+    )
 
 
-def is_projectable(v: VectorField, system, chart: Chart):
+def is_projectable(v: VectorField, system, chart: Chart) -> bool:
     """Whether the field pushes forward to a well-defined field.
 
     True iff every theta component, written in the adapted chart, is
-    free of all fibre coordinates xi.  Returns None when a zero test is
-    undecidable.
+    free of all fibre coordinates xi.
     """
     return _projectability(transform_vector_field(v, chart), system, chart)
 
@@ -391,12 +393,7 @@ def _image_components(adapted: VectorField, system, chart: Chart) -> list:
     fibre = list(zip(chart.xi, _fibre_generators(chart)))
     for i in range(system.n):
         for x, g in fibre:
-            z = symbolic.is_zero(adapted.components[i].diff(g))
-            if z is None:
-                raise IndeterminateRankError(
-                    "cannot decide projectability of component %d" % (i + 1)
-                )
-            if z is False:
+            if not symbolic.is_zero(adapted.components[i].diff(g)):
                 raise NotProjectableError(
                     "field is not projectable: component %s depends on %s"
                     % (chart.function_field.to_sympy(adapted.components[i]), x)
@@ -557,12 +554,7 @@ def largest_projectable_subdistribution(
     chart_fields = []
     for f in out_fields:
         adapted_f = transform_vector_field(f, chart)
-        verdict = _projectability(adapted_f, system, chart)
-        if verdict is None:
-            raise IndeterminateRankError(
-                "projectability of an extracted basis field is undecidable"
-            )
-        if verdict is False:
+        if not _projectability(adapted_f, system, chart):
             raise NotProjectableError(
                 "projectable basis extraction failed: %s" % (f.components,)
             )
@@ -575,7 +567,9 @@ def largest_projectable_subdistribution(
         chart_fields=tuple(chart_fields),
     )
 
+    # witness rows mix base and chart symbols: evaluate at both equilibria
     point = system.equilibrium_point()
+    point.update(chart.equilibrium_image(point))
     W = result.witness_matrix()
     if W.rows:
         rank_eq = symbolic.rank_at_point(W, point)
@@ -609,7 +603,7 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
         symbolic.clear_denominators(_image_components(a, system, chart))
         for a in adapted
     ]
-    rows = [r for r in rows if any(symbolic.is_zero(e) is not True for e in r)]
+    rows = [r for r in rows if not all(symbolic.is_zero(e) for e in r)]
     if not rows:
         return Distribution(coords=xplus, fields=())
 
@@ -627,6 +621,8 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
             "equilibrium image" % (generic, at_eq)
         )
 
+    # witness rows mix base and chart symbols: evaluate at both equilibria
+    point.update(chart.equilibrium_image(point))
     jac_eq = system.jacobian().applyfunc(
         lambda e: symbolic.evaluate_exact(e, point)
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .errors import ValidationError
+from .errors import UnsupportedEquationError, ValidationError
 from . import symbolic
 
 
@@ -82,13 +82,18 @@ class ValidationReport:
 def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
     """Check submersivity, the fixed point, and input rank.
 
-    Raises ValidationError when the update map is not a submersion
-    (generically or at the equilibrium), when the marked point is not a
-    fixed point, or when the input rank drops at the equilibrium.  A
-    generic input-rank deficit is not an error; it is reported through
-    the redundant_inputs flag so the caller can eliminate the redundancy.
+    Raises ValidationError when the update map is not rational in the
+    system variables, when it is not a submersion (generically or at the
+    equilibrium), when the marked point is not a fixed point, or when the
+    input rank drops at the equilibrium.  A generic input-rank deficit is
+    not an error; it is reported through the redundant_inputs flag so the
+    caller can eliminate the redundancy.
     """
     n, m = system.n, system.m
+    try:
+        symbolic.to_elements(system.update, system.variables)
+    except UnsupportedEquationError as exc:
+        raise ValidationError("system %r: %s" % (system.name, exc)) from None
     point = system.equilibrium_point()
     for xi, fi in zip(system.states, system.update):
         residual = symbolic.evaluate_exact(fi - xi, point)

@@ -1,27 +1,24 @@
 """Exact symbolic arithmetic over rational function fields.
 
-Everything downstream manipulates rational expressions in the system
-variables with exact rational coefficients.  Inside this module such an
+Invariant: every expression this module takes or returns is a rational
+function with rational coefficients.  Inside this module such an
 expression is an element of sympy's fraction field ``QQ(gens)`` (a
 ``FracElement``, always stored in lowest terms), and matrices of them
 are ``DomainMatrix`` objects.  Functions taking sympy expressions
-convert at their boundary; ``element_rref``, ``element_nullspace`` and
-``clear_element_row`` work on field elements for callers that keep
-them, such as the geometry layer.  This module pins down the canonical
-form, the three-valued zero test, equation solving, and row reduction
-over the function field.  All functions are pure.
-
-Expressions that are not rational functions with rational coefficients
-(radicals returned by the solver, opaque analytic functions such as sin,
-exp or undefined functions) stay sympy expressions: zero tests on them
-may return None ("unknown"), and rank decisions refuse to guess.
+convert at their boundary, and anything else (floats, radicals,
+functions) raises UnsupportedEquationError there; ``element_rref``,
+``element_nullspace`` and ``clear_element_row`` work on field elements
+for callers that keep them, such as the geometry layer.  The equation
+solver keeps only rational solution branches.  This module pins down
+the canonical form, the exact zero test, equation solving, and row
+reduction over the function field.  All functions are pure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import sympy as sp
 from sympy import QQ
@@ -31,38 +28,9 @@ from sympy.polys.polyerrors import CoercionFailed
 
 from .errors import (
     InconsistentSystemError,
-    IndeterminateRankError,
+    IrrationalSolutionError,
     UnsupportedEquationError,
 )
-
-# Contract aliases: the substrate is sympy behind these names.
-SymbolicExpression = sp.Expr
-SymbolicMatrix = sp.Matrix
-
-
-def sympify_rational(value):
-    """Convert strings/numbers to exact sympy values (floats become Rationals)."""
-    e = sp.sympify(value, rational=True)
-    return e
-
-
-def free_variables(e) -> tuple:
-    """Free symbols of ``e`` sorted by name, for deterministic iteration."""
-    return tuple(sorted(sp.sympify(e).free_symbols, key=lambda s: s.name))
-
-
-def is_rational_expression(e, variables: Optional[Sequence[sp.Symbol]] = None) -> bool:
-    """True when ``e`` is a rational function of ``variables`` (default: all
-    of its free symbols) with exact rational coefficients."""
-    e = sp.sympify(e)
-    if variables is None:
-        variables = free_variables(e)
-    if not variables:
-        return bool(e.is_Number and e.is_rational)
-    if not e.is_rational_function(*variables):
-        return False
-    # everything must stay exact, so float coefficients are rejected
-    return not e.has(sp.Float)
 
 
 @functools.lru_cache(maxsize=256)
@@ -109,38 +77,42 @@ def _fraction(e, ring, index):
 
 def _fractions(exprs, gens=None):
     """(K, [(numerator, denominator)]) for rational expressions over
-    K = QQ(gens), gens defaulting to all free symbols sorted by name;
-    None when some expression is not rational in gens.  Over K = QQ the
-    pairs are (value, 1)."""
+    K = QQ(gens), gens defaulting to all free symbols sorted by name.
+    Over K = QQ the pairs are (value, 1).  Raises UnsupportedEquationError
+    when some expression is not a rational function of gens with rational
+    coefficients (floats count as inexact, hence not rational)."""
     exprs = [sp.sympify(e) for e in exprs]
     if gens is None:
         gens = sorted(set().union(*(e.free_symbols for e in exprs)),
                       key=lambda s: s.name)
     K = function_field(tuple(gens))
-    if K is QQ:
-        if not all(e.is_Rational for e in exprs):
-            return None
-        return K, [(QQ(e.p, e.q), QQ.one) for e in exprs]
-    ring = K.field.ring
-    index = {s: i for i, s in enumerate(K.symbols)}
-    try:
-        return K, [_fraction(e, ring, index) for e in exprs]
-    except CoercionFailed:
-        return None
+    ring = None if K is QQ else K.field.ring
+    index = {s: i for i, s in enumerate(K.symbols)} if ring else {}
+    pairs = []
+    for e in exprs:
+        try:
+            if ring is None:
+                if not e.is_Rational:
+                    raise CoercionFailed(e)
+                pairs.append((QQ(e.p, e.q), QQ.one))
+            else:
+                pairs.append(_fraction(e, ring, index))
+        except CoercionFailed:
+            raise UnsupportedEquationError(
+                "%s is not a rational function of (%s) with rational coefficients"
+                % (e, ", ".join(map(str, gens)))
+            ) from None
+    return K, pairs
 
 
 def to_elements(exprs, gens=None):
-    """Field elements of a sequence of expressions.
+    """Field elements of a sequence of rational expressions.
 
     The field is QQ(gens), with gens defaulting to the free symbols of
-    all expressions sorted by name.  Returns (field, elements), or None
-    when some expression is not a rational function of gens with
-    rational coefficients (floats count as inexact, hence not rational).
+    all expressions sorted by name.  Returns (field, elements); raises
+    UnsupportedEquationError as :func:`_fractions` does.
     """
-    converted = _fractions(exprs, gens)
-    if converted is None:
-        return None
-    K, pairs = converted
+    K, pairs = _fractions(exprs, gens)
     if K is QQ:
         return K, [num for num, _ in pairs]
     return K, [K.field.new(num, den) for num, den in pairs]
@@ -168,11 +140,7 @@ def canonical_pair(e):
     name.  sympy distributes a numeric factor over a sum, so a sum over
     a constant denominator d comes out as (sum / d, 1).
     """
-    e = sp.sympify(e)
-    converted = to_elements([e])
-    if converted is None:
-        return _expression_pair(e)
-    K, (a,) = converted
+    K, (a,) = to_elements([e])
     if not a:
         return sp.Integer(0), sp.Integer(1)
     if K is QQ:
@@ -190,109 +158,57 @@ def canonical_pair(e):
     return num, den
 
 
-def _expression_pair(e):
-    """canonical_pair of an expression outside the rational function field."""
-    num, den = sp.fraction(sp.cancel(sp.together(e)))
-    num = sp.expand(num)
-    den = sp.expand(den)
-    if num == 0:
-        return sp.Integer(0), sp.Integer(1)
-    gens = list(free_variables(num))
-    if gens:
-        try:
-            poly = sp.Poly(num, *gens)
-            lead = poly.coeff_monomial(poly.monoms(order="grlex")[0])
-        except sp.PolynomialError:
-            lead = None
-    else:
-        lead = num
-    if lead is not None and lead.is_number and lead.is_negative:
-        num, den = sp.expand(-num), sp.expand(-den)
-    return num, den
-
-
 def canonicalize(e):
-    """Canonical form of a rational expression (see :func:`canonical_pair`).
-
-    Non-rational expressions are returned after best-effort simplification.
-    """
-    e = sp.sympify(e)
-    variables = free_variables(e)
-    if variables and not e.is_rational_function(*variables):
-        return sp.simplify(e)
+    """Canonical form of a rational expression (see :func:`canonical_pair`)."""
     num, den = canonical_pair(e)
     if den == 1:
         return num
     return num / den
 
 
-def is_zero(e) -> Optional[bool]:
-    """Three-valued zero test: True / False / None (undecided).
-
-    Decisive for rational expressions and field elements (exact
-    cancellation); best-effort simplification otherwise, never guessing.
-    """
+def is_zero(e) -> bool:
+    """Exact zero test of a rational expression or a field element."""
     if isinstance(e, FracElement):
         return not e
-    e = sp.sympify(e)
-    if e.is_Number:
-        return bool(e == 0)
-    converted = _fractions([e])
-    if converted is not None:
-        return not converted[1][0][0]
-    variables = free_variables(e)
-    if e.is_rational_function(*variables) and not e.has(sp.Float):
-        return sp.cancel(sp.together(e)) == 0
-    s = sp.simplify(e)
-    if s == 0:
-        return True
-    if s.is_Number:
-        return bool(s == 0)
-    z = s.is_zero
-    if z is True:
-        return True
-    if z is False:
+    return not _fractions([e])[1][0][0]
+
+
+def _is_rational(e) -> bool:
+    try:
+        _fractions([e])
+    except UnsupportedEquationError:
         return False
-    return None
-
-
-def differentiate(e, var: sp.Symbol):
-    """Partial derivative, returned in canonical form when rational.
-
-    Opaque functions differentiate to formal ``Derivative`` objects via the
-    chain rule, exactly as sympy defines them.
-    """
-    d = sp.diff(sp.sympify(e), var)
-    if d.has(sp.Derivative):
-        return d
-    return canonicalize(d)
+    return True
 
 
 def solve_algebraic(equations: Iterable, unknowns: Sequence[sp.Symbol]):
     """Solve rational equations exactly for ``unknowns``.
 
     Returns a list of solution dicts (empty when no symbolic solution was
-    found, which is weaker than "no solution exists").  Raises
-    InconsistentSystemError for a provable contradiction and
-    UnsupportedEquationError when an equation depends non-rationally on one
-    of the unknowns.
+    found, which is weaker than "no solution exists").  Only branches whose
+    values are rational functions are kept.  Raises InconsistentSystemError
+    for a provable contradiction, UnsupportedEquationError when an equation
+    is not rational, and IrrationalSolutionError when the solver found
+    branches but none of them is rational.
     """
     unknowns = list(unknowns)
     exprs = []
     for eq in equations:
-        e = eq.lhs - eq.rhs if isinstance(eq, sp.Equality) else sp.sympify(eq)
-        for u in unknowns:
-            if e.has(u) and not e.is_rational_function(u):
-                raise UnsupportedEquationError(
-                    "equation %s depends non-rationally on %s" % (e, u)
-                )
-        residual = sp.cancel(sp.together(e))
-        if not residual.free_symbols and residual != 0:
+        eq = sp.sympify(eq)
+        # sympy decides an Eq between numbers on construction
+        if eq is sp.true:
+            continue
+        if eq is sp.false:
+            raise InconsistentSystemError("an equation is a contradiction")
+        e = eq.lhs - eq.rhs if isinstance(eq, sp.Equality) else eq
+        K, ((num, _),) = _fractions([e])
+        if not num:
+            continue
+        if K is QQ:
             raise InconsistentSystemError(
-                "equation %s = 0 is a contradiction" % residual
+                "equation %s = 0 is a contradiction" % K.to_sympy(num)
             )
-        if residual != 0:
-            exprs.append(residual)
+        exprs.append(sp.cancel(sp.together(e)))
     if not exprs:
         # every equation was an identity: no constraints on the unknowns
         return [{}]
@@ -300,7 +216,14 @@ def solve_algebraic(equations: Iterable, unknowns: Sequence[sp.Symbol]):
         sols = sp.solve(exprs, unknowns, dict=True)
     except NotImplementedError:
         return []
-    return sols
+
+    def irrational(sol):
+        return next((u for u in unknowns if u in sol and not _is_rational(sol[u])), None)
+
+    rational = [sol for sol in sols if irrational(sol) is None]
+    if sols and not rational:
+        raise IrrationalSolutionError(irrational(sols[0]))
+    return rational
 
 
 class RrefResult(NamedTuple):
@@ -337,63 +260,12 @@ def element_nullspace(K, rref_rows, pivots, ncols) -> list:
     return vectors
 
 
-def _expression_rref(rows, ncols):
-    """Gauss-Jordan elimination of expressions outside the rational
-    function field.  Every pivot decision is a three-valued zero test;
-    an undecided one raises IndeterminateRankError."""
-    work = [[sp.cancel(e) for e in row] for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        candidates = []
-        for i in range(r, len(work)):
-            z = is_zero(work[i][c])
-            if z is None:
-                raise IndeterminateRankError(
-                    "cannot decide whether entry (%d, %d) = %s is zero"
-                    % (i, c, work[i][c])
-                )
-            if z is False:
-                candidates.append(i)
-        if not candidates:
-            continue
-        i = candidates[0]
-        work[r], work[i] = work[i], work[r]
-        pivot = work[r][c]
-        work[r] = [sp.cancel(e / pivot) for e in work[r]]
-        for j in range(len(work)):
-            factor = work[j][c]
-            if j != r and is_zero(factor) is False:
-                work[j] = [
-                    sp.cancel(work[j][k] - factor * work[r][k]) for k in range(ncols)
-                ]
-        pivots.append(c)
-    return work, tuple(pivots)
-
-
-class _Expressions:
-    """Stand-in for a field whose elements are sympy expressions."""
-
-    zero = sp.Integer(0)
-    one = sp.Integer(1)
-
-    @staticmethod
-    def to_sympy(e):
-        return e
-
-
 def _row_reduce(M):
     """(K, rref rows, pivots) of a matrix over the rational function field
-    of its entries, or over expressions when they are not rational."""
+    of its entries."""
     A = _as_matrix(M)
     nrows, ncols = A.shape
-    converted = to_elements(list(A))
-    if converted is None:
-        rows, pivots = _expression_rref(A.tolist(), ncols)
-        return _Expressions, rows, pivots
-    K, elements = converted
+    K, elements = to_elements(list(A))
     rows = [elements[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     rows, pivots = element_rref(K, rows, ncols)
     return K, rows, pivots
@@ -406,9 +278,7 @@ def function_field_rref(M) -> RrefResult:
     symbols sorted by name), or over QQ when it has none.  The reduced
     form over a field is unique, so no pivoting rule is needed.  The
     result additionally carries the pivot columns and a nullspace basis
-    (one column vector per free column).  Entries that are not rational
-    functions are eliminated as expressions; IndeterminateRankError is
-    raised when a pivot candidate's zero test is undecided.
+    (one column vector per free column).
     """
     A = _as_matrix(M)
     nrows, ncols = A.shape
@@ -434,42 +304,33 @@ def nullspace(M) -> list:
 def evaluate_exact(e, point: dict):
     """Evaluate a rational expression at an exact rational point.
 
-    The expression is reduced to lowest terms first, so a removable
-    singularity is not a pole.  Symbols the point leaves open stay
-    symbolic.  Raises ZeroDivisionError when the point is a pole.
+    The point must assign a rational number to every symbol of e; one it
+    leaves open raises ValueError.  The expression is reduced to lowest
+    terms first, so a removable singularity is not a pole.  Raises
+    ZeroDivisionError when the point is a pole.
     """
-    converted = _fractions([e])
-    if converted is not None:
-        K, ((num, den),) = converted
-        value = _evaluate_fraction(K, num, den, point, e)
-        if value is not None:
-            L, a = value
-            return L.to_sympy(a) if L is QQ else sp.cancel(L.to_sympy(a))
-    num, den = canonical_pair(e)
-    den_val = den.subs(point)
-    if den_val == 0:
-        raise ZeroDivisionError("pole at %s in %s" % (point, e))
-    num_val = num.subs(point)
-    return sp.cancel(num_val / den_val)
+    K, ((num, den),) = _fractions([e])
+    return QQ.to_sympy(_evaluate_fraction(K, num, den, point, e))
 
 
 def _evaluate_fraction(K, num, den, point, e):
-    """num / den over K at point, as (L, value in L): L is QQ when point
-    fixes every generator of K, else the field of the generators it
-    leaves open.  None when a value point assigns is not a rational
-    number.  The fraction is reduced only when its denominator vanishes;
-    ZeroDivisionError is raised for a pole of e."""
+    """num / den over K at point, as an element of QQ.  The fraction is
+    reduced only when its denominator vanishes; ZeroDivisionError is
+    raised for a pole of e.  Raises ValueError when point leaves a
+    generator of K open and UnsupportedEquationError when it assigns a
+    value that is not a rational number."""
     if K is QQ:
-        return QQ, num
+        return num
     fixed = []
     for gen, sym in zip(K.field.ring.gens, K.symbols):
-        if sym in point:
-            value = sp.sympify(point[sym])
-            if not value.is_Rational:
-                return None
-            fixed.append((gen, QQ(value.p, value.q)))
-    if not fixed:
-        return K, K.field.new(num, den)
+        if sym not in point:
+            raise ValueError("point %s leaves %s open in %s" % (point, sym, e))
+        value = sp.sympify(point[sym])
+        if not value.is_Rational:
+            raise UnsupportedEquationError(
+                "point value %s = %s is not a rational number" % (sym, value)
+            )
+        fixed.append((gen, QQ(value.p, value.q)))
     num_val, den_val = num.evaluate(fixed), den.evaluate(fixed)
     if not den_val:
         reduced = K.field.new(num, den)
@@ -477,35 +338,19 @@ def _evaluate_fraction(K, num, den, point, e):
         den_val = reduced.denom.evaluate(fixed)
         if not den_val:
             raise ZeroDivisionError("pole at %s in %s" % (point, e))
-    if len(fixed) == len(K.symbols):
-        return QQ, num_val / den_val
-    L = function_field(tuple(s for s in K.symbols if s not in point))
-    ring = L.field.ring
-    return L, L.field.new(num_val.set_ring(ring), den_val.set_ring(ring))
+    return num_val / den_val
 
 
 def rank_at_point(M, point: dict) -> int:
-    """Exact rank of a matrix of rational expressions at a rational point.
-
-    Symbols the point leaves open stay symbolic, and the rank is then
-    the generic one in them.
-    """
+    """Exact rank of a matrix of rational expressions at a rational point
+    that fixes every symbol of its entries."""
     A = _as_matrix(M)
-    converted = _fractions(list(A))
-    if converted is not None:
-        K, pairs = converted
-        values = [
-            _evaluate_fraction(K, num, den, point, e)
-            for (num, den), e in zip(pairs, A)
-        ]
-        if all(v is not None for v in values):
-            L = values[0][0] if values else QQ
-            rows = [
-                [a for _, a in values[i * A.cols:(i + 1) * A.cols]]
-                for i in range(A.rows)
-            ]
-            return len(element_rref(L, rows, A.cols)[1])
-    return generic_rank(A.applyfunc(lambda e: evaluate_exact(e, point)))
+    K, pairs = _fractions(list(A))
+    values = [
+        _evaluate_fraction(K, num, den, point, e) for (num, den), e in zip(pairs, A)
+    ]
+    rows = [values[i * A.cols:(i + 1) * A.cols] for i in range(A.rows)]
+    return len(element_rref(QQ, rows, A.cols)[1])
 
 
 def clear_element_row(K, row):
@@ -548,12 +393,7 @@ def clear_denominators(row: Sequence) -> list:
     row with the first nonzero entry's leading coefficient positive (see
     :func:`clear_element_row`).  The span is unchanged away from the
     cleared denominator's zero set."""
-    converted = to_elements(row)
-    if converted is None:
-        raise UnsupportedEquationError(
-            "cannot clear the denominators of a non-rational row %s" % (list(row),)
-        )
-    K, elements = converted
+    K, elements = to_elements(row)
     cleared, _ = clear_element_row(K, elements)
     return [K.to_sympy(a) for a in cleared]
 

@@ -201,7 +201,7 @@ def check_parametrization(system, p: FlatParametrization):
     for i, s in enumerate(system.states):
         ahead = shift_function(p.F_x[i])
         through = sp.sympify(system.update[i]).subs(subs_map, simultaneous=True)
-        if symbolic.is_zero(sp.cancel(sp.together(ahead - through))) is not True:
+        if not symbolic.is_zero(ahead - through):
             return False, "dynamics identity fails for %s" % s
     jets = sorted(
         {sym for e in p.F_x + p.F_u for sym in sp.sympify(e).free_symbols},
@@ -364,7 +364,7 @@ def _attempt_jet_solve(system, equations, unknowns, centers, eq_point, q):
             except ZeroDivisionError:
                 at_eq = False
                 break
-            if sp.simplify(value - eq_point[v]) != 0:
+            if value != eq_point[v]:
                 at_eq = False
                 break
         if not at_eq:

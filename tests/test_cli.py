@@ -43,6 +43,7 @@ class TestAnalyze:
         )
         assert code == 2
         assert "dimension" in err
+        assert err.count("timing: analyze") == 1
 
     def test_json_document(self, capsys, models_dir, tmp_path):
         target = tmp_path / "doc.json"
@@ -132,6 +133,8 @@ class TestExtract:
         assert code == 3
         assert "verdict: FLAT" in out
         assert "implicit solve failed" in err
+        assert err.count("timing: analyze") == 1
+        assert err.count("timing: construct") == 1
 
     def test_degree_cap_exit(self, capsys, models_dir):
         code, out, err = run(

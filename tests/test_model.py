@@ -133,6 +133,20 @@ next x2 = u
         with pytest.raises(ValidationError):
             model.validate_system(modelfile.parse_model(text))
 
+    def test_non_rational_update_rejected(self):
+        system = modelfile.parse_model(CHAIN)
+        x1, x2 = system.states
+        (u,) = system.inputs
+        trig = model.DiscreteTimeSystem(
+            name="trig",
+            states=system.states,
+            inputs=system.inputs,
+            update=(x2 + sp.sin(x1), u),
+            equilibrium=system.equilibrium,
+        )
+        with pytest.raises(ValidationError):
+            model.validate_system(trig)
+
     def test_redundant_inputs_flagged_not_fatal(self, redundant_input):
         report = model.validate_system(redundant_input)
         assert report.redundant_inputs

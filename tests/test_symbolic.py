@@ -6,7 +6,11 @@ import pytest
 import sympy as sp
 
 from flatcheck import symbolic
-from flatcheck.errors import InconsistentSystemError
+from flatcheck.errors import (
+    InconsistentSystemError,
+    IrrationalSolutionError,
+    UnsupportedEquationError,
+)
 
 x, y, z = sp.symbols("x y z")
 
@@ -84,9 +88,10 @@ class TestRanks:
         M = sp.Matrix([[x, x * y], [1, y]])
         assert symbolic.generic_rank(M) == 1
 
-    def test_generic_rank_with_radical_entries(self):
+    def test_radical_entries_are_rejected(self):
         M = sp.Matrix([[sp.sqrt(2) * x, x], [2, sp.sqrt(2)]])
-        assert symbolic.generic_rank(M) == 1
+        with pytest.raises(UnsupportedEquationError):
+            symbolic.generic_rank(M)
 
     def test_rank_at_point_drop(self):
         M = sp.Matrix([[x, 0], [0, 1]])
@@ -118,6 +123,19 @@ class TestSolveAlgebraic:
         sols = symbolic.solve_algebraic([sp.Eq(x * y, 1)], [x])
         assert sols[0][x] == 1 / y
 
+    def test_only_irrational_branches_raise(self):
+        with pytest.raises(IrrationalSolutionError) as info:
+            symbolic.solve_algebraic([x**2 - 2], [x])
+        assert info.value.unknown == x
+
+    def test_irrational_branches_are_dropped(self):
+        sols = symbolic.solve_algebraic([(x**2 - 2) * (x - 1)], [x])
+        assert sols == [{x: 1}]
+
+    def test_all_rational_branches_are_kept(self):
+        sols = symbolic.solve_algebraic([x**2 - 1], [x])
+        assert sorted(sol[x] for sol in sols) == [-1, 1]
+
 
 class TestClearDenominators:
     def test_primitive_integer_vector(self):
@@ -146,6 +164,10 @@ class TestEvaluateExact:
 
     def test_removable_singularity_is_not_a_pole(self):
         assert symbolic.evaluate_exact((x**2 - 1) / (x - 1), {x: 1}) == 2
+
+    def test_incomplete_point_raises(self):
+        with pytest.raises(ValueError):
+            symbolic.evaluate_exact(x * y, {x: 1})
 
 
 class TestToInfix:
