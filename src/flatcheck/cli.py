@@ -95,7 +95,6 @@ def cmd_analyze(args, timings) -> int:
     print(analysis.classify(report))
     if args.json:
         doc = document.new_document(system, report)
-        doc.timings = dict(timings)
         _write_json(args.json, doc)
     return EXIT_OK if report.flat else EXIT_NEGATIVE
 
@@ -121,7 +120,6 @@ def cmd_extract(args, timings) -> int:
         print("no construction for a NOT_FLAT system")
         if args.json:
             doc = document.new_document(system, report)
-            doc.timings = dict(timings)
             _write_json(args.json, doc)
         return EXIT_NEGATIVE
 
@@ -184,7 +182,6 @@ def cmd_extract(args, timings) -> int:
         doc.parametrization = p
         doc.symbolic_verification = sym_rep
         doc.numeric_verification = num_rep
-        doc.timings = dict(timings)
         _write_json(args.json, doc)
     if sym_rep.status != "PASS" or num_rep.status != "PASS":
         print("construction verification failed", file=sys.stderr)

@@ -4,15 +4,14 @@ An AnalysisDocument bundles everything one run produces: the model
 identity, the distribution-sequence record, and whichever construction
 and verification artifacts exist.  render_json turns it into a stable
 JSON string: dictionaries are built in schema order, expressions are
-printed in the canonical infix of the model grammar, and timings stay
-out of the payload, so the bytes depend only on the model, the flags,
-and the seed.
+printed in the canonical infix of the model grammar, so the bytes
+depend only on the model, the flags, and the seed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import symbolic
 
@@ -25,8 +24,7 @@ class AnalysisDocument:
 
     The optional slots stay None when the corresponding stage did not
     run (analysis only) or could not run (NOT_FLAT verdict, construction
-    failure).  timings maps stage names to seconds and is reported on
-    stderr, never serialized.
+    failure).
     """
 
     version: str
@@ -40,7 +38,6 @@ class AnalysisDocument:
     parametrization: object = None
     symbolic_verification: object = None
     numeric_verification: object = None
-    timings: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return _document_dict(self)

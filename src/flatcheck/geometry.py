@@ -248,13 +248,15 @@ def build_adapted_chart(system) -> Chart:
     )
     forward_elements = {c: K.from_sympy(forward[c]) for c in coords}
     for c in coords:
-        residual = _compose(forward_elements[c], substitution) - K.from_sympy(c)
+        residual = (symbolic.compose(forward_elements[c], substitution)
+                    - K.from_sympy(c))
         if residual:
             raise ChartError("chart maps do not invert: residual %s on %s"
                              % (K.to_sympy(residual), c))
     generators = [K.from_sympy(v) for v in variables]
     jacobian = tuple(
-        tuple(_compose(forward_elements[c].diff(g), substitution) for g in generators)
+        tuple(symbolic.compose(forward_elements[c].diff(g), substitution)
+              for g in generators)
         for c in coords
     )
     return Chart(
@@ -270,54 +272,6 @@ def build_adapted_chart(system) -> Chart:
     )
 
 
-def _substitute(poly, substitution):
-    """poly with generator i replaced by the fraction substitution[i] (kept
-    where that is None), as a (numerator, denominator) pair of polynomials.
-
-    Every term is brought over the common denominator prod d_i^deg_i, so
-    the sum is taken in the polynomial ring without any gcd.
-    """
-    ring = poly.ring
-    if not poly:
-        return poly, ring.one
-    degrees = poly.degrees()
-    moved = [i for i, image in enumerate(substitution) if image is not None and degrees[i]]
-    if not moved:
-        return poly, ring.one
-    powers = {}
-
-    def power(i, part, k):
-        if (i, part, k) not in powers:
-            powers[i, part, k] = substitution[i][part] ** k
-        return powers[i, part, k]
-
-    total = {}
-    for monom, coeff in poly.iterterms():
-        kept = list(monom)
-        factor = ring.one
-        for i in moved:
-            e, kept[i] = monom[i], 0
-            if e:
-                factor = factor * power(i, 0, e)
-            if degrees[i] - e:
-                factor = factor * power(i, 1, degrees[i] - e)
-        for m, c in factor.mul_term((tuple(kept), coeff)).iterterms():
-            total[m] = total.get(m, 0) + c
-    numerator = ring.from_dict({m: c for m, c in total.items() if c})
-    denominator = ring.one
-    for i in moved:
-        denominator = denominator * power(i, 1, degrees[i])
-    return numerator, denominator
-
-
-def _compose(a, substitution):
-    """Element a of a chart's function field with the inverse chart map
-    substituted for the base variables."""
-    num, num_den = _substitute(a.numer, substitution)
-    den, den_den = _substitute(a.denom, substitution)
-    return a.field.new(num * den_den, den * num_den)
-
-
 def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
     """Rewrite a field given over the base variables in chart coordinates.
 
@@ -330,7 +284,8 @@ def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
         raise ValueError("field is not over the chart's base variables")
     K = chart.function_field
     _, elements = symbolic.to_elements(v.components, K.symbols)
-    moved = [_compose(c, chart.substitution) if c else None for c in elements]
+    moved = [symbolic.compose(c, chart.substitution) if c else None
+             for c in elements]
     components = []
     for row in chart.jacobian:
         total = K.zero
@@ -522,7 +477,7 @@ def largest_projectable_subdistribution(
         for vec in kernel:
             comps, factor = symbolic.clear_element_row(K, _combine(vec, cur, K.zero))
             new_cur.append(comps)
-            factor = _compose(factor, chart.substitution)
+            factor = symbolic.compose(factor, chart.substitution)
             new_adapted.append([factor * c for c in _combine(vec, adapted, K.zero)])
         cur, adapted = new_cur, new_adapted
 

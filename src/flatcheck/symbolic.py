@@ -8,10 +8,19 @@ are ``DomainMatrix`` objects.  Functions taking sympy expressions
 convert at their boundary, and anything else (floats, radicals,
 functions) raises UnsupportedEquationError there; ``element_rref``,
 ``element_nullspace`` and ``clear_element_row`` work on field elements
-for callers that keep them, such as the geometry layer.  The equation
-solver keeps only rational solution branches.  This module pins down
-the canonical form, the exact zero test, equation solving, and row
-reduction over the function field.  All functions are pure.
+for callers that keep them, such as the geometry layer, and
+``substitute``/``compose`` substitute fractions for generators.
+
+``solve_algebraic`` solves by exact elimination in the fraction field:
+it eliminates the unknowns in the caller's order, one equation linear
+in the unknown at a time, and factors an equation when none is linear.
+Equations free of the unknowns are ignored, and every branch is checked
+exactly against every equation that contains an unknown.  Only rational
+branches are returned, so ``[]`` means no branch could be solved.
+
+This module pins down the canonical form, the exact zero test, equation
+solving, and row reduction over the function field.  All functions are
+pure.
 """
 
 from __future__ import annotations
@@ -173,23 +182,73 @@ def is_zero(e) -> bool:
     return not _fractions([e])[1][0][0]
 
 
-def _is_rational(e) -> bool:
-    try:
-        _fractions([e])
-    except UnsupportedEquationError:
-        return False
-    return True
+def substitute(poly, substitution):
+    """poly with generator i replaced by the fraction substitution[i], a
+    (numerator, denominator) pair of polynomials (kept where that is None),
+    as a (numerator, denominator) pair of polynomials.
+
+    Every term is brought over the common denominator prod d_i^deg_i, so
+    the sum is taken in the polynomial ring without any gcd.
+    """
+    ring = poly.ring
+    if not poly:
+        return poly, ring.one
+    degrees = poly.degrees()
+    moved = [i for i, image in enumerate(substitution) if image is not None and degrees[i]]
+    if not moved:
+        return poly, ring.one
+    powers = {}
+
+    def power(i, part, k):
+        if (i, part, k) not in powers:
+            powers[i, part, k] = substitution[i][part] ** k
+        return powers[i, part, k]
+
+    total = {}
+    for monom, coeff in poly.iterterms():
+        kept = list(monom)
+        factor = ring.one
+        for i in moved:
+            e, kept[i] = monom[i], 0
+            if e:
+                factor = factor * power(i, 0, e)
+            if degrees[i] - e:
+                factor = factor * power(i, 1, degrees[i] - e)
+        for m, c in factor.mul_term((tuple(kept), coeff)).iterterms():
+            total[m] = total.get(m, 0) + c
+    numerator = ring.from_dict({m: c for m, c in total.items() if c})
+    denominator = ring.one
+    for i in moved:
+        denominator = denominator * power(i, 1, degrees[i])
+    return numerator, denominator
+
+
+def compose(a, substitution):
+    """Field element a with generator i replaced by the fraction
+    substitution[i] (see :func:`substitute`).  Raises ZeroDivisionError
+    when the substituted denominator vanishes, whatever the numerator."""
+    num, num_den = substitute(a.numer, substitution)
+    den, den_den = substitute(a.denom, substitution)
+    if not den:
+        raise ZeroDivisionError("denominator of %s vanishes" % a.as_expr())
+    return a.field.new(num * den_den, den * num_den)
 
 
 def solve_algebraic(equations: Iterable, unknowns: Sequence[sp.Symbol]):
     """Solve rational equations exactly for ``unknowns``.
 
-    Returns a list of solution dicts (empty when no symbolic solution was
-    found, which is weaker than "no solution exists").  Only branches whose
-    values are rational functions are kept.  Raises InconsistentSystemError
-    for a provable contradiction, UnsupportedEquationError when an equation
-    is not rational, and IrrationalSolutionError when the solver found
-    branches but none of them is rational.
+    Returns a list of solution dicts, sorted by ``default_sort_key``, whose
+    values are rational functions (``[{}]`` when every equation is an
+    identity).  Equations free of the unknowns are ignored; when no other
+    equation is left the result is ``[]``.  The unknowns are eliminated in
+    the caller's order, so an underdetermined system is solved for its
+    first unknowns in terms of the rest.  Every branch is checked exactly
+    against every equation that contains an unknown.  An empty result
+    means no rational branch was found, which is weaker than "no solution
+    exists".  Raises InconsistentSystemError for a provable contradiction,
+    UnsupportedEquationError when an equation is not rational, and
+    IrrationalSolutionError when the only branches found need an
+    irrational value (a univariate factor without a rational root).
     """
     unknowns = list(unknowns)
     exprs = []
@@ -200,30 +259,143 @@ def solve_algebraic(equations: Iterable, unknowns: Sequence[sp.Symbol]):
             continue
         if eq is sp.false:
             raise InconsistentSystemError("an equation is a contradiction")
-        e = eq.lhs - eq.rhs if isinstance(eq, sp.Equality) else eq
-        K, ((num, _),) = _fractions([e])
-        if not num:
+        exprs.append(eq.lhs - eq.rhs if isinstance(eq, sp.Equality) else eq)
+    gens = sorted(set(unknowns).union(*(e.free_symbols for e in exprs)),
+                  key=lambda s: s.name)
+    K, elements = to_elements(exprs, gens)
+    nonzero = []
+    for e, a in zip(exprs, elements):
+        if not a:
             continue
-        if K is QQ:
-            raise InconsistentSystemError(
-                "equation %s = 0 is a contradiction" % K.to_sympy(num)
-            )
-        exprs.append(sp.cancel(sp.together(e)))
-    if not exprs:
+        if not e.free_symbols:
+            raise InconsistentSystemError("equation %s = 0 is a contradiction" % e)
+        nonzero.append(a)
+    if not nonzero:
         # every equation was an identity: no constraints on the unknowns
         return [{}]
-    try:
-        sols = sp.solve(exprs, unknowns, dict=True)
-    except NotImplementedError:
+    position = {s: i for i, s in enumerate(K.symbols)}
+    order = list(dict.fromkeys(position[u] for u in unknowns))
+    # an equation free of the unknowns cannot change a solution, and any
+    # branch would fail it for generic parameters
+    elements = [a for a in nonzero
+                if _mentions(a.numer, order) or _mentions(a.denom, order)]
+    if not elements:
         return []
+    irrational = []
+    found = []
+    for steps in _eliminate([a.numer for a in elements], order, [], irrational):
+        values = _back_substitute(K.field, steps)
+        if values is None or values in found:
+            continue
+        if all(_satisfies(a, steps) for a in elements):
+            found.append(values)
+    if not found and irrational:
+        raise IrrationalSolutionError(K.symbols[irrational[0]])
+    solutions = [
+        {K.symbols[i]: K.to_sympy(K.field.new(*values[i]))
+         for i in order if values[i] is not None}
+        for values in found
+    ]
+    return sorted(solutions, key=sp.default_sort_key)
 
-    def irrational(sol):
-        return next((u for u in unknowns if u in sol and not _is_rational(sol[u])), None)
 
-    rational = [sol for sol in sols if irrational(sol) is None]
-    if sols and not rational:
-        raise IrrationalSolutionError(irrational(sols[0]))
-    return rational
+def _mentions(poly, indices) -> bool:
+    degrees = poly.degrees()
+    return any(degrees[i] for i in indices)
+
+
+def _eliminate(polys, open_, steps, irrational):
+    """Yield the elimination steps (generator index, numerator,
+    denominator) of every branch of the polynomial equations polys = 0 in
+    the open generators.  Records in irrational the generators whose
+    univariate equation had no rational root."""
+    while polys:
+        pivot = next(
+            ((i, p) for i in open_ for p in polys if p.degree(i) == 1), None
+        )
+        if pivot is None:
+            yield from _split(polys, open_, steps, irrational)
+            return
+        i, p = pivot
+        a, b = p.coeff_wrt(i, 1), -p.coeff_wrt(i, 0)
+        g = a.gcd(b)
+        if _mentions(g, open_):
+            # p = g * (a/g * u - b/g) also vanishes where g does, for any u
+            others = [q for q in polys if q is not p]
+            yield from _eliminate([g] + others, open_, steps, irrational)
+        a, b = a.exquo(g), b.exquo(g)
+        substitution = [None] * p.ring.ngens
+        substitution[i] = (b, a)
+        open_ = [j for j in open_ if j != i]
+        steps = steps + [(i, b, a)]
+        remaining = []
+        for q in polys:
+            if q is p:
+                continue
+            q, _ = substitute(q, substitution)
+            if not q:
+                continue
+            # u = b/a assumes a != 0: divide out every factor q shares with a
+            g = q.gcd(a)
+            while not g.is_ground:
+                q = q.exquo(g)
+                g = q.gcd(a)
+            if not _mentions(q, open_):
+                return
+            remaining.append(q)
+        polys = remaining
+    yield steps
+
+
+def _split(polys, open_, steps, irrational):
+    """Branch on every factor containing an open generator of the first
+    equation that has a factor linear in one.  A univariate equation
+    without such a factor has no root in the field of the other generators
+    (Gauss's lemma), so it ends the branch and its generator is recorded
+    as irrational."""
+    for p in polys:
+        factors = [f for f, _ in p.factor_list()[1] if _mentions(f, open_)]
+        if any(f.degree(i) == 1 for f in factors for i in open_):
+            others = [q for q in polys if q is not p]
+            for f in factors:
+                yield from _eliminate([f] + others, open_, steps, irrational)
+            return
+        present = [i for i in open_ if p.degree(i)]
+        if len(present) == 1:
+            irrational.append(present[0])
+            return
+
+
+def _back_substitute(field, steps):
+    """Values (numerator, denominator), by generator index of field, of the
+    eliminated generators in terms of the open ones; None when a
+    denominator vanishes."""
+    values = [None] * field.ngens
+    for i, num, den in reversed(steps):
+        try:
+            value = compose(field.new(num, den), values)
+        except ZeroDivisionError:
+            return None
+        values[i] = (value.numer, value.denom)
+    return values
+
+
+def _satisfies(a, steps) -> bool:
+    """Whether the equation a = 0 holds exactly on the branch of steps: its
+    numerator vanishes there and its denominator does not.
+
+    The steps are substituted one at a time, in elimination order.  Each
+    multiplies both parts by a power of the step's denominator, which
+    :func:`_back_substitute` has shown to be nonzero on the branch, so
+    neither test changes.
+    """
+    num, den = a.numer, a.denom
+    substitution = [None] * a.field.ngens
+    for i, b, c in steps:
+        substitution[i] = (b, c)
+        num, den = substitute(num, substitution)[0], substitute(den, substitution)[0]
+        substitution[i] = None
+    return not num and bool(den)
 
 
 class RrefResult(NamedTuple):

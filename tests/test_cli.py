@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import sympy
 
 from flatcheck import cli
 
@@ -284,3 +285,21 @@ class TestSimulate:
         )
         assert code == 2
         assert "error:" in err
+
+
+class TestNoSympySolve:
+    def test_extract_and_verify_solve_without_sympy_solve(
+        self, capsys, models_dir, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sympy.solve was called")
+
+        for module in (sympy, sympy.solvers, sympy.solvers.solvers):
+            monkeypatch.setattr(module, "solve", refuse)
+        path = model_path(models_dir, "chain2")
+        code, out, _ = run(capsys, "extract", path)
+        assert code == 0
+        assert "verification: symbolic PASS" in out
+        code, out, _ = run(capsys, "verify", path, "--output", "x1")
+        assert code == 0
+        assert "symbolic: PASS" in out

@@ -5,12 +5,13 @@ import random
 import pytest
 import sympy as sp
 
-from flatcheck import symbolic
+from flatcheck import geometry, model, symbolic
 from flatcheck.errors import (
     InconsistentSystemError,
     IrrationalSolutionError,
     UnsupportedEquationError,
 )
+from flatcheck.model import DiscreteTimeSystem
 
 x, y, z = sp.symbols("x y z")
 
@@ -135,6 +136,130 @@ class TestSolveAlgebraic:
     def test_all_rational_branches_are_kept(self):
         sols = symbolic.solve_algebraic([x**2 - 1], [x])
         assert sorted(sol[x] for sol in sols) == [-1, 1]
+
+    def test_equation_free_of_unknowns_is_ignored(self):
+        x1, x2, ub, y1, y2, y1_p1, y2_p1, ub_p1 = sp.symbols(
+            "x1 x2 ub y1 y2 y1_p1 y2_p1 ub_p1"
+        )
+        equations = [
+            sp.Eq(y1, x1),
+            sp.Eq(y2, ub),
+            sp.Eq(y1_p1, -x1**2 + x2),
+            sp.Eq(y2_p1, ub_p1),
+        ]
+        sols = symbolic.solve_algebraic(equations, [x1, x2, ub])
+        assert len(sols) == 1
+        assert sols[0][x1] == y1 and sols[0][ub] == y2
+        assert sp.expand(sols[0][x2] - y1**2 - y1_p1) == 0
+
+    def test_only_unknown_free_equations_give_no_branch(self):
+        assert symbolic.solve_algebraic([sp.Eq(y, 1)], [x]) == []
+
+    def test_spurious_pivot_zero_branch_is_dropped(self):
+        # x1 is eliminated first through the second equation, as
+        # x1 = (theta_2 - u + 2*x2**2) / (3*x2), which is undefined at x2 = 0
+        x1, x2, u, t1, t2, xi1 = sp.symbols("x1 x2 u theta_1 theta_2 xi_1")
+        equations = [
+            sp.Eq(t1, x1**2 + x1 + x2),
+            sp.Eq(t2, u + 3 * x1 * x2 - 2 * x2**2),
+            sp.Eq(xi1, x1),
+        ]
+        sols = symbolic.solve_algebraic(equations, [x1, x2, u])
+        assert len(sols) == 1
+        sol = sols[0]
+        assert sol[x1] == xi1
+        assert sp.expand(sol[x2] - (t1 - xi1**2 - xi1)) == 0
+        for eq in equations:
+            assert sp.cancel((eq.lhs - eq.rhs).subs(sol)) == 0
+
+    def test_underdetermined_solves_for_first_unknowns(self):
+        assert symbolic.solve_algebraic([x + y - 1], [x, y]) == [{x: 1 - y}]
+        assert symbolic.solve_algebraic([x + y - 1], [y, x]) == [{y: 1 - x}]
+
+    def test_zero_denominator_is_not_a_solution(self):
+        assert symbolic.solve_algebraic([(x - 1) / (x**2 - 1)], [x]) == []
+
+
+def _triangular_chain(rng, n):
+    """Brunovsky chain z+ = (z2, ..., zn, u) seen through the triangular
+    state change z_i = x_i + p_i(x_1, ..., x_{i-1}), p_i without constant
+    term, so the equilibrium is the origin."""
+    states = sp.symbols("x1:%d" % (n + 1))
+    u = sp.Symbol("u")
+    shifts = [sp.Integer(0)]
+    for i in range(1, n):
+        terms = [rng.choice([-2, -1, 1, 2]) * sp.Mul(*rng.sample(states[:i] * 2, k))
+                 for k in (1, 2)]
+        shifts.append(sp.Add(*terms))
+    z_next = [states[i] + shifts[i] for i in range(1, n)] + [u]
+    update = []
+    for i in range(n):
+        prior = dict(zip(states, update))
+        update.append(sp.expand(z_next[i] - shifts[i].subs(prior, simultaneous=True)))
+    return DiscreteTimeSystem(
+        name="triangular%d" % n,
+        states=states,
+        inputs=(u,),
+        update=tuple(update),
+        equilibrium={s: 0 for s in states + (u,)},
+        source_digest=None,
+    )
+
+
+def _canonical_branches(solutions):
+    return sorted(
+        (tuple(sorted((str(k), symbolic.canonicalize(v)) for k, v in sol.items()))
+         for sol in solutions),
+        key=sp.default_sort_key,
+    )
+
+
+class TestSolveAgainstSympy:
+    """The chart-inverse systems give the same branches as sympy's own
+    solver, used here only as a test oracle."""
+
+    @staticmethod
+    def _check_chart_inverse(system):
+        chart = geometry.build_adapted_chart(system)
+        equations = [sp.Eq(c, chart.forward[c]) for c in chart.coords]
+        unknowns = list(system.variables)
+        ours = symbolic.solve_algebraic(equations, unknowns)
+        oracle = sp.solve([eq.lhs - eq.rhs for eq in equations], unknowns, dict=True)
+        assert ours
+        assert _canonical_branches(ours) == _canonical_branches(oracle)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["chain2", "shift1", "sfl_quadratic", "redundant_input", "nonflat_bilinear"],
+    )
+    def test_bundled_chart_inverses(self, load_system, name):
+        system = load_system(name)
+        if model.validate_system(system).redundant_inputs:
+            system = model.eliminate_redundant_inputs(system).reduced
+        self._check_chart_inverse(system)
+
+    @pytest.mark.parametrize("seed, n", [(0, 2), (1, 2), (2, 3), (3, 3)])
+    def test_triangular_chain_chart_inverses(self, seed, n):
+        self._check_chart_inverse(_triangular_chain(random.Random(seed + 9000), n))
+
+    @pytest.mark.parametrize(
+        "equations",
+        [
+            [x**2 - 1, y - x],
+            [x * y - 2, x + y - 3],
+            # y = x assumes x + 2 != 0; the branch x = -2 must survive
+            [(x - y) * (x + 2), y**2 - 4],
+            [x**2 - z**2, x * y - z],
+            [y**2 - y, x * y - 1 + y],
+        ],
+    )
+    def test_branching_systems(self, equations):
+        ours = symbolic.solve_algebraic(equations, [x, y])
+        oracle = sp.solve(equations, [x, y], dict=True)
+        assert [set(sol) for sol in ours] == [set(sol) for sol in oracle]
+        assert all(
+            sp.cancel(a[k] - b[k]) == 0 for a, b in zip(ours, oracle) for k in b
+        )
 
 
 class TestClearDenominators:
