@@ -11,7 +11,7 @@ import pathlib
 
 import sympy as sp
 
-from flatcheck import analysis, construction, modelfile, verification
+from flatcheck import analysis, construction, modelfile, symbolic, verification
 
 MODEL = pathlib.Path(__file__).resolve().parent.parent / "models" / "flat4.sys"
 
@@ -28,7 +28,7 @@ def main():
     print()
     print("flat output:")
     for i, component in enumerate(flat_output.components, start=1):
-        print("  y%d = %s" % (i, sp.sstr(sp.expand(component))))
+        print("  y%d = %s" % (i, symbolic.to_infix(component)))
 
     form = construction.to_implicit_triangular(system, trace, trace.transformation)
     print()
@@ -37,15 +37,15 @@ def main():
         solved = ", ".join(str(s) for s in block.solved_for)
         print("  %s (solved for %s):" % (block.label, solved))
         for residual in block.residuals:
-            print("    0 = %s" % sp.sstr(sp.expand(residual)))
+            print("    0 = %s" % symbolic.to_infix(residual))
 
     p = construction.parametrize_from_triangular(form)
     print()
     print("parametrization with R = %s:" % (p.R,))
     for s, e in zip(system.states, p.F_x):
-        print("  %s = %s" % (s, sp.sstr(sp.expand(e))))
+        print("  %s = %s" % (s, symbolic.to_infix(e)))
     for u, e in zip(system.inputs, p.F_u):
-        print("  %s = %s" % (u, sp.sstr(sp.expand(e))))
+        print("  %s = %s" % (u, symbolic.to_infix(e)))
 
     ok, detail = verification.check_parametrization(system, p)
     print()

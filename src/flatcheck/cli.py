@@ -104,7 +104,7 @@ def _present_flat_output(flat_output, reduction):
     if reduction is None:
         return list(zip(flat_output.names, flat_output.components))
     back = {u: e for u, e in zip(reduction.reduced.inputs, reduction.kept_functions)}
-    comps = [sp.cancel(sp.together(c.subs(back))) for c in flat_output.components]
+    comps = [symbolic.subs(c, back) for c in flat_output.components]
     comps.extend(sp.sympify(e) for e in reduction.extension)
     names = ["y%d" % (i + 1) for i in range(len(comps))]
     return list(zip(names, comps))

@@ -52,12 +52,6 @@ def _shift_symbol(s: sp.Symbol) -> sp.Symbol:
     return sp.Symbol(s.name + "_p1")
 
 
-def _sub(e, mapping):
-    if not mapping:
-        return sp.cancel(sp.together(sp.sympify(e)))
-    return sp.cancel(sp.together(sp.sympify(e).subs(mapping, simultaneous=True)))
-
-
 def restate_distribution(dist: geometry.Distribution, system) -> geometry.Distribution:
     """Re-read a distribution over the successor-state symbols as one over
     the state symbols.  The image of the dynamics and the state space are
@@ -70,40 +64,27 @@ def restate_distribution(dist: geometry.Distribution, system) -> geometry.Distri
     fields = tuple(
         geometry.VectorField(
             coords,
-            tuple(sp.cancel(sp.sympify(c).subs(ren, simultaneous=True)) for c in f.components),
+            tuple(sp.sympify(c).xreplace(ren) for c in f.components),
         )
         for f in dist.fields
     )
     witness = tuple(
-        tuple(sp.sympify(e).subs(ren, simultaneous=True) for e in row)
+        tuple(sp.sympify(e).xreplace(ren) for e in row)
         for row in dist.witness_rows
     )
     return geometry.Distribution(coords=coords, fields=fields, witness_rows=witness)
 
 
 def _primitive_combination(coeffs, monomials):
-    """Integer-primitive linear combination of monomials.
+    """Integer-primitive linear combination of monomials with rational
+    coefficients, scaled by :func:`symbolic.clear_denominators`.
 
     The first nonzero coefficient in enumeration order is made positive so
     the representative of each kernel direction is canonical."""
-    pairs = [(c, m) for c, m in zip(coeffs, monomials) if c != 0]
-    if not pairs:
-        return None
-    for c, _ in pairs:
-        if not sp.sympify(c).is_Rational:
-            raise FlatcheckError("invariant ansatz produced a non-rational kernel")
-    den = sp.Integer(1)
-    for c, _ in pairs:
-        den = sp.lcm(den, sp.Rational(c).q)
-    nums = [sp.Rational(c) * den for c, _ in pairs]
-    g = sp.Integer(0)
-    for v in nums:
-        g = sp.gcd(g, v)
-    if g not in (0, 1):
-        nums = [v / g for v in nums]
-    if nums[0] < 0:
-        nums = [-v for v in nums]
-    return sp.expand(sum(v * m for v, (_, m) in zip(nums, pairs)))
+    if not all(sp.sympify(c).is_Rational for c in coeffs):
+        raise FlatcheckError("invariant ansatz produced a non-rational kernel")
+    coeffs = symbolic.clear_denominators(coeffs)
+    return sp.expand(sum(c * m for c, m in zip(coeffs, monomials)))
 
 
 def polynomial_invariants(
@@ -160,8 +141,6 @@ def polynomial_invariants(
             kernel = [sp.eye(len(monomials)).col(i) for i in range(len(monomials))]
         for vec in kernel:
             candidate = _primitive_combination(list(vec), monomials)
-            if candidate is None:
-                continue
             grad = [sp.diff(candidate, v) for v in grad_vars]
             target = base_rank + len(accepted) + 1
             stacked = sp.Matrix(stack + [grad])
@@ -291,21 +270,13 @@ def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> Sta
     for sym, value in zip(rest, rest_values):
         forward[sym] = sp.expand(value)
     new_syms = [s for block in blocks for s in block] + list(rest)
-    equations = [sp.Eq(sym, forward[sym]) for sym in new_syms]
-    solutions = symbolic.solve_algebraic(equations, list(states))
-    inverse = None
-    fwd_items = {sym: forward[sym] for sym in new_syms}
-    for sol in solutions:
-        if set(sol) != set(states):
-            continue
-        if all(
-            symbolic.is_zero(sol[s].subs(fwd_items, simultaneous=True) - s)
-            for s in states
-        ):
-            inverse = {s: sp.cancel(sp.together(sol[s])) for s in states}
-            break
-    if inverse is None:
-        raise StraighteningError("state transformation could not be inverted rationally")
+    inverse = _pick_inverse_branch(
+        [sp.Eq(sym, forward[sym]) for sym in new_syms],
+        states,
+        forward,
+        {s: s for s in states},
+        "state transformation could not be inverted rationally",
+    )
     point_new = {sym: symbolic.evaluate_exact(forward[sym], point) for sym in new_syms}
     st = StateTransformation(
         states=states,
@@ -317,6 +288,19 @@ def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> Sta
     )
     _verify_straightening(chain, st)
     return st
+
+
+def _pick_inverse_branch(equations, unknowns, forward, expected, message):
+    """Solve equations for unknowns and return the first branch that solves
+    for all of them and whose values, composed with forward, give back
+    expected.  Raises StraighteningError(message) when no branch does."""
+    for sol in symbolic.solve_algebraic(equations, unknowns):
+        if set(sol) == set(unknowns) and all(
+            symbolic.is_zero(symbolic.subs(sol[g], forward) - expected[g])
+            for g in unknowns
+        ):
+            return {g: sol[g] for g in unknowns}
+    raise StraighteningError(message)
 
 
 def _verify_straightening(chain, st: StateTransformation):
@@ -332,8 +316,7 @@ def _verify_straightening(chain, st: StateTransformation):
                 if c in inside:
                     continue
                 comp = sum(f.components[a] * jac[c][a] for a in range(len(states)))
-                comp = _sub(comp, st.inverse)
-                if not symbolic.is_zero(comp):
+                if not symbolic.is_zero(symbolic.subs(comp, st.inverse)):
                     raise StraighteningError(
                         "straightened chain has a stray component of member %d along %s"
                         % (k, c)
@@ -378,6 +361,22 @@ class DecompositionState:
         """State symbols of the blocks above level k."""
         return [s for block in self.st.blocks[k:] for s in block]
 
+    def fibre_inverse(self, equations, unknowns, new_forward, k) -> dict:
+        """Invert the fibre change of step k: the branch of equations whose
+        values for unknowns, composed with new_forward and the forward maps
+        of the state blocks and the vertical coordinates, give back the
+        unknowns' expressions in the original variables."""
+        forward = dict(new_forward)
+        for sym in self.remaining_states(0) + self.verticals:
+            forward[sym] = self.forward_all[sym]
+        return _pick_inverse_branch(
+            equations,
+            unknowns,
+            forward,
+            self.forward_all,
+            "fibre transformation at step %d could not be inverted rationally" % k,
+        )
+
 
 def _update_rules(system) -> dict:
     return {s: f for s, f in zip(system.states, system.update)}
@@ -386,43 +385,17 @@ def _update_rules(system) -> dict:
 def _fbar_block(state: DecompositionState, j) -> list:
     """Dynamics of transformed block j, written in the current coordinates."""
     update = _update_rules(state.system)
-    out = []
-    for sym in state.st.blocks[j - 1]:
-        e = state.st.forward[sym].subs(update, simultaneous=True)
-        out.append(_sub(e, state.inverse_current))
-    return out
-
-
-def _pick_inverse_branch(state, equations, unknowns, new_forward, context):
-    """Solve fibre-transformation equations and select the branch that
-    reproduces the known expressions of the unknowns in the original
-    variables."""
-    solutions = symbolic.solve_algebraic(equations, unknowns)
-    eval_map = dict(new_forward)
-    for s in state.remaining_states(0):
-        eval_map[s] = state.forward_all[s]
-    for sym in state.verticals:
-        eval_map[sym] = state.forward_all[sym]
-    for sol in solutions:
-        if set(sol) != set(unknowns):
-            continue
-        if all(
-            symbolic.is_zero(
-                sol[g].subs(eval_map, simultaneous=True) - state.forward_all[g]
-            )
-            for g in unknowns
-        ):
-            return {g: sp.cancel(sp.together(sol[g])) for g in unknowns}
-    raise StraighteningError(
-        "fibre transformation at %s could not be inverted rationally" % context
-    )
+    return [
+        symbolic.subs(symbolic.subs(state.st.forward[sym], update), state.inverse_current)
+        for sym in state.st.blocks[j - 1]
+    ]
 
 
 def _apply_fibre_change(state: DecompositionState, consumed, new_forward, solution):
     """Replace consumed fibre coordinates by fresh ones everywhere."""
     state.forward_all.update(new_forward)
     state.inverse_current = {
-        v: _sub(e, solution) for v, e in state.inverse_current.items()
+        v: symbolic.subs(e, solution) for v, e in state.inverse_current.items()
     }
     eq_point = state.system.equilibrium_point()
     for sym, value in new_forward.items():
@@ -439,7 +412,7 @@ def _transform_distribution(state: DecompositionState, basis, coords):
         comps = []
         for c in coords:
             e = sum(f.components[a] * jac[c][a] for a in range(len(base_vars)))
-            comps.append(_sub(e, state.inverse_current))
+            comps.append(symbolic.subs(e, state.inverse_current))
         rows.append(comps)
     return rows
 
@@ -474,7 +447,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         fbar_rows = []
         for j in range(k + 1, kbar + 1):
             fbar_rows.extend(_fbar_block(state, j))
-        J = sp.Matrix([[sp.cancel(sp.diff(e, g)) for g in gamma] for e in fbar_rows])
+        J = sp.Matrix([[sp.diff(e, g) for g in gamma] for e in fbar_rows])
         rank_generic = symbolic.generic_rank(J)
         rank_point = symbolic.rank_at_point(J, state.point_cur)
         if rank_point != rank_generic:
@@ -493,7 +466,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
             kernel = symbolic.nullspace(J)
             variables = remaining + gamma
             kernel_rows = [
-                [sp.Integer(0)] * len(remaining) + [sp.cancel(v) for v in vec]
+                [sp.Integer(0)] * len(remaining) + list(vec)
                 for vec in kernel
             ]
             zeta_values = polynomial_invariants(
@@ -519,14 +492,12 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
             y_gamma = [sym for _, sym in chosen]
             new_forward = {}
             for sym, value in zip(zeta_syms, zeta_values):
-                new_forward[sym] = _sub(value, state.forward_all)
+                new_forward[sym] = symbolic.subs(value, state.forward_all)
             for sym, g in zip(y_syms, y_gamma):
                 new_forward[sym] = state.forward_all[g]
             equations = [sp.Eq(s, v) for s, v in zip(zeta_syms, zeta_values)]
             equations += [sp.Eq(s, g) for s, g in zip(y_syms, y_gamma)]
-            solution = _pick_inverse_branch(
-                state, equations, gamma, new_forward, "step %d" % k
-            )
+            solution = state.fibre_inverse(equations, gamma, new_forward, k)
             _apply_fibre_change(state, gamma, new_forward, solution)
             state.verticals.extend(y_syms)
             allowed = set(remaining) | set(zeta_syms)
@@ -564,7 +535,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
     allowed = set(remaining) | set(zeta_syms)
     w_rows = []
     for i in zeta_pivot_rows:
-        w = [sp.cancel(res.rref[i, j]) for j in range(n_zeta)]
+        w = [res.rref[i, j] for j in range(n_zeta)]
         if not set().union(*(e.free_symbols for e in w)) <= allowed:
             raise FlatcheckError(
                 "distribution components at step %d depend on consumed coordinates" % k
@@ -598,14 +569,12 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
     zhat_zeta = [sym for _, sym in chosen]
     new_forward = {}
     for sym, value in zip(eta_syms, eta_values):
-        new_forward[sym] = _sub(value, state.forward_all)
+        new_forward[sym] = symbolic.subs(value, state.forward_all)
     for sym, z in zip(zhat_syms, zhat_zeta):
         new_forward[sym] = state.forward_all[z]
     equations = [sp.Eq(s, v) for s, v in zip(eta_syms, eta_values)]
     equations += [sp.Eq(s, z) for s, z in zip(zhat_syms, zhat_zeta)]
-    solution = _pick_inverse_branch(
-        state, equations, zeta_syms, new_forward, "step %d" % k
-    )
+    solution = state.fibre_inverse(equations, zeta_syms, new_forward, k)
     _apply_fibre_change(state, zeta_syms, new_forward, solution)
     state.verticals.extend(zhat_syms)
 
@@ -642,7 +611,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 "dynamics of block %d depend on coordinates consumed at step %d"
                 % (k + 1, k)
             )
-    gain = sp.Matrix([[sp.cancel(sp.diff(e, z)) for z in zhat_syms] for e in next_rows])
+    gain = sp.Matrix([[sp.diff(e, z) for z in zhat_syms] for e in next_rows])
     if symbolic.generic_rank(gain) != rho_next:
         raise FlatcheckError(
             "block %d dynamics are singular in the new coordinates" % (k + 1)
@@ -755,7 +724,7 @@ def extract_flat_output(system, report, st=None, max_degree=3) -> tuple:
         forward_all[sym] = forward_all[src]
         point_cur[sym] = point_cur[src]
         rename[src] = sym
-    inverse_current = {v: _sub(e, rename) for v, e in state.inverse_current.items()}
+    inverse_current = {v: symbolic.subs(e, rename) for v, e in state.inverse_current.items()}
 
     y_blocks = [()] * kbar
     zhat_blocks = [()] * kbar
@@ -775,12 +744,12 @@ def extract_flat_output(system, report, st=None, max_degree=3) -> tuple:
             "decomposition produced %d final coordinates for %d variables"
             % (len(z_symbols), system.n + system.m)
         )
-    z_values = {z: sp.cancel(sp.together(forward_all[z])) for z in z_symbols}
+    z_values = {z: forward_all[z] for z in z_symbols}
     z_point = {z: point_cur[z] for z in z_symbols}
     z_inverse = {}
     zset = set(z_symbols)
     for v in system.variables:
-        e = sp.cancel(sp.together(inverse_current[v]))
+        e = inverse_current[v]
         if not e.free_symbols <= zset:
             raise FlatcheckError(
                 "inverse of %s retains intermediate coordinates" % v
@@ -789,7 +758,7 @@ def extract_flat_output(system, report, st=None, max_degree=3) -> tuple:
     state_inverse = {s: z_inverse[s] for s in system.states}
     combined_rows = []
     for sym in st.ordered_symbols:
-        combined_rows.append((sym, _sub(st.forward[sym], state_inverse)))
+        combined_rows.append((sym, symbolic.subs(st.forward[sym], state_inverse)))
     for u in system.inputs:
         combined_rows.append((u, z_inverse[u]))
 
@@ -869,10 +838,9 @@ def to_implicit_triangular(system, trace: DecompositionTrace, st: StateTransform
     for k in range(kbar, 0, -1):
         residuals = []
         for sym in st.blocks[k - 1]:
-            ahead = combined[sym].subs(shifted, simultaneous=True)
-            through = st.forward[sym].subs(update, simultaneous=True)
-            through = _sub(through, trace.z_inverse)
-            residuals.append(sp.cancel(sp.together(ahead - through)))
+            ahead = combined[sym].xreplace(shifted)
+            through = symbolic.subs(symbolic.subs(st.forward[sym], update), trace.z_inverse)
+            residuals.append(symbolic.canonicalize(ahead - through))
         solved_for = trace.zhat_blocks[k - 1]
         allowed = set(solved_for)
         for j in range(k, kbar + 1):
@@ -885,7 +853,7 @@ def to_implicit_triangular(system, trace: DecompositionTrace, st: StateTransform
                     "triangular block %d violates the dependence pattern" % k
                 )
         gain = sp.Matrix(
-            [[sp.cancel(sp.diff(r, z)) for z in solved_for] for r in residuals]
+            [[sp.diff(r, z) for z in solved_for] for r in residuals]
         )
         if symbolic.generic_rank(gain) != len(solved_for):
             raise FlatcheckError("triangular block %d is singular" % k)
@@ -952,10 +920,7 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
 
     for block in form.blocks:
         unknowns = list(block.solved_for)
-        equations = [
-            sp.cancel(sp.together(r.subs(param, simultaneous=True)))
-            for r in block.residuals
-        ]
+        equations = [symbolic.subs(r, param) for r in block.residuals]
         try:
             solutions = symbolic.solve_algebraic(equations, unknowns)
         except IrrationalSolutionError as exc:
@@ -979,18 +944,11 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
                 % (block.label, _format_equations(equations))
             )
         for z in unknowns:
-            expr = sp.cancel(sp.together(chosen[z]))
-            param[z] = expr
-            param[form.shifted[z]] = verification.shift_function(expr)
+            param[z] = chosen[z]
+            param[form.shifted[z]] = verification.shift_function(chosen[z])
 
-    F_x = tuple(
-        sp.cancel(sp.together(trace.z_inverse[s].subs(param, simultaneous=True)))
-        for s in system.states
-    )
-    F_u = tuple(
-        sp.cancel(sp.together(trace.z_inverse[u].subs(param, simultaneous=True)))
-        for u in system.inputs
-    )
+    F_x = tuple(symbolic.subs(trace.z_inverse[s], param) for s in system.states)
+    F_u = tuple(symbolic.subs(trace.z_inverse[u], param) for u in system.inputs)
     R = verification._shift_ranks(F_x, F_u, len(form.y_symbols))
     if R is None:
         stray = next(

@@ -219,7 +219,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
 
     new_update = []
     for fi in system.update:
-        gi = symbolic.canonicalize(fi.subs(inverse, simultaneous=True))
+        gi = symbolic.canonicalize(symbolic.subs(fi, inverse))
         extra = set(gi.free_symbols) & set(utilde)
         if extra:
             raise ValidationError(

@@ -8,8 +8,11 @@ are ``DomainMatrix`` objects.  Functions taking sympy expressions
 convert at their boundary, and anything else (floats, radicals,
 functions) raises UnsupportedEquationError there; ``element_rref``,
 ``element_nullspace`` and ``clear_element_row`` work on field elements
-for callers that keep them, such as the geometry layer, and
-``substitute``/``compose`` substitute fractions for generators.
+for callers that keep them, such as the geometry layer.
+``substitute``/``compose`` substitute fractions for generators, and
+``subs`` does the same for symbols of a sympy expression, returning the
+result in lowest terms; it is the one substitution the construction,
+verification and CLI layers use.
 
 ``solve_algebraic`` solves by exact elimination in the fraction field:
 it eliminates the unknowns in the caller's order, one equation linear
@@ -232,6 +235,28 @@ def compose(a, substitution):
     if not den:
         raise ZeroDivisionError("denominator of %s vanishes" % a.as_expr())
     return a.field.new(num * den_den, den * num_den)
+
+
+def subs(e, mapping):
+    """Rational expression e with every symbol of mapping replaced by its
+    rational value, all at once, in lowest terms.
+
+    e and the values are converted once over QQ(their free symbols sorted
+    by name) and substituted with :func:`compose`, so this is compose at
+    the expression boundary.  Raises ZeroDivisionError when the
+    substituted denominator vanishes.
+    """
+    e = sp.sympify(e)
+    free = e.free_symbols
+    moved = [s for s in mapping if s in free]
+    K, (a, *images) = to_elements([e] + [mapping[s] for s in moved])
+    if K is QQ:
+        return K.to_sympy(a)
+    position = {s: i for i, s in enumerate(K.symbols)}
+    substitution = [None] * len(K.symbols)
+    for s, b in zip(moved, images):
+        substitution[position[s]] = (b.numer, b.denom)
+    return K.to_sympy(compose(a, substitution))
 
 
 def solve_algebraic(equations: Iterable, unknowns: Sequence[sp.Symbol]):

@@ -200,7 +200,7 @@ def check_parametrization(system, p: FlatParametrization):
     subs_map.update({u: e for u, e in zip(system.inputs, p.F_u)})
     for i, s in enumerate(system.states):
         ahead = shift_function(p.F_x[i])
-        through = sp.sympify(system.update[i]).subs(subs_map, simultaneous=True)
+        through = symbolic.subs(system.update[i], subs_map)
         if not symbolic.is_zero(ahead - through):
             return False, "dynamics identity fails for %s" % s
     jets = sorted(
@@ -369,9 +369,7 @@ def _attempt_jet_solve(system, equations, unknowns, centers, eq_point, q):
                 break
         if not at_eq:
             continue
-        F_x = [sp.cancel(sp.together(sol[s])) for s in system.states]
-        F_u = [sp.cancel(sp.together(sol[u])) for u in system.inputs]
-        return F_x, F_u
+        return [sol[s] for s in system.states], [sol[u] for u in system.inputs]
     return None
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: output text, JSON documents, exit codes."""
 
 import json
+import sys
 
 import pytest
 import sympy
@@ -287,19 +288,24 @@ class TestSimulate:
         assert "error:" in err
 
 
-class TestNoSympySolve:
-    def test_extract_and_verify_solve_without_sympy_solve(
-        self, capsys, models_dir, monkeypatch
-    ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sympy.solve was called")
+class TestNoSympyCalls:
+    """The pipeline decides in the exact kernel: none of sympy's own
+    solve, cancel, together or simplify is reached."""
 
-        for module in (sympy, sympy.solvers, sympy.solvers.solvers):
-            monkeypatch.setattr(module, "solve", refuse)
-        path = model_path(models_dir, "chain2")
-        code, out, _ = run(capsys, "extract", path)
-        assert code == 0
-        assert "verification: symbolic PASS" in out
-        code, out, _ = run(capsys, "verify", path, "--output", "x1")
+    @pytest.mark.parametrize("name", ["solve", "cancel", "together", "simplify"])
+    def test_extract_and_verify_without(self, name, capsys, models_dir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sympy.%s was called" % name)
+
+        defining = getattr(sympy, name).__module__
+        for module in ("sympy", defining.rpartition(".")[0], defining):
+            monkeypatch.setattr(sys.modules[module], name, refuse)
+        for model in ("chain2", "flat4", "redundant_input"):
+            code, out, _ = run(capsys, "extract", model_path(models_dir, model))
+            assert code == 0, model
+            assert "verification: symbolic PASS" in out
+        code, out, _ = run(
+            capsys, "verify", model_path(models_dir, "chain2"), "--output", "x1"
+        )
         assert code == 0
         assert "symbolic: PASS" in out

@@ -62,6 +62,13 @@ class TestPolynomialInvariants:
                 [[1, x1]], (x1, x2), 1, {x1: 0, x2: 0}, max_degree=1
             )
 
+    def test_non_rational_kernel_raises(self):
+        a = sp.Symbol("a")
+        with pytest.raises(FlatcheckError, match="non-rational kernel"):
+            construction.polynomial_invariants(
+                [[1, a]], (x1, x2), 1, {x1: 0, x2: 0, a: 0}
+            )
+
 
 class TestStraightening:
     def test_flagship_blocks(self, flat4, flat4_report):

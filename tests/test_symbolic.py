@@ -279,6 +279,32 @@ class TestClearDenominators:
         assert symbolic.clear_denominators([0, -3]) == [0, 1]
 
 
+class TestSubs:
+    def test_simultaneous(self):
+        assert symbolic.subs(x - 2 * y, {x: y, y: x}) == y - 2 * x
+
+    def test_result_in_lowest_terms(self):
+        result = symbolic.subs(x / (x + y), {y: x * z})
+        assert result == 1 / (z + 1)
+
+    def test_removable_singularity_is_not_a_pole(self):
+        assert symbolic.subs((x**2 - 1) / (x - 1), {x: 1}) == 2
+
+    def test_vanishing_denominator_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            symbolic.subs(1 / (x - y), {x: y})
+
+    def test_symbols_outside_the_expression_are_ignored(self):
+        assert symbolic.subs(x + 1, {y: sp.sqrt(2)}) == x + 1
+
+    def test_constant(self):
+        assert symbolic.subs(sp.Rational(3, 6), {x: y}) == sp.Rational(1, 2)
+
+    def test_non_rational_value_rejected(self):
+        with pytest.raises(UnsupportedEquationError):
+            symbolic.subs(x + 1, {x: sp.sqrt(2)})
+
+
 class TestEvaluateExact:
     def test_rational_value(self):
         assert symbolic.evaluate_exact(x / (y + 1), {x: 1, y: 1}) == sp.Rational(1, 2)
