@@ -142,11 +142,10 @@ def polynomial_invariants(
         for vec in kernel:
             candidate = _primitive_combination(list(vec), monomials)
             grad = [sp.diff(candidate, v) for v in grad_vars]
+            # one row per target rank: a full rank at the point proves
+            # the generic one
             target = base_rank + len(accepted) + 1
-            stacked = sp.Matrix(stack + [grad])
-            if symbolic.generic_rank(stacked) != target:
-                continue
-            if symbolic.rank_at_point(stacked, point) != target:
+            if symbolic.rank_at_point(sp.Matrix(stack + [grad]), point) != target:
                 continue
             accepted.append(candidate)
             stack.append(grad)
@@ -164,11 +163,7 @@ def _complete_with_coordinates(candidates, stack, grad_vars, point, count, label
     rows = [list(g) for g in stack]
     for pos, sym in candidates:
         unit = [sp.Integer(1) if v == sym else sp.Integer(0) for v in grad_vars]
-        target = len(rows) + 1
-        stacked = sp.Matrix(rows + [unit])
-        if symbolic.generic_rank(stacked) != target:
-            continue
-        if symbolic.rank_at_point(stacked, point) != target:
+        if symbolic.rank_at_point(sp.Matrix(rows + [unit]), point) != len(rows) + 1:
             continue
         selected.append((pos, sym))
         rows.append(unit)
@@ -447,9 +442,11 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         fbar_rows = []
         for j in range(k + 1, kbar + 1):
             fbar_rows.extend(_fbar_block(state, j))
-        J = sp.Matrix([[sp.diff(e, g) for g in gamma] for e in fbar_rows])
-        rank_generic = symbolic.generic_rank(J)
-        rank_point = symbolic.rank_at_point(J, state.point_cur)
+        rank_point = symbolic.jacobian_rank(fbar_rows, gamma, state.point_cur)
+        if rank_point == min(len(fbar_rows), len(gamma)):
+            rank_generic = rank_point
+        else:
+            rank_generic = symbolic.jacobian_rank(fbar_rows, gamma)
         if rank_point != rank_generic:
             raise FlatcheckError(
                 "subsystem input rank drops at the equilibrium at step %d" % k
@@ -463,6 +460,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         if mu == 0:
             zeta_syms = list(gamma)
         else:
+            J = sp.Matrix([[sp.diff(e, g) for g in gamma] for e in fbar_rows])
             kernel = symbolic.nullspace(J)
             variables = remaining + gamma
             kernel_rows = [
@@ -611,12 +609,11 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 "dynamics of block %d depend on coordinates consumed at step %d"
                 % (k + 1, k)
             )
-    gain = sp.Matrix([[sp.diff(e, z) for z in zhat_syms] for e in next_rows])
-    if symbolic.generic_rank(gain) != rho_next:
-        raise FlatcheckError(
-            "block %d dynamics are singular in the new coordinates" % (k + 1)
-        )
-    if symbolic.rank_at_point(gain, state.point_cur) != rho_next:
+    if symbolic.jacobian_rank(next_rows, zhat_syms, state.point_cur) != rho_next:
+        if symbolic.jacobian_rank(next_rows, zhat_syms) != rho_next:
+            raise FlatcheckError(
+                "block %d dynamics are singular in the new coordinates" % (k + 1)
+            )
         raise FlatcheckError(
             "block %d dynamics are singular at the equilibrium" % (k + 1)
         )
@@ -852,12 +849,9 @@ def to_implicit_triangular(system, trace: DecompositionTrace, st: StateTransform
                 raise FlatcheckError(
                     "triangular block %d violates the dependence pattern" % k
                 )
-        gain = sp.Matrix(
-            [[sp.diff(r, z) for z in solved_for] for r in residuals]
-        )
-        if symbolic.generic_rank(gain) != len(solved_for):
-            raise FlatcheckError("triangular block %d is singular" % k)
-        if symbolic.rank_at_point(gain, point) != len(solved_for):
+        if symbolic.jacobian_rank(residuals, solved_for, point) != len(solved_for):
+            if symbolic.jacobian_rank(residuals, solved_for) != len(solved_for):
+                raise FlatcheckError("triangular block %d is singular" % k)
             raise FlatcheckError("triangular block %d is singular at the equilibrium" % k)
         blocks.append(
             TriangularBlock(

@@ -174,33 +174,24 @@ def build_adapted_chart(system) -> Chart:
     theta = tuple(sp.Symbol("theta_%d" % (i + 1)) for i in range(n))
     xi = tuple(sp.Symbol("xi_%d" % (j + 1)) for j in range(m))
 
-    rows = [
-        [symbolic.canonicalize(sp.diff(fi, v)) for v in variables]
-        for fi in system.update
-    ]
+    # (f, chosen, candidate) has one row per function, so a full rank at
+    # the equilibrium proves the full generic rank
     chosen: list = []
     for candidate in variables:
         if len(chosen) == m:
             break
-        grad = [sp.Integer(1) if v == candidate else sp.Integer(0) for v in variables]
-        trial = sp.Matrix(rows + [list(c) for c in chosen] + [grad])
-        want = n + len(chosen) + 1
-        if symbolic.generic_rank(trial) < want:
-            continue
-        if symbolic.rank_at_point(trial, point) < want:
-            continue
-        chosen.append(tuple(grad))
+        functions = list(system.update) + chosen + [candidate]
+        if symbolic.jacobian_rank(functions, variables, point) == len(functions):
+            chosen.append(candidate)
     if len(chosen) < m:
         raise ChartError(
             "no %d coordinate functions complete f to a regular chart" % m
         )
-    xi_choice = tuple(
-        variables[next(i for i, g in enumerate(c) if g == 1)] for c in chosen
-    )
+    xi_choice = tuple(chosen)
 
     forward = {theta[i]: system.update[i] for i in range(n)}
     forward.update({xi[j]: xi_choice[j] for j in range(m)})
-    equations = [sp.Eq(c, forward[c]) for c in tuple(theta) + tuple(xi)]
+    equations = [c - forward[c] for c in tuple(theta) + tuple(xi)]
     try:
         solutions = symbolic.solve_algebraic(equations, list(variables))
     except IrrationalSolutionError:
@@ -356,12 +347,6 @@ def _image_components(adapted: VectorField, system, chart: Chart) -> list:
     rename = dict(zip(chart.theta, shifted_state_symbols(system)))
     symbols = [rename.get(s, s) for s in chart.function_field.symbols]
     return [adapted.components[i].as_expr(*symbols) for i in range(system.n)]
-
-
-def pushforward_vector_field(v: VectorField, system, chart: Chart) -> VectorField:
-    """Image of a projectable field: theta components renamed to x+."""
-    comps = _image_components(transform_vector_field(v, chart), system, chart)
-    return VectorField(shifted_state_symbols(system), tuple(comps))
 
 
 def is_involutive(dist: Distribution) -> bool:

@@ -103,23 +103,26 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
                 % (system.name, xi, xi, residual)
             )
 
-    jac = system.jacobian()
-    rank_generic = symbolic.generic_rank(jac)
-    if rank_generic < n:
-        raise ValidationError(
-            "system %r: update map has generic rank %d < n = %d, not submersive"
-            % (system.name, rank_generic, n)
-        )
-    rank_eq = symbolic.rank_at_point(jac, point)
+    # a rank at a point is at most the generic rank, so a full rank at the
+    # equilibrium proves the generic one
+    rank_eq = symbolic.jacobian_rank(system.update, system.variables, point)
     if rank_eq < n:
+        rank_generic = symbolic.jacobian_rank(system.update, system.variables)
+        if rank_generic < n:
+            raise ValidationError(
+                "system %r: update map has generic rank %d < n = %d, not submersive"
+                % (system.name, rank_generic, n)
+            )
         raise ValidationError(
             "system %r: rank drop at equilibrium (rank %d < n = %d)"
             % (system.name, rank_eq, n)
         )
 
-    ijac = system.input_jacobian()
-    input_rank = symbolic.generic_rank(ijac)
-    input_rank_eq = symbolic.rank_at_point(ijac, point)
+    input_rank_eq = symbolic.jacobian_rank(system.update, system.inputs, point)
+    if input_rank_eq == min(n, m):
+        input_rank = input_rank_eq
+    else:
+        input_rank = symbolic.jacobian_rank(system.update, system.inputs)
     if input_rank_eq < input_rank:
         raise ValidationError(
             "system %r: input rank drop at equilibrium (%d < %d)"
@@ -208,8 +211,8 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     removed = tuple(system.inputs[j] for j in free_cols)
     utilde = tuple(sp.Symbol("utilde_%d" % (t + 1)) for t in range(len(free_cols)))
 
-    equations = [sp.Eq(uhat[r], kept_functions[r]) for r in range(input_rank)]
-    equations += [sp.Eq(utilde[t], removed[t]) for t in range(len(removed))]
+    equations = [uhat[r] - kept_functions[r] for r in range(input_rank)]
+    equations += [utilde[t] - removed[t] for t in range(len(removed))]
     solutions = symbolic.solve_algebraic(equations, list(system.inputs))
     if not solutions:
         raise ValidationError(

@@ -21,6 +21,15 @@ Equations free of the unknowns are ignored, and every branch is checked
 exactly against every equation that contains an unknown.  Only rational
 branches are returned, so ``[]`` means no branch could be solved.
 
+Generic ranks are certified exactly, never guessed.  The rank at a
+rational point where every entry is defined is at most the generic
+rank, which is at most min(rows, cols); so ``generic_rank`` and
+``jacobian_rank`` first evaluate at one fixed rational point, and a full
+rank there is the generic rank.  On a pole or a rank that falls short
+they row reduce over the function field instead.  ``jacobian_rank``
+evaluates the Jacobian from the partial derivatives of numerator and
+denominator, without building it symbolically.
+
 This module pins down the canonical form, the exact zero test, equation
 solving, and row reduction over the function field.  All functions are
 pure.
@@ -457,17 +466,6 @@ def element_nullspace(K, rref_rows, pivots, ncols) -> list:
     return vectors
 
 
-def _row_reduce(M):
-    """(K, rref rows, pivots) of a matrix over the rational function field
-    of its entries."""
-    A = _as_matrix(M)
-    nrows, ncols = A.shape
-    K, elements = to_elements(list(A))
-    rows = [elements[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-    rows, pivots = element_rref(K, rows, ncols)
-    return K, rows, pivots
-
-
 def function_field_rref(M) -> RrefResult:
     """Reduced row echelon form over the rational function field.
 
@@ -479,7 +477,9 @@ def function_field_rref(M) -> RrefResult:
     """
     A = _as_matrix(M)
     nrows, ncols = A.shape
-    K, rows, pivots = _row_reduce(A)
+    K, elements = to_elements(list(A))
+    rows = [elements[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    rows, pivots = element_rref(K, rows, ncols)
     rref = sp.Matrix(nrows, ncols, [K.to_sympy(a) for row in rows for a in row])
     null_vectors = [
         sp.Matrix(ncols, 1, [K.to_sympy(a) for a in v])
@@ -488,9 +488,157 @@ def function_field_rref(M) -> RrefResult:
     return RrefResult(rref, pivots, null_vectors)
 
 
+@functools.lru_cache(maxsize=64)
+def _certificate_point(ngens) -> tuple:
+    """The fixed point at which generic ranks are certified: one nonzero
+    integer per generator, drawn from a fixed linear congruential
+    sequence, so every run and every process uses the same point."""
+    values, state = [], 0x5DEECE66D
+    for _ in range(ngens):
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        magnitude = 2 + (state >> 33) % 1000
+        values.append(-magnitude if state >> 63 else magnitude)
+    return tuple(values)
+
+
+def _power_product(values, monom, lowered=None):
+    """prod values[i] ** monom[i], the exponent at index lowered one less."""
+    result = 1
+    for i, (v, e) in enumerate(zip(values, monom)):
+        if i == lowered:
+            e -= 1
+        if e:
+            result *= v**e
+    return result
+
+
+def _evaluate_poly(poly, values):
+    """poly at the point values (one rational number per generator)."""
+    total = QQ.zero
+    for monom, coeff in poly.iterterms():
+        total += coeff * _power_product(values, monom)
+    return total
+
+
+def _value_at(num, den, values):
+    """num / den at values; None when den vanishes there."""
+    den_val = _evaluate_poly(den, values)
+    return _evaluate_poly(num, values) / den_val if den_val else None
+
+
+def _gradient(poly, values, columns, ncols):
+    """Value of poly at values, and of its partial derivatives in the
+    generators that columns maps to column indices (others are zero)."""
+    value, grad = QQ.zero, [QQ.zero] * ncols
+    for monom, coeff in poly.iterterms():
+        value += coeff * _power_product(values, monom)
+        for j, e in enumerate(monom):
+            if e and j in columns:
+                grad[columns[j]] += coeff * e * _power_product(values, monom, j)
+    return value, grad
+
+
+def _jacobian_row(num, den, values, columns, ncols):
+    """Gradient of num / den at values by the quotient rule; None when
+    den vanishes there."""
+    n_val, n_grad = _gradient(num, values, columns, ncols)
+    d_val, d_grad = _gradient(den, values, columns, ncols)
+    if not d_val:
+        return None
+    square = d_val * d_val
+    return [(dn * d_val - n_val * dd) / square for dn, dd in zip(n_grad, d_grad)]
+
+
+def _point_values(K, point, what) -> list:
+    """Values of the generators of K at point, as rational numbers.
+    Raises ValueError when point leaves a generator open and
+    UnsupportedEquationError when it assigns a value that is not a
+    rational number."""
+    values = []
+    for sym in K.symbols:
+        if sym not in point:
+            raise ValueError("point %s leaves %s open in %s" % (point, sym, what))
+        value = sp.sympify(point[sym])
+        if not value.is_Rational:
+            raise UnsupportedEquationError(
+                "point value %s = %s is not a rational number" % (sym, value)
+            )
+        values.append(QQ(value.p, value.q))
+    return values
+
+
 def generic_rank(M) -> int:
-    """Rank over the function field (rank at a generic point)."""
-    return len(_row_reduce(M)[2])
+    """Rank over the function field (rank at a generic point).
+
+    The rank is first certified at a fixed rational point: the rank at
+    any point where every entry is defined is at most the generic rank,
+    which is at most min(rows, cols), so a full rank there is the generic
+    rank exactly.  On a pole or a rank that falls short, the matrix is
+    row reduced over the function field.  No rank is guessed.
+    """
+    A = _as_matrix(M)
+    nrows, ncols = A.shape
+    K, pairs = _fractions(list(A))
+    if K is QQ:
+        elements = [num for num, _ in pairs]
+    else:
+        values = _certificate_point(len(K.symbols))
+        at_point = [_value_at(num, den, values) for num, den in pairs]
+        if all(v is not None for v in at_point):
+            rows = [at_point[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+            rank = len(element_rref(QQ, rows, ncols)[1])
+            if rank == min(nrows, ncols):
+                return rank
+        elements = [K.field.new(num, den) for num, den in pairs]
+    rows = [elements[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    return len(element_rref(K, rows, ncols)[1])
+
+
+def jacobian_rank(functions, variables, point=None) -> int:
+    """Rank of the Jacobian of rational functions with respect to
+    variables: generically, or at point when one is given.
+
+    The functions are converted once over QQ(their free symbols sorted by
+    name).  The Jacobian's value at a point comes from the partial
+    derivatives of each numerator n and denominator d, as
+    (n' d - n d') / d**2, without a gcd and without building the
+    symbolic Jacobian.  At a given point, which must fix every free
+    symbol of the functions, a removable singularity is not a pole, and
+    a pole raises ZeroDivisionError.  The generic rank is certified at
+    the fixed point of :func:`generic_rank`, with the same fallback: row
+    reduction of the Jacobian over the function field.
+    """
+    functions = [sp.sympify(f) for f in functions]
+    K, pairs = _fractions(functions)
+    nrows, ncols = len(functions), len(variables)
+    if K is QQ or not nrows or not ncols:
+        return 0
+    index = {s: i for i, s in enumerate(K.symbols)}
+    columns = {index[v]: k for k, v in enumerate(variables) if v in index}
+    if point is not None:
+        values = _point_values(K, point, functions)
+        rows = []
+        for (num, den), f in zip(pairs, functions):
+            row = _jacobian_row(num, den, values, columns, ncols)
+            if row is None:
+                reduced = K.field.new(num, den)
+                row = _jacobian_row(reduced.numer, reduced.denom, values, columns, ncols)
+                if row is None:
+                    raise ZeroDivisionError("pole at %s in %s" % (point, f))
+            rows.append(row)
+        return len(element_rref(QQ, rows, ncols)[1])
+    values = _certificate_point(len(K.symbols))
+    rows = [_jacobian_row(num, den, values, columns, ncols) for num, den in pairs]
+    if all(row is not None for row in rows):
+        rank = len(element_rref(QQ, rows, ncols)[1])
+        if rank == min(nrows, ncols):
+            return rank
+    gens = [K.field.gens[index[v]] if v in index else None for v in variables]
+    rows = []
+    for num, den in pairs:
+        a = K.field.new(num, den)
+        rows.append([a.diff(g) if g is not None else K.zero for g in gens])
+    return len(element_rref(K, rows, ncols)[1])
 
 
 def nullspace(M) -> list:
@@ -507,35 +655,23 @@ def evaluate_exact(e, point: dict):
     ZeroDivisionError when the point is a pole.
     """
     K, ((num, den),) = _fractions([e])
-    return QQ.to_sympy(_evaluate_fraction(K, num, den, point, e))
-
-
-def _evaluate_fraction(K, num, den, point, e):
-    """num / den over K at point, as an element of QQ.  The fraction is
-    reduced only when its denominator vanishes; ZeroDivisionError is
-    raised for a pole of e.  Raises ValueError when point leaves a
-    generator of K open and UnsupportedEquationError when it assigns a
-    value that is not a rational number."""
     if K is QQ:
-        return num
-    fixed = []
-    for gen, sym in zip(K.field.ring.gens, K.symbols):
-        if sym not in point:
-            raise ValueError("point %s leaves %s open in %s" % (point, sym, e))
-        value = sp.sympify(point[sym])
-        if not value.is_Rational:
-            raise UnsupportedEquationError(
-                "point value %s = %s is not a rational number" % (sym, value)
-            )
-        fixed.append((gen, QQ(value.p, value.q)))
-    num_val, den_val = num.evaluate(fixed), den.evaluate(fixed)
-    if not den_val:
+        return QQ.to_sympy(num)
+    values = _point_values(K, point, e)
+    return QQ.to_sympy(_evaluate_fraction(K, num, den, values, point, e))
+
+
+def _evaluate_fraction(K, num, den, values, point, e):
+    """num / den over K at the generator values, as an element of QQ.  The
+    fraction is reduced only when its denominator vanishes;
+    ZeroDivisionError is raised for a pole of e at point."""
+    value = _value_at(num, den, values)
+    if value is None:
         reduced = K.field.new(num, den)
-        num_val = reduced.numer.evaluate(fixed)
-        den_val = reduced.denom.evaluate(fixed)
-        if not den_val:
+        value = _value_at(reduced.numer, reduced.denom, values)
+        if value is None:
             raise ZeroDivisionError("pole at %s in %s" % (point, e))
-    return num_val / den_val
+    return value
 
 
 def rank_at_point(M, point: dict) -> int:
@@ -543,9 +679,14 @@ def rank_at_point(M, point: dict) -> int:
     that fixes every symbol of its entries."""
     A = _as_matrix(M)
     K, pairs = _fractions(list(A))
-    values = [
-        _evaluate_fraction(K, num, den, point, e) for (num, den), e in zip(pairs, A)
-    ]
+    if K is QQ:
+        values = [num for num, _ in pairs]
+    else:
+        point_values = _point_values(K, point, A)
+        values = [
+            _evaluate_fraction(K, num, den, point_values, point, e)
+            for (num, den), e in zip(pairs, A)
+        ]
     rows = [values[i * A.cols:(i + 1) * A.cols] for i in range(A.rows)]
     return len(element_rref(QQ, rows, A.cols)[1])
 

@@ -210,8 +210,7 @@ def check_parametrization(system, p: FlatParametrization):
     for sym in jets:
         if parse_jet_symbol(sym)[0] is None:
             return False, "parametrization contains non-jet symbol %s" % sym
-    rows = [[sp.diff(e, s) for s in jets] for e in list(p.F_x) + list(p.F_u)]
-    if symbolic.generic_rank(sp.Matrix(rows)) != system.n + system.m:
+    if symbolic.jacobian_rank(list(p.F_x) + list(p.F_u), jets) != system.n + system.m:
         return False, "parametrization is not a generic submersion"
     for i, e in enumerate(p.F_x):
         for sym in sp.sympify(e).free_symbols:
@@ -282,8 +281,7 @@ def verify_flat_output_symbolic(system, candidate):
             s for s in shift_syms if any(e.has(s) for e in stacked)
         ]
         all_vars = list(system.states) + present
-        jacobian = sp.Matrix([[sp.diff(e, v) for v in all_vars] for e in stacked])
-        if symbolic.generic_rank(jacobian) < len(stacked):
+        if symbolic.jacobian_rank(stacked, all_vars) < len(stacked):
             return None, SymbolicVerification(
                 status="FAIL",
                 bound=alpha,
@@ -303,7 +301,7 @@ def verify_flat_output_symbolic(system, candidate):
             ]
             ladders.append(list(system.states) + trimmed)
         ladders.append(list(system.states) + present)
-        equations = [sp.Eq(t, e) for t, e in zip(targets, stacked)]
+        equations = [t - e for t, e in zip(targets, stacked)]
         result = None
         for unknowns in ladders:
             result = _attempt_jet_solve(

@@ -6,7 +6,7 @@ import sys
 import pytest
 import sympy
 
-from flatcheck import cli
+from flatcheck import cli, symbolic
 
 
 def run(capsys, *argv):
@@ -188,6 +188,17 @@ class TestVerify:
         assert code == 1
         assert "symbolic: FAIL" in out
 
+    def test_unsolved_candidate_is_inconclusive_and_bounded(self, capsys, models_dir):
+        code, out, _ = run(
+            capsys,
+            "verify",
+            model_path(models_dir, "flat4"),
+            "--output",
+            "x1*x3 + x1; x2",
+        )
+        assert code == 1
+        assert "symbolic: INCONCLUSIVE at shift bound 5" in out
+
     def test_wrong_component_count(self, capsys, models_dir):
         code, _, err = run(
             capsys, "verify", model_path(models_dir, "flat4"), "--output", "x1"
@@ -309,3 +320,27 @@ class TestNoSympyCalls:
         )
         assert code == 0
         assert "symbolic: PASS" in out
+
+
+class TestRanksByEvaluation:
+    """Every rank decision of the flat4 verify is certified at a rational
+    point: no row reduction over a rational function field is needed."""
+
+    def test_verify_without_fraction_field_rref(self, capsys, models_dir, monkeypatch):
+        reduce = symbolic.element_rref
+
+        def rational_only(K, rows, ncols):
+            if K is not sympy.QQ:
+                raise AssertionError("row reduction over %s" % K)
+            return reduce(K, rows, ncols)
+
+        monkeypatch.setattr(symbolic, "element_rref", rational_only)
+        code, out, _ = run(
+            capsys,
+            "verify",
+            model_path(models_dir, "flat4"),
+            "--output",
+            "x1*x3 + x1; x2 + 3*x4",
+        )
+        assert code == 0
+        assert "symbolic: PASS at shift bound 3" in out

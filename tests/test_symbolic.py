@@ -107,6 +107,153 @@ class TestRanks:
         assert sp.simplify(M * v) == sp.zeros(2, 1)
 
 
+def _random_polynomial(rng, gens, degree=2):
+    """A seeded random polynomial with small integer coefficients."""
+    terms = [rng.randint(-3, 3)]
+    for _ in range(3):
+        factors = [rng.choice(gens) for _ in range(rng.randint(1, degree))]
+        terms.append(rng.randint(-3, 3) * sp.Mul(*factors))
+    return sp.Add(*terms)
+
+
+def _random_rational(rng, gens):
+    den = _random_polynomial(rng, gens, 1) if rng.random() < 0.5 else sp.Integer(1)
+    while den == 0:
+        den = _random_polynomial(rng, gens, 1)
+    return _random_polynomial(rng, gens) / den
+
+
+def _fraction_field_rank(M):
+    return len(symbolic.function_field_rref(M).pivots)
+
+
+@pytest.fixture
+def fraction_field_rrefs(monkeypatch):
+    """The row reductions over a field other than QQ, as (rows, cols)."""
+    calls = []
+    reduce = symbolic.element_rref
+
+    def spy(K, rows, ncols):
+        if K is not symbolic.QQ:
+            calls.append((len(rows), ncols))
+        return reduce(K, rows, ncols)
+
+    monkeypatch.setattr(symbolic, "element_rref", spy)
+    return calls
+
+
+class TestRankCertificate:
+    """generic_rank and jacobian_rank certify a full rank at one fixed
+    rational point and fall back to the fraction-field rref otherwise."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_matrices_of_known_rank(self, seed):
+        rng = random.Random(seed + 4100)
+        gens = [x, y, z]
+        nrows, ncols = rng.randint(2, 3), rng.randint(2, 3)
+        rank = rng.randint(0, min(nrows, ncols))
+        left = sp.Matrix(nrows, rank, lambda i, j: _random_rational(rng, gens))
+        right = sp.Matrix(rank, ncols, lambda i, j: _random_polynomial(rng, gens, 1))
+        M = left * right if rank else sp.zeros(nrows, ncols)
+        assert symbolic.generic_rank(M) == _fraction_field_rank(M) == rank
+
+    def test_full_rank_is_certified_without_fraction_field_rref(
+        self, fraction_field_rrefs
+    ):
+        M = sp.Matrix([[x, y, 1], [1 / (x + y), x * y, z], [y, 1, x**2]])
+        assert symbolic.generic_rank(M) == 3
+        assert fraction_field_rrefs == []
+
+    def test_rank_deficit_falls_back(self, fraction_field_rrefs):
+        M = sp.Matrix([[x, y], [x * z, y * z]])
+        assert symbolic.generic_rank(M) == 1
+        assert fraction_field_rrefs == [(2, 2)]
+
+    def test_singular_at_the_certificate_point(self, fraction_field_rrefs):
+        a, _ = symbolic._certificate_point(2)
+        M = sp.Matrix([[x - a, 0], [0, y]])
+        assert symbolic.rank_at_point(M, {x: a, y: 1}) == 1
+        assert symbolic.generic_rank(M) == 2
+        functions = [x**2 / 2 - a * x, y]
+        assert symbolic.jacobian_rank(functions, [x, y]) == 2
+        assert fraction_field_rrefs == [(2, 2), (2, 2)]
+
+    def test_pole_at_the_certificate_point(self, fraction_field_rrefs):
+        a, _ = symbolic._certificate_point(2)
+        M = sp.Matrix([[1 / (x - a), 1], [0, y]])
+        assert symbolic.generic_rank(M) == 2
+        assert symbolic.jacobian_rank([1 / (x - a), y], [x, y]) == 2
+        assert fraction_field_rrefs == [(2, 2), (2, 2)]
+
+    def test_certificate_point_is_fixed_and_nonzero(self):
+        point = symbolic._certificate_point(12)
+        assert point[:5] == symbolic._certificate_point(5)
+        assert all(isinstance(v, int) and abs(v) >= 2 for v in point)
+        assert len(set(point)) == len(point)
+
+    def test_radical_entries_are_rejected(self):
+        with pytest.raises(UnsupportedEquationError):
+            symbolic.generic_rank(sp.Matrix([[sp.sqrt(x), 1], [1, x]]))
+        with pytest.raises(UnsupportedEquationError):
+            symbolic.jacobian_rank([sp.sqrt(2) * x, y], [x, y])
+        with pytest.raises(UnsupportedEquationError):
+            symbolic.jacobian_rank([x, y], [x, y], {x: sp.sqrt(2), y: 1})
+
+
+class TestJacobianRank:
+    @staticmethod
+    def _jacobian(functions, variables):
+        return sp.Matrix([[sp.diff(f, v) for v in variables] for f in functions])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_generic_rank_of_the_symbolic_jacobian(self, seed):
+        rng = random.Random(seed + 5200)
+        gens = [x, y, z]
+        functions = [_random_rational(rng, gens) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            # a dependent function makes the rank fall short
+            functions.append(functions[0] * functions[-1] + 1)
+        variables = rng.sample(gens, rng.randint(1, 3))
+        jacobian = self._jacobian(functions, variables)
+        assert symbolic.jacobian_rank(functions, variables) == symbolic.generic_rank(
+            jacobian
+        )
+        assert symbolic.generic_rank(jacobian) == _fraction_field_rank(jacobian)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_rank_at_point_of_the_symbolic_jacobian(self, seed):
+        rng = random.Random(seed + 6300)
+        gens = [x, y, z]
+        functions = [_random_rational(rng, gens) for _ in range(3)]
+        variables = [x, y, z]
+        point = {g: sp.Rational(rng.randint(-2, 2), rng.randint(1, 2)) for g in gens}
+        jacobian = self._jacobian(functions, variables)
+        try:
+            expected = symbolic.rank_at_point(jacobian, point)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                symbolic.jacobian_rank(functions, variables, point)
+        else:
+            assert symbolic.jacobian_rank(functions, variables, point) == expected
+
+    def test_variables_outside_the_functions_give_zero_columns(self):
+        assert symbolic.jacobian_rank([x * y, x + y], [x, z]) == 1
+        assert symbolic.jacobian_rank([sp.Integer(3)], [x]) == 0
+        assert symbolic.jacobian_rank([], [x]) == 0
+
+    def test_removable_singularity_is_not_a_pole(self):
+        functions = [(x**2 - 1) / (x - 1), y]
+        assert symbolic.jacobian_rank(functions, [x, y], {x: 1, y: 0}) == 2
+
+    def test_pole_at_point_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            symbolic.jacobian_rank([1 / x, y], [x, y], {x: 0, y: 0})
+
+    def test_incomplete_point_raises(self):
+        with pytest.raises(ValueError):
+            symbolic.jacobian_rank([x * y], [x], {x: 1})
+
+
 class TestSolveAlgebraic:
     def test_linear_system(self):
         sols = symbolic.solve_algebraic([sp.Eq(x + y, 3), sp.Eq(x - y, 1)], [x, y])
