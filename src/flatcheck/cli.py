@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import sys
 import time
 
@@ -156,14 +157,7 @@ def cmd_extract(args, timings) -> int:
             detail=detail,
         )
         num_rep = verification.verify_flat_output_numeric(
-            work,
-            p,
-            trials=args.trials,
-            horizon=args.horizon,
-            tol=args.tol,
-            seed=args.seed,
-            box=args.box,
-            candidate=flat_output.components,
+            work, p, candidate=flat_output.components, **_numeric_options(args)
         )
     print("verification: symbolic %s (%s)" % (sym_rep.status, sym_rep.detail))
     print(
@@ -216,14 +210,7 @@ def cmd_verify(args, timings) -> int:
         print("  %s = %s" % (u, symbolic.to_infix(e)))
     with _stage(timings, "numeric"):
         num_rep = verification.verify_flat_output_numeric(
-            system,
-            p,
-            trials=args.trials,
-            horizon=args.horizon,
-            tol=args.tol,
-            seed=args.seed,
-            box=args.box,
-            candidate=candidate,
+            system, p, candidate=candidate, **_numeric_options(args)
         )
     print(
         "numeric: %s (trials=%d, horizon=%d, max residual %.3e)"
@@ -292,12 +279,31 @@ def cmd_simulate(args, timings) -> int:
     return EXIT_OK
 
 
+def _positive(kind):
+    """argparse type: a finite number of the given kind above 0, so an
+    integer is at least 1."""
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError("expected a finite %s > 0, got %s"
+                                             % (kind.__name__, text))
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_verification_flags(parser):
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--horizon", type=int, default=20)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--trials", type=_positive(int), default=20)
+    parser.add_argument("--horizon", type=_positive(int), default=20)
+    parser.add_argument("--tol", type=_positive(float), default=1e-9)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--box", type=float, default=0.1)
+    parser.add_argument("--box", type=_positive(float), default=0.1)
+
+
+def _numeric_options(args) -> dict:
+    return dict(trials=args.trials, horizon=args.horizon, tol=args.tol,
+                seed=args.seed, box=args.box)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--json", metavar="PATH", help="write the analysis document")
     p_extract.add_argument(
         "--max-ansatz-degree",
-        type=int,
+        type=_positive(int),
         default=3,
         help="polynomial degree cap of the invariant search (default 3)",
     )

@@ -53,26 +53,25 @@ def _shift_symbol(s: sp.Symbol) -> sp.Symbol:
 
 
 def restate_distribution(dist: geometry.Distribution, system) -> geometry.Distribution:
-    """Re-read a distribution over the successor-state symbols as one over
-    the state symbols.  The image of the dynamics and the state space are
-    identified coordinate-wise, so this is a pure renaming."""
+    """Re-read the basis of a distribution over the successor-state symbols
+    as one over the state symbols, in QQ(states).  The image of the
+    dynamics and the state space are identified coordinate-wise, so this
+    is a pure renaming of generators."""
     shifted = geometry.shifted_state_symbols(system)
     if tuple(dist.coords) != shifted:
         raise FlatcheckError("distribution is not over the successor-state coordinates")
-    ren = {sh: s for sh, s in zip(shifted, system.states)}
     coords = tuple(system.states)
+    K, rename = symbolic.function_field(coords), dict(zip(shifted, coords))
     fields = tuple(
-        geometry.VectorField(
-            coords,
-            tuple(sp.sympify(c).xreplace(ren) for c in f.components),
-        )
+        geometry.VectorField(coords, tuple(symbolic.rename(a, K, rename) for a in f.components))
         for f in dist.fields
     )
-    witness = tuple(
-        tuple(sp.sympify(e).xreplace(ren) for e in row)
-        for row in dist.witness_rows
-    )
-    return geometry.Distribution(coords=coords, fields=fields, witness_rows=witness)
+    return geometry.Distribution(coords=coords, fields=fields)
+
+
+def _expr_rows(dist: geometry.Distribution) -> list:
+    """The basis of a distribution as rows of sympy expressions."""
+    return [[c.as_expr() for c in f.components] for f in dist.fields]
 
 
 def _primitive_combination(coeffs, monomials):
@@ -225,7 +224,7 @@ def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> Sta
     if dims[-1] < n:
         rest_values = list(
             polynomial_invariants(
-                [list(f.components) for f in chain[-1].fields],
+                _expr_rows(chain[-1]),
                 states,
                 n - dims[-1],
                 point,
@@ -239,7 +238,7 @@ def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> Sta
     for k in range(kbar, 1, -1):
         rho_k = dims[k - 1] - dims[k - 2]
         values = polynomial_invariants(
-            [list(f.components) for f in chain[k - 2].fields],
+            _expr_rows(chain[k - 2]),
             states,
             rho_k,
             point,
@@ -306,11 +305,11 @@ def _verify_straightening(chain, st: StateTransformation):
     jac = {c: [sp.diff(st.forward[c], s) for s in states] for c in new_syms}
     for k, dist in enumerate(chain, start=1):
         inside = {s for block in st.blocks[:k] for s in block}
-        for f in dist.fields:
+        for row in _expr_rows(dist):
             for c in new_syms:
                 if c in inside:
                     continue
-                comp = sum(f.components[a] * jac[c][a] for a in range(len(states)))
+                comp = sum(row[a] * jac[c][a] for a in range(len(states)))
                 if not symbolic.is_zero(symbolic.subs(comp, st.inverse)):
                     raise StraighteningError(
                         "straightened chain has a stray component of member %d along %s"
@@ -403,10 +402,10 @@ def _transform_distribution(state: DecompositionState, basis, coords):
     base_vars = list(state.system.variables)
     jac = {c: [sp.diff(state.forward_all[c], v) for v in base_vars] for c in coords}
     rows = []
-    for f in basis.fields:
+    for row in _expr_rows(basis):
         comps = []
         for c in coords:
-            e = sum(f.components[a] * jac[c][a] for a in range(len(base_vars)))
+            e = sum(row[a] * jac[c][a] for a in range(len(base_vars)))
             comps.append(symbolic.subs(e, state.inverse_current))
         rows.append(comps)
     return rows

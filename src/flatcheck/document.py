@@ -58,8 +58,10 @@ def _steps_list(report) -> list:
                 "dim_D": step.dim_D,
                 "rho": step.rho,
                 "mu": step.mu,
-                "delta_basis": [_infix_row(f.components) for f in step.delta.fields],
-                "D_basis": [_infix_row(f.components) for f in step.D.fields],
+                "delta_basis": [_infix_row(c.as_expr() for c in f.components)
+                                for f in step.delta.fields],
+                "D_basis": [_infix_row(c.as_expr() for c in f.components)
+                            for f in step.D.fields],
             }
         )
     return steps

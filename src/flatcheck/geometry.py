@@ -7,16 +7,18 @@ provides the operations the flatness test is made of: Lie brackets,
 projectability tests, pushforwards, lifts, and the largest projectable
 subdistribution of a given distribution.
 
-Conventions.  Vector fields and distributions are plain component data
-over an explicit coordinate tuple.  On the base space the coordinates
-are the system variables (x, u); on the image space they are shifted
-state symbols x<i>_p1.  All linear algebra runs over the field of
-rational functions through the symbolic module, so every basis produced
-here is deterministic.  Fields in chart coordinates, as returned by
-transform_vector_field, carry elements of the chart's fraction field
-instead of sympy expressions; the chart stores its inverse map and the
-Jacobian of its forward map in that field, so a transform is two
-substitutions and a matrix-vector product.
+Conventions.  Vector fields and distributions are component data over
+an explicit coordinate tuple.  Every component is an element of a
+rational function field (a sympy ``FracElement``; ``.as_expr()`` gives
+the expression), one field per space: over the base variables (x, u)
+the chart's QQ(x, u, theta, xi), over the shifted state symbols
+x<i>_p1 of the image space QQ(x_p1, ...).  Lift and pushforward rename
+generators between the two, so the sequence builds no sympy expression;
+only build_adapted_chart and make_distribution read expressions.  All
+linear algebra runs over these fields, so every basis produced here is
+deterministic.  The chart stores its inverse map and the Jacobian of
+its forward map in its field, so a transform is two substitutions and
+a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy import QQ
+from sympy.polys.fields import FracElement
 
 from . import symbolic
 from .errors import (
@@ -41,9 +45,33 @@ def shifted_state_symbols(system) -> tuple:
     return tuple(sp.Symbol("%s_p1" % s.name) for s in system.states)
 
 
+def _chart_field(system):
+    """The chart coordinates theta_1 .. theta_n, xi_1 .. xi_m, and the field
+    QQ(x, u, theta, xi) of every component over the base space,
+    generators sorted by name."""
+    coords = tuple(sp.Symbol("theta_%d" % (i + 1)) for i in range(system.n)) + tuple(
+        sp.Symbol("xi_%d" % (j + 1)) for j in range(system.m))
+    gens = tuple(sorted(system.variables + coords, key=lambda s: s.name))
+    return coords, symbolic.function_field(gens)
+
+
+def _field_of(rows):
+    """The one function field of the elements of nonempty rows."""
+    field = rows[0][0].field
+    if any(a.field != field for row in rows for a in row):
+        raise ValueError("components from different function fields")
+    return symbolic.function_field(field.symbols)
+
+
+def _generators(K, symbols) -> list:
+    index = {s: i for i, s in enumerate(K.symbols)}
+    return [K.field.gens[index[s]] for s in symbols]
+
+
 @dataclass(frozen=True)
 class VectorField:
-    """Component vector over an ordered coordinate tuple."""
+    """Component vector over an ordered coordinate tuple, in one function
+    field whose generators include the coordinates."""
 
     coords: tuple
     components: tuple
@@ -56,7 +84,7 @@ class VectorField:
             )
 
     def is_zero_field(self) -> bool:
-        return all(symbolic.is_zero(c) for c in self.components)
+        return not any(self.components)
 
 
 @dataclass(frozen=True)
@@ -87,38 +115,38 @@ class Distribution:
     def dim(self) -> int:
         return len(self.fields)
 
-    def component_matrix(self) -> sp.Matrix:
-        if not self.fields:
-            return sp.zeros(0, len(self.coords))
-        return sp.Matrix([list(f.components) for f in self.fields])
 
-    def witness_matrix(self) -> sp.Matrix:
-        """Pole-free rows spanning the distribution, for point evaluation."""
-        rows = [list(r) for r in self.witness_rows]
-        for f in self.fields:
-            rows.append(symbolic.clear_denominators(list(f.components)))
-        rows = [r for r in rows if not all(symbolic.is_zero(e) for e in r)]
-        if not rows:
-            return sp.zeros(0, len(self.coords))
-        return sp.Matrix(rows)
+def _witness_rows(dist: Distribution, K) -> list:
+    """Pole-free nonzero rows spanning the distribution, for point
+    evaluation: its witness rows and its cleared basis."""
+    rows = [list(r) for r in dist.witness_rows]
+    rows.extend(symbolic.clear_element_row(K, list(f.components))[0] for f in dist.fields)
+    return [r for r in rows if any(r)]
 
 
 def make_distribution(coords, rows) -> Distribution:
     """Build a distribution from component rows, dropping dependent ones.
 
-    Rows are reduced to echelon form and cleared to primitive polynomial
-    vectors, which makes the stored basis canonical for the span.
+    Rows of field elements stay in their field; rows of sympy expressions
+    are read over QQ(coords).  Rows are reduced to echelon form and
+    cleared to primitive polynomial vectors, which makes the stored basis
+    canonical for the span.
     """
+    coords = tuple(coords)
     rows = [list(r) for r in rows]
-    rows = [r for r in rows if not all(symbolic.is_zero(e) for e in r)]
     if not rows:
-        return Distribution(coords=tuple(coords), fields=())
-    res = symbolic.function_field_rref(sp.Matrix(rows))
-    basis = []
-    for i in range(len(res.pivots)):
-        row = [res.rref[i, j] for j in range(len(coords))]
-        basis.append(VectorField(tuple(coords), tuple(symbolic.clear_denominators(row))))
-    return Distribution(coords=tuple(coords), fields=tuple(basis))
+        return Distribution(coords=coords, fields=())
+    if isinstance(rows[0][0], FracElement):
+        K = _field_of(rows)
+    else:
+        K, elements = symbolic.to_elements([e for r in rows for e in r], coords)
+        rows = [elements[i:i + len(coords)] for i in range(0, len(elements), len(coords))]
+    rref, pivots = symbolic.element_rref(K, [r for r in rows if any(r)], len(coords))
+    basis = [
+        VectorField(coords, tuple(symbolic.clear_element_row(K, row)[0]))
+        for row in rref[:len(pivots)]
+    ]
+    return Distribution(coords=coords, fields=tuple(basis))
 
 
 @dataclass(frozen=True)
@@ -134,7 +162,8 @@ class Chart:
     generator, the inverse map as a (numerator, denominator) pair of
     polynomials, or None for the chart symbols, which stay.  jacobian
     holds d forward[c] / d v composed with the inverse, one row per
-    chart coordinate c and one column per base variable v.
+    chart coordinate c and one column per base variable v.  equilibrium
+    holds the declared point and its chart image, over every generator.
     """
 
     system_vars: tuple
@@ -146,16 +175,11 @@ class Chart:
     function_field: object = field(default=None, compare=False, repr=False)
     substitution: tuple = field(default=(), compare=False, repr=False)
     jacobian: tuple = field(default=(), compare=False, repr=False)
+    equilibrium: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def coords(self) -> tuple:
         return tuple(self.theta) + tuple(self.xi)
-
-    def equilibrium_image(self, point) -> dict:
-        """Chart coordinates of a base-space point."""
-        return {
-            c: symbolic.evaluate_exact(self.forward[c], point) for c in self.coords
-        }
 
 
 def build_adapted_chart(system) -> Chart:
@@ -171,8 +195,8 @@ def build_adapted_chart(system) -> Chart:
     variables = system.variables
     point = system.equilibrium_point()
 
-    theta = tuple(sp.Symbol("theta_%d" % (i + 1)) for i in range(n))
-    xi = tuple(sp.Symbol("xi_%d" % (j + 1)) for j in range(m))
+    coords, K = _chart_field(system)
+    theta, xi = coords[:n], coords[n:]
 
     # (f, chosen, candidate) has one row per function, so a full rank at
     # the equilibrium proves the full generic rank
@@ -191,7 +215,7 @@ def build_adapted_chart(system) -> Chart:
 
     forward = {theta[i]: system.update[i] for i in range(n)}
     forward.update({xi[j]: xi_choice[j] for j in range(m)})
-    equations = [c - forward[c] for c in tuple(theta) + tuple(xi)]
+    equations = [c - forward[c] for c in coords]
     try:
         solutions = symbolic.solve_algebraic(equations, list(variables))
     except IrrationalSolutionError:
@@ -204,10 +228,7 @@ def build_adapted_chart(system) -> Chart:
             "chart inversion failed for xi = %s" % (tuple(map(str, xi_choice)),)
         )
 
-    image = {
-        c: symbolic.evaluate_exact(forward[c], point)
-        for c in tuple(theta) + tuple(xi)
-    }
+    image = {c: symbolic.evaluate_exact(forward[c], point) for c in coords}
     inverse = None
     for sol in solutions:
         if set(sol) != set(variables):
@@ -227,10 +248,6 @@ def build_adapted_chart(system) -> Chart:
             % (tuple(map(str, xi_choice)),)
         )
 
-    coords = tuple(theta) + tuple(xi)
-    K = symbolic.function_field(
-        tuple(sorted(tuple(variables) + coords, key=lambda s: s.name))
-    )
     _, elements = symbolic.to_elements([inverse[v] for v in variables], K.symbols)
     images = dict(zip(variables, elements))
     substitution = tuple(
@@ -244,7 +261,7 @@ def build_adapted_chart(system) -> Chart:
         if residual:
             raise ChartError("chart maps do not invert: residual %s on %s"
                              % (K.to_sympy(residual), c))
-    generators = [K.from_sympy(v) for v in variables]
+    generators = _generators(K, variables)
     jacobian = tuple(
         tuple(symbolic.compose(forward_elements[c].diff(g), substitution)
               for g in generators)
@@ -260,23 +277,23 @@ def build_adapted_chart(system) -> Chart:
         function_field=K,
         substitution=substitution,
         jacobian=jacobian,
+        equilibrium={**point, **image},
     )
 
 
 def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
-    """Rewrite a field given over the base variables in chart coordinates.
+    """Rewrite a field over the base variables in chart coordinates.
 
-    The components of the result are elements of chart.function_field:
-    the Jacobian of the forward map applied to the field, both composed
-    with the inverse map.  Chart symbols occurring in the components of
-    v are kept as they are.
+    The components of v and of the result are elements of
+    chart.function_field: the Jacobian of the forward map applied to the
+    field, both composed with the inverse map.  Chart symbols occurring
+    in the components of v are kept as they are.
     """
     if v.coords != chart.system_vars:
         raise ValueError("field is not over the chart's base variables")
     K = chart.function_field
-    _, elements = symbolic.to_elements(v.components, K.symbols)
     moved = [symbolic.compose(c, chart.substitution) if c else None
-             for c in elements]
+             for c in v.components]
     components = []
     for row in chart.jacobian:
         total = K.zero
@@ -289,38 +306,29 @@ def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
 
 def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
     """Standard Lie bracket of two fields over the same coordinates,
-    computed in the fraction field of the coordinates and the symbols of
-    both fields."""
+    computed in the field of their components."""
     if v1.coords != v2.coords:
         raise ValueError("bracket of fields over different coordinates")
-    n = len(v1.coords)
-    K, elements = symbolic.to_elements(
-        list(v1.components) + list(v2.components) + list(v1.coords)
-    )
-    a, b, coords = elements[:n], elements[n:2 * n], elements[2 * n:]
+    a, b = v1.components, v2.components
+    K = _field_of([a, b])
+    gens = _generators(K, v1.coords)
     comps = []
-    for i in range(n):
+    for i in range(len(gens)):
         term = K.zero
-        for aj, bj, x in zip(a, b, coords):
+        for aj, bj, x in zip(a, b, gens):
             if aj:
                 term += aj * b[i].diff(x)
             if bj:
                 term -= bj * a[i].diff(x)
-        comps.append(K.to_sympy(term))
+        comps.append(term)
     return VectorField(v1.coords, tuple(comps))
-
-
-def _fibre_generators(chart: Chart) -> list:
-    return [chart.function_field.from_sympy(x) for x in chart.xi]
 
 
 def _projectability(adapted: VectorField, system, chart: Chart) -> bool:
     """is_projectable on a field already in chart coordinates."""
-    fibre = _fibre_generators(chart)
-    return all(
-        symbolic.is_zero(adapted.components[i].diff(x))
-        for i in range(system.n)
-        for x in fibre
+    fibre = _generators(chart.function_field, chart.xi)
+    return not any(
+        adapted.components[i].diff(x) for i in range(system.n) for x in fibre
     )
 
 
@@ -333,50 +341,39 @@ def is_projectable(v: VectorField, system, chart: Chart) -> bool:
     return _projectability(transform_vector_field(v, chart), system, chart)
 
 
-def _image_components(adapted: VectorField, system, chart: Chart) -> list:
-    """Theta components of a projectable field in chart coordinates, as
-    expressions over the image coordinates x+."""
-    fibre = list(zip(chart.xi, _fibre_generators(chart)))
-    for i in range(system.n):
-        for x, g in fibre:
-            if not symbolic.is_zero(adapted.components[i].diff(g)):
-                raise NotProjectableError(
-                    "field is not projectable: component %s depends on %s"
-                    % (chart.function_field.to_sympy(adapted.components[i]), x)
-                )
-    rename = dict(zip(chart.theta, shifted_state_symbols(system)))
-    symbols = [rename.get(s, s) for s in chart.function_field.symbols]
-    return [adapted.components[i].as_expr(*symbols) for i in range(system.n)]
-
-
 def is_involutive(dist: Distribution) -> bool:
     """Whether all pairwise brackets of the basis stay in the span."""
     if dist.dim <= 1:
         return True
-    M = dist.component_matrix()
-    base_rank = symbolic.generic_rank(M)
+    rows, ncols = [list(f.components) for f in dist.fields], len(dist.coords)
+    K = _field_of(rows)
+    base_rank = symbolic.element_rank(K, rows, ncols)
     for a, b in itertools.combinations(range(dist.dim), 2):
         br = lie_bracket(dist.fields[a], dist.fields[b])
         if br.is_zero_field():
             continue
-        stacked = sp.Matrix([M, sp.Matrix([list(br.components)])])
-        if symbolic.generic_rank(stacked) > base_rank:
+        if symbolic.element_rank(K, rows + [list(br.components)], ncols) > base_rank:
             return False
     return True
 
 
 def contains_field(dist: Distribution, v: VectorField) -> bool:
     """Membership of a field in the span of a distribution."""
+    if v.coords != dist.coords:
+        raise ValueError("field over foreign coordinates")
     if v.is_zero_field():
         return True
     if dist.dim == 0:
         return False
-    M = dist.component_matrix()
-    stacked = sp.Matrix([M, sp.Matrix([list(v.components)])])
-    return symbolic.generic_rank(stacked) == symbolic.generic_rank(M)
+    rows, ncols = [list(f.components) for f in dist.fields], len(dist.coords)
+    K = _field_of(rows + [v.components])
+    return (symbolic.element_rank(K, rows + [list(v.components)], ncols)
+            == symbolic.element_rank(K, rows, ncols))
 
 
 def contains_distribution(outer: Distribution, inner: Distribution) -> bool:
+    if inner.coords != outer.coords:
+        raise ValueError("distribution over foreign coordinates")
     return all(contains_field(outer, f) for f in inner.fields)
 
 
@@ -433,9 +430,9 @@ def largest_projectable_subdistribution(
         )
 
     K = chart.function_field
-    fibre = _fibre_generators(chart)
+    fibre = _generators(K, chart.xi)
     adapted = [list(transform_vector_field(f, chart).components) for f in dist.fields]
-    cur = [symbolic.to_elements(f.components, K.symbols)[1] for f in dist.fields]
+    cur = [list(f.components) for f in dist.fields]
     while True:
         nonzero = [a[:n] for a in adapted if any(a[:n])]
         reduced, pivots = symbolic.element_rref(K, nonzero, n)
@@ -483,20 +480,16 @@ def largest_projectable_subdistribution(
         # cleared on vertical rows, whose theta block is zero anyway.
         if not any(row[:n]):
             comps, _ = symbolic.clear_element_row(K, comps)
-        out_fields.append(
-            VectorField(dist.coords, tuple(K.to_sympy(c) for c in comps))
-        )
+        out_fields.append(VectorField(dist.coords, tuple(comps)))
 
-    witness = tuple(
-        tuple(K.to_sympy(c) for c in symbolic.clear_element_row(K, comps)[0])
-        for comps in cur
-    )
+    witness = tuple(tuple(symbolic.clear_element_row(K, comps)[0]) for comps in cur)
     chart_fields = []
     for f in out_fields:
         adapted_f = transform_vector_field(f, chart)
         if not _projectability(adapted_f, system, chart):
             raise NotProjectableError(
-                "projectable basis extraction failed: %s" % (f.components,)
+                "projectable basis extraction failed: %s"
+                % (tuple(c.as_expr() for c in f.components),)
             )
         chart_fields.append(adapted_f)
     result = Distribution(
@@ -508,16 +501,13 @@ def largest_projectable_subdistribution(
     )
 
     # witness rows mix base and chart symbols: evaluate at both equilibria
-    point = system.equilibrium_point()
-    point.update(chart.equilibrium_image(point))
-    W = result.witness_matrix()
-    if W.rows:
-        rank_eq = symbolic.rank_at_point(W, point)
-        if rank_eq != result.dim:
-            raise ConstantDimensionError(
-                "projectable subdistribution has dimension %d generically "
-                "but %d at the equilibrium" % (result.dim, rank_eq)
-            )
+    W = symbolic.element_values(K, _witness_rows(result, K), chart.equilibrium)
+    rank_eq = symbolic.element_rank(QQ, W, len(dist.coords))
+    if rank_eq != result.dim:
+        raise ConstantDimensionError(
+            "projectable subdistribution has dimension %d generically "
+            "but %d at the equilibrium" % (result.dim, rank_eq)
+        )
     return result
 
 
@@ -539,37 +529,40 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
         adapted = dist.chart_fields
     else:
         adapted = [transform_vector_field(f, chart) for f in dist.fields]
-    rows = [
-        symbolic.clear_denominators(_image_components(a, system, chart))
-        for a in adapted
-    ]
-    rows = [r for r in rows if not all(symbolic.is_zero(e) for e in r)]
+    # theta components, renamed to x+ in the image field QQ(x+)
+    L = symbolic.function_field(xplus)
+    rename = dict(zip(chart.theta, xplus))
+    rows = []
+    for a in adapted:
+        theta_part = a.components[:system.n]
+        if not _projectability(a, system, chart):
+            raise NotProjectableError("field is not projectable: theta components %s"
+                                      % (tuple(c.as_expr() for c in theta_part),))
+        row = [symbolic.rename(c, L, rename) for c in theta_part]
+        rows.append(symbolic.clear_element_row(L, row)[0])
+    rows = [r for r in rows if any(r)]
     if not rows:
         return Distribution(coords=xplus, fields=())
 
-    point = system.equilibrium_point()
-    image_point = {
-        xp: symbolic.evaluate_exact(fi, point)
-        for xp, fi in zip(xplus, system.update)
-    }
     image = make_distribution(xplus, rows)
     generic = image.dim
-    at_eq = symbolic.rank_at_point(sp.Matrix(rows), image_point)
+    image_point = {xp: chart.equilibrium[t] for xp, t in zip(xplus, chart.theta)}
+    at_eq = symbolic.element_rank(QQ, symbolic.element_values(L, rows, image_point), system.n)
     if at_eq < generic:
         raise ConstantDimensionError(
             "pushforward has dimension %d generically but %d at the "
             "equilibrium image" % (generic, at_eq)
         )
 
-    # witness rows mix base and chart symbols: evaluate at both equilibria
-    point.update(chart.equilibrium_image(point))
-    jac_eq = system.jacobian().applyfunc(
-        lambda e: symbolic.evaluate_exact(e, point)
-    )
-    W = dist.witness_matrix().applyfunc(
-        lambda e: symbolic.evaluate_exact(e, point)
-    )
-    pointwise = symbolic.generic_rank(W * jac_eq.T) if W.rows else 0
+    # the chart Jacobian's theta rows at the chart equilibrium are
+    # df/d(x, u) at the equilibrium; witness rows mix base and chart
+    # symbols, so they are evaluated at both equilibria too
+    K = chart.function_field
+    jac_eq = symbolic.element_values(K, chart.jacobian[:system.n], chart.equilibrium)
+    W = symbolic.element_values(K, _witness_rows(dist, K), chart.equilibrium)
+    pushed = [[sum(w * d for w, d in zip(w_row, d_row)) for d_row in jac_eq]
+              for w_row in W]
+    pointwise = symbolic.element_rank(QQ, pushed, system.n)
     if pointwise != generic:
         raise ConstantDimensionError(
             "pushforward has dimension %d generically but %d at the "
@@ -581,22 +574,16 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
 def lift_distribution(delta: Distribution, system) -> Distribution:
     """Preimage of an image-space distribution under the projection.
 
-    Renames x+ back to x, pads with zero input components, and adjoins
-    the full input directions, so the dimension grows by m.
+    Renames x+ back to x in the base field, pads with zero input
+    components, and adjoins the full input directions, so the dimension
+    grows by m.
     """
-    variables = system.variables
-    xplus = shifted_state_symbols(system)
-    rename = dict(zip(xplus, system.states))
+    variables = tuple(system.variables)
     n, m = system.n, system.m
-    fields = []
-    for f in delta.fields:
-        comps = [
-            c.subs(rename, simultaneous=True) for c in f.components
-        ] + [sp.Integer(0)] * m
-        fields.append(VectorField(tuple(variables), tuple(comps)))
-    for j in range(m):
-        comps = [sp.Integer(0)] * (n + j) + [sp.Integer(1)] + [sp.Integer(0)] * (
-            m - j - 1
-        )
-        fields.append(VectorField(tuple(variables), tuple(comps)))
-    return Distribution(coords=tuple(variables), fields=tuple(fields))
+    _, K = _chart_field(system)
+    rename = dict(zip(shifted_state_symbols(system), system.states))
+    rows = [[symbolic.rename(c, K, rename) for c in f.components] + [K.zero] * m
+            for f in delta.fields]
+    rows += [[K.one if i == n + j else K.zero for i in range(n + m)] for j in range(m)]
+    return Distribution(coords=variables,
+                        fields=tuple(VectorField(variables, tuple(r)) for r in rows))

@@ -55,11 +55,6 @@ class DiscreteTimeSystem:
     def update_map(self) -> sp.Matrix:
         return sp.Matrix(self.n, 1, list(self.update))
 
-    def jacobian(self) -> sp.Matrix:
-        """d f / d (x, u), an n x (n + m) matrix."""
-        return self.update_map().jacobian(sp.Matrix(self.n + len(self.inputs), 1,
-                                                    list(self.variables)))
-
     def input_jacobian(self) -> sp.Matrix:
         return self.update_map().jacobian(sp.Matrix(self.m, 1, list(self.inputs)))
 

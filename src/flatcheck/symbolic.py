@@ -6,9 +6,9 @@ expression is an element of sympy's fraction field ``QQ(gens)`` (a
 ``FracElement``, always stored in lowest terms), and matrices of them
 are ``DomainMatrix`` objects.  Functions taking sympy expressions
 convert at their boundary, and anything else (floats, radicals,
-functions) raises UnsupportedEquationError there; ``element_rref``,
-``element_nullspace`` and ``clear_element_row`` work on field elements
-for callers that keep them, such as the geometry layer.
+functions) raises UnsupportedEquationError there.  The geometry layer
+keeps field elements throughout and calls only ``rename``,
+``clear_element_row`` and the ``element_*`` functions.
 ``substitute``/``compose`` substitute fractions for generators, and
 ``subs`` does the same for symbols of a sympy expression, returning the
 result in lowest terms; it is the one substitution the construction,
@@ -43,9 +43,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import sympy as sp
 from sympy import QQ
-from sympy.polys.fields import FracElement
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed
+from sympy.polys.polyutils import _dict_reorder
 
 from .errors import (
     InconsistentSystemError,
@@ -188,9 +188,7 @@ def canonicalize(e):
 
 
 def is_zero(e) -> bool:
-    """Exact zero test of a rational expression or a field element."""
-    if isinstance(e, FracElement):
-        return not e
+    """Exact zero test of a rational expression."""
     return not _fractions([e])[1][0][0]
 
 
@@ -244,6 +242,20 @@ def compose(a, substitution):
     if not den:
         raise ZeroDivisionError("denominator of %s vanishes" % a.as_expr())
     return a.field.new(num * den_den, den * num_den)
+
+
+def rename(a, K, mapping):
+    """The field element a as an element of the field K, each generator
+    renamed by the dict mapping or kept.  A renamed fraction stays in
+    lowest terms, so no gcd is taken; only the denominator's sign is fixed.
+    Raises GeneratorsError when a needs a generator that K lacks."""
+    symbols = [mapping.get(s, s) for s in a.field.symbols]
+    ring = K.field.ring
+    num, den = (ring.from_dict(dict(zip(*_dict_reorder(p, symbols, K.symbols))))
+                for p in (a.numer, a.denom))
+    if den.LC < 0:
+        num, den = -num, -den
+    return K.field.raw_new(num, den)
 
 
 def subs(e, mapping):
@@ -438,10 +450,6 @@ class RrefResult(NamedTuple):
     nullspace: list
 
 
-def _as_matrix(M) -> sp.Matrix:
-    return M if isinstance(M, sp.MatrixBase) else sp.Matrix(M)
-
-
 def element_rref(K, rows, ncols):
     """Reduced row echelon form of rows of elements of the field K, and its
     pivot columns.  Over a field both are unique."""
@@ -475,9 +483,8 @@ def function_field_rref(M) -> RrefResult:
     result additionally carries the pivot columns and a nullspace basis
     (one column vector per free column).
     """
-    A = _as_matrix(M)
-    nrows, ncols = A.shape
-    K, elements = to_elements(list(A))
+    nrows, ncols = M.shape
+    K, elements = to_elements(list(M))
     rows = [elements[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     rows, pivots = element_rref(K, rows, ncols)
     rref = sp.Matrix(nrows, ncols, [K.to_sympy(a) for row in rows for a in row])
@@ -576,21 +583,21 @@ def generic_rank(M) -> int:
     rank exactly.  On a pole or a rank that falls short, the matrix is
     row reduced over the function field.  No rank is guessed.
     """
-    A = _as_matrix(M)
-    nrows, ncols = A.shape
-    K, pairs = _fractions(list(A))
-    if K is QQ:
-        elements = [num for num, _ in pairs]
-    else:
+    nrows, ncols = M.shape
+    K, elements = to_elements(list(M))
+    return element_rank(K, [elements[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols)
+
+
+def element_rank(K, rows, ncols) -> int:
+    """Generic rank of rows of elements of the field K, certified at the
+    fixed point first (see :func:`generic_rank`)."""
+    if K is not QQ:
         values = _certificate_point(len(K.symbols))
-        at_point = [_value_at(num, den, values) for num, den in pairs]
-        if all(v is not None for v in at_point):
-            rows = [at_point[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-            rank = len(element_rref(QQ, rows, ncols)[1])
-            if rank == min(nrows, ncols):
+        at_point = [[_value_at(a.numer, a.denom, values) for a in row] for row in rows]
+        if all(v is not None for row in at_point for v in row):
+            rank = len(element_rref(QQ, at_point, ncols)[1])
+            if rank == min(len(rows), ncols):
                 return rank
-        elements = [K.field.new(num, den) for num, den in pairs]
-    rows = [elements[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     return len(element_rref(K, rows, ncols)[1])
 
 
@@ -617,15 +624,9 @@ def jacobian_rank(functions, variables, point=None) -> int:
     columns = {index[v]: k for k, v in enumerate(variables) if v in index}
     if point is not None:
         values = _point_values(K, point, functions)
-        rows = []
-        for (num, den), f in zip(pairs, functions):
-            row = _jacobian_row(num, den, values, columns, ncols)
-            if row is None:
-                reduced = K.field.new(num, den)
-                row = _jacobian_row(reduced.numer, reduced.denom, values, columns, ncols)
-                if row is None:
-                    raise ZeroDivisionError("pole at %s in %s" % (point, f))
-            rows.append(row)
+        rows = [_defined(K, num, den, point,
+                         lambda p, q: _jacobian_row(p, q, values, columns, ncols))
+                for num, den in pairs]
         return len(element_rref(QQ, rows, ncols)[1])
     values = _certificate_point(len(K.symbols))
     rows = [_jacobian_row(num, den, values, columns, ncols) for num, den in pairs]
@@ -650,45 +651,52 @@ def evaluate_exact(e, point: dict):
     """Evaluate a rational expression at an exact rational point.
 
     The point must assign a rational number to every symbol of e; one it
-    leaves open raises ValueError.  The expression is reduced to lowest
-    terms first, so a removable singularity is not a pole.  Raises
-    ZeroDivisionError when the point is a pole.
+    leaves open raises ValueError.  A removable singularity is not a
+    pole.  Raises ZeroDivisionError when the point is a pole.
     """
-    K, ((num, den),) = _fractions([e])
+    K, pairs = _fractions([e])
+    return QQ.to_sympy(_values(K, pairs, point, e)[0])
+
+
+def _values(K, pairs, point, what) -> list:
+    """The fractions (numerator, denominator) over K at point, as elements
+    of QQ.  A fraction is reduced only when its denominator vanishes
+    there, so a removable singularity is not a pole; a pole raises
+    ZeroDivisionError."""
     if K is QQ:
-        return QQ.to_sympy(num)
-    values = _point_values(K, point, e)
-    return QQ.to_sympy(_evaluate_fraction(K, num, den, values, point, e))
+        return [num for num, _ in pairs]
+    values = _point_values(K, point, what)
+    return [_defined(K, num, den, point, lambda p, q: _value_at(p, q, values))
+            for num, den in pairs]
 
 
-def _evaluate_fraction(K, num, den, values, point, e):
-    """num / den over K at the generator values, as an element of QQ.  The
-    fraction is reduced only when its denominator vanishes;
-    ZeroDivisionError is raised for a pole of e at point."""
-    value = _value_at(num, den, values)
-    if value is None:
+def _defined(K, num, den, point, at):
+    """at(num, den) for a fraction over K, where at returns None when the
+    denominator vanishes at point; then the fraction is reduced and tried
+    again, and a pole raises ZeroDivisionError."""
+    result = at(num, den)
+    if result is None:
         reduced = K.field.new(num, den)
-        value = _value_at(reduced.numer, reduced.denom, values)
-        if value is None:
-            raise ZeroDivisionError("pole at %s in %s" % (point, e))
-    return value
+        result = at(reduced.numer, reduced.denom)
+        if result is None:
+            raise ZeroDivisionError("pole at %s in %s" % (point, reduced.as_expr()))
+    return result
 
 
 def rank_at_point(M, point: dict) -> int:
     """Exact rank of a matrix of rational expressions at a rational point
     that fixes every symbol of its entries."""
-    A = _as_matrix(M)
-    K, pairs = _fractions(list(A))
-    if K is QQ:
-        values = [num for num, _ in pairs]
-    else:
-        point_values = _point_values(K, point, A)
-        values = [
-            _evaluate_fraction(K, num, den, point_values, point, e)
-            for (num, den), e in zip(pairs, A)
-        ]
-    rows = [values[i * A.cols:(i + 1) * A.cols] for i in range(A.rows)]
-    return len(element_rref(QQ, rows, A.cols)[1])
+    K, pairs = _fractions(list(M))
+    values = _values(K, pairs, point, M)
+    rows = [values[i * M.cols:(i + 1) * M.cols] for i in range(M.rows)]
+    return len(element_rref(QQ, rows, M.cols)[1])
+
+
+def element_values(K, rows, point: dict) -> list:
+    """Rows of elements of the field K at a rational point that fixes every
+    generator of K, as rows of elements of QQ; a pole raises
+    ZeroDivisionError."""
+    return [_values(K, [(a.numer, a.denom) for a in row], point, K) for row in rows]
 
 
 def clear_element_row(K, row):

@@ -55,7 +55,7 @@ def test_criterion_1_flagship_dimension_sequence(flat4):
     assert report.steps[2].dim_D == 5
 
     D0 = report.steps[0].D
-    matrix = D0.component_matrix()
+    matrix = sp.Matrix([[c.as_expr() for c in f.components] for f in D0.fields])
     assert matrix.rows == 1
     state_part = matrix[:, : flat4.n]
     assert all(e == 0 for e in state_part)

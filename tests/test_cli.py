@@ -144,11 +144,11 @@ class TestExtract:
             "extract",
             model_path(models_dir, "sfl_quadratic"),
             "--max-ansatz-degree",
-            "0",
+            "1",
         )
         assert code == 3
         assert "verdict: FLAT" in out
-        assert "ansatz degree 0" in err
+        assert "ansatz degree 1" in err
 
     def test_redundant_inputs_reduced_and_extended(self, capsys, models_dir):
         code, out, _ = run(
@@ -303,14 +303,14 @@ class TestNoSympyCalls:
     """The pipeline decides in the exact kernel: none of sympy's own
     solve, cancel, together or simplify is reached."""
 
-    @pytest.mark.parametrize("name", ["solve", "cancel", "together", "simplify"])
-    def test_extract_and_verify_without(self, name, capsys, models_dir, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sympy.%s was called" % name)
+    def test_extract_and_verify_without(self, capsys, models_dir, monkeypatch):
+        for name in ("solve", "cancel", "together", "simplify"):
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError("sympy.%s was called" % _name)
 
-        defining = getattr(sympy, name).__module__
-        for module in ("sympy", defining.rpartition(".")[0], defining):
-            monkeypatch.setattr(sys.modules[module], name, refuse)
+            defining = getattr(sympy, name).__module__
+            for module in ("sympy", defining.rpartition(".")[0], defining):
+                monkeypatch.setattr(sys.modules[module], name, refuse)
         for model in ("chain2", "flat4", "redundant_input"):
             code, out, _ = run(capsys, "extract", model_path(models_dir, model))
             assert code == 0, model
@@ -320,6 +320,32 @@ class TestNoSympyCalls:
         )
         assert code == 0
         assert "symbolic: PASS" in out
+
+
+class TestVacuousFlags:
+    """Flags that would make the numeric verification vacuous, or the
+    invariant search empty, are usage errors (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--output", "x1", "--trials", "0"],
+            ["verify", "--output", "x1", "--horizon", "-1"],
+            ["verify", "--output", "x1", "--box", "0"],
+            ["verify", "--output", "x1", "--box", "-1"],
+            ["verify", "--output", "x1", "--tol", "inf"],
+            ["verify", "--output", "x1", "--tol", "nan"],
+            ["extract", "--trials", "0"],
+            ["extract", "--max-ansatz-degree", "0"],
+            ["extract", "--max-ansatz-degree", "-2"],
+        ],
+    )
+    def test_usage_error(self, capsys, models_dir, argv):
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, model_path(models_dir, "chain2")] + flags)
+        assert exc.value.code == 2
+        assert "expected" in capsys.readouterr().err
 
 
 class TestRanksByEvaluation:

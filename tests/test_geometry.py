@@ -10,9 +10,14 @@ from flatcheck import geometry, modelfile, symbolic
 x1, x2, x3 = sp.symbols("x1 x2 x3")
 
 
-def _rref_of(dist):
-    M = dist.component_matrix()
-    return symbolic.function_field_rref(M).rref
+def _field(coords, components):
+    """A vector field from sympy expressions, read over QQ(coords)."""
+    return geometry.VectorField(coords, tuple(symbolic.to_elements(components, coords)[1]))
+
+
+def _matrix(dist):
+    """The basis of a distribution as a sympy matrix, one row per field."""
+    return sp.Matrix([[c.as_expr() for c in f.components] for f in dist.fields])
 
 
 class TestDistribution:
@@ -47,32 +52,47 @@ class TestDistribution:
     def test_contains_field(self):
         coords = (x1, x2, x3)
         d = geometry.make_distribution(coords, [[1, 0, 0], [0, x1, 1]])
-        inside = geometry.VectorField(coords, (x2, x1, 1))
-        outside = geometry.VectorField(coords, (0, 1, 0))
+        inside = _field(coords, (x2, x1, 1))
+        outside = _field(coords, (0, 1, 0))
         assert geometry.contains_field(d, inside)
         assert not geometry.contains_field(d, outside)
 
+    def test_containment_refuses_foreign_coordinates(self):
+        x4 = sp.Symbol("x4")
+        d = geometry.make_distribution((x1, x2), [[1, 0]])
+        stray = _field((x3, x4), (1, 0))
+        with pytest.raises(ValueError):
+            geometry.contains_field(d, stray)
+        with pytest.raises(ValueError):
+            geometry.contains_distribution(d, geometry.make_distribution((x3, x4), [[1, 0]]))
+
+    def test_containment_refuses_a_foreign_function_field(self):
+        d = geometry.make_distribution((x1, x2), [[1, 0]])
+        wider = geometry.VectorField((x1, x2), tuple(symbolic.to_elements([x1, 0], (x1, x2, x3))[1]))
+        with pytest.raises(ValueError):
+            geometry.contains_field(d, wider)
+
     def test_witness_matrix_clears_poles(self):
         coords = (x1, x2)
-        f = geometry.VectorField(coords, (1 / x1, 1))
+        f = _field(coords, (1 / x1, 1))
         d = geometry.Distribution(coords=coords, fields=(f,))
-        W = d.witness_matrix()
-        assert all(sp.denom(sp.cancel(e)).is_number for e in W)
+        W = geometry._witness_rows(d, symbolic.function_field(coords))
+        assert all(sp.denom(sp.cancel(e.as_expr())).is_number for row in W for e in row)
 
 
 class TestLieBracket:
     def test_coordinate_fields_commute(self):
         coords = (x1, x2)
-        a = geometry.VectorField(coords, (1, 0))
-        b = geometry.VectorField(coords, (0, 1))
+        a = _field(coords, (1, 0))
+        b = _field(coords, (0, 1))
         assert geometry.lie_bracket(a, b).is_zero_field()
 
     def test_known_bracket(self):
         coords = (x1, x2)
-        a = geometry.VectorField(coords, (1, 0))
-        b = geometry.VectorField(coords, (0, x1))
+        a = _field(coords, (1, 0))
+        b = _field(coords, (0, x1))
         result = geometry.lie_bracket(a, b)
-        assert result.components == (0, 1)
+        assert [c.as_expr() for c in result.components] == [0, 1]
 
     def test_involutive_span(self):
         coords = (x1, x2, x3)
@@ -130,7 +150,7 @@ class TestSequenceSteps:
         zero = geometry.Distribution(coords=xplus, fields=())
         E = geometry.lift_distribution(zero, flat4)
         assert E.dim == flat4.m
-        M = E.component_matrix()
+        M = _matrix(E)
         for i in range(M.rows):
             for j in range(flat4.n):
                 assert M[i, j] == 0
@@ -140,8 +160,8 @@ class TestSequenceSteps:
         assert step0.dim_D == 1
         field = step0.D.fields[0]
         for j in range(flat4.n):
-            assert sp.simplify(field.components[j]) == 0
-        u_part = sp.Matrix([field.components[flat4.n :]])
+            assert sp.simplify(field.components[j].as_expr()) == 0
+        u_part = sp.Matrix([[c.as_expr() for c in field.components[flat4.n :]]])
         normalized = symbolic.function_field_rref(u_part).rref
         expected = symbolic.function_field_rref(sp.Matrix([[-2, 1]])).rref
         assert sp.simplify(normalized - expected) == sp.zeros(1, 2)
@@ -156,7 +176,7 @@ class TestSequenceSteps:
                 fresh = geometry.transform_vector_field(field, report.chart)
                 assert carried.coords == fresh.coords
                 for a, b in zip(carried.components, fresh.components):
-                    assert symbolic.is_zero(a - b) is True
+                    assert not (a - b)
 
     def test_projectability_of_extracted_fields(self, flat4, flat4_report):
         chart = flat4_report.chart
@@ -177,3 +197,31 @@ class TestSequenceSteps:
     def test_deltas_are_involutive(self, flat4_report):
         for delta in flat4_report.delta_chain():
             assert geometry.is_involutive(delta) is True
+
+
+class TestSequenceWithoutExpressions:
+    """Lift, largest projectable cut and pushforward stay in the function
+    fields: not one sympy expression is converted along the sequence."""
+
+    @pytest.mark.parametrize(
+        "system_fixture, report_fixture",
+        [("flat4", "flat4_report"), ("chain2", "chain2_report")],
+    )
+    def test_sequence_reruns_without_expression_conversion(
+        self, request, monkeypatch, system_fixture, report_fixture
+    ):
+        system = request.getfixturevalue(system_fixture)
+        report = request.getfixturevalue(report_fixture)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sympy expression was converted")
+
+        monkeypatch.setattr(symbolic, "_fractions", refuse)
+        xplus = geometry.shifted_state_symbols(system)
+        delta = geometry.Distribution(coords=xplus, fields=())
+        for step in report.steps:
+            E = geometry.lift_distribution(delta, system)
+            D = geometry.largest_projectable_subdistribution(E, system, report.chart)
+            assert (delta.dim, E.dim, D.dim) == (step.dim_delta, step.dim_E, step.dim_D)
+            delta = geometry.pushforward_distribution(D, system, report.chart)
+        assert delta.dim == report.steps[-1].dim_delta

@@ -203,7 +203,7 @@ class TestDiscreteTimeSystem:
 
     def test_jacobians(self):
         system = modelfile.parse_model(CHAIN)
-        full = system.jacobian()
+        full = system.update_map().jacobian(list(system.variables))
         assert symbolic.generic_rank(full) == 2
         ijac = system.input_jacobian()
         assert ijac.shape == (2, 1)

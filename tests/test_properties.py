@@ -11,7 +11,7 @@ import random
 import pytest
 import sympy as sp
 
-from flatcheck import analysis, construction, geometry, model, verification
+from flatcheck import analysis, construction, geometry, model, symbolic, verification
 from flatcheck.model import DiscreteTimeSystem
 
 SEEDS = list(range(50))
@@ -33,9 +33,12 @@ def random_polynomial(rng, coords, max_terms=3, max_degree=2, constant=True):
 
 
 def random_field(rng, coords):
-    return geometry.VectorField(
-        coords, tuple(random_polynomial(rng, coords) for _ in coords)
-    )
+    return _field(coords, [random_polynomial(rng, coords) for _ in coords])
+
+
+def _field(coords, components):
+    """A vector field from sympy expressions, read over QQ(coords)."""
+    return geometry.VectorField(coords, tuple(symbolic.to_elements(components, coords)[1]))
 
 
 def unimodular_matrix(rng, size):
@@ -61,7 +64,7 @@ class TestBracketAlgebra:
         ab = geometry.lie_bracket(a, b)
         ba = geometry.lie_bracket(b, a)
         for p, q in zip(ab.components, ba.components):
-            assert sp.expand(p + q) == 0
+            assert sp.expand(p.as_expr() + q.as_expr()) == 0
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_jacobi_identity(self, seed):
@@ -75,7 +78,7 @@ class TestBracketAlgebra:
             geometry.lie_bracket(c, geometry.lie_bracket(a, b)),
         ]
         for i in range(3):
-            total = sum(f.components[i] for f in cyclic)
+            total = sum(f.components[i].as_expr() for f in cyclic)
             assert sp.expand(total) == 0
 
 
@@ -106,12 +109,12 @@ class TestPushforwardCommutesWithBracket:
         jac = sp.Matrix(
             [[sp.diff(fi, c) for c in coords] for fi in forward]
         )
-        comps = jac * sp.Matrix(len(coords), 1, list(field.components))
+        comps = jac * sp.Matrix(len(coords), 1, [c.as_expr() for c in field.components])
         pushed = [
             sp.expand(sp.cancel(comp.subs(inverse, simultaneous=True)))
             for comp in comps
         ]
-        return geometry.VectorField(coords, tuple(pushed))
+        return _field(coords, pushed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_commutation(self, seed):
@@ -131,7 +134,7 @@ class TestPushforwardCommutesWithBracket:
             self._pushforward(b, forward, inverse, COORDS3),
         )
         for p, q in zip(lhs.components, rhs.components):
-            assert sp.expand(sp.cancel(p - q)) == 0
+            assert sp.expand(sp.cancel(p.as_expr() - q.as_expr())) == 0
 
 
 def _span_equal(a, b):
@@ -142,9 +145,10 @@ def _span_equal(a, b):
     )
 
 
-def _mixed_rows(rng, dist):
-    """Rows spanning the same distribution over the function field."""
-    M = dist.component_matrix()
+def _mixed_rows(rng, dist, K):
+    """Rows spanning the same distribution over the function field, as
+    elements of K."""
+    M = sp.Matrix([[c.as_expr() for c in f.components] for f in dist.fields])
     U = unimodular_matrix(rng, M.rows)
     mixed = U * M
     if M.rows > 1:
@@ -154,7 +158,7 @@ def _mixed_rows(rng, dist):
             f = random_polynomial(rng, dist.coords[:2], max_terms=2, max_degree=1)
             for c in range(M.cols):
                 mixed[i, c] = sp.expand(mixed[i, c] + f * mixed[j, c])
-    return [list(mixed[i, :]) for i in range(M.rows)]
+    return [symbolic.to_elements(list(mixed[i, :]), K.symbols)[1] for i in range(M.rows)]
 
 
 def _lps_cases():
@@ -188,7 +192,7 @@ class TestLargestProjectableSubdistribution:
         rng = random.Random(seed + 3000)
         step = report.steps[k]
         mixed = geometry.make_distribution(
-            step.E.coords, _mixed_rows(rng, step.E)
+            step.E.coords, _mixed_rows(rng, step.E, report.chart.function_field)
         )
         assert _span_equal(mixed, step.E)
         recomputed = geometry.largest_projectable_subdistribution(
@@ -204,7 +208,7 @@ class TestLargestProjectableSubdistribution:
         if step.D.dim == 0:
             pytest.skip("zero distribution is trivially fixed")
         mixed = geometry.make_distribution(
-            step.D.coords, _mixed_rows(rng, step.D)
+            step.D.coords, _mixed_rows(rng, step.D, report.chart.function_field)
         )
         again = geometry.largest_projectable_subdistribution(
             mixed, system, report.chart

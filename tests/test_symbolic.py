@@ -4,6 +4,7 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.polyerrors import GeneratorsError
 
 from flatcheck import geometry, model, symbolic
 from flatcheck.errors import (
@@ -424,6 +425,22 @@ class TestClearDenominators:
         assert symbolic.clear_denominators([-x, -1]) == [x, 1]
         assert symbolic.clear_denominators([-2 * x, -4]) == [x, 2]
         assert symbolic.clear_denominators([0, -3]) == [0, 1]
+
+
+class TestRename:
+    def test_renamed_fraction_stays_canonical(self):
+        a, b = sp.symbols("a b")
+        source, (e,) = symbolic.to_elements([(x**2 + y) / (x - y)], (x, y))
+        target = symbolic.function_field((a, b, z))
+        moved = symbolic.rename(e, target, {x: b, y: a})
+        # canonical form: equal to the same function converted directly
+        assert moved == target.from_sympy((b**2 + a) / (b - a))
+        assert moved.denom.LC > 0
+
+    def test_missing_generator_raises(self):
+        _, (e,) = symbolic.to_elements([x * y], (x, y))
+        with pytest.raises(GeneratorsError):
+            symbolic.rename(e, symbolic.function_field((x,)), {})
 
 
 class TestSubs:
