@@ -303,14 +303,14 @@ class TestNoSympyCalls:
     """The pipeline decides in the exact kernel: none of sympy's own
     solve, cancel, together or simplify is reached."""
 
-    def test_extract_and_verify_without(self, capsys, models_dir, monkeypatch):
-        for name in ("solve", "cancel", "together", "simplify"):
-            def refuse(*args, _name=name, **kwargs):
-                raise AssertionError("sympy.%s was called" % _name)
+    @pytest.mark.parametrize("name", ["solve", "cancel", "together", "simplify"])
+    def test_extract_and_verify_without(self, name, capsys, models_dir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sympy.%s was called" % name)
 
-            defining = getattr(sympy, name).__module__
-            for module in ("sympy", defining.rpartition(".")[0], defining):
-                monkeypatch.setattr(sys.modules[module], name, refuse)
+        defining = getattr(sympy, name).__module__
+        for module in ("sympy", defining.rpartition(".")[0], defining):
+            monkeypatch.setattr(sys.modules[module], name, refuse)
         for model in ("chain2", "flat4", "redundant_input"):
             code, out, _ = run(capsys, "extract", model_path(models_dir, model))
             assert code == 0, model
