@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import itertools
 
 import sympy as sp
+from sympy import QQ
+from sympy.polys.polyerrors import GeneratorsError
 
 from . import geometry, symbolic, verification
 from .errors import (
@@ -69,21 +71,52 @@ def restate_distribution(dist: geometry.Distribution, system) -> geometry.Distri
     return geometry.Distribution(coords=coords, fields=fields)
 
 
-def _expr_rows(dist: geometry.Distribution) -> list:
-    """The basis of a distribution as rows of sympy expressions."""
-    return [[c.as_expr() for c in f.components] for f in dist.fields]
+def _gradients_at(functions, variables, point) -> list:
+    """Gradients of field elements with respect to variables at point, as
+    rows of rational numbers."""
+    rows = []
+    for h in functions:
+        K = symbolic.function_field(h.field.symbols)
+        gens = geometry._generators(K, variables)
+        rows.append(symbolic.element_values(K, [[h.diff(g) for g in gens]], point)[0])
+    return rows
 
 
-def _primitive_combination(coeffs, monomials):
-    """Integer-primitive linear combination of monomials with rational
-    coefficients, scaled by :func:`symbolic.clear_denominators`.
+def _invariance_kernel(rows, monomials, nvars, L) -> list:
+    """Coefficient vectors c, one per free column, of the polynomials
+    phi = sum_i c_i * x**monomials[i] in the first nvars generators of L
+    that every polynomial row annihilates: row . grad(phi) = 0.
 
-    The first nonzero coefficient in enumeration order is made positive so
-    the representative of each kernel direction is canonical."""
-    if not all(sp.sympify(c).is_Rational for c in coeffs):
+    The conditions are the coefficients of the monomials in those
+    generators.  They are rational numbers when L has no other
+    generators; otherwise they are polynomials in the others, the kernel
+    is taken over L, and a direction that is not rational raises
+    FlatcheckError.
+    """
+    ring = L.field.ring
+    conditions = {}
+    for r, row in enumerate(rows):
+        for i, m in enumerate(monomials):
+            derived = ring.zero
+            for a in range(nvars):
+                if m[a] and row[a]:
+                    derived += row[a].mul_term((m[:a] + (m[a] - 1,) + m[a + 1:], QQ(m[a])))
+            for monom, c in derived.iterterms():
+                rest = (0,) * nvars + monom[nvars:]
+                conditions.setdefault((r, monom[:nvars]), {}).setdefault(i, {})[rest] = c
+    if nvars == ring.ngens:
+        K, entry = QQ, lambda terms: terms.get((0,) * nvars, QQ.zero)
+    else:
+        K, entry = L, lambda terms: L.field.new(ring.from_dict(terms))
+    matrix = [[entry(row.get(i, {})) for i in range(len(monomials))]
+              for _, row in sorted(conditions.items())]
+    rref, pivots = symbolic.element_rref(K, matrix, len(monomials))
+    kernel = symbolic.element_nullspace(K, rref, pivots, len(monomials))
+    if K is QQ:
+        return kernel
+    if not all(a.numer.is_ground and a.denom.is_ground for v in kernel for a in v):
         raise FlatcheckError("invariant ansatz produced a non-rational kernel")
-    coeffs = symbolic.clear_denominators(coeffs)
-    return sp.expand(sum(c * m for c, m in zip(coeffs, monomials)))
+    return [[a.numer.LC / a.denom.LC for a in v] for v in kernel]
 
 
 def polynomial_invariants(
@@ -97,54 +130,46 @@ def polynomial_invariants(
 ):
     """Greedy polynomial first integrals of a set of vector fields.
 
-    rows are component rows over ``variables`` (rational entries are
-    cleared row-wise, which leaves the span unchanged generically).  The
-    ansatz runs through all monomials of total degree 1..max_degree in
-    graded order; kernel directions of the invariance conditions are
-    turned into integer-primitive candidates and accepted greedily while
-    the stacked gradients with respect to ``gradient_variables`` (on top
-    of ``seed_gradients``) gain rank both generically and at ``point``.
+    rows are component rows over ``variables``, elements of one rational
+    function field; each row is cleared of denominators, which leaves the
+    span unchanged generically.  The ansatz runs through all monomials of
+    total degree 1..max_degree in graded order; kernel directions of the
+    invariance conditions are turned into integer-primitive candidates
+    and accepted greedily while their gradients with respect to
+    ``gradient_variables`` at ``point``, stacked on ``seed_gradients``
+    (rows of rational numbers), gain rank; a full rank at the point
+    proves the generic one.  Returns the invariants as polynomials in
+    QQ(variables, any further generators of the rows).
 
     Raises StraighteningError when fewer than ``count`` independent
     invariants exist within the degree cap.
     """
-    variables = list(variables)
-    grad_vars = list(gradient_variables) if gradient_variables is not None else variables
-    cleared = [symbolic.clear_denominators(list(r)) for r in rows]
-    cleared = [r for r in cleared if any(e != 0 for e in r)]
-    accepted = []
-    stack = [list(g) for g in seed_gradients]
-    base_rank = len(stack)
     if count == 0:
         return ()
+    variables = list(variables)
+    grad_vars = list(gradient_variables) if gradient_variables is not None else variables
+    extra = [s for s in rows[0][0].field.symbols if s not in variables] if rows else []
+    L = symbolic.function_field(tuple(variables + extra))
+    cleared = []
+    for row in rows:
+        row, _ = symbolic.clear_element_row(L, [symbolic.rename(a, L, {}) for a in row])
+        if any(row):
+            cleared.append([a.numer for a in row])
+    stack = [list(g) for g in seed_gradients]
+    accepted = []
+    monomials = []
     for degree in range(1, max_degree + 1):
-        monomials = []
-        for d in range(1, degree + 1):
-            for combo in itertools.combinations_with_replacement(variables, d):
-                monomials.append(sp.Mul(*combo))
-        coeff_syms = list(sp.symbols("c0:%d" % len(monomials), cls=sp.Dummy))
-        phi = sum(c * m for c, m in zip(coeff_syms, monomials))
-        conditions = []
-        for row in cleared:
-            derived = sp.expand(
-                sum(row[a] * sp.diff(phi, variables[a]) for a in range(len(variables)))
-            )
-            if derived == 0:
-                continue
-            poly = sp.Poly(derived, *variables)
-            conditions.extend(poly.coeffs())
-        if conditions:
-            A, _ = sp.linear_eq_to_matrix(conditions, coeff_syms)
-            kernel = symbolic.nullspace(A)
-        else:
-            kernel = [sp.eye(len(monomials)).col(i) for i in range(len(monomials))]
-        for vec in kernel:
-            candidate = _primitive_combination(list(vec), monomials)
-            grad = [sp.diff(candidate, v) for v in grad_vars]
-            # one row per target rank: a full rank at the point proves
-            # the generic one
-            target = base_rank + len(accepted) + 1
-            if symbolic.rank_at_point(sp.Matrix(stack + [grad]), point) != target:
+        for combo in itertools.combinations_with_replacement(range(len(variables)), degree):
+            monom = [0] * len(L.symbols)
+            for i in combo:
+                monom[i] += 1
+            monomials.append(tuple(monom))
+        for vec in _invariance_kernel(cleared, monomials, len(variables), L):
+            coeffs, _ = symbolic.clear_element_row(QQ, vec)
+            candidate = L.field.new(L.field.ring.from_dict(
+                {m: c for m, c in zip(monomials, coeffs) if c}))
+            grad = _gradients_at([candidate], grad_vars, point)[0]
+            if symbolic.element_rank(QQ, stack + [grad], len(grad_vars)) != len(stack) + 1:
                 continue
             accepted.append(candidate)
             stack.append(grad)
@@ -153,16 +178,17 @@ def polynomial_invariants(
     raise StraighteningError("straightening not found within ansatz degree %d" % max_degree)
 
 
-def _complete_with_coordinates(candidates, stack, grad_vars, point, count, label):
+def _complete_with_coordinates(candidates, stack, grad_vars, count, label):
     """Greedy coordinate completion: try candidate coordinates in the given
     order and keep those whose unit gradient row raises the rank of the
-    stacked gradients generically and at the point.  Returns the selected
-    candidate positions in tried order."""
+    stacked gradients at the point (rows of rational numbers), which
+    proves the generic rank.  Returns the selected candidate positions in
+    tried order."""
     selected = []
     rows = [list(g) for g in stack]
     for pos, sym in candidates:
-        unit = [sp.Integer(1) if v == sym else sp.Integer(0) for v in grad_vars]
-        if symbolic.rank_at_point(sp.Matrix(rows + [unit]), point) != len(rows) + 1:
+        unit = [QQ.one if v == sym else QQ.zero for v in grad_vars]
+        if symbolic.element_rank(QQ, rows + [unit], len(grad_vars)) != len(rows) + 1:
             continue
         selected.append((pos, sym))
         rows.append(unit)
@@ -218,51 +244,31 @@ def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> Sta
         raise FlatcheckError("chain dimensions must increase strictly")
     kbar = len(chain)
     n = len(states)
-    seeds = []
-    rest = []
-    rest_values = []
-    if dims[-1] < n:
-        rest_values = list(
-            polynomial_invariants(
-                _expr_rows(chain[-1]),
-                states,
-                n - dims[-1],
-                point,
-                max_degree=max_degree,
-                seed_gradients=seeds,
-            )
-        )
-        rest = [sp.Symbol("xrest_%d" % (i + 1)) for i in range(len(rest_values))]
-        seeds.extend([[sp.diff(v, s) for s in states] for v in rest_values])
-    block_values = [None] * kbar
-    for k in range(kbar, 1, -1):
-        rho_k = dims[k - 1] - dims[k - 2]
-        values = polynomial_invariants(
-            _expr_rows(chain[k - 2]),
-            states,
-            rho_k,
-            point,
-            max_degree=max_degree,
-            seed_gradients=seeds,
-        )
-        block_values[k - 1] = list(values)
-        seeds.extend([[sp.diff(v, s) for s in states] for v in values])
-    rho_1 = dims[0]
-    order = list(enumerate(states))
+    # invariants of the top member complete the chart (rest), those of
+    # member k - 1 form block k; seeds are the gradients found so far
+    seeds, found = [], []
+    searches = [(chain[-1], n - dims[-1])]
+    searches += [(chain[k - 2], dims[k - 1] - dims[k - 2]) for k in range(kbar, 1, -1)]
+    for dist, count in searches:
+        invariants = polynomial_invariants(
+            _rows(dist), states, count, point, max_degree=max_degree, seed_gradients=seeds
+        ) if count else ()
+        found.append([h.as_expr() for h in invariants])
+        seeds.extend(_gradients_at(invariants, states, point))
+    rest_values = found[0]
+    rest = [sp.Symbol("xrest_%d" % (i + 1)) for i in range(len(rest_values))]
     chosen = _complete_with_coordinates(
-        list(reversed(order)), seeds, states, point, rho_1, "block 1"
+        list(reversed(list(enumerate(states)))), seeds, states, dims[0], "block 1"
     )
-    chosen.sort(key=lambda item: item[0])
-    block_values[0] = [sym for _, sym in chosen]
+    block_values = [[sym for _, sym in sorted(chosen, key=lambda item: item[0])]]
+    block_values += found[:0:-1]
     blocks = []
     forward = {}
     for k in range(1, kbar + 1):
         syms = [sp.Symbol("xbar%d_%d" % (k, i + 1)) for i in range(len(block_values[k - 1]))]
         blocks.append(tuple(syms))
-        for sym, value in zip(syms, block_values[k - 1]):
-            forward[sym] = sp.expand(value)
-    for sym, value in zip(rest, rest_values):
-        forward[sym] = sp.expand(value)
+        forward.update(zip(syms, block_values[k - 1]))
+    forward.update(zip(rest, rest_values))
     new_syms = [s for block in blocks for s in block] + list(rest)
     inverse = _pick_inverse_branch(
         [sp.Eq(sym, forward[sym]) for sym in new_syms],
@@ -280,7 +286,16 @@ def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> Sta
         inverse=inverse,
         point=point_new,
     )
-    _verify_straightening(chain, st)
+    # each chain member must lie along its own and earlier blocks
+    for k, dist in enumerate(chain, start=1):
+        inside = {s for block in blocks[:k] for s in block}
+        for row in _transform(dist, forward, new_syms, inverse)[1]:
+            for c, a in zip(new_syms, row):
+                if a and c not in inside:
+                    raise StraighteningError(
+                        "straightened chain has a stray component of member %d along %s"
+                        % (k, c)
+                    )
     return st
 
 
@@ -297,24 +312,47 @@ def _pick_inverse_branch(equations, unknowns, forward, expected, message):
     raise StraighteningError(message)
 
 
-def _verify_straightening(chain, st: StateTransformation):
-    """Check that each chain member, rewritten in the new coordinates, has
-    components only along its own and earlier blocks."""
-    states = st.states
-    new_syms = st.ordered_symbols
-    jac = {c: [sp.diff(st.forward[c], s) for s in states] for c in new_syms}
-    for k, dist in enumerate(chain, start=1):
-        inside = {s for block in st.blocks[:k] for s in block}
-        for row in _expr_rows(dist):
-            for c in new_syms:
-                if c in inside:
-                    continue
-                comp = sum(row[a] * jac[c][a] for a in range(len(states)))
-                if not symbolic.is_zero(symbolic.subs(comp, st.inverse)):
-                    raise StraighteningError(
-                        "straightened chain has a stray component of member %d along %s"
-                        % (k, c)
-                    )
+def _rows(dist: geometry.Distribution) -> list:
+    return [list(f.components) for f in dist.fields]
+
+
+def _transform(dist: geometry.Distribution, forward, coords, inverse):
+    """The basis of a distribution re-read in new coordinates.
+
+    dist is over variables; forward maps each coordinate of coords to an
+    expression in the variables, and inverse maps each variable back to
+    one in coords.  The component along c of a basis field v is
+    v(forward[c]) composed with the inverse map.  Both maps are converted
+    once, over QQ(the generators of dist's field and coords), and the
+    inverse is applied with symbolic.compose, as in
+    geometry.transform_vector_field.  Other generators of dist's field
+    are kept.  Returns (L, rows): one row per basis field, of elements of
+    L = QQ(coords, the kept generators).
+    """
+    variables = dist.coords
+    K = geometry._field_of(_rows(dist))
+    kept = tuple(s for s in K.symbols if s not in variables and s not in coords)
+    L = symbolic.function_field(tuple(coords) + kept)
+    M = symbolic.function_field(
+        tuple(sorted(set(K.symbols) | set(coords), key=lambda s: s.name)))
+    _, maps = symbolic.to_elements(
+        [forward[c] for c in coords] + [inverse[v] for v in variables], M.symbols)
+    position = {s: i for i, s in enumerate(M.symbols)}
+    substitution = [None] * len(M.symbols)
+    for v, b in zip(variables, maps[len(coords):]):
+        substitution[position[v]] = (b.numer, b.denom)
+
+    def moved(a):
+        return symbolic.rename(symbolic.compose(a, substitution), L, {}) if a else L.zero
+
+    gens = geometry._generators(M, variables)
+    jacobian = [[moved(f.diff(g)) for g in gens] for f in maps[:len(coords)]]
+    rows = []
+    for row in _rows(dist):
+        row = [moved(symbolic.rename(a, M, {})) for a in row]
+        rows.append([sum((d * a for d, a in zip(jac_row, row) if d and a), L.zero)
+                     for jac_row in jacobian])
+    return L, rows
 
 
 @dataclass(frozen=True)
@@ -396,19 +434,23 @@ def _apply_fibre_change(state: DecompositionState, consumed, new_forward, soluti
         state.point_cur[sym] = symbolic.evaluate_exact(value, eq_point)
 
 
-def _transform_distribution(state: DecompositionState, basis, coords):
-    """Components of a distribution over the base variables, re-read in the
-    current coordinates."""
-    base_vars = list(state.system.variables)
-    jac = {c: [sp.diff(state.forward_all[c], v) for v in base_vars] for c in coords}
-    rows = []
-    for row in _expr_rows(basis):
-        comps = []
-        for c in coords:
-            e = sum(row[a] * jac[c][a] for a in range(len(base_vars)))
-            comps.append(symbolic.subs(e, state.inverse_current))
-        rows.append(comps)
-    return rows
+def _jacobian(functions, variables):
+    """(K, rows): the Jacobian of rational expressions with respect to
+    variables, as rows of elements of K = QQ(variables, free symbols)."""
+    gens = sorted(set(variables).union(*(f.free_symbols for f in functions)),
+                  key=lambda s: s.name)
+    K, elements = symbolic.to_elements(functions, gens)
+    xs = geometry._generators(K, variables)
+    return K, [[a.diff(x) for x in xs] for a in elements]
+
+
+def _ranks(K, rows, ncols, point) -> tuple:
+    """Generic rank and rank at point of rows of elements of K.  The point
+    comes first: a full rank there proves the generic one."""
+    at_point = symbolic.element_rank(QQ, symbolic.element_values(K, rows, point), ncols)
+    if at_point == min(len(rows), ncols):
+        return at_point, at_point
+    return symbolic.element_rank(K, rows, ncols), at_point
 
 
 def decompose_step(k, state: DecompositionState, basis) -> tuple:
@@ -441,11 +483,8 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         fbar_rows = []
         for j in range(k + 1, kbar + 1):
             fbar_rows.extend(_fbar_block(state, j))
-        rank_point = symbolic.jacobian_rank(fbar_rows, gamma, state.point_cur)
-        if rank_point == min(len(fbar_rows), len(gamma)):
-            rank_generic = rank_point
-        else:
-            rank_generic = symbolic.jacobian_rank(fbar_rows, gamma)
+        F, jacobian = _jacobian(fbar_rows, gamma)
+        rank_generic, rank_point = _ranks(F, jacobian, len(gamma), state.point_cur)
         if rank_point != rank_generic:
             raise FlatcheckError(
                 "subsystem input rank drops at the equilibrium at step %d" % k
@@ -459,28 +498,25 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         if mu == 0:
             zeta_syms = list(gamma)
         else:
-            J = sp.Matrix([[sp.diff(e, g) for g in gamma] for e in fbar_rows])
-            kernel = symbolic.nullspace(J)
-            variables = remaining + gamma
+            rref, pivots = symbolic.element_rref(F, jacobian, len(gamma))
             kernel_rows = [
-                [sp.Integer(0)] * len(remaining) + list(vec)
-                for vec in kernel
+                [F.zero] * len(remaining) + vec
+                for vec in symbolic.element_nullspace(F, rref, pivots, len(gamma))
             ]
-            zeta_values = polynomial_invariants(
+            invariants = polynomial_invariants(
                 kernel_rows,
-                variables,
+                remaining + gamma,
                 len(gamma) - mu,
                 state.point_cur,
                 max_degree=state.max_degree,
                 gradient_variables=gamma,
             )
+            zeta_values = [h.as_expr() for h in invariants]
             zeta_syms = [sp.Symbol("zeta%d_%d" % (k, r + 1)) for r in range(len(zeta_values))]
-            grad_stack = [[sp.diff(v, g) for g in gamma] for v in zeta_values]
             chosen = _complete_with_coordinates(
                 list(reversed(list(enumerate(gamma)))),
-                grad_stack,
+                _gradients_at(invariants, gamma, state.point_cur),
                 gamma,
-                state.point_cur,
                 mu,
                 "redundant directions at step %d" % k,
             )
@@ -507,18 +543,14 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
 
     # straighten the projectable distribution over the new fibre
     coords = remaining + zeta_syms + state.verticals
-    rows = _transform_distribution(state, basis, coords)
-    for row in rows:
-        for idx in range(len(remaining)):
-            if not symbolic.is_zero(row[idx]):
-                raise FlatcheckError(
-                    "projectable distribution leaves the fibre at step %d" % k
-                )
+    L, rows = _transform(basis, state.forward_all, coords, state.inverse_current)
+    if any(a for row in rows for a in row[:len(remaining)]):
+        raise FlatcheckError("projectable distribution leaves the fibre at step %d" % k)
     n_zeta = len(zeta_syms)
-    fibre_matrix = sp.Matrix([row[len(remaining):] for row in rows])
-    res = symbolic.function_field_rref(fibre_matrix)
-    zeta_pivot_rows = [i for i, p in enumerate(res.pivots) if p < n_zeta]
-    vertical_pivots = [p for p in res.pivots if p >= n_zeta]
+    rref, pivots = symbolic.element_rref(
+        L, [row[len(remaining):] for row in rows], len(coords) - len(remaining))
+    zeta_pivot_rows = [i for i, p in enumerate(pivots) if p < n_zeta]
+    vertical_pivots = [p for p in pivots if p >= n_zeta]
     if len(zeta_pivot_rows) != rho_next:
         raise FlatcheckError(
             "distribution at step %d has %d transversal directions, expected %d"
@@ -529,35 +561,30 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
             "previously constructed coordinates fell out of the distribution at "
             "step %d" % k
         )
-    allowed = set(remaining) | set(zeta_syms)
-    w_rows = []
-    for i in zeta_pivot_rows:
-        w = [res.rref[i, j] for j in range(n_zeta)]
-        if not set().union(*(e.free_symbols for e in w)) <= allowed:
-            raise FlatcheckError(
-                "distribution components at step %d depend on consumed coordinates" % k
-            )
-        w_rows.append(w)
     variables = remaining + zeta_syms
+    W = symbolic.function_field(tuple(variables))
+    try:
+        w_rows = [[W.zero] * len(remaining) + [symbolic.rename(a, W, {}) for a in rref[i][:n_zeta]]
+                  for i in zeta_pivot_rows]
+    except GeneratorsError:
+        raise FlatcheckError(
+            "distribution components at step %d depend on consumed coordinates" % k
+        ) from None
     count_eta = n_zeta - rho_next
-    if count_eta:
-        eta_values = polynomial_invariants(
-            [[sp.Integer(0)] * len(remaining) + w for w in w_rows],
-            variables,
-            count_eta,
-            state.point_cur,
-            max_degree=state.max_degree,
-            gradient_variables=zeta_syms,
-        )
-    else:
-        eta_values = ()
+    invariants = polynomial_invariants(
+        w_rows,
+        variables,
+        count_eta,
+        state.point_cur,
+        max_degree=state.max_degree,
+        gradient_variables=zeta_syms,
+    ) if count_eta else ()
+    eta_values = [h.as_expr() for h in invariants]
     eta_syms = [sp.Symbol("eta%d_%d" % (k, i + 1)) for i in range(count_eta)]
-    grad_stack = [[sp.diff(v, z) for z in zeta_syms] for v in eta_values]
     chosen = _complete_with_coordinates(
         list(reversed(list(enumerate(zeta_syms)))),
-        grad_stack,
+        _gradients_at(invariants, zeta_syms, state.point_cur),
         zeta_syms,
-        state.point_cur,
         rho_next,
         "straightening at step %d" % k,
     )
@@ -577,19 +604,13 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
 
     # the straightened distribution must now be exactly the vertical span
     new_coords = state.remaining_states(k) + eta_syms + state.verticals
-    rows = _transform_distribution(state, basis, new_coords)
+    L, rows = _transform(basis, state.forward_all, new_coords, state.inverse_current)
     n_outside = len(new_coords) - len(state.verticals)
-    for row in rows:
-        for idx in range(n_outside):
-            if not symbolic.is_zero(row[idx]):
-                raise FlatcheckError(
-                    "straightened distribution at step %d is not vertical" % k
-                )
-    vertical_block = sp.Matrix([row[n_outside:] for row in rows])
-    if symbolic.generic_rank(vertical_block) != basis.dim:
-        raise FlatcheckError(
-            "straightened distribution at step %d lost dimension" % k
-        )
+    if any(a for row in rows for a in row[:n_outside]):
+        raise FlatcheckError("straightened distribution at step %d is not vertical" % k)
+    vertical_block = [row[n_outside:] for row in rows]
+    if symbolic.element_rank(L, vertical_block, len(state.verticals)) != basis.dim:
+        raise FlatcheckError("straightened distribution at step %d lost dimension" % k)
 
     # dynamics above the step must not see the consumed fibre directions
     allowed_above = set(state.remaining_states(k)) | set(eta_syms)
@@ -608,11 +629,12 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 "dynamics of block %d depend on coordinates consumed at step %d"
                 % (k + 1, k)
             )
-    if symbolic.jacobian_rank(next_rows, zhat_syms, state.point_cur) != rho_next:
-        if symbolic.jacobian_rank(next_rows, zhat_syms) != rho_next:
-            raise FlatcheckError(
-                "block %d dynamics are singular in the new coordinates" % (k + 1)
-            )
+    generic, at_point = _ranks(*_jacobian(next_rows, zhat_syms), rho_next, state.point_cur)
+    if generic != rho_next:
+        raise FlatcheckError(
+            "block %d dynamics are singular in the new coordinates" % (k + 1)
+        )
+    if at_point != rho_next:
         raise FlatcheckError(
             "block %d dynamics are singular at the equilibrium" % (k + 1)
         )
@@ -848,9 +870,10 @@ def to_implicit_triangular(system, trace: DecompositionTrace, st: StateTransform
                 raise FlatcheckError(
                     "triangular block %d violates the dependence pattern" % k
                 )
-        if symbolic.jacobian_rank(residuals, solved_for, point) != len(solved_for):
-            if symbolic.jacobian_rank(residuals, solved_for) != len(solved_for):
-                raise FlatcheckError("triangular block %d is singular" % k)
+        generic, at_point = _ranks(*_jacobian(residuals, solved_for), len(solved_for), point)
+        if generic != len(solved_for):
+            raise FlatcheckError("triangular block %d is singular" % k)
+        if at_point != len(solved_for):
             raise FlatcheckError("triangular block %d is singular at the equilibrium" % k)
         blocks.append(
             TriangularBlock(

@@ -93,9 +93,10 @@ class Distribution:
 
     The basis is kept independent over the function field, so the
     dimension is just the number of basis fields.  witness_rows, when
-    present, are extra denominator-free component rows spanning the
-    same distribution generically; they allow rank evaluations at
-    points where the preferred basis has poles.  chart_fields, when
+    present, are nonzero denominator-free component rows spanning the
+    same distribution generically, the cleared basis among them; they
+    allow rank evaluations at points where the preferred basis has
+    poles.  chart_fields, when
     present, are the basis fields transformed into the coordinates of
     chart (see transform_vector_field), in basis order.
     """
@@ -118,9 +119,10 @@ class Distribution:
 
 def _witness_rows(dist: Distribution, K) -> list:
     """Pole-free nonzero rows spanning the distribution, for point
-    evaluation: its witness rows and its cleared basis."""
-    rows = [list(r) for r in dist.witness_rows]
-    rows.extend(symbolic.clear_element_row(K, list(f.components))[0] for f in dist.fields)
+    evaluation: its witness rows, or its cleared basis when it has none."""
+    if dist.witness_rows:
+        return [list(r) for r in dist.witness_rows]
+    rows = [symbolic.clear_element_row(K, list(f.components))[0] for f in dist.fields]
     return [r for r in rows if any(r)]
 
 
@@ -472,17 +474,17 @@ def largest_projectable_subdistribution(
         for i, a in enumerate(adapted)
     ]
     rref, _ = symbolic.element_rref(K, aug, n + len(cur))
+    witness = [symbolic.clear_element_row(K, comps)[0] for comps in cur]
     out_fields = []
     for row in rref:
         comps = _combine(row[n:], cur, K.zero)
+        cleared, _ = symbolic.clear_element_row(K, comps)
+        witness.append(cleared)
         # Rescaling a field by a coordinate-dependent factor changes its
         # theta components' xi-derivatives, so denominators may only be
         # cleared on vertical rows, whose theta block is zero anyway.
-        if not any(row[:n]):
-            comps, _ = symbolic.clear_element_row(K, comps)
-        out_fields.append(VectorField(dist.coords, tuple(comps)))
+        out_fields.append(VectorField(dist.coords, tuple(comps if any(row[:n]) else cleared)))
 
-    witness = tuple(tuple(symbolic.clear_element_row(K, comps)[0]) for comps in cur)
     chart_fields = []
     for f in out_fields:
         adapted_f = transform_vector_field(f, chart)
@@ -495,7 +497,7 @@ def largest_projectable_subdistribution(
     result = Distribution(
         coords=dist.coords,
         fields=tuple(out_fields),
-        witness_rows=witness,
+        witness_rows=tuple(tuple(r) for r in witness if any(r)),
         chart=chart,
         chart_fields=tuple(chart_fields),
     )

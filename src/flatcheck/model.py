@@ -52,12 +52,6 @@ class DiscreteTimeSystem:
         """All coordinates of the extended space, states first."""
         return tuple(self.states) + tuple(self.inputs)
 
-    def update_map(self) -> sp.Matrix:
-        return sp.Matrix(self.n, 1, list(self.update))
-
-    def input_jacobian(self) -> sp.Matrix:
-        return self.update_map().jacobian(sp.Matrix(self.m, 1, list(self.inputs)))
-
     def equilibrium_point(self) -> dict:
         return dict(self.equilibrium)
 
@@ -79,10 +73,10 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
 
     Raises ValidationError when the update map is not rational in the
     system variables, when it is not a submersion (generically or at the
-    equilibrium), when the marked point is not a fixed point, or when the
-    input rank drops at the equilibrium.  A generic input-rank deficit is
-    not an error; it is reported through the redundant_inputs flag so the
-    caller can eliminate the redundancy.
+    equilibrium), when the marked point is a pole of it or not a fixed
+    point, or when the input rank drops at the equilibrium.  A generic
+    input-rank deficit is not an error; it is reported through the
+    redundant_inputs flag so the caller can eliminate the redundancy.
     """
     n, m = system.n, system.m
     try:
@@ -91,7 +85,13 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
         raise ValidationError("system %r: %s" % (system.name, exc)) from None
     point = system.equilibrium_point()
     for xi, fi in zip(system.states, system.update):
-        residual = symbolic.evaluate_exact(fi - xi, point)
+        try:
+            residual = symbolic.evaluate_exact(fi - xi, point)
+        except ZeroDivisionError:
+            raise ValidationError(
+                "system %r: the update of %s, %s, has a pole at the marked point"
+                % (system.name, xi, fi)
+            ) from None
         if residual != 0:
             raise ValidationError(
                 "system %r: f(%s) - %s = %s at the marked point, not a fixed point"
@@ -166,8 +166,9 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     to retain at least one effective input.
     """
     n, m = system.n, system.m
-    ijac = system.input_jacobian()
-    input_rank = symbolic.generic_rank(ijac)
+    K, update = symbolic.to_elements(system.update, system.variables)
+    ijac = [[f.diff(u) for u in K.field.gens[n:]] for f in update]
+    input_rank = symbolic.element_rank(K, ijac, m)
     if input_rank == m:
         raise ValidationError("system %r: no redundancy, input rank is already %d"
                               % (system.name, m))
@@ -184,8 +185,8 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
         for i in range(n):
             if i in comp_used:
                 continue
-            trial = sp.Matrix([ijac[j, :] for j in comp_used + [i]])
-            if symbolic.generic_rank(trial) == len(comp_used) + 1:
+            trial = [ijac[j] for j in comp_used + [i]]
+            if symbolic.element_rank(K, trial, m) == len(comp_used) + 1:
                 found = i
                 break
         if found is None:
@@ -199,9 +200,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     uhat = tuple(sp.Symbol("uhat_%d" % (r + 1)) for r in range(input_rank))
 
     # Non-pivot original inputs come along unchanged as utilde coordinates.
-    ijac_cols = sp.Matrix([[ijac[i, j] for j in range(m)] for i in comp_used])
-    colres = symbolic.function_field_rref(ijac_cols)
-    pivot_cols = list(colres.pivots)
+    _, pivot_cols = symbolic.element_rref(K, [ijac[i] for i in comp_used], m)
     free_cols = [j for j in range(m) if j not in pivot_cols]
     removed = tuple(system.inputs[j] for j in free_cols)
     utilde = tuple(sp.Symbol("utilde_%d" % (t + 1)) for t in range(len(free_cols)))

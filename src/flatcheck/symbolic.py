@@ -4,15 +4,22 @@ Invariant: every expression this module takes or returns is a rational
 function with rational coefficients.  Inside this module such an
 expression is an element of sympy's fraction field ``QQ(gens)`` (a
 ``FracElement``, always stored in lowest terms), and matrices of them
-are ``DomainMatrix`` objects.  Functions taking sympy expressions
-convert at their boundary, and anything else (floats, radicals,
-functions) raises UnsupportedEquationError there.  The geometry layer
-keeps field elements throughout and calls only ``rename``,
-``clear_element_row`` and the ``element_*`` functions.
-``substitute``/``compose`` substitute fractions for generators, and
-``subs`` does the same for symbols of a sympy expression, returning the
-result in lowest terms; it is the one substitution the construction,
-verification and CLI layers use.
+are ``DomainMatrix`` objects.  Anything else (floats, radicals,
+functions) raises UnsupportedEquationError where it is converted.
+
+There is one matrix API, on field elements: ``element_rref``,
+``element_nullspace``, ``element_rank``, ``element_values`` and
+``clear_element_row``, with ``to_elements`` to convert, ``rename`` and
+``compose`` to move elements between fields and coordinates.  The
+geometry layer keeps field elements throughout and calls only these.
+Construction computes every matrix, rank, kernel and invariant with
+them too, and so does ``model.eliminate_redundant_inputs``.  The
+expression functions convert at their boundary: ``subs``,
+``solve_algebraic``, ``evaluate_exact``, ``is_zero`` and
+``canonicalize`` serve the coordinate maps of construction, the chart
+inverse, input elimination and verification, ``jacobian_rank`` the rank
+checks of validation, the chart and verification, and ``to_infix`` the
+CLI and the document.
 
 ``solve_algebraic`` solves by exact elimination in the fraction field:
 it eliminates the unknowns in the caller's order, one equation linear
@@ -23,29 +30,24 @@ branches are returned, so ``[]`` means no branch could be solved.
 
 Generic ranks are certified exactly, never guessed.  The rank at a
 rational point where every entry is defined is at most the generic
-rank, which is at most min(rows, cols); so ``generic_rank`` and
+rank, which is at most min(rows, cols); so ``element_rank`` and
 ``jacobian_rank`` first evaluate at one fixed rational point, and a full
 rank there is the generic rank.  On a pole or a rank that falls short
 they row reduce over the function field instead.  ``jacobian_rank``
 evaluates the Jacobian from the partial derivatives of numerator and
-denominator, without building it symbolically.
-
-This module pins down the canonical form, the exact zero test, equation
-solving, and row reduction over the function field.  All functions are
-pure.
+denominator, without building it symbolically.  All functions are pure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import sympy as sp
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.polyerrors import CoercionFailed
-from sympy.polys.polyutils import _dict_reorder
+from sympy.polys.polyerrors import CoercionFailed, GeneratorsError
 
 from .errors import (
     InconsistentSystemError,
@@ -239,9 +241,20 @@ def compose(a, substitution):
     when the substituted denominator vanishes, whatever the numerator."""
     num, num_den = substitute(a.numer, substitution)
     den, den_den = substitute(a.denom, substitution)
+    if num is a.numer and den is a.denom:
+        return a
     if not den:
         raise ZeroDivisionError("denominator of %s vanishes" % a.as_expr())
     return a.field.new(num * den_den, den * num_den)
+
+
+@functools.lru_cache(maxsize=1024)
+def _positions(symbols, target) -> tuple:
+    """The index in symbols of each symbol of target (None when absent),
+    and the indices of symbols that target lacks."""
+    index = {s: i for i, s in enumerate(symbols)}
+    positions = tuple(index.get(s) for s in target)
+    return positions, tuple(i for i in range(len(symbols)) if i not in positions)
 
 
 def rename(a, K, mapping):
@@ -249,10 +262,19 @@ def rename(a, K, mapping):
     renamed by the dict mapping or kept.  A renamed fraction stays in
     lowest terms, so no gcd is taken; only the denominator's sign is fixed.
     Raises GeneratorsError when a needs a generator that K lacks."""
-    symbols = [mapping.get(s, s) for s in a.field.symbols]
+    symbols = tuple(mapping.get(s, s) for s in a.field.symbols)
+    positions, dropped = _positions(symbols, K.symbols)
     ring = K.field.ring
-    num, den = (ring.from_dict(dict(zip(*_dict_reorder(p, symbols, K.symbols))))
-                for p in (a.numer, a.denom))
+
+    def move(p):
+        terms = {}
+        for monom, coeff in p.iterterms():
+            if any(monom[i] for i in dropped):
+                raise GeneratorsError("%s needs a generator outside %s" % (a, K))
+            terms[tuple(monom[i] if i is not None else 0 for i in positions)] = coeff
+        return ring.from_dict(terms)
+
+    num, den = move(a.numer), move(a.denom)
     if den.LC < 0:
         num, den = -num, -den
     return K.field.raw_new(num, den)
@@ -444,12 +466,6 @@ def _satisfies(a, steps) -> bool:
     return not num and bool(den)
 
 
-class RrefResult(NamedTuple):
-    rref: sp.Matrix
-    pivots: tuple
-    nullspace: list
-
-
 def element_rref(K, rows, ncols):
     """Reduced row echelon form of rows of elements of the field K, and its
     pivot columns.  Over a field both are unique."""
@@ -472,27 +488,6 @@ def element_nullspace(K, rref_rows, pivots, ncols) -> list:
             v[pc] = -row[fc]
         vectors.append(v)
     return vectors
-
-
-def function_field_rref(M) -> RrefResult:
-    """Reduced row echelon form over the rational function field.
-
-    A rational matrix is reduced by ``DomainMatrix.rref`` over QQ(free
-    symbols sorted by name), or over QQ when it has none.  The reduced
-    form over a field is unique, so no pivoting rule is needed.  The
-    result additionally carries the pivot columns and a nullspace basis
-    (one column vector per free column).
-    """
-    nrows, ncols = M.shape
-    K, elements = to_elements(list(M))
-    rows = [elements[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-    rows, pivots = element_rref(K, rows, ncols)
-    rref = sp.Matrix(nrows, ncols, [K.to_sympy(a) for row in rows for a in row])
-    null_vectors = [
-        sp.Matrix(ncols, 1, [K.to_sympy(a) for a in v])
-        for v in element_nullspace(K, rows, pivots, ncols)
-    ]
-    return RrefResult(rref, pivots, null_vectors)
 
 
 @functools.lru_cache(maxsize=64)
@@ -574,23 +569,15 @@ def _point_values(K, point, what) -> list:
     return values
 
 
-def generic_rank(M) -> int:
-    """Rank over the function field (rank at a generic point).
+def element_rank(K, rows, ncols) -> int:
+    """Rank of rows of elements of the field K (the generic rank).
 
     The rank is first certified at a fixed rational point: the rank at
     any point where every entry is defined is at most the generic rank,
     which is at most min(rows, cols), so a full rank there is the generic
-    rank exactly.  On a pole or a rank that falls short, the matrix is
-    row reduced over the function field.  No rank is guessed.
+    rank exactly.  On a pole or a rank that falls short, the rows are
+    row reduced over K.  No rank is guessed.
     """
-    nrows, ncols = M.shape
-    K, elements = to_elements(list(M))
-    return element_rank(K, [elements[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols)
-
-
-def element_rank(K, rows, ncols) -> int:
-    """Generic rank of rows of elements of the field K, certified at the
-    fixed point first (see :func:`generic_rank`)."""
     if K is not QQ:
         values = _certificate_point(len(K.symbols))
         at_point = [[_value_at(a.numer, a.denom, values) for a in row] for row in rows]
@@ -612,7 +599,7 @@ def jacobian_rank(functions, variables, point=None) -> int:
     symbolic Jacobian.  At a given point, which must fix every free
     symbol of the functions, a removable singularity is not a pole, and
     a pole raises ZeroDivisionError.  The generic rank is certified at
-    the fixed point of :func:`generic_rank`, with the same fallback: row
+    the fixed point of :func:`element_rank`, with the same fallback: row
     reduction of the Jacobian over the function field.
     """
     functions = [sp.sympify(f) for f in functions]
@@ -640,11 +627,6 @@ def jacobian_rank(functions, variables, point=None) -> int:
         a = K.field.new(num, den)
         rows.append([a.diff(g) if g is not None else K.zero for g in gens])
     return len(element_rref(K, rows, ncols)[1])
-
-
-def nullspace(M) -> list:
-    """Right nullspace basis over the function field."""
-    return function_field_rref(M).nullspace
 
 
 def evaluate_exact(e, point: dict):
@@ -681,15 +663,6 @@ def _defined(K, num, den, point, at):
         if result is None:
             raise ZeroDivisionError("pole at %s in %s" % (point, reduced.as_expr()))
     return result
-
-
-def rank_at_point(M, point: dict) -> int:
-    """Exact rank of a matrix of rational expressions at a rational point
-    that fixes every symbol of its entries."""
-    K, pairs = _fractions(list(M))
-    values = _values(K, pairs, point, M)
-    rows = [values[i * M.cols:(i + 1) * M.cols] for i in range(M.rows)]
-    return len(element_rref(QQ, rows, M.cols)[1])
 
 
 def element_values(K, rows, point: dict) -> list:
@@ -732,16 +705,6 @@ def clear_element_row(K, row):
     one = field.ring.one
     cleared = [field.raw_new(p.mul_ground(factor), one) for p in polys]
     return cleared, field.raw_new(common.mul_ground(factor), one)
-
-
-def clear_denominators(row: Sequence) -> list:
-    """Scale a row of rational expressions to an integer-primitive polynomial
-    row with the first nonzero entry's leading coefficient positive (see
-    :func:`clear_element_row`).  The span is unchanged away from the
-    cleared denominator's zero set."""
-    K, elements = to_elements(row)
-    cleared, _ = clear_element_row(K, elements)
-    return [K.to_sympy(a) for a in cleared]
 
 
 def to_infix(e) -> str:

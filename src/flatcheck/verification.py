@@ -162,7 +162,15 @@ def _equilibrium_jet_values(system, components, q):
     for u in system.inputs:
         for s in range(1, q + 2):
             point[input_shift_symbol(u, s)] = point[u]
-    return [symbolic.evaluate_exact(c, point) for c in components]
+    values = []
+    for c in components:
+        try:
+            values.append(symbolic.evaluate_exact(c, point))
+        except ZeroDivisionError:
+            raise FlatcheckError(
+                "output component %s has a pole at the equilibrium" % symbolic.to_infix(c)
+            ) from None
+    return values
 
 
 def _jet_targets(m, bound):

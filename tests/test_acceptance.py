@@ -55,12 +55,15 @@ def test_criterion_1_flagship_dimension_sequence(flat4):
     assert report.steps[2].dim_D == 5
 
     D0 = report.steps[0].D
-    matrix = sp.Matrix([[c.as_expr() for c in f.components] for f in D0.fields])
-    assert matrix.rows == 1
-    state_part = matrix[:, : flat4.n]
-    assert all(e == 0 for e in state_part)
-    u_part = symbolic.function_field_rref(matrix[:, flat4.n :])[0]
-    expected = symbolic.function_field_rref(sp.Matrix([[-2, 1]]))[0]
+    rows = [list(f.components) for f in D0.fields]
+    assert len(rows) == 1
+    state_part = rows[0][: flat4.n]
+    assert all(not e for e in state_part)
+    K = symbolic.function_field(rows[0][0].field.symbols)
+    u_part = symbolic.element_rref(K, [rows[0][flat4.n :]], flat4.m)[0]
+    expected = symbolic.element_rref(
+        K, [symbolic.to_elements([-2, 1], K.symbols)[1]], flat4.m
+    )[0]
     assert u_part == expected
 
     assert elapsed < ANALYSIS_TIME_BUDGET
@@ -115,8 +118,9 @@ def test_criterion_3_parametrization_identities(flat4, flat4_artifacts):
         {s for e in p.F_x + p.F_u for s in e.free_symbols},
         key=lambda s: s.name,
     )
-    jacobian = sp.Matrix([[sp.diff(e, s) for s in jets] for e in p.F_x + p.F_u])
-    assert symbolic.generic_rank(jacobian) == flat4.n + flat4.m
+    K, elements = symbolic.to_elements(p.F_x + p.F_u, jets)
+    jacobian = [[e.diff(s) for s in K.field.gens] for e in elements]
+    assert symbolic.element_rank(K, jacobian, len(jets)) == flat4.n + flat4.m
 
     for j, bound in enumerate(p.R, start=1):
         top = verification.jet_symbol(j, bound)

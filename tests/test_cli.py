@@ -47,6 +47,18 @@ class TestAnalyze:
         assert "dimension" in err
         assert err.count("timing: analyze") == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "extract"])
+    def test_pole_at_the_equilibrium_is_an_error(self, capsys, tmp_path, command):
+        path = tmp_path / "pole.sys"
+        path.write_text(
+            "system pole\nstates: x1, x2\ninputs: u\nequilibrium: all zero\n"
+            "next x1 = x2/(x1 + x2)\nnext x2 = u\n"
+        )
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2
+        assert "error:" in err
+        assert "update of x1" in err and "pole" in err
+
     def test_json_document(self, capsys, models_dir, tmp_path):
         target = tmp_path / "doc.json"
         code, _, _ = run(
@@ -216,6 +228,13 @@ class TestVerify:
         )
         assert code == 2
         assert "unknown identifier" in err
+
+    def test_pole_at_the_equilibrium_is_an_error(self, capsys, models_dir):
+        code, _, err = run(
+            capsys, "verify", model_path(models_dir, "chain2"), "--output", "1/x1"
+        )
+        assert code == 2
+        assert "error: output component 1/x1 has a pole" in err
 
 
 class TestSimulate:

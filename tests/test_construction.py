@@ -5,7 +5,7 @@ for the corpus systems."""
 import pytest
 import sympy as sp
 
-from flatcheck import analysis, construction
+from flatcheck import analysis, construction, symbolic
 from flatcheck.errors import (
     FlatcheckError,
     ImplicitSolveError,
@@ -31,24 +31,31 @@ def _same_set(actual, expected):
     return not rest
 
 
+def _invariants(rows, variables, count, point, **options):
+    """polynomial_invariants on expression rows, read over QQ(gens), with
+    gens the variables and then any further free symbols by name; the
+    invariants come back as expressions."""
+    free = set().union(*(sp.sympify(e).free_symbols for row in rows for e in row))
+    gens = tuple(variables) + tuple(sorted(free - set(variables), key=str))
+    _, elements = symbolic.to_elements([e for row in rows for e in row], gens)
+    width = len(variables)
+    element_rows = [elements[i:i + width] for i in range(0, len(elements), width)]
+    found = construction.polynomial_invariants(element_rows, variables, count, point, **options)
+    return [h.as_expr() for h in found]
+
+
 class TestPolynomialInvariants:
     def test_tilted_plane_field(self):
-        result = construction.polynomial_invariants(
-            [[1, x1]], (x1, x2), 1, {x1: 0, x2: 0}
-        )
+        result = _invariants([[1, x1]], (x1, x2), 1, {x1: 0, x2: 0})
         assert sp.simplify(result[0] - (2 * x2 - x1**2)) == 0
 
     def test_coordinate_distribution(self):
-        result = construction.polynomial_invariants(
-            [[1, 0, 0]], (x1, x2, x3), 2, {x1: 0, x2: 0, x3: 0}
-        )
+        result = _invariants([[1, 0, 0]], (x1, x2, x3), 2, {x1: 0, x2: 0, x3: 0})
         assert _same_set(result, [x2, x3])
 
     def test_annihilation_property(self):
         rows = [[1, x1, 0], [0, 0, 1]]
-        result = construction.polynomial_invariants(
-            rows, (x1, x2, x3), 1, {x1: 0, x2: 0, x3: 0}
-        )
+        result = _invariants(rows, (x1, x2, x3), 1, {x1: 0, x2: 0, x3: 0})
         for h in result:
             for row in rows:
                 derivative = sum(
@@ -58,16 +65,43 @@ class TestPolynomialInvariants:
 
     def test_degree_cap_failure(self):
         with pytest.raises(StraighteningError):
-            construction.polynomial_invariants(
-                [[1, x1]], (x1, x2), 1, {x1: 0, x2: 0}, max_degree=1
-            )
+            _invariants([[1, x1]], (x1, x2), 1, {x1: 0, x2: 0}, max_degree=1)
 
     def test_non_rational_kernel_raises(self):
         a = sp.Symbol("a")
         with pytest.raises(FlatcheckError, match="non-rational kernel"):
-            construction.polynomial_invariants(
-                [[1, a]], (x1, x2), 1, {x1: 0, x2: 0, a: 0}
-            )
+            _invariants([[1, a]], (x1, x2), 1, {x1: 0, x2: 0, a: 0})
+
+    def test_flagship_chain_without_expression_conversion(
+        self, flat4, flat4_report, monkeypatch
+    ):
+        """The invariant search works on the field elements of the chain:
+        not one sympy expression is converted."""
+        chain = [
+            construction.restate_distribution(d, flat4)
+            for d in flat4_report.delta_chain()
+        ]
+        point = {s: 0 for s in flat4.states}
+
+        def search():
+            return [
+                construction.polynomial_invariants(
+                    [list(f.components) for f in low.fields],
+                    flat4.states,
+                    high.dim - low.dim,
+                    point,
+                )
+                for low, high in zip(chain, chain[1:])
+            ]
+
+        expected = search()
+        assert [len(found) for found in expected] == [2, 1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sympy expression was converted")
+
+        monkeypatch.setattr(symbolic, "_fractions", refuse)
+        assert search() == expected
 
 
 class TestStraightening:

@@ -161,10 +161,13 @@ class TestSequenceSteps:
         field = step0.D.fields[0]
         for j in range(flat4.n):
             assert sp.simplify(field.components[j].as_expr()) == 0
-        u_part = sp.Matrix([[c.as_expr() for c in field.components[flat4.n :]]])
-        normalized = symbolic.function_field_rref(u_part).rref
-        expected = symbolic.function_field_rref(sp.Matrix([[-2, 1]])).rref
-        assert sp.simplify(normalized - expected) == sp.zeros(1, 2)
+        K = symbolic.function_field(field.components[0].field.symbols)
+        u_part = [list(field.components[flat4.n :])]
+        normalized = symbolic.element_rref(K, u_part, flat4.m)[0]
+        expected = symbolic.element_rref(
+            K, [symbolic.to_elements([-2, 1], K.symbols)[1]], flat4.m
+        )[0]
+        assert normalized == expected
 
     @pytest.mark.parametrize("report_fixture", ["flat4_report", "chain2_report"])
     def test_carried_chart_forms_match_fresh_transforms(self, request, report_fixture):

@@ -196,14 +196,10 @@ next x1 = x1
 
 
 class TestDiscreteTimeSystem:
-    def test_update_map_is_column(self):
-        system = modelfile.parse_model(CHAIN)
-        M = system.update_map()
-        assert M.shape == (2, 1)
-
     def test_jacobians(self):
         system = modelfile.parse_model(CHAIN)
-        full = system.update_map().jacobian(list(system.variables))
-        assert symbolic.generic_rank(full) == 2
-        ijac = system.input_jacobian()
-        assert ijac.shape == (2, 1)
+        K, update = symbolic.to_elements(system.update, system.variables)
+        full = [[f.diff(v) for v in K.field.gens] for f in update]
+        assert symbolic.element_rank(K, full, len(system.variables)) == 2
+        ijac = [[f.diff(u) for u in K.field.gens[system.n :]] for f in update]
+        assert (len(ijac), len(ijac[0])) == (2, 1)

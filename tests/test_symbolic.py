@@ -50,62 +50,78 @@ class TestIsZero:
         assert symbolic.is_zero(x + 1) is False
 
 
+def _elements(M):
+    """A sympy matrix as (K, rows of elements of K), K = QQ(its free
+    symbols sorted by name)."""
+    K, elements = symbolic.to_elements(list(M))
+    return K, [elements[i * M.cols:(i + 1) * M.cols] for i in range(M.rows)]
+
+
+def _generic_rank(M):
+    K, rows = _elements(M)
+    return symbolic.element_rank(K, rows, M.cols)
+
+
+def _rank_at_point(M, point):
+    K, rows = _elements(M)
+    values = rows if K is symbolic.QQ else symbolic.element_values(K, rows, point)
+    return symbolic.element_rank(symbolic.QQ, values, M.cols)
+
+
 class TestFunctionFieldRref:
     def test_pivots_and_zero_rows(self):
-        M = sp.Matrix([[1, x, 0], [0, 0, 1], [1, x, 1]])
-        res = symbolic.function_field_rref(M)
-        assert res.pivots == (0, 2)
-        assert res.rref.rows == 3
-        assert res.rref[2, :] == sp.zeros(1, 3)
+        K, rows = _elements(sp.Matrix([[1, x, 0], [0, 0, 1], [1, x, 1]]))
+        rref, pivots = symbolic.element_rref(K, rows, 3)
+        assert pivots == (0, 2)
+        assert len(rref) == 3
+        assert rref[2] == [K.zero] * 3
 
     def test_deterministic_under_row_mixing(self):
         rng = random.Random(7)
         base = sp.Matrix([[1, x, y], [0, 1, x * y]])
-        reference = symbolic.function_field_rref(base).rref
+        K, rows = _elements(base)
+        reference = symbolic.element_rref(K, rows, 3)[0]
         for _ in range(10):
             a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
             if a * d - b * c == 0:
                 continue
-            mixed = sp.Matrix(
-                [
-                    [a * base[0, j] + b * base[1, j] for j in range(3)],
-                    [c * base[0, j] + d * base[1, j] for j in range(3)],
-                ]
-            )
-            res = symbolic.function_field_rref(mixed)
-            assert sp.simplify(res.rref - reference) == sp.zeros(2, 3)
+            mixed = [
+                [a * rows[0][j] + b * rows[1][j] for j in range(3)],
+                [c * rows[0][j] + d * rows[1][j] for j in range(3)],
+            ]
+            assert symbolic.element_rref(K, mixed, 3)[0] == reference
 
     def test_rational_entries(self):
-        M = sp.Matrix([[1 / x, 1], [1, x]])
-        res = symbolic.function_field_rref(M)
-        assert len(res.pivots) == 1
+        K, rows = _elements(sp.Matrix([[1 / x, 1], [1, x]]))
+        assert len(symbolic.element_rref(K, rows, 2)[1]) == 1
 
 
 class TestRanks:
     def test_generic_rank_full(self):
         M = sp.Matrix([[x, 1], [1, x]])
-        assert symbolic.generic_rank(M) == 2
+        assert _generic_rank(M) == 2
 
     def test_generic_rank_degenerate(self):
         M = sp.Matrix([[x, x * y], [1, y]])
-        assert symbolic.generic_rank(M) == 1
+        assert _generic_rank(M) == 1
 
     def test_radical_entries_are_rejected(self):
         M = sp.Matrix([[sp.sqrt(2) * x, x], [2, sp.sqrt(2)]])
         with pytest.raises(UnsupportedEquationError):
-            symbolic.generic_rank(M)
+            _generic_rank(M)
 
     def test_rank_at_point_drop(self):
         M = sp.Matrix([[x, 0], [0, 1]])
-        assert symbolic.rank_at_point(M, {x: 0}) == 1
-        assert symbolic.rank_at_point(M, {x: 2}) == 2
+        assert _rank_at_point(M, {x: 0}) == 1
+        assert _rank_at_point(M, {x: 2}) == 2
 
     def test_nullspace_matches_matrix(self):
-        M = sp.Matrix([[1, x, 0], [0, 0, 1]])
-        vectors = symbolic.nullspace(M)
+        K, rows = _elements(sp.Matrix([[1, x, 0], [0, 0, 1]]))
+        rref, pivots = symbolic.element_rref(K, rows, 3)
+        vectors = symbolic.element_nullspace(K, rref, pivots, 3)
         assert len(vectors) == 1
-        v = sp.Matrix(vectors[0])
-        assert sp.simplify(M * v) == sp.zeros(2, 1)
+        v = vectors[0]
+        assert [sum((a * b for a, b in zip(row, v)), K.zero) for row in rows] == [K.zero] * 2
 
 
 def _random_polynomial(rng, gens, degree=2):
@@ -125,7 +141,8 @@ def _random_rational(rng, gens):
 
 
 def _fraction_field_rank(M):
-    return len(symbolic.function_field_rref(M).pivots)
+    K, rows = _elements(M)
+    return len(symbolic.element_rref(K, rows, M.cols)[1])
 
 
 @pytest.fixture
@@ -144,7 +161,7 @@ def fraction_field_rrefs(monkeypatch):
 
 
 class TestRankCertificate:
-    """generic_rank and jacobian_rank certify a full rank at one fixed
+    """element_rank and jacobian_rank certify a full rank at one fixed
     rational point and fall back to the fraction-field rref otherwise."""
 
     @pytest.mark.parametrize("seed", range(10))
@@ -156,25 +173,25 @@ class TestRankCertificate:
         left = sp.Matrix(nrows, rank, lambda i, j: _random_rational(rng, gens))
         right = sp.Matrix(rank, ncols, lambda i, j: _random_polynomial(rng, gens, 1))
         M = left * right if rank else sp.zeros(nrows, ncols)
-        assert symbolic.generic_rank(M) == _fraction_field_rank(M) == rank
+        assert _generic_rank(M) == _fraction_field_rank(M) == rank
 
     def test_full_rank_is_certified_without_fraction_field_rref(
         self, fraction_field_rrefs
     ):
         M = sp.Matrix([[x, y, 1], [1 / (x + y), x * y, z], [y, 1, x**2]])
-        assert symbolic.generic_rank(M) == 3
+        assert _generic_rank(M) == 3
         assert fraction_field_rrefs == []
 
     def test_rank_deficit_falls_back(self, fraction_field_rrefs):
         M = sp.Matrix([[x, y], [x * z, y * z]])
-        assert symbolic.generic_rank(M) == 1
+        assert _generic_rank(M) == 1
         assert fraction_field_rrefs == [(2, 2)]
 
     def test_singular_at_the_certificate_point(self, fraction_field_rrefs):
         a, _ = symbolic._certificate_point(2)
         M = sp.Matrix([[x - a, 0], [0, y]])
-        assert symbolic.rank_at_point(M, {x: a, y: 1}) == 1
-        assert symbolic.generic_rank(M) == 2
+        assert _rank_at_point(M, {x: a, y: 1}) == 1
+        assert _generic_rank(M) == 2
         functions = [x**2 / 2 - a * x, y]
         assert symbolic.jacobian_rank(functions, [x, y]) == 2
         assert fraction_field_rrefs == [(2, 2), (2, 2)]
@@ -182,7 +199,7 @@ class TestRankCertificate:
     def test_pole_at_the_certificate_point(self, fraction_field_rrefs):
         a, _ = symbolic._certificate_point(2)
         M = sp.Matrix([[1 / (x - a), 1], [0, y]])
-        assert symbolic.generic_rank(M) == 2
+        assert _generic_rank(M) == 2
         assert symbolic.jacobian_rank([1 / (x - a), y], [x, y]) == 2
         assert fraction_field_rrefs == [(2, 2), (2, 2)]
 
@@ -194,7 +211,7 @@ class TestRankCertificate:
 
     def test_radical_entries_are_rejected(self):
         with pytest.raises(UnsupportedEquationError):
-            symbolic.generic_rank(sp.Matrix([[sp.sqrt(x), 1], [1, x]]))
+            _generic_rank(sp.Matrix([[sp.sqrt(x), 1], [1, x]]))
         with pytest.raises(UnsupportedEquationError):
             symbolic.jacobian_rank([sp.sqrt(2) * x, y], [x, y])
         with pytest.raises(UnsupportedEquationError):
@@ -216,10 +233,8 @@ class TestJacobianRank:
             functions.append(functions[0] * functions[-1] + 1)
         variables = rng.sample(gens, rng.randint(1, 3))
         jacobian = self._jacobian(functions, variables)
-        assert symbolic.jacobian_rank(functions, variables) == symbolic.generic_rank(
-            jacobian
-        )
-        assert symbolic.generic_rank(jacobian) == _fraction_field_rank(jacobian)
+        assert symbolic.jacobian_rank(functions, variables) == _generic_rank(jacobian)
+        assert _generic_rank(jacobian) == _fraction_field_rank(jacobian)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_rank_at_point_of_the_symbolic_jacobian(self, seed):
@@ -230,7 +245,7 @@ class TestJacobianRank:
         point = {g: sp.Rational(rng.randint(-2, 2), rng.randint(1, 2)) for g in gens}
         jacobian = self._jacobian(functions, variables)
         try:
-            expected = symbolic.rank_at_point(jacobian, point)
+            expected = _rank_at_point(jacobian, point)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
                 symbolic.jacobian_rank(functions, variables, point)
@@ -410,21 +425,26 @@ class TestSolveAgainstSympy:
         )
 
 
+def _cleared(row):
+    K, elements = symbolic.to_elements(row)
+    return [K.to_sympy(a) for a in symbolic.clear_element_row(K, elements)[0]]
+
+
 class TestClearDenominators:
     def test_primitive_integer_vector(self):
         row = [sp.Rational(1, 2), sp.Rational(1, 3)]
-        cleared = symbolic.clear_denominators(row)
+        cleared = _cleared(row)
         assert cleared == [3, 2]
 
     def test_rational_functions(self):
         row = [1 / (x + 1), x / (x + 1)]
-        cleared = symbolic.clear_denominators(row)
+        cleared = _cleared(row)
         assert cleared == [1, x]
 
     def test_sign_normalization(self):
-        assert symbolic.clear_denominators([-x, -1]) == [x, 1]
-        assert symbolic.clear_denominators([-2 * x, -4]) == [x, 2]
-        assert symbolic.clear_denominators([0, -3]) == [0, 1]
+        assert _cleared([-x, -1]) == [x, 1]
+        assert _cleared([-2 * x, -4]) == [x, 2]
+        assert _cleared([0, -3]) == [0, 1]
 
 
 class TestRename:
