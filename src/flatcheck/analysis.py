@@ -66,16 +66,14 @@ class FlatnessReport:
         return tuple(step.delta for step in self.steps[1:])
 
 
-def run_algorithm1(system: DiscreteTimeSystem, max_steps=None) -> FlatnessReport:
+def run_algorithm1(system: DiscreteTimeSystem) -> FlatnessReport:
     """Decide difference flatness around the declared equilibrium.
 
     The system must be submersive with rank df/du = m; redundant inputs
     have to be eliminated beforehand (see
     model.eliminate_redundant_inputs); RedundantInputsError is raised
-    otherwise.  max_steps defaults to n + 1 and
-    exists purely as a bug guard: the sequence provably stagnates within
-    n steps, so exceeding the bound raises an internal error instead of
-    looping.
+    otherwise.  The sequence provably stagnates within n steps; running
+    past n + 1 steps raises an internal error instead of looping.
     """
     validation = validate_system(system)
     if validation.redundant_inputs:
@@ -84,8 +82,7 @@ def run_algorithm1(system: DiscreteTimeSystem, max_steps=None) -> FlatnessReport
             "the flatness analysis" % (validation.input_rank_generic, system.m)
         )
     n = system.n
-    if max_steps is None:
-        max_steps = n + 1
+    max_steps = n + 1
 
     chart = geometry.build_adapted_chart(system)
     xplus = geometry.shifted_state_symbols(system)

@@ -15,6 +15,12 @@ produced is turned into explicit artifacts in four stages:
 
 Everything is local around the declared equilibrium; every regularity
 condition is checked both generically and at the equilibrium itself.
+
+Stages 1 and 2 run on field elements: forward maps in QQ(x, u), inverse
+maps in QQ(current coordinates), and a coordinate change solved in
+QQ(current and new coordinates).  extract_flat_output reads expressions
+only at its entry and writes them with ``.as_expr()`` into the records
+it returns, which stages 3 and 4 work on.
 """
 
 from dataclasses import dataclass, field
@@ -178,22 +184,21 @@ def polynomial_invariants(
     raise StraighteningError("straightening not found within ansatz degree %d" % max_degree)
 
 
-def _complete_with_coordinates(candidates, stack, grad_vars, count, label):
-    """Greedy coordinate completion: try candidate coordinates in the given
-    order and keep those whose unit gradient row raises the rank of the
-    stacked gradients at the point (rows of rational numbers), which
-    proves the generic rank.  Returns the selected candidate positions in
-    tried order."""
+def _complete_with_coordinates(stack, variables, count, label):
+    """Greedy coordinate completion: try the variables last to first and
+    keep those whose unit gradient row raises the rank of the stacked
+    gradients at the point (rows of rational numbers), which proves the
+    generic rank.  Returns the selected variables in their given order."""
     selected = []
     rows = [list(g) for g in stack]
-    for pos, sym in candidates:
-        unit = [QQ.one if v == sym else QQ.zero for v in grad_vars]
-        if symbolic.element_rank(QQ, rows + [unit], len(grad_vars)) != len(rows) + 1:
+    for sym in reversed(variables):
+        unit = [QQ.one if v == sym else QQ.zero for v in variables]
+        if symbolic.element_rank(QQ, rows + [unit], len(variables)) != len(rows) + 1:
             continue
-        selected.append((pos, sym))
+        selected.append(sym)
         rows.append(unit)
         if len(selected) == count:
-            return selected
+            return [v for v in variables if v in selected]
     raise StraighteningError("coordinate completion failed for %s" % label)
 
 
@@ -224,28 +229,47 @@ class StateTransformation:
         return tuple(out)
 
 
-def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> StateTransformation:
+def _field(symbols):
+    """QQ(symbols), generators sorted by name."""
+    return symbolic.function_field(tuple(sorted(symbols, key=lambda s: s.name)))
+
+
+def _compose(a, images, K):
+    """The field element a with each generator s replaced by images[s], an
+    element of the field K, as an element of K.  A generator without an
+    image is kept when K is a's own field; otherwise it raises
+    GeneratorsError."""
+    if not a:
+        return K.zero
+    substitution = [(images[s].numer, images[s].denom) if s in images else None
+                    for s in a.field.symbols]
+    return symbolic.compose(a, substitution, K)
+
+
+def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTransformation:
     """Build a state transformation adapted to a nested distribution chain.
 
     chain lists the distributions over the state symbols in ascending
     order.  Block k of the result consists of invariants of the previous
     chain member (coordinate completions for block 1), so in the new
     coordinates each chain member is spanned by the first blocks.  point
-    is the equilibrium in state coordinates."""
+    is the equilibrium in state coordinates.  The maps are computed in
+    QQ(states) and QQ(new symbols) and written as expressions once."""
     if not chain:
         raise FlatcheckError("cannot straighten an empty chain")
     states = tuple(chain[0].coords)
     if not set(states) <= set(chart.system_vars):
         raise FlatcheckError("chain coordinates are not state variables of the chart")
-    if point is None:
-        raise FlatcheckError("straightening requires the equilibrium point")
     dims = [d.dim for d in chain]
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise FlatcheckError("chain dimensions must increase strictly")
     kbar = len(chain)
     n = len(states)
     # invariants of the top member complete the chart (rest), those of
-    # member k - 1 form block k; seeds are the gradients found so far
+    # member k - 1 form block k; seeds are the gradients found so far.
+    # The invariants are polynomials in P = QQ(states), the chain's field.
+    P = symbolic.function_field(states)
+    gens = dict(zip(states, P.field.gens))
     seeds, found = [], []
     searches = [(chain[-1], n - dims[-1])]
     searches += [(chain[k - 2], dims[k - 1] - dims[k - 2]) for k in range(kbar, 1, -1)]
@@ -253,14 +277,12 @@ def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> Sta
         invariants = polynomial_invariants(
             _rows(dist), states, count, point, max_degree=max_degree, seed_gradients=seeds
         ) if count else ()
-        found.append([h.as_expr() for h in invariants])
+        found.append(list(invariants))
         seeds.extend(_gradients_at(invariants, states, point))
     rest_values = found[0]
     rest = [sp.Symbol("xrest_%d" % (i + 1)) for i in range(len(rest_values))]
-    chosen = _complete_with_coordinates(
-        list(reversed(list(enumerate(states)))), seeds, states, dims[0], "block 1"
-    )
-    block_values = [[sym for _, sym in sorted(chosen, key=lambda item: item[0])]]
+    chosen = _complete_with_coordinates(seeds, states, dims[0], "block 1")
+    block_values = [[gens[sym] for sym in chosen]]
     block_values += found[:0:-1]
     blocks = []
     forward = {}
@@ -271,25 +293,24 @@ def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> Sta
     forward.update(zip(rest, rest_values))
     new_syms = [s for block in blocks for s in block] + list(rest)
     inverse = _pick_inverse_branch(
-        [sp.Eq(sym, forward[sym]) for sym in new_syms],
-        states,
-        forward,
-        {s: s for s in states},
-        "state transformation could not be inverted rationally",
-    )
-    point_new = {sym: symbolic.evaluate_exact(forward[sym], point) for sym in new_syms}
+        _field(states + tuple(new_syms)), [(sym, forward[sym]) for sym in new_syms],
+        states, {**forward, **gens}, gens,
+        "state transformation could not be inverted rationally")
+    L = _field(new_syms)
+    inverse = {s: symbolic.rename(a, L, {}) for s, a in inverse.items()}
+    values = symbolic.element_values(P, [[forward[sym] for sym in new_syms]], point)[0]
     st = StateTransformation(
         states=states,
         blocks=tuple(blocks),
         rest=tuple(rest),
-        forward=forward,
-        inverse=inverse,
-        point=point_new,
+        forward={sym: a.as_expr() for sym, a in forward.items()},
+        inverse={s: a.as_expr() for s, a in inverse.items()},
+        point={sym: QQ.to_sympy(v) for sym, v in zip(new_syms, values)},
     )
     # each chain member must lie along its own and earlier blocks
     for k, dist in enumerate(chain, start=1):
         inside = {s for block in blocks[:k] for s in block}
-        for row in _transform(dist, forward, new_syms, inverse)[1]:
+        for row in _transform(dist, forward, new_syms, inverse):
             for c, a in zip(new_syms, row):
                 if a and c not in inside:
                     raise StraighteningError(
@@ -299,14 +320,20 @@ def straighten_distribution_chain(chain, chart, point=None, max_degree=3) -> Sta
     return st
 
 
-def _pick_inverse_branch(equations, unknowns, forward, expected, message):
-    """Solve equations for unknowns and return the first branch that solves
-    for all of them and whose values, composed with forward, give back
-    expected.  Raises StraighteningError(message) when no branch does."""
-    for sol in symbolic.solve_algebraic(equations, unknowns):
+def _pick_inverse_branch(K, definitions, unknowns, forward, expected, message):
+    """Solve the definitions s = v, pairs of a new coordinate s and its
+    value v, in the field K for the unknowns.  Return the branch whose
+    values, composed with forward (an element of the field of expected
+    per generator of K), give back expected, as elements of K.  Such a
+    branch is a left inverse of the coordinate change and hence unique,
+    so the order of the branches does not matter.  Raises
+    StraighteningError(message) when no branch is one."""
+    symbol = dict(zip(K.symbols, K.field.gens))
+    equations = [symbol[s] - symbolic.rename(v, K, {}) for s, v in definitions]
+    target = symbolic.function_field(next(iter(expected.values())).field.symbols)
+    for sol in symbolic.solve_elements(K, equations, unknowns):
         if set(sol) == set(unknowns) and all(
-            symbolic.is_zero(symbolic.subs(sol[g], forward) - expected[g])
-            for g in unknowns
+            _compose(sol[g], forward, target) == expected[g] for g in unknowns
         ):
             return {g: sol[g] for g in unknowns}
     raise StraighteningError(message)
@@ -316,43 +343,34 @@ def _rows(dist: geometry.Distribution) -> list:
     return [list(f.components) for f in dist.fields]
 
 
-def _transform(dist: geometry.Distribution, forward, coords, inverse):
+def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for=None):
     """The basis of a distribution re-read in new coordinates.
 
-    dist is over variables; forward maps each coordinate of coords to an
-    expression in the variables, and inverse maps each variable back to
-    one in coords.  The component along c of a basis field v is
-    v(forward[c]) composed with the inverse map.  Both maps are converted
-    once, over QQ(the generators of dist's field and coords), and the
-    inverse is applied with symbolic.compose, as in
-    geometry.transform_vector_field.  Other generators of dist's field
-    are kept.  Returns (L, rows): one row per basis field, of elements of
-    L = QQ(coords, the kept generators).
+    dist is over variables.  forward maps each coordinate of coords to an
+    element over the variables, and inverse maps each variable to an
+    element of L = QQ(the coordinates).  Other generators of dist's field
+    are chart symbols, read as what they stand for: stands_for maps them
+    to elements over the variables (theta = f(x, u), xi = xi_choice).
+    The component along c of a basis field v is v(forward[c]) composed
+    with the inverse map, as in geometry.transform_vector_field.  Returns
+    one row of elements of L per basis field.
     """
     variables = dist.coords
-    K = geometry._field_of(_rows(dist))
-    kept = tuple(s for s in K.symbols if s not in variables and s not in coords)
-    L = symbolic.function_field(tuple(coords) + kept)
-    M = symbolic.function_field(
-        tuple(sorted(set(K.symbols) | set(coords), key=lambda s: s.name)))
-    _, maps = symbolic.to_elements(
-        [forward[c] for c in coords] + [inverse[v] for v in variables], M.symbols)
-    position = {s: i for i, s in enumerate(M.symbols)}
-    substitution = [None] * len(M.symbols)
-    for v, b in zip(variables, maps[len(coords):]):
-        substitution[position[v]] = (b.numer, b.denom)
-
-    def moved(a):
-        return symbolic.rename(symbolic.compose(a, substitution), L, {}) if a else L.zero
-
-    gens = geometry._generators(M, variables)
-    jacobian = [[moved(f.diff(g)) for g in gens] for f in maps[:len(coords)]]
+    L = symbolic.function_field(next(iter(inverse.values())).field.symbols)
+    images = dict(inverse)
+    for s, a in (stands_for or {}).items():
+        images[s] = _compose(a, inverse, L)
+    jacobian = []
+    for c in coords:
+        f = forward[c]
+        gens = geometry._generators(symbolic.function_field(f.field.symbols), variables)
+        jacobian.append([_compose(f.diff(g), inverse, L) for g in gens])
     rows = []
     for row in _rows(dist):
-        row = [moved(symbolic.rename(a, M, {})) for a in row]
+        row = [_compose(a, images, L) for a in row]
         rows.append([sum((d * a for d, a in zip(jac_row, row) if d and a), L.zero)
                      for jac_row in jacobian])
-    return L, rows
+    return rows
 
 
 @dataclass(frozen=True)
@@ -376,11 +394,21 @@ class DecompositionStep:
 
 @dataclass
 class DecompositionState:
-    """Mutable bookkeeping threaded through the peeling steps."""
+    """Mutable bookkeeping threaded through the peeling steps.
+
+    forward_all maps every coordinate so far to an element of base =
+    QQ(x, u), inverse_current maps x and u to elements of coordinates =
+    QQ(current coordinates).  dynamics holds st.forward[s] composed with
+    f per block symbol s, stands_for the values of the chart symbols
+    (theta = f, xi = xi_choice), both in base."""
 
     system: object
     report: object
     st: StateTransformation
+    base: object
+    coordinates: object
+    dynamics: dict
+    stands_for: dict
     max_degree: int = 3
     eta: list = field(default_factory=list)
     verticals: list = field(default_factory=list)
@@ -393,55 +421,52 @@ class DecompositionState:
         """State symbols of the blocks above level k."""
         return [s for block in self.st.blocks[k:] for s in block]
 
-    def fibre_inverse(self, equations, unknowns, new_forward, k) -> dict:
-        """Invert the fibre change of step k: the branch of equations whose
-        values for unknowns, composed with new_forward and the forward maps
-        of the state blocks and the vertical coordinates, give back the
-        unknowns' expressions in the original variables."""
-        forward = dict(new_forward)
-        for sym in self.remaining_states(0) + self.verticals:
-            forward[sym] = self.forward_all[sym]
-        return _pick_inverse_branch(
-            equations,
-            unknowns,
-            forward,
-            self.forward_all,
-            "fibre transformation at step %d could not be inverted rationally" % k,
-        )
+    def generators(self) -> dict:
+        """The current coordinates as elements of their field."""
+        return dict(zip(self.coordinates.symbols, self.coordinates.field.gens))
 
 
-def _update_rules(system) -> dict:
-    return {s: f for s, f in zip(system.states, system.update)}
+def _fbar_block(state: DecompositionState, j, K, message) -> list:
+    """Dynamics of transformed block j in the current coordinates, as
+    elements of the field K.  Raises FlatcheckError(message) when they
+    depend on a coordinate that K lacks."""
+    try:
+        return [
+            symbolic.rename(
+                _compose(state.dynamics[s], state.inverse_current, state.coordinates), K, {})
+            for s in state.st.blocks[j - 1]
+        ]
+    except GeneratorsError:
+        raise FlatcheckError(message) from None
 
 
-def _fbar_block(state: DecompositionState, j) -> list:
-    """Dynamics of transformed block j, written in the current coordinates."""
-    update = _update_rules(state.system)
-    return [
-        symbolic.subs(symbolic.subs(state.st.forward[sym], update), state.inverse_current)
-        for sym in state.st.blocks[j - 1]
-    ]
+def _change_fibre(state: DecompositionState, definitions, consumed, k):
+    """Replace the consumed fibre coordinates by new ones everywhere.
 
-
-def _apply_fibre_change(state: DecompositionState, consumed, new_forward, solution):
-    """Replace consumed fibre coordinates by fresh ones everywhere."""
+    definitions pairs each new symbol s with its value v, an element over
+    the current coordinates.  The forward maps of the new symbols are v
+    composed with those of the current coordinates.  The inverse of the
+    change is solved in QQ(current, new coordinates), composed into the
+    inverse maps there, and renamed into QQ(the new current
+    coordinates)."""
+    new = [s for s, _ in definitions]
+    new_forward = {s: _compose(v, state.forward_all, state.base) for s, v in definitions}
+    H = _field(state.coordinates.symbols + tuple(new))
+    solution = _pick_inverse_branch(
+        H, definitions, consumed, {**state.forward_all, **new_forward},
+        {g: state.forward_all[g] for g in consumed},
+        "fibre transformation at step %d could not be inverted rationally" % k)
     state.forward_all.update(new_forward)
+    state.coordinates = _field(
+        [s for s in state.coordinates.symbols if s not in consumed] + new)
     state.inverse_current = {
-        v: symbolic.subs(e, solution) for v, e in state.inverse_current.items()
+        v: symbolic.rename(_compose(symbolic.rename(a, H, {}), solution, H),
+                           state.coordinates, {})
+        for v, a in state.inverse_current.items()
     }
-    eq_point = state.system.equilibrium_point()
-    for sym, value in new_forward.items():
-        state.point_cur[sym] = symbolic.evaluate_exact(value, eq_point)
-
-
-def _jacobian(functions, variables):
-    """(K, rows): the Jacobian of rational expressions with respect to
-    variables, as rows of elements of K = QQ(variables, free symbols)."""
-    gens = sorted(set(variables).union(*(f.free_symbols for f in functions)),
-                  key=lambda s: s.name)
-    K, elements = symbolic.to_elements(functions, gens)
-    xs = geometry._generators(K, variables)
-    return K, [[a.diff(x) for x in xs] for a in elements]
+    values = symbolic.element_values(
+        state.base, [list(new_forward.values())], state.system.equilibrium_point())[0]
+    state.point_cur.update(zip(new_forward, map(QQ.to_sympy, values)))
 
 
 def _ranks(K, rows, ncols, point) -> tuple:
@@ -470,7 +495,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
     else:
         gamma = list(state.st.blocks[k - 1]) + list(state.eta)
 
-    y_syms, y_gamma = [], []
+    zeta_syms, y_syms = list(gamma), []
     if k == 0:
         mu = 0
         if mu_reported != 0:
@@ -478,13 +503,16 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 "analysis reported %d redundant directions at step 0 for a system "
                 "with full input rank" % mu_reported
             )
-        zeta_syms = list(gamma)
     else:
+        K = _field(remaining + gamma)
         fbar_rows = []
         for j in range(k + 1, kbar + 1):
-            fbar_rows.extend(_fbar_block(state, j))
-        F, jacobian = _jacobian(fbar_rows, gamma)
-        rank_generic, rank_point = _ranks(F, jacobian, len(gamma), state.point_cur)
+            fbar_rows += _fbar_block(
+                state, j, K,
+                "dynamics of block %d depend on coordinates consumed at step %d" % (j, k - 1))
+        gens = geometry._generators(K, gamma)
+        jacobian = [[a.diff(g) for g in gens] for a in fbar_rows]
+        rank_generic, rank_point = _ranks(K, jacobian, len(gamma), state.point_cur)
         if rank_point != rank_generic:
             raise FlatcheckError(
                 "subsystem input rank drops at the equilibrium at step %d" % k
@@ -495,55 +523,34 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 "redundancy mismatch at step %d: decomposition found %d, analysis "
                 "reported %d" % (k, mu, mu_reported)
             )
-        if mu == 0:
-            zeta_syms = list(gamma)
-        else:
-            rref, pivots = symbolic.element_rref(F, jacobian, len(gamma))
+        if mu:
+            rref, pivots = symbolic.element_rref(K, jacobian, len(gamma))
             kernel_rows = [
-                [F.zero] * len(remaining) + vec
-                for vec in symbolic.element_nullspace(F, rref, pivots, len(gamma))
+                [K.zero] * len(remaining) + vec
+                for vec in symbolic.element_nullspace(K, rref, pivots, len(gamma))
             ]
             invariants = polynomial_invariants(
-                kernel_rows,
-                remaining + gamma,
-                len(gamma) - mu,
-                state.point_cur,
-                max_degree=state.max_degree,
-                gradient_variables=gamma,
-            )
-            zeta_values = [h.as_expr() for h in invariants]
-            zeta_syms = [sp.Symbol("zeta%d_%d" % (k, r + 1)) for r in range(len(zeta_values))]
+                kernel_rows, remaining + gamma, len(gamma) - mu, state.point_cur,
+                max_degree=state.max_degree, gradient_variables=gamma)
+            zeta_syms = [sp.Symbol("zeta%d_%d" % (k, r + 1)) for r in range(len(invariants))]
             chosen = _complete_with_coordinates(
-                list(reversed(list(enumerate(gamma)))),
-                _gradients_at(invariants, gamma, state.point_cur),
-                gamma,
-                mu,
-                "redundant directions at step %d" % k,
-            )
-            chosen.sort(key=lambda item: item[0])
+                _gradients_at(invariants, gamma, state.point_cur), gamma, mu,
+                "redundant directions at step %d" % k)
             y_syms = [sp.Symbol("y%d_%d" % (k, i + 1)) for i in range(mu)]
-            y_gamma = [sym for _, sym in chosen]
-            new_forward = {}
-            for sym, value in zip(zeta_syms, zeta_values):
-                new_forward[sym] = symbolic.subs(value, state.forward_all)
-            for sym, g in zip(y_syms, y_gamma):
-                new_forward[sym] = state.forward_all[g]
-            equations = [sp.Eq(s, v) for s, v in zip(zeta_syms, zeta_values)]
-            equations += [sp.Eq(s, g) for s, g in zip(y_syms, y_gamma)]
-            solution = state.fibre_inverse(equations, gamma, new_forward, k)
-            _apply_fibre_change(state, gamma, new_forward, solution)
+            current = state.generators()
+            _change_fibre(state, list(zip(zeta_syms, invariants))
+                          + [(s, current[g]) for s, g in zip(y_syms, chosen)], gamma, k)
             state.verticals.extend(y_syms)
-            allowed = set(remaining) | set(zeta_syms)
+            K = _field(remaining + zeta_syms)
             for j in range(k + 1, kbar + 1):
-                for e in _fbar_block(state, j):
-                    if not e.free_symbols <= allowed:
-                        raise FlatcheckError(
-                            "dynamics above step %d retain consumed directions" % k
-                        )
+                _fbar_block(state, j, K,
+                            "dynamics above step %d retain consumed directions" % k)
 
     # straighten the projectable distribution over the new fibre
     coords = remaining + zeta_syms + state.verticals
-    L, rows = _transform(basis, state.forward_all, coords, state.inverse_current)
+    L = state.coordinates
+    rows = _transform(basis, state.forward_all, coords, state.inverse_current,
+                      state.stands_for)
     if any(a for row in rows for a in row[:len(remaining)]):
         raise FlatcheckError("projectable distribution leaves the fibre at step %d" % k)
     n_zeta = len(zeta_syms)
@@ -572,64 +579,43 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         ) from None
     count_eta = n_zeta - rho_next
     invariants = polynomial_invariants(
-        w_rows,
-        variables,
-        count_eta,
-        state.point_cur,
-        max_degree=state.max_degree,
-        gradient_variables=zeta_syms,
-    ) if count_eta else ()
-    eta_values = [h.as_expr() for h in invariants]
+        w_rows, variables, count_eta, state.point_cur,
+        max_degree=state.max_degree, gradient_variables=zeta_syms) if count_eta else ()
     eta_syms = [sp.Symbol("eta%d_%d" % (k, i + 1)) for i in range(count_eta)]
     chosen = _complete_with_coordinates(
-        list(reversed(list(enumerate(zeta_syms)))),
-        _gradients_at(invariants, zeta_syms, state.point_cur),
-        zeta_syms,
-        rho_next,
-        "straightening at step %d" % k,
-    )
-    chosen.sort(key=lambda item: item[0])
+        _gradients_at(invariants, zeta_syms, state.point_cur), zeta_syms, rho_next,
+        "straightening at step %d" % k)
     zhat_syms = [sp.Symbol("zhat%d_%d" % (k, i + 1)) for i in range(rho_next)]
-    zhat_zeta = [sym for _, sym in chosen]
-    new_forward = {}
-    for sym, value in zip(eta_syms, eta_values):
-        new_forward[sym] = symbolic.subs(value, state.forward_all)
-    for sym, z in zip(zhat_syms, zhat_zeta):
-        new_forward[sym] = state.forward_all[z]
-    equations = [sp.Eq(s, v) for s, v in zip(eta_syms, eta_values)]
-    equations += [sp.Eq(s, z) for s, z in zip(zhat_syms, zhat_zeta)]
-    solution = state.fibre_inverse(equations, zeta_syms, new_forward, k)
-    _apply_fibre_change(state, zeta_syms, new_forward, solution)
+    current = state.generators()
+    _change_fibre(state, list(zip(eta_syms, invariants))
+                  + [(s, current[z]) for s, z in zip(zhat_syms, chosen)], zeta_syms, k)
     state.verticals.extend(zhat_syms)
 
     # the straightened distribution must now be exactly the vertical span
     new_coords = state.remaining_states(k) + eta_syms + state.verticals
-    L, rows = _transform(basis, state.forward_all, new_coords, state.inverse_current)
+    rows = _transform(basis, state.forward_all, new_coords, state.inverse_current,
+                      state.stands_for)
     n_outside = len(new_coords) - len(state.verticals)
     if any(a for row in rows for a in row[:n_outside]):
         raise FlatcheckError("straightened distribution at step %d is not vertical" % k)
     vertical_block = [row[n_outside:] for row in rows]
-    if symbolic.element_rank(L, vertical_block, len(state.verticals)) != basis.dim:
+    if symbolic.element_rank(state.coordinates, vertical_block,
+                             len(state.verticals)) != basis.dim:
         raise FlatcheckError("straightened distribution at step %d lost dimension" % k)
 
     # dynamics above the step must not see the consumed fibre directions
-    allowed_above = set(state.remaining_states(k)) | set(eta_syms)
+    allowed_above = state.remaining_states(k) + eta_syms
+    K = _field(allowed_above)
     for j in range(k + 2, kbar + 1):
-        for e in _fbar_block(state, j):
-            if not e.free_symbols <= allowed_above:
-                raise FlatcheckError(
-                    "dynamics of block %d depend on coordinates consumed at step %d"
-                    % (j, k)
-                )
-    next_rows = _fbar_block(state, k + 1)
-    allowed_next = allowed_above | set(zhat_syms)
-    for e in next_rows:
-        if not e.free_symbols <= allowed_next:
-            raise FlatcheckError(
-                "dynamics of block %d depend on coordinates consumed at step %d"
-                % (k + 1, k)
-            )
-    generic, at_point = _ranks(*_jacobian(next_rows, zhat_syms), rho_next, state.point_cur)
+        _fbar_block(state, j, K,
+                    "dynamics of block %d depend on coordinates consumed at step %d" % (j, k))
+    K = _field(allowed_above + zhat_syms)
+    next_rows = _fbar_block(
+        state, k + 1, K,
+        "dynamics of block %d depend on coordinates consumed at step %d" % (k + 1, k))
+    gens = geometry._generators(K, zhat_syms)
+    generic, at_point = _ranks(K, [[a.diff(g) for g in gens] for a in next_rows],
+                               rho_next, state.point_cur)
     if generic != rho_next:
         raise FlatcheckError(
             "block %d dynamics are singular in the new coordinates" % (k + 1)
@@ -639,18 +625,15 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
             "block %d dynamics are singular at the equilibrium" % (k + 1)
         )
 
+    def values(syms):
+        return tuple(state.forward_all[s].as_expr() for s in syms)
+
     record = DecompositionStep(
-        k=k,
-        mu=mu,
-        gamma=tuple(gamma),
-        zeta_symbols=tuple(zeta_syms),
-        zeta_values=tuple(state.forward_all[s] for s in zeta_syms),
-        y_symbols=tuple(y_syms),
-        y_values=tuple(state.forward_all[s] for s in y_syms),
-        eta_symbols=tuple(eta_syms),
-        eta_values=tuple(state.forward_all[s] for s in eta_syms),
-        zhat_symbols=tuple(zhat_syms),
-        zhat_values=tuple(state.forward_all[s] for s in zhat_syms),
+        k=k, mu=mu, gamma=tuple(gamma),
+        zeta_symbols=tuple(zeta_syms), zeta_values=values(zeta_syms),
+        y_symbols=tuple(y_syms), y_values=values(y_syms),
+        eta_symbols=tuple(eta_syms), eta_values=values(eta_syms),
+        zhat_symbols=tuple(zhat_syms), zhat_values=values(zhat_syms),
     )
     state.eta = list(eta_syms)
     state.steps.append(record)
@@ -697,7 +680,7 @@ class DecompositionTrace:
         return len(self.y_blocks)
 
 
-def extract_flat_output(system, report, st=None, max_degree=3) -> tuple:
+def extract_flat_output(system, report, max_degree=3) -> tuple:
     """Construct a flat output from a FLAT analysis report.
 
     Returns the flat output together with the decomposition trace that
@@ -709,40 +692,40 @@ def extract_flat_output(system, report, st=None, max_degree=3) -> tuple:
     eq_point = system.equilibrium_point()
     state_point = {s: eq_point[s] for s in system.states}
     chain = [restate_distribution(d, system) for d in report.delta_chain()]
-    if st is None:
-        st = straighten_distribution_chain(
-            chain, report.chart, point=state_point, max_degree=max_degree
-        )
+    st = straighten_distribution_chain(chain, report.chart, state_point, max_degree=max_degree)
     if st.rest:
         raise FlatcheckError("the distribution chain does not fill the state space")
     kbar = report.kbar
-    forward_all = {sym: st.forward[sym] for sym in st.ordered_symbols}
-    inverse_current = dict(st.inverse)
-    point_cur = dict(st.point)
-    for u in system.inputs:
-        forward_all[u] = u
-        inverse_current[u] = u
-        point_cur[u] = eq_point[u]
+    chart = report.chart
+    new = st.ordered_symbols
+    # the only expressions read: the chart map (theta = f, xi = xi_choice)
+    # with the forward map of st over QQ(x, u), and the inverse of st
+    base, values = symbolic.to_elements(
+        [chart.forward[c] for c in chart.coords] + [st.forward[s] for s in new],
+        _field(system.variables).symbols)
+    stands_for = dict(zip(chart.coords, values))
+    forward_all = dict(zip(new, values[len(chart.coords):]))
+    coordinates, values = symbolic.to_elements(
+        [st.inverse[s] for s in system.states] + list(system.inputs),
+        _field(new + system.inputs).symbols)
+    inverse_current = dict(zip(system.variables, values))
+    update = dict(zip(system.states, (stands_for[t] for t in chart.theta)))
+    forward_all.update(zip(system.inputs, geometry._generators(base, system.inputs)))
+    point_cur = {**st.point, **{u: eq_point[u] for u in system.inputs}}
     state = DecompositionState(
-        system=system,
-        report=report,
-        st=st,
-        max_degree=max_degree,
-        forward_all=forward_all,
-        inverse_current=inverse_current,
-        point_cur=point_cur,
+        system=system, report=report, st=st, base=base, coordinates=coordinates,
+        dynamics={s: _compose(forward_all[s], update, base) for s in new},
+        stands_for=stands_for, max_degree=max_degree, forward_all=forward_all,
+        inverse_current=inverse_current, point_cur=point_cur,
     )
     for k in range(kbar):
         state, _ = decompose_step(k, state, report.steps[k].D)
 
     top_sources = list(st.blocks[kbar - 1]) + list(state.eta)
     top_syms = [sp.Symbol("y%d_%d" % (kbar, i + 1)) for i in range(len(top_sources))]
-    rename = {}
     for sym, src in zip(top_syms, top_sources):
         forward_all[sym] = forward_all[src]
         point_cur[sym] = point_cur[src]
-        rename[src] = sym
-    inverse_current = {v: symbolic.subs(e, rename) for v, e in state.inverse_current.items()}
 
     y_blocks = [()] * kbar
     zhat_blocks = [()] * kbar
@@ -752,37 +735,31 @@ def extract_flat_output(system, report, st=None, max_degree=3) -> tuple:
             y_blocks[rec.k - 1] = rec.y_symbols
     y_blocks[kbar - 1] = tuple(top_syms)
 
-    z_symbols = list(top_syms)
+    z_symbols, y_level_symbols = list(top_syms), list(top_syms)
     for k in range(kbar - 1, 0, -1):
-        z_symbols.extend(y_blocks[k - 1])
-        z_symbols.extend(zhat_blocks[k])
-    z_symbols.extend(zhat_blocks[0])
+        z_symbols += y_blocks[k - 1] + zhat_blocks[k]
+        y_level_symbols += y_blocks[k - 1]
+    z_symbols += zhat_blocks[0]
     if len(z_symbols) != system.n + system.m:
         raise FlatcheckError(
             "decomposition produced %d final coordinates for %d variables"
             % (len(z_symbols), system.n + system.m)
         )
-    z_values = {z: forward_all[z] for z in z_symbols}
-    z_point = {z: point_cur[z] for z in z_symbols}
+    Z = _field(z_symbols)
     z_inverse = {}
-    zset = set(z_symbols)
     for v in system.variables:
-        e = inverse_current[v]
-        if not e.free_symbols <= zset:
+        try:
+            z_inverse[v] = symbolic.rename(
+                state.inverse_current[v], Z, dict(zip(top_sources, top_syms)))
+        except GeneratorsError:
             raise FlatcheckError(
                 "inverse of %s retains intermediate coordinates" % v
-            )
-        z_inverse[v] = e
-    state_inverse = {s: z_inverse[s] for s in system.states}
-    combined_rows = []
-    for sym in st.ordered_symbols:
-        combined_rows.append((sym, symbolic.subs(st.forward[sym], state_inverse)))
-    for u in system.inputs:
-        combined_rows.append((u, z_inverse[u]))
+            ) from None
+    combined_rows = [(sym, _compose(forward_all[sym], z_inverse, Z).as_expr())
+                     for sym in st.ordered_symbols]
+    combined_rows += [(u, z_inverse[u].as_expr()) for u in system.inputs]
 
-    y_level_symbols = list(top_syms)
-    for k in range(kbar - 1, 0, -1):
-        y_level_symbols.extend(y_blocks[k - 1])
+    z_values = {z: forward_all[z].as_expr() for z in z_symbols}
     components = tuple(z_values[s] for s in y_level_symbols)
     if len(components) != system.m:
         raise FlatcheckError(
@@ -796,8 +773,8 @@ def extract_flat_output(system, report, st=None, max_degree=3) -> tuple:
         steps=tuple(state.steps),
         z_symbols=tuple(z_symbols),
         z_values=z_values,
-        z_inverse=z_inverse,
-        z_point=z_point,
+        z_inverse={v: a.as_expr() for v, a in z_inverse.items()},
+        z_point={z: point_cur[z] for z in z_symbols},
         combined_rows=tuple(combined_rows),
         y_blocks=tuple(y_blocks),
         zhat_blocks=tuple(zhat_blocks),
@@ -848,7 +825,7 @@ def to_implicit_triangular(system, trace: DecompositionTrace, st: StateTransform
     kbar = trace.kbar
     shifted = {z: _shift_symbol(z) for z in trace.z_symbols}
     combined = dict(trace.combined_rows)
-    update = _update_rules(system)
+    update = dict(zip(system.states, system.update))
     point = dict(trace.z_point)
     for z, v in trace.z_point.items():
         point[shifted[z]] = v
@@ -870,7 +847,9 @@ def to_implicit_triangular(system, trace: DecompositionTrace, st: StateTransform
                 raise FlatcheckError(
                     "triangular block %d violates the dependence pattern" % k
                 )
-        generic, at_point = _ranks(*_jacobian(residuals, solved_for), len(solved_for), point)
+        at_point = symbolic.jacobian_rank(residuals, solved_for, point)
+        generic = (at_point if at_point == len(solved_for)
+                   else symbolic.jacobian_rank(residuals, solved_for))
         if generic != len(solved_for):
             raise FlatcheckError("triangular block %d is singular" % k)
         if at_point != len(solved_for):

@@ -58,11 +58,8 @@ class DiscreteTimeSystem:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the structural checks on a system."""
+    """Outcome of the structural checks on a system that passes them."""
 
-    submersive_generic: bool
-    submersive_at_equilibrium: bool
-    fixed_point: bool
     input_rank_generic: int
     input_rank_at_equilibrium: int
     redundant_inputs: bool
@@ -125,9 +122,6 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
         )
 
     return ValidationReport(
-        submersive_generic=True,
-        submersive_at_equilibrium=True,
-        fixed_point=True,
         input_rank_generic=input_rank,
         input_rank_at_equilibrium=input_rank_eq,
         redundant_inputs=input_rank < m,

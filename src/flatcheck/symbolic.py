@@ -10,23 +10,27 @@ functions) raises UnsupportedEquationError where it is converted.
 There is one matrix API, on field elements: ``element_rref``,
 ``element_nullspace``, ``element_rank``, ``element_values`` and
 ``clear_element_row``, with ``to_elements`` to convert, ``rename`` and
-``compose`` to move elements between fields and coordinates.  The
-geometry layer keeps field elements throughout and calls only these.
-Construction computes every matrix, rank, kernel and invariant with
-them too, and so does ``model.eliminate_redundant_inputs``.  The
-expression functions convert at their boundary: ``subs``,
-``solve_algebraic``, ``evaluate_exact``, ``is_zero`` and
-``canonicalize`` serve the coordinate maps of construction, the chart
-inverse, input elimination and verification, ``jacobian_rank`` the rank
-checks of validation, the chart and verification, and ``to_infix`` the
-CLI and the document.
+``compose`` to move elements between fields and coordinates, and
+``solve_elements`` to solve.  The geometry layer and the peeling of
+construction (straightening and decomposition, coordinate maps
+included) keep field elements throughout and call only these;
+``model.eliminate_redundant_inputs`` computes its matrices with them.
+The expression functions convert at their boundary:
+``subs``, ``solve_algebraic``, ``evaluate_exact``, ``is_zero`` and
+``canonicalize`` serve the chart inverse, input elimination, the
+triangular form, the parametrization and verification,
+``jacobian_rank`` the rank checks of validation, the chart, the
+triangular form and verification, and ``to_infix`` the CLI and the
+document.
 
-``solve_algebraic`` solves by exact elimination in the fraction field:
-it eliminates the unknowns in the caller's order, one equation linear
-in the unknown at a time, and factors an equation when none is linear.
-Equations free of the unknowns are ignored, and every branch is checked
-exactly against every equation that contains an unknown.  Only rational
-branches are returned, so ``[]`` means no branch could be solved.
+``solve_algebraic`` converts its equations and calls the element core
+``solve_elements``, which solves by exact elimination in the fraction
+field: it eliminates the unknowns in the caller's order, one equation
+linear in the unknown at a time, and factors an equation when none is
+linear.  Equations free of the unknowns are ignored, and every branch is
+checked exactly against every equation that contains an unknown.  Only
+rational branches are returned, so ``[]`` means no branch could be
+solved.
 
 Generic ranks are certified exactly, never guessed.  The rank at a
 rational point where every entry is defined is at most the generic
@@ -194,21 +198,26 @@ def is_zero(e) -> bool:
     return not _fractions([e])[1][0][0]
 
 
-def substitute(poly, substitution):
+def substitute(poly, substitution, ring=None):
     """poly with generator i replaced by the fraction substitution[i], a
-    (numerator, denominator) pair of polynomials (kept where that is None),
-    as a (numerator, denominator) pair of polynomials.
+    (numerator, denominator) pair of polynomials of ring, as such a pair.
 
-    Every term is brought over the common denominator prod d_i^deg_i, so
-    the sum is taken in the polynomial ring without any gcd.
+    ring defaults to poly's own, where a generator whose entry is None is
+    kept.  In another ring every generator that poly uses needs an entry,
+    else GeneratorsError is raised.  Every term is brought over the common
+    denominator prod d_i^deg_i, so the sum is taken in the polynomial ring
+    without any gcd.
     """
-    ring = poly.ring
+    own = ring is None or ring is poly.ring
+    ring = poly.ring if own else ring
     if not poly:
-        return poly, ring.one
+        return (poly if own else ring.zero), ring.one
     degrees = poly.degrees()
     moved = [i for i, image in enumerate(substitution) if image is not None and degrees[i]]
-    if not moved:
+    if own and not moved:
         return poly, ring.one
+    if not own and any(d and substitution[i] is None for i, d in enumerate(degrees)):
+        raise GeneratorsError("%s needs a generator outside %s" % (poly, ring))
     powers = {}
 
     def power(i, part, k):
@@ -216,6 +225,7 @@ def substitute(poly, substitution):
             powers[i, part, k] = substitution[i][part] ** k
         return powers[i, part, k]
 
+    zero = (0,) * ring.ngens
     total = {}
     for monom, coeff in poly.iterterms():
         kept = list(monom)
@@ -226,7 +236,7 @@ def substitute(poly, substitution):
                 factor = factor * power(i, 0, e)
             if degrees[i] - e:
                 factor = factor * power(i, 1, degrees[i] - e)
-        for m, c in factor.mul_term((tuple(kept), coeff)).iterterms():
+        for m, c in factor.mul_term((tuple(kept) if own else zero, coeff)).iterterms():
             total[m] = total.get(m, 0) + c
     numerator = ring.from_dict({m: c for m, c in total.items() if c})
     denominator = ring.one
@@ -235,17 +245,19 @@ def substitute(poly, substitution):
     return numerator, denominator
 
 
-def compose(a, substitution):
+def compose(a, substitution, K=None):
     """Field element a with generator i replaced by the fraction
-    substitution[i] (see :func:`substitute`).  Raises ZeroDivisionError
-    when the substituted denominator vanishes, whatever the numerator."""
-    num, num_den = substitute(a.numer, substitution)
-    den, den_den = substitute(a.denom, substitution)
+    substitution[i] (see :func:`substitute`), as an element of the field
+    K, a's own by default.  Raises ZeroDivisionError when the substituted
+    denominator vanishes, whatever the numerator."""
+    field = a.field if K is None else K.field
+    num, num_den = substitute(a.numer, substitution, field.ring)
+    den, den_den = substitute(a.denom, substitution, field.ring)
     if num is a.numer and den is a.denom:
         return a
     if not den:
         raise ZeroDivisionError("denominator of %s vanishes" % a.as_expr())
-    return a.field.new(num * den_den, den * num_den)
+    return field.new(num * den_den, den * num_den)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -331,13 +343,22 @@ def solve_algebraic(equations: Iterable, unknowns: Sequence[sp.Symbol]):
     gens = sorted(set(unknowns).union(*(e.free_symbols for e in exprs)),
                   key=lambda s: s.name)
     K, elements = to_elements(exprs, gens)
-    nonzero = []
     for e, a in zip(exprs, elements):
-        if not a:
-            continue
-        if not e.free_symbols:
+        if a and not e.free_symbols:
             raise InconsistentSystemError("equation %s = 0 is a contradiction" % e)
-        nonzero.append(a)
+    solutions = [{s: K.to_sympy(v) for s, v in sol.items()}
+                 for sol in solve_elements(K, elements, unknowns)]
+    return sorted(solutions, key=sp.default_sort_key)
+
+
+def solve_elements(K, elements, unknowns) -> list:
+    """The core of :func:`solve_algebraic`: solve the equations a = 0, for
+    elements a of the field K, exactly for the unknowns, generators of K.
+
+    Returns the branches as dicts of elements of K, in the order the
+    elimination finds them, and ``[{}]`` when every equation is zero.
+    """
+    nonzero = [a for a in elements if a]
     if not nonzero:
         # every equation was an identity: no constraints on the unknowns
         return [{}]
@@ -359,12 +380,8 @@ def solve_algebraic(equations: Iterable, unknowns: Sequence[sp.Symbol]):
             found.append(values)
     if not found and irrational:
         raise IrrationalSolutionError(K.symbols[irrational[0]])
-    solutions = [
-        {K.symbols[i]: K.to_sympy(K.field.new(*values[i]))
-         for i in order if values[i] is not None}
-        for values in found
-    ]
-    return sorted(solutions, key=sp.default_sort_key)
+    return [{K.symbols[i]: K.field.new(*values[i]) for i in order if values[i] is not None}
+            for values in found]
 
 
 def _mentions(poly, indices) -> bool:

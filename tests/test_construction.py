@@ -295,3 +295,51 @@ class TestParametrization:
         with pytest.raises(ImplicitSolveError) as info:
             construction.parametrize_from_triangular(form)
         assert "not rational" in str(info.value)
+
+
+def _used_generators(a) -> set:
+    """The generators a field element actually depends on."""
+    return {s for i, s in enumerate(a.field.symbols)
+            if a.numer.degree(i) > 0 or a.denom.degree(i) > 0}
+
+
+class TestPeelingOnFieldElements:
+    @pytest.mark.parametrize("model", ["flat4", "chain2"])
+    def test_expressions_are_read_only_at_entry(self, model, request, monkeypatch):
+        """extract_flat_output converts expressions in a few batches at its
+        entry and substitutes none."""
+        system = request.getfixturevalue(model)
+        report = request.getfixturevalue(model + "_report")
+        calls = {"_fractions": 0, "subs": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(symbolic, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(symbolic, name, counted)
+        construction.extract_flat_output(system, report)
+        assert calls["subs"] == 0
+        assert calls["_fractions"] <= 4
+
+    @pytest.mark.parametrize("model", ["flat4", "sfl_quadratic", "quad_chain"])
+    def test_transformed_rows_lie_in_the_coordinates(self, model, load_system, monkeypatch):
+        """The chart symbols theta, xi in the bases of D_k are read as what
+        they stand for, so every re-read basis row is a function of the
+        new coordinates alone."""
+        system = load_system(model)
+        report = analysis.run_algorithm1(system)
+        seen = []
+        original = construction._transform
+
+        def recorded(dist, forward, coords, *rest):
+            rows = original(dist, forward, coords, *rest)
+            seen.append((coords, rows))
+            return rows
+
+        monkeypatch.setattr(construction, "_transform", recorded)
+        construction.extract_flat_output(system, report)
+        assert len(seen) == 2 * report.kbar + len(report.delta_chain())
+        for coords, rows in seen:
+            for row in rows:
+                for a in row:
+                    assert _used_generators(a) <= set(coords)

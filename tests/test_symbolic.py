@@ -463,6 +463,33 @@ class TestRename:
             symbolic.rename(e, symbolic.function_field((x,)), {})
 
 
+class TestComposeIntoAnotherField:
+    def test_result_lives_in_the_target_field(self):
+        a, b = sp.symbols("a b")
+        _, (e,) = symbolic.to_elements([(x**2 + y) / (x - y)], (x, y))
+        target, (p, q) = symbolic.to_elements([a * b, a + 1], (a, b))
+        moved = symbolic.compose(e, [(p.numer, p.denom), (q.numer, q.denom)], target)
+        assert moved == target.from_sympy(((a * b) ** 2 + a + 1) / (a * b - a - 1))
+
+    def test_generator_without_image_raises(self):
+        _, (e,) = symbolic.to_elements([x * y], (x, y))
+        target = symbolic.function_field((z,))
+        image = target.field.gens[0]
+        with pytest.raises(GeneratorsError):
+            symbolic.compose(e, [(image.numer, image.denom), None], target)
+
+
+class TestSolveElements:
+    def test_same_branches_as_the_expression_solver(self):
+        equations = [x**2 - y**2, x * z - 1]
+        K, elements = symbolic.to_elements(equations, (x, y, z))
+        found = symbolic.solve_elements(K, elements, [x, z])
+        as_expressions = [{s: v.as_expr() for s, v in sol.items()} for sol in found]
+        assert all(v.field == K.field for sol in found for v in sol.values())
+        assert sorted(as_expressions, key=sp.default_sort_key) == \
+            symbolic.solve_algebraic(equations, [x, z])
+
+
 class TestSubs:
     def test_simultaneous(self):
         assert symbolic.subs(x - 2 * y, {x: y, y: x}) == y - 2 * x
