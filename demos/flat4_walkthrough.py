@@ -30,7 +30,7 @@ def main():
     for i, component in enumerate(flat_output.components, start=1):
         print("  y%d = %s" % (i, symbolic.to_infix(component)))
 
-    form = construction.to_implicit_triangular(system, trace, trace.transformation)
+    form = construction.to_implicit_triangular(trace)
     print()
     print("implicit triangular form:")
     for block in form.blocks:

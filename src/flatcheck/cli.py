@@ -104,8 +104,12 @@ def _present_flat_output(flat_output, reduction):
     """Name/expression pairs of the output in the original variables."""
     if reduction is None:
         return list(zip(flat_output.names, flat_output.components))
-    back = {u: e for u, e in zip(reduction.reduced.inputs, reduction.kept_functions)}
-    comps = [symbolic.subs(c, back) for c in flat_output.components]
+    reduced = reduction.reduced
+    _, comps = symbolic.to_elements(flat_output.components, reduced.variables)
+    # each variable of the reduced system over the original variables
+    K, images = symbolic.to_elements(reduced.states + reduction.kept_functions)
+    substitution = [(a.numer, a.denom) for a in images]
+    comps = [symbolic.compose(c, substitution, K).as_expr() for c in comps]
     comps.extend(sp.sympify(e) for e in reduction.extension)
     names = ["y%d" % (i + 1) for i in range(len(comps))]
     return list(zip(names, comps))
@@ -128,7 +132,7 @@ def cmd_extract(args, timings) -> int:
         flat_output, trace = construction.extract_flat_output(
             work, report, max_degree=args.max_ansatz_degree
         )
-        form = construction.to_implicit_triangular(work, trace, trace.transformation)
+        form = construction.to_implicit_triangular(trace)
         p = construction.parametrize_from_triangular(form)
 
     display = _present_flat_output(flat_output, reduction)

@@ -16,11 +16,13 @@ produced is turned into explicit artifacts in four stages:
 Everything is local around the declared equilibrium; every regularity
 condition is checked both generically and at the equilibrium itself.
 
-Stages 1 and 2 run on field elements: forward maps in QQ(x, u), inverse
-maps in QQ(current coordinates), and a coordinate change solved in
-QQ(current and new coordinates).  extract_flat_output reads expressions
-only at its entry and writes them with ``.as_expr()`` into the records
-it returns, which stages 3 and 4 work on.
+All four stages run on field elements: forward maps in QQ(x, u), inverse
+maps in QQ(current coordinates), a coordinate change solved in
+QQ(current and new coordinates), the triangular residuals in
+QQ(z, z_p1), and each parametrization block solved in QQ(its unknowns
+and jets).  extract_flat_output reads expressions only at its entry;
+the records hold expressions, plus the elements the next stage reads
+in fields outside comparison and repr.
 """
 
 from dataclasses import dataclass, field
@@ -661,7 +663,10 @@ class DecompositionTrace:
     z_values expresses them in the original variables and z_inverse goes
     the other way.  combined_rows spell out the combined coordinate
     change: every transformed state and every input as an expression in
-    the final coordinates."""
+    the final coordinates.  row_elements and inverse_elements hold
+    combined_rows and z_inverse as elements of QQ(z_symbols), dynamics
+    the transformed dynamics st.forward[s] composed with f per block
+    symbol s, in QQ(x, u)."""
 
     system: object
     transformation: StateTransformation
@@ -674,6 +679,9 @@ class DecompositionTrace:
     y_blocks: tuple
     zhat_blocks: tuple
     y_level_symbols: tuple
+    row_elements: dict = field(default_factory=dict, compare=False, repr=False)
+    dynamics: dict = field(default_factory=dict, compare=False, repr=False)
+    inverse_elements: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def kbar(self) -> int:
@@ -755,9 +763,8 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
             raise FlatcheckError(
                 "inverse of %s retains intermediate coordinates" % v
             ) from None
-    combined_rows = [(sym, _compose(forward_all[sym], z_inverse, Z).as_expr())
-                     for sym in st.ordered_symbols]
-    combined_rows += [(u, z_inverse[u].as_expr()) for u in system.inputs]
+    rows = {sym: _compose(forward_all[sym], z_inverse, Z) for sym in st.ordered_symbols}
+    rows.update((u, z_inverse[u]) for u in system.inputs)
 
     z_values = {z: forward_all[z].as_expr() for z in z_symbols}
     components = tuple(z_values[s] for s in y_level_symbols)
@@ -775,10 +782,13 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
         z_values=z_values,
         z_inverse={v: a.as_expr() for v, a in z_inverse.items()},
         z_point={z: point_cur[z] for z in z_symbols},
-        combined_rows=tuple(combined_rows),
+        combined_rows=tuple((sym, a.as_expr()) for sym, a in rows.items()),
         y_blocks=tuple(y_blocks),
         zhat_blocks=tuple(zhat_blocks),
         y_level_symbols=tuple(y_level_symbols),
+        row_elements=rows,
+        dynamics=state.dynamics,
+        inverse_elements=z_inverse,
     )
     return flat_output, trace
 
@@ -786,12 +796,14 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
 @dataclass(frozen=True)
 class TriangularBlock:
     """One implicit block: residuals that vanish along trajectories and the
-    coordinates the block is solved for during parametrization."""
+    coordinates the block is solved for during parametrization.
+    residual_elements holds the residuals as field elements."""
 
     k: int
     label: str
     residuals: tuple
     solved_for: tuple
+    residual_elements: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -799,14 +811,12 @@ class ImplicitTriangularForm:
     """Implicit triangular equations in the final coordinates.
 
     blocks are ordered top level first.  shifted maps every final
-    coordinate to its successor symbol; point carries equilibrium values
-    for both."""
+    coordinate to its successor symbol."""
 
     blocks: tuple
     z_symbols: tuple
     shifted: dict
     y_symbols: tuple
-    point: dict
     trace: DecompositionTrace
 
 
@@ -817,39 +827,42 @@ def _level_symbols(trace: DecompositionTrace, j) -> tuple:
     return tuple(syms)
 
 
-def to_implicit_triangular(system, trace: DecompositionTrace, st: StateTransformation):
+def to_implicit_triangular(trace: DecompositionTrace):
     """Rewrite the dynamics as implicit triangular blocks in the final
     coordinates.  Block k relates the successor values of level k to the
     straightened coordinates of level k-1 and is regular in them, both
-    generically and at the equilibrium."""
+    generically and at the equilibrium.
+
+    The residual of a block symbol s is its combined row read at the
+    successor coordinates, minus its dynamics composed with z_inverse,
+    in QQ(z, z_p1)."""
     kbar = trace.kbar
     shifted = {z: _shift_symbol(z) for z in trace.z_symbols}
-    combined = dict(trace.combined_rows)
-    update = dict(zip(system.states, system.update))
-    point = dict(trace.z_point)
-    for z, v in trace.z_point.items():
-        point[shifted[z]] = v
+    Z = _field(trace.z_symbols)
+    both = _field(list(shifted) + list(shifted.values()))
+    point = {**trace.z_point, **{shifted[z]: v for z, v in trace.z_point.items()}}
     blocks = []
     for k in range(kbar, 0, -1):
-        residuals = []
-        for sym in st.blocks[k - 1]:
-            ahead = combined[sym].xreplace(shifted)
-            through = symbolic.subs(symbolic.subs(st.forward[sym], update), trace.z_inverse)
-            residuals.append(symbolic.canonicalize(ahead - through))
         solved_for = trace.zhat_blocks[k - 1]
-        allowed = set(solved_for)
+        allowed = list(solved_for)
         for j in range(k, kbar + 1):
             for z in _level_symbols(trace, j):
-                allowed.add(z)
-                allowed.add(shifted[z])
-        for r in residuals:
-            if not r.free_symbols <= allowed:
+                allowed += [z, shifted[z]]
+        A = _field(allowed)
+        residuals = []
+        for sym in trace.transformation.blocks[k - 1]:
+            ahead = symbolic.rename(trace.row_elements[sym], both, shifted)
+            through = symbolic.rename(
+                _compose(trace.dynamics[sym], trace.inverse_elements, Z), both, {})
+            try:
+                residuals.append(symbolic.rename(ahead - through, A, {}))
+            except GeneratorsError:
                 raise FlatcheckError(
                     "triangular block %d violates the dependence pattern" % k
-                )
-        at_point = symbolic.jacobian_rank(residuals, solved_for, point)
-        generic = (at_point if at_point == len(solved_for)
-                   else symbolic.jacobian_rank(residuals, solved_for))
+                ) from None
+        gens = geometry._generators(A, solved_for)
+        generic, at_point = _ranks(A, [[r.diff(g) for g in gens] for r in residuals],
+                                   len(solved_for), point)
         if generic != len(solved_for):
             raise FlatcheckError("triangular block %d is singular" % k)
         if at_point != len(solved_for):
@@ -858,8 +871,9 @@ def to_implicit_triangular(system, trace: DecompositionTrace, st: StateTransform
             TriangularBlock(
                 k=k,
                 label="Xi_%d" % k,
-                residuals=tuple(residuals),
+                residuals=tuple(symbolic.canonicalize_element(A, r) for r in residuals),
                 solved_for=tuple(solved_for),
+                residual_elements=tuple(residuals),
             )
         )
     return ImplicitTriangularForm(
@@ -867,57 +881,83 @@ def to_implicit_triangular(system, trace: DecompositionTrace, st: StateTransform
         z_symbols=trace.z_symbols,
         shifted=shifted,
         y_symbols=trace.y_level_symbols,
-        point=point,
         trace=trace,
     )
 
 
-def _format_equations(residuals) -> str:
-    return "; ".join("%s = 0" % sp.sstr(r) for r in residuals)
+def _used(a) -> set:
+    """The generators the field element a depends on."""
+    numer, denom = a.numer.degrees(), a.denom.degrees()
+    return {s for s, d, e in zip(a.field.symbols, numer, denom) if d > 0 or e > 0}
+
+
+def _generator(s):
+    return _field([s]).field.gens[0]
+
+
+def _composed(elements, images, keep=()):
+    """Elements of one field with each generator s replaced by images[s],
+    an element of any field.  Returns K = QQ(keep and the generators the
+    results use), sorted by name, and the results as elements of K."""
+    symbols = elements[0].field.symbols
+    W = _field(set(keep).union(*(_used(images[s]) for s in symbols)))
+    moved = {s: symbolic.rename(images[s], W, {}) for s in symbols}
+    results = [_compose(a, moved, W) for a in elements]
+    K = _field(set(keep).union(*map(_used, results)))
+    return K, [symbolic.rename(a, K, {}) for a in results]
+
+
+def _shift_jets(a):
+    """The element a with every output jet among its field's generators
+    shifted forward once."""
+    ahead = {}
+    for s in a.field.symbols:
+        j, t = verification.parse_jet_symbol(s)
+        if j is not None:
+            ahead[s] = verification.jet_symbol(j, t + 1)
+    return symbolic.rename(a, _field(ahead.get(s, s) for s in a.field.symbols), ahead)
+
+
+def _passes_through(K, sol, point, center) -> bool:
+    """Whether the branch sol, elements of the field K by unknown, takes
+    the values center at point.  A pole there does not."""
+    try:
+        values = symbolic.element_values(K, [list(sol.values())], point)[0]
+    except ZeroDivisionError:
+        return False
+    return values == [center[z] for z in sol]
+
+
+def _format_equations(equations) -> str:
+    return "; ".join("%s = 0" % sp.sstr(a.as_expr()) for a in equations)
 
 
 def parametrize_from_triangular(form: ImplicitTriangularForm):
     """Solve the triangular blocks top-down for a difference parametrization.
 
     Every z coordinate is expressed in forward shifts of the flat output;
-    substituting into the inverse coordinate change yields the state and
-    input parametrizations.  Raises ImplicitSolveError when a block has no
-    rational solution branch through the equilibrium."""
+    composing the inverse coordinate change with them yields the state and
+    input parametrizations.  Each block is solved in QQ(its unknowns and
+    the jets its equations use).  Raises ImplicitSolveError when a block
+    has no rational solution branch through the equilibrium."""
     trace = form.trace
-    system = trace.system
     param = {}
-    jet_point = {}
-    for pos, ysym in enumerate(form.y_symbols):
-        j = pos + 1
-        value = trace.z_point[ysym]
-        for s in range(0, 2):
-            jet = verification.jet_symbol(j, s)
-            jet_point[jet] = value
-        param[ysym] = verification.jet_symbol(j, 0)
-        param[form.shifted[ysym]] = verification.jet_symbol(j, 1)
+    for j, ysym in enumerate(form.y_symbols, start=1):
+        param[ysym] = _generator(verification.jet_symbol(j, 0))
+        param[form.shifted[ysym]] = _generator(verification.jet_symbol(j, 1))
+    center = {z: QQ.from_sympy(v) for z, v in trace.z_point.items()}
 
-    def eq_value(expr):
-        extra = {}
-        for sym in expr.free_symbols:
-            if sym in jet_point:
-                continue
-            j, s = verification.parse_jet_symbol(sym)
-            if j is None:
-                raise FlatcheckError("unexpected symbol %s in implicit solution" % sym)
-            extra[sym] = trace.z_point[form.y_symbols[j - 1]]
-        return symbolic.evaluate_exact(expr, {**jet_point, **extra})
-
-    def through_equilibrium(sol):
-        try:
-            return all(eq_value(v) == trace.z_point[z] for z, v in sol.items())
-        except ZeroDivisionError:
-            return False
+    def at_equilibrium(sym):
+        """A jet takes the equilibrium value of its component."""
+        j, _ = verification.parse_jet_symbol(sym)
+        return trace.z_point[form.y_symbols[j - 1] if j is not None else sym]
 
     for block in form.blocks:
         unknowns = list(block.solved_for)
-        equations = [symbolic.subs(r, param) for r in block.residuals]
+        S, equations = _composed(block.residual_elements,
+                                 {**param, **{z: _generator(z) for z in unknowns}}, unknowns)
         try:
-            solutions = symbolic.solve_algebraic(equations, unknowns)
+            solutions = symbolic.solve_elements(S, equations, unknowns)
         except IrrationalSolutionError as exc:
             raise ImplicitSolveError(
                 "implicit solve failed for block %s: solution for %s is not "
@@ -928,9 +968,10 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
                 "implicit solve failed for block %s: %s (%s)"
                 % (block.label, _format_equations(equations), exc)
             )
+        point = {s: at_equilibrium(s) for s in S.symbols}
         chosen = next(
             (sol for sol in solutions
-             if set(sol) == set(unknowns) and through_equilibrium(sol)),
+             if set(sol) == set(unknowns) and _passes_through(S, sol, point, center)),
             None,
         )
         if chosen is None:
@@ -940,17 +981,11 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
             )
         for z in unknowns:
             param[z] = chosen[z]
-            param[form.shifted[z]] = verification.shift_function(chosen[z])
+            param[form.shifted[z]] = _shift_jets(chosen[z])
 
-    F_x = tuple(symbolic.subs(trace.z_inverse[s], param) for s in system.states)
-    F_u = tuple(symbolic.subs(trace.z_inverse[u], param) for u in system.inputs)
+    system = trace.system
+    _, values = _composed([trace.inverse_elements[v] for v in system.variables], param)
+    F_x = tuple(a.as_expr() for a in values[:system.n])
+    F_u = tuple(a.as_expr() for a in values[system.n:])
     R = verification._shift_ranks(F_x, F_u, len(form.y_symbols))
-    if R is None:
-        stray = next(
-            sym
-            for e in F_x + F_u
-            for sym in e.free_symbols
-            if verification.parse_jet_symbol(sym)[0] is None
-        )
-        raise FlatcheckError("parametrization retains a non-jet symbol %s" % stray)
     return verification.FlatParametrization(F_x=F_x, F_u=F_u, R=R)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy import QQ
 
 from .errors import UnsupportedEquationError, ValidationError
 from . import symbolic
@@ -61,7 +62,6 @@ class ValidationReport:
     """Outcome of the structural checks on a system that passes them."""
 
     input_rank_generic: int
-    input_rank_at_equilibrium: int
     redundant_inputs: bool
 
 
@@ -123,7 +123,6 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
 
     return ValidationReport(
         input_rank_generic=input_rank,
-        input_rank_at_equilibrium=input_rank_eq,
         redundant_inputs=input_rank < m,
     )
 
@@ -162,7 +161,11 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     n, m = system.n, system.m
     K, update = symbolic.to_elements(system.update, system.variables)
     ijac = [[f.diff(u) for u in K.field.gens[n:]] for f in update]
-    input_rank = symbolic.element_rank(K, ijac, m)
+    # the first update components f^{i_r} whose input-Jacobian rows are
+    # independent, the pivot columns of its transpose; their values
+    # become the effective inputs
+    _, comp_used = symbolic.element_rref(K, [list(col) for col in zip(*ijac)], n)
+    input_rank = len(comp_used)
     if input_rank == m:
         raise ValidationError("system %r: no redundancy, input rank is already %d"
                               % (system.name, m))
@@ -170,25 +173,6 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
         raise ValidationError(
             "system %r: no effective inputs (input rank 0)" % system.name
         )
-
-    # Pick update components f^{i_r} whose input-Jacobian rows are
-    # independent; their values become the effective inputs.
-    comp_used = []
-    for _ in range(input_rank):
-        found = None
-        for i in range(n):
-            if i in comp_used:
-                continue
-            trial = [ijac[j] for j in comp_used + [i]]
-            if symbolic.element_rank(K, trial, m) == len(comp_used) + 1:
-                found = i
-                break
-        if found is None:
-            raise ValidationError(
-                "system %r: could not select independent update components"
-                % system.name
-            )
-        comp_used.append(found)
 
     kept_functions = tuple(system.update[i] for i in comp_used)
     uhat = tuple(sp.Symbol("uhat_%d" % (r + 1)) for r in range(input_rank))
@@ -199,18 +183,28 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     removed = tuple(system.inputs[j] for j in free_cols)
     utilde = tuple(sp.Symbol("utilde_%d" % (t + 1)) for t in range(len(free_cols)))
 
-    equations = [uhat[r] - kept_functions[r] for r in range(input_rank)]
-    equations += [utilde[t] - removed[t] for t in range(len(removed))]
-    solutions = symbolic.solve_algebraic(equations, list(system.inputs))
+    # solve for the inputs in QQ(x, u, uhat, utilde), generators sorted by name
+    H = symbolic.function_field(tuple(sorted(system.variables + uhat + utilde,
+                                             key=lambda s: s.name)))
+    gen = dict(zip(H.symbols, H.field.gens))
+    equations = [gen[uhat[r]] - symbolic.rename(update[i], H, {})
+                 for r, i in enumerate(comp_used)]
+    equations += [gen[t] - gen[u] for t, u in zip(utilde, removed)]
+    solutions = symbolic.solve_elements(H, equations, system.inputs)
     if not solutions:
         raise ValidationError(
             "system %r: cannot invert the effective-input change" % system.name
         )
-    inverse = solutions[0]
+    # the first branch in sympy's order of its expressions, whatever order
+    # the elimination finds them in
+    inverse = min(solutions, key=lambda sol: sp.default_sort_key(
+        {u: a.as_expr() for u, a in sol.items()}))
 
+    images = {**gen, **inverse}
+    substitution = [(images[v].numer, images[v].denom) for v in system.variables]
     new_update = []
-    for fi in system.update:
-        gi = symbolic.canonicalize(symbolic.subs(fi, inverse))
+    for fi in update:
+        gi = symbolic.canonicalize_element(H, symbolic.compose(fi, substitution, H))
         extra = set(gi.free_symbols) & set(utilde)
         if extra:
             raise ValidationError(
@@ -221,8 +215,8 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
 
     point = system.equilibrium_point()
     new_equilibrium = {s: point[s] for s in system.states}
-    for r in range(input_rank):
-        new_equilibrium[uhat[r]] = symbolic.evaluate_exact(kept_functions[r], point)
+    values = symbolic.element_values(K, [[update[i] for i in comp_used]], point)[0]
+    new_equilibrium.update(zip(uhat, map(QQ.to_sympy, values)))
 
     reduced = DiscreteTimeSystem(
         name=system.name + "Reduced",
@@ -232,7 +226,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
         equilibrium=new_equilibrium,
         source_digest=system.source_digest,
     )
-    inverse_full = {u: symbolic.canonicalize(e) for u, e in inverse.items()}
+    inverse_full = {u: symbolic.canonicalize_element(H, a) for u, a in inverse.items()}
     return InputReduction(
         reduced=reduced,
         kept_functions=kept_functions,

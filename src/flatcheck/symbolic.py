@@ -15,13 +15,13 @@ There is one matrix API, on field elements: ``element_rref``,
 construction (straightening and decomposition, coordinate maps
 included) keep field elements throughout and call only these;
 ``model.eliminate_redundant_inputs`` computes its matrices with them.
-The expression functions convert at their boundary:
-``subs``, ``solve_algebraic``, ``evaluate_exact``, ``is_zero`` and
-``canonicalize`` serve the chart inverse, input elimination, the
-triangular form, the parametrization and verification,
-``jacobian_rank`` the rank checks of validation, the chart, the
-triangular form and verification, and ``to_infix`` the CLI and the
-document.
+The triangular form, the parametrization and input elimination work on
+field elements too and write expressions with ``canonicalize_element``
+or ``.as_expr()``.  The expression functions convert at their boundary:
+``solve_algebraic``, ``evaluate_exact`` and ``canonicalize`` serve
+validation, the chart inverse and verification, ``jacobian_rank`` the
+rank checks of validation, the chart and verification, ``to_infix`` the
+CLI and the document, and ``is_zero`` tests an expression for zero.
 
 ``solve_algebraic`` converts its equations and calls the element core
 ``solve_elements``, which solves by exact elimination in the fraction
@@ -158,16 +158,17 @@ def _lead_is_negative(poly) -> bool:
     return poly[lead] < 0
 
 
-def canonical_pair(e):
-    """Normalized (numerator, denominator) pair of a rational expression.
+def canonical_pair(K, a):
+    """Normalized (numerator, denominator) expressions of the element a of
+    the field K.
 
     The fraction is in lowest terms, both parts expanded, and the sign
     fixed so the numerator's leading coefficient is positive under
-    graded-lexicographic monomial order over its free symbols sorted by
-    name.  sympy distributes a numeric factor over a sum, so a sum over
-    a constant denominator d comes out as (sum / d, 1).
+    graded-lexicographic monomial order over the generators sorted by
+    name; generators that a does not use do not change it.  sympy
+    distributes a numeric factor over a sum, so a sum over a constant
+    denominator d comes out as (sum / d, 1).
     """
-    K, (a,) = to_elements([e])
     if not a:
         return sp.Integer(0), sp.Integer(1)
     if K is QQ:
@@ -187,10 +188,15 @@ def canonical_pair(e):
 
 def canonicalize(e):
     """Canonical form of a rational expression (see :func:`canonical_pair`)."""
-    num, den = canonical_pair(e)
-    if den == 1:
-        return num
-    return num / den
+    K, (a,) = to_elements([e])
+    return canonicalize_element(K, a)
+
+
+def canonicalize_element(K, a):
+    """Canonical form of the element a of the field K: the expression that
+    :func:`canonicalize` gives for ``a.as_expr()``."""
+    num, den = canonical_pair(K, a)
+    return num if den == 1 else num / den
 
 
 def is_zero(e) -> bool:
@@ -198,7 +204,7 @@ def is_zero(e) -> bool:
     return not _fractions([e])[1][0][0]
 
 
-def substitute(poly, substitution, ring=None):
+def _substitute(poly, substitution, ring=None):
     """poly with generator i replaced by the fraction substitution[i], a
     (numerator, denominator) pair of polynomials of ring, as such a pair.
 
@@ -247,12 +253,12 @@ def substitute(poly, substitution, ring=None):
 
 def compose(a, substitution, K=None):
     """Field element a with generator i replaced by the fraction
-    substitution[i] (see :func:`substitute`), as an element of the field
+    substitution[i] (see :func:`_substitute`), as an element of the field
     K, a's own by default.  Raises ZeroDivisionError when the substituted
     denominator vanishes, whatever the numerator."""
     field = a.field if K is None else K.field
-    num, num_den = substitute(a.numer, substitution, field.ring)
-    den, den_den = substitute(a.denom, substitution, field.ring)
+    num, num_den = _substitute(a.numer, substitution, field.ring)
+    den, den_den = _substitute(a.denom, substitution, field.ring)
     if num is a.numer and den is a.denom:
         return a
     if not den:
@@ -292,28 +298,6 @@ def rename(a, K, mapping):
     return K.field.raw_new(num, den)
 
 
-def subs(e, mapping):
-    """Rational expression e with every symbol of mapping replaced by its
-    rational value, all at once, in lowest terms.
-
-    e and the values are converted once over QQ(their free symbols sorted
-    by name) and substituted with :func:`compose`, so this is compose at
-    the expression boundary.  Raises ZeroDivisionError when the
-    substituted denominator vanishes.
-    """
-    e = sp.sympify(e)
-    free = e.free_symbols
-    moved = [s for s in mapping if s in free]
-    K, (a, *images) = to_elements([e] + [mapping[s] for s in moved])
-    if K is QQ:
-        return K.to_sympy(a)
-    position = {s: i for i, s in enumerate(K.symbols)}
-    substitution = [None] * len(K.symbols)
-    for s, b in zip(moved, images):
-        substitution[position[s]] = (b.numer, b.denom)
-    return K.to_sympy(compose(a, substitution))
-
-
 def solve_algebraic(equations: Iterable, unknowns: Sequence[sp.Symbol]):
     """Solve rational equations exactly for ``unknowns``.
 
@@ -343,9 +327,6 @@ def solve_algebraic(equations: Iterable, unknowns: Sequence[sp.Symbol]):
     gens = sorted(set(unknowns).union(*(e.free_symbols for e in exprs)),
                   key=lambda s: s.name)
     K, elements = to_elements(exprs, gens)
-    for e, a in zip(exprs, elements):
-        if a and not e.free_symbols:
-            raise InconsistentSystemError("equation %s = 0 is a contradiction" % e)
     solutions = [{s: K.to_sympy(v) for s, v in sol.items()}
                  for sol in solve_elements(K, elements, unknowns)]
     return sorted(solutions, key=sp.default_sort_key)
@@ -357,11 +338,16 @@ def solve_elements(K, elements, unknowns) -> list:
 
     Returns the branches as dicts of elements of K, in the order the
     elimination finds them, and ``[{}]`` when every equation is zero.
+    Raises InconsistentSystemError when an equation is a nonzero constant.
     """
     nonzero = [a for a in elements if a]
     if not nonzero:
         # every equation was an identity: no constraints on the unknowns
         return [{}]
+    for a in nonzero:
+        if K is QQ or (a.numer.is_ground and a.denom.is_ground):
+            raise InconsistentSystemError(
+                "equation %s = 0 is a contradiction" % K.to_sympy(a))
     position = {s: i for i, s in enumerate(K.symbols)}
     order = list(dict.fromkeys(position[u] for u in unknowns))
     # an equation free of the unknowns cannot change a solution, and any
@@ -417,7 +403,7 @@ def _eliminate(polys, open_, steps, irrational):
         for q in polys:
             if q is p:
                 continue
-            q, _ = substitute(q, substitution)
+            q, _ = _substitute(q, substitution)
             if not q:
                 continue
             # u = b/a assumes a != 0: divide out every factor q shares with a
@@ -478,7 +464,7 @@ def _satisfies(a, steps) -> bool:
     substitution = [None] * a.field.ngens
     for i, b, c in steps:
         substitution[i] = (b, c)
-        num, den = substitute(num, substitution)[0], substitute(den, substitution)[0]
+        num, den = _substitute(num, substitution)[0], _substitute(den, substitution)[0]
         substitution[i] = None
     return not num and bool(den)
 

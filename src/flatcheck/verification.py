@@ -178,46 +178,44 @@ def _jet_targets(m, bound):
 
 
 def _shift_ranks(F_x, F_u, m):
-    """Multi-index R from the shifts appearing in a solved parametrization."""
-    max_x = [None] * m
-    max_u = [None] * m
-    for exprs, store in ((F_x, max_x), (F_u, max_u)):
+    """Multi-index R from the shifts appearing in a solved parametrization:
+    R_j is at least 1, every shift of y_j in F_u, and one more than every
+    shift of y_j in F_x.  None when a symbol is not a jet."""
+    R = [1] * m
+    for exprs, extra in ((F_x, 1), (F_u, 0)):
         for e in exprs:
             for sym in sp.sympify(e).free_symbols:
                 j, s = parse_jet_symbol(sym)
                 if j is None:
                     return None
-                if store[j - 1] is None or s > store[j - 1]:
-                    store[j - 1] = s
-    R = []
-    for j in range(m):
-        candidates = [1]
-        if max_u[j] is not None:
-            candidates.append(max_u[j])
-        if max_x[j] is not None:
-            candidates.append(max_x[j] + 1)
-        R.append(max(candidates))
+                R[j - 1] = max(R[j - 1], s + extra)
     return tuple(R)
 
 
 def check_parametrization(system, p: FlatParametrization):
     """Exact checks of a parametrization: the shifted state expressions
     reproduce the dynamics, the combined map is a generic submersion, and
-    the states only use shifts below R.  Returns (ok, detail)."""
-    subs_map = {s: e for s, e in zip(system.states, p.F_x)}
-    subs_map.update({u: e for u, e in zip(system.inputs, p.F_u)})
-    for i, s in enumerate(system.states):
-        ahead = shift_function(p.F_x[i])
-        through = symbolic.subs(system.update[i], subs_map)
-        if not symbolic.is_zero(ahead - through):
-            return False, "dynamics identity fails for %s" % s
-    jets = sorted(
-        {sym for e in p.F_x + p.F_u for sym in sp.sympify(e).free_symbols},
-        key=lambda s: s.name,
-    )
+    the states only use shifts below R.  Returns (ok, detail).
+
+    F_x, F_u and f are converted once; the shift renames the jets, and f
+    is composed with the parametrization in QQ(jets and shifted jets)."""
+    exprs = [sp.sympify(e) for e in p.F_x + p.F_u]
+    jets = sorted(set().union(*(e.free_symbols for e in exprs)), key=lambda s: s.name)
+    ahead = {}
     for sym in jets:
-        if parse_jet_symbol(sym)[0] is None:
+        j, s = parse_jet_symbol(sym)
+        if j is None:
             return False, "parametrization contains non-jet symbol %s" % sym
+        ahead[sym] = jet_symbol(j, s + 1)
+    if not jets:
+        return False, "parametrization is not a generic submersion"
+    J, values = symbolic.to_elements(
+        exprs, sorted(set(jets) | set(ahead.values()), key=lambda s: s.name))
+    _, update = symbolic.to_elements(system.update, system.variables)
+    substitution = [(a.numer, a.denom) for a in values]
+    for s, a, f in zip(system.states, values, update):
+        if symbolic.rename(a, J, ahead) - symbolic.compose(f, substitution, J):
+            return False, "dynamics identity fails for %s" % s
     if symbolic.jacobian_rank(list(p.F_x) + list(p.F_u), jets) != system.n + system.m:
         return False, "parametrization is not a generic submersion"
     for i, e in enumerate(p.F_x):
@@ -345,42 +343,24 @@ def _attempt_jet_solve(system, equations, unknowns, centers, eq_point, q):
         solutions = symbolic.solve_algebraic(equations, unknowns)
     except FlatcheckError:
         return None
-    wanted = list(system.states) + list(system.inputs)
     jet_point = {}
     for j, c in enumerate(centers):
         for s in range(0, system.n + q + 3):
             jet_point[jet_symbol(j + 1, s)] = c
     for sol in solutions:
-        if not all(v in sol for v in wanted):
+        if not all(v in sol for v in system.variables) or any(
+            parse_jet_symbol(sym)[0] is None
+            for v in system.variables for sym in sol[v].free_symbols
+        ):
             continue
-        pure = True
-        for v in wanted:
-            for sym in sol[v].free_symbols:
-                if parse_jet_symbol(sym)[0] is None:
-                    pure = False
-                    break
-            if not pure:
-                break
-        if not pure:
-            continue
-        at_eq = True
-        for v in wanted:
-            try:
-                value = symbolic.evaluate_exact(sol[v], jet_point)
-            except ZeroDivisionError:
-                at_eq = False
-                break
-            if value != eq_point[v]:
-                at_eq = False
-                break
-        if not at_eq:
+        try:
+            if any(symbolic.evaluate_exact(sol[v], jet_point) != eq_point[v]
+                   for v in system.variables):
+                continue
+        except ZeroDivisionError:
             continue
         return [sol[s] for s in system.states], [sol[u] for u in system.inputs]
     return None
-
-
-def _sample_centers(system, comps, q):
-    return [float(v) for v in _equilibrium_jet_values(system, list(comps), q)]
 
 
 def verify_flat_output_numeric(
@@ -406,7 +386,7 @@ def verify_flat_output_numeric(
     comps = None
     if candidate is not None:
         comps, q = _candidate_parts(system, candidate)
-        centers = _sample_centers(system, comps, q)
+        centers = [float(v) for v in _equilibrium_jet_values(system, list(comps), q)]
     else:
         centers = [0.0] * m
         q = 0

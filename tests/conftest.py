@@ -41,7 +41,7 @@ def flat4_report(flat4):
 @pytest.fixture(scope="session")
 def flat4_artifacts(flat4, flat4_report):
     flat_output, trace = construction.extract_flat_output(flat4, flat4_report)
-    form = construction.to_implicit_triangular(flat4, trace, trace.transformation)
+    form = construction.to_implicit_triangular(trace)
     p = construction.parametrize_from_triangular(form)
     return flat_output, trace, form, p
 

@@ -159,7 +159,7 @@ def test_criterion_5_static_feedback_linearizable_pattern(load_system, name):
         assert _span_equal(step.D, step.E)
 
     _, trace = construction.extract_flat_output(system, report)
-    form = construction.to_implicit_triangular(system, trace, trace.transformation)
+    form = construction.to_implicit_triangular(trace)
     assert [b.k for b in form.blocks] == [2, 1]
     levels = [[], [], list(form.y_symbols)]
     for block in form.blocks:

@@ -263,7 +263,7 @@ class TestParametrization:
     def test_chain2_parametrization(self, chain2, chain2_report):
         flat_output, trace = construction.extract_flat_output(chain2, chain2_report)
         assert sp.simplify(flat_output.components[0] - x1) == 0
-        form = construction.to_implicit_triangular(chain2, trace, trace.transformation)
+        form = construction.to_implicit_triangular(trace)
         p = construction.parametrize_from_triangular(form)
         y1, y1_p1, y1_p2 = sp.symbols("y1 y1_p1 y1_p2")
         assert p.R == (2,)
@@ -276,9 +276,7 @@ class TestParametrization:
             sfl_quadratic, sfl_quadratic_report
         )
         assert sp.simplify(flat_output.components[0] - (x2 - x1**2)) == 0
-        form = construction.to_implicit_triangular(
-            sfl_quadratic, trace, trace.transformation
-        )
+        form = construction.to_implicit_triangular(trace)
         p = construction.parametrize_from_triangular(form)
         y1, y1_p1, y1_p2 = sp.symbols("y1 y1_p1 y1_p2")
         assert p.R == (2,)
@@ -289,9 +287,7 @@ class TestParametrization:
     def test_irrational_solve_fails_honestly(self, quad_chain):
         report = analysis.run_algorithm1(quad_chain)
         flat_output, trace = construction.extract_flat_output(quad_chain, report)
-        form = construction.to_implicit_triangular(
-            quad_chain, trace, trace.transformation
-        )
+        form = construction.to_implicit_triangular(trace)
         with pytest.raises(ImplicitSolveError) as info:
             construction.parametrize_from_triangular(form)
         assert "not rational" in str(info.value)
@@ -307,19 +303,21 @@ class TestPeelingOnFieldElements:
     @pytest.mark.parametrize("model", ["flat4", "chain2"])
     def test_expressions_are_read_only_at_entry(self, model, request, monkeypatch):
         """extract_flat_output converts expressions in a few batches at its
-        entry and substitutes none."""
+        entry; the triangular form and the parametrization convert none."""
         system = request.getfixturevalue(model)
         report = request.getfixturevalue(model + "_report")
-        calls = {"_fractions": 0, "subs": 0}
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(symbolic, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        calls = 0
+        original = symbolic._fractions
 
-            monkeypatch.setattr(symbolic, name, counted)
-        construction.extract_flat_output(system, report)
-        assert calls["subs"] == 0
-        assert calls["_fractions"] <= 4
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(symbolic, "_fractions", counted)
+        _, trace = construction.extract_flat_output(system, report)
+        construction.parametrize_from_triangular(construction.to_implicit_triangular(trace))
+        assert calls <= 4
 
     @pytest.mark.parametrize("model", ["flat4", "sfl_quadratic", "quad_chain"])
     def test_transformed_rows_lie_in_the_coordinates(self, model, load_system, monkeypatch):

@@ -38,6 +38,13 @@ class TestCanonicalize:
     def test_equal_expressions_agree(self, a, b):
         assert symbolic.canonicalize(a - b) == 0
 
+    @pytest.mark.parametrize("e", [-(x - y) / (2 * z + 2), (3 * y - x) / 6, -x * y, sp.Integer(-2)])
+    def test_element_in_a_wider_field_in_any_order(self, e):
+        """Generators the element does not use, and their order, change
+        nothing."""
+        K, (a,) = symbolic.to_elements([e], (z, y, sp.Symbol("w"), x))
+        assert symbolic.canonicalize_element(K, a) == symbolic.canonicalize(e)
+
 
 class TestIsZero:
     def test_structural_zero(self):
@@ -282,6 +289,8 @@ class TestSolveAlgebraic:
     def test_inconsistent_raises(self):
         with pytest.raises(InconsistentSystemError):
             symbolic.solve_algebraic([sp.Eq(sp.Integer(0), 1)], [x])
+        with pytest.raises(InconsistentSystemError, match="equation 1 = 0"):
+            symbolic.solve_algebraic([x - y, sp.Integer(1)], [x])
 
     def test_rational_solution(self):
         sols = symbolic.solve_algebraic([sp.Eq(x * y, 1)], [x])
@@ -490,30 +499,41 @@ class TestSolveElements:
             symbolic.solve_algebraic(equations, [x, z])
 
 
-class TestSubs:
+def _image(a):
+    return a.numer, a.denom
+
+
+class TestCompose:
+    """compose within an element's own field, where a generator without
+    an image is kept."""
+
     def test_simultaneous(self):
-        assert symbolic.subs(x - 2 * y, {x: y, y: x}) == y - 2 * x
+        K, (e, a, b) = symbolic.to_elements([x - 2 * y, y, x], (x, y))
+        assert symbolic.compose(e, [_image(a), _image(b)]) == K.from_sympy(y - 2 * x)
 
     def test_result_in_lowest_terms(self):
-        result = symbolic.subs(x / (x + y), {y: x * z})
-        assert result == 1 / (z + 1)
+        K, (e, image) = symbolic.to_elements([x / (x + y), x * z], (x, y, z))
+        result = symbolic.compose(e, [None, _image(image), None])
+        assert (result.numer, result.denom) == _image(K.from_sympy(1 / (z + 1)))
 
     def test_removable_singularity_is_not_a_pole(self):
-        assert symbolic.subs((x**2 - 1) / (x - 1), {x: 1}) == 2
+        K, (e, one) = symbolic.to_elements([(x**2 - 1) / (x - 1), sp.Integer(1)], (x,))
+        assert symbolic.compose(e, [_image(one)]) == K(2)
 
     def test_vanishing_denominator_raises(self):
+        _, (e, image) = symbolic.to_elements([1 / (x - y), y], (x, y))
         with pytest.raises(ZeroDivisionError):
-            symbolic.subs(1 / (x - y), {x: y})
+            symbolic.compose(e, [_image(image), None])
 
-    def test_symbols_outside_the_expression_are_ignored(self):
-        assert symbolic.subs(x + 1, {y: sp.sqrt(2)}) == x + 1
+    def test_generators_the_element_does_not_use_are_ignored(self):
+        _, (e, image) = symbolic.to_elements([x + 1, x**2], (x, y))
+        assert symbolic.compose(e, [None, _image(image)]) is e
 
-    def test_constant(self):
-        assert symbolic.subs(sp.Rational(3, 6), {x: y}) == sp.Rational(1, 2)
-
-    def test_non_rational_value_rejected(self):
-        with pytest.raises(UnsupportedEquationError):
-            symbolic.subs(x + 1, {x: sp.sqrt(2)})
+    def test_constant_into_another_field(self):
+        _, (e,) = symbolic.to_elements([sp.Rational(3, 6)], (x,))
+        target = symbolic.function_field((y,))
+        assert symbolic.compose(e, [_image(target.field.gens[0])], target) == \
+            target.from_sympy(sp.Rational(1, 2))
 
 
 class TestEvaluateExact:
