@@ -6,6 +6,8 @@ stdout, stderr without its ``timing:`` lines, and the JSON document
 must equal the golden files in tests/golden/ byte for byte:
 ``<command>-<model>.txt`` holds the exit code and the two streams, and
 ``<command>-<model>.json`` the document, when the run writes one.
+``verify --output`` runs the same way on the candidates of
+VERIFY_CASES; ``verify-<model>-<output slug>.txt`` holds its record.
 
 After an intended change of the output, regenerate the files with
 
@@ -14,6 +16,7 @@ After an intended change of the output, regenerate the files with
 
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -37,9 +40,20 @@ MODELS = (
 COMMANDS = ("analyze", "extract")
 HASH_SEEDS = ("0", "1")
 CASES = [(command, model) for command in COMMANDS for model in MODELS]
+# PASS candidates of three models, the second flat output of flat4 and an
+# INCONCLUSIVE one (about 1.3 s); a changed solver branch or rank shows here
+VERIFY_CASES = [
+    ("flat4", "x1*x3 + x1; x2 + 3*x4"),
+    ("flat4", "x1; x3"),
+    ("flat4", "x1*x3 + x1; x4"),
+    ("chain2", "x1"),
+    ("chain2", "x2"),
+    ("sfl_quadratic", "x2 - x1^2"),
+    ("sfl_quadratic", "x1"),
+]
 
 
-def _start(command, model, seed, workdir):
+def _start(command, model, seed, workdir, options=("--json", "doc.json")):
     """Launch one CLI run in ``workdir``, which holds a copy of the model,
     so that every path the run prints is relative."""
     shutil.copy(MODELS_DIR / ("%s.sys" % model), workdir)
@@ -48,7 +62,7 @@ def _start(command, model, seed, workdir):
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     argv = [sys.executable, "-m", "flatcheck.cli", command, "%s.sys" % model,
-            "--json", "doc.json"]
+            *options]
     return subprocess.Popen(argv, cwd=workdir, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
 
@@ -65,19 +79,23 @@ def _finish(proc, workdir):
     return record, doc
 
 
-def run_case(command, model, seeds=HASH_SEEDS):
-    """Run one case under every seed concurrently; results in seed order."""
+def run_case(command, model, seeds=HASH_SEEDS, output=None):
+    """Run one case under every seed concurrently; results in seed order.
+    With an output, the command is ``verify --output output``."""
+    options = ("--json", "doc.json") if output is None else ("--output", output)
     with tempfile.TemporaryDirectory() as base:
         workdirs = [os.path.join(base, seed) for seed in seeds]
         procs = []
         for seed, workdir in zip(seeds, workdirs):
             os.mkdir(workdir)
-            procs.append(_start(command, model, seed, workdir))
+            procs.append(_start(command, model, seed, workdir, options))
         return [_finish(proc, workdir) for proc, workdir in zip(procs, workdirs)]
 
 
-def _golden_paths(command, model):
+def _golden_paths(command, model, output=None):
     stem = "%s-%s" % (command, model)
+    if output is not None:
+        stem += "-" + re.sub(r"\W+", "_", output).strip("_")
     return GOLDEN_DIR / (stem + ".txt"), GOLDEN_DIR / (stem + ".json")
 
 
@@ -91,11 +109,22 @@ def test_cli_matches_golden(command, model):
         assert doc == expected_doc, "PYTHONHASHSEED=%s" % seed
 
 
+@pytest.mark.parametrize("model, output", VERIFY_CASES)
+def test_verify_matches_golden(model, output):
+    text_path, _ = _golden_paths("verify", model, output)
+    expected_text = text_path.read_text(encoding="utf-8")
+    for seed, (record, doc) in zip(HASH_SEEDS, run_case("verify", model, output=output)):
+        assert record == expected_text, "PYTHONHASHSEED=%s" % seed
+        assert doc is None
+
+
 def regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for command, model in CASES:
-        (record, doc), = run_case(command, model, seeds=HASH_SEEDS[:1])
-        text_path, doc_path = _golden_paths(command, model)
+    cases = [(command, model, None) for command, model in CASES]
+    cases += [("verify", model, output) for model, output in VERIFY_CASES]
+    for command, model, output in cases:
+        (record, doc), = run_case(command, model, seeds=HASH_SEEDS[:1], output=output)
+        text_path, doc_path = _golden_paths(command, model, output)
         text_path.write_text(record, encoding="utf-8")
         if doc is None:
             doc_path.unlink(missing_ok=True)
