@@ -885,12 +885,6 @@ def to_implicit_triangular(trace: DecompositionTrace):
     )
 
 
-def _used(a) -> set:
-    """The generators the field element a depends on."""
-    numer, denom = a.numer.degrees(), a.denom.degrees()
-    return {s for s, d, e in zip(a.field.symbols, numer, denom) if d > 0 or e > 0}
-
-
 def _generator(s):
     return _field([s]).field.gens[0]
 
@@ -900,22 +894,11 @@ def _composed(elements, images, keep=()):
     an element of any field.  Returns K = QQ(keep and the generators the
     results use), sorted by name, and the results as elements of K."""
     symbols = elements[0].field.symbols
-    W = _field(set(keep).union(*(_used(images[s]) for s in symbols)))
+    W = _field(set(keep).union(*(symbolic.used_symbols(images[s]) for s in symbols)))
     moved = {s: symbolic.rename(images[s], W, {}) for s in symbols}
     results = [_compose(a, moved, W) for a in elements]
-    K = _field(set(keep).union(*map(_used, results)))
+    K = _field(set(keep).union(*map(symbolic.used_symbols, results)))
     return K, [symbolic.rename(a, K, {}) for a in results]
-
-
-def _shift_jets(a):
-    """The element a with every output jet among its field's generators
-    shifted forward once."""
-    ahead = {}
-    for s in a.field.symbols:
-        j, t = verification.parse_jet_symbol(s)
-        if j is not None:
-            ahead[s] = verification.jet_symbol(j, t + 1)
-    return symbolic.rename(a, _field(ahead.get(s, s) for s in a.field.symbols), ahead)
 
 
 def _passes_through(K, sol, point, center) -> bool:
@@ -981,7 +964,7 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
             )
         for z in unknowns:
             param[z] = chosen[z]
-            param[form.shifted[z]] = _shift_jets(chosen[z])
+            param[form.shifted[z]] = verification.shift_function(chosen[z])
 
     system = trace.system
     _, values = _composed([trace.inverse_elements[v] for v in system.variables], param)

@@ -199,6 +199,8 @@ def build_adapted_chart(system) -> Chart:
 
     coords, K = _chart_field(system)
     theta, xi = coords[:n], coords[n:]
+    _, update = symbolic.to_elements(system.update, K.symbols)
+    generators = dict(zip(K.symbols, K.field.gens))
 
     # (f, chosen, candidate) has one row per function, so a full rank at
     # the equilibrium proves the full generic rank
@@ -206,8 +208,8 @@ def build_adapted_chart(system) -> Chart:
     for candidate in variables:
         if len(chosen) == m:
             break
-        functions = list(system.update) + chosen + [candidate]
-        if symbolic.jacobian_rank(functions, variables, point) == len(functions):
+        functions = update + [generators[v] for v in chosen + [candidate]]
+        if symbolic.jacobian_rank(K, functions, variables, point) == len(functions):
             chosen.append(candidate)
     if len(chosen) < m:
         raise ChartError(
@@ -217,9 +219,10 @@ def build_adapted_chart(system) -> Chart:
 
     forward = {theta[i]: system.update[i] for i in range(n)}
     forward.update({xi[j]: xi_choice[j] for j in range(m)})
-    equations = [c - forward[c] for c in coords]
+    forward_elements = dict(zip(coords, update + [generators[v] for v in xi_choice]))
+    equations = [generators[c] - forward_elements[c] for c in coords]
     try:
-        solutions = symbolic.solve_algebraic(equations, list(variables))
+        solutions = symbolic.solve_elements(K, equations, variables)
     except IrrationalSolutionError:
         raise ChartError(
             "the chart inverse has no rational branch (xi = %s)"
@@ -230,19 +233,18 @@ def build_adapted_chart(system) -> Chart:
             "chart inversion failed for xi = %s" % (tuple(map(str, xi_choice)),)
         )
 
-    image = {c: symbolic.evaluate_exact(forward[c], point) for c in coords}
+    image = dict(zip(coords, map(QQ.to_sympy, symbolic.element_values(
+        K, [[forward_elements[c] for c in coords]], point)[0])))
     inverse = None
     for sol in solutions:
         if set(sol) != set(variables):
             continue
         try:
-            ok = all(
-                symbolic.evaluate_exact(sol[v], image) == point[v] for v in variables
-            )
+            values = symbolic.element_values(K, [[sol[v] for v in variables]], image)[0]
         except ZeroDivisionError:
-            ok = False
-        if ok:
-            inverse = {v: symbolic.canonicalize(sol[v]) for v in variables}
+            continue
+        if list(map(QQ.to_sympy, values)) == [point[v] for v in variables]:
+            inverse = sol
             break
     if inverse is None:
         raise ChartError(
@@ -250,23 +252,18 @@ def build_adapted_chart(system) -> Chart:
             % (tuple(map(str, xi_choice)),)
         )
 
-    _, elements = symbolic.to_elements([inverse[v] for v in variables], K.symbols)
-    images = dict(zip(variables, elements))
     substitution = tuple(
-        (images[s].numer, images[s].denom) if s in images else None
+        (inverse[s].numer, inverse[s].denom) if s in inverse else None
         for s in K.symbols
     )
-    forward_elements = {c: K.from_sympy(forward[c]) for c in coords}
     for c in coords:
-        residual = (symbolic.compose(forward_elements[c], substitution)
-                    - K.from_sympy(c))
+        residual = symbolic.compose(forward_elements[c], substitution) - generators[c]
         if residual:
             raise ChartError("chart maps do not invert: residual %s on %s"
-                             % (K.to_sympy(residual), c))
-    generators = _generators(K, variables)
+                             % (residual.as_expr(), c))
     jacobian = tuple(
         tuple(symbolic.compose(forward_elements[c].diff(g), substitution)
-              for g in generators)
+              for g in _generators(K, variables))
         for c in coords
     )
     return Chart(
@@ -274,7 +271,7 @@ def build_adapted_chart(system) -> Chart:
         theta=theta,
         xi=xi,
         forward=forward,
-        inverse=inverse,
+        inverse={v: symbolic.canonicalize_element(K, inverse[v]) for v in variables},
         xi_choice=xi_choice,
         function_field=K,
         substitution=substitution,

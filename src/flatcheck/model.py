@@ -77,18 +77,19 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
     """
     n, m = system.n, system.m
     try:
-        symbolic.to_elements(system.update, system.variables)
+        K, update = symbolic.to_elements(system.update, system.variables)
     except UnsupportedEquationError as exc:
         raise ValidationError("system %r: %s" % (system.name, exc)) from None
     point = system.equilibrium_point()
-    for xi, fi in zip(system.states, system.update):
+    for xi, fi, a in zip(system.states, system.update, update):
         try:
-            residual = symbolic.evaluate_exact(fi - xi, point)
+            (value,), = symbolic.element_values(K, [[a]], point)
         except ZeroDivisionError:
             raise ValidationError(
                 "system %r: the update of %s, %s, has a pole at the marked point"
                 % (system.name, xi, fi)
             ) from None
+        residual = QQ.to_sympy(value) - point[xi]
         if residual != 0:
             raise ValidationError(
                 "system %r: f(%s) - %s = %s at the marked point, not a fixed point"
@@ -97,9 +98,9 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
 
     # a rank at a point is at most the generic rank, so a full rank at the
     # equilibrium proves the generic one
-    rank_eq = symbolic.jacobian_rank(system.update, system.variables, point)
+    rank_eq = symbolic.jacobian_rank(K, update, system.variables, point)
     if rank_eq < n:
-        rank_generic = symbolic.jacobian_rank(system.update, system.variables)
+        rank_generic = symbolic.jacobian_rank(K, update, system.variables)
         if rank_generic < n:
             raise ValidationError(
                 "system %r: update map has generic rank %d < n = %d, not submersive"
@@ -110,11 +111,11 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
             % (system.name, rank_eq, n)
         )
 
-    input_rank_eq = symbolic.jacobian_rank(system.update, system.inputs, point)
+    input_rank_eq = symbolic.jacobian_rank(K, update, system.inputs, point)
     if input_rank_eq == min(n, m):
         input_rank = input_rank_eq
     else:
-        input_rank = symbolic.jacobian_rank(system.update, system.inputs)
+        input_rank = symbolic.jacobian_rank(K, update, system.inputs)
     if input_rank_eq < input_rank:
         raise ValidationError(
             "system %r: input rank drop at equilibrium (%d < %d)"

@@ -8,26 +8,19 @@ are ``DomainMatrix`` objects.  Anything else (floats, radicals,
 functions) raises UnsupportedEquationError where it is converted.
 
 There is one matrix API, on field elements: ``element_rref``,
-``element_nullspace``, ``element_rank``, ``element_values`` and
-``clear_element_row``, with ``to_elements`` to convert, ``rename`` and
+``element_nullspace``, ``element_rank``, ``element_values``,
+``jacobian_rank`` and ``clear_element_row``, with ``rename`` and
 ``compose`` to move elements between fields and coordinates, and
-``solve_elements`` to solve.  The geometry layer and the peeling of
-construction (straightening and decomposition, coordinate maps
-included) keep field elements throughout and call only these;
-``model.eliminate_redundant_inputs`` computes its matrices with them.
-The triangular form, the parametrization and input elimination work on
-field elements too and write expressions with ``canonicalize_element``
-or ``.as_expr()``.  The expression functions convert at their boundary:
-``solve_algebraic``, ``evaluate_exact`` and ``canonicalize`` serve
-validation, the chart inverse and verification, ``jacobian_rank`` the
-rank checks of validation, the chart and verification, ``to_infix`` the
-CLI and the document, and ``is_zero`` tests an expression for zero.
+``solve_elements`` to solve.  ``to_elements`` is the only way into it;
+``canonicalize_element`` and ``.as_expr()`` are the ways out, and
+``canonicalize`` and ``to_infix`` apply both to an expression.  Every
+stage, from validation to verification, converts its expressions once
+and then calls only these.
 
-``solve_algebraic`` converts its equations and calls the element core
-``solve_elements``, which solves by exact elimination in the fraction
-field: it eliminates the unknowns in the caller's order, one equation
-linear in the unknown at a time, and factors an equation when none is
-linear.  Equations free of the unknowns are ignored, and every branch is
+``solve_elements`` solves by exact elimination in the fraction field:
+it eliminates the unknowns in the caller's order, one equation linear
+in the unknown at a time, and factors an equation when none is linear.
+Equations free of the unknowns are ignored, and every branch is
 checked exactly against every equation that contains an unknown.  Only
 rational branches are returned, so ``[]`` means no branch could be
 solved.
@@ -46,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence
 
 import sympy as sp
 from sympy import QQ
@@ -199,11 +191,6 @@ def canonicalize_element(K, a):
     return num if den == 1 else num / den
 
 
-def is_zero(e) -> bool:
-    """Exact zero test of a rational expression."""
-    return not _fractions([e])[1][0][0]
-
-
 def _substitute(poly, substitution, ring=None):
     """poly with generator i replaced by the fraction substitution[i], a
     (numerator, denominator) pair of polynomials of ring, as such a pair.
@@ -298,47 +285,20 @@ def rename(a, K, mapping):
     return K.field.raw_new(num, den)
 
 
-def solve_algebraic(equations: Iterable, unknowns: Sequence[sp.Symbol]):
-    """Solve rational equations exactly for ``unknowns``.
-
-    Returns a list of solution dicts, sorted by ``default_sort_key``, whose
-    values are rational functions (``[{}]`` when every equation is an
-    identity).  Equations free of the unknowns are ignored; when no other
-    equation is left the result is ``[]``.  The unknowns are eliminated in
-    the caller's order, so an underdetermined system is solved for its
-    first unknowns in terms of the rest.  Every branch is checked exactly
-    against every equation that contains an unknown.  An empty result
-    means no rational branch was found, which is weaker than "no solution
-    exists".  Raises InconsistentSystemError for a provable contradiction,
-    UnsupportedEquationError when an equation is not rational, and
-    IrrationalSolutionError when the only branches found need an
-    irrational value (a univariate factor without a rational root).
-    """
-    unknowns = list(unknowns)
-    exprs = []
-    for eq in equations:
-        eq = sp.sympify(eq)
-        # sympy decides an Eq between numbers on construction
-        if eq is sp.true:
-            continue
-        if eq is sp.false:
-            raise InconsistentSystemError("an equation is a contradiction")
-        exprs.append(eq.lhs - eq.rhs if isinstance(eq, sp.Equality) else eq)
-    gens = sorted(set(unknowns).union(*(e.free_symbols for e in exprs)),
-                  key=lambda s: s.name)
-    K, elements = to_elements(exprs, gens)
-    solutions = [{s: K.to_sympy(v) for s, v in sol.items()}
-                 for sol in solve_elements(K, elements, unknowns)]
-    return sorted(solutions, key=sp.default_sort_key)
-
-
 def solve_elements(K, elements, unknowns) -> list:
-    """The core of :func:`solve_algebraic`: solve the equations a = 0, for
-    elements a of the field K, exactly for the unknowns, generators of K.
+    """Solve the equations a = 0, for elements a of the field K, exactly
+    for the unknowns, generators of K.
 
     Returns the branches as dicts of elements of K, in the order the
     elimination finds them, and ``[{}]`` when every equation is zero.
-    Raises InconsistentSystemError when an equation is a nonzero constant.
+    Equations free of the unknowns are ignored; when no other equation
+    is left the result is ``[]``.  The unknowns are eliminated in the
+    caller's order, so an underdetermined system is solved for its first
+    unknowns in terms of the rest.  An empty result means no rational
+    branch was found, which is weaker than "no solution exists".  Raises
+    InconsistentSystemError when an equation is a nonzero constant, and
+    IrrationalSolutionError when the only branches found need an
+    irrational value (a univariate factor without a rational root).
     """
     nonzero = [a for a in elements if a]
     if not nonzero:
@@ -554,22 +514,46 @@ def _jacobian_row(num, den, values, columns, ncols):
     return [(dn * d_val - n_val * dd) / square for dn, dd in zip(n_grad, d_grad)]
 
 
-def _point_values(K, point, what) -> list:
-    """Values of the generators of K at point, as rational numbers.
-    Raises ValueError when point leaves a generator open and
-    UnsupportedEquationError when it assigns a value that is not a
-    rational number."""
-    values = []
-    for sym in K.symbols:
+def _used(elements) -> set:
+    """Indices of the generators that some of the field elements use."""
+    used = set()
+    for a in elements:
+        for poly in (a.numer, a.denom):
+            used.update(i for i, d in enumerate(poly.degrees()) if d > 0)
+    return used
+
+
+def used_symbols(a) -> set:
+    """The generators of its field, as symbols, that the element a uses."""
+    return {a.field.symbols[i] for i in _used([a])}
+
+
+def _point_values(K, elements, point) -> list:
+    """Values at point of the generators of K that some of the elements
+    use, as rational numbers, and 0 for the others.  Raises ValueError
+    when point leaves such a generator open and UnsupportedEquationError
+    when it assigns one a value that is not a rational number."""
+    values = [QQ.zero] * len(K.symbols)
+    for i in _used(elements):
+        sym = K.symbols[i]
         if sym not in point:
-            raise ValueError("point %s leaves %s open in %s" % (point, sym, what))
+            raise ValueError("point %s leaves %s open" % (point, sym))
         value = sp.sympify(point[sym])
         if not value.is_Rational:
             raise UnsupportedEquationError(
                 "point value %s = %s is not a rational number" % (sym, value)
             )
-        values.append(QQ(value.p, value.q))
+        values[i] = QQ(value.p, value.q)
     return values
+
+
+def _defined(result, a, point):
+    """result, computed for the element a at point, unless it is None
+    because a's denominator vanishes there.  An element is in lowest
+    terms, so that is a pole, and ZeroDivisionError is raised."""
+    if result is None:
+        raise ZeroDivisionError("pole at %s in %s" % (point, a.as_expr()))
+    return result
 
 
 def element_rank(K, rows, ncols) -> int:
@@ -591,88 +575,52 @@ def element_rank(K, rows, ncols) -> int:
     return len(element_rref(K, rows, ncols)[1])
 
 
-def jacobian_rank(functions, variables, point=None) -> int:
-    """Rank of the Jacobian of rational functions with respect to
-    variables: generically, or at point when one is given.
+def jacobian_rank(K, elements, variables, point=None) -> int:
+    """Rank of the Jacobian of elements of the field K with respect to
+    variables, generators of K: generically, or at point when one is
+    given.
 
-    The functions are converted once over QQ(their free symbols sorted by
-    name).  The Jacobian's value at a point comes from the partial
-    derivatives of each numerator n and denominator d, as
-    (n' d - n d') / d**2, without a gcd and without building the
-    symbolic Jacobian.  At a given point, which must fix every free
-    symbol of the functions, a removable singularity is not a pole, and
-    a pole raises ZeroDivisionError.  The generic rank is certified at
-    the fixed point of :func:`element_rank`, with the same fallback: row
-    reduction of the Jacobian over the function field.
+    The Jacobian's value at a point comes from the partial derivatives of
+    each numerator n and denominator d, as (n' d - n d') / d**2, without
+    a gcd and without building the symbolic Jacobian.  A given point must
+    fix every generator the elements use; a pole there raises
+    ZeroDivisionError.  The generic rank is certified at the fixed point
+    of :func:`element_rank`, given to the generators the elements use in
+    name order, so generators of K that they do not use do not move it.
+    The fallback is the same: row reduction of the Jacobian over K.
     """
-    functions = [sp.sympify(f) for f in functions]
-    K, pairs = _fractions(functions)
-    nrows, ncols = len(functions), len(variables)
+    nrows, ncols = len(elements), len(variables)
     if K is QQ or not nrows or not ncols:
         return 0
     index = {s: i for i, s in enumerate(K.symbols)}
     columns = {index[v]: k for k, v in enumerate(variables) if v in index}
     if point is not None:
-        values = _point_values(K, point, functions)
-        rows = [_defined(K, num, den, point,
-                         lambda p, q: _jacobian_row(p, q, values, columns, ncols))
-                for num, den in pairs]
+        values = _point_values(K, elements, point)
+        rows = [_defined(_jacobian_row(a.numer, a.denom, values, columns, ncols), a, point)
+                for a in elements]
         return len(element_rref(QQ, rows, ncols)[1])
-    values = _certificate_point(len(K.symbols))
-    rows = [_jacobian_row(num, den, values, columns, ncols) for num, den in pairs]
+    used = _used(elements)
+    values = [0] * len(K.symbols)
+    order = [i for i in _name_order(K.symbols) if i in used]
+    for i, value in zip(order, _certificate_point(len(order))):
+        values[i] = value
+    rows = [_jacobian_row(a.numer, a.denom, values, columns, ncols) for a in elements]
     if all(row is not None for row in rows):
         rank = len(element_rref(QQ, rows, ncols)[1])
         if rank == min(nrows, ncols):
             return rank
     gens = [K.field.gens[index[v]] if v in index else None for v in variables]
-    rows = []
-    for num, den in pairs:
-        a = K.field.new(num, den)
-        rows.append([a.diff(g) if g is not None else K.zero for g in gens])
+    rows = [[a.diff(g) if g is not None else K.zero for g in gens] for a in elements]
     return len(element_rref(K, rows, ncols)[1])
-
-
-def evaluate_exact(e, point: dict):
-    """Evaluate a rational expression at an exact rational point.
-
-    The point must assign a rational number to every symbol of e; one it
-    leaves open raises ValueError.  A removable singularity is not a
-    pole.  Raises ZeroDivisionError when the point is a pole.
-    """
-    K, pairs = _fractions([e])
-    return QQ.to_sympy(_values(K, pairs, point, e)[0])
-
-
-def _values(K, pairs, point, what) -> list:
-    """The fractions (numerator, denominator) over K at point, as elements
-    of QQ.  A fraction is reduced only when its denominator vanishes
-    there, so a removable singularity is not a pole; a pole raises
-    ZeroDivisionError."""
-    if K is QQ:
-        return [num for num, _ in pairs]
-    values = _point_values(K, point, what)
-    return [_defined(K, num, den, point, lambda p, q: _value_at(p, q, values))
-            for num, den in pairs]
-
-
-def _defined(K, num, den, point, at):
-    """at(num, den) for a fraction over K, where at returns None when the
-    denominator vanishes at point; then the fraction is reduced and tried
-    again, and a pole raises ZeroDivisionError."""
-    result = at(num, den)
-    if result is None:
-        reduced = K.field.new(num, den)
-        result = at(reduced.numer, reduced.denom)
-        if result is None:
-            raise ZeroDivisionError("pole at %s in %s" % (point, reduced.as_expr()))
-    return result
 
 
 def element_values(K, rows, point: dict) -> list:
     """Rows of elements of the field K at a rational point that fixes every
-    generator of K, as rows of elements of QQ; a pole raises
+    generator the rows use, as rows of elements of QQ; a pole raises
     ZeroDivisionError."""
-    return [_values(K, [(a.numer, a.denom) for a in row], point, K) for row in rows]
+    values = _point_values(K, [a for row in rows for a in row], point)
+    return [[_defined(_value_at(a.numer, a.denom, values), a, point) for a in row]
+            for row in rows]
 
 
 def clear_element_row(K, row):

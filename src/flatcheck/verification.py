@@ -3,17 +3,23 @@
 A candidate flat output is verified symbolically by stacking its forward
 shifts, solving for the system variables as functions of the output jets,
 and checking the parametrization identity together with the submersion
-property.  Numeric verification replays random output trajectories near
-the equilibrium through the parametrization and measures the dynamics
-residual.  A symbolic PASS is required for a certified result; the numeric
-check only ever adds falsification power.
+property.  All of it runs on rational function field elements: the
+candidate is converted once, ``shift_function`` shifts it by composing
+with the update map, ``symbolic.solve_elements`` solves the stacked
+equations, and the branch through the equilibrium is picked with
+``symbolic.element_values``.  Numeric verification replays random output
+trajectories near the equilibrium through the parametrization and
+measures the dynamics residual.  A symbolic PASS is required for a
+certified result; the numeric check only ever adds falsification power.
 """
 
 from dataclasses import dataclass
+import functools
 import random
 import re
 
 import sympy as sp
+from sympy import QQ
 
 from . import symbolic
 from .errors import FlatcheckError, SimulationError
@@ -58,8 +64,8 @@ def input_shift_symbol(u: sp.Symbol, shift) -> sp.Symbol:
     return sp.Symbol("%s_p%d" % (u.name, shift))
 
 
-def _parse_input_shift(sym, system):
-    for u in system.inputs:
+def _parse_input_shift(sym, inputs):
+    for u in inputs:
         if sym == u:
             return u, 0
         match = re.match("^" + re.escape(u.name) + r"_p(\d+)$", sym.name)
@@ -68,38 +74,61 @@ def _parse_input_shift(sym, system):
     return None, None
 
 
-def shift_function(g, system=None, count=1):
-    """Forward shift operator on functions.
+def shift_function(a, system=None, count=1):
+    """Forward shift operator on field elements, applied ``count`` times.
 
-    With a system, states are substituted by the update expressions and
-    every input shift is bumped by one.  Without a system the expression
-    is read over the output jets and every jet shift is bumped.  Applied
-    ``count`` times."""
-    e = sp.sympify(g)
+    With a system, states are replaced by their updates and every input
+    shift is bumped by one, by composition in a's own field, which must
+    hold the system's variables and the bumped shifts.  Without a system
+    every output jet is bumped, and the result lies in the field of the
+    bumped generators.  Raises FlatcheckError when a uses a generator the
+    shift does not apply to."""
     for _ in range(count):
-        mapping = {}
         if system is None:
-            for sym in e.free_symbols:
-                j, s = parse_jet_symbol(sym)
-                if j is None:
-                    raise FlatcheckError(
-                        "output shift applies to jet expressions, got %s" % sym
-                    )
-                mapping[sym] = jet_symbol(j, s + 1)
+            a = _shift_output_jets(a)
         else:
-            mapping.update({s: f for s, f in zip(system.states, system.update)})
-            for sym in e.free_symbols:
-                if sym in mapping:
-                    continue
-                base, s = _parse_input_shift(sym, system)
-                if base is None:
-                    raise FlatcheckError(
-                        "system shift applies over states and input shifts, got %s"
-                        % sym
-                    )
-                mapping[sym] = input_shift_symbol(base, s + 1)
-        e = e.subs(mapping, simultaneous=True)
-    return e
+            a = _shift_through_system(a, system)
+    return a
+
+
+def _shift_output_jets(a):
+    ahead = {}
+    for sym in a.field.symbols:
+        j, s = parse_jet_symbol(sym)
+        if j is not None:
+            ahead[sym] = jet_symbol(j, s + 1)
+    stuck = symbolic.used_symbols(a).difference(ahead)
+    if stuck:
+        raise FlatcheckError("output shift applies to jet expressions, got %s"
+                             % min(stuck, key=str))
+    K = symbolic.function_field(_by_name(ahead.get(s, s) for s in a.field.symbols))
+    return symbolic.rename(a, K, ahead)
+
+
+def _shift_through_system(a, system):
+    images = _system_images(a.field, system.states, system.inputs, system.update)
+    stuck = symbolic.used_symbols(a).difference(
+        sym for sym, image in zip(a.field.symbols, images) if image is not None)
+    if stuck:
+        raise FlatcheckError("system shift applies over states and input shifts, got %s"
+                             % min(stuck, key=str))
+    return symbolic.compose(a, images)
+
+
+@functools.lru_cache(maxsize=32)
+def _system_images(field, states, inputs, update):
+    """The shift of each generator of field, as a (numerator, denominator)
+    pair of its ring: the update of a state, the next shift of an input
+    shift that has one in field, and None for any other generator."""
+    _, elements = symbolic.to_elements(update, field.symbols)
+    images = dict(zip(states, ((f.numer, f.denom) for f in elements)))
+    gens = dict(zip(field.symbols, field.gens))
+    for sym in field.symbols:
+        base, s = _parse_input_shift(sym, inputs)
+        ahead = gens.get(input_shift_symbol(base, s + 1)) if base is not None else None
+        if ahead is not None:
+            images[sym] = (ahead.numer, ahead.denom)
+    return [images.get(sym) for sym in field.symbols]
 
 
 @dataclass(frozen=True)
@@ -157,20 +186,33 @@ class NumericVerification:
     trial_records: tuple
 
 
-def _equilibrium_jet_values(system, components, q):
+def _equilibrium_jet_values(system, K, components, q):
+    """Values of the output components, elements of K over the states and
+    input shifts up to q, at the equilibrium."""
     point = system.equilibrium_point()
     for u in system.inputs:
-        for s in range(1, q + 2):
+        for s in range(1, q + 1):
             point[input_shift_symbol(u, s)] = point[u]
     values = []
-    for c in components:
+    for a in components:
         try:
-            values.append(symbolic.evaluate_exact(c, point))
+            (value,), = symbolic.element_values(K, [[a]], point)
         except ZeroDivisionError:
             raise FlatcheckError(
-                "output component %s has a pole at the equilibrium" % symbolic.to_infix(c)
+                "output component %s has a pole at the equilibrium"
+                % symbolic.to_infix(a.as_expr())
             ) from None
+        values.append(QQ.to_sympy(value))
     return values
+
+
+def _by_name(symbols) -> tuple:
+    return tuple(sorted(symbols, key=lambda s: s.name))
+
+
+def _input_shifts(system, top):
+    """The input shifts up to shift top, input by input."""
+    return [input_shift_symbol(u, s) for u in system.inputs for s in range(top + 1)]
 
 
 def _jet_targets(m, bound):
@@ -209,14 +251,13 @@ def check_parametrization(system, p: FlatParametrization):
         ahead[sym] = jet_symbol(j, s + 1)
     if not jets:
         return False, "parametrization is not a generic submersion"
-    J, values = symbolic.to_elements(
-        exprs, sorted(set(jets) | set(ahead.values()), key=lambda s: s.name))
+    J, values = symbolic.to_elements(exprs, _by_name(set(jets) | set(ahead.values())))
     _, update = symbolic.to_elements(system.update, system.variables)
     substitution = [(a.numer, a.denom) for a in values]
     for s, a, f in zip(system.states, values, update):
         if symbolic.rename(a, J, ahead) - symbolic.compose(f, substitution, J):
             return False, "dynamics identity fails for %s" % s
-    if symbolic.jacobian_rank(list(p.F_x) + list(p.F_u), jets) != system.n + system.m:
+    if symbolic.jacobian_rank(J, values, jets) != system.n + system.m:
         return False, "parametrization is not a generic submersion"
     for i, e in enumerate(p.F_x):
         for sym in sp.sympify(e).free_symbols:
@@ -243,7 +284,7 @@ def _candidate_parts(system, candidate):
         for sym in e.free_symbols:
             if sym in system.states:
                 continue
-            base, s = _parse_input_shift(sym, system)
+            base, s = _parse_input_shift(sym, system.inputs)
             if base is None:
                 raise FlatcheckError(
                     "candidate output uses unknown symbol %s" % sym
@@ -261,33 +302,32 @@ def verify_flat_output_symbolic(system, candidate):
     identity and the submersion property.  Returns (parametrization,
     report); the parametrization is None unless the status is PASS.  A
     generic functional relation among the stacked shifts is a proof of
-    failure; a solver that gives up is only INCONCLUSIVE."""
+    failure; a solver that gives up is only INCONCLUSIVE.
+
+    The components are converted once, into QQ(states, input shifts up
+    to cap + q), where they are shifted and ranked.  Each bound is solved
+    in QQ(its jets, states and input shifts), into which its equations
+    are renamed: the gcds of the elimination slow down with every
+    generator of the field, used or not."""
     components, q = _candidate_parts(system, candidate)
-    components = list(components)
     if len(components) != system.m:
         raise FlatcheckError(
             "candidate has %d components for %d inputs" % (len(components), system.m)
         )
     m, n = system.m, system.n
     cap = n + q + 1
-    eq_point = system.equilibrium_point()
-    centers = _equilibrium_jet_values(system, components, q)
-    levels = [list(components)]
+    shifts = _input_shifts(system, cap + q)
+    X, level = symbolic.to_elements(components, _by_name(list(system.states) + shifts))
+    centers = _equilibrium_jet_values(system, X, level, q)
+    stacked, used = [], set()
     detail = "no solvable shift bound up to %d" % cap
     for alpha in range(cap + 1):
-        while len(levels) <= alpha:
-            levels.append([shift_function(e, system) for e in levels[-1]])
-        stacked = [e for level in levels[: alpha + 1] for e in level]
-        targets = _jet_targets(m, alpha)
-        shift_syms = []
-        for u in system.inputs:
-            for s in range(alpha + q + 1):
-                shift_syms.append(input_shift_symbol(u, s))
-        present = [
-            s for s in shift_syms if any(e.has(s) for e in stacked)
-        ]
-        all_vars = list(system.states) + present
-        if symbolic.jacobian_rank(stacked, all_vars) < len(stacked):
+        if alpha:
+            level = [shift_function(a, system) for a in level]
+        stacked += level
+        used.update(*map(symbolic.used_symbols, level))
+        present = [s for s in shifts if s in used]
+        if symbolic.jacobian_rank(X, stacked, list(system.states) + present) < len(stacked):
             return None, SymbolicVerification(
                 status="FAIL",
                 bound=alpha,
@@ -298,21 +338,22 @@ def verify_flat_output_symbolic(system, candidate):
         if len(stacked) < n + m:
             continue
         top = max(
-            (_parse_input_shift(s, system)[1] for s in present), default=-1
+            (_parse_input_shift(s, system.inputs)[1] for s in present), default=-1
         )
         ladders = []
         if top >= 0:
             trimmed = [
-                s for s in present if _parse_input_shift(s, system)[1] < top
+                s for s in present if _parse_input_shift(s, system.inputs)[1] < top
             ]
             ladders.append(list(system.states) + trimmed)
         ladders.append(list(system.states) + present)
-        equations = [t - e for t, e in zip(targets, stacked)]
+        targets = _jet_targets(m, alpha)
+        S = symbolic.function_field(_by_name(targets + list(system.states) + present))
+        jets = dict(zip(S.symbols, S.field.gens))
+        equations = [jets[t] - symbolic.rename(a, S, {}) for t, a in zip(targets, stacked)]
         result = None
         for unknowns in ladders:
-            result = _attempt_jet_solve(
-                system, equations, unknowns, centers, eq_point, q
-            )
+            result = _attempt_jet_solve(system, S, equations, unknowns, centers, q)
             if result is not None:
                 break
         if result is None:
@@ -335,31 +376,35 @@ def verify_flat_output_symbolic(system, candidate):
     )
 
 
-def _attempt_jet_solve(system, equations, unknowns, centers, eq_point, q):
-    """Solve the stacked jet equations for the given unknowns and select the
-    branch through the equilibrium.  Returns (F_x, F_u) with jet-pure
-    expressions for every state and input, or None."""
+def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
+    """Solve the stacked jet equations, elements of the field S, for the
+    given unknowns and select the branch through the equilibrium.
+    Returns (F_x, F_u) with jet-pure expressions for every state and
+    input, or None."""
     try:
-        solutions = symbolic.solve_algebraic(equations, unknowns)
+        solutions = symbolic.solve_elements(S, equations, unknowns)
     except FlatcheckError:
         return None
     jet_point = {}
     for j, c in enumerate(centers):
         for s in range(0, system.n + q + 3):
             jet_point[jet_symbol(j + 1, s)] = c
+    eq_point = system.equilibrium_point()
     for sol in solutions:
         if not all(v in sol for v in system.variables) or any(
             parse_jet_symbol(sym)[0] is None
-            for v in system.variables for sym in sol[v].free_symbols
+            for v in system.variables for sym in symbolic.used_symbols(sol[v])
         ):
             continue
         try:
-            if any(symbolic.evaluate_exact(sol[v], jet_point) != eq_point[v]
-                   for v in system.variables):
-                continue
+            values = symbolic.element_values(S, [[sol[v] for v in system.variables]],
+                                             jet_point)[0]
         except ZeroDivisionError:
             continue
-        return [sol[s] for s in system.states], [sol[u] for u in system.inputs]
+        if list(map(QQ.to_sympy, values)) != [eq_point[v] for v in system.variables]:
+            continue
+        return ([sol[s].as_expr() for s in system.states],
+                [sol[u].as_expr() for u in system.inputs])
     return None
 
 
@@ -386,7 +431,8 @@ def verify_flat_output_numeric(
     comps = None
     if candidate is not None:
         comps, q = _candidate_parts(system, candidate)
-        centers = [float(v) for v in _equilibrium_jet_values(system, list(comps), q)]
+        K, elements = symbolic.to_elements(comps, list(system.states) + _input_shifts(system, q))
+        centers = [float(v) for v in _equilibrium_jet_values(system, K, elements, q)]
     else:
         centers = [0.0] * m
         q = 0
@@ -505,15 +551,14 @@ def simulate(system, x0, inputs) -> Trajectory:
     exact = all(v.is_Rational for v in values)
     sys_vars = list(system.states) + list(system.inputs)
     if exact:
+        K, update = symbolic.to_elements(system.update, sys_vars)
         state = [sp.Rational(v) for v in x0]
         states = [tuple(state)]
         for k, row in enumerate(rows):
             point = {s: v for s, v in zip(system.states, state)}
             point.update({u: sp.Rational(v) for u, v in zip(system.inputs, row)})
             try:
-                state = [
-                    symbolic.evaluate_exact(f, point) for f in system.update
-                ]
+                state = list(map(QQ.to_sympy, symbolic.element_values(K, [update], point)[0]))
             except ZeroDivisionError:
                 raise SimulationError("pole encountered at step %d" % k, step=k)
             states.append(tuple(state))

@@ -107,19 +107,23 @@ def test_criterion_2_flagship_flat_output_and_triangular(
 
 def test_criterion_3_parametrization_identities(flat4, flat4_artifacts):
     _, _, _, p = flat4_artifacts
-    subs_map = {s: e for s, e in zip(flat4.states, p.F_x)}
-    subs_map.update({u: e for u, e in zip(flat4.inputs, p.F_u)})
-    for i in range(flat4.n):
-        ahead = verification.shift_function(p.F_x[i])
-        through = flat4.update[i].subs(subs_map, simultaneous=True)
-        assert symbolic.is_zero(sp.cancel(sp.together(ahead - through))) is True
-
     jets = sorted(
         {s for e in p.F_x + p.F_u for s in e.free_symbols},
         key=lambda s: s.name,
     )
-    K, elements = symbolic.to_elements(p.F_x + p.F_u, jets)
-    jacobian = [[e.diff(s) for s in K.field.gens] for e in elements]
+    shifted = [verification.jet_symbol(j, s + 1)
+               for j, s in map(verification.parse_jet_symbol, jets)]
+    K, elements = symbolic.to_elements(p.F_x + p.F_u, sorted(set(jets + shifted), key=str))
+    # x+ = f(x, u) along the parametrization: F_x shifted once equals f
+    # composed with (F_x, F_u)
+    _, update = symbolic.to_elements(flat4.update, flat4.variables)
+    substitution = [(a.numer, a.denom) for a in elements]
+    for i in range(flat4.n):
+        ahead = verification.shift_function(elements[i])
+        through = symbolic.compose(update[i], substitution, K)
+        assert symbolic.rename(ahead, K, {}) == through
+
+    jacobian = [[e.diff(K.field.gens[K.symbols.index(s)]) for s in jets] for e in elements]
     assert symbolic.element_rank(K, jacobian, len(jets)) == flat4.n + flat4.m
 
     for j, bound in enumerate(p.R, start=1):

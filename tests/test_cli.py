@@ -320,7 +320,7 @@ class TestSimulate:
 
 class TestNoSympyCalls:
     """The pipeline decides in the exact kernel: none of sympy's own
-    solve, cancel, together or simplify is reached."""
+    solve, cancel, together, simplify or subs is reached."""
 
     @pytest.mark.parametrize("name", ["solve", "cancel", "together", "simplify"])
     def test_extract_and_verify_without(self, name, capsys, models_dir, monkeypatch):
@@ -337,6 +337,21 @@ class TestNoSympyCalls:
         code, out, _ = run(
             capsys, "verify", model_path(models_dir, "chain2"), "--output", "x1"
         )
+        assert code == 0
+        assert "symbolic: PASS" in out
+
+    def test_flat4_without_subs(self, capsys, models_dir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Basic.subs was called")
+
+        monkeypatch.setattr(sympy.core.basic.Basic, "subs", refuse)
+        flat4 = model_path(models_dir, "flat4")
+        code, out, _ = run(capsys, "analyze", flat4)
+        assert code == 0
+        code, out, _ = run(capsys, "extract", flat4)
+        assert code == 0
+        assert "verification: symbolic PASS" in out
+        code, out, _ = run(capsys, "verify", flat4, "--output", "x1*x3 + x1; x2 + 3*x4")
         assert code == 0
         assert "symbolic: PASS" in out
 

@@ -40,8 +40,9 @@ MODELS = (
 COMMANDS = ("analyze", "extract")
 HASH_SEEDS = ("0", "1")
 CASES = [(command, model) for command in COMMANDS for model in MODELS]
-# PASS candidates of three models, the second flat output of flat4 and an
-# INCONCLUSIVE one (about 1.3 s); a changed solver branch or rank shows here
+# flat outputs and INCONCLUSIVE candidates of three models, flat4's
+# "x1*x3 + x1; x4" (about 1.3 s) among them: a changed solver branch or
+# rank decision shows here
 VERIFY_CASES = [
     ("flat4", "x1*x3 + x1; x2 + 3*x4"),
     ("flat4", "x1; x3"),
@@ -53,7 +54,7 @@ VERIFY_CASES = [
 ]
 
 
-def _start(command, model, seed, workdir, options=("--json", "doc.json")):
+def _start(command, model, seed, workdir, options):
     """Launch one CLI run in ``workdir``, which holds a copy of the model,
     so that every path the run prints is relative."""
     shutil.copy(MODELS_DIR / ("%s.sys" % model), workdir)

@@ -46,17 +46,6 @@ class TestCanonicalize:
         assert symbolic.canonicalize_element(K, a) == symbolic.canonicalize(e)
 
 
-class TestIsZero:
-    def test_structural_zero(self):
-        assert symbolic.is_zero(sp.Integer(0)) is True
-
-    def test_hidden_zero(self):
-        assert symbolic.is_zero((x + 1) ** 2 - x**2 - 2 * x - 1) is True
-
-    def test_nonzero(self):
-        assert symbolic.is_zero(x + 1) is False
-
-
 def _elements(M):
     """A sympy matrix as (K, rows of elements of K), K = QQ(its free
     symbols sorted by name)."""
@@ -147,6 +136,13 @@ def _random_rational(rng, gens):
     return _random_polynomial(rng, gens) / den
 
 
+def _jacobian_rank(functions, variables, point=None):
+    """jacobian_rank of expressions converted over QQ(their free symbols
+    sorted by name)."""
+    K, elements = symbolic.to_elements(functions)
+    return symbolic.jacobian_rank(K, elements, variables, point)
+
+
 def _fraction_field_rank(M):
     K, rows = _elements(M)
     return len(symbolic.element_rref(K, rows, M.cols)[1])
@@ -200,15 +196,24 @@ class TestRankCertificate:
         assert _rank_at_point(M, {x: a, y: 1}) == 1
         assert _generic_rank(M) == 2
         functions = [x**2 / 2 - a * x, y]
-        assert symbolic.jacobian_rank(functions, [x, y]) == 2
+        assert _jacobian_rank(functions, [x, y]) == 2
         assert fraction_field_rrefs == [(2, 2), (2, 2)]
 
     def test_pole_at_the_certificate_point(self, fraction_field_rrefs):
         a, _ = symbolic._certificate_point(2)
         M = sp.Matrix([[1 / (x - a), 1], [0, y]])
         assert _generic_rank(M) == 2
-        assert symbolic.jacobian_rank([1 / (x - a), y], [x, y]) == 2
+        assert _jacobian_rank([1 / (x - a), y], [x, y]) == 2
         assert fraction_field_rrefs == [(2, 2), (2, 2)]
+
+    def test_generators_the_functions_do_not_use_do_not_move_the_point(
+        self, fraction_field_rrefs
+    ):
+        a, _ = symbolic._certificate_point(2)
+        functions = [x**2 / 2 - a * x, y]
+        wider, elements = symbolic.to_elements(functions, (sp.Symbol("w"), x, y))
+        assert symbolic.jacobian_rank(wider, elements, [x, y]) == 2
+        assert fraction_field_rrefs == [(2, 2)]
 
     def test_certificate_point_is_fixed_and_nonzero(self):
         point = symbolic._certificate_point(12)
@@ -220,9 +225,9 @@ class TestRankCertificate:
         with pytest.raises(UnsupportedEquationError):
             _generic_rank(sp.Matrix([[sp.sqrt(x), 1], [1, x]]))
         with pytest.raises(UnsupportedEquationError):
-            symbolic.jacobian_rank([sp.sqrt(2) * x, y], [x, y])
+            _jacobian_rank([sp.sqrt(2) * x, y], [x, y])
         with pytest.raises(UnsupportedEquationError):
-            symbolic.jacobian_rank([x, y], [x, y], {x: sp.sqrt(2), y: 1})
+            _jacobian_rank([x, y], [x, y], {x: sp.sqrt(2), y: 1})
 
 
 class TestJacobianRank:
@@ -240,7 +245,7 @@ class TestJacobianRank:
             functions.append(functions[0] * functions[-1] + 1)
         variables = rng.sample(gens, rng.randint(1, 3))
         jacobian = self._jacobian(functions, variables)
-        assert symbolic.jacobian_rank(functions, variables) == _generic_rank(jacobian)
+        assert _jacobian_rank(functions, variables) == _generic_rank(jacobian)
         assert _generic_rank(jacobian) == _fraction_field_rank(jacobian)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -255,101 +260,108 @@ class TestJacobianRank:
             expected = _rank_at_point(jacobian, point)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
-                symbolic.jacobian_rank(functions, variables, point)
+                _jacobian_rank(functions, variables, point)
         else:
-            assert symbolic.jacobian_rank(functions, variables, point) == expected
+            assert _jacobian_rank(functions, variables, point) == expected
 
     def test_variables_outside_the_functions_give_zero_columns(self):
-        assert symbolic.jacobian_rank([x * y, x + y], [x, z]) == 1
-        assert symbolic.jacobian_rank([sp.Integer(3)], [x]) == 0
-        assert symbolic.jacobian_rank([], [x]) == 0
+        assert _jacobian_rank([x * y, x + y], [x, z]) == 1
+        assert _jacobian_rank([sp.Integer(3)], [x]) == 0
+        assert _jacobian_rank([], [x]) == 0
 
     def test_removable_singularity_is_not_a_pole(self):
         functions = [(x**2 - 1) / (x - 1), y]
-        assert symbolic.jacobian_rank(functions, [x, y], {x: 1, y: 0}) == 2
+        assert _jacobian_rank(functions, [x, y], {x: 1, y: 0}) == 2
 
     def test_pole_at_point_raises(self):
         with pytest.raises(ZeroDivisionError):
-            symbolic.jacobian_rank([1 / x, y], [x, y], {x: 0, y: 0})
+            _jacobian_rank([1 / x, y], [x, y], {x: 0, y: 0})
 
     def test_incomplete_point_raises(self):
         with pytest.raises(ValueError):
-            symbolic.jacobian_rank([x * y], [x], {x: 1})
+            _jacobian_rank([x * y], [x], {x: 1})
+
+
+def _solve(equations, unknowns):
+    """solve_elements on expressions = 0 over QQ(the unknowns and their
+    free symbols, sorted by name); the branches as expressions, in the
+    order the elimination finds them."""
+    symbols = set(unknowns).union(*(sp.sympify(e).free_symbols for e in equations))
+    K, elements = symbolic.to_elements(equations, sorted(symbols, key=lambda s: s.name))
+    return [{s: v.as_expr() for s, v in sol.items()}
+            for sol in symbolic.solve_elements(K, elements, unknowns)]
 
 
 class TestSolveAlgebraic:
+    """solve_elements on small systems with known branches."""
+
     def test_linear_system(self):
-        sols = symbolic.solve_algebraic([sp.Eq(x + y, 3), sp.Eq(x - y, 1)], [x, y])
+        sols = _solve([x + y - 3, x - y - 1], [x, y])
         assert sols == [{x: 2, y: 1}]
 
     def test_identity_has_empty_solution(self):
-        sols = symbolic.solve_algebraic([sp.Eq((x + 1) ** 2, x**2 + 2 * x + 1)], [])
+        sols = _solve([(x + 1) ** 2 - (x**2 + 2 * x + 1)], [])
         assert sols == [{}]
 
     def test_inconsistent_raises(self):
         with pytest.raises(InconsistentSystemError):
-            symbolic.solve_algebraic([sp.Eq(sp.Integer(0), 1)], [x])
+            _solve([sp.Integer(-1)], [x])
         with pytest.raises(InconsistentSystemError, match="equation 1 = 0"):
-            symbolic.solve_algebraic([x - y, sp.Integer(1)], [x])
+            _solve([x - y, sp.Integer(1)], [x])
 
     def test_rational_solution(self):
-        sols = symbolic.solve_algebraic([sp.Eq(x * y, 1)], [x])
+        sols = _solve([x * y - 1], [x])
         assert sols[0][x] == 1 / y
 
     def test_only_irrational_branches_raise(self):
         with pytest.raises(IrrationalSolutionError) as info:
-            symbolic.solve_algebraic([x**2 - 2], [x])
+            _solve([x**2 - 2], [x])
         assert info.value.unknown == x
 
     def test_irrational_branches_are_dropped(self):
-        sols = symbolic.solve_algebraic([(x**2 - 2) * (x - 1)], [x])
+        sols = _solve([(x**2 - 2) * (x - 1)], [x])
         assert sols == [{x: 1}]
 
     def test_all_rational_branches_are_kept(self):
-        sols = symbolic.solve_algebraic([x**2 - 1], [x])
+        sols = _solve([x**2 - 1], [x])
         assert sorted(sol[x] for sol in sols) == [-1, 1]
 
     def test_equation_free_of_unknowns_is_ignored(self):
         x1, x2, ub, y1, y2, y1_p1, y2_p1, ub_p1 = sp.symbols(
             "x1 x2 ub y1 y2 y1_p1 y2_p1 ub_p1"
         )
-        equations = [
-            sp.Eq(y1, x1),
-            sp.Eq(y2, ub),
-            sp.Eq(y1_p1, -x1**2 + x2),
-            sp.Eq(y2_p1, ub_p1),
-        ]
-        sols = symbolic.solve_algebraic(equations, [x1, x2, ub])
+        equations = [y1 - x1, y2 - ub, y1_p1 - (-x1**2 + x2), y2_p1 - ub_p1]
+        sols = _solve(equations, [x1, x2, ub])
         assert len(sols) == 1
         assert sols[0][x1] == y1 and sols[0][ub] == y2
         assert sp.expand(sols[0][x2] - y1**2 - y1_p1) == 0
 
     def test_only_unknown_free_equations_give_no_branch(self):
-        assert symbolic.solve_algebraic([sp.Eq(y, 1)], [x]) == []
+        assert _solve([y - 1], [x]) == []
 
     def test_spurious_pivot_zero_branch_is_dropped(self):
         # x1 is eliminated first through the second equation, as
         # x1 = (theta_2 - u + 2*x2**2) / (3*x2), which is undefined at x2 = 0
         x1, x2, u, t1, t2, xi1 = sp.symbols("x1 x2 u theta_1 theta_2 xi_1")
         equations = [
-            sp.Eq(t1, x1**2 + x1 + x2),
-            sp.Eq(t2, u + 3 * x1 * x2 - 2 * x2**2),
-            sp.Eq(xi1, x1),
+            t1 - (x1**2 + x1 + x2),
+            t2 - (u + 3 * x1 * x2 - 2 * x2**2),
+            xi1 - x1,
         ]
-        sols = symbolic.solve_algebraic(equations, [x1, x2, u])
+        sols = _solve(equations, [x1, x2, u])
         assert len(sols) == 1
         sol = sols[0]
         assert sol[x1] == xi1
         assert sp.expand(sol[x2] - (t1 - xi1**2 - xi1)) == 0
         for eq in equations:
-            assert sp.cancel((eq.lhs - eq.rhs).subs(sol)) == 0
+            assert sp.cancel(eq.subs(sol)) == 0
 
     def test_underdetermined_solves_for_first_unknowns(self):
-        assert symbolic.solve_algebraic([x + y - 1], [x, y]) == [{x: 1 - y}]
-        assert symbolic.solve_algebraic([x + y - 1], [y, x]) == [{y: 1 - x}]
+        assert _solve([x + y - 1], [x, y]) == [{x: 1 - y}]
+        assert _solve([x + y - 1], [y, x]) == [{y: 1 - x}]
 
     def test_zero_denominator_is_not_a_solution(self):
-        assert symbolic.solve_algebraic([(x - 1) / (x**2 - 1)], [x]) == []
+        assert _solve([(x - 1) / (x**2 - 1)], [x]) == []
 
 
 def _triangular_chain(rng, n):
@@ -387,16 +399,17 @@ def _canonical_branches(solutions):
 
 
 class TestSolveAgainstSympy:
-    """The chart-inverse systems give the same branches as sympy's own
-    solver, used here only as a test oracle."""
+    """solve_elements gives the same branches as sympy's own solver, used
+    here only as a test oracle, on chart-inverse systems and on systems
+    that branch."""
 
     @staticmethod
     def _check_chart_inverse(system):
         chart = geometry.build_adapted_chart(system)
-        equations = [sp.Eq(c, chart.forward[c]) for c in chart.coords]
+        equations = [c - chart.forward[c] for c in chart.coords]
         unknowns = list(system.variables)
-        ours = symbolic.solve_algebraic(equations, unknowns)
-        oracle = sp.solve([eq.lhs - eq.rhs for eq in equations], unknowns, dict=True)
+        ours = _solve(equations, unknowns)
+        oracle = sp.solve(equations, unknowns, dict=True)
         assert ours
         assert _canonical_branches(ours) == _canonical_branches(oracle)
 
@@ -426,12 +439,9 @@ class TestSolveAgainstSympy:
         ],
     )
     def test_branching_systems(self, equations):
-        ours = symbolic.solve_algebraic(equations, [x, y])
+        ours = _solve(equations, [x, y])
         oracle = sp.solve(equations, [x, y], dict=True)
-        assert [set(sol) for sol in ours] == [set(sol) for sol in oracle]
-        assert all(
-            sp.cancel(a[k] - b[k]) == 0 for a, b in zip(ours, oracle) for k in b
-        )
+        assert _canonical_branches(ours) == _canonical_branches(oracle)
 
 
 def _cleared(row):
@@ -495,8 +505,8 @@ class TestSolveElements:
         found = symbolic.solve_elements(K, elements, [x, z])
         as_expressions = [{s: v.as_expr() for s, v in sol.items()} for sol in found]
         assert all(v.field == K.field for sol in found for v in sol.values())
-        assert sorted(as_expressions, key=sp.default_sort_key) == \
-            symbolic.solve_algebraic(equations, [x, z])
+        oracle = sp.solve(equations, [x, z], dict=True)
+        assert _canonical_branches(as_expressions) == _canonical_branches(oracle)
 
 
 def _image(a):
@@ -536,20 +546,32 @@ class TestCompose:
             target.from_sympy(sp.Rational(1, 2))
 
 
+def _value(e, point):
+    """element_values of one expression over QQ(its free symbols)."""
+    K, (a,) = symbolic.to_elements([e])
+    (value,), = symbolic.element_values(K, [[a]], point)
+    return value
+
+
 class TestEvaluateExact:
+    """element_values at exact rational points."""
+
     def test_rational_value(self):
-        assert symbolic.evaluate_exact(x / (y + 1), {x: 1, y: 1}) == sp.Rational(1, 2)
+        assert _value(x / (y + 1), {x: 1, y: 1}) == symbolic.QQ(1, 2)
 
     def test_pole_raises(self):
         with pytest.raises(ZeroDivisionError):
-            symbolic.evaluate_exact(1 / x, {x: 0})
+            _value(1 / x, {x: 0})
 
     def test_removable_singularity_is_not_a_pole(self):
-        assert symbolic.evaluate_exact((x**2 - 1) / (x - 1), {x: 1}) == 2
+        assert _value((x**2 - 1) / (x - 1), {x: 1}) == 2
 
     def test_incomplete_point_raises(self):
         with pytest.raises(ValueError):
-            symbolic.evaluate_exact(x * y, {x: 1})
+            _value(x * y, {x: 1})
+        # a generator the element does not use needs no value
+        K, (a,) = symbolic.to_elements([x + 1], (x, y))
+        assert symbolic.element_values(K, [[a]], {x: 1}) == [[2]]
 
 
 class TestToInfix:

@@ -3,7 +3,7 @@
 import pytest
 import sympy as sp
 
-from flatcheck import verification
+from flatcheck import symbolic, verification
 from flatcheck.errors import FlatcheckError, SimulationError
 
 x1, x2, x3, x4 = sp.symbols("x1 x2 x3 x4")
@@ -25,34 +25,51 @@ class TestJetSymbols:
         assert verification.parse_jet_symbol(x1) == (None, None)
 
 
+def _system_element(system, e, shifts=2):
+    """e as an element of QQ(states, input shifts up to shifts)."""
+    gens = list(system.states) + [verification.input_shift_symbol(u, s)
+                                  for u in system.inputs for s in range(shifts + 1)]
+    return symbolic.to_elements([e], gens)[1][0]
+
+
 class TestShiftFunction:
     def test_jet_mode_bumps_shifts(self):
         y1 = verification.jet_symbol(1, 0)
         y1_p1 = verification.jet_symbol(1, 1)
         y1_p2 = verification.jet_symbol(1, 2)
-        assert verification.shift_function(y1**2 + y1_p1) == y1_p1**2 + y1_p2
+        _, (a,) = symbolic.to_elements([y1**2 + y1_p1])
+        shifted = verification.shift_function(a)
+        assert shifted.as_expr() == y1_p1**2 + y1_p2
+        assert set(shifted.field.symbols) == {y1_p1, y1_p2}
 
     def test_jet_mode_rejects_foreign_symbols(self):
+        _, (a,) = symbolic.to_elements([x1 + 1])
         with pytest.raises(FlatcheckError):
-            verification.shift_function(x1 + 1)
+            verification.shift_function(a)
 
     def test_system_mode_substitutes_dynamics(self, chain2):
         xa, xb = chain2.states
         u = chain2.inputs[0]
-        shifted = verification.shift_function(xa + xb, chain2)
-        assert sp.simplify(shifted - (xb + u)) == 0
+        a = _system_element(chain2, xa + xb)
+        shifted = verification.shift_function(a, chain2)
+        assert shifted.field == a.field
+        assert shifted.as_expr() == xb + u
 
     def test_system_mode_bumps_input_shifts(self, chain2):
         u = chain2.inputs[0]
         u_p1 = verification.input_shift_symbol(u, 1)
         u_p2 = verification.input_shift_symbol(u, 2)
-        assert verification.shift_function(u_p1, chain2) == u_p2
+        shifted = verification.shift_function(_system_element(chain2, u_p1), chain2)
+        assert shifted.as_expr() == u_p2
+        # the top shift has no successor in the field
+        with pytest.raises(FlatcheckError):
+            verification.shift_function(_system_element(chain2, u_p2), chain2)
 
     def test_iterated_shift(self, chain2):
         xa = chain2.states[0]
         u = chain2.inputs[0]
-        twice = verification.shift_function(xa, chain2, count=2)
-        assert sp.simplify(twice - u) == 0
+        twice = verification.shift_function(_system_element(chain2, xa), chain2, count=2)
+        assert twice.as_expr() == u
 
 
 class TestCheckParametrization:
