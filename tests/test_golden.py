@@ -8,6 +8,8 @@ must equal the golden files in tests/golden/ byte for byte:
 ``<command>-<model>.json`` the document, when the run writes one.
 ``verify --output`` runs the same way on the candidates of
 VERIFY_CASES; ``verify-<model>-<output slug>.txt`` holds its record.
+Each script of DEMOS runs the same way; ``demo-<script>.txt`` holds its
+stdout, which reads the records of the library directly.
 
 After an intended change of the output, regenerate the files with
 
@@ -52,20 +54,25 @@ VERIFY_CASES = [
     ("sfl_quadratic", "x2 - x1^2"),
     ("sfl_quadratic", "x1"),
 ]
+DEMOS = ("flat4_walkthrough", "inline_model")
 
 
-def _start(command, model, seed, workdir, options):
-    """Launch one CLI run in ``workdir``, which holds a copy of the model,
-    so that every path the run prints is relative."""
-    shutil.copy(MODELS_DIR / ("%s.sys" % model), workdir)
+def _start(argv, seed, workdir):
+    """Launch ``python argv`` in ``workdir`` under the hash seed."""
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    argv = [sys.executable, "-m", "flatcheck.cli", command, "%s.sys" % model,
-            *options]
-    return subprocess.Popen(argv, cwd=workdir, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
+    return subprocess.Popen([sys.executable, *argv], cwd=workdir, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _start_cli(command, model, seed, workdir, options):
+    """Launch one CLI run in ``workdir``, which holds a copy of the model,
+    so that every path the run prints is relative."""
+    shutil.copy(MODELS_DIR / ("%s.sys" % model), workdir)
+    return _start(["-m", "flatcheck.cli", command, "%s.sys" % model, *options],
+                  seed, workdir)
 
 
 def _finish(proc, workdir):
@@ -89,8 +96,21 @@ def run_case(command, model, seeds=HASH_SEEDS, output=None):
         procs = []
         for seed, workdir in zip(seeds, workdirs):
             os.mkdir(workdir)
-            procs.append(_start(command, model, seed, workdir, options))
+            procs.append(_start_cli(command, model, seed, workdir, options))
         return [_finish(proc, workdir) for proc, workdir in zip(procs, workdirs)]
+
+
+def run_demo(name, seeds=HASH_SEEDS):
+    """Exit code and stdout of demos/<name>.py under every seed
+    concurrently, in seed order."""
+    script = str(ROOT / "demos" / ("%s.py" % name))
+    with tempfile.TemporaryDirectory() as workdir:
+        procs = [_start([script], seed, workdir) for seed in seeds]
+        results = []
+        for proc in procs:
+            out, _ = proc.communicate()
+            results.append((proc.returncode, out.decode("utf-8")))
+        return results
 
 
 def _golden_paths(command, model, output=None):
@@ -119,6 +139,14 @@ def test_verify_matches_golden(model, output):
         assert doc is None
 
 
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_matches_golden(name):
+    expected = (GOLDEN_DIR / ("demo-%s.txt" % name)).read_text(encoding="utf-8")
+    for seed, (code, out) in zip(HASH_SEEDS, run_demo(name)):
+        assert code == 0, "PYTHONHASHSEED=%s" % seed
+        assert out == expected, "PYTHONHASHSEED=%s" % seed
+
+
 def regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     cases = [(command, model, None) for command, model in CASES]
@@ -132,6 +160,11 @@ def regenerate():
         else:
             doc_path.write_bytes(doc)
         print("wrote %s" % text_path.name)
+    for name in DEMOS:
+        (_, out), = run_demo(name, seeds=HASH_SEEDS[:1])
+        path = GOLDEN_DIR / ("demo-%s.txt" % name)
+        path.write_text(out, encoding="utf-8")
+        print("wrote %s" % path.name)
 
 
 if __name__ == "__main__":
