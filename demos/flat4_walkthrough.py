@@ -52,7 +52,7 @@ def main():
     print("symbolic check: %s" % ("PASS" if ok else "FAIL (%s)" % detail))
 
     numeric = verification.verify_flat_output_numeric(
-        system, p, trials=20, horizon=20, seed=0, candidate=flat_output
+        system, p, trials=20, horizon=20, seed=0, candidate=flat_output.components
     )
     print(
         "numeric check: %s (max residual %.3e over %d trials)"

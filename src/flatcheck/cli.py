@@ -101,16 +101,19 @@ def cmd_analyze(args, timings) -> int:
 
 
 def _present_flat_output(flat_output, reduction):
-    """Name/expression pairs of the output in the original variables."""
+    """Name/element pairs of the output in the original variables."""
     if reduction is None:
         return list(zip(flat_output.names, flat_output.components))
     reduced = reduction.reduced
-    _, comps = symbolic.to_elements(flat_output.components, reduced.variables)
-    # each variable of the reduced system over the original variables
-    K, images = symbolic.to_elements(reduced.states + reduction.kept_functions)
-    substitution = [(a.numer, a.denom) for a in images]
-    comps = [symbolic.compose(c, substitution, K).as_expr() for c in comps]
-    comps.extend(sp.sympify(e) for e in reduction.extension)
+    # each variable of the reduced system, then each extending component,
+    # over the original variables
+    K, images = symbolic.to_elements(
+        reduced.states + reduction.kept_functions + reduction.extension)
+    moved = dict(zip(reduced.variables, images))
+    substitution = [(moved[s].numer, moved[s].denom)
+                    for s in flat_output.components[0].field.symbols]
+    comps = [symbolic.compose(c, substitution, K) for c in flat_output.components]
+    comps += images[len(moved):]
     names = ["y%d" % (i + 1) for i in range(len(comps))]
     return list(zip(names, comps))
 
@@ -199,7 +202,8 @@ def cmd_verify(args, timings) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    candidate = tuple(modelfile.parse_expression(piece, system) for piece in parts)
+    _, candidate = symbolic.to_elements(
+        [modelfile.parse_expression(piece, system) for piece in parts], system.variables)
 
     with _stage(timings, "symbolic"):
         p, sym_rep = verification.verify_flat_output_symbolic(system, candidate)

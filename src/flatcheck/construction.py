@@ -20,9 +20,8 @@ All four stages run on field elements: forward maps in QQ(x, u), inverse
 maps in QQ(current coordinates), a coordinate change solved in
 QQ(current and new coordinates), the triangular residuals in
 QQ(z, z_p1), and each parametrization block solved in QQ(its unknowns
-and jets).  extract_flat_output reads expressions only at its entry;
-the records hold expressions, plus the elements the next stage reads
-in fields outside comparison and repr.
+and jets).  No stage reads an expression: the chart's maps are elements
+too, and every record holds each value once, as an element.
 """
 
 from dataclasses import dataclass, field
@@ -211,9 +210,9 @@ class StateTransformation:
     blocks[k-1] holds the new symbols of block k; block k spans the
     directions gained at step k of the chain.  rest completes the chart
     when the chain does not fill the state space.  forward maps each new
-    symbol to a polynomial in the original states, inverse maps each
-    original state back, and point holds the equilibrium values of the
-    new symbols."""
+    symbol to a polynomial in QQ(states), inverse maps each original
+    state back to an element of QQ(new symbols), generators sorted by
+    name, and point holds the equilibrium values of the new symbols."""
 
     states: tuple
     blocks: tuple
@@ -256,7 +255,7 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
     chain member (coordinate completions for block 1), so in the new
     coordinates each chain member is spanned by the first blocks.  point
     is the equilibrium in state coordinates.  The maps are computed in
-    QQ(states) and QQ(new symbols) and written as expressions once."""
+    QQ(states) and QQ(new symbols)."""
     if not chain:
         raise FlatcheckError("cannot straighten an empty chain")
     states = tuple(chain[0].coords)
@@ -305,8 +304,8 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
         states=states,
         blocks=tuple(blocks),
         rest=tuple(rest),
-        forward={sym: a.as_expr() for sym, a in forward.items()},
-        inverse={s: a.as_expr() for s, a in inverse.items()},
+        forward=forward,
+        inverse=inverse,
         point={sym: QQ.to_sympy(v) for sym, v in zip(new_syms, values)},
     )
     # each chain member must lie along its own and earlier blocks
@@ -378,20 +377,17 @@ def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for
 @dataclass(frozen=True)
 class DecompositionStep:
     """Record of one peeling step: the consumed fibre coordinates gamma,
-    the redundancy split (zeta, y), and the straightening (eta, zhat).
-    All values are expressions in the original variables."""
+    the symbols of the redundancy split (zeta, y) and of the
+    straightening (eta, zhat).  The trace's z_values hold what the
+    surviving ones stand for."""
 
     k: int
     mu: int
     gamma: tuple
     zeta_symbols: tuple
-    zeta_values: tuple
     y_symbols: tuple
-    y_values: tuple
     eta_symbols: tuple
-    eta_values: tuple
     zhat_symbols: tuple
-    zhat_values: tuple
 
 
 @dataclass
@@ -626,16 +622,10 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         raise FlatcheckError(
             "block %d dynamics are singular at the equilibrium" % (k + 1)
         )
-
-    def values(syms):
-        return tuple(state.forward_all[s].as_expr() for s in syms)
-
     record = DecompositionStep(
-        k=k, mu=mu, gamma=tuple(gamma),
-        zeta_symbols=tuple(zeta_syms), zeta_values=values(zeta_syms),
-        y_symbols=tuple(y_syms), y_values=values(y_syms),
-        eta_symbols=tuple(eta_syms), eta_values=values(eta_syms),
-        zhat_symbols=tuple(zhat_syms), zhat_values=values(zhat_syms),
+        k=k, mu=mu, gamma=tuple(gamma), zeta_symbols=tuple(zeta_syms),
+        y_symbols=tuple(y_syms), eta_symbols=tuple(eta_syms),
+        zhat_symbols=tuple(zhat_syms),
     )
     state.eta = list(eta_syms)
     state.steps.append(record)
@@ -646,9 +636,9 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
 class FlatOutput:
     """Flat output candidate in the original variables.
 
-    q is the highest forward input shift entering the components (zero
-    for outputs built from states and inputs alone).  names hold the
-    display names y1..ym."""
+    components are elements of QQ(x, u).  q is the highest forward input
+    shift entering the components (zero for outputs built from states and
+    inputs alone).  names hold the display names y1..ym."""
 
     components: tuple
     q: int
@@ -660,13 +650,13 @@ class DecompositionTrace:
     """Complete record of the peeling run.
 
     z_symbols lists the final coordinates flat-output blocks first;
-    z_values expresses them in the original variables and z_inverse goes
-    the other way.  combined_rows spell out the combined coordinate
-    change: every transformed state and every input as an expression in
-    the final coordinates.  row_elements and inverse_elements hold
-    combined_rows and z_inverse as elements of QQ(z_symbols), dynamics
-    the transformed dynamics st.forward[s] composed with f per block
-    symbol s, in QQ(x, u)."""
+    z_values expresses them as elements of QQ(x, u) and z_inverse goes
+    the other way, into QQ(z_symbols).  combined_rows spell out the
+    combined coordinate change: every transformed state and every input
+    as an element of QQ(z_symbols).  dynamics holds the transformed
+    dynamics st.forward[s] composed with f per block symbol s, in
+    QQ(x, u).  Every one of these fields has its generators sorted by
+    name."""
 
     system: object
     transformation: StateTransformation
@@ -679,9 +669,7 @@ class DecompositionTrace:
     y_blocks: tuple
     zhat_blocks: tuple
     y_level_symbols: tuple
-    row_elements: dict = field(default_factory=dict, compare=False, repr=False)
     dynamics: dict = field(default_factory=dict, compare=False, repr=False)
-    inverse_elements: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def kbar(self) -> int:
@@ -706,17 +694,15 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
     kbar = report.kbar
     chart = report.chart
     new = st.ordered_symbols
-    # the only expressions read: the chart map (theta = f, xi = xi_choice)
-    # with the forward map of st over QQ(x, u), and the inverse of st
-    base, values = symbolic.to_elements(
-        [chart.forward[c] for c in chart.coords] + [st.forward[s] for s in new],
-        _field(system.variables).symbols)
-    stands_for = dict(zip(chart.coords, values))
-    forward_all = dict(zip(new, values[len(chart.coords):]))
-    coordinates, values = symbolic.to_elements(
-        [st.inverse[s] for s in system.states] + list(system.inputs),
-        _field(new + system.inputs).symbols)
-    inverse_current = dict(zip(system.variables, values))
+    # the chart map (theta = f, xi = xi_choice) and the forward map of st
+    # over QQ(x, u), the inverse of st over QQ(new symbols, u)
+    base = _field(system.variables)
+    stands_for = {c: symbolic.rename(chart.forward[c], base, {}) for c in chart.coords}
+    forward_all = {s: symbolic.rename(st.forward[s], base, {}) for s in new}
+    coordinates = _field(new + system.inputs)
+    inverse_current = {s: symbolic.rename(st.inverse[s], coordinates, {})
+                       for s in system.states}
+    inverse_current.update(zip(system.inputs, geometry._generators(coordinates, system.inputs)))
     update = dict(zip(system.states, (stands_for[t] for t in chart.theta)))
     forward_all.update(zip(system.inputs, geometry._generators(base, system.inputs)))
     point_cur = {**st.point, **{u: eq_point[u] for u in system.inputs}}
@@ -766,7 +752,7 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
     rows = {sym: _compose(forward_all[sym], z_inverse, Z) for sym in st.ordered_symbols}
     rows.update((u, z_inverse[u]) for u in system.inputs)
 
-    z_values = {z: forward_all[z].as_expr() for z in z_symbols}
+    z_values = {z: forward_all[z] for z in z_symbols}
     components = tuple(z_values[s] for s in y_level_symbols)
     if len(components) != system.m:
         raise FlatcheckError(
@@ -780,30 +766,27 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
         steps=tuple(state.steps),
         z_symbols=tuple(z_symbols),
         z_values=z_values,
-        z_inverse={v: a.as_expr() for v, a in z_inverse.items()},
+        z_inverse=z_inverse,
         z_point={z: point_cur[z] for z in z_symbols},
-        combined_rows=tuple((sym, a.as_expr()) for sym, a in rows.items()),
+        combined_rows=tuple(rows.items()),
         y_blocks=tuple(y_blocks),
         zhat_blocks=tuple(zhat_blocks),
         y_level_symbols=tuple(y_level_symbols),
-        row_elements=rows,
         dynamics=state.dynamics,
-        inverse_elements=z_inverse,
     )
     return flat_output, trace
 
 
 @dataclass(frozen=True)
 class TriangularBlock:
-    """One implicit block: residuals that vanish along trajectories and the
-    coordinates the block is solved for during parametrization.
-    residual_elements holds the residuals as field elements."""
+    """One implicit block: residuals that vanish along trajectories, as
+    elements of QQ(the block's coordinates and their successors), and the
+    coordinates the block is solved for during parametrization."""
 
     k: int
     label: str
     residuals: tuple
     solved_for: tuple
-    residual_elements: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -840,6 +823,7 @@ def to_implicit_triangular(trace: DecompositionTrace):
     shifted = {z: _shift_symbol(z) for z in trace.z_symbols}
     Z = _field(trace.z_symbols)
     both = _field(list(shifted) + list(shifted.values()))
+    rows = dict(trace.combined_rows)
     point = {**trace.z_point, **{shifted[z]: v for z, v in trace.z_point.items()}}
     blocks = []
     for k in range(kbar, 0, -1):
@@ -851,9 +835,9 @@ def to_implicit_triangular(trace: DecompositionTrace):
         A = _field(allowed)
         residuals = []
         for sym in trace.transformation.blocks[k - 1]:
-            ahead = symbolic.rename(trace.row_elements[sym], both, shifted)
+            ahead = symbolic.rename(rows[sym], both, shifted)
             through = symbolic.rename(
-                _compose(trace.dynamics[sym], trace.inverse_elements, Z), both, {})
+                _compose(trace.dynamics[sym], trace.z_inverse, Z), both, {})
             try:
                 residuals.append(symbolic.rename(ahead - through, A, {}))
             except GeneratorsError:
@@ -871,9 +855,8 @@ def to_implicit_triangular(trace: DecompositionTrace):
             TriangularBlock(
                 k=k,
                 label="Xi_%d" % k,
-                residuals=tuple(symbolic.canonicalize_element(A, r) for r in residuals),
+                residuals=tuple(residuals),
                 solved_for=tuple(solved_for),
-                residual_elements=tuple(residuals),
             )
         )
     return ImplicitTriangularForm(
@@ -937,7 +920,7 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
 
     for block in form.blocks:
         unknowns = list(block.solved_for)
-        S, equations = _composed(block.residual_elements,
+        S, equations = _composed(block.residuals,
                                  {**param, **{z: _generator(z) for z in unknowns}}, unknowns)
         try:
             solutions = symbolic.solve_elements(S, equations, unknowns)
@@ -967,8 +950,7 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
             param[form.shifted[z]] = verification.shift_function(chosen[z])
 
     system = trace.system
-    _, values = _composed([trace.inverse_elements[v] for v in system.variables], param)
-    F_x = tuple(a.as_expr() for a in values[:system.n])
-    F_u = tuple(a.as_expr() for a in values[system.n:])
+    _, values = _composed([trace.z_inverse[v] for v in system.variables], param)
+    F_x, F_u = tuple(values[:system.n]), tuple(values[system.n:])
     R = verification._shift_ranks(F_x, F_u, len(form.y_symbols))
     return verification.FlatParametrization(F_x=F_x, F_u=F_u, R=R)

@@ -3,7 +3,7 @@
 An AnalysisDocument bundles everything one run produces: the model
 identity, the distribution-sequence record, and whichever construction
 and verification artifacts exist.  render_json turns it into a stable
-JSON string: dictionaries are built in schema order, expressions are
+JSON string: dictionaries are built in schema order, field elements are
 printed in the canonical infix of the model grammar, so the bytes
 depend only on the model, the flags, and the seed.
 """
@@ -58,10 +58,8 @@ def _steps_list(report) -> list:
                 "dim_D": step.dim_D,
                 "rho": step.rho,
                 "mu": step.mu,
-                "delta_basis": [_infix_row(c.as_expr() for c in f.components)
-                                for f in step.delta.fields],
-                "D_basis": [_infix_row(c.as_expr() for c in f.components)
-                            for f in step.D.fields],
+                "delta_basis": [_infix_row(f.components) for f in step.delta.fields],
+                "D_basis": [_infix_row(f.components) for f in step.D.fields],
             }
         )
     return steps

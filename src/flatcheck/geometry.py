@@ -155,24 +155,22 @@ def make_distribution(coords, rows) -> Distribution:
 class Chart:
     """Adapted chart (theta, xi) with stored forward and inverse maps.
 
-    forward maps each chart symbol to its expression in the base
-    variables; inverse maps each base variable back.  xi_choice records
-    which base coordinates serve as the fibre coordinates xi.
-
     function_field is QQ over the base variables and the chart symbols
-    together, generators sorted by name.  substitution holds, per
-    generator, the inverse map as a (numerator, denominator) pair of
-    polynomials, or None for the chart symbols, which stay.  jacobian
-    holds d forward[c] / d v composed with the inverse, one row per
-    chart coordinate c and one column per base variable v.  equilibrium
-    holds the declared point and its chart image, over every generator.
+    together, generators sorted by name.  forward maps each chart symbol
+    to its element of that field over the base variables.  substitution
+    holds the inverse map, per generator, as a (numerator, denominator)
+    pair of polynomials for a base variable, or None for the chart
+    symbols, which stay.  xi_choice records which base coordinates serve
+    as the fibre coordinates xi.  jacobian holds d forward[c] / d v
+    composed with the inverse, one row per chart coordinate c and one
+    column per base variable v.  equilibrium holds the declared point and
+    its chart image, over every generator.
     """
 
     system_vars: tuple
     theta: tuple
     xi: tuple
     forward: dict
-    inverse: dict
     xi_choice: tuple
     function_field: object = field(default=None, compare=False, repr=False)
     substitution: tuple = field(default=(), compare=False, repr=False)
@@ -217,10 +215,8 @@ def build_adapted_chart(system) -> Chart:
         )
     xi_choice = tuple(chosen)
 
-    forward = {theta[i]: system.update[i] for i in range(n)}
-    forward.update({xi[j]: xi_choice[j] for j in range(m)})
-    forward_elements = dict(zip(coords, update + [generators[v] for v in xi_choice]))
-    equations = [generators[c] - forward_elements[c] for c in coords]
+    forward = dict(zip(coords, update + [generators[v] for v in xi_choice]))
+    equations = [generators[c] - forward[c] for c in coords]
     try:
         solutions = symbolic.solve_elements(K, equations, variables)
     except IrrationalSolutionError:
@@ -234,7 +230,7 @@ def build_adapted_chart(system) -> Chart:
         )
 
     image = dict(zip(coords, map(QQ.to_sympy, symbolic.element_values(
-        K, [[forward_elements[c] for c in coords]], point)[0])))
+        K, [[forward[c] for c in coords]], point)[0])))
     inverse = None
     for sol in solutions:
         if set(sol) != set(variables):
@@ -257,12 +253,12 @@ def build_adapted_chart(system) -> Chart:
         for s in K.symbols
     )
     for c in coords:
-        residual = symbolic.compose(forward_elements[c], substitution) - generators[c]
+        residual = symbolic.compose(forward[c], substitution) - generators[c]
         if residual:
             raise ChartError("chart maps do not invert: residual %s on %s"
                              % (residual.as_expr(), c))
     jacobian = tuple(
-        tuple(symbolic.compose(forward_elements[c].diff(g), substitution)
+        tuple(symbolic.compose(forward[c].diff(g), substitution)
               for g in _generators(K, variables))
         for c in coords
     )
@@ -271,7 +267,6 @@ def build_adapted_chart(system) -> Chart:
         theta=theta,
         xi=xi,
         forward=forward,
-        inverse={v: symbolic.canonicalize_element(K, inverse[v]) for v in variables},
         xi_choice=xi_choice,
         function_field=K,
         substitution=substitution,

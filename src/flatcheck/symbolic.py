@@ -11,11 +11,11 @@ There is one matrix API, on field elements: ``element_rref``,
 ``element_nullspace``, ``element_rank``, ``element_values``,
 ``jacobian_rank`` and ``clear_element_row``, with ``rename`` and
 ``compose`` to move elements between fields and coordinates, and
-``solve_elements`` to solve.  ``to_elements`` is the only way into it;
-``canonicalize_element`` and ``.as_expr()`` are the ways out, and
-``canonicalize`` and ``to_infix`` apply both to an expression.  Every
-stage, from validation to verification, converts its expressions once
-and then calls only these.
+``solve_elements`` to solve.  ``to_elements`` is the only way into it,
+for the model's update map and a candidate output; every stage, from
+validation to verification, then calls only these, and the records
+between stages hold elements.  ``canonicalize_element`` and
+``.as_expr()`` are the ways out, and ``to_infix`` prints an element.
 
 ``solve_elements`` solves by exact elimination in the fraction field:
 it eliminates the unknowns in the caller's order, one equation linear
@@ -178,15 +178,10 @@ def canonical_pair(K, a):
     return num, den
 
 
-def canonicalize(e):
-    """Canonical form of a rational expression (see :func:`canonical_pair`)."""
-    K, (a,) = to_elements([e])
-    return canonicalize_element(K, a)
-
-
 def canonicalize_element(K, a):
-    """Canonical form of the element a of the field K: the expression that
-    :func:`canonicalize` gives for ``a.as_expr()``."""
+    """Canonical form of the element a of the field K, as an expression
+    (see :func:`canonical_pair`); equal elements of any two fields give
+    the same expression."""
     num, den = canonical_pair(K, a)
     return num if den == 1 else num / den
 
@@ -658,6 +653,8 @@ def clear_element_row(K, row):
     return cleared, field.raw_new(common.mul_ground(factor), one)
 
 
-def to_infix(e) -> str:
-    """Canonical infix string of the model grammar (powers written with ^)."""
-    return sp.sstr(canonicalize(e)).replace("**", "^")
+def to_infix(a) -> str:
+    """Canonical infix string of the field element a in the model grammar
+    (powers written with ^)."""
+    K = function_field(a.field.symbols)
+    return sp.sstr(canonicalize_element(K, a)).replace("**", "^")

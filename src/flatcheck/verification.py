@@ -4,10 +4,11 @@ A candidate flat output is verified symbolically by stacking its forward
 shifts, solving for the system variables as functions of the output jets,
 and checking the parametrization identity together with the submersion
 property.  All of it runs on rational function field elements: the
-candidate is converted once, ``shift_function`` shifts it by composing
+candidate comes as elements, ``shift_function`` shifts it by composing
 with the update map, ``symbolic.solve_elements`` solves the stacked
 equations, and the branch through the equilibrium is picked with
-``symbolic.element_values``.  Numeric verification replays random output
+``symbolic.element_values``; the parametrization it returns holds
+elements of a field of output jets.  Numeric verification replays random output
 trajectories near the equilibrium through the parametrization and
 measures the dynamics residual.  A symbolic PASS is required for a
 certified result; the numeric check only ever adds falsification power.
@@ -116,11 +117,17 @@ def _shift_through_system(a, system):
 
 
 @functools.lru_cache(maxsize=32)
+def _update_elements(update, gens) -> list:
+    """The update map as elements of QQ(gens)."""
+    return symbolic.to_elements(update, gens)[1]
+
+
+@functools.lru_cache(maxsize=32)
 def _system_images(field, states, inputs, update):
     """The shift of each generator of field, as a (numerator, denominator)
     pair of its ring: the update of a state, the next shift of an input
     shift that has one in field, and None for any other generator."""
-    _, elements = symbolic.to_elements(update, field.symbols)
+    elements = _update_elements(update, field.symbols)
     images = dict(zip(states, ((f.numer, f.denom) for f in elements)))
     gens = dict(zip(field.symbols, field.gens))
     for sym in field.symbols:
@@ -136,8 +143,8 @@ class FlatParametrization:
     """Difference parametrization of the system trajectories.
 
     F_x expresses the states through output shifts up to order R-1, F_u
-    the inputs through shifts up to order R; R is the per-component
-    multi-index of highest shifts."""
+    the inputs through shifts up to order R, as elements of a field of
+    output jets; R is the per-component multi-index of highest shifts."""
 
     F_x: tuple
     F_u: tuple
@@ -155,7 +162,6 @@ class Trajectory:
     horizon: int
     states: tuple
     inputs: tuple
-    outputs: tuple = None
 
 
 @dataclass(frozen=True)
@@ -186,8 +192,8 @@ class NumericVerification:
     trial_records: tuple
 
 
-def _equilibrium_jet_values(system, K, components, q):
-    """Values of the output components, elements of K over the states and
+def _equilibrium_jet_values(system, components, q):
+    """Values of the output components, field elements over the states and
     input shifts up to q, at the equilibrium."""
     point = system.equilibrium_point()
     for u in system.inputs:
@@ -196,11 +202,11 @@ def _equilibrium_jet_values(system, K, components, q):
     values = []
     for a in components:
         try:
-            (value,), = symbolic.element_values(K, [[a]], point)
+            (value,), = symbolic.element_values(
+                symbolic.function_field(a.field.symbols), [[a]], point)
         except ZeroDivisionError:
             raise FlatcheckError(
-                "output component %s has a pole at the equilibrium"
-                % symbolic.to_infix(a.as_expr())
+                "output component %s has a pole at the equilibrium" % symbolic.to_infix(a)
             ) from None
         values.append(QQ.to_sympy(value))
     return values
@@ -224,9 +230,9 @@ def _shift_ranks(F_x, F_u, m):
     R_j is at least 1, every shift of y_j in F_u, and one more than every
     shift of y_j in F_x.  None when a symbol is not a jet."""
     R = [1] * m
-    for exprs, extra in ((F_x, 1), (F_u, 0)):
-        for e in exprs:
-            for sym in sp.sympify(e).free_symbols:
+    for elements, extra in ((F_x, 1), (F_u, 0)):
+        for a in elements:
+            for sym in symbolic.used_symbols(a):
                 j, s = parse_jet_symbol(sym)
                 if j is None:
                     return None
@@ -239,10 +245,10 @@ def check_parametrization(system, p: FlatParametrization):
     reproduce the dynamics, the combined map is a generic submersion, and
     the states only use shifts below R.  Returns (ok, detail).
 
-    F_x, F_u and f are converted once; the shift renames the jets, and f
-    is composed with the parametrization in QQ(jets and shifted jets)."""
-    exprs = [sp.sympify(e) for e in p.F_x + p.F_u]
-    jets = sorted(set().union(*(e.free_symbols for e in exprs)), key=lambda s: s.name)
+    F_x and F_u are renamed into QQ(jets and shifted jets), where the
+    shift renames the jets and f is composed with the parametrization."""
+    elements = list(p.F_x) + list(p.F_u)
+    jets = _by_name(set().union(*map(symbolic.used_symbols, elements)))
     ahead = {}
     for sym in jets:
         j, s = parse_jet_symbol(sym)
@@ -251,16 +257,17 @@ def check_parametrization(system, p: FlatParametrization):
         ahead[sym] = jet_symbol(j, s + 1)
     if not jets:
         return False, "parametrization is not a generic submersion"
-    J, values = symbolic.to_elements(exprs, _by_name(set(jets) | set(ahead.values())))
-    _, update = symbolic.to_elements(system.update, system.variables)
+    J = symbolic.function_field(_by_name(set(jets) | set(ahead.values())))
+    values = [symbolic.rename(a, J, {}) for a in elements]
+    update = _update_elements(system.update, system.variables)
     substitution = [(a.numer, a.denom) for a in values]
     for s, a, f in zip(system.states, values, update):
         if symbolic.rename(a, J, ahead) - symbolic.compose(f, substitution, J):
             return False, "dynamics identity fails for %s" % s
     if symbolic.jacobian_rank(J, values, jets) != system.n + system.m:
         return False, "parametrization is not a generic submersion"
-    for i, e in enumerate(p.F_x):
-        for sym in sp.sympify(e).free_symbols:
+    for i, a in enumerate(p.F_x):
+        for sym in _by_name(symbolic.used_symbols(a)):
             j, s = parse_jet_symbol(sym)
             if s > p.R[j - 1] - 1:
                 return False, "state %d uses shift %d of component %d" % (i + 1, s, j)
@@ -268,20 +275,13 @@ def check_parametrization(system, p: FlatParametrization):
 
 
 def _candidate_parts(system, candidate):
-    """Component tuple and highest input shift of an output candidate.
-
-    Accepts a FlatOutput-shaped object or a plain sequence of expressions
-    over the states and input shifts; for the latter the shift order is
-    read off the free symbols."""
-    if hasattr(candidate, "components"):
-        return (
-            tuple(sp.sympify(c) for c in candidate.components),
-            candidate.q,
-        )
-    comps = tuple(sp.sympify(c) for c in candidate)
+    """Component tuple and highest input shift of an output candidate, a
+    sequence of field elements over the states and input shifts; the
+    shift order is read off the generators the elements use."""
+    comps = tuple(candidate)
     q = 0
-    for e in comps:
-        for sym in e.free_symbols:
+    for a in comps:
+        for sym in _by_name(symbolic.used_symbols(a)):
             if sym in system.states:
                 continue
             base, s = _parse_input_shift(sym, system.inputs)
@@ -294,7 +294,8 @@ def _candidate_parts(system, candidate):
 
 
 def verify_flat_output_symbolic(system, candidate):
-    """Decide whether candidate components form a flat output.
+    """Decide whether candidate components, field elements over the
+    states and input shifts, form a flat output.
 
     Stacks the forward shifts of the components up to an incrementally
     grown bound (capped at n + q + 1), solves for the system variables as
@@ -304,8 +305,8 @@ def verify_flat_output_symbolic(system, candidate):
     generic functional relation among the stacked shifts is a proof of
     failure; a solver that gives up is only INCONCLUSIVE.
 
-    The components are converted once, into QQ(states, input shifts up
-    to cap + q), where they are shifted and ranked.  Each bound is solved
+    The components are renamed into QQ(states, input shifts up to
+    cap + q), where they are shifted and ranked.  Each bound is solved
     in QQ(its jets, states and input shifts), into which its equations
     are renamed: the gcds of the elimination slow down with every
     generator of the field, used or not."""
@@ -317,8 +318,9 @@ def verify_flat_output_symbolic(system, candidate):
     m, n = system.m, system.n
     cap = n + q + 1
     shifts = _input_shifts(system, cap + q)
-    X, level = symbolic.to_elements(components, _by_name(list(system.states) + shifts))
-    centers = _equilibrium_jet_values(system, X, level, q)
+    X = symbolic.function_field(_by_name(list(system.states) + shifts))
+    level = [symbolic.rename(a, X, {}) for a in components]
+    centers = _equilibrium_jet_values(system, level, q)
     stacked, used = [], set()
     detail = "no solvable shift bound up to %d" % cap
     for alpha in range(cap + 1):
@@ -379,7 +381,7 @@ def verify_flat_output_symbolic(system, candidate):
 def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
     """Solve the stacked jet equations, elements of the field S, for the
     given unknowns and select the branch through the equilibrium.
-    Returns (F_x, F_u) with jet-pure expressions for every state and
+    Returns (F_x, F_u) with jet-pure elements of S for every state and
     input, or None."""
     try:
         solutions = symbolic.solve_elements(S, equations, unknowns)
@@ -403,8 +405,7 @@ def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
             continue
         if list(map(QQ.to_sympy, values)) != [eq_point[v] for v in system.variables]:
             continue
-        return ([sol[s].as_expr() for s in system.states],
-                [sol[u].as_expr() for u in system.inputs])
+        return ([sol[s] for s in system.states], [sol[u] for u in system.inputs])
     return None
 
 
@@ -423,31 +424,23 @@ def verify_flat_output_numeric(
     Each trial samples a y-trajectory componentwise uniform in a box
     around the equilibrium's output image, computes states and inputs via
     the parametrization, and measures the worst dynamics residual; when
-    the candidate is supplied, the outputs are replayed and compared to
-    the samples.  Trials are independent, seeded by (seed, index), and
+    the candidate (field elements, as for verify_flat_output_symbolic)
+    is supplied, the outputs are replayed and compared to the samples.  Trials are independent, seeded by (seed, index), and
     merged in index order, so reports are reproducible.  Pole hits
     resample the trial a bounded number of times."""
     m = p.m
     comps = None
     if candidate is not None:
         comps, q = _candidate_parts(system, candidate)
-        K, elements = symbolic.to_elements(comps, list(system.states) + _input_shifts(system, q))
-        centers = [float(v) for v in _equilibrium_jet_values(system, K, elements, q)]
+        centers = [float(v) for v in _equilibrium_jet_values(system, comps, q)]
     else:
         centers = [0.0] * m
         q = 0
     max_r = max(p.R)
     length = horizon + max_r + q + 2
-    jets_used = sorted(
-        {
-            sym
-            for e in list(p.F_x) + list(p.F_u)
-            for sym in sp.sympify(e).free_symbols
-        },
-        key=lambda s: s.name,
-    )
-    fx_fns = [sp.lambdify(jets_used, e, modules="math") for e in p.F_x]
-    fu_fns = [sp.lambdify(jets_used, e, modules="math") for e in p.F_u]
+    jets_used = _by_name(set().union(*map(symbolic.used_symbols, list(p.F_x) + list(p.F_u))))
+    fx_fns = [sp.lambdify(jets_used, a.as_expr(), modules="math") for a in p.F_x]
+    fu_fns = [sp.lambdify(jets_used, a.as_expr(), modules="math") for a in p.F_u]
     sys_vars = list(system.states) + list(system.inputs)
     f_fns = [sp.lambdify(sys_vars, f, modules="math") for f in system.update]
     phi_fns = None
@@ -455,9 +448,7 @@ def verify_flat_output_numeric(
         phi_vars = list(system.states) + [
             input_shift_symbol(u, s) for s in range(q + 1) for u in system.inputs
         ]
-        phi_fns = [
-            sp.lambdify(phi_vars, sp.sympify(c), modules="math") for c in comps
-        ]
+        phi_fns = [sp.lambdify(phi_vars, c.as_expr(), modules="math") for c in comps]
 
     def jet_values(samples, k):
         values = {}

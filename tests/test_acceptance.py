@@ -73,8 +73,8 @@ def test_criterion_2_flagship_flat_output_and_triangular(
     flat4_artifacts, models_dir, capsys
 ):
     flat_output, trace, form, p = flat4_artifacts
-    assert sp.expand(flat_output.components[0] - x1 * (x3 + 1)) == 0
-    assert sp.expand(flat_output.components[1] - (x2 + 3 * x4)) == 0
+    assert sp.expand(flat_output.components[0].as_expr() - x1 * (x3 + 1)) == 0
+    assert sp.expand(flat_output.components[1].as_expr() - (x2 + 3 * x4)) == 0
 
     code = cli.main(["extract", str(models_dir / "flat4.sys")])
     out = capsys.readouterr().out
@@ -102,18 +102,20 @@ def test_criterion_2_flagship_flat_output_and_triangular(
         1: [names["zhat1_1_p1"] - names["y3_1"] - names["zhat0_1"]],
     }
     for block in form.blocks:
-        assert _same_residual_set(block.residuals, expected_blocks[block.k])
+        residuals = [r.as_expr() for r in block.residuals]
+        assert _same_residual_set(residuals, expected_blocks[block.k])
 
 
 def test_criterion_3_parametrization_identities(flat4, flat4_artifacts):
     _, _, _, p = flat4_artifacts
+    exprs = [a.as_expr() for a in p.F_x + p.F_u]
     jets = sorted(
-        {s for e in p.F_x + p.F_u for s in e.free_symbols},
+        {s for e in exprs for s in e.free_symbols},
         key=lambda s: s.name,
     )
     shifted = [verification.jet_symbol(j, s + 1)
                for j, s in map(verification.parse_jet_symbol, jets)]
-    K, elements = symbolic.to_elements(p.F_x + p.F_u, sorted(set(jets + shifted), key=str))
+    K, elements = symbolic.to_elements(exprs, sorted(set(jets + shifted), key=str))
     # x+ = f(x, u) along the parametrization: F_x shifted once equals f
     # composed with (F_x, F_u)
     _, update = symbolic.to_elements(flat4.update, flat4.variables)
@@ -129,7 +131,7 @@ def test_criterion_3_parametrization_identities(flat4, flat4_artifacts):
     for j, bound in enumerate(p.R, start=1):
         top = verification.jet_symbol(j, bound)
         for e in p.F_x:
-            assert sp.diff(e, top) == 0
+            assert sp.diff(e.as_expr(), top) == 0
 
     ok, detail = verification.check_parametrization(flat4, p)
     assert ok, detail
@@ -145,7 +147,7 @@ def test_criterion_4_numeric_replay(flat4, flat4_artifacts):
         tol=NUMERIC_TOL,
         seed=0,
         box=0.1,
-        candidate=flat_output,
+        candidate=flat_output.components,
     )
     assert report.status == "PASS"
     assert report.trials == 20
@@ -172,7 +174,7 @@ def test_criterion_5_static_feedback_linearizable_pattern(load_system, name):
         levels[block.k - 1] = list(block.solved_for)
     for block in form.blocks:
         upstream = levels[block.k][0]
-        residual = block.residuals[0]
+        residual = block.residuals[0].as_expr()
         delay = form.shifted[upstream] - block.solved_for[0]
         assert sp.expand(residual - delay) == 0 or sp.expand(residual + delay) == 0
 
@@ -212,7 +214,7 @@ def test_criterion_7_property_suites_present():
 
 def test_criterion_8_mutation_is_detected(flat4, flat4_artifacts):
     flat_output, _, _, p = flat4_artifacts
-    y1_jet = verification.jet_symbol(1, 0)
+    y1_jet = p.F_u[0].field.from_expr(verification.jet_symbol(1, 0))
     mutated = FlatParametrization(
         F_x=p.F_x,
         F_u=(p.F_u[0] + y1_jet,) + tuple(p.F_u[1:]),
@@ -226,7 +228,7 @@ def test_criterion_8_mutation_is_detected(flat4, flat4_artifacts):
         tol=NUMERIC_TOL,
         seed=0,
         box=0.1,
-        candidate=flat_output,
+        candidate=flat_output.components,
     )
     assert report.status == "FAIL"
     assert len(report.trial_records) == 20

@@ -6,7 +6,7 @@ import sys
 import pytest
 import sympy
 
-from flatcheck import cli, symbolic
+from flatcheck import cli, modelfile, symbolic
 
 
 def run(capsys, *argv):
@@ -354,6 +354,35 @@ class TestNoSympyCalls:
         code, out, _ = run(capsys, "verify", flat4, "--output", "x1*x3 + x1; x2 + 3*x4")
         assert code == 0
         assert "symbolic: PASS" in out
+
+
+class TestExpressionBoundary:
+    """Expressions enter the field-element kernel only where the user
+    writes them: the model's update map and the candidate components."""
+
+    def test_flat4_converts_only_the_update_map_and_the_candidate(
+        self, capsys, models_dir, monkeypatch, tmp_path
+    ):
+        flat4 = model_path(models_dir, "flat4")
+        output = "x1*x3 + x1; x2 + 3*x4"
+        system = modelfile.load_model(flat4)
+        allowed = set(system.update)
+        allowed.update(modelfile.parse_expression(piece, system) for piece in output.split(";"))
+        converted = []
+        fractions = symbolic._fractions
+
+        def recorded(exprs, gens=None):
+            exprs = list(exprs)
+            converted.extend(exprs)
+            return fractions(exprs, gens)
+
+        monkeypatch.setattr(symbolic, "_fractions", recorded)
+        code, _, _ = run(capsys, "extract", flat4, "--json", str(tmp_path / "flat4.json"))
+        assert code == 0
+        code, _, _ = run(capsys, "verify", flat4, "--output", output)
+        assert code == 0
+        assert converted
+        assert [e for e in converted if e not in allowed] == []
 
 
 class TestVacuousFlags:

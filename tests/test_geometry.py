@@ -119,8 +119,12 @@ next x2 = u
 """
         )
         chart = geometry.build_adapted_chart(system)
+        inverse = {s: pair[0].as_expr() / pair[1].as_expr()
+                   for s, pair in zip(chart.function_field.symbols, chart.substitution)
+                   if pair is not None}
+        assert set(inverse) == set(system.variables)
         for c in chart.coords:
-            residual = chart.forward[c].subs(chart.inverse, simultaneous=True) - c
+            residual = chart.forward[c].as_expr().subs(inverse, simultaneous=True) - c
             assert sp.simplify(residual) == 0
 
     def test_quadratic_input_still_charts(self):

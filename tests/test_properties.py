@@ -331,7 +331,7 @@ class TestRedundantInputExtension:
             for un, e in zip(reduction.reduced.inputs, reduction.kept_functions)
         }
         presented = [
-            sp.cancel(c.subs(back, simultaneous=True))
+            sp.cancel(c.as_expr().subs(back, simultaneous=True))
             for c in flat_output.components
         ]
         presented.extend(reduction.extension)
@@ -363,9 +363,10 @@ class TestRedundantInputExtension:
             for un, e in zip(reduction.reduced.inputs, reduction.kept_functions)
         }
         candidate = tuple(
-            sp.cancel(c.subs(back, simultaneous=True))
+            sp.cancel(c.as_expr().subs(back, simultaneous=True))
             for c in flat_output.components
         ) + tuple(reduction.extension)
+        _, candidate = symbolic.to_elements(candidate, redundant.variables)
         p, sym_report = verification.verify_flat_output_symbolic(
             redundant, candidate
         )

@@ -72,24 +72,33 @@ class TestShiftFunction:
         assert twice.as_expr() == u
 
 
+def _candidate(system, exprs):
+    """Candidate components as elements of QQ(the system's variables)."""
+    return symbolic.to_elements(exprs, system.variables)[1]
+
+
+def _perturbed(p):
+    """p with y1 added to the first input's parametrization."""
+    y1 = p.F_u[0].field.from_expr(verification.jet_symbol(1, 0))
+    return verification.FlatParametrization(
+        F_x=p.F_x, F_u=(p.F_u[0] + y1, p.F_u[1]), R=p.R
+    )
+
+
 class TestCheckParametrization:
     def test_constructed_parametrization_passes(self, flat4, flat4_artifacts):
         ok, detail = verification.check_parametrization(flat4, flat4_artifacts[3])
         assert ok, detail
 
     def test_perturbed_parametrization_fails(self, flat4, flat4_artifacts):
-        p = flat4_artifacts[3]
-        y1 = verification.jet_symbol(1, 0)
-        broken = verification.FlatParametrization(
-            F_x=p.F_x, F_u=(p.F_u[0] + y1, p.F_u[1]), R=p.R
-        )
+        broken = _perturbed(flat4_artifacts[3])
         ok, detail = verification.check_parametrization(flat4, broken)
         assert not ok
 
 
 class TestSymbolicVerification:
     def test_flagship_candidate_passes(self, flat4):
-        candidate = (x1 * (x3 + 1), x2 + 3 * x4)
+        candidate = _candidate(flat4, (x1 * (x3 + 1), x2 + 3 * x4))
         p, report = verification.verify_flat_output_symbolic(flat4, candidate)
         assert report.status == "PASS"
         assert report.bound == 3
@@ -97,7 +106,7 @@ class TestSymbolicVerification:
         assert p.R == (3, 2)
 
     def test_dependent_components_fail_fast(self, flat4):
-        candidate = (x1, 2 * x1)
+        candidate = _candidate(flat4, (x1, 2 * x1))
         p, report = verification.verify_flat_output_symbolic(flat4, candidate)
         assert p is None
         assert report.status == "FAIL"
@@ -105,21 +114,21 @@ class TestSymbolicVerification:
 
     def test_chain_candidate(self, chain2):
         p, report = verification.verify_flat_output_symbolic(
-            chain2, (chain2.states[0],)
+            chain2, _candidate(chain2, (chain2.states[0],))
         )
         assert report.status == "PASS"
         assert p.R == (2,)
 
     def test_component_count_is_checked(self, flat4):
         with pytest.raises(FlatcheckError):
-            verification.verify_flat_output_symbolic(flat4, (x1,))
+            verification.verify_flat_output_symbolic(flat4, _candidate(flat4, (x1,)))
 
     def test_wrong_chain_output_is_refuted(self, chain2):
         """The input itself satisfies no difference relation with one
         component, but its parametrization attempt cannot close, so the
         verdict must not be PASS."""
         u = chain2.inputs[0]
-        p, report = verification.verify_flat_output_symbolic(chain2, (u,))
+        p, report = verification.verify_flat_output_symbolic(chain2, _candidate(chain2, (u,)))
         assert report.status in ("FAIL", "INCONCLUSIVE")
         assert p is None
 
@@ -129,7 +138,7 @@ class TestNumericVerification:
         flat_output = flat4_artifacts[0]
         p = flat4_artifacts[3]
         result = verification.verify_flat_output_numeric(
-            flat4, p, trials=20, horizon=20, seed=0, candidate=flat_output
+            flat4, p, trials=20, horizon=20, seed=0, candidate=flat_output.components
         )
         assert result.status == "PASS"
         assert result.max_residual < 1e-9
@@ -153,11 +162,7 @@ class TestNumericVerification:
         ]
 
     def test_mutated_parametrization_fails_every_trial(self, flat4, flat4_artifacts):
-        p = flat4_artifacts[3]
-        y1 = verification.jet_symbol(1, 0)
-        broken = verification.FlatParametrization(
-            F_x=p.F_x, F_u=(p.F_u[0] + y1, p.F_u[1]), R=p.R
-        )
+        broken = _perturbed(flat4_artifacts[3])
         result = verification.verify_flat_output_numeric(
             flat4, broken, trials=20, horizon=20, seed=0
         )
@@ -172,7 +177,7 @@ class TestNumericVerification:
             p,
             trials=3,
             seed=0,
-            candidate=(x1 * (x3 + 1), x2 + 3 * x4),
+            candidate=_candidate(flat4, (x1 * (x3 + 1), x2 + 3 * x4)),
         )
         assert result.status == "PASS"
 
