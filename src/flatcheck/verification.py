@@ -8,10 +8,11 @@ candidate comes as elements, ``shift_function`` shifts it by composing
 with the update map, ``symbolic.solve_elements`` solves the stacked
 equations, and the branch through the equilibrium is picked with
 ``symbolic.element_values``; the parametrization it returns holds
-elements of a field of output jets.  Numeric verification replays random output
-trajectories near the equilibrium through the parametrization and
-measures the dynamics residual.  A symbolic PASS is required for a
-certified result; the numeric check only ever adds falsification power.
+elements of a field of output jets.  Numeric verification replays
+random output trajectories near the equilibrium through the
+parametrization and measures the dynamics residual.  A symbolic PASS
+is required for a certified result; the numeric check only ever adds
+falsification power.
 """
 
 from dataclasses import dataclass
@@ -425,8 +426,9 @@ def verify_flat_output_numeric(
     around the equilibrium's output image, computes states and inputs via
     the parametrization, and measures the worst dynamics residual; when
     the candidate (field elements, as for verify_flat_output_symbolic)
-    is supplied, the outputs are replayed and compared to the samples.  Trials are independent, seeded by (seed, index), and
-    merged in index order, so reports are reproducible.  Pole hits
+    is supplied, the outputs are replayed and compared to the samples.
+    Trials are independent, seeded by (seed, index), and merged in index
+    order, so reports are reproducible.  Pole hits
     resample the trial a bounded number of times."""
     m = p.m
     comps = None

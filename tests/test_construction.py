@@ -305,8 +305,9 @@ def _used_generators(a) -> set:
 class TestPeelingOnFieldElements:
     @pytest.mark.parametrize("model", ["flat4", "chain2"])
     def test_expressions_are_read_only_at_entry(self, model, request, monkeypatch):
-        """extract_flat_output converts expressions in a few batches at its
-        entry; the triangular form and the parametrization convert none."""
+        """extract_flat_output reads the chart and its own records as
+        field elements, so neither it nor the triangular form nor the
+        parametrization converts an expression."""
         system = request.getfixturevalue(model)
         report = request.getfixturevalue(model + "_report")
         calls = 0
@@ -320,7 +321,7 @@ class TestPeelingOnFieldElements:
         monkeypatch.setattr(symbolic, "_fractions", counted)
         _, trace = construction.extract_flat_output(system, report)
         construction.parametrize_from_triangular(construction.to_implicit_triangular(trace))
-        assert calls <= 4
+        assert calls == 0
 
     @pytest.mark.parametrize("model", ["flat4", "sfl_quadratic", "quad_chain"])
     def test_transformed_rows_lie_in_the_coordinates(self, model, load_system, monkeypatch):
