@@ -353,22 +353,32 @@ def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for
     are chart symbols, read as what they stand for: stands_for maps them
     to elements over the variables (theta = f(x, u), xi = xi_choice).
     The component along c of a basis field v is v(forward[c]) composed
-    with the inverse map, as in geometry.transform_vector_field.  Returns
-    one row of elements of L per basis field.
+    with the inverse map, as in geometry.transform_vector_field.  Each
+    distinct element, Jacobian entry or basis entry, is composed once.
+    Returns one row of elements of L per basis field.
     """
     variables = dist.coords
     L = symbolic.function_field(next(iter(inverse.values())).field.symbols)
     images = dict(inverse)
+    composed = {}
+
+    def moved(a):
+        if a not in composed:
+            composed[a] = _compose(a, images, L)
+        return composed[a]
+
+    # the values of the chart symbols and the Jacobian entries use no
+    # chart symbol, so images composes them as inverse does
     for s, a in (stands_for or {}).items():
-        images[s] = _compose(a, inverse, L)
+        images[s] = moved(a)
     jacobian = []
     for c in coords:
         f = forward[c]
         gens = geometry._generators(symbolic.function_field(f.field.symbols), variables)
-        jacobian.append([_compose(f.diff(g), inverse, L) for g in gens])
+        jacobian.append([moved(f.diff(g)) for g in gens])
     rows = []
     for row in _rows(dist):
-        row = [_compose(a, images, L) for a in row]
+        row = [moved(a) for a in row]
         rows.append([sum((d * a for d, a in zip(jac_row, row) if d and a), L.zero)
                      for jac_row in jacobian])
     return rows

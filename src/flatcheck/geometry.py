@@ -11,14 +11,19 @@ Conventions.  Vector fields and distributions are component data over
 an explicit coordinate tuple.  Every component is an element of a
 rational function field (a sympy ``FracElement``; ``.as_expr()`` gives
 the expression), one field per space: over the base variables (x, u)
-the chart's QQ(x, u, theta, xi), over the shifted state symbols
-x<i>_p1 of the image space QQ(x_p1, ...).  Lift and pushforward rename
-generators between the two, so the sequence builds no sympy expression;
-only build_adapted_chart and make_distribution read expressions.  All
-linear algebra runs over these fields, so every basis produced here is
-deterministic.  The chart stores its inverse map and the Jacobian of
-its forward map in its field, so a transform is two substitutions and
-a matrix-vector product.
+the chart's wide field QQ(x, u, theta, xi), in chart coordinates the
+narrow field QQ(theta, xi), over the shifted state symbols x<i>_p1 of
+the image space QQ(x_p1, ...).  Lift and pushforward rename generators
+between the spaces, and the chart renames the model's update elements,
+so the sequence builds no sympy expression; only make_distribution
+reads expressions.  The chart-coordinate half of the largest
+projectable subdistribution, where nearly all gcds are taken, runs in
+the narrow field; its coefficients are renamed into the wide field to
+recombine the base rows.  All linear algebra runs over these fields, so
+every basis produced here is deterministic.  The chart stores one
+inverse substitution, from the wide field into the narrow one, and the
+Jacobian of its forward map composed through it, so a transform is one
+substitution and a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .errors import (
     IrrationalSolutionError,
     NotProjectableError,
 )
+from .model import update_elements
 
 
 def shifted_state_symbols(system) -> tuple:
@@ -98,7 +104,8 @@ class Distribution:
     allow rank evaluations at points where the preferred basis has
     poles.  chart_fields, when
     present, are the basis fields transformed into the coordinates of
-    chart (see transform_vector_field), in basis order.
+    chart (see transform_vector_field), in basis order, with components
+    in chart.coordinate_field.
     """
 
     coords: tuple
@@ -155,16 +162,21 @@ def make_distribution(coords, rows) -> Distribution:
 class Chart:
     """Adapted chart (theta, xi) with stored forward and inverse maps.
 
-    function_field is QQ over the base variables and the chart symbols
-    together, generators sorted by name.  forward maps each chart symbol
-    to its element of that field over the base variables.  substitution
-    holds the inverse map, per generator, as a (numerator, denominator)
-    pair of polynomials for a base variable, or None for the chart
-    symbols, which stay.  xi_choice records which base coordinates serve
-    as the fibre coordinates xi.  jacobian holds d forward[c] / d v
-    composed with the inverse, one row per chart coordinate c and one
-    column per base variable v.  equilibrium holds the declared point and
-    its chart image, over every generator.
+    function_field is the wide field QQ(x, u, theta, xi) of components
+    over the base variables, coordinate_field the narrow field
+    QQ(theta, xi) of components in chart coordinates, both with their
+    generators sorted by name.  forward maps each chart symbol to its
+    element of the wide field over the base variables.  substitution is
+    the one inverse map: per generator of the wide field, a (numerator,
+    denominator) pair of polynomials of the narrow field, the inverse
+    image for a base variable and the symbol's own generator for a chart
+    symbol, so symbolic.compose(a, substitution, coordinate_field)
+    rewrites any wide element in chart coordinates.  xi_choice records
+    which base coordinates serve as the fibre coordinates xi.  jacobian
+    holds d forward[c] / d v composed through substitution, in the
+    narrow field, one row per chart coordinate c and one column per base
+    variable v.  equilibrium holds the declared point and its chart
+    image, over every generator.
     """
 
     system_vars: tuple
@@ -181,6 +193,15 @@ class Chart:
     def coords(self) -> tuple:
         return tuple(self.theta) + tuple(self.xi)
 
+    @property
+    def coordinate_field(self):
+        return _coordinate_field(self.coords)
+
+
+def _coordinate_field(coords):
+    """QQ(coords), generators sorted by name."""
+    return symbolic.function_field(tuple(sorted(coords, key=lambda s: s.name)))
+
 
 def build_adapted_chart(system) -> Chart:
     """Adapted chart: theta = f(x, u) plus m fibre coordinates xi.
@@ -189,15 +210,18 @@ def build_adapted_chart(system) -> Chart:
     variables, states before inputs, keeping the stacked Jacobian of
     (f, xi) regular both generically and at the equilibrium.  The
     inverse map is computed symbolically and the branch through the
-    equilibrium is selected.
+    equilibrium is selected.  The update map is the model's one
+    conversion (model.update_elements), renamed into the wide field.
     """
     n, m = system.n, system.m
     variables = system.variables
     point = system.equilibrium_point()
 
     coords, K = _chart_field(system)
+    N = _coordinate_field(coords)
     theta, xi = coords[:n], coords[n:]
-    _, update = symbolic.to_elements(system.update, K.symbols)
+    update = [symbolic.rename(f, K, {})
+              for f in update_elements(system.update, variables)[1]]
     generators = dict(zip(K.symbols, K.field.gens))
 
     # (f, chosen, candidate) has one row per function, so a full rank at
@@ -248,17 +272,17 @@ def build_adapted_chart(system) -> Chart:
             % (tuple(map(str, xi_choice)),)
         )
 
-    substitution = tuple(
-        (inverse[s].numer, inverse[s].denom) if s in inverse else None
-        for s in K.symbols
-    )
+    # the solved values use only the chart symbols, so they rename into N
+    images = {**dict(zip(N.symbols, N.field.gens)),
+              **{v: symbolic.rename(a, N, {}) for v, a in inverse.items()}}
+    substitution = tuple((images[s].numer, images[s].denom) for s in K.symbols)
     for c in coords:
-        residual = symbolic.compose(forward[c], substitution) - generators[c]
+        residual = symbolic.compose(forward[c], substitution, N) - images[c]
         if residual:
             raise ChartError("chart maps do not invert: residual %s on %s"
                              % (residual.as_expr(), c))
     jacobian = tuple(
-        tuple(symbolic.compose(forward[c].diff(g), substitution)
+        tuple(symbolic.compose(forward[c].diff(g), substitution, N)
               for g in _generators(K, variables))
         for c in coords
     )
@@ -278,19 +302,20 @@ def build_adapted_chart(system) -> Chart:
 def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
     """Rewrite a field over the base variables in chart coordinates.
 
-    The components of v and of the result are elements of
-    chart.function_field: the Jacobian of the forward map applied to the
-    field, both composed with the inverse map.  Chart symbols occurring
-    in the components of v are kept as they are.
+    The components of v are elements of chart.function_field, those of
+    the result elements of chart.coordinate_field: the Jacobian of the
+    forward map applied to the field, both composed with the inverse
+    map.  Chart symbols occurring in the components of v are kept as
+    they are.
     """
     if v.coords != chart.system_vars:
         raise ValueError("field is not over the chart's base variables")
-    K = chart.function_field
-    moved = [symbolic.compose(c, chart.substitution) if c else None
+    N = chart.coordinate_field
+    moved = [symbolic.compose(c, chart.substitution, N) if c else None
              for c in v.components]
     components = []
     for row in chart.jacobian:
-        total = K.zero
+        total = N.zero
         for d, c in zip(row, moved):
             if c is not None and d:
                 total += d * c
@@ -320,7 +345,7 @@ def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
 
 def _projectability(adapted: VectorField, system, chart: Chart) -> bool:
     """is_projectable on a field already in chart coordinates."""
-    fibre = _generators(chart.function_field, chart.xi)
+    fibre = _generators(chart.coordinate_field, chart.xi)
     return not any(
         adapted.components[i].diff(x) for i in range(system.n) for x in fibre
     )
@@ -405,13 +430,16 @@ def largest_projectable_subdistribution(
     At the fixed point, a projectable basis is extracted through the
     echelon form of the theta block, and rechecked field by field.
 
-    The candidate fields are carried both over the base variables and
-    in chart coordinates.  Only the fields of dist are transformed: the
-    kernel coefficients are functions of the chart coordinates, so the
-    chart form of sum_a c_a v_a is sum_a c_a * chart(v_a), times the
-    cleared denominator's factor composed with the inverse map.  The
-    extracted basis is transformed afresh by the recheck, and those
-    transforms are carried on the result as its chart_fields.
+    The candidate fields are carried both over the base variables, in
+    chart.function_field, and in chart coordinates, in the narrow
+    chart.coordinate_field, where every row reduction runs.  Only the
+    fields of dist are transformed: the kernel and extraction
+    coefficients are functions of the chart coordinates, so the chart
+    form of sum_a c_a v_a is sum_a c_a * chart(v_a), times the cleared
+    denominator's factor composed with the inverse map where the base
+    row is cleared.  The coefficients are renamed into the wide field to
+    combine the base rows.  The chart forms of the extracted basis are
+    carried on the result as its chart_fields.
     """
     n = system.n
     if dist.dim == 0:
@@ -423,13 +451,20 @@ def largest_projectable_subdistribution(
             stacklevel=2,
         )
 
-    K = chart.function_field
-    fibre = _generators(K, chart.xi)
+    K, N = chart.function_field, chart.coordinate_field
+    fibre = _generators(N, chart.xi)
+
+    def widened(coeffs):
+        return [symbolic.rename(c, K, {}) if c else K.zero for c in coeffs]
+
+    def moved(factor):
+        return symbolic.compose(factor, chart.substitution, N)
+
     adapted = [list(transform_vector_field(f, chart).components) for f in dist.fields]
     cur = [list(f.components) for f in dist.fields]
     while True:
         nonzero = [a[:n] for a in adapted if any(a[:n])]
-        reduced, pivots = symbolic.element_rref(K, nonzero, n)
+        reduced, pivots = symbolic.element_rref(N, nonzero, n)
         reduced = reduced[: len(pivots)]
         # residuals[j][a]: d/d xi_j of the theta block of field a, modulo
         # the span of the theta block
@@ -443,18 +478,17 @@ def largest_projectable_subdistribution(
             for j in range(len(fibre))
             for i in range(n)
         ]
-        rref, kernel_pivots = symbolic.element_rref(K, relations, len(cur))
-        kernel = symbolic.element_nullspace(K, rref, kernel_pivots, len(cur))
+        rref, kernel_pivots = symbolic.element_rref(N, relations, len(cur))
+        kernel = symbolic.element_nullspace(N, rref, kernel_pivots, len(cur))
         if len(kernel) == len(cur):
             break
         if not kernel:
-            return Distribution(coords=dist.coords, fields=())
+            return Distribution(coords=dist.coords, fields=(), chart=chart)
         new_cur, new_adapted = [], []
         for vec in kernel:
-            comps, factor = symbolic.clear_element_row(K, _combine(vec, cur, K.zero))
+            comps, factor = symbolic.clear_element_row(K, _combine(widened(vec), cur, K.zero))
             new_cur.append(comps)
-            factor = symbolic.compose(factor, chart.substitution)
-            new_adapted.append([factor * c for c in _combine(vec, adapted, K.zero)])
+            new_adapted.append([moved(factor) * c for c in _combine(vec, adapted, N.zero)])
         cur, adapted = new_cur, new_adapted
 
     # Extraction: echelon-reduce the theta block with an identity block
@@ -462,30 +496,30 @@ def largest_projectable_subdistribution(
     # with xi-free theta components (top rows) and vertical fields
     # (zero-theta rows).
     aug = [
-        a[:n] + [K.one if b == i else K.zero for b in range(len(cur))]
+        a[:n] + [N.one if b == i else N.zero for b in range(len(cur))]
         for i, a in enumerate(adapted)
     ]
-    rref, _ = symbolic.element_rref(K, aug, n + len(cur))
+    rref, _ = symbolic.element_rref(N, aug, n + len(cur))
     witness = [symbolic.clear_element_row(K, comps)[0] for comps in cur]
-    out_fields = []
+    out_fields, chart_fields = [], []
     for row in rref:
-        comps = _combine(row[n:], cur, K.zero)
-        cleared, _ = symbolic.clear_element_row(K, comps)
+        comps = _combine(widened(row[n:]), cur, K.zero)
+        cleared, factor = symbolic.clear_element_row(K, comps)
         witness.append(cleared)
+        adapted_f = _combine(row[n:], adapted, N.zero)
         # Rescaling a field by a coordinate-dependent factor changes its
         # theta components' xi-derivatives, so denominators may only be
         # cleared on vertical rows, whose theta block is zero anyway.
-        out_fields.append(VectorField(dist.coords, tuple(comps if any(row[:n]) else cleared)))
-
-    chart_fields = []
-    for f in out_fields:
-        adapted_f = transform_vector_field(f, chart)
-        if not _projectability(adapted_f, system, chart):
+        if not any(row[:n]):
+            comps = cleared
+            adapted_f = [moved(factor) * c for c in adapted_f]
+        out_fields.append(VectorField(dist.coords, tuple(comps)))
+        chart_fields.append(VectorField(chart.coords, tuple(adapted_f)))
+        if not _projectability(chart_fields[-1], system, chart):
             raise NotProjectableError(
                 "projectable basis extraction failed: %s"
-                % (tuple(c.as_expr() for c in f.components),)
+                % (tuple(c.as_expr() for c in comps),)
             )
-        chart_fields.append(adapted_f)
     result = Distribution(
         coords=dist.coords,
         fields=tuple(out_fields),
@@ -552,7 +586,8 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
     # df/d(x, u) at the equilibrium; witness rows mix base and chart
     # symbols, so they are evaluated at both equilibria too
     K = chart.function_field
-    jac_eq = symbolic.element_values(K, chart.jacobian[:system.n], chart.equilibrium)
+    jac_eq = symbolic.element_values(
+        chart.coordinate_field, chart.jacobian[:system.n], chart.equilibrium)
     W = symbolic.element_values(K, _witness_rows(dist, K), chart.equilibrium)
     pushed = [[sum(w * d for w, d in zip(w_row, d_row)) for d_row in jac_eq]
               for w_row in W]

@@ -8,6 +8,7 @@ generically and at the equilibrium, and flags inputs that act redundantly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import sympy as sp
@@ -57,6 +58,19 @@ class DiscreteTimeSystem:
         return dict(self.equilibrium)
 
 
+@functools.lru_cache(maxsize=32)
+def update_elements(update, variables) -> tuple:
+    """The update map as (K, elements) with K = QQ(variables), variables
+    in the system's order, states first.
+
+    This is the one conversion of the model's update map; a stage that
+    needs it in another field renames these elements.  Raises
+    UnsupportedEquationError when the map is not rational.
+    """
+    K, elements = symbolic.to_elements(update, variables)
+    return K, tuple(elements)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the structural checks on a system that passes them."""
@@ -77,7 +91,7 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
     """
     n, m = system.n, system.m
     try:
-        K, update = symbolic.to_elements(system.update, system.variables)
+        K, update = update_elements(system.update, system.variables)
     except UnsupportedEquationError as exc:
         raise ValidationError("system %r: %s" % (system.name, exc)) from None
     point = system.equilibrium_point()
@@ -160,7 +174,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     to retain at least one effective input.
     """
     n, m = system.n, system.m
-    K, update = symbolic.to_elements(system.update, system.variables)
+    K, update = update_elements(system.update, system.variables)
     ijac = [[f.diff(u) for u in K.field.gens[n:]] for f in update]
     # the first update components f^{i_r} whose input-Jacobian rows are
     # independent, the pivot columns of its transpose; their values

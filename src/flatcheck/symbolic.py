@@ -239,6 +239,11 @@ def compose(a, substitution, K=None):
     K, a's own by default.  Raises ZeroDivisionError when the substituted
     denominator vanishes, whatever the numerator."""
     field = a.field if K is None else K.field
+    if a.numer.is_ground and a.denom.is_ground:
+        # a constant: nothing to substitute, and no gcd to take
+        ring = field.ring
+        return a if field is a.field else field.raw_new(
+            ring.ground_new(a.numer.LC), ring.ground_new(a.denom.LC))
     num, num_den = _substitute(a.numer, substitution, field.ring)
     den, den_den = _substitute(a.denom, substitution, field.ring)
     if num is a.numer and den is a.denom:

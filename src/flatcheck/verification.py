@@ -25,6 +25,7 @@ from sympy import QQ
 
 from . import symbolic
 from .errors import FlatcheckError, SimulationError
+from .model import update_elements
 
 __all__ = [
     "jet_symbol",
@@ -118,17 +119,12 @@ def _shift_through_system(a, system):
 
 
 @functools.lru_cache(maxsize=32)
-def _update_elements(update, gens) -> list:
-    """The update map as elements of QQ(gens)."""
-    return symbolic.to_elements(update, gens)[1]
-
-
-@functools.lru_cache(maxsize=32)
 def _system_images(field, states, inputs, update):
     """The shift of each generator of field, as a (numerator, denominator)
     pair of its ring: the update of a state, the next shift of an input
     shift that has one in field, and None for any other generator."""
-    elements = _update_elements(update, field.symbols)
+    K = symbolic.function_field(field.symbols)
+    elements = [symbolic.rename(f, K, {}) for f in update_elements(update, states + inputs)[1]]
     images = dict(zip(states, ((f.numer, f.denom) for f in elements)))
     gens = dict(zip(field.symbols, field.gens))
     for sym in field.symbols:
@@ -260,7 +256,7 @@ def check_parametrization(system, p: FlatParametrization):
         return False, "parametrization is not a generic submersion"
     J = symbolic.function_field(_by_name(set(jets) | set(ahead.values())))
     values = [symbolic.rename(a, J, {}) for a in elements]
-    update = _update_elements(system.update, system.variables)
+    _, update = update_elements(system.update, system.variables)
     substitution = [(a.numer, a.denom) for a in values]
     for s, a, f in zip(system.states, values, update):
         if symbolic.rename(a, J, ahead) - symbolic.compose(f, substitution, J):
@@ -544,7 +540,7 @@ def simulate(system, x0, inputs) -> Trajectory:
     exact = all(v.is_Rational for v in values)
     sys_vars = list(system.states) + list(system.inputs)
     if exact:
-        K, update = symbolic.to_elements(system.update, sys_vars)
+        K, update = update_elements(system.update, system.variables)
         state = [sp.Rational(v) for v in x0]
         states = [tuple(state)]
         for k, row in enumerate(rows):

@@ -77,6 +77,11 @@ def nonflat_bilinear():
 
 
 @pytest.fixture(scope="session")
+def nonflat_bilinear_report(nonflat_bilinear):
+    return analysis.run_algorithm1(nonflat_bilinear)
+
+
+@pytest.fixture(scope="session")
 def quad_chain():
     return load("quad_chain")
 

@@ -345,3 +345,29 @@ class TestPeelingOnFieldElements:
             for row in rows:
                 for a in row:
                     assert _used_generators(a) <= set(coords)
+
+    def test_transform_composes_each_element_once(self, flat4, flat4_report, monkeypatch):
+        """Within one re-reading of a basis, an element shared by Jacobian
+        entries or basis entries is composed into the coordinates once."""
+        composed, active = [], []
+        transform, compose = construction._transform, symbolic.compose
+
+        def tracked(*args):
+            composed.append([])
+            active.append(True)
+            try:
+                return transform(*args)
+            finally:
+                active.pop()
+
+        def recorded(a, *args):
+            if active:
+                composed[-1].append(a)
+            return compose(a, *args)
+
+        monkeypatch.setattr(construction, "_transform", tracked)
+        monkeypatch.setattr(symbolic, "compose", recorded)
+        construction.extract_flat_output(flat4, flat4_report)
+        assert len(composed) == 2 * flat4_report.kbar + len(flat4_report.delta_chain())
+        for elements in composed:
+            assert len(elements) == len(set(elements))

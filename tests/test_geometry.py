@@ -1,13 +1,17 @@
 """Distributions, adapted charts, projectability, and the sequence steps."""
 
+import pathlib
 import random
 
 import pytest
 import sympy as sp
 
-from flatcheck import geometry, modelfile, symbolic
+from flatcheck import cli, geometry, modelfile, symbolic
+from flatcheck.errors import ConstantDimensionError
 
 x1, x2, x3 = sp.symbols("x1 x2 x3")
+BUNDLED = sorted(p.stem for p in (pathlib.Path(__file__).resolve().parent.parent
+                                   / "models").glob("*.sys"))
 
 
 def _field(coords, components):
@@ -119,10 +123,13 @@ next x2 = u
 """
         )
         chart = geometry.build_adapted_chart(system)
-        inverse = {s: pair[0].as_expr() / pair[1].as_expr()
-                   for s, pair in zip(chart.function_field.symbols, chart.substitution)
-                   if pair is not None}
-        assert set(inverse) == set(system.variables)
+        images = {s: pair[0].as_expr() / pair[1].as_expr()
+                  for s, pair in zip(chart.function_field.symbols, chart.substitution)}
+        assert set(images) == set(system.variables) | set(chart.coords)
+        # chart symbols stay; base variables go to functions of the chart
+        assert all(images[c] == c for c in chart.coords)
+        inverse = {s: images[s] for s in system.variables}
+        assert all(inverse[s].free_symbols <= set(chart.coords) for s in inverse)
         for c in chart.coords:
             residual = chart.forward[c].as_expr().subs(inverse, simultaneous=True) - c
             assert sp.simplify(residual) == 0
@@ -173,7 +180,10 @@ class TestSequenceSteps:
         )[0]
         assert normalized == expected
 
-    @pytest.mark.parametrize("report_fixture", ["flat4_report", "chain2_report"])
+    @pytest.mark.parametrize(
+        "report_fixture",
+        ["flat4_report", "chain2_report", "sfl_quadratic_report", "nonflat_bilinear_report"],
+    )
     def test_carried_chart_forms_match_fresh_transforms(self, request, report_fixture):
         report = request.getfixturevalue(report_fixture)
         for step in report.steps:
@@ -204,6 +214,42 @@ class TestSequenceSteps:
     def test_deltas_are_involutive(self, flat4_report):
         for delta in flat4_report.delta_chain():
             assert geometry.is_involutive(delta) is True
+
+
+class TestNarrowChartField:
+    """Chart forms live in QQ(theta, xi), the chart coordinates sorted by
+    name, not in the wide field of the base rows."""
+
+    @pytest.mark.parametrize("model", BUNDLED)
+    def test_chart_forms_are_in_the_coordinate_field(self, model, load_system, monkeypatch):
+        charts, projectable = [], []
+        build = geometry.build_adapted_chart
+        cut = geometry.largest_projectable_subdistribution
+
+        def built(system):
+            charts.append(build(system))
+            return charts[-1]
+
+        def recorded(*args):
+            projectable.append(cut(*args))
+            return projectable[-1]
+
+        monkeypatch.setattr(geometry, "build_adapted_chart", built)
+        monkeypatch.setattr(geometry, "largest_projectable_subdistribution", recorded)
+        try:
+            cli._prepare(load_system(model))
+        except ConstantDimensionError:
+            pass
+        assert len(charts) == 1 and projectable
+        chart = charts[0]
+        narrow = tuple(sorted(chart.coords, key=lambda s: s.name))
+        for row in chart.jacobian:
+            for a in row:
+                assert a.field.symbols == narrow
+        for D in projectable:
+            for f in D.chart_fields:
+                for a in f.components:
+                    assert a.field.symbols == narrow
 
 
 class TestSequenceWithoutExpressions:
