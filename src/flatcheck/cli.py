@@ -104,16 +104,14 @@ def _present_flat_output(flat_output, reduction):
     """Name/element pairs of the output in the original variables."""
     if reduction is None:
         return list(zip(flat_output.names, flat_output.components))
-    reduced = reduction.reduced
     # each variable of the reduced system, then each extending component,
-    # over the original variables
-    K, images = symbolic.to_elements(
-        reduced.states + reduction.kept_functions + reduction.extension)
-    moved = dict(zip(reduced.variables, images))
-    substitution = [(moved[s].numer, moved[s].denom)
-                    for s in flat_output.components[0].field.symbols]
-    comps = [symbolic.compose(c, substitution, K) for c in flat_output.components]
-    comps += images[len(moved):]
+    # in QQ(x, u) of the kept update elements
+    kept, states = reduction.kept_functions, reduction.reduced.states
+    K = symbolic.function_field(kept[0].field.symbols)
+    images = {**dict(zip(states, symbolic.generators(K, states))),
+              **dict(zip(reduction.reduced.inputs, kept))}
+    comps = [symbolic.compose(c, images, K) for c in flat_output.components]
+    comps += symbolic.generators(K, reduction.removed_coordinates)
     names = ["y%d" % (i + 1) for i in range(len(comps))]
     return list(zip(names, comps))
 

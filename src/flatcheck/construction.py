@@ -84,7 +84,7 @@ def _gradients_at(functions, variables, point) -> list:
     rows = []
     for h in functions:
         K = symbolic.function_field(h.field.symbols)
-        gens = geometry._generators(K, variables)
+        gens = symbolic.generators(K, variables)
         rows.append(symbolic.element_values(K, [[h.diff(g) for g in gens]], point)[0])
     return rows
 
@@ -230,23 +230,6 @@ class StateTransformation:
         return tuple(out)
 
 
-def _field(symbols):
-    """QQ(symbols), generators sorted by name."""
-    return symbolic.function_field(tuple(sorted(symbols, key=lambda s: s.name)))
-
-
-def _compose(a, images, K):
-    """The field element a with each generator s replaced by images[s], an
-    element of the field K, as an element of K.  A generator without an
-    image is kept when K is a's own field; otherwise it raises
-    GeneratorsError."""
-    if not a:
-        return K.zero
-    substitution = [(images[s].numer, images[s].denom) if s in images else None
-                    for s in a.field.symbols]
-    return symbolic.compose(a, substitution, K)
-
-
 def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTransformation:
     """Build a state transformation adapted to a nested distribution chain.
 
@@ -294,10 +277,10 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
     forward.update(zip(rest, rest_values))
     new_syms = [s for block in blocks for s in block] + list(rest)
     inverse = _pick_inverse_branch(
-        _field(states + tuple(new_syms)), [(sym, forward[sym]) for sym in new_syms],
+        symbolic.field(states + tuple(new_syms)), [(sym, forward[sym]) for sym in new_syms],
         states, {**forward, **gens}, gens,
         "state transformation could not be inverted rationally")
-    L = _field(new_syms)
+    L = symbolic.field(new_syms)
     inverse = {s: symbolic.rename(a, L, {}) for s, a in inverse.items()}
     values = symbolic.element_values(P, [[forward[sym] for sym in new_syms]], point)[0]
     st = StateTransformation(
@@ -329,12 +312,12 @@ def _pick_inverse_branch(K, definitions, unknowns, forward, expected, message):
     branch is a left inverse of the coordinate change and hence unique,
     so the order of the branches does not matter.  Raises
     StraighteningError(message) when no branch is one."""
-    symbol = dict(zip(K.symbols, K.field.gens))
-    equations = [symbol[s] - symbolic.rename(v, K, {}) for s, v in definitions]
+    new = symbolic.generators(K, [s for s, _ in definitions])
+    equations = [g - symbolic.rename(v, K, {}) for g, (_, v) in zip(new, definitions)]
     target = symbolic.function_field(next(iter(expected.values())).field.symbols)
     for sol in symbolic.solve_elements(K, equations, unknowns):
         if set(sol) == set(unknowns) and all(
-            _compose(sol[g], forward, target) == expected[g] for g in unknowns
+            symbolic.compose(sol[g], forward, target) == expected[g] for g in unknowns
         ):
             return {g: sol[g] for g in unknowns}
     raise StraighteningError(message)
@@ -353,50 +336,39 @@ def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for
     are chart symbols, read as what they stand for: stands_for maps them
     to elements over the variables (theta = f(x, u), xi = xi_choice).
     The component along c of a basis field v is v(forward[c]) composed
-    with the inverse map, as in geometry.transform_vector_field.  Each
-    distinct element, Jacobian entry or basis entry, is composed once.
-    Returns one row of elements of L per basis field.
+    with the inverse map, as in geometry.transform_vector_field, whose
+    composed_jacobian and apply_jacobian it shares.  Each distinct
+    element, Jacobian entry or basis entry, is composed once.  Returns
+    one row of elements of L per basis field.
     """
-    variables = dist.coords
     L = symbolic.function_field(next(iter(inverse.values())).field.symbols)
     images = dict(inverse)
     composed = {}
 
     def moved(a):
         if a not in composed:
-            composed[a] = _compose(a, images, L)
+            composed[a] = symbolic.compose(a, images, L)
         return composed[a]
 
     # the values of the chart symbols and the Jacobian entries use no
     # chart symbol, so images composes them as inverse does
     for s, a in (stands_for or {}).items():
         images[s] = moved(a)
-    jacobian = []
-    for c in coords:
-        f = forward[c]
-        gens = geometry._generators(symbolic.function_field(f.field.symbols), variables)
-        jacobian.append([moved(f.diff(g)) for g in gens])
-    rows = []
-    for row in _rows(dist):
-        row = [moved(a) for a in row]
-        rows.append([sum((d * a for d, a in zip(jac_row, row) if d and a), L.zero)
-                     for jac_row in jacobian])
-    return rows
+    jacobian = geometry.composed_jacobian(forward, coords, dist.coords, moved)
+    return [geometry.apply_jacobian(jacobian, [moved(a) for a in row], L.zero)
+            for row in _rows(dist)]
 
 
 @dataclass(frozen=True)
 class DecompositionStep:
-    """Record of one peeling step: the consumed fibre coordinates gamma,
-    the symbols of the redundancy split (zeta, y) and of the
-    straightening (eta, zhat).  The trace's z_values hold what the
-    surviving ones stand for."""
+    """Record of one peeling step: the number mu of redundant fibre
+    directions, the symbols y split off with them and the symbols zhat
+    of the straightening.  The trace's z_values hold what they stand
+    for."""
 
     k: int
     mu: int
-    gamma: tuple
-    zeta_symbols: tuple
     y_symbols: tuple
-    eta_symbols: tuple
     zhat_symbols: tuple
 
 
@@ -429,10 +401,6 @@ class DecompositionState:
         """State symbols of the blocks above level k."""
         return [s for block in self.st.blocks[k:] for s in block]
 
-    def generators(self) -> dict:
-        """The current coordinates as elements of their field."""
-        return dict(zip(self.coordinates.symbols, self.coordinates.field.gens))
-
 
 def _fbar_block(state: DecompositionState, j, K, message) -> list:
     """Dynamics of transformed block j in the current coordinates, as
@@ -441,7 +409,8 @@ def _fbar_block(state: DecompositionState, j, K, message) -> list:
     try:
         return [
             symbolic.rename(
-                _compose(state.dynamics[s], state.inverse_current, state.coordinates), K, {})
+                symbolic.compose(state.dynamics[s], state.inverse_current, state.coordinates),
+                K, {})
             for s in state.st.blocks[j - 1]
         ]
     except GeneratorsError:
@@ -458,17 +427,18 @@ def _change_fibre(state: DecompositionState, definitions, consumed, k):
     inverse maps there, and renamed into QQ(the new current
     coordinates)."""
     new = [s for s, _ in definitions]
-    new_forward = {s: _compose(v, state.forward_all, state.base) for s, v in definitions}
-    H = _field(state.coordinates.symbols + tuple(new))
+    new_forward = {s: symbolic.compose(v, state.forward_all, state.base)
+                   for s, v in definitions}
+    H = symbolic.field(state.coordinates.symbols + tuple(new))
     solution = _pick_inverse_branch(
         H, definitions, consumed, {**state.forward_all, **new_forward},
         {g: state.forward_all[g] for g in consumed},
         "fibre transformation at step %d could not be inverted rationally" % k)
     state.forward_all.update(new_forward)
-    state.coordinates = _field(
+    state.coordinates = symbolic.field(
         [s for s in state.coordinates.symbols if s not in consumed] + new)
     state.inverse_current = {
-        v: symbolic.rename(_compose(symbolic.rename(a, H, {}), solution, H),
+        v: symbolic.rename(symbolic.compose(symbolic.rename(a, H, {}), solution, H),
                            state.coordinates, {})
         for v, a in state.inverse_current.items()
     }
@@ -512,13 +482,13 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 "with full input rank" % mu_reported
             )
     else:
-        K = _field(remaining + gamma)
+        K = symbolic.field(remaining + gamma)
         fbar_rows = []
         for j in range(k + 1, kbar + 1):
             fbar_rows += _fbar_block(
                 state, j, K,
                 "dynamics of block %d depend on coordinates consumed at step %d" % (j, k - 1))
-        gens = geometry._generators(K, gamma)
+        gens = symbolic.generators(K, gamma)
         jacobian = [[a.diff(g) for g in gens] for a in fbar_rows]
         rank_generic, rank_point = _ranks(K, jacobian, len(gamma), state.point_cur)
         if rank_point != rank_generic:
@@ -545,11 +515,11 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 _gradients_at(invariants, gamma, state.point_cur), gamma, mu,
                 "redundant directions at step %d" % k)
             y_syms = [sp.Symbol("y%d_%d" % (k, i + 1)) for i in range(mu)]
-            current = state.generators()
-            _change_fibre(state, list(zip(zeta_syms, invariants))
-                          + [(s, current[g]) for s, g in zip(y_syms, chosen)], gamma, k)
+            kept = symbolic.generators(state.coordinates, chosen)
+            _change_fibre(state, list(zip(zeta_syms, invariants)) + list(zip(y_syms, kept)),
+                          gamma, k)
             state.verticals.extend(y_syms)
-            K = _field(remaining + zeta_syms)
+            K = symbolic.field(remaining + zeta_syms)
             for j in range(k + 1, kbar + 1):
                 _fbar_block(state, j, K,
                             "dynamics above step %d retain consumed directions" % k)
@@ -594,9 +564,9 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         _gradients_at(invariants, zeta_syms, state.point_cur), zeta_syms, rho_next,
         "straightening at step %d" % k)
     zhat_syms = [sp.Symbol("zhat%d_%d" % (k, i + 1)) for i in range(rho_next)]
-    current = state.generators()
-    _change_fibre(state, list(zip(eta_syms, invariants))
-                  + [(s, current[z]) for s, z in zip(zhat_syms, chosen)], zeta_syms, k)
+    kept = symbolic.generators(state.coordinates, chosen)
+    _change_fibre(state, list(zip(eta_syms, invariants)) + list(zip(zhat_syms, kept)),
+                  zeta_syms, k)
     state.verticals.extend(zhat_syms)
 
     # the straightened distribution must now be exactly the vertical span
@@ -613,15 +583,15 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
 
     # dynamics above the step must not see the consumed fibre directions
     allowed_above = state.remaining_states(k) + eta_syms
-    K = _field(allowed_above)
+    K = symbolic.field(allowed_above)
     for j in range(k + 2, kbar + 1):
         _fbar_block(state, j, K,
                     "dynamics of block %d depend on coordinates consumed at step %d" % (j, k))
-    K = _field(allowed_above + zhat_syms)
+    K = symbolic.field(allowed_above + zhat_syms)
     next_rows = _fbar_block(
         state, k + 1, K,
         "dynamics of block %d depend on coordinates consumed at step %d" % (k + 1, k))
-    gens = geometry._generators(K, zhat_syms)
+    gens = symbolic.generators(K, zhat_syms)
     generic, at_point = _ranks(K, [[a.diff(g) for g in gens] for a in next_rows],
                                rho_next, state.point_cur)
     if generic != rho_next:
@@ -632,11 +602,8 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         raise FlatcheckError(
             "block %d dynamics are singular at the equilibrium" % (k + 1)
         )
-    record = DecompositionStep(
-        k=k, mu=mu, gamma=tuple(gamma), zeta_symbols=tuple(zeta_syms),
-        y_symbols=tuple(y_syms), eta_symbols=tuple(eta_syms),
-        zhat_symbols=tuple(zhat_syms),
-    )
+    record = DecompositionStep(k=k, mu=mu, y_symbols=tuple(y_syms),
+                               zhat_symbols=tuple(zhat_syms))
     state.eta = list(eta_syms)
     state.steps.append(record)
     return state, record
@@ -706,19 +673,19 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
     new = st.ordered_symbols
     # the chart map (theta = f, xi = xi_choice) and the forward map of st
     # over QQ(x, u), the inverse of st over QQ(new symbols, u)
-    base = _field(system.variables)
+    base = symbolic.field(system.variables)
     stands_for = {c: symbolic.rename(chart.forward[c], base, {}) for c in chart.coords}
     forward_all = {s: symbolic.rename(st.forward[s], base, {}) for s in new}
-    coordinates = _field(new + system.inputs)
+    coordinates = symbolic.field(new + system.inputs)
     inverse_current = {s: symbolic.rename(st.inverse[s], coordinates, {})
                        for s in system.states}
-    inverse_current.update(zip(system.inputs, geometry._generators(coordinates, system.inputs)))
+    inverse_current.update(zip(system.inputs, symbolic.generators(coordinates, system.inputs)))
     update = dict(zip(system.states, (stands_for[t] for t in chart.theta)))
-    forward_all.update(zip(system.inputs, geometry._generators(base, system.inputs)))
+    forward_all.update(zip(system.inputs, symbolic.generators(base, system.inputs)))
     point_cur = {**st.point, **{u: eq_point[u] for u in system.inputs}}
     state = DecompositionState(
         system=system, report=report, st=st, base=base, coordinates=coordinates,
-        dynamics={s: _compose(forward_all[s], update, base) for s in new},
+        dynamics={s: symbolic.compose(forward_all[s], update, base) for s in new},
         stands_for=stands_for, max_degree=max_degree, forward_all=forward_all,
         inverse_current=inverse_current, point_cur=point_cur,
     )
@@ -749,7 +716,7 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
             "decomposition produced %d final coordinates for %d variables"
             % (len(z_symbols), system.n + system.m)
         )
-    Z = _field(z_symbols)
+    Z = symbolic.field(z_symbols)
     z_inverse = {}
     for v in system.variables:
         try:
@@ -759,7 +726,7 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
             raise FlatcheckError(
                 "inverse of %s retains intermediate coordinates" % v
             ) from None
-    rows = {sym: _compose(forward_all[sym], z_inverse, Z) for sym in st.ordered_symbols}
+    rows = {sym: symbolic.compose(forward_all[sym], z_inverse, Z) for sym in st.ordered_symbols}
     rows.update((u, z_inverse[u]) for u in system.inputs)
 
     z_values = {z: forward_all[z] for z in z_symbols}
@@ -831,8 +798,8 @@ def to_implicit_triangular(trace: DecompositionTrace):
     in QQ(z, z_p1)."""
     kbar = trace.kbar
     shifted = {z: _shift_symbol(z) for z in trace.z_symbols}
-    Z = _field(trace.z_symbols)
-    both = _field(list(shifted) + list(shifted.values()))
+    Z = symbolic.field(trace.z_symbols)
+    both = symbolic.field(list(shifted) + list(shifted.values()))
     rows = dict(trace.combined_rows)
     point = {**trace.z_point, **{shifted[z]: v for z, v in trace.z_point.items()}}
     blocks = []
@@ -842,19 +809,19 @@ def to_implicit_triangular(trace: DecompositionTrace):
         for j in range(k, kbar + 1):
             for z in _level_symbols(trace, j):
                 allowed += [z, shifted[z]]
-        A = _field(allowed)
+        A = symbolic.field(allowed)
         residuals = []
         for sym in trace.transformation.blocks[k - 1]:
             ahead = symbolic.rename(rows[sym], both, shifted)
             through = symbolic.rename(
-                _compose(trace.dynamics[sym], trace.z_inverse, Z), both, {})
+                symbolic.compose(trace.dynamics[sym], trace.z_inverse, Z), both, {})
             try:
                 residuals.append(symbolic.rename(ahead - through, A, {}))
             except GeneratorsError:
                 raise FlatcheckError(
                     "triangular block %d violates the dependence pattern" % k
                 ) from None
-        gens = geometry._generators(A, solved_for)
+        gens = symbolic.generators(A, solved_for)
         generic, at_point = _ranks(A, [[r.diff(g) for g in gens] for r in residuals],
                                    len(solved_for), point)
         if generic != len(solved_for):
@@ -878,30 +845,16 @@ def to_implicit_triangular(trace: DecompositionTrace):
     )
 
 
-def _generator(s):
-    return _field([s]).field.gens[0]
-
-
 def _composed(elements, images, keep=()):
     """Elements of one field with each generator s replaced by images[s],
     an element of any field.  Returns K = QQ(keep and the generators the
     results use), sorted by name, and the results as elements of K."""
     symbols = elements[0].field.symbols
-    W = _field(set(keep).union(*(symbolic.used_symbols(images[s]) for s in symbols)))
+    W = symbolic.field(set(keep).union(*(symbolic.used_symbols(images[s]) for s in symbols)))
     moved = {s: symbolic.rename(images[s], W, {}) for s in symbols}
-    results = [_compose(a, moved, W) for a in elements]
-    K = _field(set(keep).union(*map(symbolic.used_symbols, results)))
+    results = [symbolic.compose(a, moved, W) for a in elements]
+    K = symbolic.field(set(keep).union(*map(symbolic.used_symbols, results)))
     return K, [symbolic.rename(a, K, {}) for a in results]
-
-
-def _passes_through(K, sol, point, center) -> bool:
-    """Whether the branch sol, elements of the field K by unknown, takes
-    the values center at point.  A pole there does not."""
-    try:
-        values = symbolic.element_values(K, [list(sol.values())], point)[0]
-    except ZeroDivisionError:
-        return False
-    return values == [center[z] for z in sol]
 
 
 def _format_equations(equations) -> str:
@@ -917,11 +870,10 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
     the jets its equations use).  Raises ImplicitSolveError when a block
     has no rational solution branch through the equilibrium."""
     trace = form.trace
-    param = {}
-    for j, ysym in enumerate(form.y_symbols, start=1):
-        param[ysym] = _generator(verification.jet_symbol(j, 0))
-        param[form.shifted[ysym]] = _generator(verification.jet_symbol(j, 1))
-    center = {z: QQ.from_sympy(v) for z, v in trace.z_point.items()}
+    ys = form.y_symbols
+    jets = [verification.jet_symbol(j, s) for s in (0, 1) for j in range(1, len(ys) + 1)]
+    param = dict(zip(list(ys) + [form.shifted[y] for y in ys],
+                     symbolic.generators(symbolic.field(jets), jets)))
 
     def at_equilibrium(sym):
         """A jet takes the equilibrium value of its component."""
@@ -930,8 +882,8 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
 
     for block in form.blocks:
         unknowns = list(block.solved_for)
-        S, equations = _composed(block.residuals,
-                                 {**param, **{z: _generator(z) for z in unknowns}}, unknowns)
+        own = dict(zip(unknowns, symbolic.generators(symbolic.field(unknowns), unknowns)))
+        S, equations = _composed(block.residuals, {**param, **own}, unknowns)
         try:
             solutions = symbolic.solve_elements(S, equations, unknowns)
         except IrrationalSolutionError as exc:
@@ -945,11 +897,8 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
                 % (block.label, _format_equations(equations), exc)
             )
         point = {s: at_equilibrium(s) for s in S.symbols}
-        chosen = next(
-            (sol for sol in solutions
-             if set(sol) == set(unknowns) and _passes_through(S, sol, point, center)),
-            None,
-        )
+        chosen = symbolic.branch_through(S, solutions, unknowns, point,
+                                         [trace.z_point[z] for z in unknowns])
         if chosen is None:
             raise ImplicitSolveError(
                 "implicit solve failed for block %s: %s"

@@ -21,9 +21,11 @@ projectable subdistribution, where nearly all gcds are taken, runs in
 the narrow field; its coefficients are renamed into the wide field to
 recombine the base rows.  All linear algebra runs over these fields, so
 every basis produced here is deterministic.  The chart stores one
-inverse substitution, from the wide field into the narrow one, and the
-Jacobian of its forward map composed through it, so a transform is one
-substitution and a matrix-vector product.
+inverse map, from the wide field into the narrow one, and the Jacobian
+of its forward map composed with it, so a transform is one composition
+per component and a matrix-vector product.  composed_jacobian and
+apply_jacobian are that re-reading of a basis in new coordinates, which
+the peeling of the construction shares.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ def _chart_field(system):
     generators sorted by name."""
     coords = tuple(sp.Symbol("theta_%d" % (i + 1)) for i in range(system.n)) + tuple(
         sp.Symbol("xi_%d" % (j + 1)) for j in range(system.m))
-    gens = tuple(sorted(system.variables + coords, key=lambda s: s.name))
-    return coords, symbolic.function_field(gens)
+    return coords, symbolic.field(system.variables + coords)
 
 
 def _field_of(rows):
@@ -67,11 +68,6 @@ def _field_of(rows):
     if any(a.field != field for row in rows for a in row):
         raise ValueError("components from different function fields")
     return symbolic.function_field(field.symbols)
-
-
-def _generators(K, symbols) -> list:
-    index = {s: i for i, s in enumerate(K.symbols)}
-    return [K.field.gens[index[s]] for s in symbols]
 
 
 @dataclass(frozen=True)
@@ -166,17 +162,17 @@ class Chart:
     over the base variables, coordinate_field the narrow field
     QQ(theta, xi) of components in chart coordinates, both with their
     generators sorted by name.  forward maps each chart symbol to its
-    element of the wide field over the base variables.  substitution is
-    the one inverse map: per generator of the wide field, a (numerator,
-    denominator) pair of polynomials of the narrow field, the inverse
-    image for a base variable and the symbol's own generator for a chart
-    symbol, so symbolic.compose(a, substitution, coordinate_field)
-    rewrites any wide element in chart coordinates.  xi_choice records
-    which base coordinates serve as the fibre coordinates xi.  jacobian
-    holds d forward[c] / d v composed through substitution, in the
-    narrow field, one row per chart coordinate c and one column per base
-    variable v.  equilibrium holds the declared point and its chart
-    image, over every generator.
+    element of the wide field over the base variables.  inverse is the
+    one inverse map: per generator of the wide field, an element of the
+    narrow field, the inverse image for a base variable and the symbol's
+    own generator for a chart symbol, so
+    symbolic.compose(a, inverse, coordinate_field) rewrites any wide
+    element in chart coordinates.  xi_choice records which base
+    coordinates serve as the fibre coordinates xi.  jacobian holds
+    d forward[c] / d v composed with the inverse map, in the narrow
+    field, one row per chart coordinate c and one column per base
+    variable v (see composed_jacobian).  equilibrium holds the declared
+    point and its chart image, over every generator.
     """
 
     system_vars: tuple
@@ -185,7 +181,7 @@ class Chart:
     forward: dict
     xi_choice: tuple
     function_field: object = field(default=None, compare=False, repr=False)
-    substitution: tuple = field(default=(), compare=False, repr=False)
+    inverse: dict = field(default_factory=dict, compare=False, repr=False)
     jacobian: tuple = field(default=(), compare=False, repr=False)
     equilibrium: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -195,12 +191,28 @@ class Chart:
 
     @property
     def coordinate_field(self):
-        return _coordinate_field(self.coords)
+        return symbolic.field(self.coords)
 
 
-def _coordinate_field(coords):
-    """QQ(coords), generators sorted by name."""
-    return symbolic.function_field(tuple(sorted(coords, key=lambda s: s.name)))
+def composed_jacobian(forward, coords, variables, moved) -> list:
+    """The Jacobian of a forward map composed with an inverse map: one row
+    per coordinate c of coords and one column per variable v, holding
+    d forward[c] / d v passed through moved, which composes an element
+    with the inverse map."""
+    rows = []
+    for c in coords:
+        f = forward[c]
+        gens = symbolic.generators(symbolic.function_field(f.field.symbols), variables)
+        rows.append([moved(f.diff(g)) for g in gens])
+    return rows
+
+
+def apply_jacobian(jacobian, row, zero) -> list:
+    """A composed_jacobian times row, the components of a field over the
+    variables already composed with the inverse map: the field's
+    components in the new coordinates.  zero is the zero of their field."""
+    return [sum((d * a for d, a in zip(jac_row, row) if d and a), zero)
+            for jac_row in jacobian]
 
 
 def build_adapted_chart(system) -> Chart:
@@ -218,11 +230,10 @@ def build_adapted_chart(system) -> Chart:
     point = system.equilibrium_point()
 
     coords, K = _chart_field(system)
-    N = _coordinate_field(coords)
+    N = symbolic.field(coords)
     theta, xi = coords[:n], coords[n:]
     update = [symbolic.rename(f, K, {})
               for f in update_elements(system.update, variables)[1]]
-    generators = dict(zip(K.symbols, K.field.gens))
 
     # (f, chosen, candidate) has one row per function, so a full rank at
     # the equilibrium proves the full generic rank
@@ -230,7 +241,7 @@ def build_adapted_chart(system) -> Chart:
     for candidate in variables:
         if len(chosen) == m:
             break
-        functions = update + [generators[v] for v in chosen + [candidate]]
+        functions = update + symbolic.generators(K, chosen + [candidate])
         if symbolic.jacobian_rank(K, functions, variables, point) == len(functions):
             chosen.append(candidate)
     if len(chosen) < m:
@@ -239,8 +250,8 @@ def build_adapted_chart(system) -> Chart:
         )
     xi_choice = tuple(chosen)
 
-    forward = dict(zip(coords, update + [generators[v] for v in xi_choice]))
-    equations = [generators[c] - forward[c] for c in coords]
+    forward = dict(zip(coords, update + symbolic.generators(K, xi_choice)))
+    equations = [g - forward[c] for g, c in zip(symbolic.generators(K, coords), coords)]
     try:
         solutions = symbolic.solve_elements(K, equations, variables)
     except IrrationalSolutionError:
@@ -255,37 +266,27 @@ def build_adapted_chart(system) -> Chart:
 
     image = dict(zip(coords, map(QQ.to_sympy, symbolic.element_values(
         K, [[forward[c] for c in coords]], point)[0])))
-    inverse = None
-    for sol in solutions:
-        if set(sol) != set(variables):
-            continue
-        try:
-            values = symbolic.element_values(K, [[sol[v] for v in variables]], image)[0]
-        except ZeroDivisionError:
-            continue
-        if list(map(QQ.to_sympy, values)) == [point[v] for v in variables]:
-            inverse = sol
-            break
-    if inverse is None:
+    branch = symbolic.branch_through(K, solutions, variables, image,
+                                     [point[v] for v in variables])
+    if branch is None:
         raise ChartError(
             "no inverse branch passes through the equilibrium (xi = %s)"
             % (tuple(map(str, xi_choice)),)
         )
 
     # the solved values use only the chart symbols, so they rename into N
-    images = {**dict(zip(N.symbols, N.field.gens)),
-              **{v: symbolic.rename(a, N, {}) for v, a in inverse.items()}}
-    substitution = tuple((images[s].numer, images[s].denom) for s in K.symbols)
+    inverse = {**dict(zip(coords, symbolic.generators(N, coords))),
+               **{v: symbolic.rename(a, N, {}) for v, a in branch.items()}}
+
+    def moved(a):
+        return symbolic.compose(a, inverse, N)
+
     for c in coords:
-        residual = symbolic.compose(forward[c], substitution, N) - images[c]
+        residual = moved(forward[c]) - inverse[c]
         if residual:
             raise ChartError("chart maps do not invert: residual %s on %s"
                              % (residual.as_expr(), c))
-    jacobian = tuple(
-        tuple(symbolic.compose(forward[c].diff(g), substitution, N)
-              for g in _generators(K, variables))
-        for c in coords
-    )
+    jacobian = tuple(map(tuple, composed_jacobian(forward, coords, variables, moved)))
     return Chart(
         system_vars=tuple(variables),
         theta=theta,
@@ -293,7 +294,7 @@ def build_adapted_chart(system) -> Chart:
         forward=forward,
         xi_choice=xi_choice,
         function_field=K,
-        substitution=substitution,
+        inverse=inverse,
         jacobian=jacobian,
         equilibrium={**point, **image},
     )
@@ -311,16 +312,8 @@ def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
     if v.coords != chart.system_vars:
         raise ValueError("field is not over the chart's base variables")
     N = chart.coordinate_field
-    moved = [symbolic.compose(c, chart.substitution, N) if c else None
-             for c in v.components]
-    components = []
-    for row in chart.jacobian:
-        total = N.zero
-        for d, c in zip(row, moved):
-            if c is not None and d:
-                total += d * c
-        components.append(total)
-    return VectorField(chart.coords, tuple(components))
+    moved = [symbolic.compose(c, chart.inverse, N) for c in v.components]
+    return VectorField(chart.coords, tuple(apply_jacobian(chart.jacobian, moved, N.zero)))
 
 
 def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
@@ -330,7 +323,7 @@ def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
         raise ValueError("bracket of fields over different coordinates")
     a, b = v1.components, v2.components
     K = _field_of([a, b])
-    gens = _generators(K, v1.coords)
+    gens = symbolic.generators(K, v1.coords)
     comps = []
     for i in range(len(gens)):
         term = K.zero
@@ -345,7 +338,7 @@ def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
 
 def _projectability(adapted: VectorField, system, chart: Chart) -> bool:
     """is_projectable on a field already in chart coordinates."""
-    fibre = _generators(chart.coordinate_field, chart.xi)
+    fibre = symbolic.generators(chart.coordinate_field, chart.xi)
     return not any(
         adapted.components[i].diff(x) for i in range(system.n) for x in fibre
     )
@@ -452,13 +445,13 @@ def largest_projectable_subdistribution(
         )
 
     K, N = chart.function_field, chart.coordinate_field
-    fibre = _generators(N, chart.xi)
+    fibre = symbolic.generators(N, chart.xi)
 
     def widened(coeffs):
         return [symbolic.rename(c, K, {}) if c else K.zero for c in coeffs]
 
     def moved(factor):
-        return symbolic.compose(factor, chart.substitution, N)
+        return symbolic.compose(factor, chart.inverse, N)
 
     adapted = [list(transform_vector_field(f, chart).components) for f in dist.fields]
     cur = [list(f.components) for f in dist.fields]

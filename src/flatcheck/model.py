@@ -9,7 +9,7 @@ generically and at the equilibrium, and flags inputs that act redundantly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 from sympy import QQ
@@ -147,13 +147,12 @@ class InputReduction:
     """Result of eliminating redundant inputs.
 
     reduced is the new system with effective inputs uhat_1..uhat_mhat.
-    kept_functions gives each uhat_r as an expression in the original
-    (x, u); removed_coordinates are the original input symbols that
-    survive as free directions.  inverse expresses every original input
-    in terms of (x, uhat, utilde), with the removed coordinates renamed
-    utilde_1..utilde_k.  extension lists the expressions (the removed
-    coordinates themselves) that must be appended to any flat output of
-    the reduced system to obtain one for the original system.
+    kept_functions gives each uhat_r as the update element it stands for,
+    in QQ(x, u) of update_elements; removed_coordinates are the original
+    input symbols that survive as free directions, and extend any flat
+    output of the reduced system to one of the original system.  inverse
+    expresses every original input in terms of (x, uhat, utilde), with
+    the removed coordinates renamed utilde_1..utilde_k.
     """
 
     reduced: DiscreteTimeSystem
@@ -161,7 +160,6 @@ class InputReduction:
     removed_coordinates: tuple
     removed_symbols: tuple
     inverse: dict
-    extension: tuple = field(default=())
 
 
 def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
@@ -189,7 +187,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
             "system %r: no effective inputs (input rank 0)" % system.name
         )
 
-    kept_functions = tuple(system.update[i] for i in comp_used)
+    kept_functions = tuple(update[i] for i in comp_used)
     uhat = tuple(sp.Symbol("uhat_%d" % (r + 1)) for r in range(input_rank))
 
     # Non-pivot original inputs come along unchanged as utilde coordinates.
@@ -199,12 +197,11 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     utilde = tuple(sp.Symbol("utilde_%d" % (t + 1)) for t in range(len(free_cols)))
 
     # solve for the inputs in QQ(x, u, uhat, utilde), generators sorted by name
-    H = symbolic.function_field(tuple(sorted(system.variables + uhat + utilde,
-                                             key=lambda s: s.name)))
-    gen = dict(zip(H.symbols, H.field.gens))
-    equations = [gen[uhat[r]] - symbolic.rename(update[i], H, {})
-                 for r, i in enumerate(comp_used)]
-    equations += [gen[t] - gen[u] for t, u in zip(utilde, removed)]
+    H = symbolic.field(system.variables + uhat + utilde)
+    equations = [g - symbolic.rename(a, H, {})
+                 for g, a in zip(symbolic.generators(H, uhat), kept_functions)]
+    equations += [t - u for t, u in zip(symbolic.generators(H, utilde),
+                                        symbolic.generators(H, removed))]
     solutions = symbolic.solve_elements(H, equations, system.inputs)
     if not solutions:
         raise ValidationError(
@@ -215,11 +212,10 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     inverse = min(solutions, key=lambda sol: sp.default_sort_key(
         {u: a.as_expr() for u, a in sol.items()}))
 
-    images = {**gen, **inverse}
-    substitution = [(images[v].numer, images[v].denom) for v in system.variables]
     new_update = []
     for fi in update:
-        gi = symbolic.canonicalize_element(H, symbolic.compose(fi, substitution, H))
+        gi = symbolic.canonicalize_element(
+            H, symbolic.compose(symbolic.rename(fi, H, {}), inverse, H))
         extra = set(gi.free_symbols) & set(utilde)
         if extra:
             raise ValidationError(
@@ -230,7 +226,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
 
     point = system.equilibrium_point()
     new_equilibrium = {s: point[s] for s in system.states}
-    values = symbolic.element_values(K, [[update[i] for i in comp_used]], point)[0]
+    values = symbolic.element_values(K, [kept_functions], point)[0]
     new_equilibrium.update(zip(uhat, map(QQ.to_sympy, values)))
 
     reduced = DiscreteTimeSystem(
@@ -248,5 +244,4 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
         removed_coordinates=removed,
         removed_symbols=utilde,
         inverse=inverse_full,
-        extension=tuple(removed),
     )

@@ -9,9 +9,12 @@ functions) raises UnsupportedEquationError where it is converted.
 
 There is one matrix API, on field elements: ``element_rref``,
 ``element_nullspace``, ``element_rank``, ``element_values``,
-``jacobian_rank`` and ``clear_element_row``, with ``rename`` and
-``compose`` to move elements between fields and coordinates, and
-``solve_elements`` to solve.  ``to_elements`` is the only way into it,
+``jacobian_rank`` and ``clear_element_row``.  ``field`` builds QQ(symbols)
+with its generators sorted by name and ``generators`` looks them up;
+``rename`` and ``compose`` move elements between fields and coordinates,
+``compose`` taking its images as a dict from symbol to element;
+``solve_elements`` solves, and ``branch_through`` picks the solved branch
+through a point.  ``to_elements`` is the only way into it,
 for the model's update map and a candidate output; every stage, from
 validation to verification, then calls only these, and the records
 between stages hold elements.  ``canonicalize_element`` and
@@ -56,6 +59,17 @@ from .errors import (
 def function_field(gens: tuple):
     """The field QQ(gens) as a sympy domain; QQ itself when gens is empty."""
     return QQ.frac_field(*gens) if gens else QQ
+
+
+def field(symbols):
+    """The field QQ(symbols) with its generators sorted by name."""
+    return function_field(tuple(sorted(symbols, key=lambda s: s.name)))
+
+
+def generators(K, symbols) -> list:
+    """The generators of the field K named by symbols, as elements of K."""
+    index = {s: i for i, s in enumerate(K.symbols)}
+    return [K.field.gens[index[s]] for s in symbols]
 
 
 def _fraction(e, ring, index):
@@ -233,24 +247,36 @@ def _substitute(poly, substitution, ring=None):
     return numerator, denominator
 
 
-def compose(a, substitution, K=None):
-    """Field element a with generator i replaced by the fraction
-    substitution[i] (see :func:`_substitute`), as an element of the field
-    K, a's own by default.  Raises ZeroDivisionError when the substituted
+def compose(a, images, K=None):
+    """Field element a with each generator s replaced by images[s], an
+    element of the field K, a's own by default, as an element of K.
+
+    A generator without an image is kept when K is a's own field; in
+    another field every generator that a uses needs one, else
+    GeneratorsError is raised.  Images of generators that a does not use
+    are ignored.  Raises ZeroDivisionError when the substituted
     denominator vanishes, whatever the numerator."""
-    field = a.field if K is None else K.field
+    target = a.field if K is None else K.field
     if a.numer.is_ground and a.denom.is_ground:
         # a constant: nothing to substitute, and no gcd to take
-        ring = field.ring
-        return a if field is a.field else field.raw_new(
+        ring = target.ring
+        return a if target is a.field else target.raw_new(
             ring.ground_new(a.numer.LC), ring.ground_new(a.denom.LC))
-    num, num_den = _substitute(a.numer, substitution, field.ring)
-    den, den_den = _substitute(a.denom, substitution, field.ring)
+    substitution = [(images[s].numer, images[s].denom) if s in images else None
+                    for s in a.field.symbols]
+    return _compose_by_index(a, substitution, target)
+
+
+def _compose_by_index(a, substitution, target):
+    """compose on the positional substitution of :func:`_substitute`, into
+    the fraction field target."""
+    num, num_den = _substitute(a.numer, substitution, target.ring)
+    den, den_den = _substitute(a.denom, substitution, target.ring)
     if num is a.numer and den is a.denom:
         return a
     if not den:
         raise ZeroDivisionError("denominator of %s vanishes" % a.as_expr())
-    return field.new(num * den_den, den * num_den)
+    return target.new(num * den_den, den * num_den)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -404,7 +430,7 @@ def _back_substitute(field, steps):
     values = [None] * field.ngens
     for i, num, den in reversed(steps):
         try:
-            value = compose(field.new(num, den), values)
+            value = _compose_by_index(field.new(num, den), values, field)
         except ZeroDivisionError:
             return None
         values[i] = (value.numer, value.denom)
@@ -427,6 +453,24 @@ def _satisfies(a, steps) -> bool:
         num, den = _substitute(num, substitution)[0], _substitute(den, substitution)[0]
         substitution[i] = None
     return not num and bool(den)
+
+
+def branch_through(K, solutions, unknowns, point, values):
+    """The first of the solved branches, dicts of elements of the field K
+    by unknown, that gives every unknown and takes the given values (one
+    rational number per unknown) at the rational point; None when none
+    does.  A branch with a pole at the point does not pass."""
+    expected = [QQ.convert(v) for v in values]
+    for sol in solutions:
+        if not all(u in sol for u in unknowns):
+            continue
+        try:
+            at_point = element_values(K, [[sol[u] for u in unknowns]], point)[0]
+        except ZeroDivisionError:
+            continue
+        if at_point == expected:
+            return sol
+    return None
 
 
 def element_rref(K, rows, ncols):

@@ -7,7 +7,7 @@ property.  All of it runs on rational function field elements: the
 candidate comes as elements, ``shift_function`` shifts it by composing
 with the update map, ``symbolic.solve_elements`` solves the stacked
 equations, and the branch through the equilibrium is picked with
-``symbolic.element_values``; the parametrization it returns holds
+``symbolic.branch_through``; the parametrization it returns holds
 elements of a field of output jets.  Numeric verification replays
 random output trajectories near the equilibrium through the
 parametrization and measures the dynamics residual.  A symbolic PASS
@@ -77,8 +77,8 @@ def _parse_input_shift(sym, inputs):
     return None, None
 
 
-def shift_function(a, system=None, count=1):
-    """Forward shift operator on field elements, applied ``count`` times.
+def shift_function(a, system=None):
+    """Forward shift operator on field elements.
 
     With a system, states are replaced by their updates and every input
     shift is bumped by one, by composition in a's own field, which must
@@ -86,12 +86,9 @@ def shift_function(a, system=None, count=1):
     every output jet is bumped, and the result lies in the field of the
     bumped generators.  Raises FlatcheckError when a uses a generator the
     shift does not apply to."""
-    for _ in range(count):
-        if system is None:
-            a = _shift_output_jets(a)
-        else:
-            a = _shift_through_system(a, system)
-    return a
+    if system is None:
+        return _shift_output_jets(a)
+    return _shift_through_system(a, system)
 
 
 def _shift_output_jets(a):
@@ -104,14 +101,13 @@ def _shift_output_jets(a):
     if stuck:
         raise FlatcheckError("output shift applies to jet expressions, got %s"
                              % min(stuck, key=str))
-    K = symbolic.function_field(_by_name(ahead.get(s, s) for s in a.field.symbols))
+    K = symbolic.field(ahead.get(s, s) for s in a.field.symbols)
     return symbolic.rename(a, K, ahead)
 
 
 def _shift_through_system(a, system):
     images = _system_images(a.field, system.states, system.inputs, system.update)
-    stuck = symbolic.used_symbols(a).difference(
-        sym for sym, image in zip(a.field.symbols, images) if image is not None)
+    stuck = symbolic.used_symbols(a).difference(images)
     if stuck:
         raise FlatcheckError("system shift applies over states and input shifts, got %s"
                              % min(stuck, key=str))
@@ -120,19 +116,19 @@ def _shift_through_system(a, system):
 
 @functools.lru_cache(maxsize=32)
 def _system_images(field, states, inputs, update):
-    """The shift of each generator of field, as a (numerator, denominator)
-    pair of its ring: the update of a state, the next shift of an input
-    shift that has one in field, and None for any other generator."""
+    """The shift of the generators of field that have one, as elements of
+    field by symbol: the update of a state and the next shift of an input
+    shift that has one in field."""
     K = symbolic.function_field(field.symbols)
-    elements = [symbolic.rename(f, K, {}) for f in update_elements(update, states + inputs)[1]]
-    images = dict(zip(states, ((f.numer, f.denom) for f in elements)))
+    images = {s: symbolic.rename(f, K, {})
+              for s, f in zip(states, update_elements(update, states + inputs)[1])}
     gens = dict(zip(field.symbols, field.gens))
     for sym in field.symbols:
         base, s = _parse_input_shift(sym, inputs)
         ahead = gens.get(input_shift_symbol(base, s + 1)) if base is not None else None
         if ahead is not None:
-            images[sym] = (ahead.numer, ahead.denom)
-    return [images.get(sym) for sym in field.symbols]
+            images[sym] = ahead
+    return images
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,6 @@ class NumericTrial:
     index: int
     residual: float
     replay_error: float
-    resamples: int
 
 
 @dataclass(frozen=True)
@@ -254,12 +249,12 @@ def check_parametrization(system, p: FlatParametrization):
         ahead[sym] = jet_symbol(j, s + 1)
     if not jets:
         return False, "parametrization is not a generic submersion"
-    J = symbolic.function_field(_by_name(set(jets) | set(ahead.values())))
+    J = symbolic.field(set(jets) | set(ahead.values()))
     values = [symbolic.rename(a, J, {}) for a in elements]
     _, update = update_elements(system.update, system.variables)
-    substitution = [(a.numer, a.denom) for a in values]
+    images = dict(zip(system.variables, values))
     for s, a, f in zip(system.states, values, update):
-        if symbolic.rename(a, J, ahead) - symbolic.compose(f, substitution, J):
+        if symbolic.rename(a, J, ahead) - symbolic.compose(f, images, J):
             return False, "dynamics identity fails for %s" % s
     if symbolic.jacobian_rank(J, values, jets) != system.n + system.m:
         return False, "parametrization is not a generic submersion"
@@ -315,7 +310,7 @@ def verify_flat_output_symbolic(system, candidate):
     m, n = system.m, system.n
     cap = n + q + 1
     shifts = _input_shifts(system, cap + q)
-    X = symbolic.function_field(_by_name(list(system.states) + shifts))
+    X = symbolic.field(list(system.states) + shifts)
     level = [symbolic.rename(a, X, {}) for a in components]
     centers = _equilibrium_jet_values(system, level, q)
     stacked, used = [], set()
@@ -347,9 +342,9 @@ def verify_flat_output_symbolic(system, candidate):
             ladders.append(list(system.states) + trimmed)
         ladders.append(list(system.states) + present)
         targets = _jet_targets(m, alpha)
-        S = symbolic.function_field(_by_name(targets + list(system.states) + present))
-        jets = dict(zip(S.symbols, S.field.gens))
-        equations = [jets[t] - symbolic.rename(a, S, {}) for t, a in zip(targets, stacked)]
+        S = symbolic.field(targets + list(system.states) + present)
+        equations = [g - symbolic.rename(a, S, {})
+                     for g, a in zip(symbolic.generators(S, targets), stacked)]
         result = None
         for unknowns in ladders:
             result = _attempt_jet_solve(system, S, equations, unknowns, centers, q)
@@ -388,22 +383,15 @@ def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
     for j, c in enumerate(centers):
         for s in range(0, system.n + q + 3):
             jet_point[jet_symbol(j + 1, s)] = c
+    pure = [sol for sol in solutions if not any(
+        parse_jet_symbol(sym)[0] is None
+        for v in system.variables if v in sol for sym in symbolic.used_symbols(sol[v]))]
     eq_point = system.equilibrium_point()
-    for sol in solutions:
-        if not all(v in sol for v in system.variables) or any(
-            parse_jet_symbol(sym)[0] is None
-            for v in system.variables for sym in symbolic.used_symbols(sol[v])
-        ):
-            continue
-        try:
-            values = symbolic.element_values(S, [[sol[v] for v in system.variables]],
-                                             jet_point)[0]
-        except ZeroDivisionError:
-            continue
-        if list(map(QQ.to_sympy, values)) != [eq_point[v] for v in system.variables]:
-            continue
-        return ([sol[s] for s in system.states], [sol[u] for u in system.inputs])
-    return None
+    sol = symbolic.branch_through(S, pure, system.variables, jet_point,
+                                  [eq_point[v] for v in system.variables])
+    if sol is None:
+        return None
+    return [sol[s] for s in system.states], [sol[u] for u in system.inputs]
 
 
 def verify_flat_output_numeric(
@@ -459,7 +447,7 @@ def verify_flat_output_numeric(
     for index in range(trials):
         rng = random.Random((seed << 32) ^ index)
         record = None
-        for attempt in range(8):
+        for _ in range(8):
             samples = [
                 [centers[j] + rng.uniform(-box, box) for _ in range(length)]
                 for j in range(m)
@@ -489,12 +477,7 @@ def verify_flat_output_numeric(
                 values = [v for row in xs + us for v in row] + [residual, replay]
                 if any(v != v or abs(v) == float("inf") for v in values):
                     raise ZeroDivisionError("non-finite value")
-                record = NumericTrial(
-                    index=index,
-                    residual=residual,
-                    replay_error=replay,
-                    resamples=attempt,
-                )
+                record = NumericTrial(index=index, residual=residual, replay_error=replay)
                 break
             except (ZeroDivisionError, OverflowError):
                 continue

@@ -119,10 +119,10 @@ def test_criterion_3_parametrization_identities(flat4, flat4_artifacts):
     # x+ = f(x, u) along the parametrization: F_x shifted once equals f
     # composed with (F_x, F_u)
     _, update = symbolic.to_elements(flat4.update, flat4.variables)
-    substitution = [(a.numer, a.denom) for a in elements]
+    images = dict(zip(flat4.variables, elements))
     for i in range(flat4.n):
         ahead = verification.shift_function(elements[i])
-        through = symbolic.compose(update[i], substitution, K)
+        through = symbolic.compose(update[i], images, K)
         assert symbolic.rename(ahead, K, {}) == through
 
     jacobian = [[e.diff(K.field.gens[K.symbols.index(s)]) for s in jets] for e in elements]

@@ -2,11 +2,12 @@
 
 import json
 import sys
+import traceback
 
 import pytest
 import sympy
 
-from flatcheck import cli, modelfile, symbolic
+from flatcheck import cli, model, modelfile, symbolic
 
 
 def run(capsys, *argv):
@@ -383,6 +384,24 @@ class TestExpressionBoundary:
         assert code == 0
         assert converted
         assert [e for e in converted if e not in allowed] == []
+
+    def test_reduction_converts_only_the_update_maps(self, capsys, models_dir, monkeypatch):
+        """The input reduction hands its kept functions on as elements, so
+        extract converts two expression lists, the update maps of the
+        system and of the reduced system, both in model.update_elements."""
+        callers = []
+        fractions = symbolic._fractions
+
+        def recorded(exprs, gens=None):
+            callers.append([frame.name for frame in traceback.extract_stack()])
+            return fractions(exprs, gens)
+
+        model.update_elements.cache_clear()
+        monkeypatch.setattr(symbolic, "_fractions", recorded)
+        code, _, _ = run(capsys, "extract", model_path(models_dir, "redundant_input"))
+        assert code == 0
+        assert len(callers) == 2
+        assert all("update_elements" in names for names in callers)
 
 
 class TestVacuousFlags:

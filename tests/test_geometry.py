@@ -123,8 +123,7 @@ next x2 = u
 """
         )
         chart = geometry.build_adapted_chart(system)
-        images = {s: pair[0].as_expr() / pair[1].as_expr()
-                  for s, pair in zip(chart.function_field.symbols, chart.substitution)}
+        images = {s: a.as_expr() for s, a in chart.inverse.items()}
         assert set(images) == set(system.variables) | set(chart.coords)
         # chart symbols stay; base variables go to functions of the chart
         assert all(images[c] == c for c in chart.coords)

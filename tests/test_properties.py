@@ -317,8 +317,8 @@ class TestRedundantInputExtension:
         validation = model.validate_system(redundant)
         assert validation.redundant_inputs
         reduction = model.eliminate_redundant_inputs(redundant)
-        assert len(reduction.extension) == 1
-        removed = reduction.extension[0]
+        assert len(reduction.removed_coordinates) == 1
+        removed = reduction.removed_coordinates[0]
         assert removed in redundant.inputs
 
         report = analysis.run_algorithm1(reduction.reduced)
@@ -327,14 +327,14 @@ class TestRedundantInputExtension:
             reduction.reduced, report
         )
         back = {
-            un: e
+            un: e.as_expr()
             for un, e in zip(reduction.reduced.inputs, reduction.kept_functions)
         }
         presented = [
             sp.cancel(c.as_expr().subs(back, simultaneous=True))
             for c in flat_output.components
         ]
-        presented.extend(reduction.extension)
+        presented.extend(reduction.removed_coordinates)
         assert len(presented) == redundant.m
         assert any(sp.simplify(c - removed) == 0 for c in presented)
 
@@ -359,13 +359,13 @@ class TestRedundantInputExtension:
         report = analysis.run_algorithm1(reduction.reduced)
         flat_output, _ = construction.extract_flat_output(reduction.reduced, report)
         back = {
-            un: e
+            un: e.as_expr()
             for un, e in zip(reduction.reduced.inputs, reduction.kept_functions)
         }
         candidate = tuple(
             sp.cancel(c.as_expr().subs(back, simultaneous=True))
             for c in flat_output.components
-        ) + tuple(reduction.extension)
+        ) + tuple(reduction.removed_coordinates)
         _, candidate = symbolic.to_elements(candidate, redundant.variables)
         p, sym_report = verification.verify_flat_output_symbolic(
             redundant, candidate

@@ -499,15 +499,21 @@ class TestComposeIntoAnotherField:
         a, b = sp.symbols("a b")
         _, (e,) = symbolic.to_elements([(x**2 + y) / (x - y)], (x, y))
         target, (p, q) = symbolic.to_elements([a * b, a + 1], (a, b))
-        moved = symbolic.compose(e, [(p.numer, p.denom), (q.numer, q.denom)], target)
+        moved = symbolic.compose(e, {x: p, y: q}, target)
         assert moved == target.from_sympy(((a * b) ** 2 + a + 1) / (a * b - a - 1))
 
     def test_generator_without_image_raises(self):
         _, (e,) = symbolic.to_elements([x * y], (x, y))
         target = symbolic.function_field((z,))
-        image = target.field.gens[0]
         with pytest.raises(GeneratorsError):
-            symbolic.compose(e, [(image.numer, image.denom), None], target)
+            symbolic.compose(e, {x: target.field.gens[0]}, target)
+
+    def test_image_of_an_unused_generator_is_ignored(self):
+        a, b = sp.symbols("a b")
+        _, (e,) = symbolic.to_elements([x + 1], (x, y))
+        target, (p, q) = symbolic.to_elements([a * b, 1 / a], (a, b))
+        moved = symbolic.compose(e, {x: p, y: q, z: q}, target)
+        assert moved == target.from_sympy(a * b + 1)
 
 
 class TestSolveElements:
@@ -521,41 +527,63 @@ class TestSolveElements:
         assert _canonical_branches(as_expressions) == _canonical_branches(oracle)
 
 
-def _image(a):
-    return a.numer, a.denom
-
-
 class TestCompose:
     """compose within an element's own field, where a generator without
     an image is kept."""
 
     def test_simultaneous(self):
         K, (e, a, b) = symbolic.to_elements([x - 2 * y, y, x], (x, y))
-        assert symbolic.compose(e, [_image(a), _image(b)]) == K.from_sympy(y - 2 * x)
+        assert symbolic.compose(e, {x: a, y: b}) == K.from_sympy(y - 2 * x)
 
     def test_result_in_lowest_terms(self):
         K, (e, image) = symbolic.to_elements([x / (x + y), x * z], (x, y, z))
-        result = symbolic.compose(e, [None, _image(image), None])
-        assert (result.numer, result.denom) == _image(K.from_sympy(1 / (z + 1)))
+        result = symbolic.compose(e, {y: image})
+        expected = K.from_sympy(1 / (z + 1))
+        assert (result.numer, result.denom) == (expected.numer, expected.denom)
 
     def test_removable_singularity_is_not_a_pole(self):
         K, (e, one) = symbolic.to_elements([(x**2 - 1) / (x - 1), sp.Integer(1)], (x,))
-        assert symbolic.compose(e, [_image(one)]) == K(2)
+        assert symbolic.compose(e, {x: one}) == K(2)
 
     def test_vanishing_denominator_raises(self):
         _, (e, image) = symbolic.to_elements([1 / (x - y), y], (x, y))
         with pytest.raises(ZeroDivisionError):
-            symbolic.compose(e, [_image(image), None])
+            symbolic.compose(e, {x: image})
 
     def test_generators_the_element_does_not_use_are_ignored(self):
         _, (e, image) = symbolic.to_elements([x + 1, x**2], (x, y))
-        assert symbolic.compose(e, [None, _image(image)]) is e
+        assert symbolic.compose(e, {y: image}) is e
 
     def test_constant_into_another_field(self):
         _, (e,) = symbolic.to_elements([sp.Rational(3, 6)], (x,))
         target = symbolic.function_field((y,))
-        assert symbolic.compose(e, [_image(target.field.gens[0])], target) == \
+        assert symbolic.compose(e, {x: target.field.gens[0]}, target) == \
             target.from_sympy(sp.Rational(1, 2))
+
+
+class TestBranchThrough:
+    """branch_through picks the first solved branch that takes the given
+    values at a point."""
+
+    def _branches(self, *branches):
+        K = symbolic.function_field((x, y))
+        return K, [{s: K.from_sympy(v) for s, v in b.items()} for b in branches]
+
+    def test_first_passing_branch(self):
+        K, sols = self._branches({x: y - 1}, {x: 2 * y}, {x: y**2})
+        assert symbolic.branch_through(K, sols, [x], {y: 1}, [2]) is sols[1]
+
+    def test_pole_at_the_point_is_skipped(self):
+        K, sols = self._branches({x: 1 / (y - 1)}, {x: y + 1})
+        assert symbolic.branch_through(K, sols, [x], {y: 1}, [2]) is sols[1]
+
+    def test_branch_missing_an_unknown_is_skipped(self):
+        K, sols = self._branches({x: y + 1}, {x: y + 1, y: sp.Integer(1)})
+        assert symbolic.branch_through(K, sols, [x, y], {y: 1}, [2, 1]) is sols[1]
+
+    def test_none_when_no_branch_passes(self):
+        K, sols = self._branches({x: y - 1}, {x: 1 / (y - 1)})
+        assert symbolic.branch_through(K, sols, [x], {y: 1}, [2]) is None
 
 
 def _value(e, point):

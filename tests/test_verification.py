@@ -68,7 +68,8 @@ class TestShiftFunction:
     def test_iterated_shift(self, chain2):
         xa = chain2.states[0]
         u = chain2.inputs[0]
-        twice = verification.shift_function(_system_element(chain2, xa), chain2, count=2)
+        once = verification.shift_function(_system_element(chain2, xa), chain2)
+        twice = verification.shift_function(once, chain2)
         assert twice.as_expr() == u
 
 
