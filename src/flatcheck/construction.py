@@ -14,7 +14,8 @@ produced is turned into explicit artifacts in four stages:
    state and input trajectories.
 
 Everything is local around the declared equilibrium; every regularity
-condition is checked both generically and at the equilibrium itself.
+condition is checked both generically and at the equilibrium itself,
+where a full rank proves the generic one (symbolic.jacobian_ranks).
 
 All four stages run on field elements: forward maps in QQ(x, u), inverse
 maps in QQ(current coordinates), a coordinate change solved in
@@ -76,17 +77,6 @@ def restate_distribution(dist: geometry.Distribution, system) -> geometry.Distri
         for f in dist.fields
     )
     return geometry.Distribution(coords=coords, fields=fields)
-
-
-def _gradients_at(functions, variables, point) -> list:
-    """Gradients of field elements with respect to variables at point, as
-    rows of rational numbers."""
-    rows = []
-    for h in functions:
-        K = symbolic.function_field(h.field.symbols)
-        gens = symbolic.generators(K, variables)
-        rows.append(symbolic.element_values(K, [[h.diff(g) for g in gens]], point)[0])
-    return rows
 
 
 def _invariance_kernel(rows, monomials, nvars, L) -> list:
@@ -175,7 +165,7 @@ def polynomial_invariants(
             coeffs, _ = symbolic.clear_element_row(QQ, vec)
             candidate = L.field.new(L.field.ring.from_dict(
                 {m: c for m, c in zip(monomials, coeffs) if c}))
-            grad = _gradients_at([candidate], grad_vars, point)[0]
+            grad = symbolic.jacobian_at(L, [candidate], grad_vars, point)[0]
             if symbolic.element_rank(QQ, stack + [grad], len(grad_vars)) != len(stack) + 1:
                 continue
             accepted.append(candidate)
@@ -186,21 +176,13 @@ def polynomial_invariants(
 
 
 def _complete_with_coordinates(stack, variables, count, label):
-    """Greedy coordinate completion: try the variables last to first and
-    keep those whose unit gradient row raises the rank of the stacked
-    gradients at the point (rows of rational numbers), which proves the
-    generic rank.  Returns the selected variables in their given order."""
-    selected = []
-    rows = [list(g) for g in stack]
-    for sym in reversed(variables):
-        unit = [QQ.one if v == sym else QQ.zero for v in variables]
-        if symbolic.element_rank(QQ, rows + [unit], len(variables)) != len(rows) + 1:
-            continue
-        selected.append(sym)
-        rows.append(unit)
-        if len(selected) == count:
-            return [v for v in variables if v in selected]
-    raise StraighteningError("coordinate completion failed for %s" % label)
+    """symbolic.unit_completion of the stacked gradients at the point,
+    trying the variables last to first; the selected ones in given order."""
+    kept = symbolic.unit_completion(stack, len(variables), reversed(range(len(variables))),
+                                    count)
+    if len(kept) < count:
+        raise StraighteningError("coordinate completion failed for %s" % label)
+    return [v for j, v in enumerate(variables) if j in kept]
 
 
 @dataclass(frozen=True)
@@ -262,7 +244,7 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
             _rows(dist), states, count, point, max_degree=max_degree, seed_gradients=seeds
         ) if count else ()
         found.append(list(invariants))
-        seeds.extend(_gradients_at(invariants, states, point))
+        seeds.extend(symbolic.jacobian_at(P, invariants, states, point))
     rest_values = found[0]
     rest = [sp.Symbol("xrest_%d" % (i + 1)) for i in range(len(rest_values))]
     chosen = _complete_with_coordinates(seeds, states, dims[0], "block 1")
@@ -447,15 +429,6 @@ def _change_fibre(state: DecompositionState, definitions, consumed, k):
     state.point_cur.update(zip(new_forward, map(QQ.to_sympy, values)))
 
 
-def _ranks(K, rows, ncols, point) -> tuple:
-    """Generic rank and rank at point of rows of elements of K.  The point
-    comes first: a full rank there proves the generic one."""
-    at_point = symbolic.element_rank(QQ, symbolic.element_values(K, rows, point), ncols)
-    if at_point == min(len(rows), ncols):
-        return at_point, at_point
-    return symbolic.element_rank(K, rows, ncols), at_point
-
-
 def decompose_step(k, state: DecompositionState, basis) -> tuple:
     """Run peeling step k: split off the redundant fibre directions and
     straighten the projectable distribution of the step.
@@ -488,9 +461,8 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
             fbar_rows += _fbar_block(
                 state, j, K,
                 "dynamics of block %d depend on coordinates consumed at step %d" % (j, k - 1))
-        gens = symbolic.generators(K, gamma)
-        jacobian = [[a.diff(g) for g in gens] for a in fbar_rows]
-        rank_generic, rank_point = _ranks(K, jacobian, len(gamma), state.point_cur)
+        rank_generic, rank_point = symbolic.jacobian_ranks(K, fbar_rows, gamma,
+                                                           state.point_cur)
         if rank_point != rank_generic:
             raise FlatcheckError(
                 "subsystem input rank drops at the equilibrium at step %d" % k
@@ -502,6 +474,8 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 "reported %d" % (k, mu, mu_reported)
             )
         if mu:
+            gens = symbolic.generators(K, gamma)
+            jacobian = [[a.diff(g) for g in gens] for a in fbar_rows]
             rref, pivots = symbolic.element_rref(K, jacobian, len(gamma))
             kernel_rows = [
                 [K.zero] * len(remaining) + vec
@@ -511,8 +485,10 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 kernel_rows, remaining + gamma, len(gamma) - mu, state.point_cur,
                 max_degree=state.max_degree, gradient_variables=gamma)
             zeta_syms = [sp.Symbol("zeta%d_%d" % (k, r + 1)) for r in range(len(invariants))]
+            # polynomial_invariants returns them in QQ(remaining, gamma)
+            L = symbolic.function_field(tuple(remaining + gamma))
             chosen = _complete_with_coordinates(
-                _gradients_at(invariants, gamma, state.point_cur), gamma, mu,
+                symbolic.jacobian_at(L, invariants, gamma, state.point_cur), gamma, mu,
                 "redundant directions at step %d" % k)
             y_syms = [sp.Symbol("y%d_%d" % (k, i + 1)) for i in range(mu)]
             kept = symbolic.generators(state.coordinates, chosen)
@@ -561,7 +537,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         max_degree=state.max_degree, gradient_variables=zeta_syms) if count_eta else ()
     eta_syms = [sp.Symbol("eta%d_%d" % (k, i + 1)) for i in range(count_eta)]
     chosen = _complete_with_coordinates(
-        _gradients_at(invariants, zeta_syms, state.point_cur), zeta_syms, rho_next,
+        symbolic.jacobian_at(W, invariants, zeta_syms, state.point_cur), zeta_syms, rho_next,
         "straightening at step %d" % k)
     zhat_syms = [sp.Symbol("zhat%d_%d" % (k, i + 1)) for i in range(rho_next)]
     kept = symbolic.generators(state.coordinates, chosen)
@@ -591,9 +567,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
     next_rows = _fbar_block(
         state, k + 1, K,
         "dynamics of block %d depend on coordinates consumed at step %d" % (k + 1, k))
-    gens = symbolic.generators(K, zhat_syms)
-    generic, at_point = _ranks(K, [[a.diff(g) for g in gens] for a in next_rows],
-                               rho_next, state.point_cur)
+    generic, at_point = symbolic.jacobian_ranks(K, next_rows, zhat_syms, state.point_cur)
     if generic != rho_next:
         raise FlatcheckError(
             "block %d dynamics are singular in the new coordinates" % (k + 1)
@@ -821,9 +795,7 @@ def to_implicit_triangular(trace: DecompositionTrace):
                 raise FlatcheckError(
                     "triangular block %d violates the dependence pattern" % k
                 ) from None
-        gens = symbolic.generators(A, solved_for)
-        generic, at_point = _ranks(A, [[r.diff(g) for g in gens] for r in residuals],
-                                   len(solved_for), point)
+        generic, at_point = symbolic.jacobian_ranks(A, residuals, solved_for, point)
         if generic != len(solved_for):
             raise FlatcheckError("triangular block %d is singular" % k)
         if at_point != len(solved_for):

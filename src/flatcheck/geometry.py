@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import sympy as sp
@@ -103,10 +102,11 @@ class Distribution:
     present, are nonzero denominator-free component rows spanning the
     same distribution generically, the cleared basis among them; they
     allow rank evaluations at points where the preferred basis has
-    poles.  chart_fields, when
-    present, are the basis fields transformed into the coordinates of
-    chart (see transform_vector_field), in basis order, with components
-    in chart.coordinate_field.
+    poles.  chart_fields, when present, are the basis fields transformed
+    into the coordinates of chart (see transform_vector_field), in basis
+    order, with components in chart.coordinate_field.  The largest
+    projectable subdistribution carries both, and the pushforward reads
+    them.
     """
 
     coords: tuple
@@ -123,15 +123,6 @@ class Distribution:
     @property
     def dim(self) -> int:
         return len(self.fields)
-
-
-def _witness_rows(dist: Distribution, K) -> list:
-    """Pole-free nonzero rows spanning the distribution, for point
-    evaluation: its witness rows, or its cleared basis when it has none."""
-    if dist.witness_rows:
-        return [list(r) for r in dist.witness_rows]
-    rows = [symbolic.clear_element_row(K, list(f.components))[0] for f in dist.fields]
-    return [r for r in rows if any(r)]
 
 
 def make_distribution(coords, rows) -> Distribution:
@@ -225,10 +216,11 @@ def build_adapted_chart(system) -> Chart:
 
     The fibre coordinates are picked greedily from the declared
     variables, states before inputs, keeping the stacked Jacobian of
-    (f, xi) regular both generically and at the equilibrium.  The
-    inverse map is computed symbolically and the branch through the
-    equilibrium is selected.  The update map is the model's one
-    conversion (model.update_elements), renamed into the wide field.
+    (f, xi) regular at the equilibrium, which proves it regular
+    generically (symbolic.unit_completion).  The inverse map is computed
+    symbolically and the branch through the equilibrium is selected.
+    The update map is the model's one conversion (model.update_elements),
+    renamed into the wide field.
     """
     n, m = system.n, system.m
     variables = system.variables
@@ -240,20 +232,13 @@ def build_adapted_chart(system) -> Chart:
     update = [symbolic.rename(f, K, {})
               for f in update_elements(system.update, variables)[1]]
 
-    # (f, chosen, candidate) has one row per function, so a full rank at
-    # the equilibrium proves the full generic rank
-    chosen: list = []
-    for candidate in variables:
-        if len(chosen) == m:
-            break
-        functions = update + symbolic.generators(K, chosen + [candidate])
-        if symbolic.jacobian_rank(K, functions, variables, point) == len(functions):
-            chosen.append(candidate)
+    rows = symbolic.jacobian_at(K, update, variables, point)
+    chosen = symbolic.unit_completion(rows, n + m, range(n + m), m)
     if len(chosen) < m:
         raise ChartError(
             "no %d coordinate functions complete f to a regular chart" % m
         )
-    xi_choice = tuple(chosen)
+    xi_choice = tuple(variables[j] for j in chosen)
 
     forward = dict(zip(coords, update + symbolic.generators(K, xi_choice)))
     equations = [g - forward[c] for g, c in zip(symbolic.generators(K, coords), coords)]
@@ -438,6 +423,10 @@ def largest_projectable_subdistribution(
 ) -> Distribution:
     """The unique largest subdistribution that pushes forward under f.
 
+    dist must be involutive, as every E_k is by construction: the lift
+    of an involutive Delta_k plus the input directions.  That is not
+    checked here (see is_involutive).
+
     Descending iteration: starting from the full distribution, keep the
     fields whose brackets with every fibre direction stay inside the
     current candidate plus the vertical distribution.  Each refinement
@@ -465,12 +454,6 @@ def largest_projectable_subdistribution(
     n = system.n
     if dist.dim == 0:
         return dist
-    if not is_involutive(dist):
-        warnings.warn(
-            "largest projectable subdistribution of a non-involutive "
-            "distribution; the result is the bracket-stable core",
-            stacklevel=2,
-        )
 
     K, N = chart.function_field, chart.coordinate_field
     fibre = symbolic.generators(N, chart.xi)
@@ -557,7 +540,7 @@ def largest_projectable_subdistribution(
     )
 
     # witness rows mix base and chart symbols: evaluate at both equilibria
-    W = symbolic.element_values(K, _witness_rows(result, K), chart.equilibrium)
+    W = symbolic.element_values(K, result.witness_rows, chart.equilibrium)
     rank_eq = symbolic.element_rank(QQ, W, len(dist.coords))
     if rank_eq != result.dim:
         raise ConstantDimensionError(
@@ -575,16 +558,16 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
     constant-dimension assumption underlying the whole analysis fails.
     That is checked twice: on the pushed component rows themselves, and
     pointwise through the update Jacobian at the equilibrium, which
-    catches drops that a rescaled basis would hide.  Chart forms carried
-    on dist for this chart are used instead of transforming again.
+    catches drops that a rescaled basis would hide.  dist must carry its
+    witness rows and its chart forms for chart, as every result of
+    largest_projectable_subdistribution does; ValueError otherwise.
     """
     xplus = shifted_state_symbols(system)
     if dist.dim == 0:
         return Distribution(coords=xplus, fields=())
-    if dist.chart is chart:
-        adapted = dist.chart_fields
-    else:
-        adapted = [transform_vector_field(f, chart) for f in dist.fields]
+    if dist.chart is not chart:
+        raise ValueError("distribution carries no chart forms for this chart")
+    adapted = dist.chart_fields
     # theta components, renamed to x+ in the image field QQ(x+)
     L = symbolic.function_field(xplus)
     rename = dict(zip(chart.theta, xplus))
@@ -616,7 +599,7 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
     K = chart.function_field
     jac_eq = symbolic.element_values(
         chart.coordinate_field, chart.jacobian[:system.n], chart.equilibrium)
-    W = symbolic.element_values(K, _witness_rows(dist, K), chart.equilibrium)
+    W = symbolic.element_values(K, dist.witness_rows, chart.equilibrium)
     pushed = [[sum(w * d for w, d in zip(w_row, d_row)) for d_row in jac_eq]
               for w_row in W]
     pointwise = symbolic.element_rank(QQ, pushed, system.n)

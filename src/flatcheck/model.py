@@ -110,26 +110,18 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
                 % (system.name, xi, xi, residual)
             )
 
-    # a rank at a point is at most the generic rank, so a full rank at the
-    # equilibrium proves the generic one
-    rank_eq = symbolic.jacobian_rank(K, update, system.variables, point)
+    rank, rank_eq = symbolic.jacobian_ranks(K, update, system.variables, point)
+    if rank < n:
+        raise ValidationError(
+            "system %r: update map has generic rank %d < n = %d, not submersive"
+            % (system.name, rank, n)
+        )
     if rank_eq < n:
-        rank_generic = symbolic.jacobian_rank(K, update, system.variables)
-        if rank_generic < n:
-            raise ValidationError(
-                "system %r: update map has generic rank %d < n = %d, not submersive"
-                % (system.name, rank_generic, n)
-            )
         raise ValidationError(
             "system %r: rank drop at equilibrium (rank %d < n = %d)"
             % (system.name, rank_eq, n)
         )
-
-    input_rank_eq = symbolic.jacobian_rank(K, update, system.inputs, point)
-    if input_rank_eq == min(n, m):
-        input_rank = input_rank_eq
-    else:
-        input_rank = symbolic.jacobian_rank(K, update, system.inputs)
+    input_rank, input_rank_eq = symbolic.jacobian_ranks(K, update, system.inputs, point)
     if input_rank_eq < input_rank:
         raise ValidationError(
             "system %r: input rank drop at equilibrium (%d < %d)"
@@ -203,14 +195,21 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     equations += [t - u for t, u in zip(symbolic.generators(H, utilde),
                                         symbolic.generators(H, removed))]
     solutions = symbolic.solve_elements(H, equations, system.inputs)
-    if not solutions:
+    point = system.equilibrium_point()
+    new_equilibrium = {s: point[s] for s in system.states}
+    values = symbolic.element_values(K, [kept_functions], point)[0]
+    new_equilibrium.update(zip(uhat, map(QQ.to_sympy, values)))
+    # the branch that gives back the original inputs at the reduced
+    # equilibrium, where each utilde takes the value of its input
+    inverse = symbolic.branch_through(
+        H, solutions, system.inputs,
+        {**new_equilibrium, **{t: point[u] for t, u in zip(utilde, removed)}},
+        [point[u] for u in system.inputs])
+    if inverse is None:
         raise ValidationError(
-            "system %r: cannot invert the effective-input change" % system.name
+            "system %r: cannot invert the effective-input change through the "
+            "equilibrium" % system.name
         )
-    # the first branch in sympy's order of its expressions, whatever order
-    # the elimination finds them in
-    inverse = min(solutions, key=lambda sol: sp.default_sort_key(
-        {u: a.as_expr() for u, a in sol.items()}))
 
     new_update = []
     for fi in update:
@@ -223,11 +222,6 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
                 % (system.name, sorted(extra, key=str))
             )
         new_update.append(gi)
-
-    point = system.equilibrium_point()
-    new_equilibrium = {s: point[s] for s in system.states}
-    values = symbolic.element_values(K, [kept_functions], point)[0]
-    new_equilibrium.update(zip(uhat, map(QQ.to_sympy, values)))
 
     reduced = DiscreteTimeSystem(
         name=system.name + "Reduced",

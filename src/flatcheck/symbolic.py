@@ -9,14 +9,16 @@ functions) raises UnsupportedEquationError where it is converted.
 
 There is one matrix API, on field elements: ``element_rref``,
 ``element_nullspace``, ``element_rank``, ``element_values``,
-``jacobian_rank``, ``clear_element_row`` and ``clear_fraction_row``, the
-latter for a row given as numerators over one denominator.  ``field``
-builds QQ(symbols) with its generators sorted by name and ``generators``
-looks them up; ``rename`` and ``compose`` move elements between fields
-and coordinates, ``compose`` taking its images as a dict from symbol to
-element and renaming, without a gcd, when they only rename the
-generators it uses; ``solve_elements`` solves, and ``branch_through``
-picks the solved branch through a point.  ``to_elements`` is the only way
+``jacobian_at``, ``jacobian_rank``, ``jacobian_ranks``,
+``clear_element_row`` and ``clear_fraction_row``, the latter for a row
+given as numerators over one denominator; ``unit_completion`` completes
+a Jacobian at a point by coordinate rows.  ``field`` builds QQ(symbols)
+with its generators sorted by name and ``generators`` looks them up;
+``rename`` and ``compose`` move elements between fields and coordinates,
+``compose`` taking its images as a dict from symbol to element and
+renaming, without a gcd, when they only rename the generators it uses;
+``solve_elements`` solves, and ``branch_through`` picks the solved
+branch through a point.  ``to_elements`` is the only way
 into it, for the model's update map and a candidate output; every stage,
 from validation to verification, then calls only these, and the records
 between stages hold elements.  ``canonicalize_element`` and
@@ -35,9 +37,14 @@ rational point where every entry is defined is at most the generic
 rank, which is at most min(rows, cols); so ``element_rank`` and
 ``jacobian_rank`` first evaluate at one fixed rational point, and a full
 rank there is the generic rank.  On a pole or a rank that falls short
-they row reduce over the function field instead.  ``jacobian_rank``
-evaluates the Jacobian from the partial derivatives of numerator and
-denominator, without building it symbolically.  All functions are pure.
+they row reduce over the function field instead.  The checks of the
+other modules at their equilibrium use the same rule, only through this
+module: ``jacobian_ranks`` ranks the Jacobian at the point first and
+computes the generic rank only when that falls short, and
+``unit_completion`` keeps a coordinate only when the stack stays of full
+rank at the point.  ``jacobian_at`` evaluates the Jacobian from the
+partial derivatives of numerator and denominator, without building it
+symbolically.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -658,30 +665,38 @@ def element_rank(K, rows, ncols) -> int:
     return len(element_rref(K, rows, ncols)[1])
 
 
-def jacobian_rank(K, elements, variables, point=None) -> int:
-    """Rank of the Jacobian of elements of the field K with respect to
-    variables, generators of K: generically, or at point when one is
-    given.
+def jacobian_at(K, elements, variables, point) -> list:
+    """The Jacobian of elements of the field K with respect to variables,
+    generators of K, at a rational point, as rows of rational numbers.
 
-    The Jacobian's value at a point comes from the partial derivatives of
-    each numerator n and denominator d, as (n' d - n d') / d**2, without
-    a gcd and without building the symbolic Jacobian.  A given point must
-    fix every generator the elements use; a pole there raises
-    ZeroDivisionError.  The generic rank is certified at the fixed point
-    of :func:`element_rank`, given to the generators the elements use in
-    name order, so generators of K that they do not use do not move it.
-    The fallback is the same: row reduction of the Jacobian over K.
+    Each row comes from the partial derivatives of the numerator n and
+    denominator d, as (n' d - n d') / d**2, without a gcd and without
+    building the symbolic Jacobian.  The point must fix every generator
+    the elements use; a pole of an element there raises
+    ZeroDivisionError.
+    """
+    index = {s: i for i, s in enumerate(K.symbols)}
+    columns = {index[v]: k for k, v in enumerate(variables) if v in index}
+    values = _point_values(K, elements, point)
+    return [_defined(_jacobian_row(a.numer, a.denom, values, columns, len(variables)), a, point)
+            for a in elements]
+
+
+def jacobian_rank(K, elements, variables) -> int:
+    """Generic rank of the Jacobian of elements of the field K with respect
+    to variables, generators of K.
+
+    The rank is certified at the fixed point of :func:`element_rank`,
+    given to the generators the elements use in name order, so generators
+    of K that they do not use do not move it; the Jacobian there is
+    evaluated as in :func:`jacobian_at`.  The fallback is the same: row
+    reduction of the Jacobian over K.
     """
     nrows, ncols = len(elements), len(variables)
     if K is QQ or not nrows or not ncols:
         return 0
     index = {s: i for i, s in enumerate(K.symbols)}
     columns = {index[v]: k for k, v in enumerate(variables) if v in index}
-    if point is not None:
-        values = _point_values(K, elements, point)
-        rows = [_defined(_jacobian_row(a.numer, a.denom, values, columns, ncols), a, point)
-                for a in elements]
-        return len(element_rref(QQ, rows, ncols)[1])
     used = _used(elements)
     values = [0] * len(K.symbols)
     order = [i for i in _name_order(K.symbols) if i in used]
@@ -695,6 +710,34 @@ def jacobian_rank(K, elements, variables, point=None) -> int:
     gens = [K.field.gens[index[v]] if v in index else None for v in variables]
     rows = [[a.diff(g) if g is not None else K.zero for g in gens] for a in elements]
     return len(element_rref(K, rows, ncols)[1])
+
+
+def jacobian_ranks(K, elements, variables, point) -> tuple:
+    """Generic rank and rank at point of the Jacobian of elements of the
+    field K with respect to variables.  The point comes first: a full rank
+    there is the generic rank, and only a rank that falls short computes
+    :func:`jacobian_rank`.  A pole raises as in :func:`jacobian_at`."""
+    ncols = len(variables)
+    at_point = element_rank(QQ, jacobian_at(K, elements, variables, point), ncols)
+    if at_point == min(len(elements), ncols):
+        return at_point, at_point
+    return jacobian_rank(K, elements, variables), at_point
+
+
+def unit_completion(rows, ncols, candidates, count) -> list:
+    """The first count of the column indices candidates, tried in order,
+    whose unit row keeps the rows of rational numbers (a Jacobian at a
+    point) stacked on the units kept so far of full rank; so the stack's
+    generic rank is full too.  Fewer when the candidates run out."""
+    stack, kept = [list(r) for r in rows], []
+    for j in candidates:
+        if len(kept) == count:
+            break
+        unit = [QQ.one if i == j else QQ.zero for i in range(ncols)]
+        if element_rank(QQ, stack + [unit], ncols) == len(stack) + 1:
+            stack.append(unit)
+            kept.append(j)
+    return kept
 
 
 def element_values(K, rows, point: dict) -> list:

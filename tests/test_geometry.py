@@ -76,12 +76,11 @@ class TestDistribution:
         with pytest.raises(ValueError):
             geometry.contains_field(d, wider)
 
-    def test_witness_matrix_clears_poles(self):
-        coords = (x1, x2)
-        f = _field(coords, (1 / x1, 1))
-        d = geometry.Distribution(coords=coords, fields=(f,))
-        W = geometry._witness_rows(d, symbolic.function_field(coords))
-        assert all(sp.denom(sp.cancel(e.as_expr())).is_number for row in W for e in row)
+    def test_pushforward_refuses_a_distribution_without_chart_forms(self, flat4, flat4_report):
+        D = flat4_report.steps[0].D
+        foreign = geometry.Distribution(coords=D.coords, fields=D.fields)
+        with pytest.raises(ValueError):
+            geometry.pushforward_distribution(foreign, flat4, flat4_report.chart)
 
 
 class TestCombine:
@@ -241,9 +240,21 @@ class TestSequenceSteps:
         assert geometry.contains_distribution(delta1, pushed)
         assert geometry.contains_distribution(pushed, delta1)
 
-    def test_deltas_are_involutive(self, flat4_report):
-        for delta in flat4_report.delta_chain():
-            assert geometry.is_involutive(delta) is True
+    def test_deltas_are_involutive(self, load_system):
+        """Every Delta_k, E_k and D_k of every bundled model whose analysis
+        completes is involutive, which the largest projectable cut
+        assumes without checking."""
+        stopped = []
+        for model in BUNDLED:
+            try:
+                _, _, report = cli._prepare(load_system(model))
+            except ConstantDimensionError:
+                stopped.append(model)
+                continue
+            for step in report.steps:
+                for dist in (step.delta, step.E, step.D):
+                    assert geometry.is_involutive(dist) is True, (model, step.k)
+        assert stopped == ["quad_integrator"]
 
 
 class TestNarrowChartField:

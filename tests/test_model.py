@@ -174,6 +174,27 @@ class TestEliminateRedundantInputs:
             back = reduction.inverse[u].subs(forward, simultaneous=True)
             assert sp.simplify(back - u) == 0
 
+    def test_inverse_branch_passes_through_a_nonzero_equilibrium(self):
+        system = modelfile.parse_model(
+            """
+system offset
+states: x1, x2
+inputs: u1, u2
+equilibrium: x1 = 3, x2 = 3, u1 = 2, u2 = 1
+next x1 = x2
+next x2 = u1 + u2
+"""
+        )
+        reduction = model.eliminate_redundant_inputs(system)
+        reduced = reduction.reduced
+        point = {**reduced.equilibrium,
+                 **{t: system.equilibrium[u] for t, u in
+                    zip(reduction.removed_symbols, reduction.removed_coordinates)}}
+        assert reduced.equilibrium[reduced.inputs[0]] == 3
+        for u in system.inputs:
+            assert reduction.inverse[u].subs(point) == system.equilibrium[u]
+        assert not model.validate_system(reduced).redundant_inputs
+
     def test_requires_redundancy(self):
         system = modelfile.parse_model(CHAIN)
         with pytest.raises(ValidationError):

@@ -170,9 +170,12 @@ def _random_rational(rng, gens):
 
 def _jacobian_rank(functions, variables, point=None):
     """jacobian_rank of expressions converted over QQ(their free symbols
-    sorted by name)."""
+    sorted by name), or the rank of their jacobian_at a given point."""
     K, elements = symbolic.to_elements(functions)
-    return symbolic.jacobian_rank(K, elements, variables, point)
+    if point is None:
+        return symbolic.jacobian_rank(K, elements, variables)
+    rows = symbolic.jacobian_at(K, elements, variables, point)
+    return symbolic.element_rank(symbolic.QQ, rows, len(variables))
 
 
 def _fraction_field_rank(M):
@@ -312,6 +315,67 @@ class TestJacobianRank:
     def test_incomplete_point_raises(self):
         with pytest.raises(ValueError):
             _jacobian_rank([x * y], [x], {x: 1})
+
+
+class TestJacobianAtPoint:
+    """jacobian_at against the values of the Jacobian built with diff,
+    jacobian_ranks against its two ranks, and the greedy unit_completion."""
+
+    @staticmethod
+    def _case(seed):
+        """Random functions of (x, y, z) over QQ(x, y, z), some variables, a
+        point, and the Jacobian built with diff."""
+        rng = random.Random(seed + 7400)
+        K, elements = symbolic.to_elements(
+            [_random_rational(rng, [x, y, z]) for _ in range(rng.randint(1, 3))], (x, y, z))
+        if rng.random() < 0.5:
+            # a dependent function makes the ranks fall short
+            elements.append(elements[0] * elements[-1] + 1)
+        variables = rng.sample([x, y, z], rng.randint(1, 3))
+        point = {g: sp.Rational(rng.randint(-2, 2), rng.randint(1, 2)) for g in (x, y, z)}
+        gens = symbolic.generators(K, variables)
+        return K, elements, variables, point, [[a.diff(g) for g in gens] for a in elements]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_values_of_the_diff_jacobian(self, seed):
+        K, elements, variables, point, jacobian = self._case(seed)
+        assert (symbolic.jacobian_at(K, elements, variables, point)
+                == symbolic.element_values(K, jacobian, point))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ranks_match_the_diff_jacobian(self, seed):
+        K, elements, variables, point, jacobian = self._case(seed)
+        at_point = symbolic.element_rank(
+            symbolic.QQ, symbolic.element_values(K, jacobian, point), len(variables))
+        generic = symbolic.element_rank(K, jacobian, len(variables))
+        assert symbolic.jacobian_ranks(K, elements, variables, point) == (generic, at_point)
+
+    def test_point_rank_falls_short(self):
+        K, elements = symbolic.to_elements([x * y])
+        assert symbolic.jacobian_ranks(K, elements, [x, y], {x: 0, y: 0}) == (1, 0)
+
+    def test_pole_of_an_element_raises_without_a_column_for_it(self):
+        K, elements = symbolic.to_elements([1 / x + y])
+        with pytest.raises(ZeroDivisionError):
+            symbolic.jacobian_at(K, elements, [y], {x: 0, y: 1})
+
+    def test_full_rank_at_the_point_skips_the_generic_rank(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the generic rank was computed")
+
+        monkeypatch.setattr(symbolic, "jacobian_rank", refuse)
+        K, elements = symbolic.to_elements([x * y, x + y**2])
+        assert symbolic.jacobian_ranks(K, elements, [x, y], {x: 1, y: 2}) == (2, 2)
+
+    def test_completion_keeps_columns_in_the_order_tried(self):
+        QQ = symbolic.QQ
+        rows = [[QQ(1), QQ(1), QQ(0)]]
+        # the unit row of column 1 after column 0 adds nothing
+        assert symbolic.unit_completion(rows, 3, [0, 1, 2], 2) == [0, 2]
+        assert symbolic.unit_completion(rows, 3, [2, 1, 0], 2) == [2, 1]
+        assert symbolic.unit_completion(rows, 3, [0, 1, 2], 0) == []
+        # candidates that run out leave the completion short
+        assert symbolic.unit_completion(rows, 3, [0, 1], 2) == [0]
 
 
 def _solve(equations, unknowns):
