@@ -200,8 +200,7 @@ def cmd_verify(args, timings) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    _, candidate = symbolic.to_elements(
-        [modelfile.parse_expression(piece, system) for piece in parts], system.variables)
+    candidate = modelfile.parse_elements(parts, system)
 
     with _stage(timings, "symbolic"):
         p, sym_rep = verification.verify_flat_output_symbolic(system, candidate)

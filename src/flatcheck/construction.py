@@ -135,8 +135,10 @@ def polynomial_invariants(
     and accepted greedily while their gradients with respect to
     ``gradient_variables`` at ``point``, stacked on ``seed_gradients``
     (rows of rational numbers), gain rank; a full rank at the point
-    proves the generic one.  Returns the invariants as polynomials in
-    QQ(variables, any further generators of the rows).
+    proves the generic one.  The ansatz indexes its monomials over the
+    variables first; the invariants are returned as polynomials in
+    symbolic.field(variables, any further generators of the rows), whose
+    generators are sorted by name.
 
     Raises StraighteningError when fewer than ``count`` independent
     invariants exist within the degree cap.
@@ -155,6 +157,7 @@ def polynomial_invariants(
     stack = [list(g) for g in seed_gradients]
     accepted = []
     monomials = []
+    sorted_field = symbolic.field(L.symbols)
     for degree in range(1, max_degree + 1):
         for combo in itertools.combinations_with_replacement(range(len(variables)), degree):
             monom = [0] * len(L.symbols)
@@ -168,7 +171,7 @@ def polynomial_invariants(
             grad = symbolic.jacobian_at(L, [candidate], grad_vars, point)[0]
             if symbolic.element_rank(QQ, stack + [grad], len(grad_vars)) != len(stack) + 1:
                 continue
-            accepted.append(candidate)
+            accepted.append(symbolic.rename(candidate, sorted_field, {}))
             stack.append(grad)
             if len(accepted) == count:
                 return tuple(accepted)
@@ -233,9 +236,10 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
     n = len(states)
     # invariants of the top member complete the chart (rest), those of
     # member k - 1 form block k; seeds are the gradients found so far.
-    # The invariants are polynomials in P = QQ(states), the chain's field.
-    P = symbolic.function_field(states)
-    gens = dict(zip(states, P.field.gens))
+    # The invariants are polynomials in P = QQ(states), generators sorted
+    # by name, as polynomial_invariants returns them.
+    P = symbolic.field(states)
+    gens = dict(zip(states, symbolic.generators(P, states)))
     seeds, found = [], []
     searches = [(chain[-1], n - dims[-1])]
     searches += [(chain[k - 2], dims[k - 1] - dims[k - 2]) for k in range(kbar, 1, -1)]
@@ -485,10 +489,9 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 kernel_rows, remaining + gamma, len(gamma) - mu, state.point_cur,
                 max_degree=state.max_degree, gradient_variables=gamma)
             zeta_syms = [sp.Symbol("zeta%d_%d" % (k, r + 1)) for r in range(len(invariants))]
-            # polynomial_invariants returns them in QQ(remaining, gamma)
-            L = symbolic.function_field(tuple(remaining + gamma))
+            # the invariants are in K, the field of the kernel rows
             chosen = _complete_with_coordinates(
-                symbolic.jacobian_at(L, invariants, gamma, state.point_cur), gamma, mu,
+                symbolic.jacobian_at(K, invariants, gamma, state.point_cur), gamma, mu,
                 "redundant directions at step %d" % k)
             y_syms = [sp.Symbol("y%d_%d" % (k, i + 1)) for i in range(mu)]
             kept = symbolic.generators(state.coordinates, chosen)
@@ -523,7 +526,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
             "step %d" % k
         )
     variables = remaining + zeta_syms
-    W = symbolic.function_field(tuple(variables))
+    W = symbolic.field(variables)
     try:
         w_rows = [[W.zero] * len(remaining) + [symbolic.rename(a, W, {}) for a in rref[i][:n_zeta]]
                   for i in zeta_pivot_rows]

@@ -49,7 +49,6 @@ from .errors import (
     IrrationalSolutionError,
     NotProjectableError,
 )
-from .model import update_elements
 
 
 def shifted_state_symbols(system) -> tuple:
@@ -219,8 +218,8 @@ def build_adapted_chart(system) -> Chart:
     (f, xi) regular at the equilibrium, which proves it regular
     generically (symbolic.unit_completion).  The inverse map is computed
     symbolically and the branch through the equilibrium is selected.
-    The update map is the model's one conversion (model.update_elements),
-    renamed into the wide field.
+    The update map is the model's one conversion
+    (DiscreteTimeSystem.update_elements), renamed into the wide field.
     """
     n, m = system.n, system.m
     variables = system.variables
@@ -229,8 +228,7 @@ def build_adapted_chart(system) -> Chart:
     coords, K = _chart_field(system)
     N = symbolic.field(coords)
     theta, xi = coords[:n], coords[n:]
-    update = [symbolic.rename(f, K, {})
-              for f in update_elements(system.update, variables)[1]]
+    update = [symbolic.rename(f, K, {}) for f in system.update_elements[1]]
 
     rows = symbolic.jacobian_at(K, update, variables, point)
     chosen = symbolic.unit_completion(rows, n + m, range(n + m), m)

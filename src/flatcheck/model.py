@@ -18,28 +18,55 @@ from .errors import UnsupportedEquationError, ValidationError
 from . import symbolic
 
 
-@dataclass(frozen=True)
 class DiscreteTimeSystem:
-    """Immutable description of x+ = f(x, u) with a marked equilibrium."""
+    """Immutable description of x+ = f(x, u) with a marked equilibrium.
 
-    name: str
-    states: tuple
-    inputs: tuple
-    update: tuple
-    equilibrium: dict
-    source_digest: str | None = None
+    The update map is given as expressions, update, which may also be a
+    function of no arguments that builds them, and optionally as elements,
+    a pair (K, tuple of elements) with K = QQ(states, inputs) in that
+    order.  A form that is not given is built from the other on its first
+    read, so a system given as elements that is only analyzed builds no
+    expression.
+    """
 
-    def __post_init__(self):
-        if len(self.update) != len(self.states):
+    def __init__(self, name, states, inputs, update, equilibrium, source_digest=None,
+                 elements=None):
+        vars(self).update(name=name, states=tuple(states), inputs=tuple(inputs),
+                          equilibrium=equilibrium, source_digest=source_digest,
+                          _update=update, _elements=elements)
+        count = len(elements[1]) if elements is not None else len(self.update)
+        if count != len(self.states):
             raise ValidationError(
                 "system %r: %d states but %d update equations"
-                % (self.name, len(self.states), len(self.update))
+                % (self.name, len(self.states), count)
             )
-        for v in list(self.states) + list(self.inputs):
+        for v in self.variables:
             if v not in self.equilibrium:
                 raise ValidationError(
                     "system %r: equilibrium missing a value for %s" % (self.name, v)
                 )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a DiscreteTimeSystem is immutable")
+
+    @functools.cached_property
+    def update(self) -> tuple:
+        """The update map as expressions, one per state."""
+        return tuple(self._update() if callable(self._update) else self._update)
+
+    @functools.cached_property
+    def update_elements(self) -> tuple:
+        """The update map as (K, elements) with K = QQ(variables), variables
+        in the system's order, states first.
+
+        This is the one conversion of the model's update map; a stage that
+        needs it in another field renames these elements.  Raises
+        UnsupportedEquationError when the map is not rational.
+        """
+        if self._elements is not None:
+            return self._elements
+        K, elements = symbolic.to_elements(self.update, self.variables)
+        return K, tuple(elements)
 
     @property
     def n(self) -> int:
@@ -52,23 +79,10 @@ class DiscreteTimeSystem:
     @property
     def variables(self) -> tuple:
         """All coordinates of the extended space, states first."""
-        return tuple(self.states) + tuple(self.inputs)
+        return self.states + self.inputs
 
     def equilibrium_point(self) -> dict:
         return dict(self.equilibrium)
-
-
-@functools.lru_cache(maxsize=32)
-def update_elements(update, variables) -> tuple:
-    """The update map as (K, elements) with K = QQ(variables), variables
-    in the system's order, states first.
-
-    This is the one conversion of the model's update map; a stage that
-    needs it in another field renames these elements.  Raises
-    UnsupportedEquationError when the map is not rational.
-    """
-    K, elements = symbolic.to_elements(update, variables)
-    return K, tuple(elements)
 
 
 @dataclass(frozen=True)
@@ -91,17 +105,17 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
     """
     n, m = system.n, system.m
     try:
-        K, update = update_elements(system.update, system.variables)
+        K, update = system.update_elements
     except UnsupportedEquationError as exc:
         raise ValidationError("system %r: %s" % (system.name, exc)) from None
     point = system.equilibrium_point()
-    for xi, fi, a in zip(system.states, system.update, update):
+    for i, (xi, a) in enumerate(zip(system.states, update)):
         try:
             (value,), = symbolic.element_values(K, [[a]], point)
         except ZeroDivisionError:
             raise ValidationError(
                 "system %r: the update of %s, %s, has a pole at the marked point"
-                % (system.name, xi, fi)
+                % (system.name, xi, system.update[i])
             ) from None
         residual = QQ.to_sympy(value) - point[xi]
         if residual != 0:
@@ -143,8 +157,9 @@ class InputReduction:
     in QQ(x, u) of update_elements; removed_coordinates are the original
     input symbols that survive as free directions, and extend any flat
     output of the reduced system to one of the original system.  inverse
-    expresses every original input in terms of (x, uhat, utilde), with
-    the removed coordinates renamed utilde_1..utilde_k.
+    expresses every original input as an element of QQ(x, u, uhat,
+    utilde), generators sorted by name, in terms of (x, uhat, utilde),
+    with the removed coordinates renamed utilde_1..utilde_k.
     """
 
     reduced: DiscreteTimeSystem
@@ -164,7 +179,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     to retain at least one effective input.
     """
     n, m = system.n, system.m
-    K, update = update_elements(system.update, system.variables)
+    K, update = system.update_elements
     ijac = [[f.diff(u) for u in K.field.gens[n:]] for f in update]
     # the first update components f^{i_r} whose input-Jacobian rows are
     # independent, the pivot columns of its transpose; their values
@@ -211,31 +226,32 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
             "equilibrium" % system.name
         )
 
+    # the reduced update map in QQ(x, uhat), the field of its variables
+    R = symbolic.function_field(system.states + uhat)
     new_update = []
     for fi in update:
-        gi = symbolic.canonicalize_element(
-            H, symbolic.compose(symbolic.rename(fi, H, {}), inverse, H))
-        extra = set(gi.free_symbols) & set(utilde)
+        gi = symbolic.compose(symbolic.rename(fi, H, {}), inverse, H)
+        extra = symbolic.used_symbols(gi) & set(utilde)
         if extra:
             raise ValidationError(
                 "system %r: update still depends on removed inputs %s"
                 % (system.name, sorted(extra, key=str))
             )
-        new_update.append(gi)
+        new_update.append(symbolic.rename(gi, R, {}))
 
     reduced = DiscreteTimeSystem(
         name=system.name + "Reduced",
         states=system.states,
         inputs=uhat,
-        update=tuple(new_update),
+        update=lambda: tuple(symbolic.canonicalize_element(R, a) for a in new_update),
         equilibrium=new_equilibrium,
         source_digest=system.source_digest,
+        elements=(R, tuple(new_update)),
     )
-    inverse_full = {u: symbolic.canonicalize_element(H, a) for u, a in inverse.items()}
     return InputReduction(
         reduced=reduced,
         kept_functions=kept_functions,
         removed_coordinates=removed,
         removed_symbols=utilde,
-        inverse=inverse_full,
+        inverse=inverse,
     )

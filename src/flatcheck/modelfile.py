@@ -17,11 +17,15 @@ generated coordinate names, and ``y<digits>`` is reserved for flat outputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 import re
 
 import sympy as sp
+from sympy.polys.polyerrors import CoercionFailed
 
+from . import symbolic
 from .errors import ModelSyntaxError, ModelSemanticsError
 from .model import DiscreteTimeSystem
 
@@ -68,14 +72,34 @@ def _tokenize_line(text, line_no):
     return tokens
 
 
-class _ExprParser:
-    """Precedence-climbing parser for the expression sublanguage."""
+class _Expressions:
+    """Semantic actions of the parser that build sympy expressions.  The
+    other set, symbolic.Fractions, builds fractions of polynomials."""
 
-    def __init__(self, tokens, symbols, line_no):
+    number = staticmethod(lambda q: q)
+    symbol = staticmethod(lambda s: s)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    neg = staticmethod(operator.neg)
+
+    @staticmethod
+    def power(base, k):
+        return base ** sp.Integer(k)
+
+
+class _ExprParser:
+    """Precedence-climbing parser for the expression sublanguage.  The
+    actions (number, symbol, add, sub, mul, div, neg, power) build the
+    value: _Expressions or symbolic.Fractions."""
+
+    def __init__(self, tokens, symbols, line_no, actions=_Expressions):
         self.tokens = tokens
         self.pos = 0
         self.symbols = symbols
         self.line_no = line_no
+        self.actions = actions
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -109,7 +133,7 @@ class _ExprParser:
             if tok is not None and tok.kind == "OP" and tok.text in "+-":
                 self._next()
                 rhs = self._term()
-                e = e + rhs if tok.text == "+" else e - rhs
+                e = self.actions.add(e, rhs) if tok.text == "+" else self.actions.sub(e, rhs)
             else:
                 return e
 
@@ -120,7 +144,7 @@ class _ExprParser:
             if tok is not None and tok.kind == "OP" and tok.text in "*/":
                 self._next()
                 rhs = self._unary()
-                e = e * rhs if tok.text == "*" else e / rhs
+                e = self.actions.mul(e, rhs) if tok.text == "*" else self.actions.div(e, rhs)
             else:
                 return e
 
@@ -128,7 +152,7 @@ class _ExprParser:
         tok = self._peek()
         if tok is not None and tok.kind == "OP" and tok.text == "-":
             self._next()
-            return -self._unary()
+            return self.actions.neg(self._unary())
         if tok is not None and tok.kind == "OP" and tok.text == "+":
             self._next()
             return self._unary()
@@ -139,8 +163,7 @@ class _ExprParser:
         tok = self._peek()
         if tok is not None and tok.kind == "OP" and tok.text == "^":
             self._next()
-            exponent = self._exponent()
-            return base ** exponent
+            return self.actions.power(base, self._exponent())
         return base
 
     def _exponent(self):
@@ -153,18 +176,18 @@ class _ExprParser:
             raise ModelSyntaxError(
                 "exponent must be an integer literal", tok.line, tok.column
             )
-        return sign * sp.Integer(int(tok.text))
+        return sign * int(tok.text)
 
     def _atom(self):
         tok = self._next()
         if tok.kind == "NUMBER":
-            return _number_value(tok)
+            return self.actions.number(_number_value(tok))
         if tok.kind == "IDENT":
             if tok.text not in self.symbols:
                 raise ModelSyntaxError(
                     "unknown identifier %r" % tok.text, tok.line, tok.column
                 )
-            return self.symbols[tok.text]
+            return self.actions.symbol(self.symbols[tok.text])
         if tok.kind == "OP" and tok.text == "(":
             e = self._expr()
             closing = self._next()
@@ -213,8 +236,8 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
     state_names: list[str] = []
     input_names: list[str] = []
     equilibrium_tokens = None
-    updates: dict[str, sp.Expr] = {}
-    update_order: list[str] = []
+    updates: dict[str, tuple] = {}
+    statements: dict[str, tuple] = {}
 
     lines = text.split("\n")
     pending_next: list[tuple[int, list]] = []
@@ -283,6 +306,8 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
         seen.add(nm)
 
     symbols = {nm: sp.Symbol(nm) for nm in state_names + input_names}
+    K = symbolic.function_field(tuple(symbols.values()))
+    fractions = symbolic.Fractions(K)
 
     equilibrium = {symbols[nm]: sp.Integer(0) for nm in state_names + input_names}
     if equilibrium_tokens is not None:
@@ -342,9 +367,8 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
             raise ModelSemanticsError(
                 "%s: duplicate update for state %r" % (source_name, target)
             )
-        expr = _ExprParser(tokens[3:], symbols, line_no).parse()
-        updates[target] = expr
-        update_order.append(target)
+        statements[target] = (tokens[3:], line_no)
+        updates[target] = _parse_fraction(tokens[3:], symbols, line_no, fractions)
 
     missing = [nm for nm in state_names if nm not in updates]
     if missing:
@@ -352,15 +376,39 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
             "%s: missing update for state(s) %s" % (source_name, ", ".join(missing))
         )
 
+    # the expressions are parsed again from the tokens when first read;
+    # an update that divides by zero is left to their conversion to reject
+    elements = None
+    if all(updates.values()):
+        elements = (K, tuple(K.field.new(*updates[nm]) for nm in state_names))
     return DiscreteTimeSystem(
         name=name,
         states=tuple(symbols[nm] for nm in state_names),
         inputs=tuple(symbols[nm] for nm in input_names),
-        update=tuple(updates[nm] for nm in state_names),
+        update=functools.partial(_parse_expressions,
+                                 [statements[nm] for nm in state_names], symbols),
         equilibrium={v: equilibrium[v] for v in
                      [symbols[nm] for nm in state_names + input_names]},
         source_digest=digest,
+        elements=elements,
     )
+
+
+def _parse_fraction(tokens, symbols, line_no, fractions):
+    """The expression of tokens as a pair of symbolic.Fractions; None when
+    it divides by zero.  Its syntax is then checked by parsing it as an
+    expression, which is not rational."""
+    try:
+        return _ExprParser(tokens, symbols, line_no, fractions).parse()
+    except CoercionFailed:
+        _ExprParser(tokens, symbols, line_no).parse()
+        return None
+
+
+def _parse_expressions(statements, symbols) -> tuple:
+    """The expressions of the (tokens, line number) statements."""
+    return tuple(_ExprParser(tokens, symbols, line_no).parse()
+                 for tokens, line_no in statements)
 
 
 def load_model(path) -> DiscreteTimeSystem:
@@ -378,8 +426,27 @@ def parse_expression(text: str, system: DiscreteTimeSystem) -> sp.Expr:
     exponents) and resolves identifiers against the states and inputs of
     ``system``.  Raises ModelSyntaxError on anything else.
     """
+    return _ExprParser(*_expression_tokens(text, system)).parse()
+
+
+def parse_elements(texts, system) -> list:
+    """Parse expressions as parse_expression does, as elements of the
+    field QQ(states, inputs) of system.update_elements, without building
+    an expression.  Raises UnsupportedEquationError, as
+    symbolic.to_elements does, when one divides by zero."""
+    K = symbolic.function_field(system.variables)
+    fractions = symbolic.Fractions(K)
+    parsed = [_parse_fraction(*_expression_tokens(text, system), fractions) for text in texts]
+    if not all(parsed):
+        return symbolic.to_elements([parse_expression(text, system) for text in texts],
+                                    system.variables)[1]
+    return [K.field.new(*pair) for pair in parsed]
+
+
+def _expression_tokens(text, system) -> tuple:
+    """The tokens, the identifiers and the line number of one expression
+    over the variables of system."""
     tokens = _tokenize_line(text, 1)
     if not tokens:
         raise ModelSyntaxError("empty expression", 1, 1)
-    symbols = {str(v): v for v in system.states + system.inputs}
-    return _ExprParser(tokens, symbols, 1).parse()
+    return tokens, {str(v): v for v in system.variables}, 1

@@ -18,11 +18,16 @@ with its generators sorted by name and ``generators`` looks them up;
 ``compose`` taking its images as a dict from symbol to element and
 renaming, without a gcd, when they only rename the generators it uses;
 ``solve_elements`` solves, and ``branch_through`` picks the solved
-branch through a point.  ``to_elements`` is the only way
-into it, for the model's update map and a candidate output; every stage,
-from validation to verification, then calls only these, and the records
-between stages hold elements.  ``canonicalize_element`` and
-``.as_expr()`` are the ways out, and ``to_infix`` prints an element.
+branch through a point.  Elements come in without an expression from
+the model parser, which builds the update map and a candidate output
+with the gcd-free arithmetic of ``Fractions``; ``to_elements`` converts
+expressions built in code with the same arithmetic.  Every stage, from
+validation to verification, then calls only these, and the records
+between stages hold elements.  ``to_infix`` prints an element without
+evaluating a sympy sum.  Expressions are built only where they are
+read: ``canonicalize_element`` and ``.as_expr()`` give them for the
+lambdified numeric replay, which also reads the model's update map as
+expressions, and for error messages.
 
 ``solve_elements`` solves by exact elimination in the fraction field:
 it eliminates the unknowns in the caller's order, one equation linear
@@ -81,39 +86,78 @@ def generators(K, symbols) -> list:
     return [K.field.gens[index[s]] for s in symbols]
 
 
-def _fraction(e, ring, index):
-    """(numerator, denominator) polynomials in ring of a rational
-    expression, built without any gcd.  Raises CoercionFailed for
-    anything else: floats, radicals, functions, symbols outside ring."""
-    if e.is_Rational:
-        return ring.ground_new(QQ(e.p, e.q)), ring.one
-    if e.is_Symbol:
-        if e not in index:
-            raise CoercionFailed(e)
-        return ring.gens[index[e]], ring.one
-    if e.is_Add:
-        num, den = ring.zero, ring.one
-        for arg in e.args:
-            n, d = _fraction(arg, ring, index)
-            if d == den:
-                num = num + n
-            else:
-                num, den = num * d + n * den, den * d
-        return num, den
-    if e.is_Mul:
-        num, den = ring.one, ring.one
-        for arg in e.args:
-            n, d = _fraction(arg, ring, index)
-            num, den = num * n, den * d
-        return num, den
-    if e.is_Pow and e.exp.is_Integer:
-        num, den = _fraction(e.base, ring, index)
-        k = int(e.exp)
+class Fractions:
+    """Arithmetic on fractions over the field K = QQ(gens): (numerator,
+    denominator) pairs of polynomials of its ring, built without any gcd.
+
+    A sum over one denominator adds the numerators, any other sum and
+    every product multiply out, and a negative power swaps the parts, so
+    a pair need not be in lowest terms; ``K.field.new`` reduces it once.
+    The model parser builds its elements with these operations, and
+    :func:`_fraction` converts an expression with them.  Raises
+    CoercionFailed for a symbol that is not a generator of K and for a
+    division by zero.
+    """
+
+    def __init__(self, K):
+        self.ring = K.field.ring
+        self.index = {s: i for i, s in enumerate(K.symbols)}
+
+    def number(self, q):
+        """The sympy Rational q."""
+        return self.ring.ground_new(QQ(q.p, q.q)), self.ring.one
+
+    def symbol(self, s):
+        if s not in self.index:
+            raise CoercionFailed(s)
+        return self.ring.gens[self.index[s]], self.ring.one
+
+    @staticmethod
+    def add(x, y):
+        (num, den), (n, d) = x, y
+        if d == den:
+            return num + n, den
+        return num * d + n * den, den * d
+
+    @staticmethod
+    def neg(x):
+        return -x[0], x[1]
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    @staticmethod
+    def mul(x, y):
+        return x[0] * y[0], x[1] * y[1]
+
+    def div(self, x, y):
+        return self.mul(x, self.power(y, -1))
+
+    def power(self, x, k):
+        """x to the integer k; x**0 is 1, even for x = 0, as in sympy."""
+        num, den = x
+        if k == 0:
+            return self.ring.one, self.ring.one
         if k < 0:
             if not num:
-                raise CoercionFailed(e)
+                raise CoercionFailed("division by zero")
             num, den, k = den, num, -k
         return num**k, den**k
+
+
+def _fraction(e, fractions):
+    """The pair of :class:`Fractions` of a rational expression.  Raises
+    CoercionFailed for anything else: floats, radicals, functions,
+    symbols outside the field."""
+    if e.is_Rational:
+        return fractions.number(e)
+    if e.is_Symbol:
+        return fractions.symbol(e)
+    if e.is_Add or e.is_Mul:
+        combine = fractions.add if e.is_Add else fractions.mul
+        return functools.reduce(combine, [_fraction(arg, fractions) for arg in e.args])
+    if e.is_Pow and e.exp.is_Integer:
+        return fractions.power(_fraction(e.base, fractions), int(e.exp))
     raise CoercionFailed(e)
 
 
@@ -129,17 +173,16 @@ def _fractions(exprs, gens=None):
         gens = () if K is QQ else K.symbols
     else:
         K = function_field(tuple(gens))
-    ring = None if K is QQ else K.field.ring
-    index = {s: i for i, s in enumerate(K.symbols)} if ring else {}
+    fractions = None if K is QQ else Fractions(K)
     pairs = []
     for e in exprs:
         try:
-            if ring is None:
+            if fractions is None:
                 if not e.is_Rational:
                     raise CoercionFailed(e)
                 pairs.append((QQ(e.p, e.q), QQ.one))
             else:
-                pairs.append(_fraction(e, ring, index))
+                pairs.append(_fraction(e, fractions))
         except CoercionFailed:
             raise UnsupportedEquationError(
                 "%s is not a rational function of (%s) with rational coefficients"
@@ -174,40 +217,40 @@ def _lead_is_negative(poly) -> bool:
     return poly[lead] < 0
 
 
-def canonical_pair(K, a):
-    """Normalized (numerator, denominator) expressions of the element a of
-    the field K.
+def _canonical_polys(a):
+    """Numerator and denominator polynomials of the canonical form of the
+    nonzero element a of a function field.
 
-    The fraction is in lowest terms, both parts expanded, and the sign
-    fixed so the numerator's leading coefficient is positive under
-    graded-lexicographic monomial order over the generators sorted by
-    name; generators that a does not use do not change it.  sympy
-    distributes a numeric factor over a sum, so a sum over a constant
-    denominator d comes out as (sum / d, 1).
+    The fraction is in lowest terms and the sign fixed so the numerator's
+    leading coefficient is positive under graded-lexicographic monomial
+    order over the generators sorted by name; generators that a does not
+    use do not change it.  A constant denominator is divided into the
+    numerator, so it comes out as 1.
     """
-    if not a:
-        return sp.Integer(0), sp.Integer(1)
-    if K is QQ:
-        num, den = sp.Integer(K.numer(a)), sp.Integer(K.denom(a))
-        negative = num < 0
-    else:
-        P, Q = a.numer, a.denom
-        negative = _lead_is_negative(P)
-        if Q.is_ground and len(P) > 1:
-            num, den = P.quo_ground(Q.LC).as_expr(), sp.Integer(1)
-        else:
-            num, den = P.as_expr(), Q.as_expr()
-    if negative:
-        num, den = -num, -den
-    return num, den
+    P, Q = a.numer, a.denom
+    if _lead_is_negative(P):
+        P, Q = -P, -Q
+    if Q.is_ground:
+        return P.quo_ground(Q.LC), Q.ring.one
+    return P, Q
 
 
 def canonicalize_element(K, a):
     """Canonical form of the element a of the field K, as an expression
-    (see :func:`canonical_pair`); equal elements of any two fields give
+    (see :func:`_canonical_polys`); equal elements of any two fields give
     the same expression."""
-    num, den = canonical_pair(K, a)
-    return num if den == 1 else num / den
+    if not a:
+        return sp.Integer(0)
+    if K is QQ:
+        return QQ.to_sympy(a)
+    return _canonical_quotient(a, lambda poly: poly.as_expr())
+
+
+def _canonical_quotient(a, to_expr):
+    """The canonical form of the nonzero element a of a function field as
+    an expression, each canonical polynomial turned into one by to_expr."""
+    P, Q = _canonical_polys(a)
+    return to_expr(P) if Q.is_ground else to_expr(P) / to_expr(Q)
 
 
 def _substitute(poly, substitution, ring=None):
@@ -813,8 +856,23 @@ def _primitive(field, common, polys):
     return cleared, field.raw_new(common.mul_ground(factor), one)
 
 
+def _unevaluated_sum(poly):
+    """The polynomial poly as a sympy expression: the sum of its terms
+    coeff * gen**e * ..., left unevaluated."""
+    to_sympy, symbols = poly.ring.domain.to_sympy, poly.ring.symbols
+    terms = [sp.Mul(to_sympy(coeff), *[sp.Pow(g, e) for g, e in zip(symbols, monom) if e])
+             for monom, coeff in poly.iterterms()]
+    return terms[0] if len(terms) == 1 else sp.Add(*terms, evaluate=False)
+
+
 def to_infix(a) -> str:
     """Canonical infix string of the field element a in the model grammar
-    (powers written with ^)."""
-    K = function_field(a.field.symbols)
-    return sp.sstr(canonicalize_element(K, a)).replace("**", "^")
+    (powers written with ^): the string of :func:`canonicalize_element`.
+
+    The expression is built from the terms of the canonical polynomials
+    and its sums are left unevaluated; sympy's printer orders the terms
+    itself, so the string is the same, and no sympy sum is evaluated.
+    """
+    if not a:
+        return "0"
+    return sp.sstr(_canonical_quotient(a, _unevaluated_sum)).replace("**", "^")

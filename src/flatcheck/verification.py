@@ -25,7 +25,6 @@ from sympy import QQ
 
 from . import symbolic
 from .errors import FlatcheckError, SimulationError
-from .model import update_elements
 
 __all__ = [
     "jet_symbol",
@@ -106,7 +105,8 @@ def _shift_output_jets(a):
 
 
 def _shift_through_system(a, system):
-    images = _system_images(a.field, system.states, system.inputs, system.update)
+    images = _system_images(a.field, system.states, system.inputs,
+                            system.update_elements[1])
     stuck = symbolic.used_symbols(a).difference(images)
     if stuck:
         raise FlatcheckError("system shift applies over states and input shifts, got %s"
@@ -117,11 +117,11 @@ def _shift_through_system(a, system):
 @functools.lru_cache(maxsize=32)
 def _system_images(field, states, inputs, update):
     """The shift of the generators of field that have one, as elements of
-    field by symbol: the update of a state and the next shift of an input
-    shift that has one in field."""
+    field by symbol: the update of a state (update holds the system's
+    update elements) and the next shift of an input shift that has one in
+    field."""
     K = symbolic.function_field(field.symbols)
-    images = {s: symbolic.rename(f, K, {})
-              for s, f in zip(states, update_elements(update, states + inputs)[1])}
+    images = {s: symbolic.rename(f, K, {}) for s, f in zip(states, update)}
     gens = dict(zip(field.symbols, field.gens))
     for sym in field.symbols:
         base, s = _parse_input_shift(sym, inputs)
@@ -251,7 +251,7 @@ def check_parametrization(system, p: FlatParametrization):
         return False, "parametrization is not a generic submersion"
     J = symbolic.field(set(jets) | set(ahead.values()))
     values = [symbolic.rename(a, J, {}) for a in elements]
-    _, update = update_elements(system.update, system.variables)
+    _, update = system.update_elements
     images = dict(zip(system.variables, values))
     for s, a, f in zip(system.states, values, update):
         if symbolic.rename(a, J, ahead) - symbolic.compose(f, images, J):
@@ -523,7 +523,7 @@ def simulate(system, x0, inputs) -> Trajectory:
     exact = all(v.is_Rational for v in values)
     sys_vars = list(system.states) + list(system.inputs)
     if exact:
-        K, update = update_elements(system.update, system.variables)
+        K, update = system.update_elements
         state = [sp.Rational(v) for v in x0]
         states = [tuple(state)]
         for k, row in enumerate(rows):

@@ -1,13 +1,15 @@
 """End-to-end command line behavior: output text, JSON documents, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
 import sys
-import traceback
 
 import pytest
 import sympy
 
-from flatcheck import cli, model, modelfile, symbolic
+from flatcheck import cli, symbolic
 
 
 def run(capsys, *argv):
@@ -358,17 +360,13 @@ class TestNoSympyCalls:
 
 
 class TestExpressionBoundary:
-    """Expressions enter the field-element kernel only where the user
-    writes them: the model's update map and the candidate components."""
+    """No expression enters the field-element kernel on the command line
+    for a model file: the parser builds the update map and the candidate
+    components as elements, and the input reduction keeps its results as
+    elements."""
 
-    def test_flat4_converts_only_the_update_map_and_the_candidate(
-        self, capsys, models_dir, monkeypatch, tmp_path
-    ):
-        flat4 = model_path(models_dir, "flat4")
-        output = "x1*x3 + x1; x2 + 3*x4"
-        system = modelfile.load_model(flat4)
-        allowed = set(system.update)
-        allowed.update(modelfile.parse_expression(piece, system) for piece in output.split(";"))
+    @staticmethod
+    def _record(monkeypatch):
         converted = []
         fractions = symbolic._fractions
 
@@ -378,30 +376,60 @@ class TestExpressionBoundary:
             return fractions(exprs, gens)
 
         monkeypatch.setattr(symbolic, "_fractions", recorded)
+        return converted
+
+    def test_flat4_converts_no_expression(self, capsys, models_dir, monkeypatch, tmp_path):
+        converted = self._record(monkeypatch)
+        flat4 = model_path(models_dir, "flat4")
         code, _, _ = run(capsys, "extract", flat4, "--json", str(tmp_path / "flat4.json"))
         assert code == 0
-        code, _, _ = run(capsys, "verify", flat4, "--output", output)
+        code, _, _ = run(capsys, "verify", flat4, "--output", "x1*x3 + x1; x2 + 3*x4")
         assert code == 0
-        assert converted
-        assert [e for e in converted if e not in allowed] == []
+        assert converted == []
 
-    def test_reduction_converts_only_the_update_maps(self, capsys, models_dir, monkeypatch):
-        """The input reduction hands its kept functions on as elements, so
-        extract converts two expression lists, the update maps of the
-        system and of the reduced system, both in model.update_elements."""
-        callers = []
-        fractions = symbolic._fractions
-
-        def recorded(exprs, gens=None):
-            callers.append([frame.name for frame in traceback.extract_stack()])
-            return fractions(exprs, gens)
-
-        model.update_elements.cache_clear()
-        monkeypatch.setattr(symbolic, "_fractions", recorded)
+    def test_reduction_converts_no_expression(self, capsys, models_dir, monkeypatch):
+        converted = self._record(monkeypatch)
         code, _, _ = run(capsys, "extract", model_path(models_dir, "redundant_input"))
         assert code == 0
-        assert len(callers) == 2
-        assert all("update_elements" in names for names in callers)
+        assert converted == []
+
+
+MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
+# prints the lazily loaded sympy modules that the command imported
+_LOADED = (
+    "import sys\n"
+    "from flatcheck import cli\n"
+    "cli.main(sys.argv[1:])\n"
+    "print('loaded:', sorted(m for m in sys.modules if m == 'sympy.tensor.tensor'\n"
+    "                        or m.startswith('sympy.combinatorics')))\n"
+)
+
+
+class TestImportBoundary:
+    """The analysis builds no sympy sum, whose first evaluation imports
+    sympy.tensor.tensor and sympy.combinatorics: a fresh interpreter that
+    runs analyze on any bundled model, an extract that ends before the
+    numeric replay, or a verify without one, imports neither."""
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("analyze", path.stem) for path in sorted(MODELS_DIR.glob("*.sys"))]
+        + [("extract", "nonflat_bilinear"), ("extract", "quad_integrator")],
+    )
+    def test_analysis(self, command, name, tmp_path):
+        self._check([command, model_path(MODELS_DIR, name), "--json", str(tmp_path / "doc.json")])
+
+    def test_verify_without_replay(self):
+        self._check(["verify", model_path(MODELS_DIR, "chain2"), "--output", "x2"])
+
+    @staticmethod
+    def _check(argv):
+        path = [str(MODELS_DIR.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-c", _LOADED] + argv, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "loaded: []"
 
 
 class TestVacuousFlags:

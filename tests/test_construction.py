@@ -63,6 +63,16 @@ class TestPolynomialInvariants:
                 )
                 assert sp.simplify(derivative) == 0
 
+    def test_invariants_in_the_name_sorted_field(self):
+        """The ansatz runs over the variables in the caller's order, x2
+        before x1, in a field with a further generator x3; the invariants
+        come back in QQ(x1, x2, x3), generators sorted by name, as
+        symbolic.field makes every other field."""
+        _, row = symbolic.to_elements([x1, 1], (x2, x1, x3))
+        found = construction.polynomial_invariants([row], (x2, x1), 1, {x1: 0, x2: 0})
+        assert symbolic.function_field(found[0].field.symbols) == symbolic.field((x1, x2, x3))
+        assert sp.expand(found[0].as_expr() - (2 * x2 - x1**2)) == 0
+
     def test_degree_cap_failure(self):
         with pytest.raises(StraighteningError):
             _invariants([[1, x1]], (x1, x2), 1, {x1: 0, x2: 0}, max_degree=1)

@@ -1,5 +1,9 @@
 """Model file parsing, validation, and redundant-input elimination."""
 
+import pathlib
+import random
+import sys
+
 import pytest
 import sympy as sp
 
@@ -7,8 +11,12 @@ from flatcheck import model, modelfile, symbolic
 from flatcheck.errors import (
     ModelSemanticsError,
     ModelSyntaxError,
+    UnsupportedEquationError,
     ValidationError,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS = sorted(path.stem for path in (ROOT / "models").glob("*.sys"))
 
 CHAIN = """
 system chain
@@ -107,6 +115,91 @@ class TestParseExpression:
             modelfile.parse_expression("   ", system)
 
 
+def _generated_models() -> list:
+    """The model texts of the benchmark's seeded corpus generator
+    (perfbench/generate.py), every shape it draws, for two seeds."""
+    path = str(ROOT / "perfbench")
+    sys.path.insert(0, path)
+    try:
+        import generate
+    finally:
+        sys.path.remove(path)
+    return [member["text"] for seed in (1, 2) for member in generate.corpus(seed)]
+
+
+def _next_lines(text) -> list:
+    """The right-hand sides of the next statements of a model text, in
+    order, with ^ read as **."""
+    lines = (line.split("#")[0].strip() for line in text.split("\n"))
+    return [line.split("=", 1)[1].replace("^", "**") for line in lines
+            if line.startswith("next ")]
+
+
+def _random_text(rng, names, depth):
+    """A random expression in the model grammar: numbers (zero among
+    them), names, the four operations, unary signs and integer powers."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(names + ["0", "2", "3", "1.5", ".25"])
+    a, b = _random_text(rng, names, depth - 1), _random_text(rng, names, depth - 1)
+    form = rng.choice(["%s + %s", "%s - %s", "%s*%s", "%s/%s", "(%s)*(%s)", "(%s)/(%s)",
+                       "-(%s) + %s", "(%s)^%d", "(%s)^-%d"])
+    if "%d" in form:
+        return form % (a, rng.randint(0, 3))
+    return form % (a, b)
+
+
+class TestParsedElements:
+    """The parser builds the update map and candidate components as
+    elements; they equal the conversion of the expressions it builds when
+    those are read, and those are the expressions sympy reads from the
+    same text."""
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_bundled_model(self, name):
+        text = (ROOT / "models" / ("%s.sys" % name)).read_text(encoding="utf-8")
+        self._check(text)
+
+    def test_generated_corpus(self):
+        texts = _generated_models()
+        assert len(texts) == 6
+        for text in texts:
+            self._check(text)
+
+    @staticmethod
+    def _check(text):
+        system = modelfile.parse_model(text)
+        K, elements = system.update_elements
+        assert K == symbolic.function_field(system.variables)
+        assert list(elements) == symbolic.to_elements(system.update, system.variables)[1]
+        expected = [sp.sympify(rhs) for rhs in _next_lines(text)]
+        assert [sp.srepr(e) for e in system.update] == [sp.srepr(e) for e in expected]
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_expression(self, seed):
+        rng = random.Random(seed)
+        system = modelfile.parse_model(CHAIN)
+        texts = [_random_text(rng, ["x1", "x2", "u"], 4) for _ in range(2)]
+        exprs = [modelfile.parse_expression(t, system) for t in texts]
+        try:
+            expected = symbolic.to_elements(exprs, system.variables)[1]
+        except UnsupportedEquationError:
+            # a division by zero, which the parsed elements refuse alike
+            with pytest.raises(UnsupportedEquationError):
+                modelfile.parse_elements(texts, system)
+            return
+        assert modelfile.parse_elements(texts, system) == expected
+
+    def test_division_by_zero_is_rejected_by_validation(self):
+        system = modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = u/(x1 - x1)"))
+        assert str(system.update[1]) == "zoo*u"
+        with pytest.raises(ValidationError, match="zoo"):
+            model.validate_system(system)
+
+    def test_division_by_zero_keeps_syntax_errors(self):
+        with pytest.raises(ModelSyntaxError):
+            modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = u/0 + )"))
+
+
 class TestValidateSystem:
     def test_chain_is_valid(self):
         system = modelfile.parse_model(CHAIN)
@@ -169,10 +262,15 @@ class TestEliminateRedundantInputs:
         u1, u2 = redundant_input.inputs
         uhat = reduction.reduced.inputs[0]
         utilde = reduction.removed_symbols[0]
-        forward = {uhat: reduction.kept_functions[0].as_expr(), utilde: u2}
+        # each inverse composed with (uhat, utilde) = (kept function, u2)
+        # in QQ(x, u), the field of the kept functions
+        K = symbolic.function_field(reduction.kept_functions[0].field.symbols)
+        states = redundant_input.states
+        forward = {**dict(zip(states, symbolic.generators(K, states))),
+                   uhat: reduction.kept_functions[0], utilde: symbolic.generators(K, [u2])[0]}
         for u in (u1, u2):
-            back = reduction.inverse[u].subs(forward, simultaneous=True)
-            assert sp.simplify(back - u) == 0
+            back = symbolic.compose(reduction.inverse[u], forward, K)
+            assert back == symbolic.generators(K, [u])[0]
 
     def test_inverse_branch_passes_through_a_nonzero_equilibrium(self):
         system = modelfile.parse_model(
@@ -192,7 +290,10 @@ next x2 = u1 + u2
                     zip(reduction.removed_symbols, reduction.removed_coordinates)}}
         assert reduced.equilibrium[reduced.inputs[0]] == 3
         for u in system.inputs:
-            assert reduction.inverse[u].subs(point) == system.equilibrium[u]
+            a = reduction.inverse[u]
+            H = symbolic.function_field(a.field.symbols)
+            (value,), = symbolic.element_values(H, [[a]], point)
+            assert value == system.equilibrium[u]
         assert not model.validate_system(reduced).redundant_inputs
 
     def test_requires_redundancy(self):

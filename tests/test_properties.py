@@ -372,3 +372,48 @@ class TestRedundantInputExtension:
         )
         assert sym_report.status == "PASS"
         assert p is not None
+
+
+PRINTER_NAMES = ("x1", "x2", "x10", "theta_1", "xi_1", "x1_p1")
+PRINTER_COEFFS = tuple(sp.QQ(p, q) for p, q in ((1, 1), (2, 1), (3, 1), (-1, 1), (-2, 1),
+                                                 (1, 2), (-2, 3), (5, 4)))
+
+
+def _printer_polynomial(rng, ring, shape):
+    """A random polynomial of ring: a constant, a monomial or a sum of
+    two to four terms, with rational coefficients of either sign."""
+    terms = {"constant": 1, "monomial": 1, "sum": rng.randint(2, 4)}[shape]
+    poly = ring.zero
+    while len(poly) < terms:
+        monom = tuple(0 if shape == "constant" else rng.choice((0, 0, 1, 2))
+                      for _ in ring.gens)
+        if shape != "constant" and not any(monom):
+            continue
+        poly += ring({monom: rng.choice(PRINTER_COEFFS)})
+    return poly
+
+
+class TestPrinterOracle:
+    """to_infix builds its expression from polynomial terms without
+    evaluating a sympy sum; it prints what the evaluated canonical form
+    of the element prints.  Every pair of numerator and denominator
+    shapes is drawn, the numerator negated in every other round, over
+    generators in the caller's order whose names sort differently as
+    strings and as numbers (x10, x2)."""
+
+    SHAPES = ("constant", "monomial", "sum")
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_evaluated_canonical_form(self, seed):
+        rng = random.Random(seed + 7000)
+        names = rng.sample(PRINTER_NAMES, rng.randint(2, len(PRINTER_NAMES)))
+        K = symbolic.function_field(tuple(sp.Symbol(name) for name in names))
+        ring = K.field.ring
+        num_shape, den_shape = self.SHAPES[seed % 3], self.SHAPES[seed // 3 % 3]
+        num = _printer_polynomial(rng, ring, num_shape)
+        if seed // 9 % 2:
+            num = -num
+        den = _printer_polynomial(rng, ring, den_shape)
+        a = K.field.new(num, den)
+        expected = sp.sstr(symbolic.canonicalize_element(K, a)).replace("**", "^")
+        assert symbolic.to_infix(a) == expected
