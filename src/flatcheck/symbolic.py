@@ -9,11 +9,12 @@ functions) raises UnsupportedEquationError where it is converted.
 
 There is one matrix API, on field elements: ``element_rref``,
 ``element_nullspace``, ``element_rank``, ``element_values``,
-``jacobian_at``, ``jacobian_rank``, ``jacobian_ranks``,
-``clear_element_row`` and ``clear_fraction_row``, the latter for a row
-given as numerators over one denominator; ``unit_completion`` completes
-a Jacobian at a point by coordinate rows.  ``field`` builds QQ(symbols)
-with its generators sorted by name and ``generators`` looks them up;
+``jacobian_at``, ``certificate_jacobian``, ``jacobian_rank``,
+``jacobian_ranks``, ``clear_element_row`` and ``clear_fraction_row``,
+the latter for a row given as numerators over one denominator;
+``unit_completion`` completes a Jacobian at a point by coordinate rows.
+``field`` builds QQ(symbols) with its generators sorted by name and
+``generators`` looks them up;
 ``rename`` and ``compose`` move elements between fields and coordinates,
 ``compose`` taking its images as a dict from symbol to element and
 renaming, without a gcd, when they only rename the generators it uses;
@@ -725,19 +726,15 @@ def jacobian_at(K, elements, variables, point) -> list:
             for a in elements]
 
 
-def jacobian_rank(K, elements, variables) -> int:
-    """Generic rank of the Jacobian of elements of the field K with respect
-    to variables, generators of K.
+def certificate_jacobian(K, elements, variables):
+    """The Jacobian of elements of the field K with respect to variables,
+    generators of K, at the fixed point of :func:`element_rank`, as rows of
+    rational numbers; None when an element has a pole there.
 
-    The rank is certified at the fixed point of :func:`element_rank`,
-    given to the generators the elements use in name order, so generators
-    of K that they do not use do not move it; the Jacobian there is
-    evaluated as in :func:`jacobian_at`.  The fallback is the same: row
-    reduction of the Jacobian over K.
+    The point's values go to the generators the elements use, in name
+    order, so generators of K that they do not use do not move it; each
+    row is evaluated as in :func:`jacobian_at`.
     """
-    nrows, ncols = len(elements), len(variables)
-    if K is QQ or not nrows or not ncols:
-        return 0
     index = {s: i for i, s in enumerate(K.symbols)}
     columns = {index[v]: k for k, v in enumerate(variables) if v in index}
     used = _used(elements)
@@ -745,11 +742,29 @@ def jacobian_rank(K, elements, variables) -> int:
     order = [i for i in _name_order(K.symbols) if i in used]
     for i, value in zip(order, _certificate_point(len(order))):
         values[i] = value
-    rows = [_jacobian_row(a.numer, a.denom, values, columns, ncols) for a in elements]
-    if all(row is not None for row in rows):
-        rank = len(element_rref(QQ, rows, ncols)[1])
+    rows = [_jacobian_row(a.numer, a.denom, values, columns, len(variables))
+            for a in elements]
+    return rows if all(row is not None for row in rows) else None
+
+
+def jacobian_rank(K, elements, variables, at_point=None) -> int:
+    """Generic rank of the Jacobian of elements of the field K with respect
+    to variables, generators of K.
+
+    The rank is certified on :func:`certificate_jacobian`, which a caller
+    that already holds it passes as at_point.  The fallback is the same as
+    :func:`element_rank`'s: row reduction of the Jacobian over K.
+    """
+    nrows, ncols = len(elements), len(variables)
+    if K is QQ or not nrows or not ncols:
+        return 0
+    if at_point is None:
+        at_point = certificate_jacobian(K, elements, variables)
+    if at_point is not None:
+        rank = len(element_rref(QQ, at_point, ncols)[1])
         if rank == min(nrows, ncols):
             return rank
+    index = {s: i for i, s in enumerate(K.symbols)}
     gens = [K.field.gens[index[v]] if v in index else None for v in variables]
     rows = [[a.diff(g) if g is not None else K.zero for g in gens] for a in elements]
     return len(element_rref(K, rows, ncols)[1])

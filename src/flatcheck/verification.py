@@ -297,6 +297,12 @@ def verify_flat_output_symbolic(system, candidate):
     generic functional relation among the stacked shifts is a proof of
     failure; a solver that gives up is only INCONCLUSIVE.
 
+    A bound is skipped without a solve, as unsolved, only when the exact
+    rank at the point that certified the stacked shifts' independence
+    proves that no solve can express the states and inputs in the jets
+    (:func:`_solve_is_hopeless`); a pole there skips nothing.  Skipping
+    turns no INCONCLUSIVE into a FAIL.
+
     The components are renamed into QQ(states, input shifts up to
     cap + q), where they are shifted and ranked.  Each bound is solved
     in QQ(its jets, states and input shifts), into which its equations
@@ -321,7 +327,9 @@ def verify_flat_output_symbolic(system, candidate):
         stacked += level
         used.update(*map(symbolic.used_symbols, level))
         present = [s for s in shifts if s in used]
-        if symbolic.jacobian_rank(X, stacked, list(system.states) + present) < len(stacked):
+        variables = list(system.states) + present
+        at_point = symbolic.certificate_jacobian(X, stacked, variables)
+        if symbolic.jacobian_rank(X, stacked, variables, at_point) < len(stacked):
             return None, SymbolicVerification(
                 status="FAIL",
                 bound=alpha,
@@ -330,6 +338,9 @@ def verify_flat_output_symbolic(system, candidate):
                 % alpha,
             )
         if len(stacked) < n + m:
+            continue
+        if _solve_is_hopeless(system, variables, at_point, len(stacked)):
+            detail = "stacked system unsolved at shift bound %d" % alpha
             continue
         top = max(
             (_parse_input_shift(s, system.inputs)[1] for s in present), default=-1
@@ -370,6 +381,26 @@ def verify_flat_output_symbolic(system, candidate):
     )
 
 
+def _solve_is_hopeless(system, variables, at_point, nstacked):
+    """Whether the rank at a point proves that the stacked jets, whose
+    Jacobian with respect to variables (the states and input shifts) is at
+    that point at_point and generically of full rank nstacked, determine
+    no n + m functions of (x, u).
+
+    Were x and u functions of the jets, dx and du would span n + m
+    dimensions of the jets' differentials free of the input shifts of
+    order 1 and more, so the jets' Jacobian B in those shifts would have
+    generic rank at most nstacked - (n + m).  The rank of B at a point is
+    at most its generic rank, so a larger one proves that no branch of
+    any jet solve is free of the other variables.  A pole (at_point None)
+    proves nothing."""
+    if at_point is None:
+        return False
+    columns = [k for k, v in enumerate(variables) if v not in system.variables]
+    B = [[row[k] for k in columns] for row in at_point]
+    return symbolic.element_rank(QQ, B, len(columns)) > nstacked - (system.n + system.m)
+
+
 def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
     """Solve the stacked jet equations, elements of the field S, for the
     given unknowns and select the branch through the equilibrium.
@@ -392,6 +423,19 @@ def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
     if sol is None:
         return None
     return [sol[s] for s in system.states], [sol[u] for u in system.inputs]
+
+
+def _compile(variables, exprs):
+    """One float function of the variables that returns the list of the
+    expressions' values.  Each expression is printed as lambdify prints it
+    on its own, so the values are those of one function per expression."""
+    return sp.lambdify(variables, list(exprs), modules="math")
+
+
+def _update_function(system):
+    """The float update map x+ = f(x, u) of the system, compiled once, for
+    the numeric replay and for simulate alike."""
+    return _compile(system.variables, system.update)
 
 
 def verify_flat_output_numeric(
@@ -425,23 +469,19 @@ def verify_flat_output_numeric(
     max_r = max(p.R)
     length = horizon + max_r + q + 2
     jets_used = _by_name(set().union(*map(symbolic.used_symbols, list(p.F_x) + list(p.F_u))))
-    fx_fns = [sp.lambdify(jets_used, a.as_expr(), modules="math") for a in p.F_x]
-    fu_fns = [sp.lambdify(jets_used, a.as_expr(), modules="math") for a in p.F_u]
-    sys_vars = list(system.states) + list(system.inputs)
-    f_fns = [sp.lambdify(sys_vars, f, modules="math") for f in system.update]
-    phi_fns = None
+    jet_index = [parse_jet_symbol(sym) for sym in jets_used]
+    fx_fn = _compile(jets_used, [a.as_expr() for a in p.F_x])
+    fu_fn = _compile(jets_used, [a.as_expr() for a in p.F_u])
+    f_fn = _update_function(system)
+    phi_fn = None
     if comps is not None:
         phi_vars = list(system.states) + [
             input_shift_symbol(u, s) for s in range(q + 1) for u in system.inputs
         ]
-        phi_fns = [sp.lambdify(phi_vars, c.as_expr(), modules="math") for c in comps]
+        phi_fn = _compile(phi_vars, [c.as_expr() for c in comps])
 
     def jet_values(samples, k):
-        values = {}
-        for sym in jets_used:
-            j, s = parse_jet_symbol(sym)
-            values[sym] = samples[j - 1][k + s]
-        return [values[sym] for sym in jets_used]
+        return [samples[j - 1][k + s] for j, s in jet_index]
 
     records = []
     for index in range(trials):
@@ -453,27 +493,20 @@ def verify_flat_output_numeric(
                 for j in range(m)
             ]
             try:
-                xs = [
-                    [fn(*jet_values(samples, k)) for fn in fx_fns]
-                    for k in range(horizon + 1)
-                ]
-                us = [
-                    [fn(*jet_values(samples, k)) for fn in fu_fns]
-                    for k in range(horizon + q + 1)
-                ]
+                xs = [fx_fn(*jet_values(samples, k)) for k in range(horizon + 1)]
+                us = [fu_fn(*jet_values(samples, k)) for k in range(horizon + q + 1)]
                 residual = 0.0
                 for k in range(horizon):
-                    nxt = [fn(*(xs[k] + us[k])) for fn in f_fns]
-                    for a, b in zip(nxt, xs[k + 1]):
+                    for a, b in zip(f_fn(*(xs[k] + us[k])), xs[k + 1]):
                         residual = max(residual, abs(a - b))
                 replay = 0.0
-                if phi_fns is not None:
+                if phi_fn is not None:
                     for k in range(horizon):
                         args = list(xs[k])
                         for s in range(q + 1):
                             args.extend(us[k + s])
-                        for j, fn in enumerate(phi_fns):
-                            replay = max(replay, abs(fn(*args) - samples[j][k]))
+                        for j, value in enumerate(phi_fn(*args)):
+                            replay = max(replay, abs(value - samples[j][k]))
                 values = [v for row in xs + us for v in row] + [residual, replay]
                 if any(v != v or abs(v) == float("inf") for v in values):
                     raise ZeroDivisionError("non-finite value")
@@ -521,7 +554,6 @@ def simulate(system, x0, inputs) -> Trajectory:
             )
     values = [sp.sympify(v) for v in list(x0) + [v for r in rows for v in r]]
     exact = all(v.is_Rational for v in values)
-    sys_vars = list(system.states) + list(system.inputs)
     if exact:
         K, update = system.update_elements
         state = [sp.Rational(v) for v in x0]
@@ -536,15 +568,13 @@ def simulate(system, x0, inputs) -> Trajectory:
             states.append(tuple(state))
         input_rows = tuple(tuple(sp.Rational(v) for v in row) for row in rows)
     else:
-        fns = [
-            sp.lambdify(sys_vars, f, modules="math") for f in system.update
-        ]
+        fn = _update_function(system)
         state = [float(v) for v in x0]
         states = [tuple(state)]
         for k, row in enumerate(rows):
             args = state + [float(v) for v in row]
             try:
-                state = [fn(*args) for fn in fns]
+                state = fn(*args)
             except (ZeroDivisionError, OverflowError):
                 raise SimulationError("pole encountered at step %d" % k, step=k)
             if any(v != v or abs(v) == float("inf") for v in state):

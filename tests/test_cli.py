@@ -259,6 +259,22 @@ class TestSimulate:
         assert lines[1] == "0,0.0,0.0,0.0,0.0,1.0,0.0"
         assert lines[2] == "1,0.0,0.0,1.0,0.0,,"
 
+    def test_float_csv_is_pinned(self, capsys, models_dir):
+        """The float CSV of a nonlinear run equals, byte for byte, the one
+        recorded when every update entry was compiled on its own."""
+        golden = pathlib.Path(__file__).resolve().parent / "golden"
+        code, out, _ = run(
+            capsys,
+            "simulate",
+            model_path(models_dir, "flat4"),
+            "--x0",
+            "0.01,-0.02,0.015,0.005",
+            "--inputs-file",
+            str(golden / "simulate-flat4-inputs.csv"),
+        )
+        assert code == 0
+        assert out == (golden / "simulate-flat4.csv").read_text(encoding="utf-8")
+
     def test_exact_trajectory(self, capsys, models_dir, tmp_path):
         inputs = tmp_path / "inputs.csv"
         inputs.write_text("1,0\n")

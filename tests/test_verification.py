@@ -1,9 +1,11 @@
 """Symbolic and numeric verification of flat outputs, and simulation."""
 
+import pathlib
+
 import pytest
 import sympy as sp
 
-from flatcheck import symbolic, verification
+from flatcheck import cli, modelfile, symbolic, verification
 from flatcheck.errors import FlatcheckError, SimulationError
 
 x1, x2, x3, x4 = sp.symbols("x1 x2 x3 x4")
@@ -134,6 +136,90 @@ class TestSymbolicVerification:
         assert p is None
 
 
+def _gated_bounds(monkeypatch, system, candidate):
+    """Report of verify with the rank gate held open, and per bound that
+    reaches the gate: the bound, the gate's verdict, and whether each jet
+    solve (one per ladder tried) found a branch."""
+    gate, solve = verification._solve_is_hopeless, verification._attempt_jet_solve
+    bounds = []
+
+    def open_gate(system, variables, at_point, nstacked):
+        bounds.append((nstacked // system.m - 1,
+                       gate(system, variables, at_point, nstacked), []))
+        return False
+
+    def recorded_solve(*args):
+        result = solve(*args)
+        bounds[-1][2].append(result is not None)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "_solve_is_hopeless", open_gate)
+        patch.setattr(verification, "_attempt_jet_solve", recorded_solve)
+        _, report = verification.verify_flat_output_symbolic(system, candidate)
+    return report, bounds
+
+
+class TestRankGate:
+    """The gate skips a shift bound only where no jet solve succeeds."""
+
+    # the candidates of the verify goldens that end in bounded time, with
+    # the bounds the gate skips
+    CASES = [
+        ("flat4", "x1*x3 + x1; x2 + 3*x4", {2}),
+        ("flat4", "x1; x3", {2}),
+        ("flat4", "x1*x3 + x1; x4", {2, 3, 4, 5}),
+        ("chain2", "x1", set()),
+        ("chain2", "x2", {2, 3}),
+        ("sfl_quadratic", "x2 - x1^2", set()),
+        ("sfl_quadratic", "x1", {2, 3}),
+    ]
+
+    @pytest.mark.parametrize("name, output, skipped", CASES)
+    def test_skipped_bounds_have_no_solution(self, monkeypatch, load_system,
+                                             name, output, skipped):
+        system = load_system(name)
+        candidate = modelfile.parse_elements(output.split("; "), system)
+        report, bounds = _gated_bounds(monkeypatch, system, candidate)
+        assert {alpha for alpha, hopeless, _ in bounds if hopeless} == skipped
+        for alpha, hopeless, solved in bounds:
+            if hopeless:
+                # every ladder was tried, and none found a branch
+                assert solved == [False, False], alpha
+        # the gate changes no verdict, and never skips a passing bound
+        _, gated = verification.verify_flat_output_symbolic(system, candidate)
+        assert gated == report
+        if report.status == "PASS":
+            assert not dict((a, h) for a, h, _ in bounds)[report.bound]
+
+    def test_extracted_output_bound_is_not_skipped(self, monkeypatch, flat4,
+                                                   flat4_artifacts):
+        flat_output = flat4_artifacts[0]
+        report, bounds = _gated_bounds(monkeypatch, flat4, flat_output.components)
+        assert report.status == "PASS"
+        assert not dict((a, h) for a, h, _ in bounds)[report.bound]
+
+    def test_pole_at_the_point_skips_nothing(self, chain2):
+        """A pole at the certificate point gives no rows, and no rows are
+        no proof: the gate stays open."""
+        (value,) = symbolic._certificate_point(1)
+        K, (pole,) = symbolic.to_elements([1 / (x1 - value)], [x1])
+        assert symbolic.certificate_jacobian(K, [pole], [x1]) is None
+        variables = list(chain2.states) + [
+            verification.input_shift_symbol(chain2.inputs[0], s) for s in range(3)]
+        assert not verification._solve_is_hopeless(chain2, variables, None, 3)
+
+    def test_pole_reaches_every_solve(self, monkeypatch, chain2):
+        """With every certificate point a pole, each bound is solved, and
+        the verdicts stay those of the gated runs."""
+        monkeypatch.setattr(symbolic, "certificate_jacobian", lambda *args: None)
+        for output, status in (("x2", "INCONCLUSIVE"), ("x1", "PASS")):
+            candidate = modelfile.parse_elements([output], chain2)
+            report, bounds = _gated_bounds(monkeypatch, chain2, candidate)
+            assert report.status == status
+            assert bounds and not any(hopeless for _, hopeless, _ in bounds)
+
+
 class TestNumericVerification:
     def test_flagship_replay(self, flat4, flat4_artifacts):
         flat_output = flat4_artifacts[0]
@@ -181,6 +267,38 @@ class TestNumericVerification:
             candidate=_candidate(flat4, (x1 * (x3 + 1), x2 + 3 * x4)),
         )
         assert result.status == "PASS"
+
+
+class TestReplayIsPinned:
+    """Every trial of three numeric replays reproduces, bit for bit, the
+    residual and replay error recorded when each component of each map was
+    compiled on its own (golden/numeric-replay.txt: run, trial index and
+    the two values as float.hex)."""
+
+    RUNS = {
+        "extract-flat4": ["extract", "flat4"],
+        "verify-flat4": ["verify", "flat4", "--output", "x1*x3 + x1; x2 + 3*x4"],
+        "verify-sfl_quadratic": ["verify", "sfl_quadratic", "--output", "x2 - x1^2"],
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_trial_records(self, run, monkeypatch, capsys, models_dir):
+        golden = pathlib.Path(__file__).resolve().parent / "golden" / "numeric-replay.txt"
+        expected = [line.split()[1:] for line in golden.read_text().splitlines()
+                    if line.split()[0] == run]
+        replay, reports = verification.verify_flat_output_numeric, []
+
+        def recorded(*args, **kwargs):
+            reports.append(replay(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(verification, "verify_flat_output_numeric", recorded)
+        command, name, *options = self.RUNS[run]
+        assert cli.main([command, str(models_dir / ("%s.sys" % name)), *options]) == 0
+        capsys.readouterr()
+        (report,) = reports
+        assert [[str(r.index), r.residual.hex(), r.replay_error.hex()]
+                for r in report.trial_records] == expected
 
 
 class TestSimulate:
