@@ -33,11 +33,20 @@ class SequenceStep:
     delta: geometry.Distribution
     E: geometry.Distribution
     D: geometry.Distribution
-    dim_delta: int
-    dim_E: int
-    dim_D: int
     rho: int
     mu: int
+
+    @property
+    def dim_delta(self) -> int:
+        return self.delta.dim
+
+    @property
+    def dim_E(self) -> int:
+        return self.E.dim
+
+    @property
+    def dim_D(self) -> int:
+        return self.D.dim
 
 
 @dataclass(frozen=True)
@@ -99,19 +108,7 @@ def run_algorithm1(system: DiscreteTimeSystem) -> FlatnessReport:
         defect = D.dim - nxt.dim
         mu = defect if prev_defect is None else defect - prev_defect
         rho = 0 if prev_dim is None else delta.dim - prev_dim
-        steps.append(
-            SequenceStep(
-                k=k,
-                delta=delta,
-                E=E,
-                D=D,
-                dim_delta=delta.dim,
-                dim_E=E.dim,
-                dim_D=D.dim,
-                rho=rho,
-                mu=mu,
-            )
-        )
+        steps.append(SequenceStep(k=k, delta=delta, E=E, D=D, rho=rho, mu=mu))
         if nxt.dim == delta.dim:
             kbar = k
             break

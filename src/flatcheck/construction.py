@@ -16,6 +16,10 @@ produced is turned into explicit artifacts in four stages:
 Everything is local around the declared equilibrium; every regularity
 condition is checked both generically and at the equilibrium itself,
 where a full rank proves the generic one (symbolic.jacobian_ranks).
+Each coordinate change, the straightening and every fibre change of the
+peeling, has a Jacobian regular at the equilibrium, and is inverted by
+its solved branch through the equilibrium (symbolic.invert), which is
+then its local inverse.
 
 All four stages run on field elements: forward maps in QQ(x, u), inverse
 maps in QQ(current coordinates), a coordinate change solved in
@@ -262,20 +266,20 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
         forward.update(zip(syms, block_values[k - 1]))
     forward.update(zip(rest, rest_values))
     new_syms = [s for block in blocks for s in block] + list(rest)
-    inverse = _pick_inverse_branch(
-        symbolic.field(states + tuple(new_syms)), [(sym, forward[sym]) for sym in new_syms],
-        states, {**forward, **gens}, gens,
-        "state transformation could not be inverted rationally")
+    inverse, values = symbolic.invert(
+        symbolic.field(states + tuple(new_syms)), {s: forward[s] for s in new_syms},
+        states, point)
+    if inverse is None:
+        raise StraighteningError("state transformation could not be inverted rationally")
     L = symbolic.field(new_syms)
-    inverse = {s: symbolic.rename(a, L, {}) for s, a in inverse.items()}
-    values = symbolic.element_values(P, [[forward[sym] for sym in new_syms]], point)[0]
+    inverse = {s: symbolic.rename(inverse[s], L, {}) for s in states}
     st = StateTransformation(
         states=states,
         blocks=tuple(blocks),
         rest=tuple(rest),
         forward=forward,
         inverse=inverse,
-        point={sym: QQ.to_sympy(v) for sym, v in zip(new_syms, values)},
+        point=values,
     )
     # each chain member must lie along its own and earlier blocks
     for k, dist in enumerate(chain, start=1):
@@ -288,25 +292,6 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
                         % (k, c)
                     )
     return st
-
-
-def _pick_inverse_branch(K, definitions, unknowns, forward, expected, message):
-    """Solve the definitions s = v, pairs of a new coordinate s and its
-    value v, in the field K for the unknowns.  Return the branch whose
-    values, composed with forward (an element of the field of expected
-    per generator of K), give back expected, as elements of K.  Such a
-    branch is a left inverse of the coordinate change and hence unique,
-    so the order of the branches does not matter.  Raises
-    StraighteningError(message) when no branch is one."""
-    new = symbolic.generators(K, [s for s, _ in definitions])
-    equations = [g - symbolic.rename(v, K, {}) for g, (_, v) in zip(new, definitions)]
-    target = symbolic.function_field(next(iter(expected.values())).field.symbols)
-    for sol in symbolic.solve_elements(K, equations, unknowns):
-        if set(sol) == set(unknowns) and all(
-            symbolic.compose(sol[g], forward, target) == expected[g] for g in unknowns
-        ):
-            return {g: sol[g] for g in unknowns}
-    raise StraighteningError(message)
 
 
 def _rows(dist: geometry.Distribution) -> list:
@@ -406,20 +391,20 @@ def _fbar_block(state: DecompositionState, j, K, message) -> list:
 def _change_fibre(state: DecompositionState, definitions, consumed, k):
     """Replace the consumed fibre coordinates by new ones everywhere.
 
-    definitions pairs each new symbol s with its value v, an element over
+    definitions maps each new symbol s to its value v, an element over
     the current coordinates.  The forward maps of the new symbols are v
     composed with those of the current coordinates.  The inverse of the
-    change is solved in QQ(current, new coordinates), composed into the
-    inverse maps there, and renamed into QQ(the new current
-    coordinates)."""
-    new = [s for s, _ in definitions]
+    change is its solved branch through the equilibrium in QQ(current,
+    new coordinates) (symbolic.invert), composed into the inverse maps
+    there, and renamed into QQ(the new current coordinates)."""
+    new = list(definitions)
     new_forward = {s: symbolic.compose(v, state.forward_all, state.base)
-                   for s, v in definitions}
+                   for s, v in definitions.items()}
     H = symbolic.field(state.coordinates.symbols + tuple(new))
-    solution = _pick_inverse_branch(
-        H, definitions, consumed, {**state.forward_all, **new_forward},
-        {g: state.forward_all[g] for g in consumed},
-        "fibre transformation at step %d could not be inverted rationally" % k)
+    solution, values = symbolic.invert(H, definitions, consumed, state.point_cur)
+    if solution is None:
+        raise StraighteningError(
+            "fibre transformation at step %d could not be inverted rationally" % k)
     state.forward_all.update(new_forward)
     state.coordinates = symbolic.field(
         [s for s in state.coordinates.symbols if s not in consumed] + new)
@@ -428,9 +413,7 @@ def _change_fibre(state: DecompositionState, definitions, consumed, k):
                            state.coordinates, {})
         for v, a in state.inverse_current.items()
     }
-    values = symbolic.element_values(
-        state.base, [list(new_forward.values())], state.system.equilibrium_point())[0]
-    state.point_cur.update(zip(new_forward, map(QQ.to_sympy, values)))
+    state.point_cur.update(values)
 
 
 def decompose_step(k, state: DecompositionState, basis) -> tuple:
@@ -495,7 +478,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 "redundant directions at step %d" % k)
             y_syms = [sp.Symbol("y%d_%d" % (k, i + 1)) for i in range(mu)]
             kept = symbolic.generators(state.coordinates, chosen)
-            _change_fibre(state, list(zip(zeta_syms, invariants)) + list(zip(y_syms, kept)),
+            _change_fibre(state, dict(zip(zeta_syms + y_syms, list(invariants) + kept)),
                           gamma, k)
             state.verticals.extend(y_syms)
             K = symbolic.field(remaining + zeta_syms)
@@ -544,7 +527,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         "straightening at step %d" % k)
     zhat_syms = [sp.Symbol("zhat%d_%d" % (k, i + 1)) for i in range(rho_next)]
     kept = symbolic.generators(state.coordinates, chosen)
-    _change_fibre(state, list(zip(eta_syms, invariants)) + list(zip(zhat_syms, kept)),
+    _change_fibre(state, dict(zip(eta_syms + zhat_syms, list(invariants) + kept)),
                   zeta_syms, k)
     state.verticals.extend(zhat_syms)
 
@@ -872,8 +855,7 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
                 % (block.label, _format_equations(equations), exc)
             )
         point = {s: at_equilibrium(s) for s in S.symbols}
-        chosen = symbolic.branch_through(S, solutions, unknowns, point,
-                                         [trace.z_point[z] for z in unknowns])
+        chosen = symbolic.branch_through(S, solutions, unknowns, point)
         if chosen is None:
             raise ImplicitSolveError(
                 "implicit solve failed for block %s: %s"

@@ -216,8 +216,8 @@ def build_adapted_chart(system) -> Chart:
     The fibre coordinates are picked greedily from the declared
     variables, states before inputs, keeping the stacked Jacobian of
     (f, xi) regular at the equilibrium, which proves it regular
-    generically (symbolic.unit_completion).  The inverse map is computed
-    symbolically and the branch through the equilibrium is selected.
+    generically (symbolic.unit_completion).  The inverse map is the solved
+    branch through the equilibrium (symbolic.invert).
     The update map is the model's one conversion
     (DiscreteTimeSystem.update_elements), renamed into the wide field.
     """
@@ -239,23 +239,13 @@ def build_adapted_chart(system) -> Chart:
     xi_choice = tuple(variables[j] for j in chosen)
 
     forward = dict(zip(coords, update + symbolic.generators(K, xi_choice)))
-    equations = [g - forward[c] for g, c in zip(symbolic.generators(K, coords), coords)]
     try:
-        solutions = symbolic.solve_elements(K, equations, variables)
+        branch, image = symbolic.invert(K, forward, variables, point)
     except IrrationalSolutionError:
         raise ChartError(
             "the chart inverse has no rational branch (xi = %s)"
             % (tuple(map(str, xi_choice)),)
         ) from None
-    if not solutions:
-        raise ChartError(
-            "chart inversion failed for xi = %s" % (tuple(map(str, xi_choice)),)
-        )
-
-    image = dict(zip(coords, map(QQ.to_sympy, symbolic.element_values(
-        K, [[forward[c] for c in coords]], point)[0])))
-    branch = symbolic.branch_through(K, solutions, variables, image,
-                                     [point[v] for v in variables])
     if branch is None:
         raise ChartError(
             "no inverse branch passes through the equilibrium (xi = %s)"

@@ -205,26 +205,17 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
 
     # solve for the inputs in QQ(x, u, uhat, utilde), generators sorted by name
     H = symbolic.field(system.variables + uhat + utilde)
-    equations = [g - symbolic.rename(a, H, {})
-                 for g, a in zip(symbolic.generators(H, uhat), kept_functions)]
-    equations += [t - u for t, u in zip(symbolic.generators(H, utilde),
-                                        symbolic.generators(H, removed))]
-    solutions = symbolic.solve_elements(H, equations, system.inputs)
+    definitions = {**dict(zip(uhat, kept_functions)),
+                   **dict(zip(utilde, symbolic.generators(K, removed)))}
     point = system.equilibrium_point()
-    new_equilibrium = {s: point[s] for s in system.states}
-    values = symbolic.element_values(K, [kept_functions], point)[0]
-    new_equilibrium.update(zip(uhat, map(QQ.to_sympy, values)))
-    # the branch that gives back the original inputs at the reduced
-    # equilibrium, where each utilde takes the value of its input
-    inverse = symbolic.branch_through(
-        H, solutions, system.inputs,
-        {**new_equilibrium, **{t: point[u] for t, u in zip(utilde, removed)}},
-        [point[u] for u in system.inputs])
+    inverse, values = symbolic.invert(H, definitions, system.inputs, point)
     if inverse is None:
         raise ValidationError(
             "system %r: cannot invert the effective-input change through the "
             "equilibrium" % system.name
         )
+    new_equilibrium = {s: point[s] for s in system.states}
+    new_equilibrium.update((s, values[s]) for s in uhat)
 
     # the reduced update map in QQ(x, uhat), the field of its variables
     R = symbolic.function_field(system.states + uhat)

@@ -19,7 +19,10 @@ the latter for a row given as numerators over one denominator;
 ``compose`` taking its images as a dict from symbol to element and
 renaming, without a gcd, when they only rename the generators it uses;
 ``solve_elements`` solves, and ``branch_through`` picks the solved
-branch through a point.  Elements come in without an expression from
+branch that takes at a point the values the point gives its unknowns;
+``invert`` solves a coordinate change for the old coordinates and keeps
+its branch through a point, the local inverse where the change's
+Jacobian is regular there.  Elements come in without an expression from
 the model parser, which builds the update map and a candidate output
 with the gcd-free arithmetic of ``Fractions``; ``to_elements`` converts
 expressions built in code with the same arithmetic.  Every stage, from
@@ -536,12 +539,12 @@ def _satisfies(a, steps) -> bool:
     return not num and bool(den)
 
 
-def branch_through(K, solutions, unknowns, point, values):
+def branch_through(K, solutions, unknowns, point):
     """The first of the solved branches, dicts of elements of the field K
-    by unknown, that gives every unknown and takes the given values (one
-    rational number per unknown) at the rational point; None when none
-    does.  A branch with a pole at the point does not pass."""
-    expected = [QQ.convert(v) for v in values]
+    by unknown, that gives every unknown and takes at the rational point
+    the values the point gives the unknowns; None when none does.  A
+    branch with a pole at the point does not pass."""
+    expected = [QQ.convert(point[u]) for u in unknowns]
     for sol in solutions:
         if not all(u in sol for u in unknowns):
             continue
@@ -552,6 +555,28 @@ def branch_through(K, solutions, unknowns, point, values):
         if at_point == expected:
             return sol
     return None
+
+
+def invert(K, definitions, unknowns, point) -> tuple:
+    """Invert a coordinate change at a rational point.
+
+    definitions maps each new symbol s to its value v, an element over
+    the old coordinates, and K is the field of the old and new
+    coordinates.  The equations s - v = 0 are solved in K for the
+    unknowns, old coordinates, and the first branch through the point is
+    kept: at the new symbols' values there it gives the point's values
+    of the unknowns (branch_through).  Where the change's Jacobian is
+    regular at the point, that branch is the change's local inverse.
+    Returns the branch, None when no branch passes, and the new symbols'
+    values at the point as rational numbers.  Raises as solve_elements
+    does, and ZeroDivisionError when a value has a pole at the point.
+    """
+    values = {s: rename(v, K, {}) for s, v in definitions.items()}
+    image = dict(zip(values, map(QQ.to_sympy, element_values(
+        K, [list(values.values())], point)[0])))
+    equations = [g - v for g, v in zip(generators(K, list(values)), values.values())]
+    solutions = solve_elements(K, equations, unknowns)
+    return branch_through(K, solutions, unknowns, {**point, **image}), image
 
 
 def element_rref(K, rows, ncols):

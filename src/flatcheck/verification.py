@@ -218,16 +218,14 @@ def _jet_targets(m, bound):
 
 
 def _shift_ranks(F_x, F_u, m):
-    """Multi-index R from the shifts appearing in a solved parametrization:
-    R_j is at least 1, every shift of y_j in F_u, and one more than every
-    shift of y_j in F_x.  None when a symbol is not a jet."""
+    """Multi-index R from the shifts appearing in a solved parametrization,
+    whose elements use jets alone: R_j is at least 1, every shift of y_j
+    in F_u, and one more than every shift of y_j in F_x."""
     R = [1] * m
     for elements, extra in ((F_x, 1), (F_u, 0)):
         for a in elements:
             for sym in symbolic.used_symbols(a):
                 j, s = parse_jet_symbol(sym)
-                if j is None:
-                    return None
                 R[j - 1] = max(R[j - 1], s + extra)
     return tuple(R)
 
@@ -365,11 +363,7 @@ def verify_flat_output_symbolic(system, candidate):
             detail = "stacked system unsolved at shift bound %d" % alpha
             continue
         F_x, F_u = result
-        R = _shift_ranks(F_x, F_u, m)
-        if R is None:
-            detail = "solution retains non-jet symbols at shift bound %d" % alpha
-            continue
-        p = FlatParametrization(F_x=tuple(F_x), F_u=tuple(F_u), R=R)
+        p = FlatParametrization(F_x=tuple(F_x), F_u=tuple(F_u), R=_shift_ranks(F_x, F_u, m))
         ok, why = check_parametrization(system, p)
         if ok:
             return p, SymbolicVerification(
@@ -417,9 +411,8 @@ def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
     pure = [sol for sol in solutions if not any(
         parse_jet_symbol(sym)[0] is None
         for v in system.variables if v in sol for sym in symbolic.used_symbols(sol[v]))]
-    eq_point = system.equilibrium_point()
-    sol = symbolic.branch_through(S, pure, system.variables, jet_point,
-                                  [eq_point[v] for v in system.variables])
+    sol = symbolic.branch_through(S, pure, system.variables,
+                                  {**jet_point, **system.equilibrium_point()})
     if sol is None:
         return None
     return [sol[s] for s in system.states], [sol[u] for u in system.inputs]

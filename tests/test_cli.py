@@ -62,6 +62,16 @@ class TestAnalyze:
         assert "error:" in err
         assert "update of x1" in err and "pole" in err
 
+    def test_chart_without_rational_inverse_is_an_error(self, capsys, tmp_path):
+        """x1+ = u1^3 + u1 is regular in u1 at the equilibrium, but its
+        inverse needs a root of a cubic, so no rational chart exists."""
+        path = tmp_path / "cubic.sys"
+        path.write_text("system cubic\nstates: x1\ninputs: u1\nequilibrium: all zero\n"
+                        "next x1 = u1^3 + u1\n")
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "error: the chart inverse has no rational branch (xi = ('x1',))" in err
+
     def test_json_document(self, capsys, models_dir, tmp_path):
         target = tmp_path / "doc.json"
         code, _, _ = run(

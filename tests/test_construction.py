@@ -5,7 +5,7 @@ for the corpus systems."""
 import pytest
 import sympy as sp
 
-from flatcheck import analysis, construction, symbolic
+from flatcheck import analysis, construction, model, symbolic
 from flatcheck.errors import (
     FlatcheckError,
     ImplicitSolveError,
@@ -42,6 +42,37 @@ def _invariants(rows, variables, count, point, **options):
     element_rows = [elements[i:i + width] for i in range(0, len(elements), width)]
     found = construction.polynomial_invariants(element_rows, variables, count, point, **options)
     return [h.as_expr() for h in found]
+
+
+@pytest.fixture(scope="module",
+                params=["flat4", "chain2", "sfl_quadratic", "shift1", "redundant_input",
+                        "quad_chain"])
+def extracted(request, load_system):
+    """The system, report and decomposition trace of every bundled model
+    whose extraction reaches the peeling, redundant_input reduced first."""
+    if request.param == "flat4":
+        return (request.getfixturevalue("flat4"), request.getfixturevalue("flat4_report"),
+                request.getfixturevalue("flat4_artifacts")[1])
+    system = load_system(request.param)
+    if model.validate_system(system).redundant_inputs:
+        system = model.eliminate_redundant_inputs(system).reduced
+    report = analysis.run_algorithm1(system)
+    return system, report, construction.extract_flat_output(system, report)[1]
+
+
+def _inverts(inverse, forward, domain, codomain):
+    """Whether inverse (per variable of domain, an element over codomain)
+    composed with forward (per symbol of codomain, an element over
+    domain) gives back every variable of domain, and forward composed
+    with inverse every symbol of codomain: each solved branch is the
+    two-sided inverse of its change."""
+    D, C = symbolic.field(domain), symbolic.field(codomain)
+    into_D = {c: symbolic.rename(forward[c], D, {}) for c in codomain}
+    into_C = {v: symbolic.rename(inverse[v], C, {}) for v in domain}
+    return (all(symbolic.compose(into_C[v], into_D, D) == g
+                for v, g in zip(domain, symbolic.generators(D, domain)))
+            and all(symbolic.compose(into_D[c], into_C, C) == g
+                    for c, g in zip(codomain, symbolic.generators(C, codomain))))
 
 
 class TestPolynomialInvariants:
@@ -131,12 +162,14 @@ class TestStraightening:
         assert _same_set(values[1], [x3, x2 + 3 * x4])
         assert _same_set(values[0], [x4])
 
-    def test_forward_inverse_roundtrip(self, flat4_artifacts):
-        st = flat4_artifacts[1].transformation
-        inverse = {s: a.as_expr() for s, a in st.inverse.items()}
-        for sym in st.ordered_symbols:
-            back = st.forward[sym].as_expr().subs(inverse, simultaneous=True)
-            assert sp.simplify(back - sym) == 0
+    def test_forward_inverse_roundtrip(self, extracted):
+        """The chart and the straightening, each inverted by its branch
+        through the equilibrium, compose with their forward maps to the
+        identity both ways."""
+        _, report, trace = extracted
+        chart, st = report.chart, trace.transformation
+        assert _inverts(chart.inverse, chart.forward, chart.system_vars, chart.coords)
+        assert _inverts(st.inverse, st.forward, st.states, st.ordered_symbols)
 
 
 class TestExtractFlatOutput:
@@ -177,12 +210,11 @@ class TestExtractFlatOutput:
         assert sp.simplify(rows["u1"] - (z["zhat1_2"] - 2 * z["zhat0_1"])) == 0
         assert sp.simplify(rows["u2"] - z["zhat0_1"]) == 0
 
-    def test_z_inverse_substitutes_back(self, flat4, flat4_artifacts):
-        trace = flat4_artifacts[1]
-        z_values = {z: a.as_expr() for z, a in trace.z_values.items()}
-        for v in flat4.variables:
-            back = trace.z_inverse[v].as_expr().subs(z_values, simultaneous=True)
-            assert sp.simplify(back - v) == 0
+    def test_z_inverse_substitutes_back(self, extracted):
+        """The combined change, through every fibre change of the peeling,
+        is inverted by z_inverse."""
+        system, _, trace = extracted
+        assert _inverts(trace.z_inverse, trace.z_values, system.variables, trace.z_symbols)
 
     def test_not_flat_is_rejected(self, nonflat_bilinear):
         report = analysis.run_algorithm1(nonflat_bilinear)

@@ -11,9 +11,14 @@ VERIFY_CASES; ``verify-<model>-<output slug>.txt`` holds its record.
 Each script of DEMOS runs the same way; ``demo-<script>.txt`` holds its
 stdout, which reads the records of the library directly.
 
-After an intended change of the output, regenerate the files with
+Running
 
     PYTHONPATH=src python tests/test_golden.py
+
+writes the golden records whose ``.txt`` file is missing and leaves the
+others as they are.  After an intended change of the output, a record
+is re-pinned by deleting its ``.txt`` file, whose ``.json`` document is
+then rewritten with it, and running the script.
 """
 
 import os
@@ -152,12 +157,15 @@ def test_demo_matches_golden(name):
 
 
 def regenerate():
+    """Write every golden record whose .txt file is missing."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     cases = [(command, model, None) for command, model in CASES]
     cases += [("verify", model, output) for model, output in VERIFY_CASES]
     for command, model, output in cases:
-        (record, doc), = run_case(command, model, seeds=HASH_SEEDS[:1], output=output)
         text_path, doc_path = _golden_paths(command, model, output)
+        if text_path.exists():
+            continue
+        (record, doc), = run_case(command, model, seeds=HASH_SEEDS[:1], output=output)
         text_path.write_text(record, encoding="utf-8")
         if doc is None:
             doc_path.unlink(missing_ok=True)
@@ -165,8 +173,10 @@ def regenerate():
             doc_path.write_bytes(doc)
         print("wrote %s" % text_path.name)
     for name in DEMOS:
-        (_, out), = run_demo(name, seeds=HASH_SEEDS[:1])
         path = GOLDEN_DIR / ("demo-%s.txt" % name)
+        if path.exists():
+            continue
+        (_, out), = run_demo(name, seeds=HASH_SEEDS[:1])
         path.write_text(out, encoding="utf-8")
         print("wrote %s" % path.name)
 
