@@ -9,65 +9,80 @@ numerically.  Models are plain text files; the ``flatcheck`` command
 line exposes the same pipeline.
 """
 
-from .analysis import FlatnessReport, SequenceStep, classify, run_algorithm1
-from .construction import (
-    DecompositionTrace,
-    FlatOutput,
-    ImplicitTriangularForm,
-    StateTransformation,
-    TriangularBlock,
-    extract_flat_output,
-    parametrize_from_triangular,
-    polynomial_invariants,
-    straighten_distribution_chain,
-    to_implicit_triangular,
-)
-from .document import VERSION, AnalysisDocument, new_document, render_json
-from .errors import (
-    ChartError,
-    ConstantDimensionError,
-    FlatcheckError,
-    ImplicitSolveError,
-    InconsistentSystemError,
-    IrrationalSolutionError,
-    ModelSemanticsError,
-    ModelSyntaxError,
-    NotProjectableError,
-    RedundantInputsError,
-    SimulationError,
-    StraighteningError,
-    UnsupportedEquationError,
-    ValidationError,
-)
-from .geometry import (
-    Chart,
-    Distribution,
-    VectorField,
-    build_adapted_chart,
-    largest_projectable_subdistribution,
-    lift_distribution,
-    make_distribution,
-    pushforward_distribution,
-)
-from .model import (
-    DiscreteTimeSystem,
-    InputReduction,
-    ValidationReport,
-    eliminate_redundant_inputs,
-    validate_system,
-)
-from .modelfile import load_model, parse_expression, parse_model
-from .verification import (
-    FlatParametrization,
-    NumericVerification,
-    SymbolicVerification,
-    Trajectory,
-    check_parametrization,
-    shift_function,
-    simulate,
-    verify_flat_output_numeric,
-    verify_flat_output_symbolic,
-)
+import gc
+
+# Importing sympy builds a large, long-lived heap of cyclic objects.  The
+# collector stays off while the import builds it, and gc.freeze() moves it
+# to the permanent generation, so no later collection, including those at
+# interpreter exit, scans it again.  The caller's on/off state comes back
+# even when an import fails.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from .analysis import FlatnessReport, SequenceStep, classify, run_algorithm1
+    from .construction import (
+        DecompositionTrace,
+        FlatOutput,
+        ImplicitTriangularForm,
+        StateTransformation,
+        TriangularBlock,
+        extract_flat_output,
+        parametrize_from_triangular,
+        polynomial_invariants,
+        straighten_distribution_chain,
+        to_implicit_triangular,
+    )
+    from .document import VERSION, AnalysisDocument, new_document, render_json
+    from .errors import (
+        ChartError,
+        ConstantDimensionError,
+        FlatcheckError,
+        ImplicitSolveError,
+        InconsistentSystemError,
+        IrrationalSolutionError,
+        ModelSemanticsError,
+        ModelSyntaxError,
+        NotProjectableError,
+        RedundantInputsError,
+        SimulationError,
+        StraighteningError,
+        UnsupportedEquationError,
+        ValidationError,
+    )
+    from .geometry import (
+        Chart,
+        Distribution,
+        VectorField,
+        build_adapted_chart,
+        largest_projectable_subdistribution,
+        lift_distribution,
+        make_distribution,
+        pushforward_distribution,
+    )
+    from .model import (
+        DiscreteTimeSystem,
+        InputReduction,
+        ValidationReport,
+        eliminate_redundant_inputs,
+        validate_system,
+    )
+    from .modelfile import load_model, parse_expression, parse_model
+    from .verification import (
+        FlatParametrization,
+        NumericVerification,
+        SymbolicVerification,
+        Trajectory,
+        check_parametrization,
+        shift_function,
+        simulate,
+        verify_flat_output_numeric,
+        verify_flat_output_symbolic,
+    )
+    gc.freeze()
+finally:
+    if _collecting:
+        gc.enable()
+    del _collecting
 
 __version__ = VERSION
 

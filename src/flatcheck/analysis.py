@@ -82,7 +82,8 @@ def run_algorithm1(system: DiscreteTimeSystem) -> FlatnessReport:
     have to be eliminated beforehand (see
     model.eliminate_redundant_inputs); RedundantInputsError is raised
     otherwise.  The sequence provably stagnates within n steps; running
-    past n + 1 steps raises an internal error instead of looping.
+    past n + 1 steps raises an internal error instead of looping.  An
+    error raised inside step k carries k as its attribute k.
     """
     validation = validate_system(system)
     if validation.redundant_inputs:
@@ -102,9 +103,13 @@ def run_algorithm1(system: DiscreteTimeSystem) -> FlatnessReport:
     prev_dim = None
     kbar = None
     for k in range(max_steps + 1):
-        E = geometry.lift_distribution(delta, system)
-        D = geometry.largest_projectable_subdistribution(E, system, chart)
-        nxt = geometry.pushforward_distribution(D, system, chart)
+        try:
+            E = geometry.lift_distribution(delta, system)
+            D = geometry.largest_projectable_subdistribution(E, system, chart)
+            nxt = geometry.pushforward_distribution(D, system, chart)
+        except FlatcheckError as exc:
+            exc.k = k
+            raise
         defect = D.dim - nxt.dim
         mu = defect if prev_defect is None else defect - prev_defect
         rho = 0 if prev_dim is None else delta.dim - prev_dim

@@ -387,7 +387,8 @@ def main(argv=None) -> int:
         print("construction failed: %s" % exc, file=sys.stderr)
         return EXIT_CONSTRUCTION
     except FlatcheckError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        step = "" if exc.k is None else "step k=%d: " % exc.k
+        print("error: %s%s" % (step, exc), file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)

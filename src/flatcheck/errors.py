@@ -2,7 +2,12 @@
 
 
 class FlatcheckError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    k is the step of the distribution sequence in which the error was
+    raised (analysis.run_algorithm1), None outside the sequence."""
+
+    k = None
 
 
 class ModelSyntaxError(FlatcheckError):

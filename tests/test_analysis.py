@@ -70,12 +70,16 @@ class TestNegativeAndInvalid:
         assert report.steps[0].dim_D == 0
 
     def test_redundant_inputs_must_be_reduced_first(self, redundant_input):
-        with pytest.raises(RedundantInputsError):
+        with pytest.raises(RedundantInputsError) as info:
             analysis.run_algorithm1(redundant_input)
+        # raised by the validation, before any step of the sequence
+        assert info.value.k is None
 
     def test_constant_dimension_violation(self, load_system):
-        with pytest.raises(ConstantDimensionError):
+        with pytest.raises(ConstantDimensionError) as info:
             analysis.run_algorithm1(load_system("quad_integrator"))
+        # the error names the step of the sequence that raised it
+        assert info.value.k == 1
 
     def test_quad_chain_is_flat(self, quad_chain):
         report = analysis.run_algorithm1(quad_chain)

@@ -141,27 +141,19 @@ class TestAdaptedChart:
         chart = geometry.build_adapted_chart(flat4)
         assert tuple(str(v) for v in chart.xi_choice) == ("x1", "x2")
 
-    def test_roundtrip_on_chain(self):
-        system = modelfile.parse_model(
-            """
-system chain
-states: x1, x2
-inputs: u
-equilibrium: all zero
-next x1 = x2
-next x2 = u
-"""
-        )
-        chart = geometry.build_adapted_chart(system)
-        images = {s: a.as_expr() for s, a in chart.inverse.items()}
-        assert set(images) == set(system.variables) | set(chart.coords)
-        # chart symbols stay; base variables go to functions of the chart
-        assert all(images[c] == c for c in chart.coords)
-        inverse = {s: images[s] for s in system.variables}
-        assert all(inverse[s].free_symbols <= set(chart.coords) for s in inverse)
-        for c in chart.coords:
-            residual = chart.forward[c].as_expr().subs(inverse, simultaneous=True) - c
-            assert sp.simplify(residual) == 0
+    @pytest.mark.parametrize("model", BUNDLED)
+    def test_forward_inverse_roundtrip(self, model, load_system):
+        """The inverse map keeps each chart symbol and sends each base
+        variable to an element over the chart symbols; composed with it,
+        every forward component gives back its chart symbol."""
+        chart = geometry.build_adapted_chart(load_system(model))
+        N = chart.coordinate_field
+        symbols = symbolic.generators(N, chart.coords)
+        assert set(chart.inverse) == set(chart.system_vars) | set(chart.coords)
+        assert all(a.field == N.field for a in chart.inverse.values())
+        assert [chart.inverse[c] for c in chart.coords] == symbols
+        assert [symbolic.compose(chart.forward[c], chart.inverse, N)
+                for c in chart.coords] == symbols
 
     def test_quadratic_input_still_charts(self):
         system = modelfile.parse_model(
