@@ -26,8 +26,6 @@ import math
 import sys
 import time
 
-import sympy as sp
-
 from . import analysis, construction, document, model, modelfile, symbolic, verification
 from .errors import (
     FlatcheckError,
@@ -107,7 +105,7 @@ def _present_flat_output(flat_output, reduction):
     # each variable of the reduced system, then each extending component,
     # in QQ(x, u) of the kept update elements
     kept, states = reduction.kept_functions, reduction.reduced.states
-    K = symbolic.function_field(kept[0].field.symbols)
+    K = symbolic.field_of(kept)
     images = {**dict(zip(states, symbolic.generators(K, states))),
               **dict(zip(reduction.reduced.inputs, kept))}
     comps = [symbolic.compose(c, images, K) for c in flat_output.components]
@@ -225,13 +223,7 @@ def cmd_verify(args, timings) -> int:
 
 
 def _scalar(text, exact):
-    if exact:
-        return sp.Rational(text)
-    return float(text)
-
-
-def _numeric_row(row, exact):
-    return [_scalar(cell.strip(), exact) for cell in row]
+    return symbolic.rational(text) if exact else float(text)
 
 
 def _read_input_rows(path, exact):
@@ -242,8 +234,8 @@ def _read_input_rows(path, exact):
     rows = []
     for i, row in enumerate(raw):
         try:
-            rows.append(_numeric_row(row, exact))
-        except (ValueError, TypeError):
+            rows.append([_scalar(cell.strip(), exact) for cell in row])
+        except (ValueError, TypeError, ZeroDivisionError):
             if i == 0:
                 continue
             raise FlatcheckError(
@@ -262,7 +254,7 @@ def cmd_simulate(args, timings) -> int:
     system = modelfile.load_model(args.model)
     try:
         x0 = [_scalar(t.strip(), args.exact) for t in args.x0.split(",")]
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, ZeroDivisionError):
         print("error: --x0 expects a comma-separated numeric list", file=sys.stderr)
         return EXIT_ERROR
     rows = _read_input_rows(args.inputs_file, args.exact)

@@ -30,11 +30,6 @@ too, and every record holds each value once, as an element.
 """
 
 from dataclasses import dataclass, field
-import itertools
-
-import sympy as sp
-from sympy import QQ
-from sympy.polys.polyerrors import GeneratorsError
 
 from . import geometry, symbolic, verification
 from .errors import (
@@ -62,10 +57,6 @@ __all__ = [
 ]
 
 
-def _shift_symbol(s: sp.Symbol) -> sp.Symbol:
-    return sp.Symbol(s.name + "_p1")
-
-
 def restate_distribution(dist: geometry.Distribution, system) -> geometry.Distribution:
     """Re-read the basis of a distribution over the successor-state symbols
     as one over the state symbols, in QQ(states).  The image of the
@@ -81,43 +72,6 @@ def restate_distribution(dist: geometry.Distribution, system) -> geometry.Distri
         for f in dist.fields
     )
     return geometry.Distribution(coords=coords, fields=fields)
-
-
-def _invariance_kernel(rows, monomials, nvars, L) -> list:
-    """Coefficient vectors c, one per free column, of the polynomials
-    phi = sum_i c_i * x**monomials[i] in the first nvars generators of L
-    that every polynomial row annihilates: row . grad(phi) = 0.
-
-    The conditions are the coefficients of the monomials in those
-    generators.  They are rational numbers when L has no other
-    generators; otherwise they are polynomials in the others, the kernel
-    is taken over L, and a direction that is not rational raises
-    FlatcheckError.
-    """
-    ring = L.field.ring
-    conditions = {}
-    for r, row in enumerate(rows):
-        for i, m in enumerate(monomials):
-            derived = ring.zero
-            for a in range(nvars):
-                if m[a] and row[a]:
-                    derived += row[a].mul_term((m[:a] + (m[a] - 1,) + m[a + 1:], QQ(m[a])))
-            for monom, c in derived.iterterms():
-                rest = (0,) * nvars + monom[nvars:]
-                conditions.setdefault((r, monom[:nvars]), {}).setdefault(i, {})[rest] = c
-    if nvars == ring.ngens:
-        K, entry = QQ, lambda terms: terms.get((0,) * nvars, QQ.zero)
-    else:
-        K, entry = L, lambda terms: L.field.new(ring.from_dict(terms))
-    matrix = [[entry(row.get(i, {})) for i in range(len(monomials))]
-              for _, row in sorted(conditions.items())]
-    rref, pivots = symbolic.element_rref(K, matrix, len(monomials))
-    kernel = symbolic.element_nullspace(K, rref, pivots, len(monomials))
-    if K is QQ:
-        return kernel
-    if not all(a.numer.is_ground and a.denom.is_ground for v in kernel for a in v):
-        raise FlatcheckError("invariant ansatz produced a non-rational kernel")
-    return [[a.numer.LC / a.denom.LC for a in v] for v in kernel]
 
 
 def polynomial_invariants(
@@ -151,29 +105,20 @@ def polynomial_invariants(
         return ()
     variables = list(variables)
     grad_vars = list(gradient_variables) if gradient_variables is not None else variables
-    extra = [s for s in rows[0][0].field.symbols if s not in variables] if rows else []
+    extra = [s for s in symbolic.field_of(rows[0]).symbols if s not in variables] if rows else []
     L = symbolic.function_field(tuple(variables + extra))
     cleared = []
     for row in rows:
         row, _ = symbolic.clear_element_row(L, [symbolic.rename(a, L, {}) for a in row])
         if any(row):
-            cleared.append([a.numer for a in row])
+            cleared.append(row)
     stack = [list(g) for g in seed_gradients]
     accepted = []
-    monomials = []
     sorted_field = symbolic.field(L.symbols)
     for degree in range(1, max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(len(variables)), degree):
-            monom = [0] * len(L.symbols)
-            for i in combo:
-                monom[i] += 1
-            monomials.append(tuple(monom))
-        for vec in _invariance_kernel(cleared, monomials, len(variables), L):
-            coeffs, _ = symbolic.clear_element_row(QQ, vec)
-            candidate = L.field.new(L.field.ring.from_dict(
-                {m: c for m, c in zip(monomials, coeffs) if c}))
+        for candidate in symbolic.annihilating_polynomials(cleared, len(variables), degree, L):
             grad = symbolic.jacobian_at(L, [candidate], grad_vars, point)[0]
-            if symbolic.element_rank(QQ, stack + [grad], len(grad_vars)) != len(stack) + 1:
+            if symbolic.rational_rank(stack + [grad], len(grad_vars)) != len(stack) + 1:
                 continue
             accepted.append(symbolic.rename(candidate, sorted_field, {}))
             stack.append(grad)
@@ -254,14 +199,14 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
         found.append(list(invariants))
         seeds.extend(symbolic.jacobian_at(P, invariants, states, point))
     rest_values = found[0]
-    rest = [sp.Symbol("xrest_%d" % (i + 1)) for i in range(len(rest_values))]
+    rest = [symbolic.symbol("xrest_%d" % (i + 1)) for i in range(len(rest_values))]
     chosen = _complete_with_coordinates(seeds, states, dims[0], "block 1")
     block_values = [[gens[sym] for sym in chosen]]
     block_values += found[:0:-1]
     blocks = []
     forward = {}
     for k in range(1, kbar + 1):
-        syms = [sp.Symbol("xbar%d_%d" % (k, i + 1)) for i in range(len(block_values[k - 1]))]
+        syms = [symbolic.symbol("xbar%d_%d" % (k, i + 1)) for i in range(len(block_values[k - 1]))]
         blocks.append(tuple(syms))
         forward.update(zip(syms, block_values[k - 1]))
     forward.update(zip(rest, rest_values))
@@ -312,7 +257,7 @@ def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for
     element, Jacobian entry or basis entry, is composed once.  Returns
     one row of elements of L per basis field.
     """
-    L = symbolic.function_field(next(iter(inverse.values())).field.symbols)
+    L = symbolic.field_of(inverse.values())
     images = dict(inverse)
     composed = {}
 
@@ -384,7 +329,7 @@ def _fbar_block(state: DecompositionState, j, K, message) -> list:
                 K, {})
             for s in state.st.blocks[j - 1]
         ]
-    except GeneratorsError:
+    except symbolic.GeneratorsError:
         raise FlatcheckError(message) from None
 
 
@@ -471,12 +416,12 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
             invariants = polynomial_invariants(
                 kernel_rows, remaining + gamma, len(gamma) - mu, state.point_cur,
                 max_degree=state.max_degree, gradient_variables=gamma)
-            zeta_syms = [sp.Symbol("zeta%d_%d" % (k, r + 1)) for r in range(len(invariants))]
+            zeta_syms = [symbolic.symbol("zeta%d_%d" % (k, r + 1)) for r in range(len(invariants))]
             # the invariants are in K, the field of the kernel rows
             chosen = _complete_with_coordinates(
                 symbolic.jacobian_at(K, invariants, gamma, state.point_cur), gamma, mu,
                 "redundant directions at step %d" % k)
-            y_syms = [sp.Symbol("y%d_%d" % (k, i + 1)) for i in range(mu)]
+            y_syms = [symbolic.symbol("y%d_%d" % (k, i + 1)) for i in range(mu)]
             kept = symbolic.generators(state.coordinates, chosen)
             _change_fibre(state, dict(zip(zeta_syms + y_syms, list(invariants) + kept)),
                           gamma, k)
@@ -513,7 +458,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
     try:
         w_rows = [[W.zero] * len(remaining) + [symbolic.rename(a, W, {}) for a in rref[i][:n_zeta]]
                   for i in zeta_pivot_rows]
-    except GeneratorsError:
+    except symbolic.GeneratorsError:
         raise FlatcheckError(
             "distribution components at step %d depend on consumed coordinates" % k
         ) from None
@@ -521,11 +466,11 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
     invariants = polynomial_invariants(
         w_rows, variables, count_eta, state.point_cur,
         max_degree=state.max_degree, gradient_variables=zeta_syms) if count_eta else ()
-    eta_syms = [sp.Symbol("eta%d_%d" % (k, i + 1)) for i in range(count_eta)]
+    eta_syms = [symbolic.symbol("eta%d_%d" % (k, i + 1)) for i in range(count_eta)]
     chosen = _complete_with_coordinates(
         symbolic.jacobian_at(W, invariants, zeta_syms, state.point_cur), zeta_syms, rho_next,
         "straightening at step %d" % k)
-    zhat_syms = [sp.Symbol("zhat%d_%d" % (k, i + 1)) for i in range(rho_next)]
+    zhat_syms = [symbolic.symbol("zhat%d_%d" % (k, i + 1)) for i in range(rho_next)]
     kept = symbolic.generators(state.coordinates, chosen)
     _change_fibre(state, dict(zip(eta_syms + zhat_syms, list(invariants) + kept)),
                   zeta_syms, k)
@@ -653,7 +598,7 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
         state, _ = decompose_step(k, state, report.steps[k].D)
 
     top_sources = list(st.blocks[kbar - 1]) + list(state.eta)
-    top_syms = [sp.Symbol("y%d_%d" % (kbar, i + 1)) for i in range(len(top_sources))]
+    top_syms = [symbolic.symbol("y%d_%d" % (kbar, i + 1)) for i in range(len(top_sources))]
     for sym, src in zip(top_syms, top_sources):
         forward_all[sym] = forward_all[src]
         point_cur[sym] = point_cur[src]
@@ -682,7 +627,7 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
         try:
             z_inverse[v] = symbolic.rename(
                 state.inverse_current[v], Z, dict(zip(top_sources, top_syms)))
-        except GeneratorsError:
+        except symbolic.GeneratorsError:
             raise FlatcheckError(
                 "inverse of %s retains intermediate coordinates" % v
             ) from None
@@ -757,7 +702,7 @@ def to_implicit_triangular(trace: DecompositionTrace):
     successor coordinates, minus its dynamics composed with z_inverse,
     in QQ(z, z_p1)."""
     kbar = trace.kbar
-    shifted = {z: _shift_symbol(z) for z in trace.z_symbols}
+    shifted = {z: symbolic.symbol(z.name + "_p1") for z in trace.z_symbols}
     Z = symbolic.field(trace.z_symbols)
     both = symbolic.field(list(shifted) + list(shifted.values()))
     rows = dict(trace.combined_rows)
@@ -777,7 +722,7 @@ def to_implicit_triangular(trace: DecompositionTrace):
                 symbolic.compose(trace.dynamics[sym], trace.z_inverse, Z), both, {})
             try:
                 residuals.append(symbolic.rename(ahead - through, A, {}))
-            except GeneratorsError:
+            except symbolic.GeneratorsError:
                 raise FlatcheckError(
                     "triangular block %d violates the dependence pattern" % k
                 ) from None
@@ -807,7 +752,7 @@ def _composed(elements, images, keep=()):
     """Elements of one field with each generator s replaced by images[s],
     an element of any field.  Returns K = QQ(keep and the generators the
     results use), sorted by name, and the results as elements of K."""
-    symbols = elements[0].field.symbols
+    symbols = symbolic.field_of(elements).symbols
     W = symbolic.field(set(keep).union(*(symbolic.used_symbols(images[s]) for s in symbols)))
     moved = {s: symbolic.rename(images[s], W, {}) for s in symbols}
     results = [symbolic.compose(a, moved, W) for a in elements]
@@ -816,7 +761,7 @@ def _composed(elements, images, keep=()):
 
 
 def _format_equations(equations) -> str:
-    return "; ".join("%s = 0" % sp.sstr(a.as_expr()) for a in equations)
+    return "; ".join("%s = 0" % a.as_expr() for a in equations)
 
 
 def parametrize_from_triangular(form: ImplicitTriangularForm):

@@ -3,26 +3,26 @@
 The update map f makes the combined state-input space a fibred manifold
 over the space of next states.  This module builds the adapted chart in
 which f is a projection, transforms vector fields between charts, and
-provides the operations the flatness test is made of: Lie brackets,
-projectability tests, pushforwards, lifts, and the largest projectable
-subdistribution of a given distribution.
+provides the operations the flatness test is made of: pushforwards,
+lifts, and the largest projectable subdistribution of a given
+distribution.
 
-Conventions.  Vector fields and distributions are component data over
-an explicit coordinate tuple.  Every component is an element of a
-rational function field (a sympy ``FracElement``; ``.as_expr()`` gives
-the expression), one field per space: over the base variables (x, u)
-the chart's wide field QQ(x, u, theta, xi), in chart coordinates the
-narrow field QQ(theta, xi), over the shifted state symbols x<i>_p1 of
-the image space QQ(x_p1, ...).  Lift and pushforward rename generators
-between the spaces, and the chart renames the model's update elements,
-so the sequence builds no sympy expression; only make_distribution
-reads expressions.  The chart-coordinate half of the largest
-projectable subdistribution, where nearly all gcds are taken, runs in
-the narrow field; its coefficients are renamed into the wide field to
-recombine the base rows.  A recombination sums its products over one
-common denominator and takes one gcd per entry, or one gcd chain per
-row where only the cleared row is read (clear_fraction_row); an
-extracted field's theta block in chart coordinates is read off the
+Conventions.  Vector fields and distributions are component data over an
+explicit coordinate tuple.  Every component is an element of a rational
+function field, which only the symbolic module looks inside
+(``.as_expr()`` gives the expression), one field per space: over the
+base variables (x, u) the chart's wide field QQ(x, u, theta, xi), in
+chart coordinates the narrow field QQ(theta, xi), over the shifted state
+symbols x<i>_p1 of the image space QQ(x_p1, ...).  Lift and pushforward
+rename generators between the spaces, and the chart renames the model's
+update elements, so the sequence builds no sympy expression; only
+make_distribution reads expressions.  The chart-coordinate half of the
+largest projectable subdistribution, where nearly all gcds are taken,
+runs in the narrow field; its coefficients are renamed into the wide
+field to recombine the base rows.  A recombination sums its products
+over one common denominator and takes one gcd per entry, or one gcd
+chain per row where only the cleared row is read (clear_fraction_row);
+an extracted field's theta block in chart coordinates is read off the
 echelon form itself.  All linear algebra runs over these fields, so
 every basis produced here is deterministic.  The chart stores one
 inverse map, from the wide field into the narrow one, and the Jacobian
@@ -34,13 +34,7 @@ the peeling of the construction shares.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
-
-import sympy as sp
-from sympy import QQ
-from sympy.polys.fields import FracElement
 
 from . import symbolic
 from .errors import (
@@ -53,24 +47,16 @@ from .errors import (
 
 def shifted_state_symbols(system) -> tuple:
     """Coordinates of the image space: one x<i>_p1 symbol per state."""
-    return tuple(sp.Symbol("%s_p1" % s.name) for s in system.states)
+    return tuple(symbolic.symbol("%s_p1" % s.name) for s in system.states)
 
 
 def _chart_field(system):
     """The chart coordinates theta_1 .. theta_n, xi_1 .. xi_m, and the field
     QQ(x, u, theta, xi) of every component over the base space,
     generators sorted by name."""
-    coords = tuple(sp.Symbol("theta_%d" % (i + 1)) for i in range(system.n)) + tuple(
-        sp.Symbol("xi_%d" % (j + 1)) for j in range(system.m))
+    coords = tuple(symbolic.symbol("theta_%d" % (i + 1)) for i in range(system.n)) + tuple(
+        symbolic.symbol("xi_%d" % (j + 1)) for j in range(system.m))
     return coords, symbolic.field(system.variables + coords)
-
-
-def _field_of(rows):
-    """The one function field of the elements of nonempty rows."""
-    field = rows[0][0].field
-    if any(a.field != field for row in rows for a in row):
-        raise ValueError("components from different function fields")
-    return symbolic.function_field(field.symbols)
 
 
 @dataclass(frozen=True)
@@ -87,9 +73,6 @@ class VectorField:
                 "field has %d components for %d coordinates"
                 % (len(self.components), len(self.coords))
             )
-
-    def is_zero_field(self) -> bool:
-        return not any(self.components)
 
 
 @dataclass(frozen=True)
@@ -136,8 +119,8 @@ def make_distribution(coords, rows) -> Distribution:
     rows = [list(r) for r in rows]
     if not rows:
         return Distribution(coords=coords, fields=())
-    if isinstance(rows[0][0], FracElement):
-        K = _field_of(rows)
+    if symbolic.is_element(rows[0][0]):
+        K = symbolic.field_of(a for row in rows for a in row)
     else:
         K, elements = symbolic.to_elements([e for r in rows for e in r], coords)
         rows = [elements[i:i + len(coords)] for i in range(0, len(elements), len(coords))]
@@ -197,7 +180,7 @@ def composed_jacobian(forward, coords, variables, moved) -> list:
     rows = []
     for c in coords:
         f = forward[c]
-        gens = symbolic.generators(symbolic.function_field(f.field.symbols), variables)
+        gens = symbolic.generators(symbolic.field_of([f]), variables)
         rows.append([moved(f.diff(g)) for g in gens])
     return rows
 
@@ -289,77 +272,14 @@ def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
     return VectorField(chart.coords, tuple(apply_jacobian(chart.jacobian, moved, N.zero)))
 
 
-def lie_bracket(v1: VectorField, v2: VectorField) -> VectorField:
-    """Standard Lie bracket of two fields over the same coordinates,
-    computed in the field of their components."""
-    if v1.coords != v2.coords:
-        raise ValueError("bracket of fields over different coordinates")
-    a, b = v1.components, v2.components
-    K = _field_of([a, b])
-    gens = symbolic.generators(K, v1.coords)
-    comps = []
-    for i in range(len(gens)):
-        term = K.zero
-        for aj, bj, x in zip(a, b, gens):
-            if aj:
-                term += aj * b[i].diff(x)
-            if bj:
-                term -= bj * a[i].diff(x)
-        comps.append(term)
-    return VectorField(v1.coords, tuple(comps))
-
-
 def _projectability(adapted: VectorField, system, chart: Chart) -> bool:
-    """is_projectable on a field already in chart coordinates."""
+    """Whether the field, given in chart coordinates, pushes forward to a
+    well-defined field: every theta component is free of all fibre
+    coordinates xi."""
     fibre = symbolic.generators(chart.coordinate_field, chart.xi)
     return not any(
         adapted.components[i].diff(x) for i in range(system.n) for x in fibre
     )
-
-
-def is_projectable(v: VectorField, system, chart: Chart) -> bool:
-    """Whether the field pushes forward to a well-defined field.
-
-    True iff every theta component, written in the adapted chart, is
-    free of all fibre coordinates xi.
-    """
-    return _projectability(transform_vector_field(v, chart), system, chart)
-
-
-def is_involutive(dist: Distribution) -> bool:
-    """Whether all pairwise brackets of the basis stay in the span."""
-    if dist.dim <= 1:
-        return True
-    rows, ncols = [list(f.components) for f in dist.fields], len(dist.coords)
-    K = _field_of(rows)
-    base_rank = symbolic.element_rank(K, rows, ncols)
-    for a, b in itertools.combinations(range(dist.dim), 2):
-        br = lie_bracket(dist.fields[a], dist.fields[b])
-        if br.is_zero_field():
-            continue
-        if symbolic.element_rank(K, rows + [list(br.components)], ncols) > base_rank:
-            return False
-    return True
-
-
-def contains_field(dist: Distribution, v: VectorField) -> bool:
-    """Membership of a field in the span of a distribution."""
-    if v.coords != dist.coords:
-        raise ValueError("field over foreign coordinates")
-    if v.is_zero_field():
-        return True
-    if dist.dim == 0:
-        return False
-    rows, ncols = [list(f.components) for f in dist.fields], len(dist.coords)
-    K = _field_of(rows + [v.components])
-    return (symbolic.element_rank(K, rows + [list(v.components)], ncols)
-            == symbolic.element_rank(K, rows, ncols))
-
-
-def contains_distribution(outer: Distribution, inner: Distribution) -> bool:
-    if inner.coords != outer.coords:
-        raise ValueError("distribution over foreign coordinates")
-    return all(contains_field(outer, f) for f in inner.fields)
 
 
 def _reduce_mod_rows(row, reduced_rows, pivots):
@@ -371,36 +291,6 @@ def _reduce_mod_rows(row, reduced_rows, pivots):
     return row
 
 
-def _lcm(polys, one):
-    """The lcm of the distinct polynomials polys, one when there are none."""
-    return functools.reduce(lambda p, q: p.lcm(q), dict.fromkeys(polys), one)
-
-
-def _combine(coeffs, rows, K):
-    """sum_a coeffs[a] * rows[a], entry by entry, over one common
-    denominator: (numerators, denominator), polynomials of the ring of the
-    function field K of coeffs and rows.  The denominator is the lcm of
-    the coefficients' denominators times that of the rows' entries, so
-    the sums are taken in the polynomial ring without any gcd."""
-    ring = K.field.ring
-    terms = [(c, row) for c, row in zip(coeffs, rows) if c]
-    coeff_lcm = _lcm((c.denom for c, _ in terms), ring.one)
-    entry_lcm = _lcm((a.denom for _, row in terms for a in row if a), ring.one)
-    numerators = [ring.zero] * len(rows[0])
-    for c, row in terms:
-        scaled = c.numer * coeff_lcm.exquo(c.denom)
-        for k, a in enumerate(row):
-            if a:
-                numerators[k] += scaled * a.numer * entry_lcm.exquo(a.denom)
-    return numerators, coeff_lcm * entry_lcm
-
-
-def _entries(K, numerators, denominator):
-    """The elements numerators[k] / denominator of the function field K,
-    in lowest terms."""
-    return [K.field.new(p, denominator) if p else K.zero for p in numerators]
-
-
 def largest_projectable_subdistribution(
     dist: Distribution, system, chart: Chart
 ) -> Distribution:
@@ -408,7 +298,7 @@ def largest_projectable_subdistribution(
 
     dist must be involutive, as every E_k is by construction: the lift
     of an involutive Delta_k plus the input directions.  That is not
-    checked here (see is_involutive).
+    checked here.
 
     Descending iteration: starting from the full distribution, keep the
     fields whose brackets with every fibre direction stay inside the
@@ -427,9 +317,9 @@ def largest_projectable_subdistribution(
     denominator's factor composed with the inverse map where the base
     row is cleared.  The coefficients are renamed into the wide field to
     combine the base rows.  Each combination is summed over one common
-    denominator (_combine); a row that is only read cleared, a kernel row
-    or a vertical extracted row, is cleared straight from the combined
-    numerators.  The extraction reduces [A | I], A the theta block, to
+    denominator (symbolic.combine_rows); a row that is only read
+    cleared, a kernel row or a vertical extracted row, is cleared
+    straight from the combined numerators.  The extraction reduces [A | I], A the theta block, to
     [E*A | E], so the theta block of an extracted chart form is its row
     of E*A and only the xi block is recombined.  The chart forms of the
     extracted basis are carried on the result as its chart_fields.
@@ -473,10 +363,12 @@ def largest_projectable_subdistribution(
             return Distribution(coords=dist.coords, fields=(), chart=chart)
         new_cur, new_adapted = [], []
         for vec in kernel:
-            comps, factor = symbolic.clear_fraction_row(K, *_combine(widened(vec), cur, K))
+            comps, factor = symbolic.clear_fraction_row(K, *symbolic.combine_rows(
+                K, widened(vec), cur))
             new_cur.append(comps)
             scale = moved(factor)
-            new_adapted.append([scale * c for c in _entries(N, *_combine(vec, adapted, N))])
+            new_adapted.append([scale * c for c in symbolic.fraction_row(
+                N, *symbolic.combine_rows(N, vec, adapted))])
         cur, adapted = new_cur, new_adapted
 
     # Extraction: echelon-reduce the theta block A with an identity block
@@ -494,15 +386,15 @@ def largest_projectable_subdistribution(
     out_fields, chart_fields = [], []
     for row in rref:
         theta, coeffs = row[:n], row[n:]
-        numerators, denominator = _combine(widened(coeffs), cur, K)
+        numerators, denominator = symbolic.combine_rows(K, widened(coeffs), cur)
         cleared, factor = symbolic.clear_fraction_row(K, numerators, denominator)
         witness.append(cleared)
-        xi_part = _entries(N, *_combine(coeffs, fibre_blocks, N))
+        xi_part = symbolic.fraction_row(N, *symbolic.combine_rows(N, coeffs, fibre_blocks))
         # Rescaling a field by a coordinate-dependent factor changes its
         # theta components' xi-derivatives, so denominators may only be
         # cleared on vertical rows, whose theta block is zero anyway.
         if any(theta):
-            comps = _entries(K, numerators, denominator)
+            comps = symbolic.fraction_row(K, numerators, denominator)
         else:
             comps = cleared
             scale = moved(factor)
@@ -524,7 +416,7 @@ def largest_projectable_subdistribution(
 
     # witness rows mix base and chart symbols: evaluate at both equilibria
     W = symbolic.element_values(K, result.witness_rows, chart.equilibrium)
-    rank_eq = symbolic.element_rank(QQ, W, len(dist.coords))
+    rank_eq = symbolic.rational_rank(W, len(dist.coords))
     if rank_eq != result.dim:
         raise ConstantDimensionError(
             "projectable subdistribution has dimension %d generically "
@@ -569,7 +461,7 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
     image = make_distribution(xplus, rows)
     generic = image.dim
     image_point = {xp: chart.equilibrium[t] for xp, t in zip(xplus, chart.theta)}
-    at_eq = symbolic.element_rank(QQ, symbolic.element_values(L, rows, image_point), system.n)
+    at_eq = symbolic.rational_rank(symbolic.element_values(L, rows, image_point), system.n)
     if at_eq < generic:
         raise ConstantDimensionError(
             "pushforward has dimension %d generically but %d at the "
@@ -585,7 +477,7 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
     W = symbolic.element_values(K, dist.witness_rows, chart.equilibrium)
     pushed = [[sum(w * d for w, d in zip(w_row, d_row)) for d_row in jac_eq]
               for w_row in W]
-    pointwise = symbolic.element_rank(QQ, pushed, system.n)
+    pointwise = symbolic.rational_rank(pushed, system.n)
     if pointwise != generic:
         raise ConstantDimensionError(
             "pushforward has dimension %d generically but %d at the "

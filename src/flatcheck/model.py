@@ -11,9 +11,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import sympy as sp
-from sympy import QQ
-
 from .errors import UnsupportedEquationError, ValidationError
 from . import symbolic
 
@@ -111,13 +108,12 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
     point = system.equilibrium_point()
     for i, (xi, a) in enumerate(zip(system.states, update)):
         try:
-            (value,), = symbolic.element_values(K, [[a]], point)
+            residual = symbolic.rational_values(K, [a], point)[0] - point[xi]
         except ZeroDivisionError:
             raise ValidationError(
                 "system %r: the update of %s, %s, has a pole at the marked point"
                 % (system.name, xi, system.update[i])
             ) from None
-        residual = QQ.to_sympy(value) - point[xi]
         if residual != 0:
             raise ValidationError(
                 "system %r: f(%s) - %s = %s at the marked point, not a fixed point"
@@ -180,7 +176,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     """
     n, m = system.n, system.m
     K, update = system.update_elements
-    ijac = [[f.diff(u) for u in K.field.gens[n:]] for f in update]
+    ijac = [[f.diff(u) for u in symbolic.generators(K, system.inputs)] for f in update]
     # the first update components f^{i_r} whose input-Jacobian rows are
     # independent, the pivot columns of its transpose; their values
     # become the effective inputs
@@ -195,13 +191,13 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
         )
 
     kept_functions = tuple(update[i] for i in comp_used)
-    uhat = tuple(sp.Symbol("uhat_%d" % (r + 1)) for r in range(input_rank))
+    uhat = tuple(symbolic.symbol("uhat_%d" % (r + 1)) for r in range(input_rank))
 
     # Non-pivot original inputs come along unchanged as utilde coordinates.
     _, pivot_cols = symbolic.element_rref(K, [ijac[i] for i in comp_used], m)
     free_cols = [j for j in range(m) if j not in pivot_cols]
     removed = tuple(system.inputs[j] for j in free_cols)
-    utilde = tuple(sp.Symbol("utilde_%d" % (t + 1)) for t in range(len(free_cols)))
+    utilde = tuple(symbolic.symbol("utilde_%d" % (t + 1)) for t in range(len(free_cols)))
 
     # solve for the inputs in QQ(x, u, uhat, utilde), generators sorted by name
     H = symbolic.field(system.variables + uhat + utilde)

@@ -23,7 +23,6 @@ import operator
 import re
 
 import sympy as sp
-from sympy.polys.polyerrors import CoercionFailed
 
 from . import symbolic
 from .errors import ModelSyntaxError, ModelSemanticsError
@@ -305,7 +304,7 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
             raise ModelSemanticsError("%s: duplicate variable %r" % (source_name, nm))
         seen.add(nm)
 
-    symbols = {nm: sp.Symbol(nm) for nm in state_names + input_names}
+    symbols = {nm: symbolic.symbol(nm) for nm in state_names + input_names}
     K = symbolic.function_field(tuple(symbols.values()))
     fractions = symbolic.Fractions(K)
 
@@ -347,7 +346,7 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
                     raise ModelSyntaxError(
                         "equilibrium value must be rational", tok.line, tok.column
                     )
-                equilibrium[symbols[tok.text]] = sp.nsimplify(value, rational=True)
+                equilibrium[symbols[tok.text]] = value
                 i = j
 
     for line_no, tokens in pending_next:
@@ -380,7 +379,7 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
     # an update that divides by zero is left to their conversion to reject
     elements = None
     if all(updates.values()):
-        elements = (K, tuple(K.field.new(*updates[nm]) for nm in state_names))
+        elements = (K, tuple(fractions.element(updates[nm]) for nm in state_names))
     return DiscreteTimeSystem(
         name=name,
         states=tuple(symbols[nm] for nm in state_names),
@@ -400,7 +399,7 @@ def _parse_fraction(tokens, symbols, line_no, fractions):
     expression, which is not rational."""
     try:
         return _ExprParser(tokens, symbols, line_no, fractions).parse()
-    except CoercionFailed:
+    except symbolic.CoercionFailed:
         _ExprParser(tokens, symbols, line_no).parse()
         return None
 
@@ -434,13 +433,12 @@ def parse_elements(texts, system) -> list:
     field QQ(states, inputs) of system.update_elements, without building
     an expression.  Raises UnsupportedEquationError, as
     symbolic.to_elements does, when one divides by zero."""
-    K = symbolic.function_field(system.variables)
-    fractions = symbolic.Fractions(K)
+    fractions = symbolic.Fractions(symbolic.function_field(system.variables))
     parsed = [_parse_fraction(*_expression_tokens(text, system), fractions) for text in texts]
     if not all(parsed):
         return symbolic.to_elements([parse_expression(text, system) for text in texts],
                                     system.variables)[1]
-    return [K.field.new(*pair) for pair in parsed]
+    return [fractions.element(pair) for pair in parsed]
 
 
 def _expression_tokens(text, system) -> tuple:

@@ -1,5 +1,17 @@
 """Exact symbolic arithmetic over rational function fields.
 
+This is the one module that knows how a rational function is stored.
+Every other module reaches the kernel only through the functions here,
+through element arithmetic (``+ - * /``, truth value, ``.diff``) and
+through ``.as_expr()`` for messages: none imports from ``sympy.polys``,
+names ``QQ`` or reads an element's numerator, denominator or ring.  A
+field is what ``function_field``, ``field`` (generators sorted by name)
+and ``field_of`` return, and elsewhere only its ``.symbols``, ``.zero``
+and ``.one`` are read.  ``symbol`` makes the symbols of generators and
+``generators`` looks them up in a field, ``rational`` reads a rational
+number, and ``GeneratorsError`` and ``CoercionFailed`` are the kernel's
+errors.
+
 Invariant: every expression this module takes or returns is a rational
 function with rational coefficients.  Inside this module such an
 expression is an element of sympy's fraction field ``QQ(gens)`` (a
@@ -7,76 +19,91 @@ expression is an element of sympy's fraction field ``QQ(gens)`` (a
 are ``DomainMatrix`` objects.  Anything else (floats, radicals,
 functions) raises UnsupportedEquationError where it is converted.
 
-There is one matrix API, on field elements: ``element_rref``,
-``element_nullspace``, ``element_rank``, ``element_values``,
+Elements come in without an expression: the model parser builds them
+with the gcd-free arithmetic of ``Fractions``, and ``to_elements``
+converts expressions built in code the same way.  ``rename`` and
+``compose`` move elements between fields and coordinates; ``compose``
+renames, without a gcd, when its images only rename generators.  The
+matrix API works on elements: ``element_rref``, ``element_nullspace``,
+``element_rank``, ``element_values``, ``rational_values``,
 ``jacobian_at``, ``certificate_jacobian``, ``jacobian_rank``,
-``jacobian_ranks``, ``clear_element_row`` and ``clear_fraction_row``,
-the latter for a row given as numerators over one denominator;
-``unit_completion`` completes a Jacobian at a point by coordinate rows.
-``field`` builds QQ(symbols) with its generators sorted by name and
-``generators`` looks them up;
-``rename`` and ``compose`` move elements between fields and coordinates,
-``compose`` taking its images as a dict from symbol to element and
-renaming, without a gcd, when they only rename the generators it uses;
-``solve_elements`` solves, and ``branch_through`` picks the solved
-branch that takes at a point the values the point gives its unknowns;
-``invert`` solves a coordinate change for the old coordinates and keeps
-its branch through a point, the local inverse where the change's
-Jacobian is regular there.  Elements come in without an expression from
-the model parser, which builds the update map and a candidate output
-with the gcd-free arithmetic of ``Fractions``; ``to_elements`` converts
-expressions built in code with the same arithmetic.  Every stage, from
-validation to verification, then calls only these, and the records
-between stages hold elements.  ``to_infix`` prints an element without
-evaluating a sympy sum.  Expressions are built only where they are
-read: ``canonicalize_element`` and ``.as_expr()`` give them for the
-lambdified numeric replay, which also reads the model's update map as
-expressions, and for error messages.
+``jacobian_ranks``, ``clear_element_row``, and ``clear_fraction_row``
+for a row of numerators over one denominator, which ``combine_rows``
+sums and ``fraction_row`` reads back.  ``rational_rank`` and
+``unit_completion`` work on rows of rational numbers, and
+``annihilating_polynomials`` solves the conditions of a polynomial
+ansatz.  ``to_infix`` prints an element without evaluating a sympy sum;
+``canonicalize_element`` and ``.as_expr()`` build expressions only
+where they are read, for the lambdified numeric replay and for error
+messages.
 
-``solve_elements`` solves by exact elimination in the fraction field:
-it eliminates the unknowns in the caller's order, one equation linear
-in the unknown at a time, and factors an equation when none is linear.
-Equations free of the unknowns are ignored, and every branch is
-checked exactly against every equation that contains an unknown.  Only
-rational branches are returned, so ``[]`` means no branch could be
-solved.
+``solve_elements`` solves by exact elimination in the fraction field,
+one equation linear in an unknown at a time in the caller's order,
+factoring an equation when none is linear, and checks every branch
+exactly; only rational branches are returned.  ``branch_through`` picks
+the solved branch that takes at a point the values the point gives its
+unknowns, and ``invert`` keeps that branch of a solved coordinate
+change, its local inverse where its Jacobian is regular at the point.
 
 Generic ranks are certified exactly, never guessed.  The rank at a
 rational point where every entry is defined is at most the generic
-rank, which is at most min(rows, cols); so ``element_rank`` and
-``jacobian_rank`` first evaluate at one fixed rational point, and a full
-rank there is the generic rank.  On a pole or a rank that falls short
-they row reduce over the function field instead.  The checks of the
-other modules at their equilibrium use the same rule, only through this
-module: ``jacobian_ranks`` ranks the Jacobian at the point first and
-computes the generic rank only when that falls short, and
-``unit_completion`` keeps a coordinate only when the stack stays of full
-rank at the point.  ``jacobian_at`` evaluates the Jacobian from the
-partial derivatives of numerator and denominator, without building it
-symbolically.  All functions are pure.
+rank, which is at most min(rows, cols), so a full rank at one fixed
+rational point is the generic rank; on a pole or a rank that falls
+short, ``element_rank`` and ``jacobian_rank`` row reduce over the
+function field instead.  ``jacobian_ranks`` and ``unit_completion``
+apply the same rule at a caller's point, and ``jacobian_at`` evaluates
+the Jacobian from the partial derivatives of numerator and denominator,
+without building it symbolically.  All functions are pure.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import sympy as sp
 from sympy import QQ
+from sympy.polys.fields import FracElement
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed, GeneratorsError
 
 from .errors import (
+    FlatcheckError,
     InconsistentSystemError,
     IrrationalSolutionError,
     UnsupportedEquationError,
 )
 
 
+def symbol(name):
+    """The symbol of a generator called name."""
+    return sp.Symbol(name)
+
+
+def rational(text):
+    """The sympy Rational that text spells; TypeError or ZeroDivisionError if none."""
+    return sp.Rational(text)
+
+
 @functools.lru_cache(maxsize=256)
 def function_field(gens: tuple):
     """The field QQ(gens) as a sympy domain; QQ itself when gens is empty."""
     return QQ.frac_field(*gens) if gens else QQ
+
+
+def is_element(a) -> bool:
+    """Whether a is an element of a function field."""
+    return isinstance(a, FracElement)
+
+
+def field_of(elements):
+    """The one function field of the nonempty elements; ValueError when
+    they come from different fields."""
+    first, *rest = elements
+    if any(a.field != first.field for a in rest):
+        raise ValueError("components from different function fields")
+    return function_field(first.field.symbols)
 
 
 def field(symbols):
@@ -96,7 +123,7 @@ class Fractions:
 
     A sum over one denominator adds the numerators, any other sum and
     every product multiply out, and a negative power swaps the parts, so
-    a pair need not be in lowest terms; ``K.field.new`` reduces it once.
+    a pair need not be in lowest terms; ``element`` reduces it once.
     The model parser builds its elements with these operations, and
     :func:`_fraction` converts an expression with them.  Raises
     CoercionFailed for a symbol that is not a generator of K and for a
@@ -104,8 +131,12 @@ class Fractions:
     """
 
     def __init__(self, K):
-        self.ring = K.field.ring
+        self.field, self.ring = K.field, K.field.ring
         self.index = {s: i for i, s in enumerate(K.symbols)}
+
+    def element(self, pair):
+        """The pair as an element of K, in lowest terms."""
+        return self.field.new(*pair)
 
     def number(self, q):
         """The sympy Rational q."""
@@ -165,12 +196,15 @@ def _fraction(e, fractions):
     raise CoercionFailed(e)
 
 
-def _fractions(exprs, gens=None):
-    """(K, [(numerator, denominator)]) for rational expressions over
-    K = QQ(gens), gens defaulting to all free symbols sorted by name.
-    Over K = QQ the pairs are (value, 1).  Raises UnsupportedEquationError
-    when some expression is not a rational function of gens with rational
-    coefficients (floats count as inexact, hence not rational)."""
+def to_elements(exprs, gens=None):
+    """Field elements of a sequence of rational expressions.
+
+    The field is K = QQ(gens), gens defaulting to the free symbols of all
+    expressions sorted by name; over K = QQ the elements are rational
+    numbers.  Returns (K, elements).  Raises UnsupportedEquationError when
+    some expression is not a rational function of gens with rational
+    coefficients (floats count as inexact, hence not rational).
+    """
     exprs = [sp.sympify(e) for e in exprs]
     if gens is None:
         K = field(set().union(*(e.free_symbols for e in exprs)))
@@ -178,34 +212,21 @@ def _fractions(exprs, gens=None):
     else:
         K = function_field(tuple(gens))
     fractions = None if K is QQ else Fractions(K)
-    pairs = []
+    elements = []
     for e in exprs:
         try:
             if fractions is None:
                 if not e.is_Rational:
                     raise CoercionFailed(e)
-                pairs.append((QQ(e.p, e.q), QQ.one))
+                elements.append(QQ(e.p, e.q))
             else:
-                pairs.append(_fraction(e, fractions))
+                elements.append(fractions.element(_fraction(e, fractions)))
         except CoercionFailed:
             raise UnsupportedEquationError(
                 "%s is not a rational function of (%s) with rational coefficients"
                 % (e, ", ".join(map(str, gens)))
             ) from None
-    return K, pairs
-
-
-def to_elements(exprs, gens=None):
-    """Field elements of a sequence of rational expressions.
-
-    The field is QQ(gens), with gens defaulting to the free symbols of
-    all expressions sorted by name.  Returns (field, elements); raises
-    UnsupportedEquationError as :func:`_fractions` does.
-    """
-    K, pairs = _fractions(exprs, gens)
-    if K is QQ:
-        return K, [num for num, _ in pairs]
-    return K, [K.field.new(num, den) for num, den in pairs]
+    return K, elements
 
 
 @functools.lru_cache(maxsize=256)
@@ -572,8 +593,7 @@ def invert(K, definitions, unknowns, point) -> tuple:
     does, and ZeroDivisionError when a value has a pole at the point.
     """
     values = {s: rename(v, K, {}) for s, v in definitions.items()}
-    image = dict(zip(values, map(QQ.to_sympy, element_values(
-        K, [list(values.values())], point)[0])))
+    image = dict(zip(values, rational_values(K, values.values(), point)))
     equations = [g - v for g, v in zip(generators(K, list(values)), values.values())]
     solutions = solve_elements(K, equations, unknowns)
     return branch_through(K, solutions, unknowns, {**point, **image}), image
@@ -610,6 +630,47 @@ def element_nullspace(K, rref_rows, pivots, ncols) -> list:
             v[pc] = -row[fc]
         vectors.append(v)
     return vectors
+
+
+def annihilating_polynomials(rows, nvars, degree, L):
+    """The polynomials phi = sum_i c_i * x**m_i, over the monomials m_i of
+    total degree 1..degree in the first nvars generators x of the function
+    field L in graded order, one per free column, that every row of
+    polynomial elements of L annihilates: row . grad(phi) = 0.  Each c
+    is scaled as clear_element_row scales it; phi is an element of L.
+
+    The conditions are the coefficients of the monomials in x: rational
+    numbers when L has no other generators, and otherwise polynomials in
+    the others, where the kernel is taken over L and a direction that is
+    not rational raises FlatcheckError.
+    """
+    ring = L.field.ring
+    monomials = [tuple(combo.count(i) for i in range(ring.ngens)) for d in range(1, degree + 1)
+                 for combo in itertools.combinations_with_replacement(range(nvars), d)]
+    conditions = {}
+    for r, row in enumerate(rows):
+        for i, m in enumerate(monomials):
+            derived = ring.zero
+            for a in range(nvars):
+                if m[a] and row[a]:
+                    derived += row[a].numer.mul_term((m[:a] + (m[a] - 1,) + m[a + 1:], QQ(m[a])))
+            for monom, c in derived.iterterms():
+                rest = (0,) * nvars + monom[nvars:]
+                conditions.setdefault((r, monom[:nvars]), {}).setdefault(i, {})[rest] = c
+    if nvars == ring.ngens:
+        K, entry = QQ, lambda terms: terms.get((0,) * nvars, QQ.zero)
+    else:
+        K, entry = L, lambda terms: L.field.new(ring.from_dict(terms))
+    matrix = [[entry(row.get(i, {})) for i in range(len(monomials))]
+              for _, row in sorted(conditions.items())]
+    kernel = element_nullspace(K, *element_rref(K, matrix, len(monomials)), len(monomials))
+    if K is not QQ:
+        if not all(a.numer.is_ground and a.denom.is_ground for v in kernel for a in v):
+            raise FlatcheckError("invariant ansatz produced a non-rational kernel")
+        kernel = [[a.numer.LC / a.denom.LC for a in v] for v in kernel]
+    for vec in kernel:
+        coeffs, _ = clear_element_row(QQ, vec)
+        yield L.field.new(ring.from_dict({m: c for m, c in zip(monomials, coeffs) if c}))
 
 
 @functools.lru_cache(maxsize=64)
@@ -715,6 +776,11 @@ def _defined(result, a, point):
     return result
 
 
+def rational_rank(rows, ncols) -> int:
+    """Rank of rows of rational numbers."""
+    return len(element_rref(QQ, rows, ncols)[1])
+
+
 def element_rank(K, rows, ncols) -> int:
     """Rank of rows of elements of the field K (the generic rank).
 
@@ -728,7 +794,7 @@ def element_rank(K, rows, ncols) -> int:
         values = _certificate_point(len(K.symbols))
         at_point = [[_value_at(a.numer, a.denom, values) for a in row] for row in rows]
         if all(v is not None for row in at_point for v in row):
-            rank = len(element_rref(QQ, at_point, ncols)[1])
+            rank = rational_rank(at_point, ncols)
             if rank == min(len(rows), ncols):
                 return rank
     return len(element_rref(K, rows, ncols)[1])
@@ -786,7 +852,7 @@ def jacobian_rank(K, elements, variables, at_point=None) -> int:
     if at_point is None:
         at_point = certificate_jacobian(K, elements, variables)
     if at_point is not None:
-        rank = len(element_rref(QQ, at_point, ncols)[1])
+        rank = rational_rank(at_point, ncols)
         if rank == min(nrows, ncols):
             return rank
     index = {s: i for i, s in enumerate(K.symbols)}
@@ -801,7 +867,7 @@ def jacobian_ranks(K, elements, variables, point) -> tuple:
     there is the generic rank, and only a rank that falls short computes
     :func:`jacobian_rank`.  A pole raises as in :func:`jacobian_at`."""
     ncols = len(variables)
-    at_point = element_rank(QQ, jacobian_at(K, elements, variables, point), ncols)
+    at_point = rational_rank(jacobian_at(K, elements, variables, point), ncols)
     if at_point == min(len(elements), ncols):
         return at_point, at_point
     return jacobian_rank(K, elements, variables), at_point
@@ -817,7 +883,7 @@ def unit_completion(rows, ncols, candidates, count) -> list:
         if len(kept) == count:
             break
         unit = [QQ.one if i == j else QQ.zero for i in range(ncols)]
-        if element_rank(QQ, stack + [unit], ncols) == len(stack) + 1:
+        if rational_rank(stack + [unit], ncols) == len(stack) + 1:
             stack.append(unit)
             kept.append(j)
     return kept
@@ -830,6 +896,12 @@ def element_values(K, rows, point: dict) -> list:
     values = _point_values(K, [a for row in rows for a in row], point)
     return [[_defined(_value_at(a.numer, a.denom, values), a, point) for a in row]
             for row in rows]
+
+
+def rational_values(K, elements, point) -> list:
+    """The elements of K at the rational point, as element_values gives
+    them, as sympy Rationals."""
+    return list(map(QQ.to_sympy, element_values(K, [list(elements)], point)[0]))
 
 
 def clear_element_row(K, row):
@@ -851,7 +923,7 @@ def clear_element_row(K, row):
         if numerators[0] < 0:
             factor = -factor
         return [a * factor for a in row], factor
-    common = functools.reduce(lambda p, q: p.lcm(q), (a.denom for a in nonzero))
+    common = _lcm((a.denom for a in nonzero), K.field.ring.one)
     return _primitive(K.field, common, [a.numer * common.exquo(a.denom) for a in row])
 
 
@@ -877,6 +949,37 @@ def clear_fraction_row(K, numerators, denominator):
     if not g.is_ground:
         denominator, numerators = denominator.exquo(g), [p.exquo(g) for p in numerators]
     return _primitive(K.field, denominator, numerators)
+
+
+def _lcm(polys, one):
+    """The lcm of the distinct polynomials polys, one when there are none."""
+    return functools.reduce(lambda p, q: p.lcm(q), dict.fromkeys(polys) or [one])
+
+
+def combine_rows(K, coeffs, rows):
+    """sum_a coeffs[a] * rows[a], entry by entry, for elements of the
+    function field K, over one common denominator: (numerators,
+    denominator), polynomials of its ring, the row that clear_fraction_row
+    clears and fraction_row reads back.  The denominator is the lcm of
+    the coefficients' denominators times that of the rows' entries, so
+    the sums are taken in the polynomial ring without any gcd."""
+    ring = K.field.ring
+    terms = [(c, row) for c, row in zip(coeffs, rows) if c]
+    coeff_lcm = _lcm((c.denom for c, _ in terms), ring.one)
+    entry_lcm = _lcm((a.denom for _, row in terms for a in row if a), ring.one)
+    numerators = [ring.zero] * len(rows[0])
+    for c, row in terms:
+        scaled = c.numer * coeff_lcm.exquo(c.denom)
+        for k, a in enumerate(row):
+            if a:
+                numerators[k] += scaled * a.numer * entry_lcm.exquo(a.denom)
+    return numerators, coeff_lcm * entry_lcm
+
+
+def fraction_row(K, numerators, denominator):
+    """The elements numerators[k] / denominator of the function field K,
+    in lowest terms."""
+    return [K.field.new(p, denominator) if p else K.zero for p in numerators]
 
 
 def _primitive(field, common, polys):

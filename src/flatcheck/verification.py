@@ -17,11 +17,11 @@ falsification power.
 
 from dataclasses import dataclass
 import functools
+import math
 import random
 import re
 
 import sympy as sp
-from sympy import QQ
 
 from . import symbolic
 from .errors import FlatcheckError, SimulationError
@@ -43,12 +43,12 @@ __all__ = [
 _JET_PATTERN = re.compile(r"^y(\d+)(?:_p(\d+))?$")
 
 
-def jet_symbol(component, shift) -> sp.Symbol:
+def jet_symbol(component, shift):
     """Symbol for forward shift ``shift`` of flat output component
     ``component`` (1-based)."""
     if shift == 0:
-        return sp.Symbol("y%d" % component)
-    return sp.Symbol("y%d_p%d" % (component, shift))
+        return symbolic.symbol("y%d" % component)
+    return symbolic.symbol("y%d_p%d" % (component, shift))
 
 
 def parse_jet_symbol(sym):
@@ -59,11 +59,11 @@ def parse_jet_symbol(sym):
     return int(match.group(1)), int(match.group(2) or 0)
 
 
-def input_shift_symbol(u: sp.Symbol, shift) -> sp.Symbol:
+def input_shift_symbol(u, shift):
     """Symbol for forward shift ``shift`` of input u."""
     if shift == 0:
         return u
-    return sp.Symbol("%s_p%d" % (u.name, shift))
+    return symbolic.symbol("%s_p%d" % (u.name, shift))
 
 
 def _parse_input_shift(sym, inputs):
@@ -91,8 +91,8 @@ def shift_function(a, system=None):
 
 
 def _shift_output_jets(a):
-    ahead = {}
-    for sym in a.field.symbols:
+    symbols, ahead = symbolic.field_of([a]).symbols, {}
+    for sym in symbols:
         j, s = parse_jet_symbol(sym)
         if j is not None:
             ahead[sym] = jet_symbol(j, s + 1)
@@ -100,12 +100,12 @@ def _shift_output_jets(a):
     if stuck:
         raise FlatcheckError("output shift applies to jet expressions, got %s"
                              % min(stuck, key=str))
-    K = symbolic.field(ahead.get(s, s) for s in a.field.symbols)
+    K = symbolic.field(ahead.get(s, s) for s in symbols)
     return symbolic.rename(a, K, ahead)
 
 
 def _shift_through_system(a, system):
-    images = _system_images(a.field, system.states, system.inputs,
+    images = _system_images(symbolic.field_of([a]), system.states, system.inputs,
                             system.update_elements[1])
     stuck = symbolic.used_symbols(a).difference(images)
     if stuck:
@@ -115,19 +115,17 @@ def _shift_through_system(a, system):
 
 
 @functools.lru_cache(maxsize=32)
-def _system_images(field, states, inputs, update):
-    """The shift of the generators of field that have one, as elements of
-    field by symbol: the update of a state (update holds the system's
-    update elements) and the next shift of an input shift that has one in
-    field."""
-    K = symbolic.function_field(field.symbols)
+def _system_images(K, states, inputs, update):
+    """The shift of the generators of the field K that have one, as
+    elements of K by symbol: the update of a state (update holds the
+    system's update elements) and the next shift of an input shift that
+    has one in K."""
     images = {s: symbolic.rename(f, K, {}) for s, f in zip(states, update)}
-    gens = dict(zip(field.symbols, field.gens))
-    for sym in field.symbols:
+    for sym in K.symbols:
         base, s = _parse_input_shift(sym, inputs)
-        ahead = gens.get(input_shift_symbol(base, s + 1)) if base is not None else None
-        if ahead is not None:
-            images[sym] = ahead
+        ahead = input_shift_symbol(base, s + 1) if base is not None else None
+        if ahead in K.symbols:
+            images[sym], = symbolic.generators(K, [ahead])
     return images
 
 
@@ -194,13 +192,11 @@ def _equilibrium_jet_values(system, components, q):
     values = []
     for a in components:
         try:
-            (value,), = symbolic.element_values(
-                symbolic.function_field(a.field.symbols), [[a]], point)
+            values += symbolic.rational_values(symbolic.field_of([a]), [a], point)
         except ZeroDivisionError:
             raise FlatcheckError(
                 "output component %s has a pole at the equilibrium" % symbolic.to_infix(a)
             ) from None
-        values.append(QQ.to_sympy(value))
     return values
 
 
@@ -392,7 +388,7 @@ def _solve_is_hopeless(system, variables, at_point, nstacked):
         return False
     columns = [k for k, v in enumerate(variables) if v not in system.variables]
     B = [[row[k] for k in columns] for row in at_point]
-    return symbolic.element_rank(QQ, B, len(columns)) > nstacked - (system.n + system.m)
+    return symbolic.rational_rank(B, len(columns)) > nstacked - (system.n + system.m)
 
 
 def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
@@ -530,11 +526,22 @@ def verify_flat_output_numeric(
     )
 
 
+def _floats(values, where) -> tuple:
+    """values as floats; SimulationError naming the first that is nan or
+    infinite, which the dynamics would carry along or report as a pole."""
+    floats = tuple(map(float, values))
+    for j, v in enumerate(floats):
+        if not math.isfinite(v):
+            raise SimulationError("%s entry %d is %s, not a finite number" % (where, j + 1, v))
+    return floats
+
+
 def simulate(system, x0, inputs) -> Trajectory:
     """Iterate the dynamics from x0 under the given input sequence.
 
     Evaluation is exact over the rationals when every value is rational,
-    otherwise in floating point.  A pole aborts with the step index."""
+    otherwise in floating point, where a value that is not finite is
+    refused before the first step.  A pole aborts with the step index."""
     if len(x0) != system.n:
         raise SimulationError(
             "initial state has %d entries for %d states" % (len(x0), system.n)
@@ -555,25 +562,23 @@ def simulate(system, x0, inputs) -> Trajectory:
             point = {s: v for s, v in zip(system.states, state)}
             point.update({u: sp.Rational(v) for u, v in zip(system.inputs, row)})
             try:
-                state = list(map(QQ.to_sympy, symbolic.element_values(K, [update], point)[0]))
+                state = symbolic.rational_values(K, update, point)
             except ZeroDivisionError:
                 raise SimulationError("pole encountered at step %d" % k, step=k)
             states.append(tuple(state))
         input_rows = tuple(tuple(sp.Rational(v) for v in row) for row in rows)
     else:
+        states = [_floats(x0, "initial state")]
+        input_rows = tuple(_floats(row, "input row %d" % (k + 1)) for k, row in enumerate(rows))
         fn = _update_function(system)
-        state = [float(v) for v in x0]
-        states = [tuple(state)]
-        for k, row in enumerate(rows):
-            args = state + [float(v) for v in row]
+        for k, row in enumerate(input_rows):
             try:
-                state = fn(*args)
+                state = tuple(fn(*states[-1], *row))
             except (ZeroDivisionError, OverflowError):
                 raise SimulationError("pole encountered at step %d" % k, step=k)
-            if any(v != v or abs(v) == float("inf") for v in state):
+            if not all(map(math.isfinite, state)):
                 raise SimulationError("pole encountered at step %d" % k, step=k)
-            states.append(tuple(state))
-        input_rows = tuple(tuple(float(v) for v in row) for row in rows)
+            states.append(state)
     return Trajectory(
         horizon=len(rows),
         states=tuple(states),

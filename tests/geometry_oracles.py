@@ -1,0 +1,81 @@
+"""Reference oracles for the involutivity and projectability claims.
+
+Algorithm 1 never calls these: it assumes involutivity where the paper
+proves it, and it tests projectability only on fields already in chart
+coordinates.  The tests use them as independent checks of those claims:
+the Lie bracket, involutivity, span membership and projectability of a
+field over the base variables, each from its definition.
+"""
+
+import itertools
+
+from flatcheck import geometry, symbolic
+
+
+def is_zero_field(v: geometry.VectorField) -> bool:
+    return not any(v.components)
+
+
+def lie_bracket(v1: geometry.VectorField, v2: geometry.VectorField) -> geometry.VectorField:
+    """Standard Lie bracket of two fields over the same coordinates,
+    computed in the field of their components."""
+    if v1.coords != v2.coords:
+        raise ValueError("bracket of fields over different coordinates")
+    a, b = v1.components, v2.components
+    K = symbolic.field_of(a + b)
+    gens = symbolic.generators(K, v1.coords)
+    comps = []
+    for i in range(len(gens)):
+        term = K.zero
+        for aj, bj, x in zip(a, b, gens):
+            if aj:
+                term += aj * b[i].diff(x)
+            if bj:
+                term -= bj * a[i].diff(x)
+        comps.append(term)
+    return geometry.VectorField(v1.coords, tuple(comps))
+
+
+def is_projectable(v: geometry.VectorField, system, chart: geometry.Chart) -> bool:
+    """Whether the field pushes forward to a well-defined field.
+
+    True iff every theta component, written in the adapted chart, is
+    free of all fibre coordinates xi.
+    """
+    return geometry._projectability(geometry.transform_vector_field(v, chart), system, chart)
+
+
+def is_involutive(dist: geometry.Distribution) -> bool:
+    """Whether all pairwise brackets of the basis stay in the span."""
+    if dist.dim <= 1:
+        return True
+    rows, ncols = [list(f.components) for f in dist.fields], len(dist.coords)
+    K = symbolic.field_of(a for row in rows for a in row)
+    base_rank = symbolic.element_rank(K, rows, ncols)
+    for a, b in itertools.combinations(range(dist.dim), 2):
+        br = lie_bracket(dist.fields[a], dist.fields[b])
+        if is_zero_field(br):
+            continue
+        if symbolic.element_rank(K, rows + [list(br.components)], ncols) > base_rank:
+            return False
+    return True
+
+
+def contains_field(dist: geometry.Distribution, v: geometry.VectorField) -> bool:
+    """Membership of a field in the span of a distribution."""
+    if v.coords != dist.coords:
+        raise ValueError("field over foreign coordinates")
+    if is_zero_field(v):
+        return True
+    if dist.dim == 0:
+        return False
+    rows, ncols = [list(f.components) for f in dist.fields], len(dist.coords)
+    K = symbolic.field_of([a for row in rows for a in row] + list(v.components))
+    return (symbolic.element_rank(K, rows + [list(v.components)], ncols)
+            == symbolic.element_rank(K, rows, ncols))
+
+
+def contains_distribution(outer: geometry.Distribution, inner: geometry.Distribution) -> bool:
+    if inner.coords != outer.coords:
+        raise ValueError("distribution over foreign coordinates")
+    return all(contains_field(outer, f) for f in inner.fields)

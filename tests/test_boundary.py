@@ -1,0 +1,87 @@
+"""The kernel boundary: only flatcheck.symbolic knows how a rational
+function is stored.
+
+Every module of the package is parsed, not imported, and its syntax tree
+is searched: for imports of sympy, for the names of sympy's domain and
+element types, and for the attributes through which an element exposes
+its numerator, denominator, ring or terms.  The other modules reach the
+kernel through symbolic's functions, element arithmetic, ``.diff`` and
+``.as_expr()`` alone.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "flatcheck"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "symbolic")
+
+KERNEL_NAMES = {"QQ", "FracElement", "DomainMatrix"}
+# the parts of a field element, its field and its ring
+KERNEL_ATTRIBUTES = {
+    "numer", "denom", "ring", "field", "gens", "mul_term", "from_dict", "exquo", "LC",
+    "is_ground", "iterterms", "to_sympy", "from_sympy", "frac_field", "raw_new",
+}
+# the attributes of sympy that a module may use; every other module,
+# construction, geometry, model and cli among them, imports no sympy
+SYMPY_USE = {
+    # the lambdified replay and simulate
+    "verification": {"lambdify", "sympify", "Rational"},
+    # the expression action set and number tokens
+    "modelfile": {"Integer", "Rational", "Expr"},
+}
+
+
+def _tree(name):
+    return ast.parse((PACKAGE / ("%s.py" % name)).read_text(encoding="utf-8"))
+
+
+def _sympy_aliases(tree) -> tuple:
+    """The imports of sympy, ``from <module>`` for a from-import, and the
+    local names bound to sympy."""
+    modules, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sympy":
+                    modules.append(alias.name)
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
+            modules.append("from " + node.module)
+    return modules, aliases
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_polys_import_and_no_kernel_names(name):
+    tree = _tree(name)
+    modules, _ = _sympy_aliases(tree)
+    assert not [m for m in modules if "sympy.polys" in m]
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not named & KERNEL_NAMES
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_element_internals(name):
+    read = {
+        node.attr for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Attribute) and node.attr in KERNEL_ATTRIBUTES
+        # symbolic.field(symbols) is the kernel's own function
+        and not (isinstance(node.value, ast.Name) and node.value.id == "symbolic")
+    }
+    assert not read
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_sympy_use(name):
+    tree = _tree(name)
+    modules, aliases = _sympy_aliases(tree)
+    allowed = SYMPY_USE.get(name, set())
+    # sympy itself is imported, so every use is an attribute read below
+    assert modules == (["sympy"] if allowed else [])
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    assert used <= allowed

@@ -346,6 +346,49 @@ class TestSimulate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("x0, message", [
+        ("nan,0", "initial state entry 1 is nan"),
+        ("inf,0", "initial state entry 1 is inf"),
+        ("0,nan", "initial state entry 2 is nan"),
+        ("0,-inf", "initial state entry 2 is -inf"),
+    ])
+    def test_non_finite_initial_state(self, capsys, models_dir, tmp_path, x0, message):
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("1\n2\n")
+        code, out, err = run(capsys, "simulate", model_path(models_dir, "chain2"),
+                             "--x0", x0, "--inputs-file", str(inputs))
+        assert code == 2
+        assert out == ""
+        assert "error: %s, not a finite number" % message in err
+        assert "pole" not in err
+
+    @pytest.mark.parametrize("rows, message", [
+        # a first row of numbers that are not finite is no header
+        ("nan\n2\n", "input row 1 entry 1 is nan"),
+        ("1\nnan\n", "input row 2 entry 1 is nan"),
+        ("u\n1\ninf\n", "input row 2 entry 1 is inf"),
+    ])
+    def test_non_finite_input_row(self, capsys, models_dir, tmp_path, rows, message):
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text(rows)
+        code, out, err = run(capsys, "simulate", model_path(models_dir, "chain2"),
+                             "--x0", "0,0", "--inputs-file", str(inputs))
+        assert code == 2
+        assert out == ""
+        assert "error: %s, not a finite number" % message in err
+
+    def test_exact_zero_denominator_is_a_usage_error(self, capsys, models_dir, tmp_path):
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("1\n1/0\n")
+        code, _, err = run(capsys, "simulate", model_path(models_dir, "chain2"),
+                           "--x0", "1/0,0", "--inputs-file", str(inputs), "--exact")
+        assert code == 2
+        assert "--x0 expects" in err
+        code, _, err = run(capsys, "simulate", model_path(models_dir, "chain2"),
+                           "--x0", "0,0", "--inputs-file", str(inputs), "--exact")
+        assert code == 2
+        assert "non-numeric entry in row 2" in err
+
 
 class TestNoSympyCalls:
     """The pipeline decides in the exact kernel: none of sympy's own
@@ -394,14 +437,14 @@ class TestExpressionBoundary:
     @staticmethod
     def _record(monkeypatch):
         converted = []
-        fractions = symbolic._fractions
+        fractions = symbolic.to_elements
 
         def recorded(exprs, gens=None):
             exprs = list(exprs)
             converted.extend(exprs)
             return fractions(exprs, gens)
 
-        monkeypatch.setattr(symbolic, "_fractions", recorded)
+        monkeypatch.setattr(symbolic, "to_elements", recorded)
         return converted
 
     def test_flat4_converts_no_expression(self, capsys, models_dir, monkeypatch, tmp_path):

@@ -141,7 +141,7 @@ class TestPolynomialInvariants:
         def refuse(*args, **kwargs):
             raise AssertionError("a sympy expression was converted")
 
-        monkeypatch.setattr(symbolic, "_fractions", refuse)
+        monkeypatch.setattr(symbolic, "to_elements", refuse)
         assert search() == expected
 
 
@@ -353,14 +353,14 @@ class TestPeelingOnFieldElements:
         system = request.getfixturevalue(model)
         report = request.getfixturevalue(model + "_report")
         calls = 0
-        original = symbolic._fractions
+        original = symbolic.to_elements
 
         def counted(*args, **kwargs):
             nonlocal calls
             calls += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(symbolic, "_fractions", counted)
+        monkeypatch.setattr(symbolic, "to_elements", counted)
         _, trace = construction.extract_flat_output(system, report)
         construction.parametrize_from_triangular(construction.to_implicit_triangular(trace))
         assert calls == 0
