@@ -226,18 +226,33 @@ def _scalar(text, exact):
     return symbolic.rational(text) if exact else float(text)
 
 
+def _number(text, exact):
+    """_scalar of text; None when it is no number."""
+    try:
+        return _scalar(text, exact)
+    except (ValueError, TypeError, ZeroDivisionError):
+        return None
+
+
 def _read_input_rows(path, exact):
+    """The rows of numbers of an inputs file.  A first row that float()
+    cannot read is a header and is skipped.  With exact, an entry that
+    float() reads but that is no rational number (nan, inf) is refused in
+    every row, the first included, as the float path refuses it; rows
+    are then counted without the header, as the float path counts them."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         raw = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    if not raw:
-        return []
     rows = []
     for i, row in enumerate(raw):
-        try:
-            rows.append([_scalar(cell.strip(), exact) for cell in row])
-        except (ValueError, TypeError, ZeroDivisionError):
-            if i == 0:
-                continue
+        cells = [cell.strip() for cell in row]
+        values = [_number(cell, exact) for cell in cells]
+        if None not in values:
+            rows.append(values)
+        elif exact and None not in [_number(cell, False) for cell in cells]:
+            j = values.index(None)
+            raise FlatcheckError("input row %d entry %d is %s, not a rational number"
+                                 % (len(rows) + 1, j + 1, cells[j]))
+        elif i > 0:
             raise FlatcheckError(
                 "inputs file %s: non-numeric entry in row %d" % (path, i + 1)
             )

@@ -271,7 +271,7 @@ def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for
     for s, a in (stands_for or {}).items():
         images[s] = moved(a)
     jacobian = geometry.composed_jacobian(forward, coords, dist.coords, moved)
-    return [geometry.apply_jacobian(jacobian, [moved(a) for a in row], L.zero)
+    return [geometry.apply_jacobian(L, jacobian, [moved(a) for a in row])
             for row in _rows(dist)]
 
 

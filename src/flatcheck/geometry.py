@@ -19,10 +19,14 @@ update elements, so the sequence builds no sympy expression; only
 make_distribution reads expressions.  The chart-coordinate half of the
 largest projectable subdistribution, where nearly all gcds are taken,
 runs in the narrow field; its coefficients are renamed into the wide
-field to recombine the base rows.  A recombination sums its products
-over one common denominator and takes one gcd per entry, or one gcd
-chain per row where only the cleared row is read (clear_fraction_row);
-an extracted field's theta block in chart coordinates is read off the
+field to recombine the base rows.  Every entry that is kept takes one
+gcd: a recombination sums its products over one common denominator, or
+takes one gcd chain per row where only the cleared row is read
+(clear_fraction_row); an entry of an echelon form, of a residual (the
+xi-derivative folded into the same sum) or of a transformed field
+(symbolic.dot) is one sum over one denominator too.  Projectability is
+read off the canonical fractions without any gcd (symbolic.depends_on).
+An extracted field's theta block in chart coordinates is read off the
 echelon form itself.  All linear algebra runs over these fields, so
 every basis produced here is deterministic.  The chart stores one
 inverse map, from the wide field into the narrow one, and the Jacobian
@@ -185,12 +189,12 @@ def composed_jacobian(forward, coords, variables, moved) -> list:
     return rows
 
 
-def apply_jacobian(jacobian, row, zero) -> list:
+def apply_jacobian(K, jacobian, row) -> list:
     """A composed_jacobian times row, the components of a field over the
     variables already composed with the inverse map: the field's
-    components in the new coordinates.  zero is the zero of their field."""
-    return [sum((d * a for d, a in zip(jac_row, row) if d and a), zero)
-            for jac_row in jacobian]
+    components in the new coordinates, elements of the field K, each one
+    sum of products (symbolic.dot)."""
+    return [symbolic.dot(K, jac_row, row) for jac_row in jacobian]
 
 
 def build_adapted_chart(system) -> Chart:
@@ -269,26 +273,15 @@ def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
         raise ValueError("field is not over the chart's base variables")
     N = chart.coordinate_field
     moved = [symbolic.compose(c, chart.inverse, N) for c in v.components]
-    return VectorField(chart.coords, tuple(apply_jacobian(chart.jacobian, moved, N.zero)))
+    return VectorField(chart.coords, tuple(apply_jacobian(N, chart.jacobian, moved)))
 
 
 def _projectability(adapted: VectorField, system, chart: Chart) -> bool:
     """Whether the field, given in chart coordinates, pushes forward to a
     well-defined field: every theta component is free of all fibre
     coordinates xi."""
-    fibre = symbolic.generators(chart.coordinate_field, chart.xi)
-    return not any(
-        adapted.components[i].diff(x) for i in range(system.n) for x in fibre
-    )
-
-
-def _reduce_mod_rows(row, reduced_rows, pivots):
-    """Residual of a row modulo an echelon row set."""
-    for r, pc in zip(reduced_rows, pivots):
-        fac = row[pc]
-        if fac:
-            row = [a - fac * b for a, b in zip(row, r)]
-    return row
+    return not any(symbolic.depends_on(adapted.components[i], x)
+                   for i in range(system.n) for x in chart.xi)
 
 
 def largest_projectable_subdistribution(
@@ -329,7 +322,6 @@ def largest_projectable_subdistribution(
         return dist
 
     K, N = chart.function_field, chart.coordinate_field
-    fibre = symbolic.generators(N, chart.xi)
 
     def widened(coeffs):
         return [symbolic.rename(c, K, {}) if c else K.zero for c in coeffs]
@@ -346,13 +338,12 @@ def largest_projectable_subdistribution(
         # residuals[j][a]: d/d xi_j of the theta block of field a, modulo
         # the span of the theta block
         residuals = [
-            [_reduce_mod_rows([c.diff(x) for c in a[:n]], reduced, pivots)
-             for a in adapted]
-            for x in fibre
+            [symbolic.derivative_mod_rows(N, a[:n], x, reduced, pivots) for a in adapted]
+            for x in chart.xi
         ]
         relations = [
             [residuals[j][a][i] for a in range(len(cur))]
-            for j in range(len(fibre))
+            for j in range(len(chart.xi))
             for i in range(n)
         ]
         rref, kernel_pivots = symbolic.element_rref(N, relations, len(cur))
@@ -366,9 +357,8 @@ def largest_projectable_subdistribution(
             comps, factor = symbolic.clear_fraction_row(K, *symbolic.combine_rows(
                 K, widened(vec), cur))
             new_cur.append(comps)
-            scale = moved(factor)
-            new_adapted.append([scale * c for c in symbolic.fraction_row(
-                N, *symbolic.combine_rows(N, vec, adapted))])
+            new_adapted.append(symbolic.fraction_row(
+                N, *symbolic.combine_rows(N, vec, adapted), moved(factor)))
         cur, adapted = new_cur, new_adapted
 
     # Extraction: echelon-reduce the theta block A with an identity block
@@ -389,16 +379,15 @@ def largest_projectable_subdistribution(
         numerators, denominator = symbolic.combine_rows(K, widened(coeffs), cur)
         cleared, factor = symbolic.clear_fraction_row(K, numerators, denominator)
         witness.append(cleared)
-        xi_part = symbolic.fraction_row(N, *symbolic.combine_rows(N, coeffs, fibre_blocks))
         # Rescaling a field by a coordinate-dependent factor changes its
         # theta components' xi-derivatives, so denominators may only be
         # cleared on vertical rows, whose theta block is zero anyway.
         if any(theta):
-            comps = symbolic.fraction_row(K, numerators, denominator)
+            comps, scale = symbolic.fraction_row(K, numerators, denominator), None
         else:
-            comps = cleared
-            scale = moved(factor)
-            xi_part = [scale * c for c in xi_part]
+            comps, scale = cleared, moved(factor)
+        xi_part = symbolic.fraction_row(
+            N, *symbolic.combine_rows(N, coeffs, fibre_blocks), scale)
         out_fields.append(VectorField(dist.coords, tuple(comps)))
         chart_fields.append(VectorField(chart.coords, tuple(theta + xi_part)))
         if not _projectability(chart_fields[-1], system, chart):

@@ -4,32 +4,42 @@ This is the one module that knows how a rational function is stored.
 Every other module reaches the kernel only through the functions here,
 through element arithmetic (``+ - * /``, truth value, ``.diff``) and
 through ``.as_expr()`` for messages: none imports from ``sympy.polys``,
-names ``QQ`` or reads an element's numerator, denominator or ring.  A
-field is what ``function_field``, ``field`` (generators sorted by name)
-and ``field_of`` return, and elsewhere only its ``.symbols``, ``.zero``
-and ``.one`` are read.  ``symbol`` makes the symbols of generators and
-``generators`` looks them up in a field, ``rational`` reads a rational
-number, and ``GeneratorsError`` and ``CoercionFailed`` are the kernel's
-errors.
+names ``QQ`` or ``ZZ`` or reads an element's numerator, denominator or
+ring.  A field is what ``function_field``, ``field`` (generators sorted
+by name) and ``field_of`` return, and elsewhere only its ``.symbols``,
+``.zero`` and ``.one`` are read.  ``symbol`` makes the symbols of
+generators and ``generators`` looks them up in a field, ``rational``
+reads a rational number, and ``GeneratorsError`` and ``CoercionFailed``
+are the kernel's errors.
 
 Invariant: every expression this module takes or returns is a rational
 function with rational coefficients.  Inside this module such an
-expression is an element of sympy's fraction field ``QQ(gens)`` (a
-``FracElement``, always stored in lowest terms), and matrices of them
-are ``DomainMatrix`` objects.  Anything else (floats, radicals,
-functions) raises UnsupportedEquationError where it is converted.
+expression is an element of the field QQ(gens), stored as sympy's
+``ZZ.frac_field(*gens)`` stores it (a ``FracElement``): a numerator and
+a denominator with integer coefficients, in lowest terms, without a
+common integer factor and with the denominator's leading coefficient
+positive.  That is the one canonical pair of the fraction, the same
+that sympy's ``QQ.frac_field`` keeps, so equal functions have equal
+pairs.  A field without generators is QQ itself.  Anything else
+(floats, radicals, functions) raises UnsupportedEquationError where it
+is converted.
 
 Elements come in without an expression: the model parser builds them
 with the gcd-free arithmetic of ``Fractions``, and ``to_elements``
 converts expressions built in code the same way.  ``rename`` and
 ``compose`` move elements between fields and coordinates; ``compose``
-renames, without a gcd, when its images only rename generators.  The
-matrix API works on elements: ``element_rref``, ``element_nullspace``,
-``element_rank``, ``element_values``, ``rational_values``,
-``jacobian_at``, ``certificate_jacobian``, ``jacobian_rank``,
-``jacobian_ranks``, ``clear_element_row``, and ``clear_fraction_row``
-for a row of numerators over one denominator, which ``combine_rows``
-sums and ``fraction_row`` reads back.  ``rational_rank`` and
+renames, without a gcd, when its images only rename generators.  Every
+sum of products that is kept is built over one denominator and takes
+one gcd: ``dot``, the entries of ``element_rref`` and those of
+``derivative_mod_rows``, which folds the derivative into the same sum.
+``depends_on`` decides from the canonical pair, without a derivative or
+a gcd.  The matrix API works on elements: ``element_rref``,
+``element_nullspace``, ``derivative_mod_rows``, ``element_rank``,
+``element_values``, ``rational_values``, ``jacobian_at``,
+``certificate_jacobian``, ``jacobian_rank``, ``jacobian_ranks``,
+``clear_element_row``, and ``clear_fraction_row`` for a row of
+numerators over one denominator, which ``combine_rows`` sums and
+``fraction_row`` reads back.  ``rational_rank`` and
 ``unit_completion`` work on rows of rational numbers, and
 ``annihilating_polynomials`` solves the conditions of a polynomial
 ansatz.  ``to_infix`` prints an element without evaluating a sympy sum;
@@ -63,7 +73,7 @@ import itertools
 import math
 
 import sympy as sp
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.fields import FracElement
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed, GeneratorsError
@@ -88,8 +98,10 @@ def rational(text):
 
 @functools.lru_cache(maxsize=256)
 def function_field(gens: tuple):
-    """The field QQ(gens) as a sympy domain; QQ itself when gens is empty."""
-    return QQ.frac_field(*gens) if gens else QQ
+    """The field QQ(gens) as a sympy domain, its elements stored as
+    fractions of integer polynomials (``ZZ.frac_field``); QQ itself when
+    gens is empty."""
+    return ZZ.frac_field(*gens) if gens else QQ
 
 
 def is_element(a) -> bool:
@@ -140,7 +152,7 @@ class Fractions:
 
     def number(self, q):
         """The sympy Rational q."""
-        return self.ring.ground_new(QQ(q.p, q.q)), self.ring.one
+        return self.ring.ground_new(q.p), self.ring.ground_new(q.q)
 
     def symbol(self, s):
         if s not in self.index:
@@ -250,13 +262,14 @@ def _canonical_polys(a):
     leading coefficient is positive under graded-lexicographic monomial
     order over the generators sorted by name; generators that a does not
     use do not change it.  A constant denominator is divided into the
-    numerator, so it comes out as 1.
+    numerator, over rational coefficients, so it comes out as 1.
     """
     P, Q = a.numer, a.denom
     if _lead_is_negative(P):
         P, Q = -P, -Q
-    if Q.is_ground:
-        return P.quo_ground(Q.LC), Q.ring.one
+    if Q.is_ground and Q.LC != 1:
+        ring = P.ring.clone(domain=QQ)
+        return P.set_ring(ring).quo_ground(QQ(Q.LC)), ring.one
     return P, Q
 
 
@@ -410,10 +423,18 @@ def _renamed(a, target, symbols):
             terms[tuple(monom[i] if i is not None else 0 for i in positions)] = coeff
         return ring.from_dict(terms)
 
-    num, den = move(a.numer), move(a.denom)
+    return _coprime(target, move(a.numer), move(a.denom))
+
+
+def _coprime(field, num, den):
+    """num / den as an element of field, for polynomials num and den
+    without a common factor, integers included: only the sign is fixed,
+    no gcd is taken."""
+    if not num:
+        return field.zero
     if den.LC < 0:
         num, den = -num, -den
-    return target.raw_new(num, den)
+    return field.raw_new(num, den)
 
 
 def solve_elements(K, elements, unknowns) -> list:
@@ -457,7 +478,7 @@ def solve_elements(K, elements, unknowns) -> list:
             found.append(values)
     if not found and irrational:
         raise IrrationalSolutionError(K.symbols[irrational[0]])
-    return [{K.symbols[i]: K.field.new(*values[i]) for i in order if values[i] is not None}
+    return [{K.symbols[i]: K.field.raw_new(*values[i]) for i in order if values[i] is not None}
             for values in found]
 
 
@@ -530,12 +551,13 @@ def _split(polys, open_, steps, irrational):
 
 def _back_substitute(field, steps):
     """Values (numerator, denominator), by generator index of field, of the
-    eliminated generators in terms of the open ones; None when a
-    denominator vanishes."""
+    eliminated generators in terms of the open ones, each pair in lowest
+    terms; None when a denominator vanishes."""
     values = [None] * field.ngens
     for i, num, den in reversed(steps):
         try:
-            value = _compose_by_index(field.new(num, den), values, field)
+            # each step divided out the gcd of its parts
+            value = _compose_by_index(_coprime(field, num, den), values, field)
         except ZeroDivisionError:
             return None
         values[i] = (value.numer, value.denom)
@@ -599,22 +621,108 @@ def invert(K, definitions, unknowns, point) -> tuple:
     return branch_through(K, solutions, unknowns, {**point, **image}), image
 
 
+def _element(field, num, den):
+    """num / den, den nonzero, as an element of field in lowest terms: one
+    gcd, none when den is 1."""
+    if not num:
+        return field.zero
+    if den.is_one:
+        return field.raw_new(num, den)
+    return field.new(num, den)
+
+
+def _fused_sum(pairs):
+    """The sum of the fractions pairs, (numerator, denominator) pairs of
+    polynomials, as such a pair over the product of their distinct
+    denominators; the numerators over one denominator are added first.
+    No gcd is taken."""
+    groups = []
+    for num, den in pairs:
+        for group in groups:
+            if group[0] == den:
+                group[1] = group[1] + num
+                break
+        else:
+            groups.append([den, num])
+    den, num = groups[0]
+    for d, n in groups[1:]:
+        num = (num if d.is_one else num * d) + n * den
+        den = den * d
+    return num, den
+
+
+def _product(a, b):
+    """a * b for elements a and b as a (numerator, denominator) pair, not
+    reduced."""
+    return a.numer * b.numer, a.denom * b.denom
+
+
+def dot(K, u, v):
+    """sum_k u[k] * v[k] for elements of the function field K, summed over
+    one denominator: one gcd for the sum, none when every denominator is
+    1."""
+    pairs = [_product(a, b) for a, b in zip(u, v) if a and b]
+    return _element(K.field, *_fused_sum(pairs)) if pairs else K.zero
+
+
+def depends_on(a, s) -> bool:
+    """Whether the element a depends on the generator s of its field: for
+    a = p / q, whether p' q - p q' is nonzero.  Since p / q is in lowest
+    terms, that is whether p or q has s in it, so neither a derivative
+    nor a gcd is taken."""
+    i = a.field.symbols.index(s)
+    return bool(a) and (_mentions(a.numer, (i,)) or _mentions(a.denom, (i,)))
+
+
+def _minus_product(field, c, f, b):
+    """c - f * b for elements of field: one gcd, none where b is zero."""
+    if not b:
+        return c
+    num, den = _product(f, b)
+    pairs = [(c.numer, c.denom), (-num, den)] if c else [(-num, den)]
+    return _element(field, *_fused_sum(pairs))
+
+
 def element_rref(K, rows, ncols):
     """Reduced row echelon form of rows of elements of the field K, and its
     pivot columns.  Over a field both are unique, so they depend neither
     on the order of the rows nor on the elimination method, only the cost
-    does.  Over a function field the rows are therefore sorted by their
-    number of terms, simplest first (a stable sort), and eliminated by
-    dense Gauss-Jordan elimination, which is cheaper there than sympy's
-    default sparse one; over QQ sympy picks the method."""
+    does.  Over QQ sympy's ``DomainMatrix`` picks the method.  Over a
+    function field the rows are sorted by their number of terms, simplest
+    first (a stable sort), and eliminated by dense Gauss-Jordan
+    elimination, each entry c - f * b of an eliminated row built over one
+    denominator and reduced by one gcd."""
     if not rows:
         return [], ()
-    method = "auto"
-    if K is not QQ:
-        rows = sorted(rows, key=lambda row: sum(len(a.numer) + len(a.denom) for a in row))
-        method = "GJ_dense"
-    R, pivots = DomainMatrix(rows, (len(rows), ncols), K).rref(method=method)
-    return R.to_list(), tuple(pivots)
+    if K is QQ:
+        R, pivots = DomainMatrix(rows, (len(rows), ncols), K).rref()
+        return R.to_list(), tuple(pivots)
+    field = K.field
+    rows = sorted((list(row) for row in rows),
+                  key=lambda row: sum(len(a.numer) + len(a.denom) for a in row))
+    pivots = []
+    for j in range(ncols):
+        i = len(pivots)
+        k = next((k for k in range(i, len(rows)) if rows[k][j]), None)
+        if k is None:
+            continue
+        rows[i], rows[k] = rows[k], rows[i]
+        p = rows[i][j]
+        # left of column j the pivot row is zero, so every other row
+        # keeps its entries there
+        pivot_row = rows[i] = [K.zero] * j + [K.one] + [
+            _element(field, a.numer * p.denom, a.denom * p.numer) if a else K.zero
+            for a in rows[i][j + 1:]]
+        for k, row in enumerate(rows):
+            f = row[j]
+            if k != i and f:
+                rows[k] = row[:j] + [K.zero] + [
+                    _minus_product(field, c, f, b)
+                    for c, b in zip(row[j + 1:], pivot_row[j + 1:])]
+        pivots.append(j)
+        if len(pivots) == len(rows):
+            break
+    return rows, tuple(pivots)
 
 
 def element_nullspace(K, rref_rows, pivots, ncols) -> list:
@@ -630,6 +738,36 @@ def element_nullspace(K, rref_rows, pivots, ncols) -> list:
             v[pc] = -row[fc]
         vectors.append(v)
     return vectors
+
+
+def derivative_mod_rows(K, row, wrt, rref_rows, pivots) -> list:
+    """The derivative d of a row of elements of the function field K in
+    its generator wrt, modulo the rows of a reduced row echelon form with
+    their pivot columns: d - sum_r d[pc] * r, zero in every pivot column.
+    Each entry p / q of the row enters as (p' q - p q') / q**2, not
+    reduced, so each entry of the residual is one sum over one
+    denominator and takes one gcd."""
+    gen = K.field.ring.gens[K.symbols.index(wrt)]
+    parts = [_derivative(a.numer, a.denom, gen) for a in row]
+    residual = []
+    for m, (num, den) in enumerate(parts):
+        if m in pivots:
+            residual.append(K.zero)
+            continue
+        pairs = [(num, den)] if num else []
+        for r, pc in zip(rref_rows, pivots):
+            fac, b = parts[pc], r[m]
+            if fac[0] and b:
+                pairs.append((-(fac[0] * b.numer), fac[1] * b.denom))
+        residual.append(_element(K.field, *_fused_sum(pairs)) if pairs else K.zero)
+    return residual
+
+
+def _derivative(p, q, gen) -> tuple:
+    """d(p / q) / d gen as the pair (p' q - p q', q**2), not reduced."""
+    if q.is_ground:
+        return p.diff(gen), q
+    return p.diff(gen) * q - p * q.diff(gen), q * q
 
 
 def annihilating_polynomials(rows, nvars, degree, L):
@@ -653,12 +791,12 @@ def annihilating_polynomials(rows, nvars, degree, L):
             derived = ring.zero
             for a in range(nvars):
                 if m[a] and row[a]:
-                    derived += row[a].numer.mul_term((m[:a] + (m[a] - 1,) + m[a + 1:], QQ(m[a])))
+                    derived += row[a].numer.mul_term((m[:a] + (m[a] - 1,) + m[a + 1:], m[a]))
             for monom, c in derived.iterterms():
                 rest = (0,) * nvars + monom[nvars:]
                 conditions.setdefault((r, monom[:nvars]), {}).setdefault(i, {})[rest] = c
     if nvars == ring.ngens:
-        K, entry = QQ, lambda terms: terms.get((0,) * nvars, QQ.zero)
+        K, entry = QQ, lambda terms: QQ(terms.get((0,) * nvars, 0))
     else:
         K, entry = L, lambda terms: L.field.new(ring.from_dict(terms))
     matrix = [[entry(row.get(i, {})) for i in range(len(monomials))]
@@ -667,10 +805,10 @@ def annihilating_polynomials(rows, nvars, degree, L):
     if K is not QQ:
         if not all(a.numer.is_ground and a.denom.is_ground for v in kernel for a in v):
             raise FlatcheckError("invariant ansatz produced a non-rational kernel")
-        kernel = [[a.numer.LC / a.denom.LC for a in v] for v in kernel]
+        kernel = [[QQ(a.numer.LC, a.denom.LC) for a in v] for v in kernel]
     for vec in kernel:
         coeffs, _ = clear_element_row(QQ, vec)
-        yield L.field.new(ring.from_dict({m: c for m, c in zip(monomials, coeffs) if c}))
+        yield L.field.new(ring.from_dict({m: QQ.numer(c) for m, c in zip(monomials, coeffs) if c}))
 
 
 @functools.lru_cache(maxsize=64)
@@ -976,27 +1114,29 @@ def combine_rows(K, coeffs, rows):
     return numerators, coeff_lcm * entry_lcm
 
 
-def fraction_row(K, numerators, denominator):
+def fraction_row(K, numerators, denominator, scale=None):
     """The elements numerators[k] / denominator of the function field K,
-    in lowest terms."""
-    return [K.field.new(p, denominator) if p else K.zero for p in numerators]
+    times the element scale when given, in lowest terms: one gcd per
+    nonzero entry."""
+    if scale is not None:
+        numerators = [scale.numer * p for p in numerators]
+        denominator = scale.denom * denominator
+    return [_element(K.field, p, denominator) for p in numerators]
 
 
 def _primitive(field, common, polys):
     """The cleared row and factor of clear_element_row, from polys =
     common * row: scaled to integer coefficients without common factor,
-    the first nonzero entry's leading coefficient positive."""
-    coeffs = [c for p in polys for c in p.itercoeffs()]
-    content = QQ(
-        math.gcd(*(QQ.numer(c) for c in coeffs)),
-        math.lcm(*(QQ.denom(c) for c in coeffs)),
-    )
-    factor = QQ.one / content
-    if _lead_is_negative(next(p for p in polys if p)):
-        factor = -factor
-    one = field.ring.one
-    cleared = [field.raw_new(p.mul_ground(factor), one) for p in polys]
-    return cleared, field.raw_new(common.mul_ground(factor), one)
+    the first nonzero entry's leading coefficient positive.  The factor
+    is common over the content, in lowest terms by an integer gcd."""
+    content = math.gcd(*(c for p in polys for c in p.itercoeffs()))
+    unit = -content if _lead_is_negative(next(p for p in polys if p)) else content
+    ring = field.ring
+    cleared = [field.raw_new(p.quo_ground(unit), ring.one) for p in polys]
+    shared = math.gcd(content, *common.itercoeffs())
+    factor = field.raw_new(common.quo_ground(unit // content * shared),
+                           ring.ground_new(content // shared))
+    return cleared, factor
 
 
 def _unevaluated_sum(poly):

@@ -17,7 +17,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "flatcheck"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "symbolic")
 
-KERNEL_NAMES = {"QQ", "FracElement", "DomainMatrix"}
+KERNEL_NAMES = {"QQ", "ZZ", "FracElement", "DomainMatrix"}
 # the parts of a field element, its field and its ring
 KERNEL_ATTRIBUTES = {
     "numer", "denom", "ring", "field", "gens", "mul_term", "from_dict", "exquo", "LC",

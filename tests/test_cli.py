@@ -377,6 +377,21 @@ class TestSimulate:
         assert out == ""
         assert "error: %s, not a finite number" % message in err
 
+    @pytest.mark.parametrize("rows, message", [
+        # float() reads a first row of nan, so it is no header
+        ("nan\n2\n", "input row 1 entry 1 is nan"),
+        ("1\ninf\n", "input row 2 entry 1 is inf"),
+        ("u\n1\n-inf\n", "input row 2 entry 1 is -inf"),
+    ])
+    def test_exact_non_finite_input_row(self, capsys, models_dir, tmp_path, rows, message):
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text(rows)
+        code, out, err = run(capsys, "simulate", model_path(models_dir, "chain2"),
+                             "--x0", "0,0", "--inputs-file", str(inputs), "--exact")
+        assert code == 2
+        assert out == ""
+        assert "error: %s, not a rational number" % message in err
+
     def test_exact_zero_denominator_is_a_usage_error(self, capsys, models_dir, tmp_path):
         inputs = tmp_path / "inputs.csv"
         inputs.write_text("1\n1/0\n")

@@ -6,7 +6,9 @@ verdict properties are checked against ground truth rather than against
 the implementation itself.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -377,22 +379,27 @@ class TestRedundantInputExtension:
 
 
 PRINTER_NAMES = ("x1", "x2", "x10", "theta_1", "xi_1", "x1_p1")
-PRINTER_COEFFS = tuple(sp.QQ(p, q) for p, q in ((1, 1), (2, 1), (3, 1), (-1, 1), (-2, 1),
-                                                 (1, 2), (-2, 3), (5, 4)))
+PRINTER_COEFFS = tuple(Fraction(p, q) for p, q in ((1, 1), (2, 1), (3, 1), (-1, 1), (-2, 1),
+                                                   (1, 2), (-2, 3), (5, 4)))
 
 
 def _printer_polynomial(rng, ring, shape):
-    """A random polynomial of ring: a constant, a monomial or a sum of
-    two to four terms, with rational coefficients of either sign."""
+    """A random polynomial with rational coefficients of either sign: a
+    constant, a monomial or a sum of two to four terms.  Returned as a
+    polynomial of the integer ring and the least positive integer that
+    it is divided by."""
     terms = {"constant": 1, "monomial": 1, "sum": rng.randint(2, 4)}[shape]
-    poly = ring.zero
-    while len(poly) < terms:
+    coeffs = {}
+    while len(coeffs) < terms:
         monom = tuple(0 if shape == "constant" else rng.choice((0, 0, 1, 2))
                       for _ in ring.gens)
         if shape != "constant" and not any(monom):
             continue
-        poly += ring({monom: rng.choice(PRINTER_COEFFS)})
-    return poly
+        c = coeffs.pop(monom, 0) + rng.choice(PRINTER_COEFFS)
+        if c:
+            coeffs[monom] = c
+    scale = math.lcm(*(c.denominator for c in coeffs.values()))
+    return ring({m: int(c * scale) for m, c in coeffs.items()}), scale
 
 
 class TestPrinterOracle:
@@ -412,10 +419,10 @@ class TestPrinterOracle:
         K = symbolic.function_field(tuple(sp.Symbol(name) for name in names))
         ring = K.field.ring
         num_shape, den_shape = self.SHAPES[seed % 3], self.SHAPES[seed // 3 % 3]
-        num = _printer_polynomial(rng, ring, num_shape)
+        num, num_scale = _printer_polynomial(rng, ring, num_shape)
         if seed // 9 % 2:
             num = -num
-        den = _printer_polynomial(rng, ring, den_shape)
-        a = K.field.new(num, den)
+        den, den_scale = _printer_polynomial(rng, ring, den_shape)
+        a = K.field.new(num * den_scale, den * num_scale)
         expected = sp.sstr(symbolic.canonicalize_element(K, a)).replace("**", "^")
         assert symbolic.to_infix(a) == expected

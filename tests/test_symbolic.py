@@ -562,6 +562,15 @@ class TestClearDenominators:
         assert _cleared([0, -3]) == [0, 1]
 
 
+def _integer_polynomials(ring, exprs):
+    """Polynomial expressions with rational coefficients as polynomials of
+    the integer ring, all multiplied by the one least positive integer
+    that clears their denominators, so their ratios do not change."""
+    scale = sp.ilcm(1, *(sp.fraction(c)[1] for e in exprs
+                         for c in sp.Poly(e, *ring.symbols).coeffs()))
+    return [ring.from_expr(sp.expand(scale * e)) for e in exprs]
+
+
 class TestClearFractionRow:
     """clear_fraction_row clears numerators over one denominator not in
     lowest terms exactly as clear_element_row clears the row's elements."""
@@ -575,12 +584,13 @@ class TestClearFractionRow:
         ring = K.field.ring
         # factors shared by the denominator and some or all numerators
         shared = sp.Mul(*(rng.choice(self.FACTORS) for _ in range(rng.randint(0, 3))))
-        denominator = ring.from_expr(shared * sp.Mul(
-            *(rng.choice(self.FACTORS) for _ in range(rng.randint(0, 2)))))
+        denominator = shared * sp.Mul(
+            *(rng.choice(self.FACTORS) for _ in range(rng.randint(0, 2))))
         numerators = [
-            ring.zero if rng.random() < 0.25 else ring.from_expr(
-                rng.choice([shared, 1]) * _random_polynomial(rng, (x, y, z)))
+            sp.Integer(0) if rng.random() < 0.25 else
+            rng.choice([shared, 1]) * _random_polynomial(rng, (x, y, z))
             for _ in range(rng.randint(1, 4))]
+        denominator, *numerators = _integer_polynomials(ring, [denominator] + numerators)
         row = [K.field.new(p, denominator) if p else K.zero for p in numerators]
         assert (symbolic.clear_fraction_row(K, numerators, denominator)
                 == symbolic.clear_element_row(K, row))
@@ -590,6 +600,109 @@ class TestClearFractionRow:
         ring = K.field.ring
         assert symbolic.clear_fraction_row(K, [ring.zero] * 2, ring.gens[0]) == \
             ([K.zero] * 2, K.one)
+
+
+def _oracle_entry(rng, gens):
+    """A seeded random rational function with rational coefficients, or
+    zero one time in four."""
+    if rng.random() < 0.25:
+        return sp.Integer(0)
+    scale = sp.Rational(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3, 4]))
+    return scale * _random_rational(rng, gens) + sp.Rational(rng.randint(-2, 2), rng.randint(1, 3))
+
+
+def _pair(a):
+    """The numerator and denominator of a field element as dicts of
+    monomials and coefficients, whichever its coefficient domain."""
+    return dict(a.numer), dict(a.denom)
+
+
+class TestKernelOracle:
+    """The kernel's fused arithmetic against sympy's own over the field
+    QQ(gens) with rational coefficients, sympy's ``QQ.frac_field``: the
+    same canonical pairs, entry by entry."""
+
+    GENS = (x, y, z)
+    SHAPES = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 2)]
+
+    @staticmethod
+    def _fields():
+        return symbolic.function_field(TestKernelOracle.GENS), sp.QQ.frac_field(*TestKernelOracle.GENS)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_element_rref_matches_domain_matrix(self, seed):
+        """Zero rows, rank-deficient matrices, single rows and single
+        columns included."""
+        rng = random.Random(seed + 8100)
+        nrows, ncols = self.SHAPES[seed % len(self.SHAPES)]
+        exprs = [[_oracle_entry(rng, self.GENS) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and seed % 3:
+            # a rank deficit: the last row combines the others, or vanishes
+            c = [rng.randint(-2, 2) for _ in range(nrows - 1)]
+            exprs[-1] = [sum((ci * row[j] for ci, row in zip(c, exprs)), sp.Integer(0))
+                         for j in range(ncols)]
+        K, Q = self._fields()
+        rows = [[K.from_sympy(e) for e in row] for row in exprs]
+        reference, pivots = DomainMatrix(
+            [[Q.from_sympy(e) for e in row] for row in exprs], (nrows, ncols), Q).rref()
+        rref, got_pivots = symbolic.element_rref(K, rows, ncols)
+        assert got_pivots == tuple(pivots)
+        assert [[_pair(a) for a in row] for row in rref] == \
+            [[_pair(b) for b in row] for row in reference.to_list()]
+
+    def test_element_rref_of_zero_rows(self):
+        K, _ = self._fields()
+        assert symbolic.element_rref(K, [[K.zero] * 3] * 2, 3) == ([[K.zero] * 3] * 2, ())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dot_matches_sum(self, seed):
+        rng = random.Random(seed + 8200)
+        K, _ = self._fields()
+        n = rng.randint(0, 4)
+        u = [K.from_sympy(_oracle_entry(rng, self.GENS)) for _ in range(n)]
+        v = [K.from_sympy(_oracle_entry(rng, self.GENS)) for _ in range(n)]
+        expected = sum((a * b for a, b in zip(u, v)), K.zero)
+        assert _pair(symbolic.dot(K, u, v)) == _pair(expected)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_depends_on_matches_diff(self, seed):
+        rng = random.Random(seed + 8300)
+        K, _ = self._fields()
+        a = K.from_sympy(_oracle_entry(rng, (x, y)))
+        # 1 / a swaps the parts: a generator only its denominator uses
+        for b in [a, 1 / a] if a else [a]:
+            for s, g in zip(self.GENS, K.field.gens):
+                assert symbolic.depends_on(b, s) == bool(b.diff(g))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_derivative_mod_rows_matches_stepwise_elimination(self, seed):
+        """The residual of a row's derivative modulo an echelon form equals
+        .diff followed by subtracting d[pc] * r one echelon row at a time."""
+        rng = random.Random(seed + 8400)
+        K, _ = self._fields()
+        ncols = rng.randint(1, 4)
+        rows = [[K.from_sympy(_oracle_entry(rng, self.GENS)) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 3))]
+        rref, pivots = symbolic.element_rref(K, rows, ncols)
+        rref = rref[:len(pivots)]
+        row = [K.from_sympy(_oracle_entry(rng, self.GENS)) for _ in range(ncols)]
+        for s, g in zip(self.GENS, K.field.gens):
+            expected = [a.diff(g) for a in row]
+            for r, pc in zip(rref, pivots):
+                fac = expected[pc]
+                expected = [a - fac * b for a, b in zip(expected, r)]
+            got = symbolic.derivative_mod_rows(K, row, s, rref, pivots)
+            assert [_pair(a) for a in got] == [_pair(b) for b in expected]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_to_elements_has_the_canonical_integer_coefficients(self, seed):
+        rng = random.Random(seed + 8500)
+        exprs = [_oracle_entry(rng, self.GENS) for _ in range(3)]
+        _, elements = symbolic.to_elements(exprs, self.GENS)
+        _, Q = self._fields()
+        for a, e in zip(elements, exprs):
+            assert _pair(a) == _pair(Q.from_sympy(e))
+            assert all(sp.ZZ.of_type(c) for c in a.numer.values())
 
 
 class TestRename:
