@@ -253,9 +253,9 @@ def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for
     to elements over the variables (theta = f(x, u), xi = xi_choice).
     The component along c of a basis field v is v(forward[c]) composed
     with the inverse map, as in geometry.transform_vector_field, whose
-    composed_jacobian and apply_jacobian it shares.  Each distinct
-    element, Jacobian entry or basis entry, is composed once.  Returns
-    one row of elements of L per basis field.
+    composed_jacobian and apply_jacobian it shares.  Each distinct basis
+    entry is composed once.  Returns one row of elements of L per basis
+    field.
     """
     L = symbolic.field_of(inverse.values())
     images = dict(inverse)
@@ -270,7 +270,7 @@ def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for
     # chart symbol, so images composes them as inverse does
     for s, a in (stands_for or {}).items():
         images[s] = moved(a)
-    jacobian = geometry.composed_jacobian(forward, coords, dist.coords, moved)
+    jacobian = geometry.composed_jacobian(forward, coords, dist.coords, images, L)
     return [geometry.apply_jacobian(L, jacobian, [moved(a) for a in row])
             for row in _rows(dist)]
 
@@ -406,8 +406,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 "reported %d" % (k, mu, mu_reported)
             )
         if mu:
-            gens = symbolic.generators(K, gamma)
-            jacobian = [[a.diff(g) for g in gens] for a in fbar_rows]
+            jacobian = [[symbolic.derivative(a, g) for g in gamma] for a in fbar_rows]
             rref, pivots = symbolic.element_rref(K, jacobian, len(gamma))
             kernel_rows = [
                 [K.zero] * len(remaining) + vec
@@ -721,7 +720,7 @@ def to_implicit_triangular(trace: DecompositionTrace):
             through = symbolic.rename(
                 symbolic.compose(trace.dynamics[sym], trace.z_inverse, Z), both, {})
             try:
-                residuals.append(symbolic.rename(ahead - through, A, {}))
+                residuals.append(symbolic.rename(symbolic.difference(ahead, through), A, {}))
             except symbolic.GeneratorsError:
                 raise FlatcheckError(
                     "triangular block %d violates the dependence pattern" % k

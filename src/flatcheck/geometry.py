@@ -24,9 +24,14 @@ gcd: a recombination sums its products over one common denominator, or
 takes one gcd chain per row where only the cleared row is read
 (clear_fraction_row); an entry of an echelon form, of a residual (the
 xi-derivative folded into the same sum) or of a transformed field
-(symbolic.dot) is one sum over one denominator too.  Projectability is
-read off the canonical fractions without any gcd (symbolic.depends_on).
-An extracted field's theta block in chart coordinates is read off the
+(symbolic.dot) is one sum over one denominator too, and so is an entry
+of the chart's composed Jacobian, whose derivative is composed before
+it is reduced (symbolic.compose_derivative).  Each such gcd is the one
+routine of symbolic: most pairs are proved coprime from univariate
+images at a fixed integer point, and the rest run sympy's heuristic gcd
+in the generators the pair uses only.  Projectability is read off the
+canonical fractions without any gcd (symbolic.depends_on).  An
+extracted field's theta block in chart coordinates is read off the
 echelon form itself.  All linear algebra runs over these fields, so
 every basis produced here is deterministic.  The chart stores one
 inverse map, from the wide field into the narrow one, and the Jacobian
@@ -176,17 +181,14 @@ class Chart:
         return symbolic.field(self.coords)
 
 
-def composed_jacobian(forward, coords, variables, moved) -> list:
+def composed_jacobian(forward, coords, variables, images, K) -> list:
     """The Jacobian of a forward map composed with an inverse map: one row
     per coordinate c of coords and one column per variable v, holding
-    d forward[c] / d v passed through moved, which composes an element
-    with the inverse map."""
-    rows = []
-    for c in coords:
-        f = forward[c]
-        gens = symbolic.generators(symbolic.field_of([f]), variables)
-        rows.append([moved(f.diff(g)) for g in gens])
-    return rows
+    d forward[c] / d v composed with images, the inverse map into the
+    field K.  Each entry is composed from the derivative's unreduced
+    fraction and takes one gcd (symbolic.compose_derivative)."""
+    return [[symbolic.compose_derivative(forward[c], v, images, K) for v in variables]
+            for c in coords]
 
 
 def apply_jacobian(K, jacobian, row) -> list:
@@ -243,10 +245,7 @@ def build_adapted_chart(system) -> Chart:
     inverse = {**dict(zip(coords, symbolic.generators(N, coords))),
                **{v: symbolic.rename(a, N, {}) for v, a in branch.items()}}
 
-    def moved(a):
-        return symbolic.compose(a, inverse, N)
-
-    jacobian = tuple(map(tuple, composed_jacobian(forward, coords, variables, moved)))
+    jacobian = tuple(map(tuple, composed_jacobian(forward, coords, variables, inverse, N)))
     return Chart(
         system_vars=tuple(variables),
         theta=theta,

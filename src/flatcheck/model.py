@@ -176,7 +176,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     """
     n, m = system.n, system.m
     K, update = system.update_elements
-    ijac = [[f.diff(u) for u in symbolic.generators(K, system.inputs)] for f in update]
+    ijac = [[symbolic.derivative(f, u) for u in system.inputs] for f in update]
     # the first update components f^{i_r} whose input-Jacobian rows are
     # independent, the pivot columns of its transpose; their values
     # become the effective inputs

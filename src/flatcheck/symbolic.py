@@ -2,8 +2,8 @@
 
 This is the one module that knows how a rational function is stored.
 Every other module reaches the kernel only through the functions here,
-through element arithmetic (``+ - * /``, truth value, ``.diff``) and
-through ``.as_expr()`` for messages: none imports from ``sympy.polys``,
+through an element's truth value and equality, and through
+``.as_expr()`` for messages: none imports from ``sympy.polys``,
 names ``QQ`` or ``ZZ`` or reads an element's numerator, denominator or
 ring.  A field is what ``function_field``, ``field`` (generators sorted
 by name) and ``field_of`` return, and elsewhere only its ``.symbols``,
@@ -23,6 +23,28 @@ that sympy's ``QQ.frac_field`` keeps, so equal functions have equal
 pairs.  A field without generators is QQ itself.  Anything else
 (floats, radicals, functions) raises UnsupportedEquationError where it
 is converted.
+
+How a pair is reduced.  Every fraction that needs a gcd goes through
+one routine, ``_cofactors``: it returns the gcd of numerator and
+denominator and both cofactors, the triple of sympy's
+``PolyElement.cofactors``, and the sign is then fixed as sympy's
+``cancel`` fixes it (``_coprime``), so the pair is the canonical one
+above.  Zero and monomial operands take sympy's own shortcuts.
+Otherwise each generator x that both polynomials use is tested on
+univariate images: every other generator is set to a fixed integer,
+the i-th prime for generator i.  If the image of either polynomial
+keeps its degree in x and the two images have a constant gcd, x is not
+in the gcd (Brown's degree bound).  When that holds for every shared
+generator, the gcd is the gcd of the two integer contents.  Anything
+else goes to sympy's heuristic gcd in the ring of only the generators
+that the pair uses, and the result is mapped back.  Sympy's element
+arithmetic and ``.diff`` would reduce through ``cancel`` instead, so
+flatcheck uses neither: ``derivative`` and ``compose_derivative`` take
+the derivative of p / q as the unreduced pair (p' q - p q', q**2), or
+(p', q) where q is free of the generator, and reduce it once,
+``difference`` subtracts over one denominator, and
+``defining_equations`` builds the s - v of a coordinate change, which
+is in lowest terms already, without a gcd.
 
 Elements come in without an expression: the model parser builds them
 with the gcd-free arithmetic of ``Fractions``, and ``to_elements``
@@ -74,6 +96,7 @@ import math
 
 import sympy as sp
 from sympy import QQ, ZZ
+from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.fields import FracElement
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed, GeneratorsError
@@ -148,7 +171,7 @@ class Fractions:
 
     def element(self, pair):
         """The pair as an element of K, in lowest terms."""
-        return self.field.new(*pair)
+        return _element(self.field, *pair)
 
     def number(self, q):
         """The sympy Rational q."""
@@ -363,16 +386,42 @@ def compose(a, images, K=None):
     return _compose_by_index(a, substitution, target)
 
 
-def _compose_by_index(a, substitution, target):
+def _compose_by_index(a, substitution, target, parts=None):
     """compose on the positional substitution of :func:`_substitute`, into
-    the fraction field target."""
-    num, num_den = _substitute(a.numer, substitution, target.ring)
-    den, den_den = _substitute(a.denom, substitution, target.ring)
+    the fraction field target.  parts, when given, is a (numerator,
+    denominator) pair of polynomials of a's ring, not necessarily in
+    lowest terms, composed in place of a; either way the result takes one
+    gcd."""
+    num, den = parts or (a.numer, a.denom)
+    num, num_den = _substitute(num, substitution, target.ring)
+    den, den_den = _substitute(den, substitution, target.ring)
     if num is a.numer and den is a.denom:
         return a
     if not den:
         raise ZeroDivisionError("denominator of %s vanishes" % a.as_expr())
-    return target.new(num * den_den, den * num_den)
+    return _element(target, num * den_den, den * num_den)
+
+
+def compose_derivative(a, s, images, K=None):
+    """The derivative of the field element a in the generator s of its
+    field, composed with images as :func:`compose` composes, as an
+    element of the field K, a's own by default.  The derivative of p / q
+    is composed as the pair (p' q - p q', q**2), not reduced, so the
+    composition takes the one gcd."""
+    field = a.field
+    target = field if K is None else K.field
+    parts = _derivative(a.numer, a.denom, field.ring.gens[field.symbols.index(s)])
+    if not parts[0]:
+        return target.zero
+    substitution = [(images[t].numer, images[t].denom) if t in images else None
+                    for t in field.symbols]
+    return _compose_by_index(a, substitution, target, parts)
+
+
+def derivative(a, s):
+    """The derivative of the field element a in the generator s of its
+    field, in lowest terms: one gcd."""
+    return compose_derivative(a, s, {})
 
 
 @functools.lru_cache(maxsize=1024)
@@ -500,13 +549,11 @@ def _eliminate(polys, open_, steps, irrational):
             yield from _split(polys, open_, steps, irrational)
             return
         i, p = pivot
-        a, b = p.coeff_wrt(i, 1), -p.coeff_wrt(i, 0)
-        g = a.gcd(b)
+        g, a, b = _cofactors(p.coeff_wrt(i, 1), -p.coeff_wrt(i, 0))
         if _mentions(g, open_):
             # p = g * (a/g * u - b/g) also vanishes where g does, for any u
             others = [q for q in polys if q is not p]
             yield from _eliminate([g] + others, open_, steps, irrational)
-        a, b = a.exquo(g), b.exquo(g)
         substitution = [None] * p.ring.ngens
         substitution[i] = (b, a)
         open_ = [j for j in open_ if j != i]
@@ -519,10 +566,10 @@ def _eliminate(polys, open_, steps, irrational):
             if not q:
                 continue
             # u = b/a assumes a != 0: divide out every factor q shares with a
-            g = q.gcd(a)
+            g, rest, _ = _cofactors(q, a)
             while not g.is_ground:
-                q = q.exquo(g)
-                g = q.gcd(a)
+                q = rest
+                g, rest, _ = _cofactors(q, a)
             if not _mentions(q, open_):
                 return
             remaining.append(q)
@@ -614,11 +661,21 @@ def invert(K, definitions, unknowns, point) -> tuple:
     values at the point as rational numbers.  Raises as solve_elements
     does, and ZeroDivisionError when a value has a pole at the point.
     """
-    values = {s: rename(v, K, {}) for s, v in definitions.items()}
-    image = dict(zip(values, rational_values(K, values.values(), point)))
-    equations = [g - v for g, v in zip(generators(K, list(values)), values.values())]
-    solutions = solve_elements(K, equations, unknowns)
+    values = [rename(v, K, {}) for v in definitions.values()]
+    image = dict(zip(definitions, rational_values(K, values, point)))
+    solutions = solve_elements(K, defining_equations(K, definitions), unknowns)
     return branch_through(K, solutions, unknowns, {**point, **image}), image
+
+
+def defining_equations(K, definitions) -> list:
+    """The elements s - v of the field K, one for each new symbol s and
+    its value v in the dict definitions, v renamed into K.  Since v = p / q
+    is in lowest terms, so is (s q - p) / q, and no gcd is taken."""
+    equations = []
+    for g, v in zip(generators(K, list(definitions)), definitions.values()):
+        v = rename(v, K, {})
+        equations.append(_coprime(K.field, g.numer * v.denom - v.numer, v.denom))
+    return equations
 
 
 def _element(field, num, den):
@@ -628,7 +685,115 @@ def _element(field, num, den):
         return field.zero
     if den.is_one:
         return field.raw_new(num, den)
-    return field.new(num, den)
+    _, num, den = _cofactors(num, den)
+    return _coprime(field, num, den)
+
+
+@functools.lru_cache(maxsize=64)
+def _image_point(ngens) -> tuple:
+    """The fixed integer point of the univariate images of
+    :func:`_cofactors`: the i-th prime for generator i."""
+    primes, k = [], 2
+    while len(primes) < ngens:
+        if all(k % d for d in primes):
+            primes.append(k)
+        k += 1
+    return tuple(primes)
+
+
+def _images(poly, shared, point) -> dict:
+    """The univariate images of the integer polynomial poly: for each
+    generator index i of shared, poly with every other generator set to
+    its value in point, as a dense list of integer coefficients, highest
+    degree first, without leading zeros."""
+    images = {i: {} for i in shared}
+    for monom, coeff in poly.iterterms():
+        value = coeff * _power_product(point, monom)
+        for i in shared:
+            e = monom[i]
+            terms = images[i]
+            terms[e] = terms.get(e, 0) + value // point[i] ** e
+    dense = {}
+    for i, terms in images.items():
+        degree = max((e for e, c in terms.items() if c), default=-1)
+        dense[i] = [terms.get(e, 0) for e in range(degree, -1, -1)]
+    return dense
+
+
+def _shares_no_generator(p, q, shared) -> bool:
+    """Whether a proof exists that the gcd of the integer polynomials p
+    and q has none of the generators at the indices shared, which both
+    use (Brown's degree bound).  For a generator x of shared, set every
+    other generator to the fixed point :func:`_image_point`: a factor of
+    p and q in x keeps its degree in x where the image of p or of q keeps
+    its own, and then divides both images.  So when one image keeps its
+    full degree and the two images have a constant gcd, x is not in the
+    gcd.  False means only that no proof was found."""
+    point = _image_point(p.ring.ngens)
+    p_images, q_images = _images(p, shared, point), _images(q, shared, point)
+    for i in shared:
+        f, g = p_images[i], q_images[i]
+        if len(f) <= p.degree(i) and len(g) <= q.degree(i):
+            # both leading coefficients in x vanish at the point
+            return False
+        if len(dup_gcd(f, g, ZZ)) > 1:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=256)
+def _subring(ring, used):
+    """The ring of only the generators of ring at the indices used."""
+    return ring.drop(*(i for i in range(ring.ngens) if i not in used))
+
+
+def _cofactors(p, q) -> tuple:
+    """The gcd h of the integer polynomials p and q and the cofactors p / h
+    and q / h: the triple of sympy's ``PolyElement.cofactors``, whose gcd
+    has the integer contents' gcd and a positive leading coefficient.
+
+    Zero and monomial operands take sympy's own shortcuts.  Otherwise the
+    gcd is proved a constant from univariate images where that is possible
+    (:func:`_shares_no_generator`), and then is the gcd of the two integer
+    contents; since a factor that only one of p and q uses cannot divide
+    the other, only the generators both use need a proof.  Anything else
+    goes to sympy's heuristic gcd in the ring of only the generators that
+    p or q uses, and the triple is mapped back.
+    """
+    if not p or not q or len(p) == 1 or len(q) == 1:
+        return p.cofactors(q)
+    ring = p.ring
+    p_degrees, q_degrees = p.degrees(), q.degrees()
+    shared = [i for i, (a, b) in enumerate(zip(p_degrees, q_degrees)) if a and b]
+    if not shared or _shares_no_generator(p, q, shared):
+        content = math.gcd(*p.itercoeffs(), *q.itercoeffs())
+        if content == 1:
+            return ring.one, p, q
+        return ring.ground_new(content), p.quo_ground(content), q.quo_ground(content)
+    used = tuple(i for i, (a, b) in enumerate(zip(p_degrees, q_degrees)) if a or b)
+    if len(used) == ring.ngens:
+        return p.cofactors(q)
+    sub = _subring(ring, used)
+
+    def down(poly):
+        return sub.from_dict({tuple(m[i] for i in used): c for m, c in poly.iterterms()})
+
+    def up(poly):
+        terms = {}
+        for monom, c in poly.iterterms():
+            full = [0] * ring.ngens
+            for i, e in zip(used, monom):
+                full[i] = e
+            terms[tuple(full)] = c
+        return ring.from_dict(terms)
+
+    return tuple(map(up, down(p).cofactors(down(q))))
+
+
+def difference(a, b):
+    """a - b for elements of one function field, over one denominator: one
+    gcd."""
+    return _element(a.field, *_fused_sum([(a.numer, a.denom), (-b.numer, b.denom)]))
 
 
 def _fused_sum(pairs):
@@ -764,10 +929,12 @@ def derivative_mod_rows(K, row, wrt, rref_rows, pivots) -> list:
 
 
 def _derivative(p, q, gen) -> tuple:
-    """d(p / q) / d gen as the pair (p' q - p q', q**2), not reduced."""
-    if q.is_ground:
+    """d(p / q) / d gen as the pair (p' q - p q', q**2), not reduced; as
+    (p', q) when q is free of gen, which the other pair has over q."""
+    dq = q.diff(gen)
+    if not dq:
         return p.diff(gen), q
-    return p.diff(gen) * q - p * q.diff(gen), q * q
+    return p.diff(gen) * q - p * dq, q * q
 
 
 def annihilating_polynomials(rows, nvars, degree, L):
@@ -798,7 +965,7 @@ def annihilating_polynomials(rows, nvars, degree, L):
     if nvars == ring.ngens:
         K, entry = QQ, lambda terms: QQ(terms.get((0,) * nvars, 0))
     else:
-        K, entry = L, lambda terms: L.field.new(ring.from_dict(terms))
+        K, entry = L, lambda terms: _element(L.field, ring.from_dict(terms), ring.one)
     matrix = [[entry(row.get(i, {})) for i in range(len(monomials))]
               for _, row in sorted(conditions.items())]
     kernel = element_nullspace(K, *element_rref(K, matrix, len(monomials)), len(monomials))
@@ -808,7 +975,8 @@ def annihilating_polynomials(rows, nvars, degree, L):
         kernel = [[QQ(a.numer.LC, a.denom.LC) for a in v] for v in kernel]
     for vec in kernel:
         coeffs, _ = clear_element_row(QQ, vec)
-        yield L.field.new(ring.from_dict({m: QQ.numer(c) for m, c in zip(monomials, coeffs) if c}))
+        yield _element(L.field, ring.from_dict(
+            {m: QQ.numer(c) for m, c in zip(monomials, coeffs) if c}), ring.one)
 
 
 @functools.lru_cache(maxsize=64)
@@ -993,9 +1161,8 @@ def jacobian_rank(K, elements, variables, at_point=None) -> int:
         rank = rational_rank(at_point, ncols)
         if rank == min(nrows, ncols):
             return rank
-    index = {s: i for i, s in enumerate(K.symbols)}
-    gens = [K.field.gens[index[v]] if v in index else None for v in variables]
-    rows = [[a.diff(g) if g is not None else K.zero for g in gens] for a in elements]
+    rows = [[derivative(a, v) if v in K.symbols else K.zero for v in variables]
+            for a in elements]
     return len(element_rref(K, rows, ncols)[1])
 
 
@@ -1083,15 +1250,17 @@ def clear_fraction_row(K, numerators, denominator):
         if g.is_ground:
             break
         if p:
-            g = g.gcd(p)
+            g = _cofactors(g, p)[0]
     if not g.is_ground:
         denominator, numerators = denominator.exquo(g), [p.exquo(g) for p in numerators]
     return _primitive(K.field, denominator, numerators)
 
 
 def _lcm(polys, one):
-    """The lcm of the distinct polynomials polys, one when there are none."""
-    return functools.reduce(lambda p, q: p.lcm(q), dict.fromkeys(polys) or [one])
+    """The lcm of the distinct polynomials polys, one when there are none:
+    p * (q / gcd(p, q)) for each next q, the lcm that sympy's
+    ``PolyElement.lcm`` gives."""
+    return functools.reduce(lambda p, q: p * _cofactors(p, q)[2], dict.fromkeys(polys) or [one])
 
 
 def combine_rows(K, coeffs, rows):

@@ -248,7 +248,7 @@ def check_parametrization(system, p: FlatParametrization):
     _, update = system.update_elements
     images = dict(zip(system.variables, values))
     for s, a, f in zip(system.states, values, update):
-        if symbolic.rename(a, J, ahead) - symbolic.compose(f, images, J):
+        if symbolic.rename(a, J, ahead) != symbolic.compose(f, images, J):
             return False, "dynamics identity fails for %s" % s
     if symbolic.jacobian_rank(J, values, jets) != system.n + system.m:
         return False, "parametrization is not a generic submersion"
@@ -348,8 +348,7 @@ def verify_flat_output_symbolic(system, candidate):
         ladders.append(list(system.states) + present)
         targets = _jet_targets(m, alpha)
         S = symbolic.field(targets + list(system.states) + present)
-        equations = [g - symbolic.rename(a, S, {})
-                     for g, a in zip(symbolic.generators(S, targets), stacked)]
+        equations = symbolic.defining_equations(S, dict(zip(targets, stacked)))
         result = None
         for unknowns in ladders:
             result = _attempt_jet_solve(system, S, equations, unknowns, centers, q)

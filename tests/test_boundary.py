@@ -5,8 +5,10 @@ Every module of the package is parsed, not imported, and its syntax tree
 is searched: for imports of sympy, for the names of sympy's domain and
 element types, and for the attributes through which an element exposes
 its numerator, denominator, ring or terms.  The other modules reach the
-kernel through symbolic's functions, element arithmetic, ``.diff`` and
-``.as_expr()`` alone.
+kernel through symbolic's functions, an element's truth value and
+equality, and ``.as_expr()`` alone; they take no derivative with
+``.diff``, which would reduce through sympy's ``cancel`` instead of
+symbolic's own gcd.
 """
 
 import ast
@@ -21,7 +23,7 @@ KERNEL_NAMES = {"QQ", "ZZ", "FracElement", "DomainMatrix"}
 # the parts of a field element, its field and its ring
 KERNEL_ATTRIBUTES = {
     "numer", "denom", "ring", "field", "gens", "mul_term", "from_dict", "exquo", "LC",
-    "is_ground", "iterterms", "to_sympy", "from_sympy", "frac_field", "raw_new",
+    "is_ground", "iterterms", "to_sympy", "from_sympy", "frac_field", "raw_new", "diff",
 }
 # the attributes of sympy that a module may use; every other module,
 # construction, geometry, model and cli among them, imports no sympy

@@ -617,10 +617,30 @@ def _pair(a):
     return dict(a.numer), dict(a.denom)
 
 
+def _integer_poly(rng, ring, used, terms=3, degree=2, constant=True):
+    """A seeded random polynomial of the integer ring in the generators at
+    the indices used, a constant term added one time in two."""
+    poly = ring.zero
+    for _ in range(terms):
+        monomial = ring.one
+        for _ in range(rng.randint(1, degree)):
+            monomial *= ring.gens[rng.choice(used)]
+        poly += rng.choice([-3, -2, -1, 1, 2, 5]) * monomial
+    if constant and rng.random() < 0.5:
+        poly += rng.randint(-3, 3)
+    return poly or ring.gens[used[0]]
+
+
 class TestKernelOracle:
     """The kernel's fused arithmetic against sympy's own over the field
     QQ(gens) with rational coefficients, sympy's ``QQ.frac_field``: the
-    same canonical pairs, entry by entry."""
+    same canonical pairs, entry by entry.  Its gcd, ``_cofactors``, is
+    checked against sympy's ``PolyElement.cofactors`` in Z[w, x, y, z]:
+    the same gcd and cofactors, compared as dicts of monomials and
+    coefficients, over pairs that take each of its paths (the shortcuts
+    for zero and monomials, the proof of a constant gcd from univariate
+    images, and sympy's gcd in the ring of the generators the pair
+    uses)."""
 
     GENS = (x, y, z)
     SHAPES = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 2)]
@@ -703,6 +723,142 @@ class TestKernelOracle:
         for a, e in zip(elements, exprs):
             assert _pair(a) == _pair(Q.from_sympy(e))
             assert all(sp.ZZ.of_type(c) for c in a.numer.values())
+
+    @staticmethod
+    def _ring():
+        w = sp.Symbol("w")
+        return symbolic.function_field((w, x, y, z)).field.ring
+
+    @staticmethod
+    def _check(p, q):
+        assert [dict(a) for a in symbolic._cofactors(p, q)] == \
+            [dict(b) for b in p.cofactors(q)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_factor_planted_in_the_shared_generators(self, seed):
+        """w is left out, so sympy's gcd runs in the ring of x, y, z."""
+        rng = random.Random(seed + 8600)
+        ring = self._ring()
+        common = _integer_poly(rng, ring, [1, 2], constant=False) + rng.choice([1, -2])
+        p = common * _integer_poly(rng, ring, [1, 2, 3])
+        q = common * _integer_poly(rng, ring, [1, 2, 3]) * rng.choice([1, 2, -3])
+        self._check(p, q)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pair_without_a_shared_generator(self, seed):
+        rng = random.Random(seed + 8700)
+        ring = self._ring()
+        p = _integer_poly(rng, ring, [0, 1]) * rng.choice([1, 4, -6])
+        q = _integer_poly(rng, ring, [2, 3]) * rng.choice([1, 6, -10])
+        self._check(p, q)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_factor_in_one_generator_only(self, seed):
+        rng = random.Random(seed + 8800)
+        ring = self._ring()
+        common = _integer_poly(rng, ring, [2], constant=False) + rng.choice([1, -1, 3])
+        p = common * _integer_poly(rng, ring, [0, 1, 2])
+        q = common * _integer_poly(rng, ring, [1, 2, 3])
+        self._check(p, q)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pairs(self, seed):
+        """Mostly coprime pairs over shared generators: the proof path."""
+        rng = random.Random(seed + 8900)
+        ring = self._ring()
+        p = _integer_poly(rng, ring, [0, 1, 2, 3], terms=4) * rng.choice([1, 2, -2])
+        q = _integer_poly(rng, ring, [1, 2, 3], terms=4) * rng.choice([1, 3, -4])
+        self._check(p, q)
+
+    def test_leading_coefficient_vanishing_at_the_point_falls_back(self):
+        """(x - a)(y - b) + 1 divides both, a and b the values the images
+        give x and y.  Both leading coefficients in x vanish at y = b and
+        both in y at x = a, and the images are coprime in each, so only
+        the degree check keeps the pair from being called coprime."""
+        ring = self._ring()
+        _, X, Y, _ = ring.gens
+        _, a, b, _ = symbolic._image_point(ring.ngens)
+        common = (X - a) * (Y - b) + 1
+        p, q = common * (X + Y), common * (X - Y + 1)
+        assert not symbolic._shares_no_generator(p, q, [1, 2])
+        self._check(p, q)
+        assert symbolic._cofactors(p, q)[0] == common
+
+    def test_contents_signs_monomials_and_zero(self):
+        ring = self._ring()
+        W, X, Y, Z = ring.gens
+        pairs = [
+            (6 * X + 4 * Y, 10 * X * Y + 2),
+            (-3 * X**2 - 3, 6 * Y + 6 * Z),
+            (-2 * X * Y + 4, -6 * X - 2 * W),
+            (X**2 * Y, 2 * X * Y + X),
+            (-4 * X * Z, 6 * X**2 - 2 * X),
+            (ring(4), 6 * X + 2),
+            (ring.zero, -2 * X + 1),
+            (3 * Y - 6, ring.zero),
+            (ring.zero, ring.zero),
+        ]
+        for p, q in pairs:
+            self._check(p, q)
+            self._check(q, p)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lcm_matches_sympy(self, seed):
+        rng = random.Random(seed + 9000)
+        ring = self._ring()
+        common = _integer_poly(rng, ring, [1, 2], constant=False) + 1
+        polys = [_integer_poly(rng, ring, [0, 1, 2]) * rng.choice([common, ring.one, 2])
+                 for _ in range(rng.randint(1, 3))]
+        expected = polys[0]
+        for poly in polys[1:]:
+            expected = expected.lcm(poly)
+        assert dict(symbolic._lcm(polys, ring.one)) == dict(expected)
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_derivative_matches_diff(self, seed):
+        rng = random.Random(seed + 9100)
+        K, _ = self._fields()
+        a = K.from_sympy(_oracle_entry(rng, self.GENS))
+        for s, g in zip(self.GENS, K.field.gens):
+            assert _pair(symbolic.derivative(a, s)) == _pair(a.diff(g))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_composed_derivative_matches_diff_then_compose(self, seed):
+        rng = random.Random(seed + 9200)
+        a_, b_ = sp.symbols("a b")
+        (K, _), target = self._fields(), symbolic.function_field((a_, b_))
+        A, B = target.field.gens
+        images = {x: A + B, y: A * B - 1, z: A / (B + 2)}
+        a = K.from_sympy(_oracle_entry(rng, self.GENS))
+        for s, g in zip(self.GENS, K.field.gens):
+            try:
+                expected = _pair(symbolic.compose(a.diff(g), images, target))
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    symbolic.compose_derivative(a, s, images, target)
+                continue
+            assert _pair(symbolic.compose_derivative(a, s, images, target)) == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_difference_matches_subtraction(self, seed):
+        rng = random.Random(seed + 9300)
+        K, _ = self._fields()
+        a, b = (K.from_sympy(_oracle_entry(rng, self.GENS)) for _ in range(2))
+        assert _pair(symbolic.difference(a, b)) == _pair(a - b)
+        assert _pair(symbolic.difference(a, a)) == _pair(K.zero)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_defining_equations_match_subtraction(self, seed):
+        rng = random.Random(seed + 9400)
+        s, t = sp.symbols("s t")
+        definitions = {s: _element(_oracle_entry(rng, (x, y)) + x),
+                       t: _element(_oracle_entry(rng, (y,)) + y)}
+        K = symbolic.field((x, y, s, t))
+        equations = symbolic.defining_equations(K, definitions)
+        for g, (sym, v) in zip(equations, definitions.items()):
+            expected = K.from_sympy(sym) - symbolic.rename(v, K, {})
+            assert _pair(g) == _pair(expected)
 
 
 class TestRename:
