@@ -86,44 +86,46 @@ def polynomial_invariants(
     """Greedy polynomial first integrals of a set of vector fields.
 
     rows are component rows over ``variables``, elements of one rational
-    function field; each row is cleared of denominators, which leaves the
-    span unchanged generically.  The ansatz runs through all monomials of
-    total degree 1..max_degree in graded order; kernel directions of the
+    function field that use no generator but the variables (else
+    symbolic.GeneratorsError is raised); each row is cleared of
+    denominators, which leaves the span unchanged generically.  The
+    ansatz runs through all monomials of total degree 1..max_degree in
+    the variables, in their given order, graded; kernel directions of the
     invariance conditions are turned into integer-primitive candidates
     and accepted greedily while their gradients with respect to
     ``gradient_variables`` at ``point``, stacked on ``seed_gradients``
     (rows of rational numbers), gain rank; a full rank at the point
-    proves the generic one.  The ansatz indexes its monomials over the
-    variables first; the invariants are returned as polynomials in
-    symbolic.field(variables, any further generators of the rows), whose
-    generators are sorted by name.
+    proves the generic one.
 
-    Raises StraighteningError when fewer than ``count`` independent
-    invariants exist within the degree cap.
+    Returns (invariants, gradients): the invariants as polynomials in
+    symbolic.field(variables), whose generators are sorted by name, and
+    the gradient of each at the point, the rows of rational numbers the
+    greedy test stacked.  Raises StraighteningError when fewer than
+    ``count`` independent invariants exist within the degree cap.
     """
     if count == 0:
-        return ()
+        return (), ()
     variables = list(variables)
     grad_vars = list(gradient_variables) if gradient_variables is not None else variables
-    extra = [s for s in symbolic.field_of(rows[0]).symbols if s not in variables] if rows else []
-    L = symbolic.function_field(tuple(variables + extra))
+    L = symbolic.function_field(tuple(variables))
     cleared = []
     for row in rows:
         row, _ = symbolic.clear_element_row(L, [symbolic.rename(a, L, {}) for a in row])
         if any(row):
             cleared.append(row)
     stack = [list(g) for g in seed_gradients]
+    seeds = len(stack)
     accepted = []
-    sorted_field = symbolic.field(L.symbols)
+    sorted_field = symbolic.field(variables)
     for degree in range(1, max_degree + 1):
-        for candidate in symbolic.annihilating_polynomials(cleared, len(variables), degree, L):
+        for candidate in symbolic.annihilating_polynomials(cleared, degree, L):
             grad = symbolic.jacobian_at(L, [candidate], grad_vars, point)[0]
             if symbolic.rational_rank(stack + [grad], len(grad_vars)) != len(stack) + 1:
                 continue
             accepted.append(symbolic.rename(candidate, sorted_field, {}))
             stack.append(grad)
             if len(accepted) == count:
-                return tuple(accepted)
+                return tuple(accepted), tuple(stack[seeds:])
     raise StraighteningError("straightening not found within ansatz degree %d" % max_degree)
 
 
@@ -193,11 +195,10 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
     searches = [(chain[-1], n - dims[-1])]
     searches += [(chain[k - 2], dims[k - 1] - dims[k - 2]) for k in range(kbar, 1, -1)]
     for dist, count in searches:
-        invariants = polynomial_invariants(
-            _rows(dist), states, count, point, max_degree=max_degree, seed_gradients=seeds
-        ) if count else ()
+        invariants, gradients = polynomial_invariants(
+            _rows(dist), states, count, point, max_degree=max_degree, seed_gradients=seeds)
         found.append(list(invariants))
-        seeds.extend(symbolic.jacobian_at(P, invariants, states, point))
+        seeds.extend(gradients)
     rest_values = found[0]
     rest = [symbolic.symbol("xrest_%d" % (i + 1)) for i in range(len(rest_values))]
     chosen = _complete_with_coordinates(seeds, states, dims[0], "block 1")
@@ -361,6 +362,29 @@ def _change_fibre(state: DecompositionState, definitions, consumed, k):
     state.point_cur.update(values)
 
 
+def _split_fibre(state: DecompositionState, k, rows, remaining, fibre, count, names, label):
+    """Split the fibre coordinates of step k into count invariants of the
+    rows and a completion by fibre coordinates.
+
+    rows are over remaining + fibre, and the invariants are
+    polynomial_invariants of them, tested on their gradients along the
+    fibre.  The fibre coordinates that complete those gradients at the
+    equilibrium to full rank are kept (label names a completion that
+    fails).  The new symbols, names[0] for the invariants and names[1]
+    for the kept coordinates, replace the fibre (_change_fibre), and the
+    kept ones join the verticals.  Returns both lists of new symbols."""
+    invariants, gradients = polynomial_invariants(
+        rows, remaining + fibre, count, state.point_cur, max_degree=state.max_degree,
+        gradient_variables=fibre)
+    chosen = _complete_with_coordinates(gradients, fibre, len(fibre) - count, label)
+    split = [symbolic.symbol("%s%d_%d" % (names[0], k, i + 1)) for i in range(count)]
+    verticals = [symbolic.symbol("%s%d_%d" % (names[1], k, i + 1)) for i in range(len(chosen))]
+    kept = symbolic.generators(state.coordinates, chosen)
+    _change_fibre(state, dict(zip(split + verticals, list(invariants) + kept)), fibre, k)
+    state.verticals.extend(verticals)
+    return split, verticals
+
+
 def decompose_step(k, state: DecompositionState, basis) -> tuple:
     """Run peeling step k: split off the redundant fibre directions and
     straighten the projectable distribution of the step.
@@ -412,19 +436,9 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
                 [K.zero] * len(remaining) + vec
                 for vec in symbolic.element_nullspace(K, rref, pivots, len(gamma))
             ]
-            invariants = polynomial_invariants(
-                kernel_rows, remaining + gamma, len(gamma) - mu, state.point_cur,
-                max_degree=state.max_degree, gradient_variables=gamma)
-            zeta_syms = [symbolic.symbol("zeta%d_%d" % (k, r + 1)) for r in range(len(invariants))]
-            # the invariants are in K, the field of the kernel rows
-            chosen = _complete_with_coordinates(
-                symbolic.jacobian_at(K, invariants, gamma, state.point_cur), gamma, mu,
+            zeta_syms, y_syms = _split_fibre(
+                state, k, kernel_rows, remaining, gamma, len(gamma) - mu, ("zeta", "y"),
                 "redundant directions at step %d" % k)
-            y_syms = [symbolic.symbol("y%d_%d" % (k, i + 1)) for i in range(mu)]
-            kept = symbolic.generators(state.coordinates, chosen)
-            _change_fibre(state, dict(zip(zeta_syms + y_syms, list(invariants) + kept)),
-                          gamma, k)
-            state.verticals.extend(y_syms)
             K = symbolic.field(remaining + zeta_syms)
             for j in range(k + 1, kbar + 1):
                 _fbar_block(state, j, K,
@@ -452,8 +466,7 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
             "previously constructed coordinates fell out of the distribution at "
             "step %d" % k
         )
-    variables = remaining + zeta_syms
-    W = symbolic.field(variables)
+    W = symbolic.field(remaining + zeta_syms)
     try:
         w_rows = [[W.zero] * len(remaining) + [symbolic.rename(a, W, {}) for a in rref[i][:n_zeta]]
                   for i in zeta_pivot_rows]
@@ -461,19 +474,9 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         raise FlatcheckError(
             "distribution components at step %d depend on consumed coordinates" % k
         ) from None
-    count_eta = n_zeta - rho_next
-    invariants = polynomial_invariants(
-        w_rows, variables, count_eta, state.point_cur,
-        max_degree=state.max_degree, gradient_variables=zeta_syms) if count_eta else ()
-    eta_syms = [symbolic.symbol("eta%d_%d" % (k, i + 1)) for i in range(count_eta)]
-    chosen = _complete_with_coordinates(
-        symbolic.jacobian_at(W, invariants, zeta_syms, state.point_cur), zeta_syms, rho_next,
+    eta_syms, zhat_syms = _split_fibre(
+        state, k, w_rows, remaining, zeta_syms, n_zeta - rho_next, ("eta", "zhat"),
         "straightening at step %d" % k)
-    zhat_syms = [symbolic.symbol("zhat%d_%d" % (k, i + 1)) for i in range(rho_next)]
-    kept = symbolic.generators(state.coordinates, chosen)
-    _change_fibre(state, dict(zip(eta_syms + zhat_syms, list(invariants) + kept)),
-                  zeta_syms, k)
-    state.verticals.extend(zhat_syms)
 
     # the straightened distribution must now be exactly the vertical span
     new_coords = state.remaining_states(k) + eta_syms + state.verticals

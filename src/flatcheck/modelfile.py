@@ -91,11 +91,13 @@ class _Expressions:
 class _ExprParser:
     """Precedence-climbing parser for the expression sublanguage.  The
     actions (number, symbol, add, sub, mul, div, neg, power) build the
-    value: _Expressions or symbolic.Fractions."""
+    value: _Expressions or symbolic.Fractions.  Parsing starts at the
+    token index start; the tokens before it only place the end of an
+    empty expression."""
 
-    def __init__(self, tokens, symbols, line_no, actions=_Expressions):
+    def __init__(self, tokens, symbols, line_no, actions=_Expressions, start=0):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = start
         self.symbols = symbols
         self.line_no = line_no
         self.actions = actions
@@ -280,6 +282,8 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
             else:
                 input_names.extend(names)
         elif keyword == "equilibrium":
+            if equilibrium_tokens is not None:
+                raise ModelSyntaxError("duplicate equilibrium line", head.line, head.column)
             if not rest or rest[0].text != ":":
                 raise ModelSyntaxError(
                     "expected ':' after 'equilibrium'", head.line, head.column
@@ -309,45 +313,35 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
     fractions = symbolic.Fractions(K)
 
     equilibrium = {symbols[nm]: sp.Integer(0) for nm in state_names + input_names}
-    if equilibrium_tokens is not None:
-        line_no, toks = equilibrium_tokens
-        if (
-            len(toks) == 2
-            and toks[0].kind == "IDENT"
-            and (toks[0].text, toks[1].text) == ("all", "zero")
-        ):
-            pass
-        else:
-            i = 0
-            while i < len(toks):
-                tok = toks[i]
-                if tok.kind == "OP" and tok.text == ",":
-                    i += 1
-                    continue
-                if tok.kind != "IDENT" or tok.text not in symbols:
-                    raise ModelSyntaxError(
-                        "expected declared variable, got %r" % tok.text,
-                        tok.line,
-                        tok.column,
-                    )
-                if i + 1 >= len(toks) or toks[i + 1].text != "=":
-                    raise ModelSyntaxError(
-                        "expected '=' in equilibrium assignment", tok.line, tok.column
-                    )
-                j = i + 2
-                value_tokens = []
-                while j < len(toks) and not (
-                    toks[j].kind == "OP" and toks[j].text == ","
-                ):
-                    value_tokens.append(toks[j])
-                    j += 1
-                value = _ExprParser(value_tokens, {}, line_no).parse()
-                if not value.is_Number or not value.is_rational:
-                    raise ModelSyntaxError(
-                        "equilibrium value must be rational", tok.line, tok.column
-                    )
-                equilibrium[symbols[tok.text]] = value
-                i = j
+    line_no, toks = equilibrium_tokens or (None, [])
+    if [tok.text for tok in toks] == ["all", "zero"]:
+        toks = []
+    assigned = set()
+    i = 0
+    while i < len(toks):
+        tok = toks[i]
+        if tok.text == ",":
+            i += 1
+            continue
+        if tok.kind != "IDENT" or tok.text not in symbols:
+            raise ModelSyntaxError(
+                "expected declared variable, got %r" % tok.text, tok.line, tok.column)
+        if tok.text in assigned:
+            raise ModelSyntaxError(
+                "duplicate equilibrium value for %r" % tok.text, tok.line, tok.column)
+        assigned.add(tok.text)
+        if i + 1 >= len(toks) or toks[i + 1].text != "=":
+            raise ModelSyntaxError(
+                "expected '=' in equilibrium assignment", tok.line, tok.column)
+        j = i + 2
+        while j < len(toks) and toks[j].text != ",":
+            j += 1
+        # the value follows the '=', so a missing one ends just past it
+        value = _ExprParser(toks[i + 1:j], {}, line_no, start=1).parse()
+        if not value.is_Number or not value.is_rational:
+            raise ModelSyntaxError("equilibrium value must be rational", tok.line, tok.column)
+        equilibrium[symbols[tok.text]] = value
+        i = j
 
     for line_no, tokens in pending_next:
         if (

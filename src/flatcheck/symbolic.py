@@ -61,13 +61,15 @@ a gcd.  The matrix API works on elements: ``element_rref``,
 ``certificate_jacobian``, ``jacobian_rank``, ``jacobian_ranks``,
 ``clear_element_row``, and ``clear_fraction_row`` for a row of
 numerators over one denominator, which ``combine_rows`` sums and
-``fraction_row`` reads back.  ``rational_rank`` and
+``fraction_row`` reads back.  ``element_rref`` is the one row
+reduction, a Gauss-Jordan loop over QQ and over function fields alike;
+no sympy matrix type is used.  ``rational_rank`` and
 ``unit_completion`` work on rows of rational numbers, and
-``annihilating_polynomials`` solves the conditions of a polynomial
-ansatz.  ``to_infix`` prints an element without evaluating a sympy sum;
-``canonicalize_element`` and ``.as_expr()`` build expressions only
-where they are read, for the lambdified numeric replay and for error
-messages.
+``annihilating_polynomials`` solves the rational conditions of a
+polynomial ansatz over QQ.  ``to_infix`` prints an element without
+evaluating a sympy sum; ``canonicalize_element`` and ``.as_expr()``
+build expressions only where they are read, for the lambdified numeric
+replay and for error messages.
 
 ``solve_elements`` solves by exact elimination in the fraction field,
 one equation linear in an unknown at a time in the caller's order,
@@ -82,7 +84,10 @@ rational point where every entry is defined is at most the generic
 rank, which is at most min(rows, cols), so a full rank at one fixed
 rational point is the generic rank; on a pole or a rank that falls
 short, ``element_rank`` and ``jacobian_rank`` row reduce over the
-function field instead.  ``jacobian_ranks`` and ``unit_completion``
+function field instead.  Both use one point, which
+``certificate_jacobian`` evaluates at too: fixed nonzero integers for
+the generators the entries use, in name order, so generators they do
+not use do not move it.  ``jacobian_ranks`` and ``unit_completion``
 apply the same rule at a caller's point, and ``jacobian_at`` evaluates
 the Jacobian from the partial derivatives of numerator and denominator,
 without building it symbolically.  All functions are pure.
@@ -93,16 +98,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 import sympy as sp
 from sympy import QQ, ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.fields import FracElement
-from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed, GeneratorsError
 
 from .errors import (
-    FlatcheckError,
     InconsistentSystemError,
     IrrationalSolutionError,
     UnsupportedEquationError,
@@ -850,21 +854,25 @@ def _minus_product(field, c, f, b):
 
 def element_rref(K, rows, ncols):
     """Reduced row echelon form of rows of elements of the field K, and its
-    pivot columns.  Over a field both are unique, so they depend neither
-    on the order of the rows nor on the elimination method, only the cost
-    does.  Over QQ sympy's ``DomainMatrix`` picks the method.  Over a
-    function field the rows are sorted by their number of terms, simplest
-    first (a stable sort), and eliminated by dense Gauss-Jordan
-    elimination, each entry c - f * b of an eliminated row built over one
-    denominator and reduced by one gcd."""
-    if not rows:
-        return [], ()
+    pivot columns, by dense Gauss-Jordan elimination.  Over a field both
+    are unique, so they depend neither on the order of the rows nor on
+    the elimination method, only the cost does.  Over QQ the division
+    and each entry c - f * b of an eliminated row are plain rational
+    arithmetic.  Over a function field the rows are first sorted by their
+    number of terms, simplest first (a stable sort), and each quotient
+    and each c - f * b is built over one denominator and reduced by one
+    gcd."""
+    rows = [list(row) for row in rows]
     if K is QQ:
-        R, pivots = DomainMatrix(rows, (len(rows), ncols), K).rref()
-        return R.to_list(), tuple(pivots)
-    field = K.field
-    rows = sorted((list(row) for row in rows),
-                  key=lambda row: sum(len(a.numer) + len(a.denom) for a in row))
+        divide, minus_product = operator.truediv, lambda c, f, b: c - f * b
+    else:
+        field = K.field
+        rows.sort(key=lambda row: sum(len(a.numer) + len(a.denom) for a in row))
+
+        def divide(a, p):
+            return _element(field, a.numer * p.denom, a.denom * p.numer)
+
+        minus_product = functools.partial(_minus_product, field)
     pivots = []
     for j in range(ncols):
         i = len(pivots)
@@ -876,14 +884,12 @@ def element_rref(K, rows, ncols):
         # left of column j the pivot row is zero, so every other row
         # keeps its entries there
         pivot_row = rows[i] = [K.zero] * j + [K.one] + [
-            _element(field, a.numer * p.denom, a.denom * p.numer) if a else K.zero
-            for a in rows[i][j + 1:]]
+            divide(a, p) if a else K.zero for a in rows[i][j + 1:]]
         for k, row in enumerate(rows):
             f = row[j]
             if k != i and f:
                 rows[k] = row[:j] + [K.zero] + [
-                    _minus_product(field, c, f, b)
-                    for c, b in zip(row[j + 1:], pivot_row[j + 1:])]
+                    minus_product(c, f, b) for c, b in zip(row[j + 1:], pivot_row[j + 1:])]
         pivots.append(j)
         if len(pivots) == len(rows):
             break
@@ -937,20 +943,18 @@ def _derivative(p, q, gen) -> tuple:
     return p.diff(gen) * q - p * dq, q * q
 
 
-def annihilating_polynomials(rows, nvars, degree, L):
+def annihilating_polynomials(rows, degree, L):
     """The polynomials phi = sum_i c_i * x**m_i, over the monomials m_i of
-    total degree 1..degree in the first nvars generators x of the function
-    field L in graded order, one per free column, that every row of
-    polynomial elements of L annihilates: row . grad(phi) = 0.  Each c
-    is scaled as clear_element_row scales it; phi is an element of L.
-
-    The conditions are the coefficients of the monomials in x: rational
-    numbers when L has no other generators, and otherwise polynomials in
-    the others, where the kernel is taken over L and a direction that is
-    not rational raises FlatcheckError.
+    total degree 1..degree in the generators x of the function field L in
+    graded order, one per free column, that every row of polynomial
+    elements of L annihilates: row . grad(phi) = 0.  The conditions are
+    the rational coefficients of the monomials of row . grad(phi), and
+    their kernel is taken over QQ.  Each c is scaled as clear_element_row
+    scales it; phi is an element of L.
     """
     ring = L.field.ring
-    monomials = [tuple(combo.count(i) for i in range(ring.ngens)) for d in range(1, degree + 1)
+    nvars = ring.ngens
+    monomials = [tuple(combo.count(i) for i in range(nvars)) for d in range(1, degree + 1)
                  for combo in itertools.combinations_with_replacement(range(nvars), d)]
     conditions = {}
     for r, row in enumerate(rows):
@@ -960,19 +964,10 @@ def annihilating_polynomials(rows, nvars, degree, L):
                 if m[a] and row[a]:
                     derived += row[a].numer.mul_term((m[:a] + (m[a] - 1,) + m[a + 1:], m[a]))
             for monom, c in derived.iterterms():
-                rest = (0,) * nvars + monom[nvars:]
-                conditions.setdefault((r, monom[:nvars]), {}).setdefault(i, {})[rest] = c
-    if nvars == ring.ngens:
-        K, entry = QQ, lambda terms: QQ(terms.get((0,) * nvars, 0))
-    else:
-        K, entry = L, lambda terms: _element(L.field, ring.from_dict(terms), ring.one)
-    matrix = [[entry(row.get(i, {})) for i in range(len(monomials))]
+                conditions.setdefault((r, monom), {})[i] = QQ(c)
+    matrix = [[row.get(i, QQ.zero) for i in range(len(monomials))]
               for _, row in sorted(conditions.items())]
-    kernel = element_nullspace(K, *element_rref(K, matrix, len(monomials)), len(monomials))
-    if K is not QQ:
-        if not all(a.numer.is_ground and a.denom.is_ground for v in kernel for a in v):
-            raise FlatcheckError("invariant ansatz produced a non-rational kernel")
-        kernel = [[QQ(a.numer.LC, a.denom.LC) for a in v] for v in kernel]
+    kernel = element_nullspace(QQ, *element_rref(QQ, matrix, len(monomials)), len(monomials))
     for vec in kernel:
         coeffs, _ = clear_element_row(QQ, vec)
         yield _element(L.field, ring.from_dict(
@@ -990,6 +985,20 @@ def _certificate_point(ngens) -> tuple:
         magnitude = 2 + (state >> 33) % 1000
         values.append(-magnitude if state >> 63 else magnitude)
     return tuple(values)
+
+
+def _certificate_values(K, elements) -> list:
+    """The fixed point at which generic ranks of the elements of the field
+    K are certified, one value per generator of K: the values of
+    :func:`_certificate_point` go to the generators that the elements
+    use, in name order, and 0 to the others, so generators of K that they
+    do not use do not move it."""
+    used = _used(elements)
+    values = [0] * len(K.symbols)
+    order = [i for i in _name_order(K.symbols) if i in used]
+    for i, value in zip(order, _certificate_point(len(order))):
+        values[i] = value
+    return values
 
 
 def _power_product(values, monom, lowered=None):
@@ -1090,14 +1099,15 @@ def rational_rank(rows, ncols) -> int:
 def element_rank(K, rows, ncols) -> int:
     """Rank of rows of elements of the field K (the generic rank).
 
-    The rank is first certified at a fixed rational point: the rank at
-    any point where every entry is defined is at most the generic rank,
-    which is at most min(rows, cols), so a full rank there is the generic
-    rank exactly.  On a pole or a rank that falls short, the rows are
-    row reduced over K.  No rank is guessed.
+    The rank is first certified at the fixed rational point of
+    :func:`_certificate_values`, the one :func:`certificate_jacobian`
+    uses: the rank at any point where every entry is defined is at most
+    the generic rank, which is at most min(rows, cols), so a full rank
+    there is the generic rank exactly.  On a pole or a rank that falls
+    short, the rows are row reduced over K.  No rank is guessed.
     """
     if K is not QQ:
-        values = _certificate_point(len(K.symbols))
+        values = _certificate_values(K, [a for row in rows for a in row])
         at_point = [[_value_at(a.numer, a.denom, values) for a in row] for row in rows]
         if all(v is not None for row in at_point for v in row):
             rank = rational_rank(at_point, ncols)
@@ -1125,20 +1135,13 @@ def jacobian_at(K, elements, variables, point) -> list:
 
 def certificate_jacobian(K, elements, variables):
     """The Jacobian of elements of the field K with respect to variables,
-    generators of K, at the fixed point of :func:`element_rank`, as rows of
-    rational numbers; None when an element has a pole there.
-
-    The point's values go to the generators the elements use, in name
-    order, so generators of K that they do not use do not move it; each
-    row is evaluated as in :func:`jacobian_at`.
+    generators of K, at the fixed point of :func:`_certificate_values`, as
+    rows of rational numbers; None when an element has a pole there.
+    Each row is evaluated as in :func:`jacobian_at`.
     """
     index = {s: i for i, s in enumerate(K.symbols)}
     columns = {index[v]: k for k, v in enumerate(variables) if v in index}
-    used = _used(elements)
-    values = [0] * len(K.symbols)
-    order = [i for i in _name_order(K.symbols) if i in used]
-    for i, value in zip(order, _certificate_point(len(order))):
-        values[i] = value
+    values = _certificate_values(K, elements)
     rows = [_jacobian_row(a.numer, a.denom, values, columns, len(variables))
             for a in elements]
     return rows if all(row is not None for row in rows) else None

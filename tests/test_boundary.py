@@ -66,6 +66,15 @@ def test_no_polys_import_and_no_kernel_names(name):
     assert not named & KERNEL_NAMES
 
 
+def test_kernel_polys_imports():
+    """symbolic imports from exactly these modules of sympy.polys: the
+    surface that a rational kernel of flatcheck's own has to replace.
+    Row reduction is its own, so sympy.polys.matrices is not among them."""
+    modules, _ = _sympy_aliases(_tree("symbolic"))
+    assert {m for m in modules if "sympy.polys" in m} == {
+        "from sympy.polys.euclidtools", "from sympy.polys.fields", "from sympy.polys.polyerrors"}
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_element_internals(name):
     read = {

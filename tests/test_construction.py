@@ -32,15 +32,17 @@ def _same_set(actual, expected):
 
 
 def _invariants(rows, variables, count, point, **options):
-    """polynomial_invariants on expression rows, read over QQ(gens), with
-    gens the variables and then any further free symbols by name; the
-    invariants come back as expressions."""
-    free = set().union(*(sp.sympify(e).free_symbols for row in rows for e in row))
-    gens = tuple(variables) + tuple(sorted(free - set(variables), key=str))
-    _, elements = symbolic.to_elements([e for row in rows for e in row], gens)
+    """polynomial_invariants on expression rows, read over QQ(variables);
+    the invariants come back as expressions, after a check that the
+    gradients returned with them are their jacobian_at the point."""
+    _, elements = symbolic.to_elements([e for row in rows for e in row], tuple(variables))
     width = len(variables)
     element_rows = [elements[i:i + width] for i in range(0, len(elements), width)]
-    found = construction.polynomial_invariants(element_rows, variables, count, point, **options)
+    found, gradients = construction.polynomial_invariants(
+        element_rows, variables, count, point, **options)
+    grad_vars = options.get("gradient_variables", variables)
+    assert list(gradients) == symbolic.jacobian_at(
+        symbolic.field(variables), found, grad_vars, point)
     return [h.as_expr() for h in found]
 
 
@@ -96,22 +98,31 @@ class TestPolynomialInvariants:
 
     def test_invariants_in_the_name_sorted_field(self):
         """The ansatz runs over the variables in the caller's order, x2
-        before x1, in a field with a further generator x3; the invariants
-        come back in QQ(x1, x2, x3), generators sorted by name, as
-        symbolic.field makes every other field."""
+        before x1, on rows of a field with a further generator x3 that
+        they do not use; the invariants come back in QQ(x1, x2),
+        generators sorted by name, as symbolic.field makes every other
+        field, with their gradients in the caller's order."""
         _, row = symbolic.to_elements([x1, 1], (x2, x1, x3))
-        found = construction.polynomial_invariants([row], (x2, x1), 1, {x1: 0, x2: 0})
-        assert symbolic.function_field(found[0].field.symbols) == symbolic.field((x1, x2, x3))
+        found, gradients = construction.polynomial_invariants(
+            [row], (x2, x1), 1, {x1: 0, x2: 0})
+        assert symbolic.function_field(found[0].field.symbols) == symbolic.field((x1, x2))
         assert sp.expand(found[0].as_expr() - (2 * x2 - x1**2)) == 0
+        assert gradients == ([2, 0],)
 
     def test_degree_cap_failure(self):
         with pytest.raises(StraighteningError):
             _invariants([[1, x1]], (x1, x2), 1, {x1: 0, x2: 0}, max_degree=1)
 
-    def test_non_rational_kernel_raises(self):
+    def test_rows_over_other_generators_are_refused(self):
+        """The ansatz kernel is taken over QQ: rows that use a generator
+        other than the variables are refused, not searched."""
         a = sp.Symbol("a")
-        with pytest.raises(FlatcheckError, match="non-rational kernel"):
-            _invariants([[1, a]], (x1, x2), 1, {x1: 0, x2: 0, a: 0})
+        _, row = symbolic.to_elements([1, a], (x1, x2, a))
+        with pytest.raises(symbolic.GeneratorsError):
+            construction.polynomial_invariants([row], (x1, x2), 1, {x1: 0, x2: 0, a: 0})
+
+    def test_no_invariants_asked(self):
+        assert construction.polynomial_invariants([], (x1, x2), 0, {}) == ((), ())
 
     def test_flagship_chain_without_expression_conversion(
         self, flat4, flat4_report, monkeypatch
@@ -136,7 +147,10 @@ class TestPolynomialInvariants:
             ]
 
         expected = search()
-        assert [len(found) for found in expected] == [2, 1]
+        assert [len(found) for found, _ in expected] == [2, 1]
+        for found, gradients in expected:
+            assert list(gradients) == symbolic.jacobian_at(
+                symbolic.field(flat4.states), found, flat4.states, point)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a sympy expression was converted")

@@ -92,6 +92,32 @@ class TestParseModel:
         with pytest.raises(ModelSemanticsError):
             modelfile.parse_model(CHAIN.replace(old, new, 1))
 
+    @pytest.mark.parametrize(
+        "equilibrium, line, column, message",
+        [
+            ("equilibrium: x1 = 1, x1 = 0", 5, 22, "duplicate equilibrium value for 'x1'"),
+            ("equilibrium: x1 = 1, u = 0, x1 = 1", 5, 29, "duplicate equilibrium value"),
+            ("equilibrium: x1 = 1\nequilibrium: x2 = 1", 6, 1, "duplicate equilibrium line"),
+            ("equilibrium: all zero\nequilibrium: all zero", 6, 1, "duplicate equilibrium line"),
+            ("equilibrium: x1 =", 5, 18, "unexpected end of expression"),
+            ("equilibrium: x1 = , u = 0", 5, 18, "unexpected end of expression"),
+        ],
+        ids=["repeated-value", "repeated-later", "second-line", "second-all-zero",
+             "missing-value", "missing-value-before-comma"],
+    )
+    def test_equilibrium_errors_point_at_the_token(self, equilibrium, line, column, message):
+        """A variable given two equilibrium values, or a second equilibrium
+        line, is refused at the repeated token; a missing value is
+        reported just past its '='."""
+        with pytest.raises(ModelSyntaxError, match=message) as exc:
+            modelfile.parse_model(CHAIN.replace("equilibrium: all zero", equilibrium))
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_equilibrium_values_of_distinct_variables(self):
+        system = modelfile.parse_model(
+            CHAIN.replace("equilibrium: all zero", "equilibrium: x1 = 1/2, x2 = 1/2, u = 1/2"))
+        assert set(system.equilibrium.values()) == {sp.Rational(1, 2)}
+
     def test_integer_exponents_only(self):
         with pytest.raises(ModelSyntaxError):
             modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = u^1.5"))

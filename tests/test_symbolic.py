@@ -250,6 +250,21 @@ class TestRankCertificate:
         assert symbolic.jacobian_rank(wider, elements, [x, y]) == 2
         assert fraction_field_rrefs == [(2, 2)]
 
+    def test_rows_certify_at_the_point_of_the_generators_they_use(
+        self, fraction_field_rrefs
+    ):
+        """element_rank evaluates where certificate_jacobian does: the
+        values of the certificate point go to the generators the rows use,
+        in name order, not by position in the field.  Over QQ(y, x), rows
+        in x alone take x = a, the point's first value."""
+        a, b = symbolic._certificate_point(2)
+        K, (vanishing, regular) = symbolic.to_elements([x - a, x - b], (y, x))
+        assert symbolic.element_rank(K, [[vanishing]], 1) == 1
+        assert fraction_field_rrefs == [(1, 1)]
+        assert symbolic.element_rank(K, [[regular]], 1) == 1
+        assert fraction_field_rrefs == [(1, 1)]
+        assert symbolic.certificate_jacobian(K, [vanishing * vanishing], [x]) == [[0]]
+
     def test_certificate_point_is_fixed_and_nonzero(self):
         point = symbolic._certificate_point(12)
         assert point[:5] == symbolic._certificate_point(5)
@@ -669,6 +684,36 @@ class TestKernelOracle:
         assert got_pivots == tuple(pivots)
         assert [[_pair(a) for a in row] for row in rref] == \
             [[_pair(b) for b in row] for row in reference.to_list()]
+
+    RATIONAL_SHAPES = [(0, 3), (1, 1), (1, 4), (4, 1), (2, 5), (5, 2), (3, 3), (4, 4)]
+    ROW_KINDS = ["random", "zero", "repeated", "combined"]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rational_rref_matches_domain_matrix(self, seed):
+        """Rows of rational numbers go through the same Gauss-Jordan loop:
+        the same form and pivots as sympy's DomainMatrix over QQ, for no
+        rows at all, wide and tall shapes, zero rows, repeated rows and
+        rows that combine earlier ones (rank deficits)."""
+        rng = random.Random(seed + 8600)
+        nrows, ncols = self.RATIONAL_SHAPES[seed % len(self.RATIONAL_SHAPES)]
+        Q = sp.QQ
+
+        def entry():
+            return Q(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else Q.zero
+
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        for i in range(1, nrows):
+            kind = self.ROW_KINDS[(seed + i) % len(self.ROW_KINDS)]
+            if kind == "zero":
+                rows[i] = [Q.zero] * ncols
+            elif kind == "repeated":
+                rows[i] = list(rows[rng.randrange(i)])
+            elif kind == "combined":
+                c = [Q(rng.randint(-2, 2)) for _ in range(i)]
+                rows[i] = [sum((cj * r[j] for cj, r in zip(c, rows)), Q.zero)
+                           for j in range(ncols)]
+        reference, pivots = DomainMatrix(rows, (nrows, ncols), Q).rref()
+        assert symbolic.element_rref(Q, rows, ncols) == (reference.to_list(), tuple(pivots))
 
     def test_element_rref_of_zero_rows(self):
         K, _ = self._fields()
