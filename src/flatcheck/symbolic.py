@@ -66,14 +66,18 @@ reduction, a Gauss-Jordan loop over QQ and over function fields alike;
 no sympy matrix type is used.  ``rational_rank`` and
 ``unit_completion`` work on rows of rational numbers, and
 ``annihilating_polynomials`` solves the rational conditions of a
-polynomial ansatz over QQ.  ``to_infix`` prints an element without
-evaluating a sympy sum; ``canonicalize_element`` and ``.as_expr()``
-build expressions only where they are read, for the lambdified numeric
-replay and for error messages.
+polynomial ansatz over QQ.  ``to_infix`` prints an element straight
+from its canonical numerator and denominator, in plain Python, the
+string that sympy's ``str`` prints for its canonical form (the rules
+are in its docstring); it builds no expression and calls no sympy
+printer.  ``canonicalize_element`` and ``.as_expr()`` build expressions
+only where they are read, for the lambdified numeric replay and for
+error messages.
 
 ``solve_elements`` solves by exact elimination in the fraction field,
-one equation linear in an unknown at a time in the caller's order,
-factoring an equation when none is linear, and checks every branch
+one unknown at a time in the caller's order, each from an equation
+linear in it, the one whose coefficient of it has the fewest terms;
+it factors an equation when none is linear, and checks every branch
 exactly; only rational branches are returned.  ``branch_through`` picks
 the solved branch that takes at a point the values the point gives its
 unknowns, and ``invert`` keeps that branch of a solved coordinate
@@ -282,40 +286,26 @@ def _lead_is_negative(poly) -> bool:
 
 
 def _canonical_polys(a):
-    """Numerator and denominator polynomials of the canonical form of the
-    nonzero element a of a function field.
-
-    The fraction is in lowest terms and the sign fixed so the numerator's
-    leading coefficient is positive under graded-lexicographic monomial
-    order over the generators sorted by name; generators that a does not
-    use do not change it.  A constant denominator is divided into the
-    numerator, over rational coefficients, so it comes out as 1.
-    """
+    """Numerator and denominator of the canonical form of the nonzero
+    element a of a function field: its pair in lowest terms, both negated
+    when the numerator's leading coefficient is negative under
+    graded-lexicographic monomial order over the generators sorted by
+    name.  Generators that a does not use do not change it."""
     P, Q = a.numer, a.denom
-    if _lead_is_negative(P):
-        P, Q = -P, -Q
-    if Q.is_ground and Q.LC != 1:
-        ring = P.ring.clone(domain=QQ)
-        return P.set_ring(ring).quo_ground(QQ(Q.LC)), ring.one
-    return P, Q
+    return (-P, -Q) if _lead_is_negative(P) else (P, Q)
 
 
 def canonicalize_element(K, a):
-    """Canonical form of the element a of the field K, as an expression
-    (see :func:`_canonical_polys`); equal elements of any two fields give
-    the same expression."""
+    """Canonical form of the element a of the field K, as an expression:
+    P / Q for the pair of :func:`_canonical_polys`, which sympy evaluates
+    to a sum over rational coefficients when Q is a constant.  Equal
+    elements of any two fields give the same expression."""
     if not a:
         return sp.Integer(0)
     if K is QQ:
         return QQ.to_sympy(a)
-    return _canonical_quotient(a, lambda poly: poly.as_expr())
-
-
-def _canonical_quotient(a, to_expr):
-    """The canonical form of the nonzero element a of a function field as
-    an expression, each canonical polynomial turned into one by to_expr."""
     P, Q = _canonical_polys(a)
-    return to_expr(P) if Q.is_ground else to_expr(P) / to_expr(Q)
+    return P.as_expr() if Q.is_one else P.as_expr() / Q.as_expr()
 
 
 def _substitute(poly, substitution, ring=None):
@@ -499,7 +489,9 @@ def solve_elements(K, elements, unknowns) -> list:
     Equations free of the unknowns are ignored; when no other equation
     is left the result is ``[]``.  The unknowns are eliminated in the
     caller's order, so an underdetermined system is solved for its first
-    unknowns in terms of the rest.  An empty result means no rational
+    unknowns in terms of the rest; each is solved from an equation
+    linear in it whose coefficient of it has the fewest terms
+    (``_pivot``).  An empty result means no rational
     branch was found, which is weaker than "no solution exists".  Raises
     InconsistentSystemError when an equation is a nonzero constant, and
     IrrationalSolutionError when the only branches found need an
@@ -546,14 +538,12 @@ def _eliminate(polys, open_, steps, irrational):
     the open generators.  Records in irrational the generators whose
     univariate equation had no rational root."""
     while polys:
-        pivot = next(
-            ((i, p) for i in open_ for p in polys if p.degree(i) == 1), None
-        )
+        pivot = _pivot(polys, open_)
         if pivot is None:
             yield from _split(polys, open_, steps, irrational)
             return
-        i, p = pivot
-        g, a, b = _cofactors(p.coeff_wrt(i, 1), -p.coeff_wrt(i, 0))
+        i, p, lead = pivot
+        g, a, b = _cofactors(lead, -p.coeff_wrt(i, 0))
         if _mentions(g, open_):
             # p = g * (a/g * u - b/g) also vanishes where g does, for any u
             others = [q for q in polys if q is not p]
@@ -579,6 +569,21 @@ def _eliminate(polys, open_, steps, irrational):
             remaining.append(q)
         polys = remaining
     yield steps
+
+
+def _pivot(polys, open_):
+    """The first open generator, in the caller's order, in which some of
+    the equations polys are linear, the equation p to solve it from and
+    p's coefficient of it: among those equations the one whose
+    coefficient has the fewest terms, then the one with the fewest terms,
+    then the first.  None when no equation is linear in an open
+    generator."""
+    for i in open_:
+        linear = [(p, p.coeff_wrt(i, 1)) for p in polys if p.degree(i) == 1]
+        if linear:
+            p, lead = min(linear, key=lambda pair: (len(pair[1]), len(pair[0])))
+            return i, p, lead
+    return None
 
 
 def _split(polys, open_, steps, irrational):
@@ -1311,23 +1316,88 @@ def _primitive(field, common, polys):
     return cleared, factor
 
 
-def _unevaluated_sum(poly):
-    """The polynomial poly as a sympy expression: the sum of its terms
-    coeff * gen**e * ..., left unevaluated."""
-    to_sympy, symbols = poly.ring.domain.to_sympy, poly.ring.symbols
-    terms = [sp.Mul(to_sympy(coeff), *[sp.Pow(g, e) for g, e in zip(symbols, monom) if e])
-             for monom, coeff in poly.iterterms()]
-    return terms[0] if len(terms) == 1 else sp.Add(*terms, evaluate=False)
+def _infix_factors(monom, names, order) -> list:
+    """The factors x or x^e of the monomial monom, in name order."""
+    return [names[i] if monom[i] == 1 else "%s^%d" % (names[i], monom[i])
+            for i in order if monom[i]]
+
+
+def _infix_product(p, q, numerator, denominator) -> str:
+    """The product p/q * prod numerator / prod denominator, for integers
+    p and q > 0 without a common factor and factor strings, as sympy's
+    ``str`` prints it: the sign in front, a coefficient 1 left out, and
+    the denominator in parentheses when it has more than one factor."""
+    numerator = ([str(abs(p))] if abs(p) != 1 else []) + numerator
+    denominator = ([str(q)] if q != 1 else []) + denominator
+    text = ("-" if p < 0 else "") + ("*".join(numerator) or "1")
+    if len(denominator) > 1:
+        return "%s/(%s)" % (text, "*".join(denominator))
+    return "%s/%s" % (text, denominator[0]) if denominator else text
+
+
+def _infix_sum(poly, divisor, names, order) -> str:
+    """The nonzero integer polynomial poly divided by the nonzero integer
+    divisor, term by term, as sympy's ``str`` prints the sum: terms in
+    descending lexicographic order of their exponents over the generators
+    in name order, except that a positive constant goes before a single
+    other term c*x^e with c < 0."""
+    terms = sorted(poly.iterterms(), key=lambda term: [term[0][i] for i in order],
+                   reverse=True)
+    if (len(terms) == 2 and not any(terms[1][0]) and terms[1][1] * divisor > 0
+            and terms[0][1] * divisor < 0 and sum(map(bool, terms[0][0])) == 1):
+        terms.reverse()
+    text = ""
+    for monom, c in terms:
+        g = math.gcd(c, divisor) if divisor > 0 else -math.gcd(c, divisor)
+        term = _infix_product(c // g, divisor // g, _infix_factors(monom, names, order), [])
+        if text:
+            text += " - " + term[1:] if term[0] == "-" else " + " + term
+        else:
+            text = term
+    return text
+
+
+def _infix_part(poly, names, order) -> tuple:
+    """The factor strings and the integer coefficient of the numerator or
+    the denominator poly of a quotient: a sum is one parenthesized factor
+    with coefficient 1, a monomial its factors and its coefficient."""
+    if len(poly) > 1:
+        return ["(%s)" % _infix_sum(poly, 1, names, order)], 1
+    (monom, c), = poly.iterterms()
+    return _infix_factors(monom, names, order), c
 
 
 def to_infix(a) -> str:
-    """Canonical infix string of the field element a in the model grammar
-    (powers written with ^): the string of :func:`canonicalize_element`.
+    """Canonical infix string of the field element a in the model grammar:
+    the string that sympy's ``str`` prints for :func:`canonicalize_element`,
+    with powers written x^e, printed from the canonical polynomials
+    P / Q without building an expression.
 
-    The expression is built from the terms of the canonical polynomials
-    and its sums are left unevaluated; sympy's printer orders the terms
-    itself, so the string is the same, and no sympy sum is evaluated.
+    - A sum lists its terms in descending lexicographic order of their
+      exponents over the generators in name order, except that a
+      positive constant goes before a single other term c*x^e with
+      c < 0 (``1 - x``).  A product lists its factors in name order.
+    - Over a constant denominator each term is p*m/q in lowest terms
+      (``x/2``, ``3*x/2``, ``1/3``).
+    - A sum that is a factor is parenthesized.  A monomial denominator is
+      parenthesized only when it has a coefficient other than ±1 or more
+      than one factor, and a negative one moves its sign to the front
+      (``-(x + 1)/(2*y)``).
+    - 1 over a single power x^e with e > 1 prints as ``x^(-e)``; ``1/x``,
+      ``-1/x^2`` and ``2/x^2`` print as written.
     """
     if not a:
         return "0"
-    return sp.sstr(_canonical_quotient(a, _unevaluated_sum)).replace("**", "^")
+    P, Q = _canonical_polys(a)
+    symbols = P.ring.symbols
+    names, order = [s.name for s in symbols], _name_order(symbols)
+    if Q.is_ground:
+        return _infix_sum(P, Q.LC, names, order)
+    numerator, c = _infix_part(P, names, order)
+    denominator, d = _infix_part(Q, names, order)
+    if c == d == 1 and not numerator and len(denominator) == 1:
+        # 1/x^e with e > 1 is a power, not a product, and prints its exponent
+        name, power, e = denominator[0].partition("^")
+        if power and len(Q) == 1:
+            return "%s^(-%s)" % (name, e)
+    return _infix_product(c if d > 0 else -c, abs(d), numerator, denominator)

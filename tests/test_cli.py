@@ -443,6 +443,37 @@ class TestNoSympyCalls:
         assert "symbolic: PASS" in out
 
 
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+ANALYZED_FLAT = sorted(
+    path.stem.partition("-")[2] for path in GOLDEN_DIR.glob("analyze-*.txt")
+    if path.read_text(encoding="utf-8").startswith("exit 0\n"))
+
+
+class TestNoSympyPrinter:
+    """analyze prints its document and its table without sympy's printer:
+    with the printer's sums, products and powers refused, every bundled
+    model that analyze calls flat still writes its golden bytes.  Only
+    analyze is checked, since the numeric replay of extract and verify
+    lambdifies expressions, and lambdify's docstring prints them."""
+
+    @pytest.mark.parametrize("model", ANALYZED_FLAT)
+    def test_analyze_json_without_printer(self, model, capsys, models_dir, monkeypatch,
+                                          tmp_path):
+        from sympy.printing.str import StrPrinter
+
+        for name in ("_print_Add", "_print_Mul", "_print_Pow"):
+            def refuse(self, expr, *args, name=name, **kwargs):
+                raise AssertionError("StrPrinter.%s printed %s" % (name, expr.func))
+
+            monkeypatch.setattr(StrPrinter, name, refuse)
+        doc = tmp_path / "doc.json"
+        code, out, _ = run(capsys, "analyze", model_path(models_dir, model), "--json", str(doc))
+        golden = (GOLDEN_DIR / ("analyze-%s.txt" % model)).read_text(encoding="utf-8")
+        assert code == 0
+        assert out == golden.partition("--- stdout\n")[2].partition("--- stderr\n")[0]
+        assert doc.read_bytes() == (GOLDEN_DIR / ("analyze-%s.json" % model)).read_bytes()
+
+
 class TestExpressionBoundary:
     """No expression enters the field-element kernel on the command line
     for a model file: the parser builds the update map and the candidate

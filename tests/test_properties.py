@@ -403,12 +403,12 @@ def _printer_polynomial(rng, ring, shape):
 
 
 class TestPrinterOracle:
-    """to_infix builds its expression from polynomial terms without
-    evaluating a sympy sum; it prints what the evaluated canonical form
-    of the element prints.  Every pair of numerator and denominator
-    shapes is drawn, the numerator negated in every other round, over
-    generators in the caller's order whose names sort differently as
-    strings and as numbers (x10, x2)."""
+    """to_infix prints from the canonical polynomials without sympy's
+    printer; it prints what sympy's ``str`` prints for the evaluated
+    canonical form of the element.  Every pair of numerator and
+    denominator shapes is drawn, the numerator negated in every other
+    round, over generators in the caller's order whose names sort
+    differently as strings and as numbers (x10, x2)."""
 
     SHAPES = ("constant", "monomial", "sum")
 
@@ -423,6 +423,89 @@ class TestPrinterOracle:
         if seed // 9 % 2:
             num = -num
         den, den_scale = _printer_polynomial(rng, ring, den_shape)
+        a = K.field.new(num * den_scale, den * num_scale)
+        expected = sp.sstr(symbolic.canonicalize_element(K, a)).replace("**", "^")
+        assert symbolic.to_infix(a) == expected
+
+    # (numerator, denominator, string) over the generators of GENERATORS,
+    # one case per print rule of sympy's str that to_infix keeps
+    GENERATORS = ("x2", "x10", "theta_3", "theta_1", "x1")
+    RULES = [
+        # terms in descending lexicographic order of their exponents over
+        # the generators sorted by name, factors in name order
+        ("x2 + x10", "1", "x10 + x2"),
+        ("x1 + x1^2*x2 + x2^3 + 1", "1", "x1^2*x2 + x1 + x2^3 + 1"),
+        ("x2*theta_1*x10", "1", "theta_1*x10*x2"),
+        # over a constant denominator each term is p*m/q in lowest terms
+        ("x1", "2", "x1/2"),
+        ("3*x1", "2", "3*x1/2"),
+        ("1", "3", "1/3"),
+        ("-3*x1^2 + 2*x2 - 1", "6", "-x1^2/2 + x2/3 - 1/6"),
+        # a positive constant goes before one negative term in one generator
+        ("1 - x1", "1", "1 - x1"),
+        ("1 - x10", "2", "1/2 - x10/2"),
+        ("4 - 3*x1^2", "2", "2 - 3*x1^2/2"),
+        ("1 - x1*x2", "1", "-x1*x2 + 1"),
+        ("x1 - 1", "1", "x1 - 1"),
+        ("x1", "1 - x2", "x1/(1 - x2)"),
+        # a negative monomial denominator moves its sign to the front
+        ("theta_3 + 1", "-theta_1", "-(theta_3 + 1)/theta_1"),
+        ("x1 + 1", "-2*x2", "-(x1 + 1)/(2*x2)"),
+        ("3*x1^2", "-2*x2^3*theta_1", "-3*x1^2/(2*theta_1*x2^3)"),
+        # a monomial denominator is parenthesized only with a coefficient
+        # other than ±1 or more than one factor
+        ("x1 + 1", "x2", "(x1 + 1)/x2"),
+        ("x1 + 1", "x2^2", "(x1 + 1)/x2^2"),
+        ("x1 + 1", "2*x2", "(x1 + 1)/(2*x2)"),
+        ("x1 + 1", "x2*x10", "(x1 + 1)/(x10*x2)"),
+        ("1", "x1*x2", "1/(x1*x2)"),
+        ("1", "2*x1", "1/(2*x1)"),
+        # 1 over a single power x^e with e > 1 is a power
+        ("1", "x1^2", "x1^(-2)"),
+        ("1", "x1", "1/x1"),
+        ("-1", "x1^2", "-1/x1^2"),
+        ("2", "x1^2", "2/x1^2"),
+        # a sum denominator is parenthesized, whatever its sign
+        ("x1*x2", "x1 + 1", "x1*x2/(x1 + 1)"),
+        ("x1", "-x2 - 1", "x1/(-x2 - 1)"),
+        ("2", "x2 + 1", "2/(x2 + 1)"),
+        ("x1 + 1", "x2 + 1", "(x1 + 1)/(x2 + 1)"),
+    ]
+
+    @pytest.mark.parametrize("numerator, denominator, expected", RULES)
+    def test_print_rule(self, numerator, denominator, expected):
+        gens = tuple(sp.Symbol(name) for name in self.GENERATORS)
+        K, (a,) = symbolic.to_elements(
+            [sp.sympify(numerator.replace("^", "**")) / sp.sympify(denominator.replace("^", "**"))],
+            gens)
+        assert symbolic.to_infix(a) == expected
+        assert sp.sstr(symbolic.canonicalize_element(K, a)).replace("**", "^") == expected
+
+    # names of the kinds the program makes: parameters, shifted outputs,
+    # new coordinates and reduced inputs
+    PROGRAM_NAMES = PRINTER_NAMES + ("theta_10", "theta_2", "y1_p10", "y1_p2", "zhat1_1",
+                                     "uhat_1", "u1")
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_program_names_and_long_sums(self, seed):
+        """Numerators and denominators of one to eight terms of degree at
+        most 4, with rational coefficients, over the program's names."""
+        rng = random.Random(seed + 7100)
+        names = rng.sample(self.PROGRAM_NAMES, rng.randint(1, 6))
+        K = symbolic.function_field(tuple(sp.Symbol(name) for name in names))
+        ring = K.field.ring
+        parts = []
+        for _ in range(2):
+            coeffs = {}
+            for _ in range(rng.randint(1, 8)):
+                monom = [0] * len(names)
+                for _ in range(rng.randint(0, 4)):
+                    monom[rng.randrange(len(names))] += 1
+                coeffs[tuple(monom)] = coeffs.get(tuple(monom), 0) + rng.choice(PRINTER_COEFFS)
+            coeffs = {m: c for m, c in coeffs.items() if c} or {(0,) * len(names): Fraction(1)}
+            scale = math.lcm(*(c.denominator for c in coeffs.values()))
+            parts.append((ring({m: int(c * scale) for m, c in coeffs.items()}), scale))
+        (num, num_scale), (den, den_scale) = parts
         a = K.field.new(num * den_scale, den * num_scale)
         expected = sp.sstr(symbolic.canonicalize_element(K, a)).replace("**", "^")
         assert symbolic.to_infix(a) == expected
