@@ -19,64 +19,16 @@ import gc
 _collecting = gc.isenabled()
 gc.disable()
 try:
-    from .analysis import FlatnessReport, SequenceStep, classify, run_algorithm1
-    from .construction import (
-        DecompositionTrace,
-        FlatOutput,
-        ImplicitTriangularForm,
-        StateTransformation,
-        TriangularBlock,
-        extract_flat_output,
-        parametrize_from_triangular,
-        polynomial_invariants,
-        straighten_distribution_chain,
-        to_implicit_triangular,
-    )
-    from .document import VERSION, AnalysisDocument, new_document, render_json
-    from .errors import (
-        ChartError,
-        ConstantDimensionError,
-        FlatcheckError,
-        ImplicitSolveError,
-        InconsistentSystemError,
-        IrrationalSolutionError,
-        ModelSemanticsError,
-        ModelSyntaxError,
-        NotProjectableError,
-        RedundantInputsError,
-        SimulationError,
-        StraighteningError,
-        UnsupportedEquationError,
-        ValidationError,
-    )
-    from .geometry import (
-        Chart,
-        Distribution,
-        VectorField,
-        build_adapted_chart,
-        largest_projectable_subdistribution,
-        lift_distribution,
-        make_distribution,
-        pushforward_distribution,
-    )
-    from .model import (
-        DiscreteTimeSystem,
-        InputReduction,
-        ValidationReport,
-        eliminate_redundant_inputs,
-        validate_system,
-    )
-    from .modelfile import load_model, parse_expression, parse_model
-    from .verification import (
-        FlatParametrization,
-        NumericVerification,
-        SymbolicVerification,
-        Trajectory,
-        check_parametrization,
-        shift_function,
-        simulate,
-        verify_flat_output_numeric,
-        verify_flat_output_symbolic,
+    from . import (
+        analysis,
+        construction,
+        document,
+        errors,
+        geometry,
+        model,
+        modelfile,
+        symbolic,
+        verification,
     )
     gc.freeze()
 finally:
@@ -84,65 +36,4 @@ finally:
         gc.enable()
     del _collecting
 
-__version__ = VERSION
-
-__all__ = [
-    "AnalysisDocument",
-    "Chart",
-    "ChartError",
-    "ConstantDimensionError",
-    "DecompositionTrace",
-    "DiscreteTimeSystem",
-    "Distribution",
-    "FlatOutput",
-    "FlatParametrization",
-    "FlatcheckError",
-    "FlatnessReport",
-    "ImplicitSolveError",
-    "ImplicitTriangularForm",
-    "InconsistentSystemError",
-    "InputReduction",
-    "IrrationalSolutionError",
-    "ModelSemanticsError",
-    "ModelSyntaxError",
-    "NotProjectableError",
-    "NumericVerification",
-    "RedundantInputsError",
-    "SequenceStep",
-    "SimulationError",
-    "StateTransformation",
-    "StraighteningError",
-    "SymbolicVerification",
-    "Trajectory",
-    "TriangularBlock",
-    "UnsupportedEquationError",
-    "ValidationError",
-    "ValidationReport",
-    "VectorField",
-    "VERSION",
-    "check_parametrization",
-    "classify",
-    "build_adapted_chart",
-    "eliminate_redundant_inputs",
-    "extract_flat_output",
-    "largest_projectable_subdistribution",
-    "lift_distribution",
-    "load_model",
-    "make_distribution",
-    "new_document",
-    "parametrize_from_triangular",
-    "parse_expression",
-    "parse_model",
-    "polynomial_invariants",
-    "pushforward_distribution",
-    "render_json",
-    "run_algorithm1",
-    "shift_function",
-    "simulate",
-    "straighten_distribution_chain",
-    "to_implicit_triangular",
-    "validate_system",
-    "verify_flat_output_numeric",
-    "verify_flat_output_symbolic",
-    "__version__",
-]
+__version__ = document.VERSION

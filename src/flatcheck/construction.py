@@ -39,23 +39,6 @@ from .errors import (
     StraighteningError,
 )
 
-__all__ = [
-    "polynomial_invariants",
-    "restate_distribution",
-    "StateTransformation",
-    "straighten_distribution_chain",
-    "DecompositionState",
-    "DecompositionStep",
-    "decompose_step",
-    "FlatOutput",
-    "DecompositionTrace",
-    "extract_flat_output",
-    "TriangularBlock",
-    "ImplicitTriangularForm",
-    "to_implicit_triangular",
-    "parametrize_from_triangular",
-]
-
 
 def restate_distribution(dist: geometry.Distribution, system) -> geometry.Distribution:
     """Re-read the basis of a distribution over the successor-state symbols
@@ -276,19 +259,6 @@ def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for
             for row in _rows(dist)]
 
 
-@dataclass(frozen=True)
-class DecompositionStep:
-    """Record of one peeling step: the number mu of redundant fibre
-    directions, the symbols y split off with them and the symbols zhat
-    of the straightening.  The trace's z_values hold what they stand
-    for."""
-
-    k: int
-    mu: int
-    y_symbols: tuple
-    zhat_symbols: tuple
-
-
 @dataclass
 class DecompositionState:
     """Mutable bookkeeping threaded through the peeling steps.
@@ -297,7 +267,9 @@ class DecompositionState:
     QQ(x, u), inverse_current maps x and u to elements of coordinates =
     QQ(current coordinates).  dynamics holds st.forward[s] composed with
     f per block symbol s, stands_for the values of the chart symbols
-    (theta = f, xi = xi_choice), both in base."""
+    (theta = f, xi = xi_choice), both in base.  y_blocks and zhat_blocks
+    collect the symbols of the steps done so far, y_blocks[k - 1] and
+    zhat_blocks[k] those of step k."""
 
     system: object
     report: object
@@ -312,7 +284,8 @@ class DecompositionState:
     forward_all: dict = field(default_factory=dict)
     inverse_current: dict = field(default_factory=dict)
     point_cur: dict = field(default_factory=dict)
-    steps: list = field(default_factory=list)
+    y_blocks: list = field(default_factory=list)
+    zhat_blocks: list = field(default_factory=list)
 
     def remaining_states(self, k) -> list:
         """State symbols of the blocks above level k."""
@@ -385,12 +358,14 @@ def _split_fibre(state: DecompositionState, k, rows, remaining, fibre, count, na
     return split, verticals
 
 
-def decompose_step(k, state: DecompositionState, basis) -> tuple:
+def decompose_step(k, state: DecompositionState, basis):
     """Run peeling step k: split off the redundant fibre directions and
     straighten the projectable distribution of the step.
 
     basis is the projectable distribution of step k over the base
-    variables.  Returns the updated state and the step record."""
+    variables.  Appends the symbols y split off with the redundant
+    directions (from step 1 on) and the symbols zhat of the
+    straightening to the state's blocks."""
     report = state.report
     kbar = report.kbar
     rho_next = report.steps[k + 1].rho
@@ -509,11 +484,10 @@ def decompose_step(k, state: DecompositionState, basis) -> tuple:
         raise FlatcheckError(
             "block %d dynamics are singular at the equilibrium" % (k + 1)
         )
-    record = DecompositionStep(k=k, mu=mu, y_symbols=tuple(y_syms),
-                               zhat_symbols=tuple(zhat_syms))
     state.eta = list(eta_syms)
-    state.steps.append(record)
-    return state, record
+    if k:
+        state.y_blocks.append(tuple(y_syms))
+    state.zhat_blocks.append(tuple(zhat_syms))
 
 
 @dataclass(frozen=True)
@@ -544,7 +518,6 @@ class DecompositionTrace:
 
     system: object
     transformation: StateTransformation
-    steps: tuple
     z_symbols: tuple
     z_values: dict
     z_inverse: dict
@@ -597,7 +570,7 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
         inverse_current=inverse_current, point_cur=point_cur,
     )
     for k in range(kbar):
-        state, _ = decompose_step(k, state, report.steps[k].D)
+        decompose_step(k, state, report.steps[k].D)
 
     top_sources = list(st.blocks[kbar - 1]) + list(state.eta)
     top_syms = [symbolic.symbol("y%d_%d" % (kbar, i + 1)) for i in range(len(top_sources))]
@@ -605,13 +578,8 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
         forward_all[sym] = forward_all[src]
         point_cur[sym] = point_cur[src]
 
-    y_blocks = [()] * kbar
-    zhat_blocks = [()] * kbar
-    for rec in state.steps:
-        zhat_blocks[rec.k] = rec.zhat_symbols
-        if rec.k >= 1:
-            y_blocks[rec.k - 1] = rec.y_symbols
-    y_blocks[kbar - 1] = tuple(top_syms)
+    y_blocks = state.y_blocks + [tuple(top_syms)]
+    zhat_blocks = state.zhat_blocks
 
     z_symbols, y_level_symbols = list(top_syms), list(top_syms)
     for k in range(kbar - 1, 0, -1):
@@ -647,7 +615,6 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
     trace = DecompositionTrace(
         system=system,
         transformation=st,
-        steps=tuple(state.steps),
         z_symbols=tuple(z_symbols),
         z_values=z_values,
         z_inverse=z_inverse,

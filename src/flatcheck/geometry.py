@@ -15,11 +15,11 @@ base variables (x, u) the chart's wide field QQ(x, u, theta, xi), in
 chart coordinates the narrow field QQ(theta, xi), over the shifted state
 symbols x<i>_p1 of the image space QQ(x_p1, ...).  Lift and pushforward
 rename generators between the spaces, and the chart renames the model's
-update elements, so the sequence builds no sympy expression; only
-make_distribution reads expressions.  The chart-coordinate half of the
-largest projectable subdistribution, where nearly all gcds are taken,
-runs in the narrow field; its coefficients are renamed into the wide
-field to recombine the base rows.  Every entry that is kept takes one
+update elements, so the sequence builds and reads no sympy expression.
+The chart-coordinate half of the largest projectable subdistribution,
+where nearly all gcds are taken, runs in the narrow field; its
+coefficients are renamed into the wide field to recombine the base
+rows.  Every entry that is kept takes one
 gcd: a recombination sums its products over one common denominator, or
 takes one gcd chain per row where only the cleared row is read
 (clear_fraction_row); an entry of an echelon form, of a residual (the
@@ -119,20 +119,16 @@ class Distribution:
 def make_distribution(coords, rows) -> Distribution:
     """Build a distribution from component rows, dropping dependent ones.
 
-    Rows of field elements stay in their field; rows of sympy expressions
-    are read over QQ(coords).  Rows are reduced to echelon form and
-    cleared to primitive polynomial vectors, which makes the stored basis
-    canonical for the span.
+    The rows hold elements of one function field (symbolic.to_elements
+    reads expressions) and stay in it.  They are reduced to echelon form
+    and cleared to primitive polynomial vectors, which makes the stored
+    basis canonical for the span.
     """
     coords = tuple(coords)
     rows = [list(r) for r in rows]
     if not rows:
         return Distribution(coords=coords, fields=())
-    if symbolic.is_element(rows[0][0]):
-        K = symbolic.field_of(a for row in rows for a in row)
-    else:
-        K, elements = symbolic.to_elements([e for r in rows for e in r], coords)
-        rows = [elements[i:i + len(coords)] for i in range(0, len(elements), len(coords))]
+    K = symbolic.field_of(a for row in rows for a in row)
     rref, pivots = symbolic.element_rref(K, [r for r in rows if any(r)], len(coords))
     basis = [
         VectorField(coords, tuple(symbolic.clear_element_row(K, row)[0]))

@@ -107,7 +107,6 @@ import operator
 import sympy as sp
 from sympy import QQ, ZZ
 from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.fields import FracElement
 from sympy.polys.polyerrors import CoercionFailed, GeneratorsError
 
 from .errors import (
@@ -133,11 +132,6 @@ def function_field(gens: tuple):
     fractions of integer polynomials (``ZZ.frac_field``); QQ itself when
     gens is empty."""
     return ZZ.frac_field(*gens) if gens else QQ
-
-
-def is_element(a) -> bool:
-    """Whether a is an element of a function field."""
-    return isinstance(a, FracElement)
 
 
 def field_of(elements):

@@ -26,20 +26,6 @@ import sympy as sp
 from . import symbolic
 from .errors import FlatcheckError, SimulationError
 
-__all__ = [
-    "jet_symbol",
-    "parse_jet_symbol",
-    "shift_function",
-    "FlatParametrization",
-    "Trajectory",
-    "SymbolicVerification",
-    "NumericTrial",
-    "NumericVerification",
-    "verify_flat_output_symbolic",
-    "verify_flat_output_numeric",
-    "simulate",
-]
-
 _JET_PATTERN = re.compile(r"^y(\d+)(?:_p(\d+))?$")
 
 
@@ -175,9 +161,6 @@ class NumericVerification:
     status: str
     trials: int
     horizon: int
-    tol: float
-    seed: int
-    box: float
     max_residual: float
     trial_records: tuple
 
@@ -416,8 +399,10 @@ def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
 def _compile(variables, exprs):
     """One float function of the variables that returns the list of the
     expressions' values.  Each expression is printed as lambdify prints it
-    on its own, so the values are those of one function per expression."""
-    return sp.lambdify(variables, list(exprs), modules="math")
+    on its own, so the values are those of one function per expression.
+    Its docstring leaves the expressions out, which it would otherwise
+    print a second time."""
+    return sp.lambdify(variables, list(exprs), modules="math", docstring_limit=0)
 
 
 def _update_function(system):
@@ -517,9 +502,6 @@ def verify_flat_output_numeric(
         status=status,
         trials=trials,
         horizon=horizon,
-        tol=tol,
-        seed=seed,
-        box=box,
         max_residual=worst,
         trial_records=tuple(records),
     )

@@ -4,10 +4,14 @@ Algorithm 1 never calls these: it assumes involutivity where the paper
 proves it, and it tests projectability only on fields already in chart
 coordinates.  The tests use them as independent checks of those claims:
 the Lie bracket, involutivity, span membership and projectability of a
-field over the base variables, each from its definition.
+field over the base variables, each from its definition.  The
+controllability of the linearization is a necessary condition for a
+FLAT verdict that does not use flatcheck's kernel at all.
 """
 
 import itertools
+
+import sympy as sp
 
 from flatcheck import geometry, symbolic
 
@@ -79,3 +83,15 @@ def contains_distribution(outer: geometry.Distribution, inner: geometry.Distribu
     if inner.coords != outer.coords:
         raise ValueError("distribution over foreign coordinates")
     return all(contains_field(outer, f) for f in inner.fields)
+
+
+def linearization_is_controllable(system) -> bool:
+    """Whether the linearization (A, B) of x+ = f(x, u) at the equilibrium
+    has Kalman rank n, computed with sympy matrices from system.update."""
+    f = sp.Matrix(system.update)
+    point = system.equilibrium_point()
+    A = f.jacobian(system.states).subs(point)
+    blocks = [f.jacobian(system.inputs).subs(point)]
+    for _ in range(system.n - 1):
+        blocks.append(A * blocks[-1])
+    return sp.Matrix.hstack(*blocks).rank() == system.n

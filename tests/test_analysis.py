@@ -6,6 +6,8 @@ from sympy.polys.rings import PolyElement
 from flatcheck import analysis
 from flatcheck.errors import ConstantDimensionError, RedundantInputsError
 
+import geometry_oracles
+
 FLAGSHIP_TRACE = [
     # k, dim_delta, dim_E, dim_D, rho, mu
     (0, 0, 2, 1, 0, 0),
@@ -21,6 +23,7 @@ class TestFlagship:
         assert flat4_report.flat
         assert flat4_report.kbar == 3
         assert flat4_report.sfl is False
+        assert geometry_oracles.linearization_is_controllable(flat4_report.system)
 
     def test_every_fraction_is_reduced_by_the_kernel(self, flat4, monkeypatch):
         """No sympy ``cancel`` runs: element arithmetic, ``.diff`` and
@@ -68,6 +71,7 @@ class TestStaticFeedbackLinearizable:
         assert report.verdict == "FLAT"
         assert report.sfl is True
         assert report.kbar == kbar
+        assert geometry_oracles.linearization_is_controllable(report.system)
         for step in report.steps:
             assert step.dim_D == step.dim_E
 
@@ -76,6 +80,7 @@ class TestStaticFeedbackLinearizable:
         assert report.verdict == "FLAT"
         assert report.kbar == 1
         assert report.sfl is True
+        assert geometry_oracles.linearization_is_controllable(shift1)
 
 
 class TestNegativeAndInvalid:
@@ -101,3 +106,4 @@ class TestNegativeAndInvalid:
         report = analysis.run_algorithm1(quad_chain)
         assert report.verdict == "FLAT"
         assert report.kbar == 2
+        assert geometry_oracles.linearization_is_controllable(quad_chain)

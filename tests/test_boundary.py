@@ -72,7 +72,7 @@ def test_kernel_polys_imports():
     Row reduction is its own, so sympy.polys.matrices is not among them."""
     modules, _ = _sympy_aliases(_tree("symbolic"))
     assert {m for m in modules if "sympy.polys" in m} == {
-        "from sympy.polys.euclidtools", "from sympy.polys.fields", "from sympy.polys.polyerrors"}
+        "from sympy.polys.euclidtools", "from sympy.polys.polyerrors"}
 
 
 @pytest.mark.parametrize("name", MODULES)

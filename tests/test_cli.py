@@ -11,6 +11,8 @@ import sympy
 
 from flatcheck import cli, symbolic
 
+import geometry_oracles
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -175,11 +177,12 @@ class TestExtract:
         assert "verdict: FLAT" in out
         assert "ansatz degree 1" in err
 
-    def test_redundant_inputs_reduced_and_extended(self, capsys, models_dir):
+    def test_redundant_inputs_reduced_and_extended(self, capsys, models_dir, redundant_input):
         code, out, _ = run(
             capsys, "extract", model_path(models_dir, "redundant_input")
         )
         assert code == 0
+        assert geometry_oracles.linearization_is_controllable(redundant_input)
         assert "removed coordinates (u2)" in out
         assert "y1 = x1" in out
         assert "y2 = u2" in out
@@ -454,7 +457,8 @@ class TestNoSympyPrinter:
     with the printer's sums, products and powers refused, every bundled
     model that analyze calls flat still writes its golden bytes.  Only
     analyze is checked, since the numeric replay of extract and verify
-    lambdifies expressions, and lambdify's docstring prints them."""
+    lambdifies expressions, and lambdify's code printer inherits
+    StrPrinter._print_Add to print them."""
 
     @pytest.mark.parametrize("model", ANALYZED_FLAT)
     def test_analyze_json_without_printer(self, model, capsys, models_dir, monkeypatch,

@@ -2,6 +2,8 @@
 and the trajectory parametrization, pinned against hand-derived values
 for the corpus systems."""
 
+import dataclasses
+
 import pytest
 import sympy as sp
 
@@ -208,10 +210,15 @@ class TestExtractFlatOutput:
         trace = flat4_artifacts[1]
         assert len(trace.z_symbols) == flat4.n + flat4.m
 
-    def test_redundancy_defects_match_report(self, flat4_report, flat4_artifacts):
-        trace = flat4_artifacts[1]
-        for record in trace.steps:
-            assert record.mu == flat4_report.steps[record.k].mu
+    def test_redundancy_mismatch_is_refused(self, flat4, flat4_report):
+        """The peeling counts the redundant directions of each step itself
+        and refuses a report whose mu disagrees."""
+        steps = list(flat4_report.steps)
+        steps[1] = dataclasses.replace(steps[1], mu=steps[1].mu + 1)
+        report = dataclasses.replace(flat4_report, steps=tuple(steps))
+        with pytest.raises(FlatcheckError, match="redundancy mismatch at step 1: "
+                           "decomposition found 0, analysis reported 1"):
+            construction.extract_flat_output(flat4, report)
 
     def test_combined_transformation(self, flat4_artifacts):
         trace = flat4_artifacts[1]

@@ -21,6 +21,12 @@ def _field(coords, components):
     return geometry.VectorField(coords, tuple(symbolic.to_elements(components, coords)[1]))
 
 
+def _distribution(coords, rows):
+    """make_distribution of rows of sympy expressions, read over QQ(coords)."""
+    return geometry.make_distribution(
+        coords, [symbolic.to_elements(row, coords)[1] for row in rows])
+
+
 def _matrix(dist):
     """The basis of a distribution as a sympy matrix, one row per field."""
     return sp.Matrix([[c.as_expr() for c in f.components] for f in dist.fields])
@@ -29,18 +35,18 @@ def _matrix(dist):
 class TestDistribution:
     def test_dimension_counts_basis(self):
         coords = (x1, x2, x3)
-        d = geometry.make_distribution(coords, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        d = _distribution(coords, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
         assert d.dim == 2
 
     def test_zero_rows_dropped(self):
         coords = (x1, x2)
-        d = geometry.make_distribution(coords, [[0, 0]])
+        d = _distribution(coords, [[0, 0]])
         assert d.dim == 0
 
     def test_basis_is_canonical_under_mixing(self):
         coords = (x1, x2, x3)
         rows = [[1, x1, 0], [0, 1, x2]]
-        reference = geometry.make_distribution(coords, rows)
+        reference = _distribution(coords, rows)
         rng = random.Random(3)
         for _ in range(10):
             a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
@@ -50,14 +56,14 @@ class TestDistribution:
                 [a * r + b * s for r, s in zip(rows[0], rows[1])],
                 [c * r + d * s for r, s in zip(rows[0], rows[1])],
             ]
-            again = geometry.make_distribution(coords, mixed)
+            again = _distribution(coords, mixed)
             assert [f.components for f in again.fields] == [
                 f.components for f in reference.fields
             ]
 
     def test_contains_field(self):
         coords = (x1, x2, x3)
-        d = geometry.make_distribution(coords, [[1, 0, 0], [0, x1, 1]])
+        d = _distribution(coords, [[1, 0, 0], [0, x1, 1]])
         inside = _field(coords, (x2, x1, 1))
         outside = _field(coords, (0, 1, 0))
         assert geometry_oracles.contains_field(d, inside)
@@ -65,16 +71,16 @@ class TestDistribution:
 
     def test_containment_refuses_foreign_coordinates(self):
         x4 = sp.Symbol("x4")
-        d = geometry.make_distribution((x1, x2), [[1, 0]])
+        d = _distribution((x1, x2), [[1, 0]])
         stray = _field((x3, x4), (1, 0))
         with pytest.raises(ValueError):
             geometry_oracles.contains_field(d, stray)
         with pytest.raises(ValueError):
             geometry_oracles.contains_distribution(
-                d, geometry.make_distribution((x3, x4), [[1, 0]]))
+                d, _distribution((x3, x4), [[1, 0]]))
 
     def test_containment_refuses_a_foreign_function_field(self):
-        d = geometry.make_distribution((x1, x2), [[1, 0]])
+        d = _distribution((x1, x2), [[1, 0]])
         wider = geometry.VectorField((x1, x2), tuple(symbolic.to_elements([x1, 0], (x1, x2, x3))[1]))
         with pytest.raises(ValueError):
             geometry_oracles.contains_field(d, wider)
@@ -133,9 +139,9 @@ class TestLieBracket:
 
     def test_involutive_span(self):
         coords = (x1, x2, x3)
-        d = geometry.make_distribution(coords, [[1, 0, 0], [0, 1, x1]])
+        d = _distribution(coords, [[1, 0, 0], [0, 1, x1]])
         assert geometry_oracles.is_involutive(d) is False
-        e = geometry.make_distribution(coords, [[1, 0, 0], [0, 1, 0]])
+        e = _distribution(coords, [[1, 0, 0], [0, 1, 0]])
         assert geometry_oracles.is_involutive(e) is True
 
 

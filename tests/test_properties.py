@@ -277,6 +277,8 @@ class TestInvarianceUnderLinearStateChanges:
         assert [s.dim_D for s in new_report.steps] == [
             s.dim_D for s in report.steps
         ]
+        if new_report.flat:
+            assert geometry_oracles.linearization_is_controllable(transformed)
 
 
 class TestIntegratorExtensionPreservesFlatness:
@@ -286,6 +288,7 @@ class TestIntegratorExtensionPreservesFlatness:
         base = _random_flat_chain(rng)
         base_report = analysis.run_algorithm1(base)
         assert base_report.verdict == "FLAT"
+        assert geometry_oracles.linearization_is_controllable(base)
         w = sp.Symbol("w")
         v = sp.Symbol("v")
         u = base.inputs[0]
@@ -299,6 +302,7 @@ class TestIntegratorExtensionPreservesFlatness:
         )
         report = analysis.run_algorithm1(extended)
         assert report.verdict == "FLAT"
+        assert geometry_oracles.linearization_is_controllable(extended)
 
 
 class TestRedundantInputExtension:
@@ -327,6 +331,7 @@ class TestRedundantInputExtension:
 
         report = analysis.run_algorithm1(reduction.reduced)
         assert report.verdict == "FLAT"
+        assert geometry_oracles.linearization_is_controllable(redundant)
         flat_output, _ = construction.extract_flat_output(
             reduction.reduced, report
         )

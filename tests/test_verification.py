@@ -300,6 +300,12 @@ class TestReplayIsPinned:
         assert [[str(r.index), r.residual.hex(), r.replay_error.hex()]
                 for r in report.trial_records] == expected
 
+    def test_compiled_functions_print_no_expression(self, flat4):
+        """The replay's float functions carry no docstring that prints
+        the expressions they compute."""
+        fn = verification._update_function(flat4)
+        assert not [e for e in flat4.update if str(e) in fn.__doc__]
+
 
 class TestSimulate:
     def test_exact_step(self, flat4):
