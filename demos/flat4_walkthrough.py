@@ -27,7 +27,7 @@ def main():
     flat_output, trace = construction.extract_flat_output(system, report)
     print()
     print("flat output:")
-    for i, component in enumerate(flat_output.components, start=1):
+    for i, component in enumerate(flat_output, start=1):
         print("  y%d = %s" % (i, symbolic.to_infix(component)))
 
     form = construction.to_implicit_triangular(trace)
@@ -52,7 +52,7 @@ def main():
     print("symbolic check: %s" % ("PASS" if ok else "FAIL (%s)" % detail))
 
     numeric = verification.verify_flat_output_numeric(
-        system, p, trials=20, horizon=20, seed=0, candidate=flat_output.components
+        system, p, trials=20, horizon=20, seed=0, candidate=flat_output
     )
     print(
         "numeric check: %s (max residual %.3e over %d trials)"

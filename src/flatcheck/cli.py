@@ -79,8 +79,7 @@ def _print_reduction_note(reduction):
     )
 
 
-def _write_json(path, doc):
-    text = document.render_json(doc)
+def _write_json(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     print("wrote %s" % path, file=sys.stderr)
@@ -93,25 +92,22 @@ def cmd_analyze(args, timings) -> int:
     _print_reduction_note(reduction)
     print(analysis.classify(report))
     if args.json:
-        doc = document.new_document(system, report)
-        _write_json(args.json, doc)
+        _write_json(args.json, document.render_json(system, report))
     return EXIT_OK if report.flat else EXIT_NEGATIVE
 
 
-def _present_flat_output(flat_output, reduction):
-    """Name/element pairs of the output in the original variables."""
+def _present_flat_output(components, reduction):
+    """The output components in the original variables."""
     if reduction is None:
-        return list(zip(flat_output.names, flat_output.components))
+        return list(components)
     # each variable of the reduced system, then each extending component,
     # in QQ(x, u) of the kept update elements
     kept, states = reduction.kept_functions, reduction.reduced.states
     K = symbolic.field_of(kept)
     images = {**dict(zip(states, symbolic.generators(K, states))),
               **dict(zip(reduction.reduced.inputs, kept))}
-    comps = [symbolic.compose(c, images, K) for c in flat_output.components]
-    comps += symbolic.generators(K, reduction.removed_coordinates)
-    names = ["y%d" % (i + 1) for i in range(len(comps))]
-    return list(zip(names, comps))
+    comps = [symbolic.compose(c, images, K) for c in components]
+    return comps + symbolic.generators(K, reduction.removed_coordinates)
 
 
 def cmd_extract(args, timings) -> int:
@@ -123,8 +119,7 @@ def cmd_extract(args, timings) -> int:
     if not report.flat:
         print("no construction for a NOT_FLAT system")
         if args.json:
-            doc = document.new_document(system, report)
-            _write_json(args.json, doc)
+            _write_json(args.json, document.render_json(system, report))
         return EXIT_NEGATIVE
 
     with _stage(timings, "construct"):
@@ -136,8 +131,8 @@ def cmd_extract(args, timings) -> int:
 
     display = _present_flat_output(flat_output, reduction)
     print("flat output:")
-    for name, expr in display:
-        print("  %s = %s" % (name, symbolic.to_infix(expr)))
+    for i, expr in enumerate(display, start=1):
+        print("  y%d = %s" % (i, symbolic.to_infix(expr)))
     print("implicit triangular form:")
     for block in form.blocks:
         solved = ", ".join(str(s) for s in block.solved_for)
@@ -153,34 +148,21 @@ def cmd_extract(args, timings) -> int:
 
     with _stage(timings, "verify"):
         ok, detail = verification.check_parametrization(work, p)
-        sym_rep = verification.SymbolicVerification(
-            status="PASS" if ok else "FAIL",
-            bound=max(p.R),
-            capped=False,
-            detail=detail,
-        )
         num_rep = verification.verify_flat_output_numeric(
-            work, p, candidate=flat_output.components, **_numeric_options(args)
+            work, p, candidate=flat_output, **_numeric_options(args)
         )
-    print("verification: symbolic %s (%s)" % (sym_rep.status, sym_rep.detail))
+    sym_status = "PASS" if ok else "FAIL"
+    print("verification: symbolic %s (%s)" % (sym_status, detail))
     print(
         "verification: numeric %s (trials=%d, max residual %.3e)"
         % (num_rep.status, num_rep.trials, num_rep.max_residual)
     )
 
     if args.json:
-        doc = document.new_document(system, report)
-        doc.flat_output = construction.FlatOutput(
-            components=tuple(e for _, e in display),
-            q=flat_output.q,
-            names=tuple(n for n, _ in display),
-        )
-        doc.triangular = form
-        doc.parametrization = p
-        doc.symbolic_verification = sym_rep
-        doc.numeric_verification = num_rep
-        _write_json(args.json, doc)
-    if sym_rep.status != "PASS" or num_rep.status != "PASS":
+        _write_json(args.json, document.render_json(
+            system, report, flat_output=display, form=form, p=p,
+            symbolic_status=sym_status, numeric=num_rep))
+    if not ok or num_rep.status != "PASS":
         print("construction verification failed", file=sys.stderr)
         return EXIT_CONSTRUCTION
     return EXIT_OK
@@ -202,7 +184,7 @@ def cmd_verify(args, timings) -> int:
 
     with _stage(timings, "symbolic"):
         p, sym_rep = verification.verify_flat_output_symbolic(system, candidate)
-    capped = " (bound cap reached)" if sym_rep.capped else ""
+    capped = " (bound cap reached)" if sym_rep.status == "INCONCLUSIVE" else ""
     print(
         "symbolic: %s at shift bound %d%s; %s"
         % (sym_rep.status, sym_rep.bound, capped, sym_rep.detail)

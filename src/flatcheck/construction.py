@@ -8,8 +8,8 @@ produced is turned into explicit artifacts in four stages:
 2. peel the dynamics step by step: each step splits off redundant fibre
    directions and straightens the projectable distribution of that step,
    introducing fresh coordinates and carry-over functions,
-3. read the flat output and the implicit triangular equations off the
-   combined coordinate change,
+3. read the flat output, its components y1..ym in QQ(x, u), and the
+   implicit triangular equations off the combined coordinate change,
 4. solve the triangular blocks for a difference parametrization of the
    state and input trajectories.
 
@@ -491,19 +491,6 @@ def decompose_step(k, state: DecompositionState, basis):
 
 
 @dataclass(frozen=True)
-class FlatOutput:
-    """Flat output candidate in the original variables.
-
-    components are elements of QQ(x, u).  q is the highest forward input
-    shift entering the components (zero for outputs built from states and
-    inputs alone).  names hold the display names y1..ym."""
-
-    components: tuple
-    q: int
-    names: tuple
-
-
-@dataclass(frozen=True)
 class DecompositionTrace:
     """Complete record of the peeling run.
 
@@ -536,8 +523,9 @@ class DecompositionTrace:
 def extract_flat_output(system, report, max_degree=3) -> tuple:
     """Construct a flat output from a FLAT analysis report.
 
-    Returns the flat output together with the decomposition trace that
-    feeds the triangular form and the parametrization."""
+    Returns the flat output's components y1..ym, elements of QQ(x, u),
+    together with the decomposition trace that feeds the triangular form
+    and the parametrization."""
     if not report.flat:
         raise FlatcheckError(
             "flat output construction requires verdict FLAT, got %s" % report.verdict
@@ -610,8 +598,6 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
         raise FlatcheckError(
             "flat output has %d components for %d inputs" % (len(components), system.m)
         )
-    names = tuple("y%d" % (j + 1) for j in range(len(components)))
-    flat_output = FlatOutput(components=components, q=0, names=names)
     trace = DecompositionTrace(
         system=system,
         transformation=st,
@@ -625,7 +611,7 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
         y_level_symbols=tuple(y_level_symbols),
         dynamics=state.dynamics,
     )
-    return flat_output, trace
+    return components, trace
 
 
 @dataclass(frozen=True)
@@ -781,6 +767,5 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
 
     system = trace.system
     _, values = _composed([trace.z_inverse[v] for v in system.variables], param)
-    F_x, F_u = tuple(values[:system.n]), tuple(values[system.n:])
-    R = verification._shift_ranks(F_x, F_u, len(form.y_symbols))
-    return verification.FlatParametrization(F_x=F_x, F_u=F_u, R=R)
+    return verification.FlatParametrization(F_x=tuple(values[:system.n]),
+                                            F_u=tuple(values[system.n:]))

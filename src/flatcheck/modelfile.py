@@ -115,10 +115,8 @@ class _ExprParser:
         return tok
 
     def _end_column(self):
-        if self.tokens:
-            last = self.tokens[-1]
-            return last.column + len(last.text)
-        return 1
+        last = self.tokens[-1]
+        return last.column + len(last.text)
 
     def parse(self):
         e = self._expr()

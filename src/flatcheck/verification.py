@@ -8,7 +8,8 @@ candidate comes as elements, ``shift_function`` shifts it by composing
 with the update map, ``symbolic.solve_elements`` solves the stacked
 equations, and the branch through the equilibrium is picked with
 ``symbolic.branch_through``; the parametrization it returns holds
-elements of a field of output jets.  Numeric verification replays
+elements of a field of output jets, and its shift multi-index R is read
+off the jets they use, so it needs no check.  Numeric verification replays
 random output trajectories near the equilibrium through the
 parametrization and measures the dynamics residual.  A symbolic PASS
 is required for a certified result; the numeric check only ever adds
@@ -121,15 +122,24 @@ class FlatParametrization:
 
     F_x expresses the states through output shifts up to order R-1, F_u
     the inputs through shifts up to order R, as elements of a field of
-    output jets; R is the per-component multi-index of highest shifts."""
+    output jets, one component per input."""
 
     F_x: tuple
     F_u: tuple
-    R: tuple
 
-    @property
-    def m(self) -> int:
-        return len(self.R)
+    @functools.cached_property
+    def R(self) -> tuple:
+        """The per-component multi-index of highest shifts, read off the
+        jets the elements use: R_j is at least 1, every shift of y_j in
+        F_u, and one more than every shift of y_j in F_x."""
+        R = [1] * len(self.F_u)
+        for elements, extra in ((self.F_x, 1), (self.F_u, 0)):
+            for a in elements:
+                for sym in symbolic.used_symbols(a):
+                    j, s = parse_jet_symbol(sym)
+                    if j is not None:
+                        R[j - 1] = max(R[j - 1], s + extra)
+        return tuple(R)
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,6 @@ class Trajectory:
 class SymbolicVerification:
     status: str
     bound: int
-    capped: bool
     detail: str
 
 
@@ -196,23 +205,11 @@ def _jet_targets(m, bound):
     return [jet_symbol(j + 1, s) for s in range(bound + 1) for j in range(m)]
 
 
-def _shift_ranks(F_x, F_u, m):
-    """Multi-index R from the shifts appearing in a solved parametrization,
-    whose elements use jets alone: R_j is at least 1, every shift of y_j
-    in F_u, and one more than every shift of y_j in F_x."""
-    R = [1] * m
-    for elements, extra in ((F_x, 1), (F_u, 0)):
-        for a in elements:
-            for sym in symbolic.used_symbols(a):
-                j, s = parse_jet_symbol(sym)
-                R[j - 1] = max(R[j - 1], s + extra)
-    return tuple(R)
-
-
 def check_parametrization(system, p: FlatParametrization):
     """Exact checks of a parametrization: the shifted state expressions
-    reproduce the dynamics, the combined map is a generic submersion, and
-    the states only use shifts below R.  Returns (ok, detail).
+    reproduce the dynamics and the combined map is a generic submersion.
+    The shift bounds hold by construction, since R is read off F_x and
+    F_u.  Returns (ok, detail).
 
     F_x and F_u are renamed into QQ(jets and shifted jets), where the
     shift renames the jets and f is composed with the parametrization."""
@@ -235,11 +232,6 @@ def check_parametrization(system, p: FlatParametrization):
             return False, "dynamics identity fails for %s" % s
     if symbolic.jacobian_rank(J, values, jets) != system.n + system.m:
         return False, "parametrization is not a generic submersion"
-    for i, a in enumerate(p.F_x):
-        for sym in _by_name(symbolic.used_symbols(a)):
-            j, s = parse_jet_symbol(sym)
-            if s > p.R[j - 1] - 1:
-                return False, "state %d uses shift %d of component %d" % (i + 1, s, j)
     return True, "identity, submersion, and shift bounds hold"
 
 
@@ -310,7 +302,6 @@ def verify_flat_output_symbolic(system, candidate):
             return None, SymbolicVerification(
                 status="FAIL",
                 bound=alpha,
-                capped=False,
                 detail="components satisfy a difference relation at shift bound %d"
                 % alpha,
             )
@@ -341,15 +332,15 @@ def verify_flat_output_symbolic(system, candidate):
             detail = "stacked system unsolved at shift bound %d" % alpha
             continue
         F_x, F_u = result
-        p = FlatParametrization(F_x=tuple(F_x), F_u=tuple(F_u), R=_shift_ranks(F_x, F_u, m))
+        p = FlatParametrization(F_x=tuple(F_x), F_u=tuple(F_u))
         ok, why = check_parametrization(system, p)
         if ok:
             return p, SymbolicVerification(
-                status="PASS", bound=alpha, capped=False, detail=why
+                status="PASS", bound=alpha, detail=why
             )
         detail = why + " at shift bound %d" % alpha
     return None, SymbolicVerification(
-        status="INCONCLUSIVE", bound=cap, capped=True, detail=detail
+        status="INCONCLUSIVE", bound=cap, detail=detail
     )
 
 
@@ -431,7 +422,7 @@ def verify_flat_output_numeric(
     Trials are independent, seeded by (seed, index), and merged in index
     order, so reports are reproducible.  Pole hits
     resample the trial a bounded number of times."""
-    m = p.m
+    m = len(p.F_u)
     comps = None
     if candidate is not None:
         comps, q = _candidate_parts(system, candidate)

@@ -75,8 +75,8 @@ def test_criterion_2_flagship_flat_output_and_triangular(
     flat4_artifacts, models_dir, capsys
 ):
     flat_output, trace, form, p = flat4_artifacts
-    assert sp.expand(flat_output.components[0].as_expr() - x1 * (x3 + 1)) == 0
-    assert sp.expand(flat_output.components[1].as_expr() - (x2 + 3 * x4)) == 0
+    assert sp.expand(flat_output[0].as_expr() - x1 * (x3 + 1)) == 0
+    assert sp.expand(flat_output[1].as_expr() - (x2 + 3 * x4)) == 0
 
     code = cli.main(["extract", str(models_dir / "flat4.sys")])
     out = capsys.readouterr().out
@@ -149,7 +149,7 @@ def test_criterion_4_numeric_replay(flat4, flat4_artifacts):
         tol=NUMERIC_TOL,
         seed=0,
         box=0.1,
-        candidate=flat_output.components,
+        candidate=flat_output,
     )
     assert report.status == "PASS"
     assert report.trials == 20
@@ -220,7 +220,6 @@ def test_criterion_8_mutation_is_detected(flat4, flat4_artifacts):
     mutated = FlatParametrization(
         F_x=p.F_x,
         F_u=(p.F_u[0] + y1_jet,) + tuple(p.F_u[1:]),
-        R=p.R,
     )
     report = verification.verify_flat_output_numeric(
         flat4,
@@ -230,7 +229,7 @@ def test_criterion_8_mutation_is_detected(flat4, flat4_artifacts):
         tol=NUMERIC_TOL,
         seed=0,
         box=0.1,
-        candidate=flat_output.components,
+        candidate=flat_output,
     )
     assert report.status == "FAIL"
     assert len(report.trial_records) == 20

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: output text, JSON documents, exit codes."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import sys
 import pytest
 import sympy
 
-from flatcheck import cli, symbolic
+from flatcheck import cli, symbolic, verification
 
 import geometry_oracles
 
@@ -177,6 +178,35 @@ class TestExtract:
         assert "verdict: FLAT" in out
         assert "ansatz degree 1" in err
 
+    def test_failed_symbolic_check_exits_3(self, capsys, models_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(verification, "check_parametrization",
+                            lambda system, p: (False, "dynamics identity fails for x1"))
+        target = tmp_path / "doc.json"
+        code, out, err = run(capsys, "extract", model_path(models_dir, "chain2"),
+                             "--json", str(target))
+        assert code == 3
+        assert "verification: symbolic FAIL (dynamics identity fails for x1)\n" in out
+        assert "verification: numeric PASS" in out
+        assert "construction verification failed" in err
+        golden = (GOLDEN_DIR / "extract-chain2.json").read_text()
+        assert golden.count('"symbolic": "PASS"') == 1
+        assert target.read_text() == golden.replace('"symbolic": "PASS"', '"symbolic": "FAIL"')
+
+    def test_failed_numeric_check_exits_3(self, capsys, models_dir, tmp_path, monkeypatch):
+        replay = verification.verify_flat_output_numeric
+        monkeypatch.setattr(
+            verification, "verify_flat_output_numeric",
+            lambda *args, **kwargs: dataclasses.replace(replay(*args, **kwargs),
+                                                        status="FAIL"))
+        target = tmp_path / "doc.json"
+        code, out, err = run(capsys, "extract", model_path(models_dir, "chain2"),
+                             "--json", str(target))
+        assert code == 3
+        assert "verification: symbolic PASS" in out
+        assert "verification: numeric FAIL (trials=20, max residual 0.000e+00)\n" in out
+        assert "construction verification failed" in err
+        assert target.read_bytes() == (GOLDEN_DIR / "extract-chain2.json").read_bytes()
+
     def test_redundant_inputs_reduced_and_extended(self, capsys, models_dir, redundant_input):
         code, out, _ = run(
             capsys, "extract", model_path(models_dir, "redundant_input")
@@ -287,6 +317,22 @@ class TestSimulate:
         )
         assert code == 0
         assert out == (golden / "simulate-flat4.csv").read_text(encoding="utf-8")
+
+    def test_exact_csv_is_pinned(self, capsys, models_dir):
+        """The exact CSV prints each rational value in lowest terms, as
+        numerator/denominator."""
+        code, out, _ = run(
+            capsys,
+            "simulate",
+            model_path(models_dir, "flat4"),
+            "--x0",
+            "0.01,-0.02,0.015,0.005",
+            "--inputs-file",
+            str(GOLDEN_DIR / "simulate-flat4-inputs.csv"),
+            "--exact",
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "simulate-flat4-exact.csv").read_text(encoding="utf-8")
 
     def test_exact_trajectory(self, capsys, models_dir, tmp_path):
         inputs = tmp_path / "inputs.csv"

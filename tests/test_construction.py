@@ -191,10 +191,9 @@ class TestStraightening:
 class TestExtractFlatOutput:
     def test_flagship_components(self, flat4_artifacts):
         flat_output = flat4_artifacts[0]
-        assert flat_output.q == 0
-        assert flat_output.names == ("y1", "y2")
-        assert sp.simplify(flat_output.components[0].as_expr() - x1 * (x3 + 1)) == 0
-        assert sp.simplify(flat_output.components[1].as_expr() - (x2 + 3 * x4)) == 0
+        assert len(flat_output) == 2
+        assert sp.simplify(flat_output[0].as_expr() - x1 * (x3 + 1)) == 0
+        assert sp.simplify(flat_output[1].as_expr() - (x2 + 3 * x4)) == 0
 
     def test_final_coordinates_in_original_variables(self, flat4_artifacts):
         trace = flat4_artifacts[1]
@@ -328,7 +327,7 @@ class TestParametrization:
 
     def test_chain2_parametrization(self, chain2, chain2_report):
         flat_output, trace = construction.extract_flat_output(chain2, chain2_report)
-        assert sp.simplify(flat_output.components[0].as_expr() - x1) == 0
+        assert sp.simplify(flat_output[0].as_expr() - x1) == 0
         form = construction.to_implicit_triangular(trace)
         p = construction.parametrize_from_triangular(form)
         y1, y1_p1, y1_p2 = sp.symbols("y1 y1_p1 y1_p2")
@@ -341,7 +340,7 @@ class TestParametrization:
         flat_output, trace = construction.extract_flat_output(
             sfl_quadratic, sfl_quadratic_report
         )
-        assert sp.simplify(flat_output.components[0].as_expr() - (x2 - x1**2)) == 0
+        assert sp.simplify(flat_output[0].as_expr() - (x2 - x1**2)) == 0
         form = construction.to_implicit_triangular(trace)
         p = construction.parametrize_from_triangular(form)
         y1, y1_p1, y1_p2 = sp.symbols("y1 y1_p1 y1_p2")

@@ -122,6 +122,77 @@ class TestParseModel:
         with pytest.raises(ModelSyntaxError):
             modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = u^1.5"))
 
+    @pytest.mark.parametrize(
+        "old, new, error, line, column, message",
+        [
+            ("next x2 = u", "next x2 = u $", ModelSyntaxError, 7, 13,
+             "unexpected character '$'"),
+            ("next x2 = u", "next x2 = u u", ModelSyntaxError, 7, 13, "unexpected 'u'"),
+            ("next x2 = u", "next x2 = u^-", ModelSyntaxError, 7, 14,
+             "unexpected end of expression"),
+            ("next x2 = u", "next x2 = (u x1)", ModelSyntaxError, 7, 14, "expected ')'"),
+            ("next x2 = u", "next x2 = *u", ModelSyntaxError, 7, 11, "unexpected '*'"),
+            ("states: x1, x2", "states: x1, next", ModelSyntaxError, 3, 13,
+             "'next' is a keyword"),
+            ("next x2 = u", "next x2 = u\n= x1", ModelSyntaxError, 8, 1, "unexpected '='"),
+            ("next x2 = u", "next x2 = u\nsystem other", ModelSyntaxError, 8, 1,
+             "duplicate system header"),
+            ("system chain", "system chain extra", ModelSyntaxError, 2, 1,
+             "expected: system <name>"),
+            ("states: x1, x2", "states x1, x2", ModelSyntaxError, 3, 1,
+             "expected ':' after 'states'"),
+            ("states: x1, x2", "states: x1, 1", ModelSyntaxError, 3, 13,
+             "expected identifier, got '1'"),
+            ("inputs: u", "inputs:", ModelSyntaxError, 4, 1, "empty inputs declaration"),
+            ("equilibrium: all zero", "equilibrium all zero", ModelSyntaxError, 5, 1,
+             "expected ':' after 'equilibrium'"),
+            ("next x2 = u", "next x2 = u\noutput y = x1", ModelSyntaxError, 8, 1,
+             "unknown directive 'output'"),
+            ("system chain\n", "", ModelSemanticsError, None, None,
+             "<string>: missing 'system' header"),
+            ("states: x1, x2\n", "", ModelSemanticsError, None, None,
+             "<string>: no states declared"),
+            ("inputs: u\n", "", ModelSemanticsError, None, None,
+             "<string>: no inputs declared"),
+            ("inputs: u", "inputs: u, x1", ModelSemanticsError, None, None,
+             "<string>: duplicate variable 'x1'"),
+            ("equilibrium: all zero", "equilibrium: v = 1", ModelSyntaxError, 5, 14,
+             "expected declared variable, got 'v'"),
+            ("equilibrium: all zero", "equilibrium: x1 1", ModelSyntaxError, 5, 14,
+             "expected '=' in equilibrium assignment"),
+            ("equilibrium: all zero", "equilibrium: x1 = 1/0", ModelSyntaxError, 5, 14,
+             "equilibrium value must be rational"),
+            ("next x2 = u", "next x2 u", ModelSyntaxError, 7, 6,
+             "expected: next <state> = <expr>"),
+            ("next x2 = u", "next", ModelSyntaxError, 7, 1,
+             "expected: next <state> = <expr>"),
+            ("next x2 = u", "next u = x1", ModelSyntaxError, 7, 6,
+             "'u' is not a declared state"),
+        ],
+        ids=["bad-character", "trailing-token", "missing-exponent", "unclosed-paren",
+             "leading-operator", "keyword-name", "line-without-directive",
+             "second-header", "header-with-two-names", "states-without-colon",
+             "number-as-state", "empty-inputs", "equilibrium-without-colon",
+             "unknown-directive", "missing-header", "missing-states", "missing-inputs",
+             "duplicate-variable", "undeclared-equilibrium-variable",
+             "equilibrium-without-equals", "irrational-equilibrium", "next-without-equals",
+             "bare-next", "next-of-an-input"],
+    )
+    def test_error_table(self, old, new, error, line, column, message):
+        """Each refusal of the parser, with its type, message and position
+        (none for the structural ones, which span the file)."""
+        with pytest.raises(error) as exc:
+            modelfile.parse_model(CHAIN.replace(old, new, 1))
+        if line is not None:
+            message = "line %d, column %d: %s" % (line, column, message)
+        assert str(exc.value) == message
+        assert (getattr(exc.value, "line", None), getattr(exc.value, "column", None)) == (
+            line, column)
+
+    def test_unary_plus(self):
+        system = modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = +u"))
+        assert system.update[1] == system.inputs[0]
+
 
 class TestParseExpression:
     def test_resolves_system_symbols(self):

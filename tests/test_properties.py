@@ -341,7 +341,7 @@ class TestRedundantInputExtension:
         }
         presented = [
             sp.cancel(c.as_expr().subs(back, simultaneous=True))
-            for c in flat_output.components
+            for c in flat_output
         ]
         presented.extend(reduction.removed_coordinates)
         assert len(presented) == redundant.m
@@ -373,7 +373,7 @@ class TestRedundantInputExtension:
         }
         candidate = tuple(
             sp.cancel(c.as_expr().subs(back, simultaneous=True))
-            for c in flat_output.components
+            for c in flat_output
         ) + tuple(reduction.removed_coordinates)
         _, candidate = symbolic.to_elements(candidate, redundant.variables)
         p, sym_report = verification.verify_flat_output_symbolic(

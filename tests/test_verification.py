@@ -84,7 +84,7 @@ def _perturbed(p):
     """p with y1 added to the first input's parametrization."""
     y1 = p.F_u[0].field.from_expr(verification.jet_symbol(1, 0))
     return verification.FlatParametrization(
-        F_x=p.F_x, F_u=(p.F_u[0] + y1, p.F_u[1]), R=p.R
+        F_x=p.F_x, F_u=(p.F_u[0] + y1, p.F_u[1])
     )
 
 
@@ -97,6 +97,20 @@ class TestCheckParametrization:
         broken = _perturbed(flat4_artifacts[3])
         ok, detail = verification.check_parametrization(flat4, broken)
         assert not ok
+
+    @pytest.mark.parametrize(
+        "exprs, symbols, detail",
+        [
+            (("x1", "y1_p1", "y1_p2"), ("x1", "y1", "y1_p1", "y1_p2"),
+             "parametrization contains non-jet symbol x1"),
+            ((0, 0, 0), ("y1",), "parametrization is not a generic submersion"),
+        ],
+        ids=["non-jet", "constant"],
+    )
+    def test_refusals(self, chain2, exprs, symbols, detail):
+        _, (a, b, c) = symbolic.to_elements(sp.sympify(exprs), sp.symbols(symbols))
+        p = verification.FlatParametrization(F_x=(a, b), F_u=(c,))
+        assert verification.check_parametrization(chain2, p) == (False, detail)
 
 
 class TestSymbolicVerification:
@@ -195,7 +209,7 @@ class TestRankGate:
     def test_extracted_output_bound_is_not_skipped(self, monkeypatch, flat4,
                                                    flat4_artifacts):
         flat_output = flat4_artifacts[0]
-        report, bounds = _gated_bounds(monkeypatch, flat4, flat_output.components)
+        report, bounds = _gated_bounds(monkeypatch, flat4, flat_output)
         assert report.status == "PASS"
         assert not dict((a, h) for a, h, _ in bounds)[report.bound]
 
@@ -225,7 +239,7 @@ class TestNumericVerification:
         flat_output = flat4_artifacts[0]
         p = flat4_artifacts[3]
         result = verification.verify_flat_output_numeric(
-            flat4, p, trials=20, horizon=20, seed=0, candidate=flat_output.components
+            flat4, p, trials=20, horizon=20, seed=0, candidate=flat_output
         )
         assert result.status == "PASS"
         assert result.max_residual < 1e-9
