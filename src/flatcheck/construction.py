@@ -37,6 +37,7 @@ from .errors import (
     ImplicitSolveError,
     IrrationalSolutionError,
     StraighteningError,
+    UnsolvedEquationsError,
 )
 
 
@@ -195,9 +196,13 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
         forward.update(zip(syms, block_values[k - 1]))
     forward.update(zip(rest, rest_values))
     new_syms = [s for block in blocks for s in block] + list(rest)
-    inverse, values = symbolic.invert(
-        symbolic.field(states + tuple(new_syms)), {s: forward[s] for s in new_syms},
-        states, point)
+    try:
+        inverse, values = symbolic.invert(
+            symbolic.field(states + tuple(new_syms)), {s: forward[s] for s in new_syms},
+            states, point)
+    except UnsolvedEquationsError as exc:
+        raise StraighteningError(
+            "state transformation could not be inverted rationally: %s" % exc) from None
     if inverse is None:
         raise StraighteningError("state transformation could not be inverted rationally")
     L = symbolic.field(new_syms)
@@ -320,7 +325,12 @@ def _change_fibre(state: DecompositionState, definitions, consumed, k):
     new_forward = {s: symbolic.compose(v, state.forward_all, state.base)
                    for s, v in definitions.items()}
     H = symbolic.field(state.coordinates.symbols + tuple(new))
-    solution, values = symbolic.invert(H, definitions, consumed, state.point_cur)
+    try:
+        solution, values = symbolic.invert(H, definitions, consumed, state.point_cur)
+    except UnsolvedEquationsError as exc:
+        raise StraighteningError(
+            "fibre transformation at step %d could not be inverted rationally: %s"
+            % (k, exc)) from None
     if solution is None:
         raise StraighteningError(
             "fibre transformation at step %d could not be inverted rationally" % k)

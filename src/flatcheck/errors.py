@@ -50,6 +50,18 @@ class IrrationalSolutionError(UnsupportedEquationError):
         super().__init__("no solution branch is rational in %s" % unknown)
 
 
+class UnsolvedEquationsError(UnsupportedEquationError):
+    """The solver gave up: no equation left has a factor linear in one of
+    the unknowns left, and none is univariate in them, so no branch was
+    found.  unknowns are the unknowns left, in the caller's order."""
+
+    def __init__(self, unknowns):
+        self.unknowns = tuple(unknowns)
+        super().__init__(
+            "the elimination gave up on %s: no equation left has a factor linear "
+            "in one of them, and none is univariate" % ", ".join(map(str, self.unknowns)))
+
+
 class ChartError(FlatcheckError):
     """Adapted-chart construction or inversion failed."""
 

@@ -28,9 +28,10 @@ xi-derivative folded into the same sum) or of a transformed field
 of the chart's composed Jacobian, whose derivative is composed before
 it is reduced (symbolic.compose_derivative).  Each such gcd is the one
 routine of symbolic: most pairs are proved coprime from univariate
-images at a fixed integer point, and the rest run sympy's heuristic gcd
-in the generators the pair uses only.  Projectability is read off the
-canonical fractions without any gcd (symbolic.depends_on).  An
+images at a fixed integer point, and the rest run symbolic's own
+heuristic gcd on integer dicts in the generators the pair uses only.
+Projectability is read off the canonical fractions without any gcd
+(symbolic.depends_on).  An
 extracted field's theta block in chart coordinates is read off the
 echelon form itself.  All linear algebra runs over these fields, so
 every basis produced here is deterministic.  The chart stores one
@@ -51,6 +52,7 @@ from .errors import (
     ConstantDimensionError,
     IrrationalSolutionError,
     NotProjectableError,
+    UnsolvedEquationsError,
 )
 
 
@@ -230,6 +232,11 @@ def build_adapted_chart(system) -> Chart:
         raise ChartError(
             "the chart inverse has no rational branch (xi = %s)"
             % (tuple(map(str, xi_choice)),)
+        ) from None
+    except UnsolvedEquationsError as exc:
+        raise ChartError(
+            "the chart inverse was not found: %s (xi = %s)"
+            % (exc, tuple(map(str, xi_choice)))
         ) from None
     if branch is None:
         raise ChartError(

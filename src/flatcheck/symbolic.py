@@ -36,8 +36,15 @@ the i-th prime for generator i.  If the image of either polynomial
 keeps its degree in x and the two images have a constant gcd, x is not
 in the gcd (Brown's degree bound).  When that holds for every shared
 generator, the gcd is the gcd of the two integer contents.  Anything
-else goes to sympy's heuristic gcd in the ring of only the generators
-that the pair uses, and the result is mapped back.  Sympy's element
+else goes to ``_heugcd``, the heuristic gcd of Char, Geddes and Gonnet
+(1989), on plain dicts of integer coefficients by exponent tuple over
+only the generators that the pair uses; it takes sympy's
+``heuristicgcd.heugcd`` step for step (the same evaluation points,
+balanced xi-adic interpolation and exact-division checks), so it
+returns sympy's triple, and the result is converted back once with
+``from_dict``.  Where it gives up after its six points, sympy's dense
+subresultant gcd (``euclidtools.dmp_rr_prs_gcd``) reduces the pair, to
+its gcd with a positive leading coefficient.  Sympy's element
 arithmetic and ``.diff`` would reduce through ``cancel`` instead, so
 flatcheck uses neither: ``derivative`` and ``compose_derivative`` take
 the derivative of p / q as the unreduced pair (p' q - p q', q**2), or
@@ -78,10 +85,13 @@ error messages.
 one unknown at a time in the caller's order, each from an equation
 linear in it, the one whose coefficient of it has the fewest terms;
 it factors an equation when none is linear, and checks every branch
-exactly; only rational branches are returned.  ``branch_through`` picks
-the solved branch that takes at a point the values the point gives its
-unknowns, and ``invert`` keeps that branch of a solved coordinate
-change, its local inverse where its Jacobian is regular at the point.
+exactly; only rational branches are returned.  When no equation left
+has a linear factor or is univariate, it gives up and says so
+(``UnsolvedEquationsError``) rather than return no branch.
+``branch_through`` picks the solved branch that takes at a point the
+values the point gives its unknowns, and ``invert`` keeps that branch
+of a solved coordinate change, its local inverse where its Jacobian is
+regular at the point.
 
 Generic ranks are certified exactly, never guessed.  The rank at a
 rational point where every entry is defined is at most the generic
@@ -100,18 +110,20 @@ without building it symbolically.  All functions are pure.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import operator
 
 import sympy as sp
 from sympy import QQ, ZZ
-from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.polyerrors import CoercionFailed, GeneratorsError
+from sympy.polys.euclidtools import dmp_rr_prs_gcd, dup_gcd
+from sympy.polys.polyerrors import CoercionFailed, GeneratorsError, HeuristicGCDFailed
 
 from .errors import (
     InconsistentSystemError,
     IrrationalSolutionError,
+    UnsolvedEquationsError,
     UnsupportedEquationError,
 )
 
@@ -487,9 +499,11 @@ def solve_elements(K, elements, unknowns) -> list:
     linear in it whose coefficient of it has the fewest terms
     (``_pivot``).  An empty result means no rational
     branch was found, which is weaker than "no solution exists".  Raises
-    InconsistentSystemError when an equation is a nonzero constant, and
+    InconsistentSystemError when an equation is a nonzero constant,
     IrrationalSolutionError when the only branches found need an
-    irrational value (a univariate factor without a rational root).
+    irrational value (a univariate factor without a rational root), and
+    else UnsolvedEquationsError, naming the unknowns left, when no branch
+    was found because the elimination gave up (``_split``).
     """
     nonzero = [a for a in elements if a]
     if not nonzero:
@@ -507,9 +521,9 @@ def solve_elements(K, elements, unknowns) -> list:
                 if _mentions(a.numer, order) or _mentions(a.denom, order)]
     if not elements:
         return []
-    irrational = []
+    irrational, unsolved = [], []
     found = []
-    for steps in _eliminate([a.numer for a in elements], order, [], irrational):
+    for steps in _eliminate([a.numer for a in elements], order, [], irrational, unsolved):
         values = _back_substitute(K.field, steps)
         if values is None or values in found:
             continue
@@ -517,6 +531,8 @@ def solve_elements(K, elements, unknowns) -> list:
             found.append(values)
     if not found and irrational:
         raise IrrationalSolutionError(K.symbols[irrational[0]])
+    if not found and unsolved:
+        raise UnsolvedEquationsError([K.symbols[i] for i in unsolved[0]])
     return [{K.symbols[i]: K.field.raw_new(*values[i]) for i in order if values[i] is not None}
             for values in found]
 
@@ -526,22 +542,23 @@ def _mentions(poly, indices) -> bool:
     return any(degrees[i] for i in indices)
 
 
-def _eliminate(polys, open_, steps, irrational):
+def _eliminate(polys, open_, steps, irrational, unsolved):
     """Yield the elimination steps (generator index, numerator,
     denominator) of every branch of the polynomial equations polys = 0 in
     the open generators.  Records in irrational the generators whose
-    univariate equation had no rational root."""
+    univariate equation had no rational root, and in unsolved the open
+    generators left where the elimination gave up."""
     while polys:
         pivot = _pivot(polys, open_)
         if pivot is None:
-            yield from _split(polys, open_, steps, irrational)
+            yield from _split(polys, open_, steps, irrational, unsolved)
             return
         i, p, lead = pivot
         g, a, b = _cofactors(lead, -p.coeff_wrt(i, 0))
         if _mentions(g, open_):
             # p = g * (a/g * u - b/g) also vanishes where g does, for any u
             others = [q for q in polys if q is not p]
-            yield from _eliminate([g] + others, open_, steps, irrational)
+            yield from _eliminate([g] + others, open_, steps, irrational, unsolved)
         substitution = [None] * p.ring.ngens
         substitution[i] = (b, a)
         open_ = [j for j in open_ if j != i]
@@ -580,23 +597,28 @@ def _pivot(polys, open_):
     return None
 
 
-def _split(polys, open_, steps, irrational):
+def _split(polys, open_, steps, irrational, unsolved):
     """Branch on every factor containing an open generator of the first
     equation that has a factor linear in one.  A univariate equation
     without such a factor has no root in the field of the other generators
     (Gauss's lemma), so it ends the branch and its generator is recorded
-    as irrational."""
+    as irrational.  When neither is found the branch ends too, and unless
+    an equation is free of them, the open generators that the equations
+    use are recorded as unsolved."""
     for p in polys:
         factors = [f for f, _ in p.factor_list()[1] if _mentions(f, open_)]
         if any(f.degree(i) == 1 for f in factors for i in open_):
             others = [q for q in polys if q is not p]
             for f in factors:
-                yield from _eliminate([f] + others, open_, steps, irrational)
+                yield from _eliminate([f] + others, open_, steps, irrational, unsolved)
             return
         present = [i for i in open_ if p.degree(i)]
         if len(present) == 1:
             irrational.append(present[0])
             return
+    # an equation free of the open generators has no root: not a give-up
+    if all(_mentions(p, open_) for p in polys):
+        unsolved.append([i for i in open_ if any(_mentions(p, (i,)) for p in polys)])
 
 
 def _back_substitute(field, steps):
@@ -744,24 +766,23 @@ def _shares_no_generator(p, q, shared) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=256)
-def _subring(ring, used):
-    """The ring of only the generators of ring at the indices used."""
-    return ring.drop(*(i for i in range(ring.ngens) if i not in used))
-
-
 def _cofactors(p, q) -> tuple:
     """The gcd h of the integer polynomials p and q and the cofactors p / h
     and q / h: the triple of sympy's ``PolyElement.cofactors``, whose gcd
-    has the integer contents' gcd and a positive leading coefficient.
+    has the integer contents' gcd.  Its leading coefficient is positive,
+    except where the heuristic gcd reads it as p or q over a cofactor,
+    which keeps the sign of p or q; no caller relies on that sign.
 
     Zero and monomial operands take sympy's own shortcuts.  Otherwise the
     gcd is proved a constant from univariate images where that is possible
     (:func:`_shares_no_generator`), and then is the gcd of the two integer
     contents; since a factor that only one of p and q uses cannot divide
     the other, only the generators both use need a proof.  Anything else
-    goes to sympy's heuristic gcd in the ring of only the generators that
-    p or q uses, and the triple is mapped back.
+    goes to :func:`_heugcd` on the terms of p and q in only the generators
+    that they use, each exponent divided by the gcd of that generator's
+    exponents as sympy's ``deflate`` divides it, and the triple is mapped
+    back.  When the heuristic gives up, sympy's dense subresultant gcd
+    reduces the pair instead.
     """
     if not p or not q or len(p) == 1 or len(q) == 1:
         return p.cofactors(q)
@@ -773,24 +794,169 @@ def _cofactors(p, q) -> tuple:
         if content == 1:
             return ring.one, p, q
         return ring.ground_new(content), p.quo_ground(content), q.quo_ground(content)
-    used = tuple(i for i, (a, b) in enumerate(zip(p_degrees, q_degrees)) if a or b)
-    if len(used) == ring.ngens:
-        return p.cofactors(q)
-    sub = _subring(ring, used)
+    used = [i for i, (a, b) in enumerate(zip(p_degrees, q_degrees)) if a or b]
+    monoms = list(itertools.chain(p.itermonoms(), q.itermonoms()))
+    strides = {i: math.gcd(*{m[i] for m in monoms}) for i in used}
 
     def down(poly):
-        return sub.from_dict({tuple(m[i] for i in used): c for m, c in poly.iterterms()})
+        return {tuple(m[i] // strides[i] for i in used): c for m, c in poly.iterterms()}
 
-    def up(poly):
-        terms = {}
-        for monom, c in poly.iterterms():
-            full = [0] * ring.ngens
+    def up(terms):
+        full = [0] * ring.ngens
+        poly = {}
+        for monom, c in terms.items():
             for i, e in zip(used, monom):
-                full[i] = e
-            terms[tuple(full)] = c
-        return ring.from_dict(terms)
+                full[i] = e * strides[i]
+            poly[tuple(full)] = c
+        return ring.from_dict(poly)
 
-    return tuple(map(up, down(p).cofactors(down(q))))
+    try:
+        return tuple(map(up, _heugcd(down(p), down(q))))
+    except HeuristicGCDFailed:
+        h, cff, cfg = dmp_rr_prs_gcd(p.to_dense(), q.to_dense(), ring.ngens - 1, ZZ)
+        return ring.from_dense(h), ring.from_dense(cff), ring.from_dense(cfg)
+
+
+# evaluation points that _heugcd tries before it gives up, as sympy's
+# heuristicgcd.HEU_GCD_MAX
+_HEUGCD_ATTEMPTS = 6
+
+
+def _heugcd(f, g) -> tuple:
+    """The gcd h of the nonzero integer polynomials f and g and the
+    cofactors f / h and g / h, each a dict of integer coefficients by
+    exponent tuple over the same k >= 1 generators, the first generator
+    most significant.  Raises HeuristicGCDFailed when it gives up.
+
+    The heuristic gcd of Char, Geddes and Gonnet (1989), step for step as
+    sympy's ``heuristicgcd.heugcd`` takes it, so it returns sympy's triple:
+    the integer content's gcd is taken out, the first generator is set to
+    an integer xi and the gcd of the images is taken, recursively down to
+    integers; the gcd and both cofactors are read back from their
+    balanced xi-adic digits (:func:`_interpolate`), and each of the three
+    is accepted only when exact division proves it.  Otherwise xi grows,
+    up to ``_HEUGCD_ATTEMPTS`` points.
+    """
+    content = math.gcd(math.gcd(*f.values()), math.gcd(*g.values()))
+    if content != 1:
+        f = {m: c // content for m, c in f.items()}
+        g = {m: c // content for m, c in g.items()}
+    f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    xi = max(min(bound, 99 * math.isqrt(bound)),
+             2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+    univariate = len(next(iter(f))) == 1
+    for _ in range(_HEUGCD_ATTEMPTS):
+        ff, gg = _evaluate_first(f, xi), _evaluate_first(g, xi)
+        if ff and gg:
+            if univariate:
+                h = math.gcd(ff, gg)
+                cff, cfg = ff // h, gg // h
+            else:
+                h, cff, cfg = _heugcd(ff, gg)
+            h = _interpolate(h, xi)
+            h_content = math.gcd(*h.values())
+            h = {m: c // h_content for m, c in h.items()}
+            cff_ = _exact_quotient(f, h)
+            if cff_ is not None:
+                cfg_ = _exact_quotient(g, h)
+                if cfg_ is not None:
+                    return _times(h, content), cff_, cfg_
+            cff = _interpolate(cff, xi)
+            h = _exact_quotient(f, cff)
+            if h is not None:
+                cfg_ = _exact_quotient(g, h)
+                if cfg_ is not None:
+                    return _times(h, content), cff, cfg_
+            cfg = _interpolate(cfg, xi)
+            h = _exact_quotient(g, cfg)
+            if h is not None:
+                cff_ = _exact_quotient(f, h)
+                if cff_ is not None:
+                    return _times(h, content), cff_, cfg
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    raise HeuristicGCDFailed("no gcd after %d evaluation points" % _HEUGCD_ATTEMPTS)
+
+
+def _evaluate_first(f, xi):
+    """The polynomial dict f with its first generator set to the integer
+    xi: a dict over the other generators, or an integer when there are
+    none."""
+    powers = [1]
+    for _ in range(max(m[0] for m in f)):
+        powers.append(powers[-1] * xi)
+    if len(next(iter(f))) == 1:
+        return sum(c * powers[m[0]] for m, c in f.items())
+    image = {}
+    for monom, c in f.items():
+        rest = monom[1:]
+        image[rest] = image.get(rest, 0) + c * powers[monom[0]]
+    return {m: c for m, c in image.items() if c}
+
+
+def _interpolate(image, xi) -> dict:
+    """The polynomial whose value at first generator xi is image (an
+    integer or a polynomial dict over the other generators), each
+    coefficient read as its balanced base-xi digits, the digit of xi**i
+    the coefficient of the first generator's i-th power; negated when
+    its leading coefficient is negative."""
+    poly, half = {}, xi // 2
+    for monom, c in (image.items() if isinstance(image, dict) else [((), image)]):
+        i = 0
+        while c:
+            c, digit = divmod(c, xi)
+            if digit > half:
+                digit -= xi
+                c += 1
+            if digit:
+                poly[(i,) + monom] = digit
+            i += 1
+    if poly[max(poly)] < 0:
+        return {m: -c for m, c in poly.items()}
+    return poly
+
+
+def _times(poly, c) -> dict:
+    """The polynomial dict poly times the integer c."""
+    return poly if c == 1 else {m: c * v for m, v in poly.items()}
+
+
+def _exact_quotient(f, h):
+    """f / h for polynomial dicts over the integers, h nonzero; None when
+    h does not divide f with an integer quotient.  Lexicographic division:
+    the leading term of what is left must be a multiple of h's.  The heap
+    holds the negated monomials of what is left, so it pops the leading
+    one first."""
+    neg, add, sub = operator.neg, operator.add, operator.sub
+    lead = max(h)
+    lc = h[lead]
+    rest = [(m, c) for m, c in h.items() if m != lead]
+    remainder = dict(f)
+    heap = [(tuple(map(neg, m)), m) for m in remainder]
+    heapq.heapify(heap)
+    quotient = {}
+    while remainder:
+        top = heapq.heappop(heap)[1]
+        c = remainder.get(top)
+        if c is None:
+            continue
+        monom = tuple(map(sub, top, lead))
+        if min(monom) < 0 or c % lc:
+            return None
+        c //= lc
+        quotient[monom] = c
+        del remainder[top]
+        for m, v in rest:
+            m = tuple(map(add, monom, m))
+            old = remainder.get(m)
+            if old is None:
+                remainder[m] = -c * v
+                heapq.heappush(heap, (tuple(map(neg, m)), m))
+            elif old == c * v:
+                del remainder[m]
+            else:
+                remainder[m] = old - c * v
+    return quotient
 
 
 def difference(a, b):

@@ -14,6 +14,7 @@ import pytest
 import sympy as sp
 
 from flatcheck import analysis, construction, geometry, model, symbolic, verification
+from flatcheck.errors import ChartError
 from flatcheck.model import DiscreteTimeSystem
 
 import geometry_oracles
@@ -279,6 +280,38 @@ class TestInvarianceUnderLinearStateChanges:
         ]
         if new_report.flat:
             assert geometry_oracles.linearization_is_controllable(transformed)
+
+
+class TestFlat4UnderLinearStateChanges:
+    """flat4 is flat but not static feedback linearizable, and flatness
+    does not depend on coordinates, so each linear state change of it is
+    FLAT with kbar 3, sfl false and flat4's dimension table.  The chart
+    finds that for s = 2, where its composed Jacobian takes large gcds,
+    and for s = 3.  For s = 0, 1 and 4 no rational chart inverse is found
+    yet: the solver gives up, and the chart says on which unknowns."""
+
+    @staticmethod
+    def _changed(flat4, s):
+        return _linear_state_change(flat4, unimodular_matrix(random.Random(5000 + s), 4))
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_flat_with_the_dimensions_of_flat4(self, flat4, flat4_report, s):
+        system = self._changed(flat4, s)
+        report = analysis.run_algorithm1(system)
+        assert (report.verdict, report.kbar, report.sfl) == ("FLAT", 3, False)
+        assert [(step.dim_delta, step.dim_D) for step in report.steps] == [
+            (step.dim_delta, step.dim_D) for step in flat4_report.steps]
+        assert geometry_oracles.linearization_is_controllable(system)
+
+    @pytest.mark.parametrize("s, unknowns", [(0, "x3, x4, u1, u2"), (1, "x3, x4, u2"),
+                                             (4, "u1, u2")])
+    def test_chart_names_the_unknowns_left_unsolved(self, flat4, s, unknowns):
+        with pytest.raises(ChartError) as info:
+            analysis.run_algorithm1(self._changed(flat4, s))
+        assert str(info.value) == (
+            "the chart inverse was not found: the elimination gave up on %s: no "
+            "equation left has a factor linear in one of them, and none is "
+            "univariate (xi = ('x1', 'x2'))" % unknowns)
 
 
 class TestIntegratorExtensionPreservesFlatness:

@@ -5,12 +5,13 @@ import random
 import pytest
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.polyerrors import GeneratorsError
+from sympy.polys.polyerrors import GeneratorsError, HeuristicGCDFailed
 
 from flatcheck import geometry, model, symbolic
 from flatcheck.errors import (
     InconsistentSystemError,
     IrrationalSolutionError,
+    UnsolvedEquationsError,
     UnsupportedEquationError,
 )
 from flatcheck.model import DiscreteTimeSystem
@@ -429,6 +430,14 @@ class TestSolveAlgebraic:
             _solve([x**2 - 2], [x])
         assert info.value.unknown == x
 
+    def test_giving_up_names_the_unknowns_left(self):
+        # neither equation has a factor linear in x or y, and neither is
+        # univariate, so the elimination has no step to take
+        with pytest.raises(UnsolvedEquationsError) as info:
+            _solve([x**2 + y**2 - 2, x**2 - y**3], [x, y, z])
+        assert info.value.unknowns == (x, y)
+        assert isinstance(info.value, UnsupportedEquationError)
+
     def test_irrational_branches_are_dropped(self):
         sols = _solve([(x**2 - 2) * (x - 1)], [x])
         assert sols == [{x: 1}]
@@ -632,15 +641,17 @@ def _pair(a):
     return dict(a.numer), dict(a.denom)
 
 
-def _integer_poly(rng, ring, used, terms=3, degree=2, constant=True):
+def _integer_poly(rng, ring, used, terms=3, degree=2, constant=True, bound=None):
     """A seeded random polynomial of the integer ring in the generators at
-    the indices used, a constant term added one time in two."""
+    the indices used, a constant term added one time in two.  Its
+    coefficients are small, or up to bound in size when bound is given."""
     poly = ring.zero
     for _ in range(terms):
         monomial = ring.one
         for _ in range(rng.randint(1, degree)):
             monomial *= ring.gens[rng.choice(used)]
-        poly += rng.choice([-3, -2, -1, 1, 2, 5]) * monomial
+        coeff = rng.randint(-bound, bound) if bound else rng.choice([-3, -2, -1, 1, 2, 5])
+        poly += coeff * monomial
     if constant and rng.random() < 0.5:
         poly += rng.randint(-3, 3)
     return poly or ring.gens[used[0]]
@@ -650,12 +661,23 @@ class TestKernelOracle:
     """The kernel's fused arithmetic against sympy's own over the field
     QQ(gens) with rational coefficients, sympy's ``QQ.frac_field``: the
     same canonical pairs, entry by entry.  Its gcd, ``_cofactors``, is
-    checked against sympy's ``PolyElement.cofactors`` in Z[w, x, y, z]:
-    the same gcd and cofactors, compared as dicts of monomials and
-    coefficients, over pairs that take each of its paths (the shortcuts
-    for zero and monomials, the proof of a constant gcd from univariate
-    images, and sympy's gcd in the ring of the generators the pair
-    uses)."""
+    checked against sympy's ``PolyElement.cofactors``: the same gcd and
+    cofactors, compared as dicts of monomials and coefficients, over
+    pairs that take each of its paths:
+
+    - the shortcuts for zero and monomials;
+    - the proof of a constant gcd from univariate images;
+    - the heuristic gcd ``_heugcd`` in the generators that the pair uses,
+      in Z[w, x, y, z] and in 5 to 8 of 12 generators with coefficients
+      up to 10**12;
+    - pinned pairs whose first evaluation point fails, so that the gcd is
+      read from the cofactor of p or of q, or the point grows;
+    - sympy's dense gcd, where the heuristic gives up.
+
+    Where the pair leaves generators out, sympy's gcd runs in the ring of
+    the generators it uses, as ``_cofactors`` does: the heuristic
+    evaluates every generator of its ring, so a ring with more of them
+    can accept a different but equally valid triple."""
 
     GENS = (x, y, z)
     SHAPES = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 2)]
@@ -846,6 +868,91 @@ class TestKernelOracle:
         for p, q in pairs:
             self._check(p, q)
             self._check(q, p)
+
+    @staticmethod
+    def _wide_ring():
+        return symbolic.function_field(sp.symbols("a0:12")).field.ring
+
+    @staticmethod
+    def _check_in_used_generators(p, q):
+        """_cofactors(p, q) against sympy's cofactors in the ring of only
+        the generators that p or q uses."""
+        ring = p.ring
+        used = [i for i, (a, b) in enumerate(zip(p.degrees(), q.degrees())) if a or b]
+        sub = ring.drop(*(g for i, g in enumerate(ring.gens) if i not in used))
+
+        def down(poly):
+            return {tuple(m[i] for i in used): c for m, c in poly.iterterms()}
+
+        expected = sub.from_dict(down(p)).cofactors(sub.from_dict(down(q)))
+        assert [down(a) for a in symbolic._cofactors(p, q)] == [dict(b) for b in expected]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_heugcd_in_many_generators(self, seed):
+        """A factor planted in 4 of the 5 to 8 generators of 12 that the
+        pair uses, each factor of degree up to 4."""
+        rng = random.Random(seed + 9500)
+        ring = self._wide_ring()
+        used = rng.sample(range(12), rng.randint(5, 8))
+        bound = rng.choice([10, 1000, 10**12])
+        common = _integer_poly(rng, ring, used[:4], terms=rng.randint(2, 4), degree=4, bound=bound)
+        p = common * _integer_poly(rng, ring, used, terms=rng.randint(2, 5), degree=4, bound=bound)
+        q = common * _integer_poly(rng, ring, used, terms=rng.randint(2, 5), degree=4, bound=bound)
+        self._check_in_used_generators(p, q)
+        assert not symbolic._cofactors(p, q)[0].is_ground
+
+    # (seed, (n, k)): pairs of the generator below whose first evaluation
+    # point fails, found by a seeded search.  At the top level the gcd is
+    # read back n times at k distinct points: (2, 1) accepts the cofactor
+    # of p, (3, 1) that of q, and k > 1 grows the point.
+    FIRST_POINT_FAILS = [(5, (2, 1)), (2, (3, 1)), (191, (4, 2)), (63, (5, 2)), (75, (6, 2)),
+                         (8, (7, 3))]
+
+    @pytest.mark.parametrize("seed, reads", FIRST_POINT_FAILS)
+    def test_heugcd_when_the_first_point_fails(self, monkeypatch, seed, reads):
+        """A small factor and large ones, or the other way round: an
+        integer gcd whose base-xi digits overflow is not the gcd's
+        image."""
+        rng = random.Random(seed + 9600)
+        ring = self._wide_ring()
+        used = rng.sample(range(12), rng.randint(1, 4))
+        common, p, q = (
+            _integer_poly(rng, ring, used, terms=rng.randint(2, 3), degree=3,
+                          bound=rng.choice([3, 10**12]))
+            for _ in range(3))
+        p, q = common * p, common * q
+        depth, points = [0], []
+        heugcd, interpolate = symbolic._heugcd, symbolic._interpolate
+
+        def counted(f, g):
+            depth[0] += 1
+            try:
+                return heugcd(f, g)
+            finally:
+                depth[0] -= 1
+
+        def recorded(image, xi):
+            if depth[0] == 1:
+                points.append(xi)
+            return interpolate(image, xi)
+
+        monkeypatch.setattr(symbolic, "_heugcd", counted)
+        monkeypatch.setattr(symbolic, "_interpolate", recorded)
+        self._check_in_used_generators(p, q)
+        assert (len(points), len(set(points))) == reads
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_gcd_when_the_heuristic_gives_up(self, monkeypatch, seed):
+        monkeypatch.setattr(symbolic, "_HEUGCD_ATTEMPTS", 0)
+        rng = random.Random(seed + 9700)
+        ring = self._ring()
+        common = _integer_poly(rng, ring, [1, 2], constant=False) + rng.choice([1, -2])
+        p = common * _integer_poly(rng, ring, [0, 1, 2]) * rng.choice([1, 2, -3])
+        q = common * _integer_poly(rng, ring, [1, 2, 3])
+        with pytest.raises(HeuristicGCDFailed):
+            symbolic._heugcd(dict(p), dict(q))
+        self._check(p, q)
+        assert not symbolic._cofactors(p, q)[0].is_ground
 
     @pytest.mark.parametrize("seed", range(10))
     def test_lcm_matches_sympy(self, seed):
