@@ -19,7 +19,10 @@ where a full rank proves the generic one (symbolic.jacobian_ranks).
 Each coordinate change, the straightening and every fibre change of the
 peeling, has a Jacobian regular at the equilibrium, and is inverted by
 its solved branch through the equilibrium (symbolic.invert), which is
-then its local inverse.
+then its local inverse.  Where that branch cannot be picked (none is
+rational, the solver gave up, or none passes through the equilibrium),
+the change raises StraighteningError naming the reason, and extract
+exits 3.
 
 All four stages run on field elements: forward maps in QQ(x, u), inverse
 maps in QQ(current coordinates), a coordinate change solved in
@@ -37,7 +40,7 @@ from .errors import (
     ImplicitSolveError,
     IrrationalSolutionError,
     StraighteningError,
-    UnsolvedEquationsError,
+    UnsupportedEquationError,
 )
 
 
@@ -200,11 +203,9 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
         inverse, values = symbolic.invert(
             symbolic.field(states + tuple(new_syms)), {s: forward[s] for s in new_syms},
             states, point)
-    except UnsolvedEquationsError as exc:
+    except UnsupportedEquationError as exc:
         raise StraighteningError(
             "state transformation could not be inverted rationally: %s" % exc) from None
-    if inverse is None:
-        raise StraighteningError("state transformation could not be inverted rationally")
     L = symbolic.field(new_syms)
     inverse = {s: symbolic.rename(inverse[s], L, {}) for s in states}
     st = StateTransformation(
@@ -327,13 +328,10 @@ def _change_fibre(state: DecompositionState, definitions, consumed, k):
     H = symbolic.field(state.coordinates.symbols + tuple(new))
     try:
         solution, values = symbolic.invert(H, definitions, consumed, state.point_cur)
-    except UnsolvedEquationsError as exc:
+    except UnsupportedEquationError as exc:
         raise StraighteningError(
             "fibre transformation at step %d could not be inverted rationally: %s"
             % (k, exc)) from None
-    if solution is None:
-        raise StraighteningError(
-            "fibre transformation at step %d could not be inverted rationally" % k)
     state.forward_all.update(new_forward)
     state.coordinates = symbolic.field(
         [s for s in state.coordinates.symbols if s not in consumed] + new)
@@ -752,8 +750,10 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
         unknowns = list(block.solved_for)
         own = dict(zip(unknowns, symbolic.generators(symbolic.field(unknowns), unknowns)))
         S, equations = _composed(block.residuals, {**param, **own}, unknowns)
+        point = {s: at_equilibrium(s) for s in S.symbols}
         try:
-            solutions = symbolic.solve_elements(S, equations, unknowns)
+            chosen = symbolic.branch_through(
+                S, symbolic.solve_elements(S, equations, unknowns), unknowns, point)
         except IrrationalSolutionError as exc:
             raise ImplicitSolveError(
                 "implicit solve failed for block %s: solution for %s is not "
@@ -763,14 +763,7 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
             raise ImplicitSolveError(
                 "implicit solve failed for block %s: %s (%s)"
                 % (block.label, _format_equations(equations), exc)
-            )
-        point = {s: at_equilibrium(s) for s in S.symbols}
-        chosen = symbolic.branch_through(S, solutions, unknowns, point)
-        if chosen is None:
-            raise ImplicitSolveError(
-                "implicit solve failed for block %s: %s"
-                % (block.label, _format_equations(equations))
-            )
+            ) from None
         for z in unknowns:
             param[z] = chosen[z]
             param[form.shifted[z]] = verification.shift_function(chosen[z])

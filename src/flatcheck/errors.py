@@ -38,7 +38,10 @@ class InconsistentSystemError(FlatcheckError):
 
 
 class UnsupportedEquationError(FlatcheckError):
-    """An expression is not a rational function with rational coefficients."""
+    """An expression is not a rational function with rational coefficients,
+    or no solved branch can be picked at a point: none is rational
+    (IrrationalSolutionError), the solver gave up (UnsolvedEquationsError),
+    or none passes through the point."""
 
 
 class IrrationalSolutionError(UnsupportedEquationError):

@@ -50,9 +50,8 @@ from . import symbolic
 from .errors import (
     ChartError,
     ConstantDimensionError,
-    IrrationalSolutionError,
     NotProjectableError,
-    UnsolvedEquationsError,
+    UnsupportedEquationError,
 )
 
 
@@ -228,21 +227,11 @@ def build_adapted_chart(system) -> Chart:
     forward = dict(zip(coords, update + symbolic.generators(K, xi_choice)))
     try:
         branch, image = symbolic.invert(K, forward, variables, point)
-    except IrrationalSolutionError:
-        raise ChartError(
-            "the chart inverse has no rational branch (xi = %s)"
-            % (tuple(map(str, xi_choice)),)
-        ) from None
-    except UnsolvedEquationsError as exc:
+    except UnsupportedEquationError as exc:
         raise ChartError(
             "the chart inverse was not found: %s (xi = %s)"
             % (exc, tuple(map(str, xi_choice)))
         ) from None
-    if branch is None:
-        raise ChartError(
-            "no inverse branch passes through the equilibrium (xi = %s)"
-            % (tuple(map(str, xi_choice)),)
-        )
 
     # the solved values use only the chart symbols, so they rename into N
     inverse = {**dict(zip(coords, symbolic.generators(N, coords))),

@@ -204,12 +204,13 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
     definitions = {**dict(zip(uhat, kept_functions)),
                    **dict(zip(utilde, symbolic.generators(K, removed)))}
     point = system.equilibrium_point()
-    inverse, values = symbolic.invert(H, definitions, system.inputs, point)
-    if inverse is None:
+    try:
+        inverse, values = symbolic.invert(H, definitions, system.inputs, point)
+    except UnsupportedEquationError as exc:
         raise ValidationError(
             "system %r: cannot invert the effective-input change through the "
-            "equilibrium" % system.name
-        )
+            "equilibrium: %s" % (system.name, exc)
+        ) from None
     new_equilibrium = {s: point[s] for s in system.states}
     new_equilibrium.update((s, values[s]) for s in uhat)
 

@@ -91,7 +91,10 @@ has a linear factor or is univariate, it gives up and says so
 ``branch_through`` picks the solved branch that takes at a point the
 values the point gives its unknowns, and ``invert`` keeps that branch
 of a solved coordinate change, its local inverse where its Jacobian is
-regular at the point.
+regular at the point.  Neither returns "no branch": where none passes
+through the point, each raises UnsupportedEquationError, so a caller
+handles every failure to pick a branch (none rational, the solver gave
+up, none through the point) as one error with its reason.
 
 Generic ranks are certified exactly, never guessed.  The rank at a
 rational point where every entry is defined is at most the generic
@@ -657,8 +660,9 @@ def _satisfies(a, steps) -> bool:
 def branch_through(K, solutions, unknowns, point):
     """The first of the solved branches, dicts of elements of the field K
     by unknown, that gives every unknown and takes at the rational point
-    the values the point gives the unknowns; None when none does.  A
-    branch with a pole at the point does not pass."""
+    the values the point gives the unknowns.  A branch with a pole at the
+    point does not pass.  Raises UnsupportedEquationError when none
+    passes."""
     expected = [QQ.convert(point[u]) for u in unknowns]
     for sol in solutions:
         if not all(u in sol for u in unknowns):
@@ -669,7 +673,7 @@ def branch_through(K, solutions, unknowns, point):
             continue
         if at_point == expected:
             return sol
-    return None
+    raise UnsupportedEquationError("no solved branch passes through the point")
 
 
 def invert(K, definitions, unknowns, point) -> tuple:
@@ -682,9 +686,9 @@ def invert(K, definitions, unknowns, point) -> tuple:
     kept: at the new symbols' values there it gives the point's values
     of the unknowns (branch_through).  Where the change's Jacobian is
     regular at the point, that branch is the change's local inverse.
-    Returns the branch, None when no branch passes, and the new symbols'
-    values at the point as rational numbers.  Raises as solve_elements
-    does, and ZeroDivisionError when a value has a pole at the point.
+    Returns the branch and the new symbols' values at the point as
+    rational numbers.  Raises as solve_elements and branch_through do,
+    and ZeroDivisionError when a value has a pole at the point.
     """
     values = [rename(v, K, {}) for v in definitions.values()]
     image = dict(zip(definitions, rational_values(K, values, point)))

@@ -259,12 +259,14 @@ def verify_flat_output_symbolic(system, candidate):
     states and input shifts, form a flat output.
 
     Stacks the forward shifts of the components up to an incrementally
-    grown bound (capped at n + q + 1), solves for the system variables as
-    functions of the output jets, and verifies the parametrization
-    identity and the submersion property.  Returns (parametrization,
-    report); the parametrization is None unless the status is PASS.  A
-    generic functional relation among the stacked shifts is a proof of
-    failure; a solver that gives up is only INCONCLUSIVE.
+    grown bound (capped at n + q + 1), solves once per bound for the
+    states and every input shift the stacked shifts use, picks the branch
+    that gives the system variables as functions of the output jets, and
+    verifies the parametrization identity and the submersion property.
+    Returns (parametrization, report); the parametrization is None
+    unless the status is PASS.  A generic functional relation among the
+    stacked shifts is a proof of failure; a solver that gives up is only
+    INCONCLUSIVE.
 
     A bound is skipped without a solve, as unsolved, only when the exact
     rank at the point that certified the stacked shifts' independence
@@ -310,24 +312,10 @@ def verify_flat_output_symbolic(system, candidate):
         if _solve_is_hopeless(system, variables, at_point, len(stacked)):
             detail = "stacked system unsolved at shift bound %d" % alpha
             continue
-        top = max(
-            (_parse_input_shift(s, system.inputs)[1] for s in present), default=-1
-        )
-        ladders = []
-        if top >= 0:
-            trimmed = [
-                s for s in present if _parse_input_shift(s, system.inputs)[1] < top
-            ]
-            ladders.append(list(system.states) + trimmed)
-        ladders.append(list(system.states) + present)
         targets = _jet_targets(m, alpha)
-        S = symbolic.field(targets + list(system.states) + present)
+        S = symbolic.field(targets + variables)
         equations = symbolic.defining_equations(S, dict(zip(targets, stacked)))
-        result = None
-        for unknowns in ladders:
-            result = _attempt_jet_solve(system, S, equations, unknowns, centers, q)
-            if result is not None:
-                break
+        result = _attempt_jet_solve(system, S, equations, variables, centers, q)
         if result is None:
             detail = "stacked system unsolved at shift bound %d" % alpha
             continue
@@ -369,20 +357,18 @@ def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
     given unknowns and select the branch through the equilibrium.
     Returns (F_x, F_u) with jet-pure elements of S for every state and
     input, or None."""
-    try:
-        solutions = symbolic.solve_elements(S, equations, unknowns)
-    except FlatcheckError:
-        return None
     jet_point = {}
     for j, c in enumerate(centers):
         for s in range(0, system.n + q + 3):
             jet_point[jet_symbol(j + 1, s)] = c
-    pure = [sol for sol in solutions if not any(
-        parse_jet_symbol(sym)[0] is None
-        for v in system.variables if v in sol for sym in symbolic.used_symbols(sol[v]))]
-    sol = symbolic.branch_through(S, pure, system.variables,
-                                  {**jet_point, **system.equilibrium_point()})
-    if sol is None:
+    try:
+        solutions = symbolic.solve_elements(S, equations, unknowns)
+        pure = [sol for sol in solutions if not any(
+            parse_jet_symbol(sym)[0] is None
+            for v in system.variables if v in sol for sym in symbolic.used_symbols(sol[v]))]
+        sol = symbolic.branch_through(S, pure, system.variables,
+                                      {**jet_point, **system.equilibrium_point()})
+    except FlatcheckError:
         return None
     return [sol[s] for s in system.states], [sol[u] for u in system.inputs]
 

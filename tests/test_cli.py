@@ -73,7 +73,20 @@ class TestAnalyze:
                         "next x1 = u1^3 + u1\n")
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2
-        assert "error: the chart inverse has no rational branch (xi = ('x1',))" in err
+        assert ("error: the chart inverse was not found: no solution branch is "
+                "rational in u1 (xi = ('x1',))\n") in err
+
+    def test_input_reduction_without_rational_inverse_is_an_error(self, capsys, tmp_path):
+        """x1+ = u1^3 + u1 + u2 has input rank 1, and its effective input
+        uhat_1 = u1^3 + u1 + u2, with u2 kept, needs a root of a cubic to
+        give u1 back: the reduction refuses, and names the unknown."""
+        path = tmp_path / "cubic_pair.sys"
+        path.write_text("system cubic_pair\nstates: x1\ninputs: u1, u2\n"
+                        "equilibrium: all zero\nnext x1 = u1^3 + u1 + u2\n")
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert ("error: system 'cubic_pair': cannot invert the effective-input change "
+                "through the equilibrium: no solution branch is rational in u1\n") in err
 
     def test_json_document(self, capsys, models_dir, tmp_path):
         target = tmp_path / "doc.json"
@@ -165,6 +178,23 @@ class TestExtract:
         assert "implicit solve failed" in err
         assert err.count("timing: analyze") == 1
         assert err.count("timing: construct") == 1
+
+    def test_straightening_without_rational_inverse_exits_3(self, capsys, tmp_path):
+        """x1+ = u, x2+ = x1 - u - u^3 is flat (and static feedback
+        linearizable), but the straightening's state change needs a root
+        of a cubic to give x1 back: the construction fails honestly."""
+        path = tmp_path / "cubic_chain.sys"
+        path.write_text("system cubic_chain\nstates: x1, x2\ninputs: u\n"
+                        "equilibrium: all zero\nnext x1 = u\nnext x2 = x1 - u - u^3\n")
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert "system cubic_chain: FLAT (kbar = 2)\n" in out
+        assert "static feedback linearizable: yes\n" in out
+        code, out, err = run(capsys, "extract", str(path))
+        assert code == 3
+        assert "verdict: FLAT (kbar = 2)" in out
+        assert ("construction failed: state transformation could not be inverted "
+                "rationally: no solution branch is rational in x1\n") in err
 
     def test_degree_cap_exit(self, capsys, models_dir):
         code, out, err = run(

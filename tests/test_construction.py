@@ -178,6 +178,23 @@ class TestStraightening:
         assert _same_set(values[1], [x3, x2 + 3 * x4])
         assert _same_set(values[0], [x4])
 
+    def test_fibre_change_without_rational_inverse(self):
+        """A fibre change w = x1 + x1^3 of one coordinate needs a root of a
+        cubic to give x1 back, so the peeling refuses it with its reason,
+        and leaves the state as it was."""
+        w = sp.Symbol("w")
+        K, (value,) = symbolic.to_elements([x1 + x1**3], [x1])
+        state = construction.DecompositionState(
+            system=None, report=None, st=None, base=K, coordinates=K, dynamics={},
+            stands_for={}, forward_all={x1: symbolic.generators(K, [x1])[0]},
+            point_cur={x1: 0})
+        with pytest.raises(StraighteningError) as info:
+            construction._change_fibre(state, {w: value}, [x1], 2)
+        assert str(info.value) == ("fibre transformation at step 2 could not be "
+                                   "inverted rationally: no solution branch is "
+                                   "rational in x1")
+        assert state.coordinates is K and set(state.forward_all) == {x1}
+
     def test_forward_inverse_roundtrip(self, extracted):
         """The chart and the straightening, each inverted by its branch
         through the equilibrium, compose with their forward maps to the

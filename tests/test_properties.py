@@ -14,7 +14,7 @@ import pytest
 import sympy as sp
 
 from flatcheck import analysis, construction, geometry, model, symbolic, verification
-from flatcheck.errors import ChartError
+from flatcheck.errors import ChartError, StraighteningError
 from flatcheck.model import DiscreteTimeSystem
 
 import geometry_oracles
@@ -287,8 +287,12 @@ class TestFlat4UnderLinearStateChanges:
     does not depend on coordinates, so each linear state change of it is
     FLAT with kbar 3, sfl false and flat4's dimension table.  The chart
     finds that for s = 2, where its composed Jacobian takes large gcds,
-    and for s = 3.  For s = 0, 1 and 4 no rational chart inverse is found
-    yet: the solver gives up, and the chart says on which unknowns."""
+    and for s = 3.  FLAT implies that the construction passes or fails
+    honestly (StraighteningError, extract's exit 3): s = 3 builds a
+    parametrization that checks, and s = 2's straightening has no
+    rational inverse in x1.  For s = 0, 1 and 4 no rational chart inverse
+    is found yet: the solver gives up, and the chart says on which
+    unknowns."""
 
     @staticmethod
     def _changed(flat4, s):
@@ -302,6 +306,16 @@ class TestFlat4UnderLinearStateChanges:
         assert [(step.dim_delta, step.dim_D) for step in report.steps] == [
             (step.dim_delta, step.dim_D) for step in flat4_report.steps]
         assert geometry_oracles.linearization_is_controllable(system)
+        if s == 2:
+            with pytest.raises(StraighteningError) as info:
+                construction.extract_flat_output(system, report)
+            assert str(info.value) == ("state transformation could not be inverted "
+                                       "rationally: no solution branch is rational in x1")
+        else:
+            _, trace = construction.extract_flat_output(system, report)
+            p = construction.parametrize_from_triangular(
+                construction.to_implicit_triangular(trace))
+            assert verification.check_parametrization(system, p)[0]
 
     @pytest.mark.parametrize("s, unknowns", [(0, "x3, x4, u1, u2"), (1, "x3, x4, u2"),
                                              (4, "u1, u2")])

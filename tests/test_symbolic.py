@@ -1126,8 +1126,8 @@ class TestCompose:
 
 class TestBranchThrough:
     """branch_through picks the first solved branch that takes at a point
-    the values the point gives the unknowns; invert keeps the branch of a
-    coordinate change through a point."""
+    the values the point gives the unknowns, and raises when none does;
+    invert keeps the branch of a coordinate change through a point."""
 
     def _branches(self, *branches):
         K = symbolic.function_field((x, y))
@@ -1145,9 +1145,11 @@ class TestBranchThrough:
         K, sols = self._branches({x: y + 1}, {x: y + 1, y: sp.Integer(1)})
         assert symbolic.branch_through(K, sols, [x, y], {x: 2, y: 1}) is sols[1]
 
-    def test_none_when_no_branch_passes(self):
+    def test_raises_when_no_branch_passes(self):
         K, sols = self._branches({x: y - 1}, {x: 1 / (y - 1)})
-        assert symbolic.branch_through(K, sols, [x], {x: 2, y: 1}) is None
+        with pytest.raises(UnsupportedEquationError) as info:
+            symbolic.branch_through(K, sols, [x], {x: 2, y: 1})
+        assert str(info.value) == "no solved branch passes through the point"
 
     def test_invert_through_the_point(self):
         """(s, t) = (x y, y) is inverted by x = s / t, y = t, and the point
@@ -1160,16 +1162,16 @@ class TestBranchThrough:
         assert {v: a.as_expr() for v, a in branch.items()} == {x: s / t, y: t}
         assert values == {s: 2, t: 1}
 
-    def test_invert_none_where_the_jacobian_is_singular(self):
+    def test_invert_raises_where_the_jacobian_is_singular(self):
         """At y = 0 the change (x y, y) is singular: its only branch has a
         pole at the image (0, 0)."""
         s, t = sp.symbols("s t")
         K = symbolic.field((s, t, x, y))
         P = symbolic.field((x, y))
-        branch, values = symbolic.invert(K, {s: P.from_sympy(x * y), t: P.from_sympy(y)},
-                                         [x, y], {x: 2, y: 0})
-        assert branch is None
-        assert values == {s: 0, t: 0}
+        with pytest.raises(UnsupportedEquationError) as info:
+            symbolic.invert(K, {s: P.from_sympy(x * y), t: P.from_sympy(y)},
+                            [x, y], {x: 2, y: 0})
+        assert str(info.value) == "no solved branch passes through the point"
 
 
 def _value(e, point):

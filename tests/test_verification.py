@@ -152,8 +152,9 @@ class TestSymbolicVerification:
 
 def _gated_bounds(monkeypatch, system, candidate):
     """Report of verify with the rank gate held open, and per bound that
-    reaches the gate: the bound, the gate's verdict, and whether each jet
-    solve (one per ladder tried) found a branch."""
+    reaches the gate: the bound, the gate's verdict, and whether its one
+    jet solve found a branch, as a list that stays empty when no solve
+    runs."""
     gate, solve = verification._solve_is_hopeless, verification._attempt_jet_solve
     bounds = []
 
@@ -175,7 +176,8 @@ def _gated_bounds(monkeypatch, system, candidate):
 
 
 class TestRankGate:
-    """The gate skips a shift bound only where no jet solve succeeds."""
+    """The gate skips a shift bound only where the bound's jet solve, for
+    the states and every input shift present, finds no branch."""
 
     # the candidates of the verify goldens that end in bounded time, with
     # the bounds the gate skips
@@ -198,8 +200,8 @@ class TestRankGate:
         assert {alpha for alpha, hopeless, _ in bounds if hopeless} == skipped
         for alpha, hopeless, solved in bounds:
             if hopeless:
-                # every ladder was tried, and none found a branch
-                assert solved == [False, False], alpha
+                # the bound's one solve ran and found no branch
+                assert solved == [False], alpha
         # the gate changes no verdict, and never skips a passing bound
         _, gated = verification.verify_flat_output_symbolic(system, candidate)
         assert gated == report
