@@ -724,7 +724,7 @@ def _composed(elements, images, keep=()):
 
 
 def _format_equations(equations) -> str:
-    return "; ".join("%s = 0" % a.as_expr() for a in equations)
+    return "; ".join("%s = 0" % symbolic.expression(a) for a in equations)
 
 
 def parametrize_from_triangular(form: ImplicitTriangularForm):

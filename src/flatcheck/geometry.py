@@ -10,8 +10,8 @@ distribution.
 Conventions.  Vector fields and distributions are component data over an
 explicit coordinate tuple.  Every component is an element of a rational
 function field, which only the symbolic module looks inside
-(``.as_expr()`` gives the expression), one field per space: over the
-base variables (x, u) the chart's wide field QQ(x, u, theta, xi), in
+(``symbolic.expression`` gives the expression), one field per space:
+over the base variables (x, u) the chart's wide field QQ(x, u, theta, xi), in
 chart coordinates the narrow field QQ(theta, xi), over the shifted state
 symbols x<i>_p1 of the image space QQ(x_p1, ...).  Lift and pushforward
 rename generators between the spaces, and the chart renames the model's
@@ -384,7 +384,7 @@ def largest_projectable_subdistribution(
         if not _projectability(chart_fields[-1], system, chart):
             raise NotProjectableError(
                 "projectable basis extraction failed: %s"
-                % (tuple(c.as_expr() for c in comps),)
+                % (tuple(map(symbolic.expression, comps)),)
             )
     result = Distribution(
         coords=dist.coords,
@@ -431,7 +431,7 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
         theta_part = a.components[:system.n]
         if not _projectability(a, system, chart):
             raise NotProjectableError("field is not projectable: theta components %s"
-                                      % (tuple(c.as_expr() for c in theta_part),))
+                                      % (tuple(map(symbolic.expression, theta_part)),))
         row = [symbolic.rename(c, L, rename) for c in theta_part]
         rows.append(symbolic.clear_element_row(L, row)[0])
     rows = [r for r in rows if any(r)]

@@ -13,13 +13,19 @@ Expressions use +, -, *, /, integer powers with ^, parentheses, rational
 literals and declared identifiers.  ``#`` starts a comment.  Identifiers are
 a letter followed by letters or digits; underscores are reserved for
 generated coordinate names, and ``y<digits>`` is reserved for flat outputs.
+
+One parser reads every expression and builds its value with one of two
+sets of actions from symbolic: ``Fractions`` for the elements of
+``system.update_elements`` and ``parse_elements``, and ``Expressions``
+for the sympy expressions of ``system.update`` and ``parse_expression``,
+which are the expressions that sympy's operators build, with their sums
+built without ``Add.flatten``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import operator
 import re
 
 import sympy as sp
@@ -71,31 +77,14 @@ def _tokenize_line(text, line_no):
     return tokens
 
 
-class _Expressions:
-    """Semantic actions of the parser that build sympy expressions.  The
-    other set, symbolic.Fractions, builds fractions of polynomials."""
-
-    number = staticmethod(lambda q: q)
-    symbol = staticmethod(lambda s: s)
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    div = staticmethod(operator.truediv)
-    neg = staticmethod(operator.neg)
-
-    @staticmethod
-    def power(base, k):
-        return base ** sp.Integer(k)
-
-
 class _ExprParser:
     """Precedence-climbing parser for the expression sublanguage.  The
     actions (number, symbol, add, sub, mul, div, neg, power) build the
-    value: _Expressions or symbolic.Fractions.  Parsing starts at the
-    token index start; the tokens before it only place the end of an
+    value: symbolic.Expressions or symbolic.Fractions.  Parsing starts at
+    the token index start; the tokens before it only place the end of an
     empty expression."""
 
-    def __init__(self, tokens, symbols, line_no, actions=_Expressions, start=0):
+    def __init__(self, tokens, symbols, line_no, actions=symbolic.Expressions, start=0):
         self.tokens = tokens
         self.pos = start
         self.symbols = symbols

@@ -1,13 +1,13 @@
 """Exact symbolic arithmetic over rational function fields.
 
 This is the one module that knows how a rational function is stored.
-Every other module reaches the kernel only through the functions here,
-through an element's truth value and equality, and through
-``.as_expr()`` for messages: none imports from ``sympy.polys``,
-names ``QQ`` or ``ZZ`` or reads an element's numerator, denominator or
-ring.  A field is what ``function_field``, ``field`` (generators sorted
-by name) and ``field_of`` return, and elsewhere only its ``.symbols``,
-``.zero`` and ``.one`` are read.  ``symbol`` makes the symbols of
+Every other module reaches the kernel only through the functions here
+and through an element's truth value and equality: none imports from
+``sympy.polys``, names ``QQ`` or ``ZZ``, reads an element's numerator,
+denominator or ring, or calls its ``.as_expr()``.  A field is what
+``function_field``, ``field`` (generators sorted by name) and
+``field_of`` return, and elsewhere only its ``.symbols``, ``.zero`` and
+``.one`` are read.  ``symbol`` makes the symbols of
 generators and ``generators`` looks them up in a field, ``rational``
 reads a rational number, and ``GeneratorsError`` and ``CoercionFailed``
 are the kernel's errors.
@@ -43,8 +43,9 @@ only the generators that the pair uses; it takes sympy's
 balanced xi-adic interpolation and exact-division checks), so it
 returns sympy's triple, and the result is converted back once with
 ``from_dict``.  Where it gives up after its six points, sympy's dense
-subresultant gcd (``euclidtools.dmp_rr_prs_gcd``) reduces the pair, to
-its gcd with a positive leading coefficient.  Sympy's element
+subresultant gcd (``euclidtools.dmp_rr_prs_gcd``) reduces the same
+dicts, as dense lists over the same generators, to their gcd with a
+positive leading coefficient.  Sympy's element
 arithmetic and ``.diff`` would reduce through ``cancel`` instead, so
 flatcheck uses neither: ``derivative`` and ``compose_derivative`` take
 the derivative of p / q as the unreduced pair (p' q - p q', q**2), or
@@ -77,9 +78,16 @@ polynomial ansatz over QQ.  ``to_infix`` prints an element straight
 from its canonical numerator and denominator, in plain Python, the
 string that sympy's ``str`` prints for its canonical form (the rules
 are in its docstring); it builds no expression and calls no sympy
-printer.  ``canonicalize_element`` and ``.as_expr()`` build expressions
-only where they are read, for the lambdified numeric replay and for
-error messages.
+printer.  Expressions are built only where they are read, for the
+lambdified numeric replay, ``simulate`` and error messages:
+``expression`` builds the one that an element's ``.as_expr()`` builds,
+``canonicalize_element`` that of its canonical form, and the model
+parser builds ``system.update`` with ``Expressions``, the counterpart
+of ``Fractions``.  All three build sympy's own expressions, argument for
+argument, but build a sum without ``Add.flatten``, which would import
+``sympy.tensor.tensor`` and ``sympy.combinatorics`` on the first sum of
+a process; the rules they follow are in the docstring of
+``Expressions``.
 
 ``solve_elements`` solves by exact elimination in the fraction field,
 one unknown at a time in the caller's order, each from an equation
@@ -120,6 +128,8 @@ import operator
 
 import sympy as sp
 from sympy import QQ, ZZ
+from sympy.core.add import _addsort
+from sympy.core.mul import _keep_coeff
 from sympy.polys.euclidtools import dmp_rr_prs_gcd, dup_gcd
 from sympy.polys.polyerrors import CoercionFailed, GeneratorsError, HeuristicGCDFailed
 
@@ -248,6 +258,117 @@ def _fraction(e, fractions):
     raise CoercionFailed(e)
 
 
+class Expressions:
+    """Arithmetic on sympy expressions, the expressions that sympy's own
+    operators build, with the same actions as :class:`Fractions`: the
+    model parser builds ``system.update`` and the value of
+    ``parse_expression`` with them, and :func:`expression` builds an
+    element's expression.
+
+    The first sum that sympy evaluates imports ``sympy.tensor.tensor``,
+    and ``sympy.combinatorics`` with it, from ``Add.flatten``.  So a sum,
+    and a rational number times a sum, are built here as sympy evaluates
+    them for commutative operands with rational coefficients, without
+    that function (:func:`_sum`, :func:`_scaled`).  Every other operand
+    (a number that is not rational, such as the ``zoo`` of 1/0, a
+    repeated base, and anything else) goes through sympy's operator,
+    which gives the same expression and may import them.
+    """
+
+    number = staticmethod(lambda q: q)
+    symbol = staticmethod(lambda s: s)
+
+    @staticmethod
+    def add(x, y):
+        return _sum([x, y])
+
+    @classmethod
+    def sub(cls, x, y):
+        return _sum([x, cls.neg(y)])
+
+    @staticmethod
+    def neg(x):
+        return _scaled(sp.S.NegativeOne, x) if x.is_Add else -x
+
+    @staticmethod
+    def mul(x, y):
+        if x.is_Rational and x and y.is_Add:
+            return _scaled(x, y)
+        if y.is_Rational and y and x.is_Add:
+            return _scaled(y, x)
+        return x * y
+
+    @staticmethod
+    def div(x, y):
+        if y.is_Rational and y and x.is_Add:
+            return _scaled(1 / y, x)
+        return x / y
+
+    @staticmethod
+    def power(x, k):
+        return x ** sp.Integer(k)
+
+
+def _sum(args):
+    """Add(*args) as sympy evaluates it, without ``Add.flatten`` where
+    every term is a rational number, a symbol, a power of a base that is
+    not a number, or a product with a rational coefficient, and every
+    other argument a sum of such terms: nested sums are flattened, the
+    coefficients of equal terms collected and zero ones dropped, the
+    terms sorted as ``_addsort`` sorts them and the constant put first.
+    Anything else goes to sympy's Add."""
+    constant, coefficients = sp.S.Zero, {}
+    for t in itertools.chain.from_iterable(a.args if a.is_Add else (a,) for a in args):
+        if t.is_Rational:
+            constant += t
+            continue
+        if t.is_Mul:
+            c, s = t.as_coeff_Mul()
+            if not c.is_Rational or s.is_Add:
+                return sp.Add(*args)
+        elif t.is_Symbol or t.is_Pow and not t.base.is_Number:
+            c, s = sp.S.One, t
+        else:
+            return sp.Add(*args)
+        coefficients[s] = coefficients[s] + c if s in coefficients else c
+    terms = [_keep_coeff(c, s) for s, c in coefficients.items() if c]
+    _addsort(terms)
+    if constant:
+        terms.insert(0, constant)
+    return sp.Add._from_args(terms, True)
+
+
+def _scaled(a, b):
+    """a*b for a nonzero rational number a and a sum b, as sympy's
+    ``Mul.flatten`` evaluates a product of two factors: a is distributed
+    over the terms of b."""
+    if a is sp.S.One:
+        return b
+    return _sum([_keep_coeff(a, t) for t in b.args])
+
+
+def _polynomial_expression(poly):
+    """The expression of a polynomial that its ``as_expr()`` builds: the
+    sum of its terms, each its coefficient times the powers of the
+    generators."""
+    to_sympy, symbols = poly.ring.domain.to_sympy, poly.ring.symbols
+    return _sum([sp.Mul(to_sympy(c), *[sp.Pow(g, e) for g, e in zip(symbols, monom) if e])
+                 for monom, c in poly.iterterms()])
+
+
+def _quotient_expression(P, Q):
+    """The expression P / Q of the polynomials P and Q, each built as its
+    ``as_expr()`` builds it, divided as sympy divides them."""
+    return Expressions.div(_polynomial_expression(P), _polynomial_expression(Q))
+
+
+def expression(a):
+    """The sympy expression of the element a of a function field, the one
+    that ``a.as_expr()`` builds (numerator over denominator), built with
+    :class:`Expressions`."""
+    return _quotient_expression(a.numer, a.denom)
+
+
 def to_elements(exprs, gens=None):
     """Field elements of a sequence of rational expressions.
 
@@ -313,8 +434,7 @@ def canonicalize_element(K, a):
         return sp.Integer(0)
     if K is QQ:
         return QQ.to_sympy(a)
-    P, Q = _canonical_polys(a)
-    return P.as_expr() if Q.is_one else P.as_expr() / Q.as_expr()
+    return _quotient_expression(*_canonical_polys(a))
 
 
 def _substitute(poly, substitution, ring=None):
@@ -401,7 +521,7 @@ def _compose_by_index(a, substitution, target, parts=None):
     if num is a.numer and den is a.denom:
         return a
     if not den:
-        raise ZeroDivisionError("denominator of %s vanishes" % a.as_expr())
+        raise ZeroDivisionError("denominator of %s vanishes" % expression(a))
     return _element(target, num * den_den, den * num_den)
 
 
@@ -786,7 +906,8 @@ def _cofactors(p, q) -> tuple:
     that they use, each exponent divided by the gcd of that generator's
     exponents as sympy's ``deflate`` divides it, and the triple is mapped
     back.  When the heuristic gives up, sympy's dense subresultant gcd
-    reduces the pair instead.
+    reduces the same deflated pair instead, as dense lists over only the
+    generators that p and q use.
     """
     if not p or not q or len(p) == 1 or len(q) == 1:
         return p.cofactors(q)
@@ -814,11 +935,46 @@ def _cofactors(p, q) -> tuple:
             poly[tuple(full)] = c
         return ring.from_dict(poly)
 
+    f, g = down(p), down(q)
     try:
-        return tuple(map(up, _heugcd(down(p), down(q))))
+        return tuple(map(up, _heugcd(f, g)))
     except HeuristicGCDFailed:
-        h, cff, cfg = dmp_rr_prs_gcd(p.to_dense(), q.to_dense(), ring.ngens - 1, ZZ)
-        return ring.from_dense(h), ring.from_dense(cff), ring.from_dense(cfg)
+        k = len(used)
+        triple = dmp_rr_prs_gcd(_to_dense(f, k), _to_dense(g, k), k - 1, ZZ)
+        return tuple(up(_from_dense(part, k)) for part in triple)
+
+
+def _to_dense(terms, k) -> list:
+    """The polynomial dict terms over k >= 1 generators as sympy's dense
+    recursive list: its coefficients in the first generator, highest
+    degree first, each a dense list over the other generators (an integer
+    when there are none), without leading zeros."""
+    if not terms:
+        return [] if k == 1 else [_to_dense({}, k - 1)]
+    degree = max(m[0] for m in terms)
+    if k == 1:
+        dense = [0] * (degree + 1)
+        for monom, c in terms.items():
+            dense[degree - monom[0]] = c
+        return dense
+    parts = [{} for _ in range(degree + 1)]
+    for monom, c in terms.items():
+        parts[degree - monom[0]][monom[1:]] = c
+    return [_to_dense(part, k - 1) for part in parts]
+
+
+def _from_dense(dense, k) -> dict:
+    """The polynomial dict of sympy's dense recursive list over k >= 1
+    generators."""
+    terms, degree = {}, len(dense) - 1
+    for i, part in enumerate(dense):
+        if k == 1:
+            if part:
+                terms[(degree - i,)] = part
+        else:
+            for monom, c in _from_dense(part, k - 1).items():
+                terms[(degree - i,) + monom] = c
+    return terms
 
 
 # evaluation points that _heugcd tries before it gives up, as sympy's
@@ -1256,7 +1412,7 @@ def _defined(result, a, point):
     because a's denominator vanishes there.  An element is in lowest
     terms, so that is a pole, and ZeroDivisionError is raised."""
     if result is None:
-        raise ZeroDivisionError("pole at %s in %s" % (point, a.as_expr()))
+        raise ZeroDivisionError("pole at %s in %s" % (point, expression(a)))
     return result
 
 

@@ -420,15 +420,15 @@ def verify_flat_output_numeric(
     length = horizon + max_r + q + 2
     jets_used = _by_name(set().union(*map(symbolic.used_symbols, list(p.F_x) + list(p.F_u))))
     jet_index = [parse_jet_symbol(sym) for sym in jets_used]
-    fx_fn = _compile(jets_used, [a.as_expr() for a in p.F_x])
-    fu_fn = _compile(jets_used, [a.as_expr() for a in p.F_u])
+    fx_fn = _compile(jets_used, [symbolic.expression(a) for a in p.F_x])
+    fu_fn = _compile(jets_used, [symbolic.expression(a) for a in p.F_u])
     f_fn = _update_function(system)
     phi_fn = None
     if comps is not None:
         phi_vars = list(system.states) + [
             input_shift_symbol(u, s) for s in range(q + 1) for u in system.inputs
         ]
-        phi_fn = _compile(phi_vars, [c.as_expr() for c in comps])
+        phi_fn = _compile(phi_vars, [symbolic.expression(c) for c in comps])
 
     def jet_values(samples, k):
         return [samples[j - 1][k + s] for j, s in jet_index]

@@ -5,10 +5,12 @@ Every module of the package is parsed, not imported, and its syntax tree
 is searched: for imports of sympy, for the names of sympy's domain and
 element types, and for the attributes through which an element exposes
 its numerator, denominator, ring or terms.  The other modules reach the
-kernel through symbolic's functions, an element's truth value and
-equality, and ``.as_expr()`` alone; they take no derivative with
-``.diff``, which would reduce through sympy's ``cancel`` instead of
-symbolic's own gcd.
+kernel through symbolic's functions and an element's truth value and
+equality alone.  They take no derivative with ``.diff``, which would
+reduce through sympy's ``cancel`` instead of symbolic's own gcd, and
+build no expression with ``.as_expr()``, whose sums sympy evaluates
+through ``Add.flatten`` and its import of ``sympy.tensor.tensor``:
+``symbolic.expression`` builds the same expression without it.
 """
 
 import ast
@@ -24,13 +26,14 @@ KERNEL_NAMES = {"QQ", "ZZ", "FracElement", "DomainMatrix"}
 KERNEL_ATTRIBUTES = {
     "numer", "denom", "ring", "field", "gens", "mul_term", "from_dict", "exquo", "LC",
     "is_ground", "iterterms", "to_sympy", "from_sympy", "frac_field", "raw_new", "diff",
+    "as_expr",
 }
 # the attributes of sympy that a module may use; every other module,
 # construction, geometry, model and cli among them, imports no sympy
 SYMPY_USE = {
     # the lambdified replay and simulate
     "verification": {"lambdify", "sympify", "Rational"},
-    # the expression action set and number tokens
+    # number tokens and the zero equilibrium
     "modelfile": {"Integer", "Rational", "Expr"},
 }
 
@@ -73,6 +76,15 @@ def test_kernel_polys_imports():
     modules, _ = _sympy_aliases(_tree("symbolic"))
     assert {m for m in modules if "sympy.polys" in m} == {
         "from sympy.polys.euclidtools", "from sympy.polys.polyerrors"}
+
+
+def test_kernel_core_imports():
+    """symbolic imports from exactly these modules of sympy.core: the
+    pieces of sympy's own sum evaluation that symbolic.Expressions builds
+    sums with, without ``Add.flatten``."""
+    modules, _ = _sympy_aliases(_tree("symbolic"))
+    assert {m for m in modules if "sympy.core" in m} == {
+        "from sympy.core.add", "from sympy.core.mul"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -13,6 +13,7 @@ import sympy
 from flatcheck import cli, symbolic, verification
 
 import geometry_oracles
+from test_golden import VERIFY_CASES
 
 
 def run(capsys, *argv):
@@ -601,21 +602,30 @@ _LOADED = (
 
 
 class TestImportBoundary:
-    """The analysis builds no sympy sum, whose first evaluation imports
-    sympy.tensor.tensor and sympy.combinatorics: a fresh interpreter that
-    runs analyze on any bundled model, an extract that ends before the
-    numeric replay, or a verify without one, imports neither."""
+    """No command imports sympy.tensor.tensor or sympy.combinatorics,
+    which the first sum that sympy's ``Add.flatten`` evaluates loads: a
+    fresh interpreter that runs analyze or extract on any bundled model,
+    any verify of the golden records, or a float simulate imports
+    neither.  The analysis builds no sympy expression, and the
+    expressions that the numeric replay and simulate lambdify are built
+    by symbolic.Expressions, without ``Add.flatten``."""
 
     @pytest.mark.parametrize(
         "command, name",
-        [("analyze", path.stem) for path in sorted(MODELS_DIR.glob("*.sys"))]
-        + [("extract", "nonflat_bilinear"), ("extract", "quad_integrator")],
+        [(command, path.stem) for command in ("analyze", "extract")
+         for path in sorted(MODELS_DIR.glob("*.sys"))],
     )
     def test_analysis(self, command, name, tmp_path):
         self._check([command, model_path(MODELS_DIR, name), "--json", str(tmp_path / "doc.json")])
 
-    def test_verify_without_replay(self):
-        self._check(["verify", model_path(MODELS_DIR, "chain2"), "--output", "x2"])
+    @pytest.mark.parametrize("name, output", VERIFY_CASES)
+    def test_verify(self, name, output):
+        self._check(["verify", model_path(MODELS_DIR, name), "--output", output])
+
+    def test_float_simulate(self):
+        golden = MODELS_DIR.parent / "tests" / "golden"
+        self._check(["simulate", model_path(MODELS_DIR, "flat4"), "--x0", "0.01,-0.02,0.015,0.005",
+                     "--inputs-file", str(golden / "simulate-flat4-inputs.csv")])
 
     @staticmethod
     def _check(argv):

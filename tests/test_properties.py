@@ -7,13 +7,14 @@ the implementation itself.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
-from flatcheck import analysis, construction, geometry, model, symbolic, verification
+from flatcheck import analysis, construction, geometry, model, modelfile, symbolic, verification
 from flatcheck.errors import ChartError, StraighteningError
 from flatcheck.model import DiscreteTimeSystem
 
@@ -561,3 +562,105 @@ class TestPrinterOracle:
         a = K.field.new(num * den_scale, den * num_scale)
         expected = sp.sstr(symbolic.canonicalize_element(K, a)).replace("**", "^")
         assert symbolic.to_infix(a) == expected
+
+
+class _SympyOperators:
+    """The oracle action set of the parser: sympy's own operators, which
+    evaluate every sum through ``Add.flatten``."""
+
+    number = staticmethod(lambda q: q)
+    symbol = staticmethod(lambda s: s)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    neg = staticmethod(operator.neg)
+
+    @staticmethod
+    def power(base, k):
+        return base ** sp.Integer(k)
+
+
+EXPRESSION_NAMES = ("x1", "x2", "x10")
+EXPRESSION_LEAVES = ("x1", "x2", "x10", "0", "1", "2", "7", "0.5", ".25", "3.", "1/0")
+
+
+def _model_text(rng, depth):
+    """A random expression of the model grammar: sums, differences,
+    products and quotients, unary minus, integer powers of either sign,
+    integer and decimal literals and 1/0, with bases that repeat."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(EXPRESSION_LEAVES)
+    kind = rng.choice(("+", "-", "*", "/", "^", "neg", "neg"))
+    inner = _model_text(rng, depth - 1)
+    if kind == "^":
+        return "(%s)^%d" % (inner, rng.choice((-3, -2, -1, 0, 1, 2, 3)))
+    if kind == "neg":
+        return "-(%s)" % inner
+    return "(%s) %s %s" % (inner, kind, _model_text(rng, depth - 1))
+
+
+def _same_expression(a, b) -> bool:
+    """Whether a and b are one expression: the same srepr, which lists a
+    sum's terms in printing order, and the same arguments in the same
+    order at every level, on which sympy's own rules rely (the constant
+    of a sum first, the terms sorted)."""
+
+    def arguments(e):
+        return (type(e), tuple(map(arguments, e.args))) if e.args else sp.srepr(e)
+
+    return sp.srepr(a) == sp.srepr(b) and arguments(a) == arguments(b)
+
+
+def _parse_with(text, actions):
+    """The parser's value of text over EXPRESSION_NAMES, built by actions."""
+    symbols = {name: sp.Symbol(name) for name in EXPRESSION_NAMES}
+    return modelfile._ExprParser(modelfile._tokenize_line(text, 1), symbols, 1, actions).parse()
+
+
+class TestExpressionsOracle:
+    """symbolic.Expressions builds sums without sympy's ``Add.flatten``.
+    The expressions it builds, and those of symbolic.expression and
+    symbolic.canonicalize_element, are sympy's own, argument for
+    argument: the numeric replay lambdifies them, so their operation
+    order fixes its floats."""
+
+    PINNED = [
+        "-(x1 + 2*x2)", "3 - (x1 - x2)", "-(x1 - 1)*x2", "2*(x1 + 1) - 2*x1",
+        "0.5*x1 - .25", "(x1 + 1)/4 + 1.5", "(x1 + 1)/0.5", "-(x1 + x2)/3",
+        "(x1 + 1)^-2", "x1^-1 + x1", "(2*x1)^-3*x2", "x1*x1 + x1^2*x1",
+        "(x1 + 1)*(x1 + 1)", "(x1 + 1)/(x1 + 1)", "x1*x2/x1 + 1",
+        "1/0", "x1 + 1/0", "(x1 + 1)/0", "0*(x1 + 1)", "(x1 - x1)*(x2 + 1)",
+        "x10 + x2 + x1 + 10", "2*x1*x2 - 3*x2*x1 + x1*x2",
+    ]
+
+    @pytest.mark.parametrize("text", PINNED)
+    def test_pinned_text(self, text):
+        assert _same_expression(_parse_with(text, symbolic.Expressions),
+                                _parse_with(text, _SympyOperators))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_texts(self, seed):
+        rng = random.Random(seed + 7200)
+        for _ in range(20):
+            text = _model_text(rng, rng.randint(1, 5))
+            assert _same_expression(_parse_with(text, symbolic.Expressions),
+                                    _parse_with(text, _SympyOperators)), text
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_element_expressions(self, seed):
+        """Every pair of numerator and denominator shapes of the printer
+        oracle: constant, monomial and multi-term denominators, and the
+        canonical form's negated ones."""
+        rng = random.Random(seed + 7300)
+        names = rng.sample(PRINTER_NAMES, rng.randint(2, len(PRINTER_NAMES)))
+        K = symbolic.function_field(tuple(sp.Symbol(name) for name in names))
+        ring = K.field.ring
+        shapes = TestPrinterOracle.SHAPES
+        num, num_scale = _printer_polynomial(rng, ring, shapes[seed % 3])
+        den, den_scale = _printer_polynomial(rng, ring, shapes[seed // 3 % 3])
+        a = K.field.new(num * den_scale * rng.choice((1, -1)), den * num_scale)
+        assert _same_expression(symbolic.expression(a), a.as_expr())
+        P, Q = symbolic._canonical_polys(a)
+        assert _same_expression(symbolic.canonicalize_element(K, a),
+                                P.as_expr() if Q.is_one else P.as_expr() / Q.as_expr())

@@ -4,6 +4,7 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.euclidtools import dmp_rr_prs_gcd
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import GeneratorsError, HeuristicGCDFailed
 
@@ -952,6 +953,23 @@ class TestKernelOracle:
         with pytest.raises(HeuristicGCDFailed):
             symbolic._heugcd(dict(p), dict(q))
         self._check(p, q)
+        assert not symbolic._cofactors(p, q)[0].is_ground
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_gcd_in_the_used_generators(self, monkeypatch, seed):
+        """Where the heuristic gives up on a pair that uses 5 to 8 of 12
+        generators, the dense gcd over only those generators gives sympy's
+        triple, and the triple of the dense gcd over all 12."""
+        monkeypatch.setattr(symbolic, "_HEUGCD_ATTEMPTS", 0)
+        rng = random.Random(seed + 9800)
+        ring = self._wide_ring()
+        used = rng.sample(range(12), rng.randint(5, 8))
+        common = _integer_poly(rng, ring, used[:4], terms=rng.randint(2, 3), degree=2)
+        p = common * _integer_poly(rng, ring, used, terms=rng.randint(2, 4), degree=2)
+        q = common * _integer_poly(rng, ring, used, terms=rng.randint(2, 4), degree=2)
+        self._check_in_used_generators(p, q)
+        everywhere = dmp_rr_prs_gcd(p.to_dense(), q.to_dense(), ring.ngens - 1, sp.ZZ)
+        assert list(symbolic._cofactors(p, q)) == [ring.from_dense(a) for a in everywhere]
         assert not symbolic._cofactors(p, q)[0].is_ground
 
     @pytest.mark.parametrize("seed", range(10))
