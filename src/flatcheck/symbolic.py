@@ -79,15 +79,20 @@ from its canonical numerator and denominator, in plain Python, the
 string that sympy's ``str`` prints for its canonical form (the rules
 are in its docstring); it builds no expression and calls no sympy
 printer.  Expressions are built only where they are read, for the
-lambdified numeric replay, ``simulate`` and error messages:
-``expression`` builds the one that an element's ``.as_expr()`` builds,
+numeric replay, ``simulate`` and error messages: ``expression`` builds
+the one that an element's ``.as_expr()`` builds,
 ``canonicalize_element`` that of its canonical form, and the model
 parser builds ``system.update`` with ``Expressions``, the counterpart
 of ``Fractions``.  All three build sympy's own expressions, argument for
-argument, but build a sum without ``Add.flatten``, which would import
-``sympy.tensor.tensor`` and ``sympy.combinatorics`` on the first sum of
-a process; the rules they follow are in the docstring of
-``Expressions``.
+argument, but build a sum, and a product of factors with a common base,
+without ``Add.flatten``, which would import ``sympy.tensor.tensor`` and
+``sympy.combinatorics`` on the first sum of a process; the rules they
+follow are in the docstring of ``Expressions``.  ``float_function``
+compiles expressions to one float function for the replay and
+``simulate``: it prints them, without sympy's printer, into the source
+that ``lambdify`` with the math module writes, and executes it, so the
+floats are lambdify's; the printing rules are in the docstrings of
+``_float_text`` and its helpers.
 
 ``solve_elements`` solves by exact elimination in the fraction field,
 one unknown at a time in the caller's order, each from an equation
@@ -123,13 +128,14 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import keyword
 import math
 import operator
 
 import sympy as sp
 from sympy import QQ, ZZ
 from sympy.core.add import _addsort
-from sympy.core.mul import _keep_coeff
+from sympy.core.mul import _keep_coeff, _mulsort
 from sympy.polys.euclidtools import dmp_rr_prs_gcd, dup_gcd
 from sympy.polys.polyerrors import CoercionFailed, GeneratorsError, HeuristicGCDFailed
 
@@ -266,13 +272,16 @@ class Expressions:
     element's expression.
 
     The first sum that sympy evaluates imports ``sympy.tensor.tensor``,
-    and ``sympy.combinatorics`` with it, from ``Add.flatten``.  So a sum,
-    and a rational number times a sum, are built here as sympy evaluates
-    them for commutative operands with rational coefficients, without
-    that function (:func:`_sum`, :func:`_scaled`).  Every other operand
-    (a number that is not rational, such as the ``zoo`` of 1/0, a
-    repeated base, and anything else) goes through sympy's operator,
-    which gives the same expression and may import them.
+    and ``sympy.combinatorics`` with it, from ``Add.flatten``; sympy's
+    ``Mul.flatten`` evaluates one to add the exponents of a base that
+    both factors of a product share.  So a sum, a rational number times a
+    sum, and a product of factors with a common base are built here as
+    sympy evaluates them for commutative operands with rational
+    coefficients and integer exponents, without that function
+    (:func:`_sum`, :func:`_scaled`, :func:`_merged_product`).  Every
+    other operand (a number that is not rational, such as the ``zoo`` of
+    1/0, and anything else) goes through sympy's operator, which gives
+    the same expression and may import them.
     """
 
     number = staticmethod(lambda q: q)
@@ -296,13 +305,13 @@ class Expressions:
             return _scaled(x, y)
         if y.is_Rational and y and x.is_Add:
             return _scaled(y, x)
-        return x * y
+        return _merged_product(x, y)
 
     @staticmethod
     def div(x, y):
         if y.is_Rational and y and x.is_Add:
             return _scaled(1 / y, x)
-        return x / y
+        return _merged_product(x, sp.Pow(y, sp.S.NegativeOne))
 
     @staticmethod
     def power(x, k):
@@ -347,6 +356,38 @@ def _scaled(a, b):
     return _sum([_keep_coeff(a, t) for t in b.args])
 
 
+def _merged_product(x, y):
+    """x*y as sympy's ``Mul.flatten`` evaluates the product of two
+    factors, without ``Add`` where they share a base, when every factor of
+    either is a rational number or an integer power of a symbol or of a
+    sum free of infinities: the exponents of a common base are added, a
+    zero one drops its base, the factors are sorted as ``_mulsort`` sorts
+    them and the coefficient put first, and a number times a sum is
+    distributed (:func:`_scaled`).  Anything else, and factors without a
+    common base, go to sympy's Mul."""
+    xs, ys = sp.Mul.make_args(x), sp.Mul.make_args(y)
+    bases = {f.as_base_exp()[0] for f in xs if not f.is_Rational}
+    if not any(f.as_base_exp()[0] in bases for f in ys if not f.is_Rational):
+        return x * y
+    coefficient, exponents = sp.S.One, {}
+    for f in xs + ys:
+        if f.is_Rational:
+            coefficient *= f
+            continue
+        base, e = f.as_base_exp()
+        if not (f.is_commutative and e.is_Integer and (base.is_Symbol or base.is_Add)
+                and not base.has(sp.S.ComplexInfinity, sp.S.NaN)):
+            return x * y
+        exponents[base] = exponents.get(base, 0) + e
+    factors = [sp.Pow(base, e) for base, e in exponents.items() if e]
+    _mulsort(factors)
+    if coefficient is not sp.S.One:
+        if len(factors) == 1 and factors[0].is_Add:
+            return _scaled(coefficient, factors[0])
+        factors.insert(0, coefficient)
+    return sp.Mul._from_args(factors)
+
+
 def _polynomial_expression(poly):
     """The expression of a polynomial that its ``as_expr()`` builds: the
     sum of its terms, each its coefficient times the powers of the
@@ -367,6 +408,121 @@ def expression(a):
     that ``a.as_expr()`` builds (numerator over denominator), built with
     :class:`Expressions`."""
     return _quotient_expression(a.numer, a.denom)
+
+
+# sympy.printing.precedence's levels of a sum, a product, a power and an atom
+_ADD, _MUL, _POW, _ATOM = 40, 50, 60, 1000
+
+
+def _precedence(e):
+    """The precedence that sympy's printers give e: a product with a
+    negative coefficient and a negative number bind as a sum."""
+    if e.is_Add:
+        return _ADD
+    if e.is_Mul:
+        c = e.args[0]
+        return _ADD if c.is_Number and c.is_extended_negative else _MUL
+    if e.is_Pow:
+        return _POW
+    if e.is_Rational:
+        return _ADD if e.p < 0 else _ATOM if e.is_Integer else _MUL
+    return _ATOM
+
+
+def _parenthesize(e, level, names):
+    text = _float_text(e, names)
+    return "(%s)" % text if _precedence(e) <= level else text
+
+
+def _float_text(e, names):
+    """e as lambdify's ``LambdaPrinter`` prints it for the math module,
+    each argument symbol by its name in names.  Raises
+    UnsupportedEquationError for any node but integers, rationals, the
+    argument symbols, sums, products and integer powers."""
+    if e.is_Integer:
+        return str(e.p)
+    if e.is_Rational:
+        return "%d/%d" % (e.p, e.q)
+    if e.is_Symbol and e in names:
+        return names[e]
+    if e.is_Add:
+        return _float_sum(e, names)
+    if e.is_Mul:
+        return _float_product(e, names)
+    if e.is_Pow and e.exp.is_Integer:
+        if e.exp is sp.S.NegativeOne:
+            return "1/%s" % _parenthesize(e.base, _POW, names)
+        return "%s**%s" % (_parenthesize(e.base, _POW, names), _parenthesize(e.exp, _POW, names))
+    raise UnsupportedEquationError("the float replay cannot evaluate %s (%s)"
+                                   % (e, type(e).__name__))
+
+
+def _float_sum(e, names):
+    """``StrPrinter._print_Add``: the terms in sympy's printing order,
+    each term's leading minus sign pulled out as the operator."""
+    parts = []
+    for term in e.as_ordered_terms():
+        t = _float_text(term, names)
+        parts += ["-", t[1:]] if t.startswith("-") else ["+", t]
+    sign = parts.pop(0)
+    return ("" if sign == "+" else sign) + " ".join(parts)
+
+
+def _float_product(e, names):
+    """``CodePrinter._print_Mul``: a negative coefficient is printed as a
+    leading minus sign, and the factors with a negative exponent go
+    under one division sign, in sympy's factor order."""
+    level = _precedence(e)
+    factors = e.as_ordered_factors()
+    sign = ""
+    c = e.args[0]
+    if c.is_Number and c.is_extended_negative:
+        sign = "-"
+        factors = [f for f in factors if not f.is_Number]
+        if c is not sp.S.NegativeOne:
+            factors.insert(0, -c)
+    numerator, denominator = [], []
+    for f in factors:
+        if f.is_Pow and f.exp.is_Integer and f.exp.is_negative:
+            if f.exp is sp.S.NegativeOne:
+                text = _parenthesize(f.base, level, names)
+                denominator.append("(%s)" % text if f.base.is_Mul else text)
+            else:
+                denominator.append("%s**%d" % (_parenthesize(f.base, _POW, names), -f.exp))
+        else:
+            numerator.append(f)
+    numerator = numerator or [sp.S.One]
+    if len(numerator) == 1 and sign:
+        text = sign + _parenthesize(numerator[0], (_POW + _MUL) / 2, names)
+    else:
+        text = sign + "*".join(_parenthesize(f, level, names) for f in numerator)
+    if len(denominator) > 1:
+        return "%s/(%s)" % (text, "*".join(denominator))
+    return text + "".join("/" + d for d in denominator)
+
+
+def _float_source(variables, exprs):
+    """The source of the function that ``sympy.lambdify(variables,
+    list(exprs), modules="math")`` writes: one ``return`` of the list of
+    the expressions' values, each printed by :func:`_float_text`.  An
+    argument whose name is not a safe Python identifier (a keyword such as
+    ``lambda``) is called ``_<position>`` instead."""
+    names = {s: s.name if s.name.isidentifier() and not keyword.iskeyword(s.name) else "_%d" % i
+             for i, s in enumerate(variables)}
+    return "def _lambdifygenerated(%s):\n    return [%s]\n" % (
+        ", ".join(names[s] for s in variables),
+        ", ".join(_float_text(e, names) for e in exprs))
+
+
+def float_function(variables, exprs):
+    """The float function of the variables that returns the list of the
+    expressions' values: the source of :func:`_float_source`, executed in
+    a namespace of its own.  Printed as lambdify prints it, each
+    expression takes lambdify's operations in lambdify's order, so the
+    floats are lambdify's."""
+    namespace = {}
+    exec(_float_source(variables, exprs), namespace)
+    return namespace["_lambdifygenerated"]
 
 
 def to_elements(exprs, gens=None):

@@ -11,7 +11,10 @@ equations, and the branch through the equilibrium is picked with
 elements of a field of output jets, and its shift multi-index R is read
 off the jets they use, so it needs no check.  Numeric verification replays
 random output trajectories near the equilibrium through the
-parametrization and measures the dynamics residual.  A symbolic PASS
+parametrization and measures the dynamics residual; the parametrization,
+the candidate and the update map are evaluated by float functions that
+``symbolic.float_function`` compiles from their expressions, in the
+source that sympy's lambdify would write for them.  A symbolic PASS
 is required for a certified result; the numeric check only ever adds
 falsification power.
 """
@@ -373,19 +376,10 @@ def _attempt_jet_solve(system, S, equations, unknowns, centers, q):
     return [sol[s] for s in system.states], [sol[u] for u in system.inputs]
 
 
-def _compile(variables, exprs):
-    """One float function of the variables that returns the list of the
-    expressions' values.  Each expression is printed as lambdify prints it
-    on its own, so the values are those of one function per expression.
-    Its docstring leaves the expressions out, which it would otherwise
-    print a second time."""
-    return sp.lambdify(variables, list(exprs), modules="math", docstring_limit=0)
-
-
 def _update_function(system):
     """The float update map x+ = f(x, u) of the system, compiled once, for
     the numeric replay and for simulate alike."""
-    return _compile(system.variables, system.update)
+    return symbolic.float_function(system.variables, system.update)
 
 
 def verify_flat_output_numeric(
@@ -420,15 +414,15 @@ def verify_flat_output_numeric(
     length = horizon + max_r + q + 2
     jets_used = _by_name(set().union(*map(symbolic.used_symbols, list(p.F_x) + list(p.F_u))))
     jet_index = [parse_jet_symbol(sym) for sym in jets_used]
-    fx_fn = _compile(jets_used, [symbolic.expression(a) for a in p.F_x])
-    fu_fn = _compile(jets_used, [symbolic.expression(a) for a in p.F_u])
+    fx_fn = symbolic.float_function(jets_used, [symbolic.expression(a) for a in p.F_x])
+    fu_fn = symbolic.float_function(jets_used, [symbolic.expression(a) for a in p.F_u])
     f_fn = _update_function(system)
     phi_fn = None
     if comps is not None:
         phi_vars = list(system.states) + [
             input_shift_symbol(u, s) for s in range(q + 1) for u in system.inputs
         ]
-        phi_fn = _compile(phi_vars, [symbolic.expression(c) for c in comps])
+        phi_fn = symbolic.float_function(phi_vars, [symbolic.expression(c) for c in comps])
 
     def jet_values(samples, k):
         return [samples[j - 1][k + s] for j, s in jet_index]

@@ -6,7 +6,8 @@ coordinates.  The tests use them as independent checks of those claims:
 the Lie bracket, involutivity, span membership and projectability of a
 field over the base variables, each from its definition.  The
 controllability of the linearization is a necessary condition for a
-FLAT verdict that does not use flatcheck's kernel at all.
+FLAT verdict that does not use flatcheck's kernel at all, and its
+controllability indices fix the dimension table of an SFL verdict.
 """
 
 import itertools
@@ -85,13 +86,30 @@ def contains_distribution(outer: geometry.Distribution, inner: geometry.Distribu
     return all(contains_field(outer, f) for f in inner.fields)
 
 
-def linearization_is_controllable(system) -> bool:
-    """Whether the linearization (A, B) of x+ = f(x, u) at the equilibrium
-    has Kalman rank n, computed with sympy matrices from system.update."""
+def controllability_ranks(system, count) -> list:
+    """The ranks of [B, AB, ..., A^(k-1) B] for k = 1, ..., count, where
+    (A, B) is the linearization of x+ = f(x, u) at the equilibrium,
+    computed with sympy matrices from system.update."""
     f = sp.Matrix(system.update)
     point = system.equilibrium_point()
     A = f.jacobian(system.states).subs(point)
     blocks = [f.jacobian(system.inputs).subs(point)]
-    for _ in range(system.n - 1):
+    while len(blocks) < count:
         blocks.append(A * blocks[-1])
-    return sp.Matrix.hstack(*blocks).rank() == system.n
+    return [sp.Matrix.hstack(*blocks[:k]).rank() for k in range(1, count + 1)]
+
+
+def linearization_is_controllable(system) -> bool:
+    """Whether the linearization at the equilibrium has Kalman rank n."""
+    return controllability_ranks(system, system.n)[-1] == system.n
+
+
+def sfl_dimensions_are_brunovsky(report) -> bool:
+    """Whether, where the report calls the system static feedback
+    linearizable, dim Delta_k equals the rank of [B, AB, ..., A^(k-1) B]
+    at the equilibrium for every step k >= 1 of the report.  Static
+    feedback and state changes keep the linearization's controllability
+    indices, so an SFL system has its Brunovsky form's table.  True for a
+    report that is not SFL: flat4's table differs from its ranks."""
+    dims = [step.dim_delta for step in report.steps[1:]]
+    return not report.sfl or dims == controllability_ranks(report.system, len(dims))

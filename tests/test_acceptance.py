@@ -162,6 +162,7 @@ def test_criterion_5_static_feedback_linearizable_pattern(load_system, name):
     report = analysis.run_algorithm1(system)
     assert report.verdict == "FLAT"
     assert report.sfl is True
+    assert geometry_oracles.sfl_dimensions_are_brunovsky(report)
     for step in report.steps:
         assert step.dim_D == step.dim_E
         assert _span_equal(step.D, step.E)

@@ -70,6 +70,7 @@ class TestStaticFeedbackLinearizable:
         report = analysis.run_algorithm1(load_system(name))
         assert report.verdict == "FLAT"
         assert report.sfl is True
+        assert geometry_oracles.sfl_dimensions_are_brunovsky(report)
         assert report.kbar == kbar
         assert geometry_oracles.linearization_is_controllable(report.system)
         for step in report.steps:
@@ -80,6 +81,7 @@ class TestStaticFeedbackLinearizable:
         assert report.verdict == "FLAT"
         assert report.kbar == 1
         assert report.sfl is True
+        assert geometry_oracles.sfl_dimensions_are_brunovsky(report)
         assert geometry_oracles.linearization_is_controllable(shift1)
 
 
@@ -106,4 +108,6 @@ class TestNegativeAndInvalid:
         report = analysis.run_algorithm1(quad_chain)
         assert report.verdict == "FLAT"
         assert report.kbar == 2
+        assert report.sfl is True
+        assert geometry_oracles.sfl_dimensions_are_brunovsky(report)
         assert geometry_oracles.linearization_is_controllable(quad_chain)

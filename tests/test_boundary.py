@@ -31,8 +31,8 @@ KERNEL_ATTRIBUTES = {
 # the attributes of sympy that a module may use; every other module,
 # construction, geometry, model and cli among them, imports no sympy
 SYMPY_USE = {
-    # the lambdified replay and simulate
-    "verification": {"lambdify", "sympify", "Rational"},
+    # simulate's exact and float values
+    "verification": {"sympify", "Rational"},
     # number tokens and the zero equilibrium
     "modelfile": {"Integer", "Rational", "Expr"},
 }

@@ -13,7 +13,7 @@ import sympy
 from flatcheck import cli, symbolic, verification
 
 import geometry_oracles
-from test_golden import VERIFY_CASES
+from test_golden import VERIFY_CASES, _golden_paths
 
 
 def run(capsys, *argv):
@@ -89,7 +89,7 @@ class TestAnalyze:
         assert ("error: system 'cubic_pair': cannot invert the effective-input change "
                 "through the equilibrium: no solution branch is rational in u1\n") in err
 
-    def test_json_document(self, capsys, models_dir, tmp_path):
+    def test_json_document(self, capsys, models_dir, tmp_path, load_system):
         target = tmp_path / "doc.json"
         code, _, _ = run(
             capsys,
@@ -114,6 +114,8 @@ class TestAnalyze:
         assert doc["model"]["n"] == 2
         assert doc["algorithm1"]["verdict"] == "FLAT"
         assert doc["algorithm1"]["sfl"] is True
+        dims = [step["dim_delta"] for step in doc["algorithm1"]["steps"][1:]]
+        assert dims == geometry_oracles.controllability_ranks(load_system("chain2"), len(dims))
         step_keys = {
             "k",
             "dim_delta",
@@ -527,19 +529,27 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 ANALYZED_FLAT = sorted(
     path.stem.partition("-")[2] for path in GOLDEN_DIR.glob("analyze-*.txt")
     if path.read_text(encoding="utf-8").startswith("exit 0\n"))
+EXTRACTED = sorted(path.stem.partition("-")[2] for path in GOLDEN_DIR.glob("extract-*.txt"))
+
+
+def _golden_record(stem) -> tuple:
+    """The exit line and the stdout of the golden record called stem."""
+    text = (GOLDEN_DIR / ("%s.txt" % stem)).read_text(encoding="utf-8")
+    exit_line, _, rest = text.partition("--- stdout\n")
+    return exit_line, rest.partition("--- stderr\n")[0]
 
 
 class TestNoSympyPrinter:
-    """analyze prints its document and its table without sympy's printer:
-    with the printer's sums, products and powers refused, every bundled
-    model that analyze calls flat still writes its golden bytes.  Only
-    analyze is checked, since the numeric replay of extract and verify
-    lambdifies expressions, and lambdify's code printer inherits
-    StrPrinter._print_Add to print them."""
+    """No command line prints through sympy's printer: with the printer's
+    sums, products and powers refused, analyze on every bundled model that
+    it calls flat, extract on every bundled model and every verify of the
+    golden records still write their golden bytes.  Documents and tables
+    are printed by symbolic.to_infix, and the numeric replay's float
+    functions by symbolic.float_function, which writes lambdify's source
+    without lambdify."""
 
-    @pytest.mark.parametrize("model", ANALYZED_FLAT)
-    def test_analyze_json_without_printer(self, model, capsys, models_dir, monkeypatch,
-                                          tmp_path):
+    @pytest.fixture(autouse=True)
+    def refuse_printer(self, monkeypatch):
         from sympy.printing.str import StrPrinter
 
         for name in ("_print_Add", "_print_Mul", "_print_Pow"):
@@ -547,12 +557,30 @@ class TestNoSympyPrinter:
                 raise AssertionError("StrPrinter.%s printed %s" % (name, expr.func))
 
             monkeypatch.setattr(StrPrinter, name, refuse)
+
+    def _check(self, capsys, stem, *argv):
+        code, out, _ = run(capsys, *argv)
+        assert ("exit %d\n" % code, out) == _golden_record(stem)
+
+    @pytest.mark.parametrize("model", ANALYZED_FLAT)
+    def test_analyze_json_without_printer(self, model, capsys, models_dir, tmp_path):
         doc = tmp_path / "doc.json"
-        code, out, _ = run(capsys, "analyze", model_path(models_dir, model), "--json", str(doc))
-        golden = (GOLDEN_DIR / ("analyze-%s.txt" % model)).read_text(encoding="utf-8")
-        assert code == 0
-        assert out == golden.partition("--- stdout\n")[2].partition("--- stderr\n")[0]
+        self._check(capsys, "analyze-%s" % model,
+                    "analyze", model_path(models_dir, model), "--json", str(doc))
         assert doc.read_bytes() == (GOLDEN_DIR / ("analyze-%s.json" % model)).read_bytes()
+
+    @pytest.mark.parametrize("model", EXTRACTED)
+    def test_extract_json_without_printer(self, model, capsys, models_dir, tmp_path):
+        doc, golden = tmp_path / "doc.json", GOLDEN_DIR / ("extract-%s.json" % model)
+        self._check(capsys, "extract-%s" % model,
+                    "extract", model_path(models_dir, model), "--json", str(doc))
+        assert doc.exists() == golden.exists()
+        assert not golden.exists() or doc.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("model, output", VERIFY_CASES)
+    def test_verify_without_printer(self, model, output, capsys, models_dir):
+        stem = _golden_paths("verify", model, output)[0].stem
+        self._check(capsys, stem, "verify", model_path(models_dir, model), "--output", output)
 
 
 class TestExpressionBoundary:
@@ -597,18 +625,28 @@ _LOADED = (
     "from flatcheck import cli\n"
     "cli.main(sys.argv[1:])\n"
     "print('loaded:', sorted(m for m in sys.modules if m == 'sympy.tensor.tensor'\n"
-    "                        or m.startswith('sympy.combinatorics')))\n"
+    "                        or m.startswith(('sympy.combinatorics', 'sympy.codegen'))))\n"
 )
+# a model whose update multiplies a base by itself
+REPEATED_BASE = """system repeated
+states: x1, x2
+inputs: u
+equilibrium: all zero
+next x1 = x2 + x1*x1
+next x2 = u
+"""
 
 
 class TestImportBoundary:
     """No command imports sympy.tensor.tensor or sympy.combinatorics,
-    which the first sum that sympy's ``Add.flatten`` evaluates loads: a
-    fresh interpreter that runs analyze or extract on any bundled model,
-    any verify of the golden records, or a float simulate imports
-    neither.  The analysis builds no sympy expression, and the
-    expressions that the numeric replay and simulate lambdify are built
-    by symbolic.Expressions, without ``Add.flatten``."""
+    which the first sum that sympy's ``Add.flatten`` evaluates loads, or
+    sympy.codegen, which lambdify's code printer loads: a fresh
+    interpreter that runs analyze or extract on any bundled model or on a
+    model with a repeated base, any verify of the golden records, or a
+    float simulate imports none of them.  The analysis builds no sympy
+    expression, the expressions of the numeric replay and of simulate are
+    built by symbolic.Expressions, without ``Add.flatten``, and
+    symbolic.float_function prints them without sympy's printer."""
 
     @pytest.mark.parametrize(
         "command, name",
@@ -621,6 +659,11 @@ class TestImportBoundary:
     @pytest.mark.parametrize("name, output", VERIFY_CASES)
     def test_verify(self, name, output):
         self._check(["verify", model_path(MODELS_DIR, name), "--output", output])
+
+    def test_repeated_base(self, tmp_path):
+        model = tmp_path / "repeated.sys"
+        model.write_text(REPEATED_BASE)
+        self._check(["extract", str(model), "--json", str(tmp_path / "doc.json")])
 
     def test_float_simulate(self):
         golden = MODELS_DIR.parent / "tests" / "golden"

@@ -212,16 +212,16 @@ class TestParseExpression:
             modelfile.parse_expression("   ", system)
 
 
-def _generated_models() -> list:
+def _generated_models(seeds=(1, 2)) -> list:
     """The model texts of the benchmark's seeded corpus generator
-    (perfbench/generate.py), every shape it draws, for two seeds."""
+    (perfbench/generate.py), every shape it draws, for each seed."""
     path = str(ROOT / "perfbench")
     sys.path.insert(0, path)
     try:
         import generate
     finally:
         sys.path.remove(path)
-    return [member["text"] for seed in (1, 2) for member in generate.corpus(seed)]
+    return [member["text"] for seed in seeds for member in generate.corpus(seed)]
 
 
 def _next_lines(text) -> list:

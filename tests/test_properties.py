@@ -6,19 +6,24 @@ verdict properties are checked against ground truth rather than against
 the implementation itself.
 """
 
+import inspect
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
-from flatcheck import analysis, construction, geometry, model, modelfile, symbolic, verification
-from flatcheck.errors import ChartError, StraighteningError
+from flatcheck import (analysis, cli, construction, geometry, model, modelfile, symbolic,
+                       verification)
+from flatcheck.errors import ChartError, StraighteningError, UnsupportedEquationError
 from flatcheck.model import DiscreteTimeSystem
 
 import geometry_oracles
+from test_golden import MODELS, VERIFY_CASES, _golden_paths
+from test_model import _generated_models
 
 SEEDS = list(range(50))
 
@@ -273,6 +278,7 @@ class TestInvarianceUnderLinearStateChanges:
         assert new_report.verdict == report.verdict
         assert new_report.kbar == report.kbar
         assert new_report.sfl == report.sfl
+        assert geometry_oracles.sfl_dimensions_are_brunovsky(new_report)
         assert [s.dim_delta for s in new_report.steps] == [
             s.dim_delta for s in report.steps
         ]
@@ -337,6 +343,7 @@ class TestIntegratorExtensionPreservesFlatness:
         base_report = analysis.run_algorithm1(base)
         assert base_report.verdict == "FLAT"
         assert geometry_oracles.linearization_is_controllable(base)
+        assert geometry_oracles.sfl_dimensions_are_brunovsky(base_report)
         w = sp.Symbol("w")
         v = sp.Symbol("v")
         u = base.inputs[0]
@@ -351,6 +358,7 @@ class TestIntegratorExtensionPreservesFlatness:
         report = analysis.run_algorithm1(extended)
         assert report.verdict == "FLAT"
         assert geometry_oracles.linearization_is_controllable(extended)
+        assert geometry_oracles.sfl_dimensions_are_brunovsky(report)
 
 
 class TestRedundantInputExtension:
@@ -380,6 +388,7 @@ class TestRedundantInputExtension:
         report = analysis.run_algorithm1(reduction.reduced)
         assert report.verdict == "FLAT"
         assert geometry_oracles.linearization_is_controllable(redundant)
+        assert geometry_oracles.sfl_dimensions_are_brunovsky(report)
         flat_output, _ = construction.extract_flat_output(
             reduction.reduced, report
         )
@@ -664,3 +673,128 @@ class TestExpressionsOracle:
         P, Q = symbolic._canonical_polys(a)
         assert _same_expression(symbolic.canonicalize_element(K, a),
                                 P.as_expr() if Q.is_one else P.as_expr() / Q.as_expr())
+
+
+# a flat model whose first two states are named by Python keywords, and
+# its twin, whose names are safe identifiers that sort as the keywords do
+KEYWORD_MODEL = """system keywords
+states: lambda, if, x1
+inputs: u
+equilibrium: all zero
+next lambda = if + lambda*lambda
+next if = x1
+next x1 = u
+"""
+KEYWORD_TWIN = KEYWORD_MODEL.replace("lambda", "lambda0").replace("if", "if0")
+
+
+def _lambdify_source(variables, exprs, names) -> str:
+    """The source of sympy's lambdify of the expressions for the math
+    module, its arguments renamed to names."""
+    fn = sp.lambdify(variables, list(exprs), modules="math", docstring_limit=0)
+    rename = dict(zip(inspect.signature(fn).parameters, names))
+    return re.sub(r"\w+", lambda m: rename.get(m.group(), m.group()), inspect.getsource(fn))
+
+
+def _assert_lambdify_source(variables, exprs, twin=None):
+    """float_function prints the expressions as lambdify prints them,
+    or as it prints twin, the same (variables, expressions) under other
+    names, when given; arguments are compared by position."""
+    names = list(inspect.signature(symbolic.float_function(variables, exprs)).parameters)
+    assert symbolic._float_source(variables, exprs) == _lambdify_source(
+        *(twin or (variables, exprs)), names)
+
+
+def _compiled(monkeypatch, capsys, *argv) -> list:
+    """(variables, expressions) of every float function that the command
+    line compiles, in order."""
+    calls, compile_ = [], symbolic.float_function
+
+    def recorded(variables, exprs):
+        calls.append((tuple(variables), tuple(exprs)))
+        return compile_(variables, exprs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symbolic, "float_function", recorded)
+        cli.main(list(argv))
+    capsys.readouterr()
+    return calls
+
+
+class TestFloatSourceOracle:
+    """symbolic.float_function prints the numeric replay's and simulate's
+    expressions into the source that sympy's lambdify writes for them,
+    byte for byte up to the names of the arguments, so the replay's
+    floats are lambdify's: every bundled and generated update map, the
+    parametrization and the output map of every flat extract and of every
+    verify golden that passes, and random expressions of the model
+    grammar.  lambdify names an argument that is not a safe identifier
+    by a Dummy, whose name, which depends on how many Dummies the process
+    made before, decides where it sorts; float_function keeps the
+    expression's own order, so a model named by keywords is compared
+    with lambdify of its twin under names that sort as the keywords do."""
+
+    X = (sp.Symbol("x1"), sp.Symbol("x2"), sp.Symbol("x10"))
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_bundled_update(self, name, load_system):
+        system = load_system(name)
+        _assert_lambdify_source(system.variables, system.update)
+
+    @pytest.mark.parametrize("name", [m for m in MODELS if _golden_paths("extract", m)[0]
+                                      .read_text(encoding="utf-8").startswith("exit 0\n")])
+    def test_flat_extract(self, name, models_dir, monkeypatch, capsys):
+        calls = _compiled(monkeypatch, capsys, "extract", str(models_dir / ("%s.sys" % name)))
+        assert len(calls) == 4
+        for variables, exprs in calls:
+            _assert_lambdify_source(variables, exprs)
+
+    @pytest.mark.parametrize("name, output", [case for case in VERIFY_CASES if _golden_paths(
+        "verify", *case)[0].read_text(encoding="utf-8").startswith("exit 0\n")])
+    def test_passing_verify(self, name, output, models_dir, monkeypatch, capsys):
+        calls = _compiled(monkeypatch, capsys, "verify", str(models_dir / ("%s.sys" % name)),
+                          "--output", output)
+        assert len(calls) == 4
+        for variables, exprs in calls:
+            _assert_lambdify_source(variables, exprs)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_generated(self, seed, tmp_path, monkeypatch, capsys):
+        for text in _generated_models([seed]):
+            system = modelfile.parse_model(text)
+            _assert_lambdify_source(system.variables, system.update)
+            path = tmp_path / "generated.sys"
+            path.write_text(text)
+            for variables, exprs in _compiled(monkeypatch, capsys, "extract", str(path)):
+                _assert_lambdify_source(variables, exprs)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_texts(self, seed):
+        rng = random.Random(seed + 7400)
+        for _ in range(20):
+            e = _parse_with(_model_text(rng, rng.randint(1, 5)), symbolic.Expressions)
+            if e.has(sp.S.ComplexInfinity, sp.S.NaN):
+                with pytest.raises(UnsupportedEquationError):
+                    symbolic.float_function(self.X, [e])
+            else:
+                _assert_lambdify_source(self.X, [e])
+
+    def test_keyword_names(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        for text in (KEYWORD_MODEL, KEYWORD_TWIN):
+            path = tmp_path / "keywords.sys"
+            path.write_text(text)
+            calls.append(_compiled(monkeypatch, capsys, "extract", str(path)))
+        assert len(calls[0]) == len(calls[1]) == 4
+        for call, twin in zip(*calls):
+            _assert_lambdify_source(*call, twin=twin)
+        system = modelfile.parse_model(KEYWORD_MODEL)
+        fn = symbolic.float_function(system.variables, system.update)
+        assert list(inspect.signature(fn).parameters) == ["_0", "_1", "x1", "u"]
+        assert fn(0.5, 2.0, 3.0, 4.0) == [2.25, 3.0, 4.0]
+
+    @pytest.mark.parametrize("e", [sp.Float(0.5) * X[0], sp.sqrt(X[0]) + X[1],
+                                   X[0] ** sp.Rational(3, 2), sp.Symbol("x3") + 1])
+    def test_unsupported_node(self, e):
+        with pytest.raises(UnsupportedEquationError):
+            symbolic.float_function(self.X, [e])
