@@ -16,10 +16,14 @@ chart coordinates the narrow field QQ(theta, xi), over the shifted state
 symbols x<i>_p1 of the image space QQ(x_p1, ...).  Lift and pushforward
 rename generators between the spaces, and the chart renames the model's
 update elements, so the sequence builds and reads no sympy expression.
+
+Only the theta block of a field is ever written in chart coordinates:
+a field is projectable exactly when its theta components are free of
+xi, and then they are its pushforward, so no xi component is computed.
 The chart-coordinate half of the largest projectable subdistribution,
-where nearly all gcds are taken, runs in the narrow field; its
-coefficients are renamed into the wide field to recombine the base
-rows.  Every entry that is kept takes one
+where nearly all gcds are taken, runs on these theta blocks in the
+narrow field; its coefficients are renamed into the wide field to
+recombine the base rows.  Every entry that is kept takes one
 gcd: a recombination sums its products over one common denominator, or
 takes one gcd chain per row where only the cleared row is read
 (clear_fraction_row); an entry of an echelon form, of a residual (the
@@ -31,15 +35,15 @@ routine of symbolic: most pairs are proved coprime from univariate
 images at a fixed integer point, and the rest run symbolic's own
 heuristic gcd on integer dicts in the generators the pair uses only.
 Projectability is read off the canonical fractions without any gcd
-(symbolic.depends_on).  An
-extracted field's theta block in chart coordinates is read off the
-echelon form itself.  All linear algebra runs over these fields, so
-every basis produced here is deterministic.  The chart stores one
-inverse map, from the wide field into the narrow one, and the Jacobian
-of its forward map composed with it, so a transform is one composition
-per component and a matrix-vector product.  composed_jacobian and
-apply_jacobian are that re-reading of a basis in new coordinates, which
-the peeling of the construction shares.
+(symbolic.depends_on).  An extracted field's theta block is read off
+the echelon form itself, and those echelon rows, renamed to the image
+space, are the basis of the pushforward.  All linear algebra runs over
+these fields, so every basis produced here is deterministic.  The chart
+stores one inverse map, from the wide field into the narrow one, and
+the theta rows of the Jacobian of its forward map composed with it, so
+a transform is one composition per component and a matrix-vector
+product.  composed_jacobian and apply_jacobian are that re-reading of a
+basis in new coordinates, which the peeling of the construction shares.
 """
 
 from __future__ import annotations
@@ -90,22 +94,22 @@ class Distribution:
     """Span of finitely many vector fields over a common coordinate tuple.
 
     The basis is kept independent over the function field, so the
-    dimension is just the number of basis fields.  witness_rows, when
-    present, are nonzero denominator-free component rows spanning the
-    same distribution generically, the cleared basis among them; they
-    allow rank evaluations at points where the preferred basis has
-    poles.  chart_fields, when present, are the basis fields transformed
-    into the coordinates of chart (see transform_vector_field), in basis
-    order, with components in chart.coordinate_field.  The largest
-    projectable subdistribution carries both, and the pushforward reads
-    them.
+    dimension is just the number of basis fields.  A result of
+    largest_projectable_subdistribution carries what the pushforward
+    reads.  chart_fields are the theta blocks of the basis fields in the
+    coordinates of chart (transform_vector_field), in basis order, with
+    components in chart.coordinate_field; the nonzero ones come first and
+    form a reduced echelon form.  witness_values are nonzero
+    denominator-free component rows spanning the same distribution
+    generically, the cleared basis among them, evaluated at the
+    equilibrium: they give the rank there where the basis has poles.
     """
 
     coords: tuple
     fields: tuple
-    witness_rows: tuple = ()
     chart: object = field(default=None, compare=False, repr=False)
     chart_fields: tuple = field(default=(), compare=False, repr=False)
+    witness_values: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         for f in self.fields:
@@ -153,10 +157,12 @@ class Chart:
     symbolic.compose(a, inverse, coordinate_field) rewrites any wide
     element in chart coordinates.  xi_choice records which base
     coordinates serve as the fibre coordinates xi.  jacobian holds
-    d forward[c] / d v composed with the inverse map, in the narrow
-    field, one row per chart coordinate c and one column per base
-    variable v (see composed_jacobian).  equilibrium holds the declared
-    point and its chart image, over every generator.
+    d forward[t] / d v composed with the inverse map, in the narrow
+    field, one row per theta coordinate t and one column per base
+    variable v (see composed_jacobian).  df_at_equilibrium holds the
+    same rows at the equilibrium, df / d(x, u) there, as rational
+    numbers.  equilibrium holds the declared point and its chart image,
+    over every generator.
     """
 
     system_vars: tuple
@@ -167,6 +173,7 @@ class Chart:
     function_field: object = field(default=None, compare=False, repr=False)
     inverse: dict = field(default_factory=dict, compare=False, repr=False)
     jacobian: tuple = field(default=(), compare=False, repr=False)
+    df_at_equilibrium: tuple = field(default=(), compare=False, repr=False)
     equilibrium: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -237,7 +244,7 @@ def build_adapted_chart(system) -> Chart:
     inverse = {**dict(zip(coords, symbolic.generators(N, coords))),
                **{v: symbolic.rename(a, N, {}) for v, a in branch.items()}}
 
-    jacobian = tuple(map(tuple, composed_jacobian(forward, coords, variables, inverse, N)))
+    jacobian = tuple(map(tuple, composed_jacobian(forward, theta, variables, inverse, N)))
     return Chart(
         system_vars=tuple(variables),
         theta=theta,
@@ -247,32 +254,33 @@ def build_adapted_chart(system) -> Chart:
         function_field=K,
         inverse=inverse,
         jacobian=jacobian,
+        df_at_equilibrium=tuple(map(tuple, rows)),
         equilibrium={**point, **image},
     )
 
 
 def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
-    """Rewrite a field over the base variables in chart coordinates.
+    """The theta block of a field over the base variables in chart
+    coordinates, a field over chart.theta.
 
     The components of v are elements of chart.function_field, those of
-    the result elements of chart.coordinate_field: the Jacobian of the
-    forward map applied to the field, both composed with the inverse
-    map.  Chart symbols occurring in the components of v are kept as
-    they are.
+    the result elements of chart.coordinate_field: the theta rows of the
+    Jacobian of the forward map applied to the field, both composed with
+    the inverse map.  Chart symbols occurring in the components of v are
+    kept as they are.
     """
     if v.coords != chart.system_vars:
         raise ValueError("field is not over the chart's base variables")
     N = chart.coordinate_field
     moved = [symbolic.compose(c, chart.inverse, N) for c in v.components]
-    return VectorField(chart.coords, tuple(apply_jacobian(N, chart.jacobian, moved)))
+    return VectorField(chart.theta, tuple(apply_jacobian(N, chart.jacobian, moved)))
 
 
-def _projectability(adapted: VectorField, system, chart: Chart) -> bool:
-    """Whether the field, given in chart coordinates, pushes forward to a
-    well-defined field: every theta component is free of all fibre
-    coordinates xi."""
-    return not any(symbolic.depends_on(adapted.components[i], x)
-                   for i in range(system.n) for x in chart.xi)
+def _projectability(theta_block, chart: Chart) -> bool:
+    """Whether a field with this theta block in chart coordinates pushes
+    forward to a well-defined field: every theta component is free of
+    all fibre coordinates xi."""
+    return not any(symbolic.depends_on(c, x) for c in theta_block for x in chart.xi)
 
 
 def largest_projectable_subdistribution(
@@ -293,20 +301,22 @@ def largest_projectable_subdistribution(
     echelon form of the theta block, and rechecked field by field.
 
     The candidate fields are carried both over the base variables, in
-    chart.function_field, and in chart coordinates, in the narrow
-    chart.coordinate_field, where every row reduction runs.  Only the
-    fields of dist are transformed: the kernel and extraction
-    coefficients are functions of the chart coordinates, so the chart
-    form of sum_a c_a v_a is sum_a c_a * chart(v_a), times the cleared
-    denominator's factor composed with the inverse map where the base
-    row is cleared.  The coefficients are renamed into the wide field to
-    combine the base rows.  Each combination is summed over one common
-    denominator (symbolic.combine_rows); a row that is only read
+    chart.function_field, and as their theta blocks in chart
+    coordinates, in the narrow chart.coordinate_field, where every row
+    reduction runs.  Only the fields of dist are transformed: the kernel
+    and extraction coefficients are functions of the chart coordinates,
+    so the theta block of sum_a c_a v_a is sum_a c_a * theta(v_a), times
+    the cleared denominator's factor composed with the inverse map where
+    the base row is cleared.  The coefficients are renamed into the wide
+    field to combine the base rows.  Each combination is summed over one
+    common denominator (symbolic.combine_rows); a row that is only read
     cleared, a kernel row or a vertical extracted row, is cleared
-    straight from the combined numerators.  The extraction reduces [A | I], A the theta block, to
-    [E*A | E], so the theta block of an extracted chart form is its row
-    of E*A and only the xi block is recombined.  The chart forms of the
-    extracted basis are carried on the result as its chart_fields.
+    straight from the combined numerators.  The extraction reduces
+    [A | I], A the theta blocks, to [E*A | E], so the theta block of an
+    extracted field is its row of E*A, which needs no recombination.
+    The result carries these theta blocks as its chart_fields, and the
+    witness rows at the equilibrium, which the constant-dimension check
+    here reads, as its witness_values.
     """
     n = system.n
     if dist.dim == 0:
@@ -317,19 +327,15 @@ def largest_projectable_subdistribution(
     def widened(coeffs):
         return [symbolic.rename(c, K, {}) if c else K.zero for c in coeffs]
 
-    def moved(factor):
-        return symbolic.compose(factor, chart.inverse, N)
-
     adapted = [list(transform_vector_field(f, chart).components) for f in dist.fields]
     cur = [list(f.components) for f in dist.fields]
     while True:
-        nonzero = [a[:n] for a in adapted if any(a[:n])]
-        reduced, pivots = symbolic.element_rref(N, nonzero, n)
+        reduced, pivots = symbolic.element_rref(N, [a for a in adapted if any(a)], n)
         reduced = reduced[: len(pivots)]
         # residuals[j][a]: d/d xi_j of the theta block of field a, modulo
-        # the span of the theta block
+        # the span of the theta blocks
         residuals = [
-            [symbolic.derivative_mod_rows(N, a[:n], x, reduced, pivots) for a in adapted]
+            [symbolic.derivative_mod_rows(N, a, x, reduced, pivots) for a in adapted]
             for x in chart.xi
         ]
         relations = [
@@ -349,72 +355,67 @@ def largest_projectable_subdistribution(
                 K, widened(vec), cur))
             new_cur.append(comps)
             new_adapted.append(symbolic.fraction_row(
-                N, *symbolic.combine_rows(N, vec, adapted), moved(factor)))
+                N, *symbolic.combine_rows(N, vec, adapted),
+                symbolic.compose(factor, chart.inverse, N)))
         cur, adapted = new_cur, new_adapted
 
-    # Extraction: echelon-reduce the theta block A with an identity block
+    # Extraction: echelon-reduce the theta blocks A with an identity block
     # alongside, so the transform rows E recombine the basis into fields
     # with xi-free theta components (top rows) and vertical fields
     # (zero-theta rows).  The rref is [E*A | E], so the theta block of a
-    # recombined chart form is the row's own theta block.
-    aug = [
-        a[:n] + [N.one if b == i else N.zero for b in range(len(cur))]
-        for i, a in enumerate(adapted)
-    ]
+    # recombined field is the row's own theta block.
+    aug = [a + [N.one if b == i else N.zero for b in range(len(cur))]
+           for i, a in enumerate(adapted)]
     rref, _ = symbolic.element_rref(N, aug, n + len(cur))
     witness = [symbolic.clear_element_row(K, comps)[0] for comps in cur]
-    fibre_blocks = [a[n:] for a in adapted]
     out_fields, chart_fields = [], []
     for row in rref:
         theta, coeffs = row[:n], row[n:]
         numerators, denominator = symbolic.combine_rows(K, widened(coeffs), cur)
-        cleared, factor = symbolic.clear_fraction_row(K, numerators, denominator)
+        cleared = symbolic.clear_fraction_row(K, numerators, denominator)[0]
         witness.append(cleared)
         # Rescaling a field by a coordinate-dependent factor changes its
         # theta components' xi-derivatives, so denominators may only be
         # cleared on vertical rows, whose theta block is zero anyway.
-        if any(theta):
-            comps, scale = symbolic.fraction_row(K, numerators, denominator), None
-        else:
-            comps, scale = cleared, moved(factor)
-        xi_part = symbolic.fraction_row(
-            N, *symbolic.combine_rows(N, coeffs, fibre_blocks), scale)
-        out_fields.append(VectorField(dist.coords, tuple(comps)))
-        chart_fields.append(VectorField(chart.coords, tuple(theta + xi_part)))
-        if not _projectability(chart_fields[-1], system, chart):
+        comps = symbolic.fraction_row(K, numerators, denominator) if any(theta) else cleared
+        if not _projectability(theta, chart):
             raise NotProjectableError(
                 "projectable basis extraction failed: %s"
                 % (tuple(map(symbolic.expression, comps)),)
             )
-    result = Distribution(
-        coords=dist.coords,
-        fields=tuple(out_fields),
-        witness_rows=tuple(tuple(r) for r in witness if any(r)),
-        chart=chart,
-        chart_fields=tuple(chart_fields),
-    )
+        out_fields.append(VectorField(dist.coords, tuple(comps)))
+        chart_fields.append(VectorField(chart.theta, tuple(theta)))
 
     # witness rows mix base and chart symbols: evaluate at both equilibria
-    W = symbolic.element_values(K, result.witness_rows, chart.equilibrium)
+    W = symbolic.element_values(K, [r for r in witness if any(r)], chart.equilibrium)
     rank_eq = symbolic.rational_rank(W, len(dist.coords))
-    if rank_eq != result.dim:
+    if rank_eq != len(out_fields):
         raise ConstantDimensionError(
             "projectable subdistribution has dimension %d generically "
-            "but %d at the equilibrium" % (result.dim, rank_eq)
+            "but %d at the equilibrium" % (len(out_fields), rank_eq)
         )
-    return result
+    return Distribution(
+        coords=dist.coords,
+        fields=tuple(out_fields),
+        chart=chart,
+        chart_fields=tuple(chart_fields),
+        witness_values=tuple(map(tuple, W)),
+    )
 
 
 def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distribution:
     """Span of the basis pushforwards on the image space.
 
-    The image dimension may drop.  The span must still have the same
-    dimension at the equilibrium image as generically, otherwise the
-    constant-dimension assumption underlying the whole analysis fails.
-    That is checked twice: on the pushed component rows themselves, and
-    pointwise through the update Jacobian at the equilibrium, which
-    catches drops that a rescaled basis would hide.  dist must carry its
-    witness rows and its chart forms for chart, as every result of
+    A projectable field's theta components are its pushforward, so the
+    basis is the nonzero theta blocks that dist carries, an echelon form
+    already, renamed to x+ and cleared.  The image dimension may drop.
+    The span must still have the same dimension at the equilibrium image
+    as generically, otherwise the constant-dimension assumption
+    underlying the whole analysis fails.  That is checked twice: on the
+    pushed component rows themselves, and pointwise, the witness values
+    through the update Jacobian at the equilibrium, which catches drops
+    that a rescaled basis would hide.  dist must carry its theta blocks
+    and witness values for chart, as every result of
     largest_projectable_subdistribution does; ValueError otherwise.
     """
     xplus = shifted_state_symbols(system)
@@ -422,48 +423,23 @@ def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distri
         return Distribution(coords=xplus, fields=())
     if dist.chart is not chart:
         raise ValueError("distribution carries no chart forms for this chart")
-    adapted = dist.chart_fields
-    # theta components, renamed to x+ in the image field QQ(x+)
     L = symbolic.function_field(xplus)
     rename = dict(zip(chart.theta, xplus))
-    rows = []
-    for a in adapted:
-        theta_part = a.components[:system.n]
-        if not _projectability(a, system, chart):
-            raise NotProjectableError("field is not projectable: theta components %s"
-                                      % (tuple(map(symbolic.expression, theta_part)),))
-        row = [symbolic.rename(c, L, rename) for c in theta_part]
-        rows.append(symbolic.clear_element_row(L, row)[0])
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return Distribution(coords=xplus, fields=())
+    rows = [symbolic.clear_element_row(L, [symbolic.rename(c, L, rename) for c in f.components])[0]
+            for f in dist.chart_fields if any(f.components)]
 
-    image = make_distribution(xplus, rows)
-    generic = image.dim
+    generic = len(rows)
     image_point = {xp: chart.equilibrium[t] for xp, t in zip(xplus, chart.theta)}
     at_eq = symbolic.rational_rank(symbolic.element_values(L, rows, image_point), system.n)
-    if at_eq < generic:
-        raise ConstantDimensionError(
-            "pushforward has dimension %d generically but %d at the "
-            "equilibrium image" % (generic, at_eq)
-        )
-
-    # the chart Jacobian's theta rows at the chart equilibrium are
-    # df/d(x, u) at the equilibrium; witness rows mix base and chart
-    # symbols, so they are evaluated at both equilibria too
-    K = chart.function_field
-    jac_eq = symbolic.element_values(
-        chart.coordinate_field, chart.jacobian[:system.n], chart.equilibrium)
-    W = symbolic.element_values(K, dist.witness_rows, chart.equilibrium)
-    pushed = [[sum(w * d for w, d in zip(w_row, d_row)) for d_row in jac_eq]
-              for w_row in W]
-    pointwise = symbolic.rational_rank(pushed, system.n)
-    if pointwise != generic:
-        raise ConstantDimensionError(
-            "pushforward has dimension %d generically but %d at the "
-            "equilibrium image" % (generic, pointwise)
-        )
-    return image
+    pushed = [[sum(w * d for w, d in zip(w_row, d_row)) for d_row in chart.df_at_equilibrium]
+              for w_row in dist.witness_values]
+    for rank in (at_eq, symbolic.rational_rank(pushed, system.n)):
+        if rank != generic:
+            raise ConstantDimensionError(
+                "pushforward has dimension %d generically but %d at the "
+                "equilibrium image" % (generic, rank)
+            )
+    return Distribution(coords=xplus, fields=tuple(VectorField(xplus, tuple(r)) for r in rows))
 
 
 def lift_distribution(delta: Distribution, system) -> Distribution:

@@ -132,9 +132,19 @@ class _ExprParser:
             if tok is not None and tok.kind == "OP" and tok.text in "*/":
                 self._next()
                 rhs = self._unary()
-                e = self.actions.mul(e, rhs) if tok.text == "*" else self.actions.div(e, rhs)
+                e = (self.actions.mul(e, rhs) if tok.text == "*"
+                     else self._dividing(tok, self.actions.div, e, rhs))
             else:
                 return e
+
+    @staticmethod
+    def _dividing(tok, action, x, y):
+        """action(x, y) for the operator tok, / or ^, which divides: a zero
+        divisor, which Fractions refuse, is a syntax error at tok."""
+        try:
+            return action(x, y)
+        except symbolic.CoercionFailed:
+            raise ModelSyntaxError("division by zero", tok.line, tok.column) from None
 
     def _unary(self):
         tok = self._peek()
@@ -151,7 +161,7 @@ class _ExprParser:
         tok = self._peek()
         if tok is not None and tok.kind == "OP" and tok.text == "^":
             self._next()
-            return self.actions.power(base, self._exponent())
+            return self._dividing(tok, self.actions.power, base, self._exponent())
         return base
 
     def _exponent(self):
@@ -216,8 +226,9 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
     """Parse model text into a DiscreteTimeSystem.
 
     Raises ModelSyntaxError with line/column on lexical, grammatical, or
-    unknown-identifier errors, and ModelSemanticsError on structural ones
-    (duplicate or missing state updates and the like).
+    unknown-identifier errors and on a division by zero, and
+    ModelSemanticsError on structural ones (duplicate or missing state
+    updates and the like).
     """
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     name = None
@@ -348,7 +359,7 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
                 "%s: duplicate update for state %r" % (source_name, target)
             )
         statements[target] = (tokens[3:], line_no)
-        updates[target] = _parse_fraction(tokens[3:], symbols, line_no, fractions)
+        updates[target] = _ExprParser(tokens[3:], symbols, line_no, fractions).parse()
 
     missing = [nm for nm in state_names if nm not in updates]
     if missing:
@@ -356,11 +367,7 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
             "%s: missing update for state(s) %s" % (source_name, ", ".join(missing))
         )
 
-    # the expressions are parsed again from the tokens when first read;
-    # an update that divides by zero is left to their conversion to reject
-    elements = None
-    if all(updates.values()):
-        elements = (K, tuple(fractions.element(updates[nm]) for nm in state_names))
+    # the expressions are parsed again from the tokens when first read
     return DiscreteTimeSystem(
         name=name,
         states=tuple(symbols[nm] for nm in state_names),
@@ -370,19 +377,8 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
         equilibrium={v: equilibrium[v] for v in
                      [symbols[nm] for nm in state_names + input_names]},
         source_digest=digest,
-        elements=elements,
+        elements=(K, tuple(fractions.element(updates[nm]) for nm in state_names)),
     )
-
-
-def _parse_fraction(tokens, symbols, line_no, fractions):
-    """The expression of tokens as a pair of symbolic.Fractions; None when
-    it divides by zero.  Its syntax is then checked by parsing it as an
-    expression, which is not rational."""
-    try:
-        return _ExprParser(tokens, symbols, line_no, fractions).parse()
-    except symbolic.CoercionFailed:
-        _ExprParser(tokens, symbols, line_no).parse()
-        return None
 
 
 def _parse_expressions(statements, symbols) -> tuple:
@@ -412,14 +408,11 @@ def parse_expression(text: str, system: DiscreteTimeSystem) -> sp.Expr:
 def parse_elements(texts, system) -> list:
     """Parse expressions as parse_expression does, as elements of the
     field QQ(states, inputs) of system.update_elements, without building
-    an expression.  Raises UnsupportedEquationError, as
-    symbolic.to_elements does, when one divides by zero."""
+    an expression.  A division by zero is a ModelSyntaxError at its
+    operator, as in parse_model."""
     fractions = symbolic.Fractions(symbolic.function_field(system.variables))
-    parsed = [_parse_fraction(*_expression_tokens(text, system), fractions) for text in texts]
-    if not all(parsed):
-        return symbolic.to_elements([parse_expression(text, system) for text in texts],
-                                    system.variables)[1]
-    return [fractions.element(pair) for pair in parsed]
+    return [fractions.element(_ExprParser(*_expression_tokens(text, system), fractions).parse())
+            for text in texts]
 
 
 def _expression_tokens(text, system) -> tuple:

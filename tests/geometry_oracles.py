@@ -41,13 +41,15 @@ def lie_bracket(v1: geometry.VectorField, v2: geometry.VectorField) -> geometry.
     return geometry.VectorField(v1.coords, tuple(comps))
 
 
-def is_projectable(v: geometry.VectorField, system, chart: geometry.Chart) -> bool:
+def is_projectable(v: geometry.VectorField, chart: geometry.Chart) -> bool:
     """Whether the field pushes forward to a well-defined field.
 
     True iff every theta component, written in the adapted chart, is
-    free of all fibre coordinates xi.
+    free of all fibre coordinates xi.  The theta components are those
+    of transform_vector_field, the only ones it computes.
     """
-    return geometry._projectability(geometry.transform_vector_field(v, chart), system, chart)
+    theta_block = geometry.transform_vector_field(v, chart).components
+    return geometry._projectability(theta_block, chart)
 
 
 def is_involutive(dist: geometry.Distribution) -> bool:

@@ -215,21 +215,25 @@ class TestSequenceSteps:
         ["flat4_report", "chain2_report", "sfl_quadratic_report", "nonflat_bilinear_report"],
     )
     def test_carried_chart_forms_match_fresh_transforms(self, request, report_fixture):
+        """Each D carries the theta blocks of its basis fields, the
+        transform_vector_field of each, and the cut computes no xi
+        component: the chart's Jacobian has the n theta rows only."""
         report = request.getfixturevalue(report_fixture)
+        chart = report.chart
+        assert len(chart.jacobian) == len(chart.theta)
         for step in report.steps:
-            assert step.D.chart is report.chart
+            assert step.D.chart is chart
             assert len(step.D.chart_fields) == step.D.dim
             for field, carried in zip(step.D.fields, step.D.chart_fields):
-                fresh = geometry.transform_vector_field(field, report.chart)
-                assert carried.coords == fresh.coords
-                for a, b in zip(carried.components, fresh.components):
-                    assert not (a - b)
+                fresh = geometry.transform_vector_field(field, chart)
+                assert carried.coords == fresh.coords == chart.theta
+                assert carried.components == fresh.components
 
-    def test_projectability_of_extracted_fields(self, flat4, flat4_report):
+    def test_projectability_of_extracted_fields(self, flat4_report):
         chart = flat4_report.chart
         for step in flat4_report.steps:
             for field in step.D.fields:
-                assert geometry_oracles.is_projectable(field, flat4, chart) is True
+                assert geometry_oracles.is_projectable(field, chart) is True
 
     def test_pushforward_of_first_step(self, flat4, flat4_report):
         chart = flat4_report.chart
@@ -285,13 +289,57 @@ class TestNarrowChartField:
         assert len(charts) == 1 and projectable
         chart = charts[0]
         narrow = tuple(sorted(chart.coords, key=lambda s: s.name))
+        assert len(chart.jacobian) == len(chart.theta)
         for row in chart.jacobian:
             for a in row:
                 assert a.field.symbols == narrow
         for D in projectable:
             for f in D.chart_fields:
+                assert f.coords == chart.theta
                 for a in f.components:
                     assert a.field.symbols == narrow
+
+
+class TestPushforwardBasis:
+    """The pushforward reads its basis off the extraction's echelon rows,
+    renamed to x+ and cleared, instead of row reducing them again:
+    make_distribution stays the reference it must equal."""
+
+    @pytest.mark.parametrize("model", BUNDLED)
+    def test_basis_equals_make_distribution(self, model, load_system, monkeypatch):
+        images = []
+        push = geometry.pushforward_distribution
+
+        def recorded(*args):
+            images.append(push(*args))
+            return images[-1]
+
+        monkeypatch.setattr(geometry, "pushforward_distribution", recorded)
+        try:
+            cli._prepare(load_system(model))
+        except ConstantDimensionError:
+            pass
+        assert images
+        for image in images:
+            reference = geometry.make_distribution(
+                image.coords, [f.components for f in image.fields])
+            assert image == reference
+
+    def test_sequence_calls_no_make_distribution(self, load_system, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_distribution was called")
+
+        monkeypatch.setattr(geometry, "make_distribution", refuse)
+        verdicts = {}
+        for model in BUNDLED:
+            try:
+                verdicts[model] = cli._prepare(load_system(model))[2].verdict
+            except ConstantDimensionError:
+                verdicts[model] = "exit 2"
+        assert verdicts == {
+            "chain2": "FLAT", "flat4": "FLAT", "nonflat_bilinear": "NOT_FLAT",
+            "quad_chain": "FLAT", "quad_integrator": "exit 2",
+            "redundant_input": "FLAT", "sfl_quadratic": "FLAT", "shift1": "FLAT"}
 
 
 class TestSequenceWithoutExpressions:

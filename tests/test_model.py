@@ -245,6 +245,27 @@ def _random_text(rng, names, depth):
     return form % (a, b)
 
 
+class _ZeroDivisorCheck:
+    """The parser's actions by sympy's own operators, except that a
+    divisor that cancels to zero raises ZeroDivisionError."""
+
+    number = symbol = staticmethod(lambda a: a)
+    add = staticmethod(lambda x, y: x + y)
+    sub = staticmethod(lambda x, y: x - y)
+    mul = staticmethod(lambda x, y: x * y)
+    neg = staticmethod(lambda x: -x)
+
+    @staticmethod
+    def div(x, y):
+        if sp.cancel(y) == 0:
+            raise ZeroDivisionError(y)
+        return x / y
+
+    @classmethod
+    def power(cls, x, k):
+        return cls.div(1, x**-k) if k < 0 else x**k
+
+
 class TestParsedElements:
     """The parser builds the update map and candidate components as
     elements; they equal the conversion of the expressions it builds when
@@ -276,25 +297,44 @@ class TestParsedElements:
         rng = random.Random(seed)
         system = modelfile.parse_model(CHAIN)
         texts = [_random_text(rng, ["x1", "x2", "u"], 4) for _ in range(2)]
-        exprs = [modelfile.parse_expression(t, system) for t in texts]
         try:
-            expected = symbolic.to_elements(exprs, system.variables)[1]
-        except UnsupportedEquationError:
-            # a division by zero, which the parsed elements refuse alike
-            with pytest.raises(UnsupportedEquationError):
+            for text in texts:
+                modelfile._ExprParser(*modelfile._expression_tokens(text, system),
+                                      _ZeroDivisorCheck).parse()
+        except ZeroDivisionError:
+            with pytest.raises(ModelSyntaxError, match="division by zero"):
                 modelfile.parse_elements(texts, system)
             return
+        exprs = [modelfile.parse_expression(t, system) for t in texts]
+        expected = symbolic.to_elements(exprs, system.variables)[1]
         assert modelfile.parse_elements(texts, system) == expected
 
-    def test_division_by_zero_is_rejected_by_validation(self):
-        system = modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = u/(x1 - x1)"))
-        assert str(system.update[1]) == "zoo*u"
-        with pytest.raises(ValidationError, match="zoo"):
-            model.validate_system(system)
+    def test_division_by_zero_is_a_syntax_error(self):
+        """A zero divisor is refused at its / or ^, in a model and in a
+        candidate alike, even where sympy's expression would be rational
+        (zoo**0 is 1).  Expressions built in code are refused on their
+        conversion."""
+        system = modelfile.parse_model(CHAIN)
+        for update, column in [("u/(x1 - x1)", 12), ("x2 + (1/0)^0 - 1", 18),
+                               ("u*(x1 - x1)^-2", 22)]:
+            with pytest.raises(ModelSyntaxError) as info:
+                modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = " + update))
+            assert str(info.value) == "line 7, column %d: division by zero" % column
+            with pytest.raises(ModelSyntaxError) as info:
+                modelfile.parse_elements(["x1", update], system)
+            assert str(info.value) == "line 1, column %d: division by zero" % (column - 10)
+        x1, u = system.states[0], system.inputs[0]
+        for expr in (u / (x1 - x1), sp.Pow(x1 - x1, -1, evaluate=False)):
+            with pytest.raises(UnsupportedEquationError):
+                symbolic.to_elements([expr], system.variables)
 
     def test_division_by_zero_keeps_syntax_errors(self):
-        with pytest.raises(ModelSyntaxError):
-            modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = u/0 + )"))
+        """The first error in reading order is the one reported."""
+        for update, message in [("u/0 + )", "column 12: division by zero"),
+                                (") + u/0", "column 11: unexpected ')'")]:
+            with pytest.raises(ModelSyntaxError) as info:
+                modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = " + update))
+            assert str(info.value) == "line 7, " + message
 
 
 class TestValidateSystem:

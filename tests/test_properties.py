@@ -18,7 +18,8 @@ import sympy as sp
 
 from flatcheck import (analysis, cli, construction, geometry, model, modelfile, symbolic,
                        verification)
-from flatcheck.errors import ChartError, StraighteningError, UnsupportedEquationError
+from flatcheck.errors import (ChartError, ConstantDimensionError, StraighteningError,
+                              UnsupportedEquationError)
 from flatcheck.model import DiscreteTimeSystem
 
 import geometry_oracles
@@ -333,6 +334,48 @@ class TestFlat4UnderLinearStateChanges:
             "the chart inverse was not found: the elimination gave up on %s: no "
             "equation left has a factor linear in one of them, and none is "
             "univariate (xi = ('x1', 'x2'))" % unknowns)
+
+
+class TestIr2UnderLinearStateChanges:
+    """ir2, ``x1+ = x2 + x3*u2, x2+ = x3, x3+ = u1, x4+ = x1 + u2 - 1``
+    with u2 = 1 and all else 0 at the equilibrium, is honestly singular:
+    the field x2 d/dx1 + d/dx4 of E_1 falls into ker df where x2 = 0, so
+    its analysis ends at k=1 with a constant-dimension error.  Linear
+    state changes of it run the constant-dimension checks of the cut and
+    the pushforward.  Seeds 9001, 9003 and 9005 end in the base's error;
+    seeds 9002 and 9004 end at k=0 in a false one, since df/du has rank 2
+    at the equilibrium: the pushforward's check on its cleared rows reads
+    a basis of D_0 with a pole at the equilibrium image (seen for 9002).
+    These outcomes are pinned as they are, and the false one is to move
+    to the base's.
+    Seed 9000 is left out: its extraction row reduction runs over 400 s."""
+
+    # the step k the analysis ends at, and the dimensions of its error
+    OUTCOMES = {1: (4, 3), 0: (2, 1)}
+
+    @staticmethod
+    def _ir2():
+        x4, u1, u2 = sp.symbols("x4 u1 u2")
+        return DiscreteTimeSystem(
+            name="ir2",
+            states=(x1, x2, x3, x4),
+            inputs=(u1, u2),
+            update=(x2 + x3 * u2, x3, u1, x1 + u2 - 1),
+            equilibrium={x1: 0, x2: 0, x3: 0, x4: 0, u1: 0, u2: 1},
+            source_digest=None,
+        )
+
+    @pytest.mark.parametrize("s, k", [(None, 1), (9001, 1), (9002, 0), (9003, 1),
+                                      (9004, 0), (9005, 1)])
+    def test_constant_dimension_error(self, s, k):
+        system = self._ir2()
+        if s is not None:
+            system = _linear_state_change(system, unimodular_matrix(random.Random(s), 4))
+        with pytest.raises(ConstantDimensionError) as info:
+            analysis.run_algorithm1(system)
+        assert (info.value.k, str(info.value)) == (k, (
+            "pushforward has dimension %d generically but %d at the equilibrium image"
+            % self.OUTCOMES[k]))
 
 
 class TestIntegratorExtensionPreservesFlatness:
