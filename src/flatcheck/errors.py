@@ -92,3 +92,20 @@ class SimulationError(FlatcheckError):
     def __init__(self, message, step=None):
         self.step = step
         super().__init__(message)
+
+
+class CoercionFailed(Exception):
+    """The rational kernel (flatcheck.symbolic) cannot convert a value into
+    a field: not a rational function of the field's generators, or a
+    division by zero.  The kernel's callers turn it into an error of their
+    own."""
+
+
+class GeneratorsError(Exception):
+    """The rational kernel cannot move an element into a field that lacks
+    a generator the element uses."""
+
+
+class HeuristicGCDFailed(Exception):
+    """The kernel's heuristic gcd gave up after its evaluation points; the
+    kernel then takes the dense gcd instead."""

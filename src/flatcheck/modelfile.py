@@ -15,9 +15,9 @@ a letter followed by letters or digits; underscores are reserved for
 generated coordinate names, and ``y<digits>`` is reserved for flat outputs.
 
 One parser reads every expression and builds its value with one of two
-sets of actions from symbolic: ``Fractions`` for the elements of
-``system.update_elements`` and ``parse_elements``, and ``Expressions``
-for the sympy expressions of ``system.update`` and ``parse_expression``,
+sets of actions from symbolic: ``Fractions`` for the equilibrium values
+and the elements of ``system.update_elements`` and ``parse_elements``,
+and ``Expressions`` for the sympy expressions of ``system.update``,
 which are the expressions that sympy's operators build, with their sums
 built without ``Add.flatten``.
 """
@@ -335,10 +335,9 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
         while j < len(toks) and toks[j].text != ",":
             j += 1
         # the value follows the '=', so a missing one ends just past it
-        value = _ExprParser(toks[i + 1:j], {}, line_no, start=1).parse()
-        if not value.is_Number or not value.is_rational:
-            raise ModelSyntaxError("equilibrium value must be rational", tok.line, tok.column)
-        equilibrium[symbols[tok.text]] = value
+        value = _ExprParser(toks[i + 1:j], {}, line_no, fractions, start=1).parse()
+        equilibrium[symbols[tok.text]] = symbolic.rational_values(
+            K, [fractions.element(value)], {})[0]
         i = j
 
     for line_no, tokens in pending_next:
@@ -394,22 +393,16 @@ def load_model(path) -> DiscreteTimeSystem:
     return parse_model(text, source_name=str(path))
 
 
-def parse_expression(text: str, system: DiscreteTimeSystem) -> sp.Expr:
-    """Parse one expression in the model grammar over a system's variables.
+def parse_elements(texts, system) -> list:
+    """Parse expressions in the model grammar over a system's variables,
+    as elements of the field QQ(states, inputs) of
+    system.update_elements, without building an expression.
 
     Accepts the same sublanguage as the right-hand sides of ``next``
     statements (rational arithmetic, ``^`` powers with integer literal
     exponents) and resolves identifiers against the states and inputs of
-    ``system``.  Raises ModelSyntaxError on anything else.
-    """
-    return _ExprParser(*_expression_tokens(text, system)).parse()
-
-
-def parse_elements(texts, system) -> list:
-    """Parse expressions as parse_expression does, as elements of the
-    field QQ(states, inputs) of system.update_elements, without building
-    an expression.  A division by zero is a ModelSyntaxError at its
-    operator, as in parse_model."""
+    ``system``.  Raises ModelSyntaxError on anything else, and on a
+    division by zero at its operator, as in parse_model."""
     fractions = symbolic.Fractions(symbolic.function_field(system.variables))
     return [fractions.element(_ExprParser(*_expression_tokens(text, system), fractions).parse())
             for text in texts]

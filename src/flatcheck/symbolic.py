@@ -10,44 +10,56 @@ denominator or ring, or calls its ``.as_expr()``.  A field is what
 ``.one`` are read.  ``symbol`` makes the symbols of
 generators and ``generators`` looks them up in a field, ``rational``
 reads a rational number, and ``GeneratorsError`` and ``CoercionFailed``
-are the kernel's errors.
+(defined in ``flatcheck.errors``) are the kernel's errors.
 
 Invariant: every expression this module takes or returns is a rational
 function with rational coefficients.  Inside this module such an
-expression is an element of the field QQ(gens), stored as sympy's
-``ZZ.frac_field(*gens)`` stores it (a ``FracElement``): a numerator and
-a denominator with integer coefficients, in lowest terms, without a
-common integer factor and with the denominator's leading coefficient
-positive.  That is the one canonical pair of the fraction, the same
-that sympy's ``QQ.frac_field`` keeps, so equal functions have equal
-pairs.  A field without generators is QQ itself.  Anything else
-(floats, radicals, functions) raises UnsupportedEquationError where it
-is converted.
+expression is an element of the field QQ(gens), a ``RationalFunction``
+of the ``FunctionField`` that ``function_field`` makes once for each
+tuple of generators: a numerator and a denominator, ``Polynomial``s of
+the field's ring Z[gens], in lowest terms, without a common integer
+factor and with the denominator's leading coefficient (in
+lexicographic order) positive.  That is the one canonical pair of the
+fraction, the pair that sympy's ``ZZ.frac_field`` keeps, so equal
+functions have equal pairs, and the tests compare the two term for
+term.  A polynomial is a dict from exponent tuples to nonzero Python
+ints that is never changed once built, with only the operations that
+this module calls: sums, products, integer powers, the derivative, the
+exact quotient, degrees and the leading coefficient.  Its products add
+monomials with one unrolled function for each number of generators,
+compiled on the first product of that size.  No sympy ring, field or
+polynomial is built.  A field without generators is QQ itself, whose
+elements, like the values at a point, are sympy's rational numbers.
+Anything else (floats, radicals, functions) raises
+UnsupportedEquationError where it is converted.
 
 How a pair is reduced.  Every fraction that needs a gcd goes through
 one routine, ``_cofactors``: it returns the gcd of numerator and
 denominator and both cofactors, the triple of sympy's
 ``PolyElement.cofactors``, and the sign is then fixed as sympy's
 ``cancel`` fixes it (``_coprime``), so the pair is the canonical one
-above.  Zero and monomial operands take sympy's own shortcuts.
-Otherwise each generator x that both polynomials use is tested on
-univariate images: every other generator is set to a fixed integer,
-the i-th prime for generator i.  If the image of either polynomial
-keeps its degree in x and the two images have a constant gcd, x is not
-in the gcd (Brown's degree bound).  When that holds for every shared
-generator, the gcd is the gcd of the two integer contents.  Anything
-else goes to ``_heugcd``, the heuristic gcd of Char, Geddes and Gonnet
-(1989), on plain dicts of integer coefficients by exponent tuple over
-only the generators that the pair uses; it takes sympy's
-``heuristicgcd.heugcd`` step for step (the same evaluation points,
-balanced xi-adic interpolation and exact-division checks), so it
-returns sympy's triple, and the result is converted back once with
-``from_dict``.  Where it gives up after its six points, sympy's dense
-subresultant gcd (``euclidtools.dmp_rr_prs_gcd``) reduces the same
-dicts, as dense lists over the same generators, to their gcd with a
-positive leading coefficient.  Sympy's element
-arithmetic and ``.diff`` would reduce through ``cancel`` instead, so
-flatcheck uses neither: ``derivative`` and ``compose_derivative`` take
+above.  Zero and monomial operands take the shortcuts of sympy's
+``cofactors``.  Otherwise each generator x that both polynomials use
+is tested on univariate images: every other generator is set to a
+fixed integer, the i-th prime for generator i.  If the image of either
+polynomial keeps its degree in x and the two images have a constant
+gcd (sympy's ``euclidtools.dup_gcd``), x is not in the gcd (Brown's
+degree bound).  When that holds for every shared generator, the gcd is
+the gcd of the two integer contents.  Anything else goes to
+``_heugcd``, the heuristic gcd of Char, Geddes and Gonnet (1989), on
+plain dicts of integer coefficients by exponent tuple over only the
+generators that the pair uses; it takes sympy's ``heuristicgcd.heugcd``
+step for step (the same evaluation points, balanced xi-adic
+interpolation and exact-division checks), so it returns sympy's
+triple, and the result is converted back once.  Where it gives up
+after its six points, sympy's dense subresultant gcd
+(``euclidtools.dmp_rr_prs_gcd``) reduces the same dicts, as dense lists
+over the same generators, to their gcd with a positive leading
+coefficient.  The solver factors an equation with sympy's
+``factortools.dmp_factor_list`` on its dense list over all generators
+of its ring (``_factors``).  These three dense routines are all that
+the kernel calls of ``sympy.polys``.  The kernel's polynomials reduce
+nothing on their own: ``derivative`` and ``compose_derivative`` take
 the derivative of p / q as the unreduced pair (p' q - p q', q**2), or
 (p', q) where q is free of the generator, and reduce it once,
 ``difference`` subtracts over one denominator, and
@@ -80,7 +92,7 @@ string that sympy's ``str`` prints for its canonical form (the rules
 are in its docstring); it builds no expression and calls no sympy
 printer.  Expressions are built only where they are read, for the
 numeric replay, ``simulate`` and error messages: ``expression`` builds
-the one that an element's ``.as_expr()`` builds,
+the one that sympy's ``.as_expr()`` builds for the element's pair,
 ``canonicalize_element`` that of its canonical form, and the model
 parser builds ``system.update`` with ``Expressions``, the counterpart
 of ``Fractions``.  All three build sympy's own expressions, argument for
@@ -137,9 +149,12 @@ from sympy import QQ, ZZ
 from sympy.core.add import _addsort
 from sympy.core.mul import _keep_coeff, _mulsort
 from sympy.polys.euclidtools import dmp_rr_prs_gcd, dup_gcd
-from sympy.polys.polyerrors import CoercionFailed, GeneratorsError, HeuristicGCDFailed
+from sympy.polys.factortools import dmp_factor_list
 
 from .errors import (
+    CoercionFailed,
+    GeneratorsError,
+    HeuristicGCDFailed,
     InconsistentSystemError,
     IrrationalSolutionError,
     UnsolvedEquationsError,
@@ -157,21 +172,250 @@ def rational(text):
     return sp.Rational(text)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
+def _monomial_product(ngens):
+    """The product of two monomials of ngens generators, exponent tuples,
+    as one unrolled function, compiled on the first product of that
+    size."""
+    a = ", ".join("a%d" % i for i in range(ngens))
+    b = ", ".join("b%d" % i for i in range(ngens))
+    sums = ", ".join("a%d + b%d" % (i, i) for i in range(ngens))
+    namespace = {}
+    exec("def product(a, b):\n    %s, = a\n    %s, = b\n    return (%s,)\n" % (a, b, sums),
+         namespace)
+    return namespace["product"]
+
+
+class Polynomial(dict):
+    """A polynomial with integer coefficients: a dict from exponent tuples,
+    one exponent per generator of its ring, to nonzero Python ints.  Each
+    ring has a subclass of its own whose class attribute ``ring`` is the
+    ring.  Two polynomials are equal when they are of one ring and have
+    the same terms.  A polynomial is never changed after it is built, so
+    it hashes by its ring and terms."""
+
+    __slots__ = ()
+    ring = None
+
+    # the (monomial, coefficient) pairs, the monomials and the coefficients
+    iterterms, itermonoms, itercoeffs = dict.items, dict.keys, dict.values
+
+    def __eq__(self, other):
+        return (isinstance(other, Polynomial) and other.ring is self.ring
+                and dict.__eq__(self, other))
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.items())))
+
+    def __repr__(self):
+        return "Polynomial(%s)" % dict.__repr__(self)
+
+    @property
+    def LC(self):
+        """The leading coefficient in lexicographic order; 0 for zero."""
+        return self[max(self)] if self else 0
+
+    @property
+    def is_ground(self):
+        return not self or (len(self) == 1 and self.ring.zero_monom in self)
+
+    @property
+    def is_one(self):
+        return len(self) == 1 and self.get(self.ring.zero_monom) == 1
+
+    def degrees(self) -> tuple:
+        """The degree in each generator; -inf for every one of zero."""
+        if not self:
+            return (-math.inf,) * self.ring.ngens
+        return tuple(map(max, zip(*self)))
+
+    def degree(self, i):
+        """The degree in the generator at index i; -inf for zero."""
+        return max(m[i] for m in self) if self else -math.inf
+
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.items()})
+
+    def __add__(self, other):
+        if not other:
+            return self
+        total = type(self)(self)
+        get = total.get
+        for m, c in other.items():
+            c += get(m, 0)
+            if c:
+                total[m] = c
+            else:
+                del total[m]
+        return total
+
+    def __sub__(self, other):
+        if not other:
+            return self
+        total = type(self)(self)
+        get = total.get
+        for m, c in other.items():
+            c = get(m, 0) - c
+            if c:
+                total[m] = c
+            else:
+                del total[m]
+        return total
+
+    def __mul__(self, other):
+        product = type(self)()
+        if not self or not other:
+            return product
+        add = _monomial_product(self.ring.ngens)
+        get = product.get
+        for m, c in self.items():
+            for n, d in other.items():
+                k = add(m, n)
+                product[k] = get(k, 0) + c * d
+        for k in [k for k, c in product.items() if not c]:
+            del product[k]
+        return product
+
+    def __pow__(self, k):
+        """self to the integer k >= 0, by repeated squaring; 1 for k = 0,
+        also for self = 0."""
+        if not k:
+            return self.ring.one
+        if len(self) == 1:
+            (m, c), = self.items()
+            return type(self)({tuple(e * k for e in m): c**k})
+        result, base = None, self
+        while True:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if not k:
+                return result
+            base = base * base
+
+    def mul_term(self, term):
+        """self times the term (monomial, coefficient)."""
+        monom, coeff = term
+        if not self or not coeff:
+            return type(self)()
+        add = _monomial_product(self.ring.ngens)
+        return type(self)({add(m, monom): c * coeff for m, c in self.items()})
+
+    def quo_ground(self, c):
+        """self divided by the integer c, which divides every coefficient."""
+        if c == 1:
+            return self
+        return type(self)({m: v // c for m, v in self.items()})
+
+    def exquo(self, divisor):
+        """self divided by the polynomial divisor, which divides it exactly."""
+        quotient = _exact_quotient(self, divisor)
+        if quotient is None:
+            raise ArithmeticError("%r does not divide %r" % (divisor, self))
+        return type(self)(quotient)
+
+    def diff(self, i):
+        """The derivative in the generator at index i."""
+        return type(self)({m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                           for m, c in self.items() if m[i]})
+
+    def coeff_wrt(self, i, degree):
+        """The coefficient of the i-th generator to the degree, as a
+        polynomial of this ring without that generator."""
+        return type(self)({m[:i] + (0,) + m[i + 1:]: c for m, c in self.items()
+                           if m[i] == degree})
+
+
+class PolynomialRing:
+    """The ring Z[symbols] of :class:`Polynomial`, one for each
+    :class:`FunctionField`."""
+
+    def __init__(self, symbols):
+        self.symbols, self.ngens = symbols, len(symbols)
+        self.zero_monom = (0,) * self.ngens
+        self.dtype = type("Polynomial", (Polynomial,), {"__slots__": (), "ring": self})
+        self.zero = self.dtype()
+        self.one = self.dtype({self.zero_monom: 1})
+        self.gens = tuple(self.dtype({self.zero_monom[:i] + (1,) + self.zero_monom[i + 1:]: 1})
+                          for i in range(self.ngens))
+
+    def __repr__(self):
+        return "PolynomialRing(%s)" % ", ".join(map(str, self.symbols))
+
+    def from_dict(self, terms):
+        """The polynomial of the dict terms, whose coefficients are nonzero."""
+        return self.dtype(terms)
+
+    def ground_new(self, c):
+        """The constant polynomial c, for an integer c."""
+        return self.dtype({self.zero_monom: c} if c else {})
+
+
+class RationalFunction:
+    """An element of a :class:`FunctionField`: the quotient numer / denom
+    of two polynomials of the field's ring, in lowest terms, without a
+    common integer factor and with denom's leading coefficient positive
+    (see the module docstring).  Built only by this module's functions.
+    Equal elements of one field have equal pairs, so two elements are
+    equal when they are of one field and have equal pairs, and they hash
+    by field and pair."""
+
+    __slots__ = ("field", "numer", "denom")
+
+    def __init__(self, field, numer, denom):
+        self.field, self.numer, self.denom = field, numer, denom
+
+    def __bool__(self):
+        return bool(self.numer)
+
+    def __eq__(self, other):
+        return (isinstance(other, RationalFunction) and other.field is self.field
+                and self.numer == other.numer and self.denom == other.denom)
+
+    def __hash__(self):
+        return hash((self.field, self.numer, self.denom))
+
+    def __neg__(self):
+        return RationalFunction(self.field, -self.numer, self.denom)
+
+    def __repr__(self):
+        return "RationalFunction(%s)" % to_infix(self)
+
+
+class FunctionField:
+    """The field QQ(symbols) of :class:`RationalFunction`, over the ring
+    Z[symbols]; one per symbols tuple (:func:`function_field`)."""
+
+    def __init__(self, symbols):
+        self.symbols, self.ngens = symbols, len(symbols)
+        self.ring = ring = PolynomialRing(symbols)
+        self.zero = RationalFunction(self, ring.zero, ring.one)
+        self.one = RationalFunction(self, ring.one, ring.one)
+        self.gens = tuple(RationalFunction(self, g, ring.one) for g in ring.gens)
+
+    def __repr__(self):
+        return "FunctionField(%s)" % ", ".join(map(str, self.symbols))
+
+
+@functools.cache
 def function_field(gens: tuple):
-    """The field QQ(gens) as a sympy domain, its elements stored as
-    fractions of integer polynomials (``ZZ.frac_field``); QQ itself when
-    gens is empty."""
-    return ZZ.frac_field(*gens) if gens else QQ
+    """The field QQ(gens), its elements stored as
+    :class:`RationalFunction`; QQ itself when gens is empty.  Elements compare
+    their fields by identity, so the cache keeps one field per tuple of
+    generators for the life of the process, as sympy keeps its rings."""
+    return FunctionField(gens) if gens else QQ
 
 
 def field_of(elements):
     """The one function field of the nonempty elements; ValueError when
     they come from different fields."""
     first, *rest = elements
-    if any(a.field != first.field for a in rest):
+    if any(a.field is not first.field for a in rest):
         raise ValueError("components from different function fields")
-    return function_field(first.field.symbols)
+    return first.field
 
 
 def field(symbols):
@@ -182,7 +426,7 @@ def field(symbols):
 def generators(K, symbols) -> list:
     """The generators of the field K named by symbols, as elements of K."""
     index = {s: i for i, s in enumerate(K.symbols)}
-    return [K.field.gens[index[s]] for s in symbols]
+    return [K.gens[index[s]] for s in symbols]
 
 
 class Fractions:
@@ -192,14 +436,14 @@ class Fractions:
     A sum over one denominator adds the numerators, any other sum and
     every product multiply out, and a negative power swaps the parts, so
     a pair need not be in lowest terms; ``element`` reduces it once.
-    The model parser builds its elements with these operations, and
-    :func:`_fraction` converts an expression with them.  Raises
-    CoercionFailed for a symbol that is not a generator of K and for a
-    division by zero.
+    The model parser builds its elements and equilibrium values with
+    these operations, and :func:`_fraction` converts an expression with
+    them.  Raises CoercionFailed for a symbol that is not a generator of
+    K and for a division by zero.
     """
 
     def __init__(self, K):
-        self.field, self.ring = K.field, K.field.ring
+        self.field, self.ring = K, K.ring
         self.index = {s: i for i, s in enumerate(K.symbols)}
 
     def element(self, pair):
@@ -236,11 +480,10 @@ class Fractions:
     def div(self, x, y):
         return self.mul(x, self.power(y, -1))
 
-    def power(self, x, k):
+    @staticmethod
+    def power(x, k):
         """x to the integer k; x**0 is 1, even for x = 0, as in sympy."""
         num, den = x
-        if k == 0:
-            return self.ring.one, self.ring.one
         if k < 0:
             if not num:
                 raise CoercionFailed("division by zero")
@@ -267,9 +510,8 @@ def _fraction(e, fractions):
 class Expressions:
     """Arithmetic on sympy expressions, the expressions that sympy's own
     operators build, with the same actions as :class:`Fractions`: the
-    model parser builds ``system.update`` and the value of
-    ``parse_expression`` with them, and :func:`expression` builds an
-    element's expression.
+    model parser builds ``system.update`` with them, and
+    :func:`expression` builds an element's expression.
 
     The first sum that sympy evaluates imports ``sympy.tensor.tensor``,
     and ``sympy.combinatorics`` with it, from ``Add.flatten``; sympy's
@@ -389,24 +631,25 @@ def _merged_product(x, y):
 
 
 def _polynomial_expression(poly):
-    """The expression of a polynomial that its ``as_expr()`` builds: the
-    sum of its terms, each its coefficient times the powers of the
-    generators."""
-    to_sympy, symbols = poly.ring.domain.to_sympy, poly.ring.symbols
-    return _sum([sp.Mul(to_sympy(c), *[sp.Pow(g, e) for g, e in zip(symbols, monom) if e])
+    """The expression of a polynomial that sympy's ``PolyElement.as_expr()``
+    builds for the same terms: the sum of its terms, each its coefficient
+    times the powers of the generators."""
+    symbols = poly.ring.symbols
+    return _sum([sp.Mul(sp.Integer(c), *[sp.Pow(g, e) for g, e in zip(symbols, monom) if e])
                  for monom, c in poly.iterterms()])
 
 
 def _quotient_expression(P, Q):
-    """The expression P / Q of the polynomials P and Q, each built as its
-    ``as_expr()`` builds it, divided as sympy divides them."""
+    """The expression P / Q of the polynomials P and Q, each built as
+    :func:`_polynomial_expression` builds it, divided as sympy divides
+    them."""
     return Expressions.div(_polynomial_expression(P), _polynomial_expression(Q))
 
 
 def expression(a):
     """The sympy expression of the element a of a function field, the one
-    that ``a.as_expr()`` builds (numerator over denominator), built with
-    :class:`Expressions`."""
+    that sympy's ``FracElement.as_expr()`` builds for its pair (numerator
+    over denominator), built with :class:`Expressions`."""
     return _quotient_expression(a.numer, a.denom)
 
 
@@ -651,12 +894,12 @@ def compose(a, images, K=None):
     denominator vanishes, whatever the numerator.  When the images of the
     generators a uses are distinct bare generators of K, a is renamed
     instead, which takes no gcd."""
-    target = a.field if K is None else K.field
+    target = a.field if K is None else K
     if a.numer.is_ground and a.denom.is_ground:
         # a constant: nothing to substitute, and no gcd to take
         ring = target.ring
-        return a if target is a.field else target.raw_new(
-            ring.ground_new(a.numer.LC), ring.ground_new(a.denom.LC))
+        return a if target is a.field else RationalFunction(
+            target, ring.ground_new(a.numer.LC), ring.ground_new(a.denom.LC))
     names = _renaming(a, images, target)
     if names is not None:
         return _renamed(a, target, names)
@@ -688,8 +931,8 @@ def compose_derivative(a, s, images, K=None):
     is composed as the pair (p' q - p q', q**2), not reduced, so the
     composition takes the one gcd."""
     field = a.field
-    target = field if K is None else K.field
-    parts = _derivative(a.numer, a.denom, field.ring.gens[field.symbols.index(s)])
+    target = field if K is None else K
+    parts = _derivative(a.numer, a.denom, field.symbols.index(s))
     if not parts[0]:
         return target.zero
     substitution = [(images[t].numer, images[t].denom) if t in images else None
@@ -721,7 +964,7 @@ def _renaming(a, images, target):
     names = [None] * len(symbols)
     for i in _used([a]):
         image = images.get(symbols[i])
-        if (image is None or image.field != target or not image.denom.is_one
+        if (image is None or image.field is not target or not image.denom.is_one
                 or image.numer not in gens):
             return None
         names[i] = target.symbols[gens.index(image.numer)]
@@ -734,7 +977,7 @@ def rename(a, K, mapping):
     renamed by the dict mapping or kept.  A renamed fraction stays in
     lowest terms, so no gcd is taken; only the denominator's sign is fixed.
     Raises GeneratorsError when a needs a generator that K lacks."""
-    return _renamed(a, K.field, tuple(mapping.get(s, s) for s in a.field.symbols))
+    return _renamed(a, K, tuple(mapping.get(s, s) for s in a.field.symbols))
 
 
 def _renamed(a, target, symbols):
@@ -762,7 +1005,7 @@ def _coprime(field, num, den):
         return field.zero
     if den.LC < 0:
         num, den = -num, -den
-    return field.raw_new(num, den)
+    return RationalFunction(field, num, den)
 
 
 def solve_elements(K, elements, unknowns) -> list:
@@ -791,7 +1034,8 @@ def solve_elements(K, elements, unknowns) -> list:
     for a in nonzero:
         if K is QQ or (a.numer.is_ground and a.denom.is_ground):
             raise InconsistentSystemError(
-                "equation %s = 0 is a contradiction" % K.to_sympy(a))
+                "equation %s = 0 is a contradiction"
+                % (QQ.to_sympy(a) if K is QQ else expression(a)))
     position = {s: i for i, s in enumerate(K.symbols)}
     order = list(dict.fromkeys(position[u] for u in unknowns))
     # an equation free of the unknowns cannot change a solution, and any
@@ -803,7 +1047,7 @@ def solve_elements(K, elements, unknowns) -> list:
     irrational, unsolved = [], []
     found = []
     for steps in _eliminate([a.numer for a in elements], order, [], irrational, unsolved):
-        values = _back_substitute(K.field, steps)
+        values = _back_substitute(K, steps)
         if values is None or values in found:
             continue
         if all(_satisfies(a, steps) for a in elements):
@@ -812,7 +1056,7 @@ def solve_elements(K, elements, unknowns) -> list:
         raise IrrationalSolutionError(K.symbols[irrational[0]])
     if not found and unsolved:
         raise UnsolvedEquationsError([K.symbols[i] for i in unsolved[0]])
-    return [{K.symbols[i]: K.field.raw_new(*values[i]) for i in order if values[i] is not None}
+    return [{K.symbols[i]: RationalFunction(K, *values[i]) for i in order if values[i] is not None}
             for values in found]
 
 
@@ -885,7 +1129,7 @@ def _split(polys, open_, steps, irrational, unsolved):
     an equation is free of them, the open generators that the equations
     use are recorded as unsolved."""
     for p in polys:
-        factors = [f for f, _ in p.factor_list()[1] if _mentions(f, open_)]
+        factors = [f for f in _factors(p) if _mentions(f, open_)]
         if any(f.degree(i) == 1 for f in factors for i in open_):
             others = [q for q in polys if q is not p]
             for f in factors:
@@ -898,6 +1142,16 @@ def _split(polys, open_, steps, irrational, unsolved):
     # an equation free of the open generators has no root: not a give-up
     if all(_mentions(p, open_) for p in polys):
         unsolved.append([i for i in open_ if any(_mentions(p, (i,)) for p in polys)])
+
+
+def _factors(p) -> list:
+    """The irreducible factors of the nonzero polynomial p over the
+    integers, in the order of sympy's ``factortools.dmp_factor_list`` on
+    p's dense list over all generators of its ring."""
+    ring = p.ring
+    k = ring.ngens
+    _, factors = dmp_factor_list(_to_dense(p, k), k - 1, ZZ)
+    return [ring.from_dict(_from_dense(f, k)) for f, _ in factors]
 
 
 def _back_substitute(field, steps):
@@ -979,7 +1233,7 @@ def defining_equations(K, definitions) -> list:
     equations = []
     for g, v in zip(generators(K, list(definitions)), definitions.values()):
         v = rename(v, K, {})
-        equations.append(_coprime(K.field, g.numer * v.denom - v.numer, v.denom))
+        equations.append(_coprime(K, g.numer * v.denom - v.numer, v.denom))
     return equations
 
 
@@ -989,7 +1243,7 @@ def _element(field, num, den):
     if not num:
         return field.zero
     if den.is_one:
-        return field.raw_new(num, den)
+        return RationalFunction(field, num, den)
     _, num, den = _cofactors(num, den)
     return _coprime(field, num, den)
 
@@ -1053,8 +1307,10 @@ def _cofactors(p, q) -> tuple:
     except where the heuristic gcd reads it as p or q over a cofactor,
     which keeps the sign of p or q; no caller relies on that sign.
 
-    Zero and monomial operands take sympy's own shortcuts.  Otherwise the
-    gcd is proved a constant from univariate images where that is possible
+    Zero and monomial operands take the shortcuts of sympy's
+    ``PolyElement.cofactors`` (:func:`_zero_cofactors`,
+    :func:`_monomial_cofactors`).  Otherwise the gcd is proved a constant
+    from univariate images where that is possible
     (:func:`_shares_no_generator`), and then is the gcd of the two integer
     contents; since a factor that only one of p and q uses cannot divide
     the other, only the generators both use need a proof.  Anything else
@@ -1065,8 +1321,13 @@ def _cofactors(p, q) -> tuple:
     reduces the same deflated pair instead, as dense lists over only the
     generators that p and q use.
     """
-    if not p or not q or len(p) == 1 or len(q) == 1:
-        return p.cofactors(q)
+    if not p or not q:
+        return _zero_cofactors(p, q)
+    if len(p) == 1:
+        return _monomial_cofactors(p, q)
+    if len(q) == 1:
+        h, cfq, cfp = _monomial_cofactors(q, p)
+        return h, cfp, cfq
     ring = p.ring
     p_degrees, q_degrees = p.degrees(), q.degrees()
     shared = [i for i, (a, b) in enumerate(zip(p_degrees, q_degrees)) if a and b]
@@ -1098,6 +1359,30 @@ def _cofactors(p, q) -> tuple:
         k = len(used)
         triple = dmp_rr_prs_gcd(_to_dense(f, k), _to_dense(g, k), k - 1, ZZ)
         return tuple(up(_from_dense(part, k)) for part in triple)
+
+
+def _zero_cofactors(p, q) -> tuple:
+    """The triple of :func:`_cofactors` where p or q is zero: the other,
+    its sign made that of a positive leading coefficient, is the gcd."""
+    ring = p.ring
+    if not p and not q:
+        return ring.zero, ring.zero, ring.zero
+    if not p:
+        return (q, ring.zero, ring.one) if q.LC > 0 else (-q, ring.zero, -ring.one)
+    return (p, ring.one, ring.zero) if p.LC > 0 else (-p, -ring.one, ring.zero)
+
+
+def _monomial_cofactors(p, q) -> tuple:
+    """The triple of :func:`_cofactors` for the monomial p and a nonzero
+    q: the gcd is the least exponent of each generator times the gcd of
+    the coefficients, which is positive."""
+    (monom, c), = p.items()
+    content = math.gcd(c, *q.itercoeffs())
+    least = tuple(map(min, monom, *q))
+    dtype = type(p)
+    return (dtype({least: content}),
+            dtype({tuple(map(operator.sub, monom, least)): c // content}),
+            dtype({tuple(map(operator.sub, m, least)): v // content for m, v in q.items()}))
 
 
 def _to_dense(terms, k) -> list:
@@ -1312,7 +1597,7 @@ def dot(K, u, v):
     one denominator: one gcd for the sum, none when every denominator is
     1."""
     pairs = [_product(a, b) for a, b in zip(u, v) if a and b]
-    return _element(K.field, *_fused_sum(pairs)) if pairs else K.zero
+    return _element(K, *_fused_sum(pairs)) if pairs else K.zero
 
 
 def depends_on(a, s) -> bool:
@@ -1347,7 +1632,7 @@ def element_rref(K, rows, ncols):
     if K is QQ:
         divide, minus_product = operator.truediv, lambda c, f, b: c - f * b
     else:
-        field = K.field
+        field = K
         rows.sort(key=lambda row: sum(len(a.numer) + len(a.denom) for a in row))
 
         def divide(a, p):
@@ -1399,8 +1684,8 @@ def derivative_mod_rows(K, row, wrt, rref_rows, pivots) -> list:
     Each entry p / q of the row enters as (p' q - p q') / q**2, not
     reduced, so each entry of the residual is one sum over one
     denominator and takes one gcd."""
-    gen = K.field.ring.gens[K.symbols.index(wrt)]
-    parts = [_derivative(a.numer, a.denom, gen) for a in row]
+    i = K.symbols.index(wrt)
+    parts = [_derivative(a.numer, a.denom, i) for a in row]
     residual = []
     for m, (num, den) in enumerate(parts):
         if m in pivots:
@@ -1411,17 +1696,18 @@ def derivative_mod_rows(K, row, wrt, rref_rows, pivots) -> list:
             fac, b = parts[pc], r[m]
             if fac[0] and b:
                 pairs.append((-(fac[0] * b.numer), fac[1] * b.denom))
-        residual.append(_element(K.field, *_fused_sum(pairs)) if pairs else K.zero)
+        residual.append(_element(K, *_fused_sum(pairs)) if pairs else K.zero)
     return residual
 
 
-def _derivative(p, q, gen) -> tuple:
-    """d(p / q) / d gen as the pair (p' q - p q', q**2), not reduced; as
-    (p', q) when q is free of gen, which the other pair has over q."""
-    dq = q.diff(gen)
+def _derivative(p, q, i) -> tuple:
+    """The derivative of p / q in the generator at index i as the pair
+    (p' q - p q', q**2), not reduced; as (p', q) when q is free of the
+    generator, which the other pair has over q."""
+    dq = q.diff(i)
     if not dq:
-        return p.diff(gen), q
-    return p.diff(gen) * q - p * dq, q * q
+        return p.diff(i), q
+    return p.diff(i) * q - p * dq, q * q
 
 
 def annihilating_polynomials(rows, degree, L):
@@ -1433,7 +1719,7 @@ def annihilating_polynomials(rows, degree, L):
     their kernel is taken over QQ.  Each c is scaled as clear_element_row
     scales it; phi is an element of L.
     """
-    ring = L.field.ring
+    ring = L.ring
     nvars = ring.ngens
     monomials = [tuple(combo.count(i) for i in range(nvars)) for d in range(1, degree + 1)
                  for combo in itertools.combinations_with_replacement(range(nvars), d)]
@@ -1451,7 +1737,7 @@ def annihilating_polynomials(rows, degree, L):
     kernel = element_nullspace(QQ, *element_rref(QQ, matrix, len(monomials)), len(monomials))
     for vec in kernel:
         coeffs, _ = clear_element_row(QQ, vec)
-        yield _element(L.field, ring.from_dict(
+        yield _element(L, ring.from_dict(
             {m: QQ.numer(c) for m, c in zip(monomials, coeffs) if c}), ring.one)
 
 
@@ -1712,8 +1998,8 @@ def clear_element_row(K, row):
         if numerators[0] < 0:
             factor = -factor
         return [a * factor for a in row], factor
-    common = _lcm((a.denom for a in nonzero), K.field.ring.one)
-    return _primitive(K.field, common, [a.numer * common.exquo(a.denom) for a in row])
+    common = _lcm((a.denom for a in nonzero), K.ring.one)
+    return _primitive(K, common, [a.numer * common.exquo(a.denom) for a in row])
 
 
 def clear_fraction_row(K, numerators, denominator):
@@ -1737,7 +2023,7 @@ def clear_fraction_row(K, numerators, denominator):
             g = _cofactors(g, p)[0]
     if not g.is_ground:
         denominator, numerators = denominator.exquo(g), [p.exquo(g) for p in numerators]
-    return _primitive(K.field, denominator, numerators)
+    return _primitive(K, denominator, numerators)
 
 
 def _lcm(polys, one):
@@ -1754,7 +2040,7 @@ def combine_rows(K, coeffs, rows):
     clears and fraction_row reads back.  The denominator is the lcm of
     the coefficients' denominators times that of the rows' entries, so
     the sums are taken in the polynomial ring without any gcd."""
-    ring = K.field.ring
+    ring = K.ring
     terms = [(c, row) for c, row in zip(coeffs, rows) if c]
     coeff_lcm = _lcm((c.denom for c, _ in terms), ring.one)
     entry_lcm = _lcm((a.denom for _, row in terms for a in row if a), ring.one)
@@ -1774,7 +2060,7 @@ def fraction_row(K, numerators, denominator, scale=None):
     if scale is not None:
         numerators = [scale.numer * p for p in numerators]
         denominator = scale.denom * denominator
-    return [_element(K.field, p, denominator) for p in numerators]
+    return [_element(K, p, denominator) for p in numerators]
 
 
 def _primitive(field, common, polys):
@@ -1785,9 +2071,9 @@ def _primitive(field, common, polys):
     content = math.gcd(*(c for p in polys for c in p.itercoeffs()))
     unit = -content if _lead_is_negative(next(p for p in polys if p)) else content
     ring = field.ring
-    cleared = [field.raw_new(p.quo_ground(unit), ring.one) for p in polys]
+    cleared = [RationalFunction(field, p.quo_ground(unit), ring.one) for p in polys]
     shared = math.gcd(content, *common.itercoeffs())
-    factor = field.raw_new(common.quo_ground(unit // content * shared),
+    factor = RationalFunction(field, common.quo_ground(unit // content * shared),
                            ring.ground_new(content // shared))
     return cleared, factor
 

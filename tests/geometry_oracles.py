@@ -16,6 +16,8 @@ import sympy as sp
 
 from flatcheck import geometry, symbolic
 
+import kernel_oracle
+
 
 def is_zero_field(v: geometry.VectorField) -> bool:
     return not any(v.components)
@@ -23,21 +25,22 @@ def is_zero_field(v: geometry.VectorField) -> bool:
 
 def lie_bracket(v1: geometry.VectorField, v2: geometry.VectorField) -> geometry.VectorField:
     """Standard Lie bracket of two fields over the same coordinates,
-    computed in the field of their components."""
+    computed with sympy's arithmetic in the field of their components."""
     if v1.coords != v2.coords:
         raise ValueError("bracket of fields over different coordinates")
-    a, b = v1.components, v2.components
-    K = symbolic.field_of(a + b)
-    gens = symbolic.generators(K, v1.coords)
+    K = symbolic.field_of(v1.components + v2.components)
+    F = kernel_oracle.sympy_field(K)
+    a, b = ([kernel_oracle.to_sympy(c) for c in v.components] for v in (v1, v2))
+    gens = [F.gens[K.symbols.index(s)] for s in v1.coords]
     comps = []
     for i in range(len(gens)):
-        term = K.zero
+        term = F.zero
         for aj, bj, x in zip(a, b, gens):
             if aj:
                 term += aj * b[i].diff(x)
             if bj:
                 term -= bj * a[i].diff(x)
-        comps.append(term)
+        comps.append(kernel_oracle.from_sympy(K, term))
     return geometry.VectorField(v1.coords, tuple(comps))
 
 

@@ -6,11 +6,11 @@ is searched: for imports of sympy, for the names of sympy's domain and
 element types, and for the attributes through which an element exposes
 its numerator, denominator, ring or terms.  The other modules reach the
 kernel through symbolic's functions and an element's truth value and
-equality alone.  They take no derivative with ``.diff``, which would
-reduce through sympy's ``cancel`` instead of symbolic's own gcd, and
-build no expression with ``.as_expr()``, whose sums sympy evaluates
-through ``Add.flatten`` and its import of ``sympy.tensor.tensor``:
-``symbolic.expression`` builds the same expression without it.
+equality alone.  They take no derivative with ``.diff`` and build no
+expression with ``.as_expr()``, the calls of sympy's elements:
+``symbolic.derivative`` reduces through symbolic's own gcd, and
+``symbolic.expression`` builds sympy's expression without
+``Add.flatten`` and its import of ``sympy.tensor.tensor``.
 """
 
 import ast
@@ -21,7 +21,8 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "flatcheck"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "symbolic")
 
-KERNEL_NAMES = {"QQ", "ZZ", "FracElement", "DomainMatrix"}
+KERNEL_NAMES = {"QQ", "ZZ", "FracElement", "DomainMatrix", "Polynomial", "PolynomialRing",
+                "RationalFunction", "FunctionField"}
 # the parts of a field element, its field and its ring
 KERNEL_ATTRIBUTES = {
     "numer", "denom", "ring", "field", "gens", "mul_term", "from_dict", "exquo", "LC",
@@ -34,7 +35,7 @@ SYMPY_USE = {
     # simulate's exact and float values
     "verification": {"sympify", "Rational"},
     # number tokens and the zero equilibrium
-    "modelfile": {"Integer", "Rational", "Expr"},
+    "modelfile": {"Integer", "Rational"},
 }
 
 
@@ -71,11 +72,14 @@ def test_no_polys_import_and_no_kernel_names(name):
 
 def test_kernel_polys_imports():
     """symbolic imports from exactly these modules of sympy.polys: the
-    surface that a rational kernel of flatcheck's own has to replace.
-    Row reduction is its own, so sympy.polys.matrices is not among them."""
+    dense gcds of euclidtools (``dup_gcd``, ``dmp_rr_prs_gcd``) and the
+    factorization of factortools (``dmp_factor_list``), the surface that
+    is left for a kernel of flatcheck's own to replace.  Its polynomials,
+    fields, row reduction and errors are its own, so neither
+    sympy.polys.rings, .fields, .matrices nor .polyerrors is among them."""
     modules, _ = _sympy_aliases(_tree("symbolic"))
     assert {m for m in modules if "sympy.polys" in m} == {
-        "from sympy.polys.euclidtools", "from sympy.polys.polyerrors"}
+        "from sympy.polys.euclidtools", "from sympy.polys.factortools"}
 
 
 def test_kernel_core_imports():

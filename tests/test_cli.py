@@ -13,7 +13,7 @@ import sympy
 from flatcheck import cli, symbolic, verification
 
 import geometry_oracles
-from test_golden import VERIFY_CASES, _golden_paths
+from test_golden import MODELS, VERIFY_CASES, _golden_paths
 
 
 def run(capsys, *argv):
@@ -581,6 +581,41 @@ class TestNoSympyPrinter:
     def test_verify_without_printer(self, model, output, capsys, models_dir):
         stem = _golden_paths("verify", model, output)[0].stem
         self._check(capsys, stem, "verify", model_path(models_dir, model), "--output", output)
+
+
+class TestNoSympyRing:
+    """No command line builds a sympy polynomial ring or field of
+    fractions: with ``PolyRing.__new__`` and ``FracField.__new__``
+    refused, analyze and extract on every bundled model and every verify
+    of the golden records still write their golden bytes.  The kernel
+    stores rational functions in symbolic's own polynomials and reduces
+    every fraction through its own gcd (symbolic._cofactors)."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_rings(self, monkeypatch):
+        from sympy.polys.fields import FracField
+        from sympy.polys.rings import PolyRing
+
+        for cls in (PolyRing, FracField):
+            def refuse(*args, name=cls.__name__, **kwargs):
+                raise AssertionError("a sympy %s was built" % name)
+
+            monkeypatch.setattr(cls, "__new__", refuse)
+
+    @pytest.mark.parametrize("command", ["analyze", "extract"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_analysis(self, command, model, capsys, models_dir, tmp_path):
+        doc, golden = tmp_path / "doc.json", GOLDEN_DIR / ("%s-%s.json" % (command, model))
+        code, out, _ = run(capsys, command, model_path(models_dir, model), "--json", str(doc))
+        assert ("exit %d\n" % code, out) == _golden_record("%s-%s" % (command, model))
+        assert doc.exists() == golden.exists()
+        assert not golden.exists() or doc.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("model, output", VERIFY_CASES)
+    def test_verify(self, model, output, capsys, models_dir):
+        code, out, _ = run(capsys, "verify", model_path(models_dir, model), "--output", output)
+        stem = _golden_paths("verify", model, output)[0].stem
+        assert ("exit %d\n" % code, out) == _golden_record(stem)
 
 
 class TestExpressionBoundary:

@@ -45,7 +45,7 @@ def _invariants(rows, variables, count, point, **options):
     grad_vars = options.get("gradient_variables", variables)
     assert list(gradients) == symbolic.jacobian_at(
         symbolic.field(variables), found, grad_vars, point)
-    return [h.as_expr() for h in found]
+    return [symbolic.expression(h) for h in found]
 
 
 @pytest.fixture(scope="module",
@@ -108,7 +108,7 @@ class TestPolynomialInvariants:
         found, gradients = construction.polynomial_invariants(
             [row], (x2, x1), 1, {x1: 0, x2: 0})
         assert symbolic.function_field(found[0].field.symbols) == symbolic.field((x1, x2))
-        assert sp.expand(found[0].as_expr() - (2 * x2 - x1**2)) == 0
+        assert sp.expand(symbolic.expression(found[0]) - (2 * x2 - x1**2)) == 0
         assert gradients == ([2, 0],)
 
     def test_degree_cap_failure(self):
@@ -173,7 +173,7 @@ class TestStraightening:
         )
         assert st.rest == ()
         assert len(st.blocks) == 3
-        values = [[st.forward[s].as_expr() for s in block] for block in st.blocks]
+        values = [[symbolic.expression(st.forward[s]) for s in block] for block in st.blocks]
         assert _same_set(values[2], [x1 * (x3 + 1)])
         assert _same_set(values[1], [x3, x2 + 3 * x4])
         assert _same_set(values[0], [x4])
@@ -209,12 +209,12 @@ class TestExtractFlatOutput:
     def test_flagship_components(self, flat4_artifacts):
         flat_output = flat4_artifacts[0]
         assert len(flat_output) == 2
-        assert sp.simplify(flat_output[0].as_expr() - x1 * (x3 + 1)) == 0
-        assert sp.simplify(flat_output[1].as_expr() - (x2 + 3 * x4)) == 0
+        assert sp.simplify(symbolic.expression(flat_output[0]) - x1 * (x3 + 1)) == 0
+        assert sp.simplify(symbolic.expression(flat_output[1]) - (x2 + 3 * x4)) == 0
 
     def test_final_coordinates_in_original_variables(self, flat4_artifacts):
         trace = flat4_artifacts[1]
-        values = {str(z): a.as_expr() for z, a in trace.z_values.items()}
+        values = {str(z): symbolic.expression(a) for z, a in trace.z_values.items()}
         assert sp.simplify(values["y3_1"] - x1 * (x3 + 1)) == 0
         assert sp.simplify(values["y2_1"] - (x2 + 3 * x4)) == 0
         assert sp.simplify(values["zhat2_1"] - (x2 + x3 + 3 * x4)) == 0
@@ -239,7 +239,7 @@ class TestExtractFlatOutput:
     def test_combined_transformation(self, flat4_artifacts):
         trace = flat4_artifacts[1]
         z = {str(s): s for s in trace.z_symbols}
-        rows = {str(sym): a.as_expr() for sym, a in trace.combined_rows}
+        rows = {str(sym): symbolic.expression(a) for sym, a in trace.combined_rows}
         assert sp.simplify(rows["xbar1_1"] - z["zhat1_1"]) == 0
         assert sp.simplify(rows["xbar2_1"] - (z["zhat2_1"] - z["y2_1"])) == 0
         assert sp.simplify(rows["xbar2_2"] - z["y2_1"]) == 0
@@ -268,7 +268,7 @@ class TestExtractFlatOutput:
 class TestImplicitTriangularForm:
     def test_flagship_blocks(self, flat4_artifacts):
         form = flat4_artifacts[2]
-        residuals = [[r.as_expr() for r in b.residuals] for b in form.blocks]
+        residuals = [[symbolic.expression(r) for r in b.residuals] for b in form.blocks]
         assert [b.k for b in form.blocks] == [3, 2, 1]
         y3_1, y2_1 = sp.symbols("y3_1 y2_1")
         zhat2_1, zhat1_1, zhat1_2, zhat0_1 = sp.symbols(
@@ -300,7 +300,7 @@ class TestImplicitTriangularForm:
         shift_u = {
             u: sp.Symbol("%s_p1" % u.name) for u in flat4.inputs
         }
-        current = {z: a.as_expr() for z, a in trace.z_values.items()}
+        current = {z: symbolic.expression(a) for z, a in trace.z_values.items()}
         ahead = {}
         for z, e in current.items():
             stepped = e.subs(shift_u, simultaneous=True).subs(
@@ -309,7 +309,7 @@ class TestImplicitTriangularForm:
             ahead[form.shifted[z]] = stepped
         for block in form.blocks:
             for residual in block.residuals:
-                value = residual.as_expr().subs(ahead, simultaneous=True).subs(
+                value = symbolic.expression(residual).subs(ahead, simultaneous=True).subs(
                     current, simultaneous=True
                 )
                 assert sp.simplify(value) == 0
@@ -329,7 +329,7 @@ class TestParametrization:
             -y1 * y1_p2 + y1 * y2_p1 + y2_p1,
         ]
         for got, want in zip(p.F_x, expected_x):
-            assert sp.simplify(got.as_expr() - want) == 0
+            assert sp.simplify(symbolic.expression(got) - want) == 0
         expected_u = [
             2 * y1
             + 2 * y1_p1 * y1_p3
@@ -340,31 +340,31 @@ class TestParametrization:
             -y1 - y1_p1 * y1_p3 + y1_p1 * y2_p2 + y2_p2,
         ]
         for got, want in zip(p.F_u, expected_u):
-            assert sp.simplify(got.as_expr() - want) == 0
+            assert sp.simplify(symbolic.expression(got) - want) == 0
 
     def test_chain2_parametrization(self, chain2, chain2_report):
         flat_output, trace = construction.extract_flat_output(chain2, chain2_report)
-        assert sp.simplify(flat_output[0].as_expr() - x1) == 0
+        assert sp.simplify(symbolic.expression(flat_output[0]) - x1) == 0
         form = construction.to_implicit_triangular(trace)
         p = construction.parametrize_from_triangular(form)
         y1, y1_p1, y1_p2 = sp.symbols("y1 y1_p1 y1_p2")
         assert p.R == (2,)
-        assert sp.simplify(p.F_x[0].as_expr() - y1) == 0
-        assert sp.simplify(p.F_x[1].as_expr() - y1_p1) == 0
-        assert sp.simplify(p.F_u[0].as_expr() - y1_p2) == 0
+        assert sp.simplify(symbolic.expression(p.F_x[0]) - y1) == 0
+        assert sp.simplify(symbolic.expression(p.F_x[1]) - y1_p1) == 0
+        assert sp.simplify(symbolic.expression(p.F_u[0]) - y1_p2) == 0
 
     def test_quadratic_output_function(self, sfl_quadratic, sfl_quadratic_report):
         flat_output, trace = construction.extract_flat_output(
             sfl_quadratic, sfl_quadratic_report
         )
-        assert sp.simplify(flat_output[0].as_expr() - (x2 - x1**2)) == 0
+        assert sp.simplify(symbolic.expression(flat_output[0]) - (x2 - x1**2)) == 0
         form = construction.to_implicit_triangular(trace)
         p = construction.parametrize_from_triangular(form)
         y1, y1_p1, y1_p2 = sp.symbols("y1 y1_p1 y1_p2")
         assert p.R == (2,)
-        assert sp.simplify(p.F_x[0].as_expr() - y1_p1) == 0
-        assert sp.simplify(p.F_x[1].as_expr() - (y1 + y1_p1**2)) == 0
-        assert sp.simplify(p.F_u[0].as_expr() - y1_p2) == 0
+        assert sp.simplify(symbolic.expression(p.F_x[0]) - y1_p1) == 0
+        assert sp.simplify(symbolic.expression(p.F_x[1]) - (y1 + y1_p1**2)) == 0
+        assert sp.simplify(symbolic.expression(p.F_u[0]) - y1_p2) == 0
 
     def test_irrational_solve_fails_honestly(self, quad_chain):
         report = analysis.run_algorithm1(quad_chain)

@@ -23,6 +23,7 @@ from flatcheck.errors import (ChartError, ConstantDimensionError, StraighteningE
 from flatcheck.model import DiscreteTimeSystem
 
 import geometry_oracles
+import kernel_oracle
 from test_golden import MODELS, VERIFY_CASES, _golden_paths
 from test_model import _generated_models
 
@@ -76,7 +77,7 @@ class TestBracketAlgebra:
         ab = geometry_oracles.lie_bracket(a, b)
         ba = geometry_oracles.lie_bracket(b, a)
         for p, q in zip(ab.components, ba.components):
-            assert sp.expand(p.as_expr() + q.as_expr()) == 0
+            assert sp.expand(symbolic.expression(p) + symbolic.expression(q)) == 0
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_jacobi_identity(self, seed):
@@ -90,7 +91,7 @@ class TestBracketAlgebra:
             geometry_oracles.lie_bracket(c, geometry_oracles.lie_bracket(a, b)),
         ]
         for i in range(3):
-            total = sum(f.components[i].as_expr() for f in cyclic)
+            total = sum(symbolic.expression(f.components[i]) for f in cyclic)
             assert sp.expand(total) == 0
 
 
@@ -121,7 +122,7 @@ class TestPushforwardCommutesWithBracket:
         jac = sp.Matrix(
             [[sp.diff(fi, c) for c in coords] for fi in forward]
         )
-        comps = jac * sp.Matrix(len(coords), 1, [c.as_expr() for c in field.components])
+        comps = jac * sp.Matrix(len(coords), 1, [symbolic.expression(c) for c in field.components])
         pushed = [
             sp.expand(sp.cancel(comp.subs(inverse, simultaneous=True)))
             for comp in comps
@@ -146,7 +147,7 @@ class TestPushforwardCommutesWithBracket:
             self._pushforward(b, forward, inverse, COORDS3),
         )
         for p, q in zip(lhs.components, rhs.components):
-            assert sp.expand(sp.cancel(p.as_expr() - q.as_expr())) == 0
+            assert sp.expand(sp.cancel(symbolic.expression(p) - symbolic.expression(q))) == 0
 
 
 def _span_equal(a, b):
@@ -160,7 +161,7 @@ def _span_equal(a, b):
 def _mixed_rows(rng, dist, K):
     """Rows spanning the same distribution over the function field, as
     elements of K."""
-    M = sp.Matrix([[c.as_expr() for c in f.components] for f in dist.fields])
+    M = sp.Matrix([[symbolic.expression(c) for c in f.components] for f in dist.fields])
     U = unimodular_matrix(rng, M.rows)
     mixed = U * M
     if M.rows > 1:
@@ -436,11 +437,11 @@ class TestRedundantInputExtension:
             reduction.reduced, report
         )
         back = {
-            un: e.as_expr()
+            un: symbolic.expression(e)
             for un, e in zip(reduction.reduced.inputs, reduction.kept_functions)
         }
         presented = [
-            sp.cancel(c.as_expr().subs(back, simultaneous=True))
+            sp.cancel(symbolic.expression(c).subs(back, simultaneous=True))
             for c in flat_output
         ]
         presented.extend(reduction.removed_coordinates)
@@ -468,11 +469,11 @@ class TestRedundantInputExtension:
         report = analysis.run_algorithm1(reduction.reduced)
         flat_output, _ = construction.extract_flat_output(reduction.reduced, report)
         back = {
-            un: e.as_expr()
+            un: symbolic.expression(e)
             for un, e in zip(reduction.reduced.inputs, reduction.kept_functions)
         }
         candidate = tuple(
-            sp.cancel(c.as_expr().subs(back, simultaneous=True))
+            sp.cancel(symbolic.expression(c).subs(back, simultaneous=True))
             for c in flat_output
         ) + tuple(reduction.removed_coordinates)
         _, candidate = symbolic.to_elements(candidate, redundant.variables)
@@ -522,13 +523,13 @@ class TestPrinterOracle:
         rng = random.Random(seed + 7000)
         names = rng.sample(PRINTER_NAMES, rng.randint(2, len(PRINTER_NAMES)))
         K = symbolic.function_field(tuple(sp.Symbol(name) for name in names))
-        ring = K.field.ring
+        F = kernel_oracle.sympy_field(K)
         num_shape, den_shape = self.SHAPES[seed % 3], self.SHAPES[seed // 3 % 3]
-        num, num_scale = _printer_polynomial(rng, ring, num_shape)
+        num, num_scale = _printer_polynomial(rng, F.ring, num_shape)
         if seed // 9 % 2:
             num = -num
-        den, den_scale = _printer_polynomial(rng, ring, den_shape)
-        a = K.field.new(num * den_scale, den * num_scale)
+        den, den_scale = _printer_polynomial(rng, F.ring, den_shape)
+        a = kernel_oracle.from_sympy(K, F.new(num * den_scale, den * num_scale))
         expected = sp.sstr(symbolic.canonicalize_element(K, a)).replace("**", "^")
         assert symbolic.to_infix(a) == expected
 
@@ -598,7 +599,7 @@ class TestPrinterOracle:
         rng = random.Random(seed + 7100)
         names = rng.sample(self.PROGRAM_NAMES, rng.randint(1, 6))
         K = symbolic.function_field(tuple(sp.Symbol(name) for name in names))
-        ring = K.field.ring
+        F = kernel_oracle.sympy_field(K)
         parts = []
         for _ in range(2):
             coeffs = {}
@@ -609,9 +610,9 @@ class TestPrinterOracle:
                 coeffs[tuple(monom)] = coeffs.get(tuple(monom), 0) + rng.choice(PRINTER_COEFFS)
             coeffs = {m: c for m, c in coeffs.items() if c} or {(0,) * len(names): Fraction(1)}
             scale = math.lcm(*(c.denominator for c in coeffs.values()))
-            parts.append((ring({m: int(c * scale) for m, c in coeffs.items()}), scale))
+            parts.append((F.ring({m: int(c * scale) for m, c in coeffs.items()}), scale))
         (num, num_scale), (den, den_scale) = parts
-        a = K.field.new(num * den_scale, den * num_scale)
+        a = kernel_oracle.from_sympy(K, F.new(num * den_scale, den * num_scale))
         expected = sp.sstr(symbolic.canonicalize_element(K, a)).replace("**", "^")
         assert symbolic.to_infix(a) == expected
 
@@ -707,13 +708,14 @@ class TestExpressionsOracle:
         rng = random.Random(seed + 7300)
         names = rng.sample(PRINTER_NAMES, rng.randint(2, len(PRINTER_NAMES)))
         K = symbolic.function_field(tuple(sp.Symbol(name) for name in names))
-        ring = K.field.ring
+        F = kernel_oracle.sympy_field(K)
         shapes = TestPrinterOracle.SHAPES
-        num, num_scale = _printer_polynomial(rng, ring, shapes[seed % 3])
-        den, den_scale = _printer_polynomial(rng, ring, shapes[seed // 3 % 3])
-        a = K.field.new(num * den_scale * rng.choice((1, -1)), den * num_scale)
-        assert _same_expression(symbolic.expression(a), a.as_expr())
-        P, Q = symbolic._canonical_polys(a)
+        num, num_scale = _printer_polynomial(rng, F.ring, shapes[seed % 3])
+        den, den_scale = _printer_polynomial(rng, F.ring, shapes[seed // 3 % 3])
+        num = num * den_scale * rng.choice((1, -1))
+        a = kernel_oracle.from_sympy(K, F.new(num, den * num_scale))
+        assert _same_expression(symbolic.expression(a), kernel_oracle.to_sympy(a).as_expr())
+        P, Q = map(kernel_oracle.poly_to_sympy, symbolic._canonical_polys(a))
         assert _same_expression(symbolic.canonicalize_element(K, a),
                                 P.as_expr() if Q.is_one else P.as_expr() / Q.as_expr())
 

@@ -8,6 +8,8 @@ import sympy as sp
 from flatcheck import cli, modelfile, symbolic, verification
 from flatcheck.errors import FlatcheckError, SimulationError
 
+import kernel_oracle
+
 x1, x2, x3, x4 = sp.symbols("x1 x2 x3 x4")
 u1, u2 = sp.symbols("u1 u2")
 
@@ -41,7 +43,7 @@ class TestShiftFunction:
         y1_p2 = verification.jet_symbol(1, 2)
         _, (a,) = symbolic.to_elements([y1**2 + y1_p1])
         shifted = verification.shift_function(a)
-        assert shifted.as_expr() == y1_p1**2 + y1_p2
+        assert symbolic.expression(shifted) == y1_p1**2 + y1_p2
         assert set(shifted.field.symbols) == {y1_p1, y1_p2}
 
     def test_jet_mode_rejects_foreign_symbols(self):
@@ -55,14 +57,14 @@ class TestShiftFunction:
         a = _system_element(chain2, xa + xb)
         shifted = verification.shift_function(a, chain2)
         assert shifted.field == a.field
-        assert shifted.as_expr() == xb + u
+        assert symbolic.expression(shifted) == xb + u
 
     def test_system_mode_bumps_input_shifts(self, chain2):
         u = chain2.inputs[0]
         u_p1 = verification.input_shift_symbol(u, 1)
         u_p2 = verification.input_shift_symbol(u, 2)
         shifted = verification.shift_function(_system_element(chain2, u_p1), chain2)
-        assert shifted.as_expr() == u_p2
+        assert symbolic.expression(shifted) == u_p2
         # the top shift has no successor in the field
         with pytest.raises(FlatcheckError):
             verification.shift_function(_system_element(chain2, u_p2), chain2)
@@ -72,7 +74,7 @@ class TestShiftFunction:
         u = chain2.inputs[0]
         once = verification.shift_function(_system_element(chain2, xa), chain2)
         twice = verification.shift_function(once, chain2)
-        assert twice.as_expr() == u
+        assert symbolic.expression(twice) == u
 
 
 def _candidate(system, exprs):
@@ -82,9 +84,10 @@ def _candidate(system, exprs):
 
 def _perturbed(p):
     """p with y1 added to the first input's parametrization."""
-    y1 = p.F_u[0].field.from_expr(verification.jet_symbol(1, 0))
+    y1 = verification.jet_symbol(1, 0)
+    perturbed = kernel_oracle.from_sympy(p.F_u[0].field, symbolic.expression(p.F_u[0]) + y1)
     return verification.FlatParametrization(
-        F_x=p.F_x, F_u=(p.F_u[0] + y1, p.F_u[1])
+        F_x=p.F_x, F_u=(perturbed, p.F_u[1])
     )
 
 
