@@ -106,18 +106,19 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
     except UnsupportedEquationError as exc:
         raise ValidationError("system %r: %s" % (system.name, exc)) from None
     point = system.equilibrium_point()
-    for i, (xi, a) in enumerate(zip(system.states, update)):
+    states = symbolic.generators(K, system.states)
+    for i, (xi, a, x) in enumerate(zip(system.states, update, states)):
         try:
-            residual = symbolic.rational_values(K, [a], point)[0] - point[xi]
+            value, target = symbolic.element_values(K, [[a, x]], point)[0]
         except ZeroDivisionError:
             raise ValidationError(
                 "system %r: the update of %s, %s, has a pole at the marked point"
                 % (system.name, xi, system.update[i])
             ) from None
-        if residual != 0:
+        if value != target:
             raise ValidationError(
                 "system %r: f(%s) - %s = %s at the marked point, not a fixed point"
-                % (system.name, xi, xi, residual)
+                % (system.name, xi, xi, value - target)
             )
 
     rank, rank_eq = symbolic.jacobian_ranks(K, update, system.variables, point)
@@ -231,7 +232,7 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
         name=system.name + "Reduced",
         states=system.states,
         inputs=uhat,
-        update=lambda: tuple(symbolic.canonicalize_element(R, a) for a in new_update),
+        update=lambda: tuple(map(symbolic.canonicalize_element, new_update)),
         equilibrium=new_equilibrium,
         source_digest=system.source_digest,
         elements=(R, tuple(new_update)),

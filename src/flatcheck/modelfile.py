@@ -19,7 +19,9 @@ sets of actions from symbolic: ``Fractions`` for the equilibrium values
 and the elements of ``system.update_elements`` and ``parse_elements``,
 and ``Expressions`` for the sympy expressions of ``system.update``,
 which are the expressions that sympy's operators build, with their sums
-built without ``Add.flatten``.
+built without ``Add.flatten``.  A number token is read by
+``symbolic.rational`` into the kernel's rational number, and so are the
+equilibrium values, so this module imports no sympy.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-
-import sympy as sp
 
 from . import symbolic
 from .errors import ModelSyntaxError, ModelSemanticsError
@@ -198,9 +198,7 @@ class _ExprParser:
 
 
 def _number_value(tok):
-    if "." in tok.text:
-        return sp.Rational(tok.text)
-    return sp.Integer(int(tok.text))
+    return symbolic.rational(tok.text)
 
 
 def _check_name(tok):
@@ -310,7 +308,7 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
     K = symbolic.function_field(tuple(symbols.values()))
     fractions = symbolic.Fractions(K)
 
-    equilibrium = {symbols[nm]: sp.Integer(0) for nm in state_names + input_names}
+    equilibrium = {symbols[nm]: symbolic.rational(0) for nm in state_names + input_names}
     line_no, toks = equilibrium_tokens or (None, [])
     if [tok.text for tok in toks] == ["all", "zero"]:
         toks = []
@@ -336,8 +334,8 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
             j += 1
         # the value follows the '=', so a missing one ends just past it
         value = _ExprParser(toks[i + 1:j], {}, line_no, fractions, start=1).parse()
-        equilibrium[symbols[tok.text]] = symbolic.rational_values(
-            K, [fractions.element(value)], {})[0]
+        equilibrium[symbols[tok.text]] = symbolic.element_values(
+            K, [[fractions.element(value)]], {})[0][0]
         i = j
 
     for line_no, tokens in pending_next:

@@ -9,8 +9,9 @@ denominator or ring, or calls its ``.as_expr()``.  A field is what
 ``field_of`` return, and elsewhere only its ``.symbols``, ``.zero`` and
 ``.one`` are read.  ``symbol`` makes the symbols of
 generators and ``generators`` looks them up in a field, ``rational``
-reads a rational number, and ``GeneratorsError`` and ``CoercionFailed``
-(defined in ``flatcheck.errors``) are the kernel's errors.
+converts a number to the kernel's rationals, and ``GeneratorsError`` and
+``CoercionFailed`` (defined in ``flatcheck.errors``) are the kernel's
+errors.  No other module of the package imports sympy.
 
 Invariant: every expression this module takes or returns is a rational
 function with rational coefficients.  Inside this module such an
@@ -28,10 +29,16 @@ this module calls: sums, products, integer powers, the derivative, the
 exact quotient, degrees and the leading coefficient.  Its products add
 monomials with one unrolled function for each number of generators,
 compiled on the first product of that size.  No sympy ring, field or
-polynomial is built.  A field without generators is QQ itself, whose
-elements, like the values at a point, are sympy's rational numbers.
-Anything else (floats, radicals, functions) raises
-UnsupportedEquationError where it is converted.
+polynomial is built.  A field without generators is a ``FunctionField``
+too, whose elements are the constants.  Every value at a point is the
+kernel's rational number, the dtype of sympy's ``QQ``, which compares
+equal to sympy's Rational and prints the same: the parser's number
+tokens and equilibria, ``simulate``'s exact states and the entries of
+every rank test.  ``rational`` is the one conversion to it, from text,
+ints, sympy Rationals and its own type; it refuses floats.  An
+expression that is not rational (floats, radicals, functions) raises
+UnsupportedEquationError where it is converted, and so does a point
+value that is not a rational number.
 
 How a pair is reduced.  Every fraction that needs a gcd goes through
 one routine, ``_cofactors``: it returns the gcd of numerator and
@@ -42,13 +49,14 @@ above.  Zero and monomial operands take the shortcuts of sympy's
 ``cofactors``.  Otherwise each generator x that both polynomials use
 is tested on univariate images: every other generator is set to a
 fixed integer, the i-th prime for generator i.  If the image of either
-polynomial keeps its degree in x and the two images have a constant
-gcd (sympy's ``euclidtools.dup_gcd``), x is not in the gcd (Brown's
-degree bound).  When that holds for every shared generator, the gcd is
-the gcd of the two integer contents.  Anything else goes to
-``_heugcd``, the heuristic gcd of Char, Geddes and Gonnet (1989), on
-plain dicts of integer coefficients by exponent tuple over only the
-generators that the pair uses; it takes sympy's ``heuristicgcd.heugcd``
+polynomial keeps its degree in x and ``_heugcd`` (below) finds that the
+two images have a constant gcd, x is not in the gcd (Brown's degree
+bound); where it gives up, there is no proof.  When that holds for
+every shared generator, the gcd is the gcd of the two integer
+contents.  Anything else goes to ``_heugcd`` itself, the heuristic gcd
+of Char, Geddes and Gonnet (1989), on plain dicts of integer
+coefficients by exponent tuple over only the generators that the pair
+uses; it takes sympy's ``heuristicgcd.heugcd``
 step for step (the same evaluation points, balanced xi-adic
 interpolation and exact-division checks), so it returns sympy's
 triple, and the result is converted back once.  Where it gives up
@@ -57,8 +65,8 @@ after its six points, sympy's dense subresultant gcd
 over the same generators, to their gcd with a positive leading
 coefficient.  The solver factors an equation with sympy's
 ``factortools.dmp_factor_list`` on its dense list over all generators
-of its ring (``_factors``).  These three dense routines are all that
-the kernel calls of ``sympy.polys``.  The kernel's polynomials reduce
+of its ring (``_factors``).  These two dense routines are all that the
+kernel calls of ``sympy.polys``.  The kernel's polynomials reduce
 nothing on their own: ``derivative`` and ``compose_derivative`` take
 the derivative of p / q as the unreduced pair (p' q - p q', q**2), or
 (p', q) where q is free of the generator, and reduce it once,
@@ -77,7 +85,7 @@ one gcd: ``dot``, the entries of ``element_rref`` and those of
 ``depends_on`` decides from the canonical pair, without a derivative or
 a gcd.  The matrix API works on elements: ``element_rref``,
 ``element_nullspace``, ``derivative_mod_rows``, ``element_rank``,
-``element_values``, ``rational_values``, ``jacobian_at``,
+``element_values``, ``jacobian_at``,
 ``certificate_jacobian``, ``jacobian_rank``, ``jacobian_ranks``,
 ``clear_element_row``, and ``clear_fraction_row`` for a row of
 numerators over one denominator, which ``combine_rows`` sums and
@@ -148,7 +156,7 @@ import sympy as sp
 from sympy import QQ, ZZ
 from sympy.core.add import _addsort
 from sympy.core.mul import _keep_coeff, _mulsort
-from sympy.polys.euclidtools import dmp_rr_prs_gcd, dup_gcd
+from sympy.polys.euclidtools import dmp_rr_prs_gcd
 from sympy.polys.factortools import dmp_factor_list
 
 from .errors import (
@@ -167,16 +175,31 @@ def symbol(name):
     return sp.Symbol(name)
 
 
-def rational(text):
-    """The sympy Rational that text spells; TypeError or ZeroDivisionError if none."""
-    return sp.Rational(text)
+# the kernel's rational numbers, the values at every point
+_RATIONAL = QQ.dtype
+
+
+def rational(value):
+    """value as the kernel's rational number: a text that ``sp.Rational``
+    reads (ValueError, TypeError or ZeroDivisionError when it reads none),
+    an int, a sympy Rational or a kernel rational.  TypeError for a float
+    or anything else."""
+    if type(value) is _RATIONAL:
+        return value
+    if isinstance(value, str):
+        value = sp.Rational(value)
+    if isinstance(value, (int, sp.Rational)):
+        return _RATIONAL(value.numerator, value.denominator)
+    raise TypeError("%r is not a rational number" % (value,))
 
 
 @functools.cache
 def _monomial_product(ngens):
     """The product of two monomials of ngens generators, exponent tuples,
     as one unrolled function, compiled on the first product of that
-    size."""
+    size; a constant function without generators."""
+    if not ngens:
+        return lambda a, b: ()
     a = ", ".join("a%d" % i for i in range(ngens))
     b = ", ".join("b%d" % i for i in range(ngens))
     sums = ", ".join("a%d + b%d" % (i, i) for i in range(ngens))
@@ -403,10 +426,10 @@ class FunctionField:
 @functools.cache
 def function_field(gens: tuple):
     """The field QQ(gens), its elements stored as
-    :class:`RationalFunction`; QQ itself when gens is empty.  Elements compare
+    :class:`RationalFunction`, gens empty included.  Elements compare
     their fields by identity, so the cache keeps one field per tuple of
     generators for the life of the process, as sympy keeps its rings."""
-    return FunctionField(gens) if gens else QQ
+    return FunctionField(gens)
 
 
 def field_of(elements):
@@ -451,8 +474,8 @@ class Fractions:
         return _element(self.field, *pair)
 
     def number(self, q):
-        """The sympy Rational q."""
-        return self.ring.ground_new(q.p), self.ring.ground_new(q.q)
+        """The rational number q, a kernel rational or a sympy Rational."""
+        return self.ring.ground_new(q.numerator), self.ring.ground_new(q.denominator)
 
     def symbol(self, s):
         if s not in self.index:
@@ -511,7 +534,8 @@ class Expressions:
     """Arithmetic on sympy expressions, the expressions that sympy's own
     operators build, with the same actions as :class:`Fractions`: the
     model parser builds ``system.update`` with them, and
-    :func:`expression` builds an element's expression.
+    :func:`expression` builds an element's expression.  ``number`` takes
+    the parser's kernel rational to sympy's Integer or Rational.
 
     The first sum that sympy evaluates imports ``sympy.tensor.tensor``,
     and ``sympy.combinatorics`` with it, from ``Add.flatten``; sympy's
@@ -526,7 +550,7 @@ class Expressions:
     the same expression and may import them.
     """
 
-    number = staticmethod(lambda q: q)
+    number = staticmethod(lambda q: sp.Rational(q.numerator, q.denominator))
     symbol = staticmethod(lambda s: s)
 
     @staticmethod
@@ -772,31 +796,25 @@ def to_elements(exprs, gens=None):
     """Field elements of a sequence of rational expressions.
 
     The field is K = QQ(gens), gens defaulting to the free symbols of all
-    expressions sorted by name; over K = QQ the elements are rational
-    numbers.  Returns (K, elements).  Raises UnsupportedEquationError when
-    some expression is not a rational function of gens with rational
-    coefficients (floats count as inexact, hence not rational).
+    expressions sorted by name, none for constants.  Returns (K,
+    elements).  Raises UnsupportedEquationError when some expression is
+    not a rational function of gens with rational coefficients (floats
+    count as inexact, hence not rational).
     """
     exprs = [sp.sympify(e) for e in exprs]
     if gens is None:
         K = field(set().union(*(e.free_symbols for e in exprs)))
-        gens = () if K is QQ else K.symbols
     else:
         K = function_field(tuple(gens))
-    fractions = None if K is QQ else Fractions(K)
+    fractions = Fractions(K)
     elements = []
     for e in exprs:
         try:
-            if fractions is None:
-                if not e.is_Rational:
-                    raise CoercionFailed(e)
-                elements.append(QQ(e.p, e.q))
-            else:
-                elements.append(fractions.element(_fraction(e, fractions)))
+            elements.append(fractions.element(_fraction(e, fractions)))
         except CoercionFailed:
             raise UnsupportedEquationError(
                 "%s is not a rational function of (%s) with rational coefficients"
-                % (e, ", ".join(map(str, gens)))
+                % (e, ", ".join(map(str, K.symbols)))
             ) from None
     return K, elements
 
@@ -824,15 +842,14 @@ def _canonical_polys(a):
     return (-P, -Q) if _lead_is_negative(P) else (P, Q)
 
 
-def canonicalize_element(K, a):
-    """Canonical form of the element a of the field K, as an expression:
-    P / Q for the pair of :func:`_canonical_polys`, which sympy evaluates
-    to a sum over rational coefficients when Q is a constant.  Equal
-    elements of any two fields give the same expression."""
+def canonicalize_element(a):
+    """Canonical form of the element a of a function field, as an
+    expression: P / Q for the pair of :func:`_canonical_polys`, which
+    sympy evaluates to a sum over rational coefficients when Q is a
+    constant.  Equal elements of any two fields give the same
+    expression."""
     if not a:
         return sp.Integer(0)
-    if K is QQ:
-        return QQ.to_sympy(a)
     return _quotient_expression(*_canonical_polys(a))
 
 
@@ -1032,10 +1049,8 @@ def solve_elements(K, elements, unknowns) -> list:
         # every equation was an identity: no constraints on the unknowns
         return [{}]
     for a in nonzero:
-        if K is QQ or (a.numer.is_ground and a.denom.is_ground):
-            raise InconsistentSystemError(
-                "equation %s = 0 is a contradiction"
-                % (QQ.to_sympy(a) if K is QQ else expression(a)))
+        if a.numer.is_ground and a.denom.is_ground:
+            raise InconsistentSystemError("equation %s = 0 is a contradiction" % expression(a))
     position = {s: i for i, s in enumerate(K.symbols)}
     order = list(dict.fromkeys(position[u] for u in unknowns))
     # an equation free of the unknowns cannot change a solution, and any
@@ -1193,7 +1208,7 @@ def branch_through(K, solutions, unknowns, point):
     the values the point gives the unknowns.  A branch with a pole at the
     point does not pass.  Raises UnsupportedEquationError when none
     passes."""
-    expected = [QQ.convert(point[u]) for u in unknowns]
+    expected = [rational(point[u]) for u in unknowns]
     for sol in solutions:
         if not all(u in sol for u in unknowns):
             continue
@@ -1221,7 +1236,7 @@ def invert(K, definitions, unknowns, point) -> tuple:
     and ZeroDivisionError when a value has a pole at the point.
     """
     values = [rename(v, K, {}) for v in definitions.values()]
-    image = dict(zip(definitions, rational_values(K, values, point)))
+    image = dict(zip(definitions, element_values(K, [values], point)[0]))
     solutions = solve_elements(K, defining_equations(K, definitions), unknowns)
     return branch_through(K, solutions, unknowns, {**point, **image}), image
 
@@ -1263,8 +1278,8 @@ def _image_point(ngens) -> tuple:
 def _images(poly, shared, point) -> dict:
     """The univariate images of the integer polynomial poly: for each
     generator index i of shared, poly with every other generator set to
-    its value in point, as a dense list of integer coefficients, highest
-    degree first, without leading zeros."""
+    its value in point, as a dict of its nonzero integer coefficients by
+    exponent tuple (e,) of generator i."""
     images = {i: {} for i in shared}
     for monom, coeff in poly.iterterms():
         value = coeff * _power_product(point, monom)
@@ -1272,11 +1287,7 @@ def _images(poly, shared, point) -> dict:
             e = monom[i]
             terms = images[i]
             terms[e] = terms.get(e, 0) + value // point[i] ** e
-    dense = {}
-    for i, terms in images.items():
-        degree = max((e for e, c in terms.items() if c), default=-1)
-        dense[i] = [terms.get(e, 0) for e in range(degree, -1, -1)]
-    return dense
+    return {i: {(e,): c for e, c in terms.items() if c} for i, terms in images.items()}
 
 
 def _shares_no_generator(p, q, shared) -> bool:
@@ -1286,16 +1297,20 @@ def _shares_no_generator(p, q, shared) -> bool:
     other generator to the fixed point :func:`_image_point`: a factor of
     p and q in x keeps its degree in x where the image of p or of q keeps
     its own, and then divides both images.  So when one image keeps its
-    full degree and the two images have a constant gcd, x is not in the
-    gcd.  False means only that no proof was found."""
+    full degree and :func:`_heugcd` finds a constant gcd of the two
+    images, x is not in the gcd.  False means only that no proof was
+    found, also where an image vanishes or the heuristic gives up."""
     point = _image_point(p.ring.ngens)
     p_images, q_images = _images(p, shared, point), _images(q, shared, point)
     for i in shared:
         f, g = p_images[i], q_images[i]
-        if len(f) <= p.degree(i) and len(g) <= q.degree(i):
-            # both leading coefficients in x vanish at the point
+        if not f or not g or max(f)[0] < p.degree(i) and max(g)[0] < q.degree(i):
+            # an image vanishes, or both leading coefficients in x do
             return False
-        if len(dup_gcd(f, g, ZZ)) > 1:
+        try:
+            if max(_heugcd(f, g)[0]) != (0,):
+                return False
+        except HeuristicGCDFailed:
             return False
     return True
 
@@ -1542,7 +1557,7 @@ def _exact_quotient(f, h):
         if c is None:
             continue
         monom = tuple(map(sub, top, lead))
-        if min(monom) < 0 or c % lc:
+        if min(monom, default=0) < 0 or c % lc:
             return None
         c //= lc
         quotient[monom] = c
@@ -1840,12 +1855,12 @@ def _point_values(K, elements, point) -> list:
         sym = K.symbols[i]
         if sym not in point:
             raise ValueError("point %s leaves %s open" % (point, sym))
-        value = sp.sympify(point[sym])
-        if not value.is_Rational:
+        try:
+            values[i] = rational(point[sym])
+        except TypeError:
             raise UnsupportedEquationError(
-                "point value %s = %s is not a rational number" % (sym, value)
-            )
-        values[i] = QQ(value.p, value.q)
+                "point value %s = %s is not a rational number" % (sym, point[sym])
+            ) from None
     return values
 
 
@@ -1873,13 +1888,12 @@ def element_rank(K, rows, ncols) -> int:
     there is the generic rank exactly.  On a pole or a rank that falls
     short, the rows are row reduced over K.  No rank is guessed.
     """
-    if K is not QQ:
-        values = _certificate_values(K, [a for row in rows for a in row])
-        at_point = [[_value_at(a.numer, a.denom, values) for a in row] for row in rows]
-        if all(v is not None for row in at_point for v in row):
-            rank = rational_rank(at_point, ncols)
-            if rank == min(len(rows), ncols):
-                return rank
+    values = _certificate_values(K, [a for row in rows for a in row])
+    at_point = [[_value_at(a.numer, a.denom, values) for a in row] for row in rows]
+    if all(v is not None for row in at_point for v in row):
+        rank = rational_rank(at_point, ncols)
+        if rank == min(len(rows), ncols):
+            return rank
     return len(element_rref(K, rows, ncols)[1])
 
 
@@ -1923,7 +1937,7 @@ def jacobian_rank(K, elements, variables, at_point=None) -> int:
     :func:`element_rank`'s: row reduction of the Jacobian over K.
     """
     nrows, ncols = len(elements), len(variables)
-    if K is QQ or not nrows or not ncols:
+    if not nrows or not ncols:
         return 0
     if at_point is None:
         at_point = certificate_jacobian(K, elements, variables)
@@ -1966,17 +1980,11 @@ def unit_completion(rows, ncols, candidates, count) -> list:
 
 def element_values(K, rows, point: dict) -> list:
     """Rows of elements of the field K at a rational point that fixes every
-    generator the rows use, as rows of elements of QQ; a pole raises
+    generator the rows use, as rows of rational numbers; a pole raises
     ZeroDivisionError."""
     values = _point_values(K, [a for row in rows for a in row], point)
     return [[_defined(_value_at(a.numer, a.denom, values), a, point) for a in row]
             for row in rows]
-
-
-def rational_values(K, elements, point) -> list:
-    """The elements of K at the rational point, as element_values gives
-    them, as sympy Rationals."""
-    return list(map(QQ.to_sympy, element_values(K, [list(elements)], point)[0]))
 
 
 def clear_element_row(K, row):

@@ -16,7 +16,9 @@ the candidate and the update map are evaluated by float functions that
 ``symbolic.float_function`` compiles from their expressions, in the
 source that sympy's lambdify would write for them.  A symbolic PASS
 is required for a certified result; the numeric check only ever adds
-falsification power.
+falsification power.  ``simulate`` steps exactly, in the kernel's
+rational numbers (``symbolic.rational``), when every value it is given
+is rational, and in floats otherwise.  This module imports no sympy.
 """
 
 from dataclasses import dataclass
@@ -24,8 +26,6 @@ import functools
 import math
 import random
 import re
-
-import sympy as sp
 
 from . import symbolic
 from .errors import FlatcheckError, SimulationError
@@ -187,7 +187,7 @@ def _equilibrium_jet_values(system, components, q):
     values = []
     for a in components:
         try:
-            values += symbolic.rational_values(symbolic.field_of([a]), [a], point)
+            values += symbolic.element_values(symbolic.field_of([a]), [[a]], point)[0]
         except ZeroDivisionError:
             raise FlatcheckError(
                 "output component %s has a pole at the equilibrium" % symbolic.to_infix(a)
@@ -491,9 +491,11 @@ def _floats(values, where) -> tuple:
 def simulate(system, x0, inputs) -> Trajectory:
     """Iterate the dynamics from x0 under the given input sequence.
 
-    Evaluation is exact over the rationals when every value is rational,
-    otherwise in floating point, where a value that is not finite is
-    refused before the first step.  A pole aborts with the step index."""
+    Evaluation is exact over the rationals when symbolic.rational reads
+    every value (ints, sympy's and the kernel's rationals), and the
+    states and inputs are then kernel rationals; otherwise it is in
+    floating point, where a value that is not finite is refused before
+    the first step.  A pole aborts with the step index."""
     if len(x0) != system.n:
         raise SimulationError(
             "initial state has %d entries for %d states" % (len(x0), system.n)
@@ -504,21 +506,22 @@ def simulate(system, x0, inputs) -> Trajectory:
             raise SimulationError(
                 "input row has %d entries for %d inputs" % (len(row), system.m)
             )
-    values = [sp.sympify(v) for v in list(x0) + [v for r in rows for v in r]]
-    exact = all(v.is_Rational for v in values)
+    try:
+        state = tuple(map(symbolic.rational, x0))
+        input_rows = tuple(tuple(map(symbolic.rational, row)) for row in rows)
+        exact = True
+    except TypeError:
+        exact = False
     if exact:
         K, update = system.update_elements
-        state = [sp.Rational(v) for v in x0]
-        states = [tuple(state)]
-        for k, row in enumerate(rows):
-            point = {s: v for s, v in zip(system.states, state)}
-            point.update({u: sp.Rational(v) for u, v in zip(system.inputs, row)})
+        states = [state]
+        for k, row in enumerate(input_rows):
+            point = dict(zip(system.variables, state + row))
             try:
-                state = symbolic.rational_values(K, update, point)
+                state = tuple(symbolic.element_values(K, [update], point)[0])
             except ZeroDivisionError:
                 raise SimulationError("pole encountered at step %d" % k, step=k)
-            states.append(tuple(state))
-        input_rows = tuple(tuple(sp.Rational(v) for v in row) for row in rows)
+            states.append(state)
     else:
         states = [_floats(x0, "initial state")]
         input_rows = tuple(_floats(row, "input row %d" % (k + 1)) for k, row in enumerate(rows))

@@ -29,14 +29,10 @@ KERNEL_ATTRIBUTES = {
     "is_ground", "iterterms", "to_sympy", "from_sympy", "frac_field", "raw_new", "diff",
     "as_expr",
 }
-# the attributes of sympy that a module may use; every other module,
-# construction, geometry, model and cli among them, imports no sympy
-SYMPY_USE = {
-    # simulate's exact and float values
-    "verification": {"sympify", "Rational"},
-    # number tokens and the zero equilibrium
-    "modelfile": {"Integer", "Rational"},
-}
+# the attributes of sympy that a module may use: none, so no module but
+# symbolic imports sympy; values at points are the kernel's rationals,
+# which symbolic.rational makes
+SYMPY_USE = {}
 
 
 def _tree(name):
@@ -71,15 +67,25 @@ def test_no_polys_import_and_no_kernel_names(name):
 
 
 def test_kernel_polys_imports():
-    """symbolic imports from exactly these modules of sympy.polys: the
-    dense gcds of euclidtools (``dup_gcd``, ``dmp_rr_prs_gcd``) and the
+    """symbolic imports from sympy.polys exactly these names: the dense
+    subresultant gcd of euclidtools (``dmp_rr_prs_gcd``) and the
     factorization of factortools (``dmp_factor_list``), the surface that
     is left for a kernel of flatcheck's own to replace.  Its polynomials,
-    fields, row reduction and errors are its own, so neither
-    sympy.polys.rings, .fields, .matrices nor .polyerrors is among them."""
-    modules, _ = _sympy_aliases(_tree("symbolic"))
-    assert {m for m in modules if "sympy.polys" in m} == {
-        "from sympy.polys.euclidtools", "from sympy.polys.factortools"}
+    fields, row reduction, coprimality proof and errors are its own, so
+    neither sympy.polys.rings, .fields, .matrices nor .polyerrors is among
+    them, and no other dense routine (``dup_gcd`` among them)."""
+    tree = _tree("symbolic")
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and "sympy.polys" in (node.module or "")
+                for alias in node.names}
+    assert imported == {("sympy.polys.euclidtools", "dmp_rr_prs_gcd"),
+                        ("sympy.polys.factortools", "dmp_factor_list")}
+    # nor is sympy.polys imported or read as a module
+    modules, aliases = _sympy_aliases(tree)
+    assert not [m for m in modules if m.startswith("sympy.polys")]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "polys" and isinstance(node.value, ast.Name)
+                and node.value.id in aliases]
 
 
 def test_kernel_core_imports():

@@ -118,7 +118,12 @@ class TestParseModel:
     def test_equilibrium_values_of_distinct_variables(self):
         system = modelfile.parse_model(
             CHAIN.replace("equilibrium: all zero", "equilibrium: x1 = 1/2, x2 = 1/2, u = 1/2"))
-        assert set(system.equilibrium.values()) == {sp.Rational(1, 2)}
+        assert list(system.equilibrium.values()) == [symbolic.rational("1/2")] * 3
+
+    @pytest.mark.parametrize("equilibrium", ["all zero", "x1 = 1/2, x2 = -0.25, u = 3"])
+    def test_equilibrium_values_are_kernel_rationals(self, equilibrium):
+        system = modelfile.parse_model(CHAIN.replace("all zero", equilibrium))
+        assert {type(v) for v in system.equilibrium.values()} == {type(symbolic.rational(0))}
 
     def test_integer_exponents_only(self):
         with pytest.raises(ModelSyntaxError):
@@ -378,6 +383,34 @@ next x2 = u
         )
         with pytest.raises(ValidationError):
             model.validate_system(trig)
+
+    def test_float_equilibrium_rejected(self):
+        """A code-built system may mark its point with any numbers; a float
+        is not a rational number, whatever its value."""
+        system = modelfile.parse_model(CHAIN)
+        x1, x2 = system.states
+        (u,) = system.inputs
+        floating = model.DiscreteTimeSystem(
+            name="floating", states=system.states, inputs=system.inputs,
+            update=(x2, u), equilibrium={x1: sp.Integer(0), x2: 0, u: 0.0})
+        with pytest.raises(UnsupportedEquationError,
+                           match=r"point value u = 0\.0 is not a rational number"):
+            model.validate_system(floating)
+
+    @pytest.mark.parametrize("u_value", [sp.Rational(1, 2), symbolic.rational("0.5"), 1])
+    def test_sympy_and_kernel_equilibria_are_read_exactly(self, u_value):
+        """sympy's rationals, ints and kernel rationals mark a point alike."""
+        system = modelfile.parse_model(CHAIN)
+        x1, x2 = system.states
+        (u,) = system.inputs
+        shifted = model.DiscreteTimeSystem(
+            name="shifted", states=system.states, inputs=system.inputs,
+            update=(x2, u), equilibrium={x1: sp.Rational(1, 2), x2: sp.Rational(1, 2), u: u_value})
+        if u_value == 1:
+            with pytest.raises(ValidationError, match=r"f\(x2\) - x2 = 1/2 at the marked point"):
+                model.validate_system(shifted)
+        else:
+            assert not model.validate_system(shifted).redundant_inputs
 
     def test_redundant_inputs_flagged_not_fatal(self, redundant_input):
         report = model.validate_system(redundant_input)

@@ -32,7 +32,7 @@ def _element(e):
 def _canonical(e):
     """Canonical form of a rational expression, through its element."""
     K, (a,) = symbolic.to_elements([e])
-    return symbolic.canonicalize_element(K, a)
+    return symbolic.canonicalize_element(a)
 
 
 class TestCanonicalize:
@@ -61,7 +61,7 @@ class TestCanonicalize:
         """Generators the element does not use, and their order, change
         nothing."""
         K, (a,) = symbolic.to_elements([e], (z, y, sp.Symbol("w"), x))
-        assert symbolic.canonicalize_element(K, a) == _canonical(e)
+        assert symbolic.canonicalize_element(a) == _canonical(e)
 
 
 def _elements(M):
@@ -78,8 +78,7 @@ def _generic_rank(M):
 
 def _rank_at_point(M, point):
     K, rows = _elements(M)
-    values = rows if K is symbolic.QQ else symbolic.element_values(K, rows, point)
-    return symbolic.element_rank(symbolic.QQ, values, M.cols)
+    return symbolic.rational_rank(symbolic.element_values(K, rows, point), M.cols)
 
 
 class TestFunctionFieldRref:
@@ -179,7 +178,7 @@ def _jacobian_rank(functions, variables, point=None):
     if point is None:
         return symbolic.jacobian_rank(K, elements, variables)
     rows = symbolic.jacobian_at(K, elements, variables, point)
-    return symbolic.element_rank(symbolic.QQ, rows, len(variables))
+    return symbolic.rational_rank(rows, len(variables))
 
 
 def _fraction_field_rank(M):
@@ -365,8 +364,8 @@ class TestJacobianAtPoint:
     @pytest.mark.parametrize("seed", range(12))
     def test_ranks_match_the_diff_jacobian(self, seed):
         K, elements, variables, point, jacobian = self._case(seed)
-        at_point = symbolic.element_rank(
-            symbolic.QQ, symbolic.element_values(K, jacobian, point), len(variables))
+        at_point = symbolic.rational_rank(
+            symbolic.element_values(K, jacobian, point), len(variables))
         generic = symbolic.element_rank(K, jacobian, len(variables))
         assert symbolic.jacobian_ranks(K, elements, variables, point) == (generic, at_point)
 
@@ -570,8 +569,7 @@ class TestSolveAgainstSympy:
 
 def _cleared(row):
     K, elements = symbolic.to_elements(row)
-    to_sympy = K.to_sympy if K is symbolic.QQ else symbolic.expression
-    return [to_sympy(a) for a in symbolic.clear_element_row(K, elements)[0]]
+    return [symbolic.expression(a) for a in symbolic.clear_element_row(K, elements)[0]]
 
 
 class TestClearDenominators:
@@ -933,7 +931,8 @@ class TestKernelOracle:
     def test_heugcd_when_the_first_point_fails(self, monkeypatch, seed, reads):
         """A small factor and large ones, or the other way round: an
         integer gcd whose base-xi digits overflow is not the gcd's
-        image."""
+        image.  Only the pair's own points are counted, not those of the
+        calls on univariate images that try to prove it coprime."""
         rng = random.Random(seed + 9600)
         ring = self._wide_ring()
         used = rng.sample(range(12), rng.randint(1, 4))
@@ -942,10 +941,13 @@ class TestKernelOracle:
                           bound=rng.choice([3, 10**12]))
             for _ in range(3))
         p, q = common * p, common * q
-        depth, points = [0], []
+        depth, proving, points = [0], [False], []
         heugcd, interpolate = symbolic._heugcd, symbolic._interpolate
+        shares_no_generator = symbolic._shares_no_generator
 
         def counted(f, g):
+            if proving[0]:
+                return heugcd(f, g)
             depth[0] += 1
             try:
                 return heugcd(f, g)
@@ -957,8 +959,16 @@ class TestKernelOracle:
                 points.append(xi)
             return interpolate(image, xi)
 
+        def proof(*args):
+            proving[0] = True
+            try:
+                return shares_no_generator(*args)
+            finally:
+                proving[0] = False
+
         monkeypatch.setattr(symbolic, "_heugcd", counted)
         monkeypatch.setattr(symbolic, "_interpolate", recorded)
+        monkeypatch.setattr(symbolic, "_shares_no_generator", proof)
         self._check_in_used_generators(p, q)
         assert (len(points), len(set(points))) == reads
 
@@ -1327,6 +1337,73 @@ class TestEvaluateExact:
         # a generator the element does not use needs no value
         K, (a,) = symbolic.to_elements([x + 1], (x, y))
         assert symbolic.element_values(K, [[a]], {x: 1}) == [[2]]
+
+
+class TestFieldWithoutGenerators:
+    """Constants convert into the function field with no generators, whose
+    elements take every operation of any other field."""
+
+    @staticmethod
+    def _constants():
+        K, elements = symbolic.to_elements(["1/2", "3"])
+        assert type(K).__name__ == "FunctionField" and K.symbols == ()
+        return K, elements
+
+    def test_constants_are_elements_of_a_function_field(self):
+        K, (half, three) = self._constants()
+        assert K is symbolic.function_field(())
+        assert half.field is K and three.field is K
+        assert half != three and K.zero != K.one
+
+    def test_to_infix_and_values(self):
+        K, (half, three) = self._constants()
+        assert [symbolic.to_infix(a) for a in (half, three, -half)] == ["1/2", "3", "-1/2"]
+        assert symbolic.element_values(K, [[half, three]], {}) == [[symbolic.rational("1/2"), 3]]
+
+    def test_clear_element_row(self):
+        K, (half, three) = self._constants()
+        cleared, factor = symbolic.clear_element_row(K, [half, three])
+        assert [symbolic.to_infix(a) for a in cleared + [factor]] == ["1", "6", "2"]
+        assert symbolic.clear_element_row(K, [K.zero, -half])[0] == [K.zero, K.one]
+
+    def test_jacobian_rank_is_zero(self):
+        K, elements = self._constants()
+        assert symbolic.jacobian_rank(K, elements, [x, y]) == 0
+        assert symbolic.element_rank(K, [elements], 2) == 1
+
+    def test_nonzero_constant_is_a_contradiction(self):
+        K, (half, _) = self._constants()
+        with pytest.raises(InconsistentSystemError, match=r"^equation 1/2 = 0 is a contradiction$"):
+            symbolic.solve_elements(K, [half], [])
+        assert symbolic.solve_elements(K, [K.zero], []) == [{}]
+
+
+class TestRational:
+    """symbolic.rational, the one conversion to the kernel's rational
+    numbers, the values at every point."""
+
+    RATIONAL = type(symbolic.rational(0))
+
+    @pytest.mark.parametrize("value, expected", [
+        ("0.5", (1, 2)), ("1/3", (1, 3)), ("-2", (-2, 1)), (3, (3, 1)),
+        (sp.Rational(2, 3), (2, 3)), (sp.Integer(-4), (-4, 1)), (symbolic.QQ(5, 7), (5, 7))])
+    def test_reads(self, value, expected):
+        q = symbolic.rational(value)
+        assert type(q) is self.RATIONAL
+        assert (q.numerator, q.denominator) == expected
+        assert q == sp.Rational(*expected) and str(q) == str(sp.Rational(*expected))
+
+    @pytest.mark.parametrize("value", [0.5, sp.Float(0.5), sp.sqrt(2), x, None])
+    def test_refuses_what_is_no_rational_number(self, value):
+        with pytest.raises(TypeError):
+            symbolic.rational(value)
+
+    def test_point_values_must_be_rational(self):
+        K, (a,) = symbolic.to_elements([x + 1])
+        assert symbolic.element_values(K, [[a]], {x: sp.Rational(1, 2)}) == [[sp.Rational(3, 2)]]
+        with pytest.raises(UnsupportedEquationError,
+                           match=r"point value x = 0\.5 is not a rational number"):
+            symbolic.element_values(K, [[a]], {x: 0.5})
 
 
 class TestToInfix:

@@ -342,7 +342,25 @@ class TestSimulate:
         )
         x_next = trajectory.states[1]
         assert x_next == (0, -1, 0, sp.Rational(1, 3))
-        assert all(v.is_Rational for v in x_next)
+        rational = type(symbolic.rational(0))
+        assert {type(v) for state in trajectory.states for v in state} == {rational}
+        assert {type(v) for row in trajectory.inputs for v in row} == {rational}
+
+    @pytest.mark.parametrize("x0, u, exact", [
+        ([0, 1, 0, 0], [2, 0], True),
+        ([sp.Rational(1, 3), sp.Integer(0), 0, 0], [sp.Rational(1, 2), 0], True),
+        ([symbolic.rational("1/3"), 0, 0, 0], [symbolic.rational(2), 0], True),
+        ([0.5, 0, 0, 0], [1, 0], False),
+        ([0, 0, 0, 0], [sp.Float(0.5), 0], False),
+        ([0, 0, 0, 0], [sp.sqrt(2), 0], False),
+    ])
+    def test_exact_only_when_every_value_is_rational(self, flat4, x0, u, exact):
+        """ints, sympy's rationals and kernel rationals step exactly; any
+        float, sympy's among them, or irrational value steps in floats."""
+        trajectory = verification.simulate(flat4, x0, [u, u])
+        values = [v for rows in (trajectory.states, trajectory.inputs) for row in rows for v in row]
+        kinds = {type(v) for v in values}
+        assert kinds == ({type(symbolic.rational(0))} if exact else {float})
 
     def test_dimension_mismatches(self, flat4):
         with pytest.raises(SimulationError):
