@@ -38,7 +38,7 @@ def main():
         for step in report.steps:
             print(
                 "  k=%d dim Delta=%d dim E=%d dim D=%d"
-                % (step.k, step.dim_delta, step.dim_E, step.dim_D)
+                % (step.k, step.delta.dim, step.E.dim, step.D.dim)
             )
         print("  verdict: %s (kbar = %d)" % (report.verdict, report.kbar))
         print()

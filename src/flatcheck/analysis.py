@@ -21,7 +21,9 @@ from .model import DiscreteTimeSystem, validate_system
 
 @dataclass(frozen=True)
 class SequenceStep:
-    """One step of the sequence: the three distributions and their sizes.
+    """One step of the sequence: Delta_k on the image space, its lift E_k
+    and the largest projectable cut D_k of E_k, whose dimensions are
+    their .dim.
 
     rho is the dimension gained by Delta at this step over the previous
     one; mu counts the kernel directions of the pushforward that are new
@@ -35,18 +37,6 @@ class SequenceStep:
     D: geometry.Distribution
     rho: int
     mu: int
-
-    @property
-    def dim_delta(self) -> int:
-        return self.delta.dim
-
-    @property
-    def dim_E(self) -> int:
-        return self.E.dim
-
-    @property
-    def dim_D(self) -> int:
-        return self.D.dim
 
 
 @dataclass(frozen=True)
@@ -95,8 +85,7 @@ def run_algorithm1(system: DiscreteTimeSystem) -> FlatnessReport:
     max_steps = n + 1
 
     chart = geometry.build_adapted_chart(system)
-    xplus = geometry.shifted_state_symbols(system)
-    delta = geometry.Distribution(coords=xplus, fields=())
+    delta = geometry.Distribution(geometry.shifted_state_symbols(system.states), ())
 
     steps = []
     prev_defect = None
@@ -104,9 +93,8 @@ def run_algorithm1(system: DiscreteTimeSystem) -> FlatnessReport:
     kbar = None
     for k in range(max_steps + 1):
         try:
-            E = geometry.lift_distribution(delta, system)
-            D = geometry.largest_projectable_subdistribution(E, system, chart)
-            nxt = geometry.pushforward_distribution(D, system, chart)
+            E = geometry.lift_distribution(delta, chart)
+            D, nxt = geometry.largest_projectable_subdistribution(E, chart)
         except FlatcheckError as exc:
             exc.k = k
             raise
@@ -127,14 +115,14 @@ def run_algorithm1(system: DiscreteTimeSystem) -> FlatnessReport:
         )
 
     verdict = "FLAT" if delta.dim == n else "NOT_FLAT"
-    sfl = verdict == "FLAT" and all(s.dim_D == s.dim_E for s in steps)
+    sfl = verdict == "FLAT" and all(s.D.dim == s.E.dim for s in steps)
     diagnostics = ["stagnation at k=%d with dim %d of n=%d"
                    % (kbar, delta.dim, n)]
     if verdict == "FLAT" and not sfl:
-        first = next(s.k for s in steps if s.dim_D != s.dim_E)
+        first = next(s.k for s in steps if s.D.dim != s.E.dim)
         diagnostics.append(
             "not static feedback linearizable: dim D_%d=%d < dim E_%d=%d"
-            % (first, steps[first].dim_D, first, steps[first].dim_E)
+            % (first, steps[first].D.dim, first, steps[first].E.dim)
         )
     return FlatnessReport(
         system=system,
@@ -168,7 +156,7 @@ def classify(report: FlatnessReport) -> str:
         mu_sum += step.mu
         lines.append(
             "%3d | %11d | %7d | %7d | %5d | %4d | %11d"
-            % (step.k, step.dim_delta, step.dim_E, step.dim_D, step.rho,
+            % (step.k, step.delta.dim, step.E.dim, step.D.dim, step.rho,
                step.mu, system.m - mu_sum)
         )
     for note in report.diagnostics:

@@ -49,16 +49,13 @@ def restate_distribution(dist: geometry.Distribution, system) -> geometry.Distri
     as one over the state symbols, in QQ(states).  The image of the
     dynamics and the state space are identified coordinate-wise, so this
     is a pure renaming of generators."""
-    shifted = geometry.shifted_state_symbols(system)
+    shifted = geometry.shifted_state_symbols(system.states)
     if tuple(dist.coords) != shifted:
         raise FlatcheckError("distribution is not over the successor-state coordinates")
     coords = tuple(system.states)
     K, rename = symbolic.function_field(coords), dict(zip(shifted, coords))
-    fields = tuple(
-        geometry.VectorField(coords, tuple(symbolic.rename(a, K, rename) for a in f.components))
-        for f in dist.fields
-    )
-    return geometry.Distribution(coords=coords, fields=fields)
+    return geometry.Distribution(coords, tuple(
+        tuple(symbolic.rename(a, K, rename) for a in row) for row in dist.rows))
 
 
 def polynomial_invariants(
@@ -131,35 +128,32 @@ class StateTransformation:
     """Polynomial state change straightening the image distribution chain.
 
     blocks[k-1] holds the new symbols of block k; block k spans the
-    directions gained at step k of the chain.  rest completes the chart
-    when the chain does not fill the state space.  forward maps each new
+    directions gained at step k of the chain, and the blocks together
+    replace the states.  forward maps each new
     symbol to a polynomial in QQ(states), inverse maps each original
     state back to an element of QQ(new symbols), generators sorted by
     name, and point holds the equilibrium values of the new symbols."""
 
     states: tuple
     blocks: tuple
-    rest: tuple
     forward: dict
     inverse: dict
     point: dict
 
     @property
     def ordered_symbols(self) -> tuple:
-        out = []
-        for block in self.blocks:
-            out.extend(block)
-        out.extend(self.rest)
-        return tuple(out)
+        return tuple(s for block in self.blocks for s in block)
 
 
 def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTransformation:
     """Build a state transformation adapted to a nested distribution chain.
 
     chain lists the distributions over the state symbols in ascending
-    order.  Block k of the result consists of invariants of the previous
-    chain member (coordinate completions for block 1), so in the new
-    coordinates each chain member is spanned by the first blocks.  point
+    order, the last of them the whole state space, as for a FLAT verdict
+    (FlatcheckError otherwise).  Block k of the result consists of
+    invariants of the previous chain member (coordinate completions for
+    block 1), so in the new coordinates each chain member is spanned by
+    the first blocks.  point
     is the equilibrium in state coordinates.  The maps are computed in
     QQ(states) and QQ(new symbols)."""
     if not chain:
@@ -170,35 +164,31 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
     dims = [d.dim for d in chain]
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise FlatcheckError("chain dimensions must increase strictly")
+    if dims[-1] != len(states):
+        raise FlatcheckError("the distribution chain does not fill the state space")
     kbar = len(chain)
-    n = len(states)
-    # invariants of the top member complete the chart (rest), those of
-    # member k - 1 form block k; seeds are the gradients found so far.
-    # The invariants are polynomials in P = QQ(states), generators sorted
-    # by name, as polynomial_invariants returns them.
+    # invariants of member k - 1 form block k, top block first; seeds are
+    # the gradients found so far.  The invariants are polynomials in
+    # P = QQ(states), generators sorted by name, as polynomial_invariants
+    # returns them.
     P = symbolic.field(states)
     gens = dict(zip(states, symbolic.generators(P, states)))
     seeds, found = [], []
-    searches = [(chain[-1], n - dims[-1])]
-    searches += [(chain[k - 2], dims[k - 1] - dims[k - 2]) for k in range(kbar, 1, -1)]
-    for dist, count in searches:
+    for k in range(kbar, 1, -1):
         invariants, gradients = polynomial_invariants(
-            _rows(dist), states, count, point, max_degree=max_degree, seed_gradients=seeds)
+            chain[k - 2].rows, states, dims[k - 1] - dims[k - 2], point,
+            max_degree=max_degree, seed_gradients=seeds)
         found.append(list(invariants))
         seeds.extend(gradients)
-    rest_values = found[0]
-    rest = [symbolic.symbol("xrest_%d" % (i + 1)) for i in range(len(rest_values))]
     chosen = _complete_with_coordinates(seeds, states, dims[0], "block 1")
-    block_values = [[gens[sym] for sym in chosen]]
-    block_values += found[:0:-1]
+    block_values = [[gens[sym] for sym in chosen]] + found[::-1]
     blocks = []
     forward = {}
     for k in range(1, kbar + 1):
         syms = [symbolic.symbol("xbar%d_%d" % (k, i + 1)) for i in range(len(block_values[k - 1]))]
         blocks.append(tuple(syms))
         forward.update(zip(syms, block_values[k - 1]))
-    forward.update(zip(rest, rest_values))
-    new_syms = [s for block in blocks for s in block] + list(rest)
+    new_syms = [s for block in blocks for s in block]
     try:
         inverse, values = symbolic.invert(
             symbolic.field(states + tuple(new_syms)), {s: forward[s] for s in new_syms},
@@ -211,7 +201,6 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
     st = StateTransformation(
         states=states,
         blocks=tuple(blocks),
-        rest=tuple(rest),
         forward=forward,
         inverse=inverse,
         point=values,
@@ -227,10 +216,6 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
                         % (k, c)
                     )
     return st
-
-
-def _rows(dist: geometry.Distribution) -> list:
-    return [list(f.components) for f in dist.fields]
 
 
 def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for=None):
@@ -262,7 +247,7 @@ def _transform(dist: geometry.Distribution, forward, coords, inverse, stands_for
         images[s] = moved(a)
     jacobian = geometry.composed_jacobian(forward, coords, dist.coords, images, L)
     return [geometry.apply_jacobian(L, jacobian, [moved(a) for a in row])
-            for row in _rows(dist)]
+            for row in dist.rows]
 
 
 @dataclass
@@ -542,8 +527,6 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
     state_point = {s: eq_point[s] for s in system.states}
     chain = [restate_distribution(d, system) for d in report.delta_chain()]
     st = straighten_distribution_chain(chain, report.chart, state_point, max_degree=max_degree)
-    if st.rest:
-        raise FlatcheckError("the distribution chain does not fill the state space")
     kbar = report.kbar
     chart = report.chart
     new = st.ordered_symbols

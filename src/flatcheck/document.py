@@ -23,10 +23,10 @@ def _infix_row(components) -> list:
 
 def _step_dict(step) -> dict:
     return {
-        "k": step.k, "dim_delta": step.dim_delta, "dim_E": step.dim_E,
-        "dim_D": step.dim_D, "rho": step.rho, "mu": step.mu,
-        "delta_basis": [_infix_row(f.components) for f in step.delta.fields],
-        "D_basis": [_infix_row(f.components) for f in step.D.fields],
+        "k": step.k, "dim_delta": step.delta.dim, "dim_E": step.E.dim,
+        "dim_D": step.D.dim, "rho": step.rho, "mu": step.mu,
+        "delta_basis": [_infix_row(row) for row in step.delta.rows],
+        "D_basis": [_infix_row(row) for row in step.D.rows],
     }
 
 

@@ -2,14 +2,15 @@
 
 The update map f makes the combined state-input space a fibred manifold
 over the space of next states.  This module builds the adapted chart in
-which f is a projection, transforms vector fields between charts, and
-provides the operations the flatness test is made of: pushforwards,
-lifts, and the largest projectable subdistribution of a given
-distribution.
+which f is a projection, transforms vector fields into it, and provides
+the three operations of each step of the flatness test: the lift of
+Delta_k to E_k, the cut of E_k to its largest projectable subdistribution
+D_k, and the pushforward of D_k to Delta_{k+1}, which the cut computes
+and returns with D_k.
 
-Conventions.  Vector fields and distributions are component data over an
-explicit coordinate tuple.  Every component is an element of a rational
-function field, which only the symbolic module looks inside
+Conventions.  A distribution is its coordinate tuple and one row of
+components per basis field.  Every component is an element of a
+rational function field, which only the symbolic module looks inside
 (``symbolic.expression`` gives the expression), one field per space:
 over the base variables (x, u) the chart's wide field QQ(x, u, theta, xi), in
 chart coordinates the narrow field QQ(theta, xi), over the shifted state
@@ -17,11 +18,11 @@ symbols x<i>_p1 of the image space QQ(x_p1, ...).  Lift and pushforward
 rename generators between the spaces, and the chart renames the model's
 update elements, so the sequence builds and reads no sympy expression.
 
-Only the theta block of a field is ever written in chart coordinates:
+Only the theta row of a field is ever written in chart coordinates:
 a field is projectable exactly when its theta components are free of
 xi, and then they are its pushforward, so no xi component is computed.
 The chart-coordinate half of the largest projectable subdistribution,
-where nearly all gcds are taken, runs on these theta blocks in the
+where nearly all gcds are taken, runs on these theta rows in the
 narrow field; its coefficients are renamed into the wide field to
 recombine the base rows.  Every entry that is kept takes one
 gcd: a recombination sums its products over one common denominator, or
@@ -35,7 +36,7 @@ routine of symbolic: most pairs are proved coprime from univariate
 images at a fixed integer point, and the rest run symbolic's own
 heuristic gcd on integer dicts in the generators the pair uses only.
 Projectability is read off the canonical fractions without any gcd
-(symbolic.depends_on).  An extracted field's theta block is read off
+(symbolic.depends_on).  An extracted field's theta row is read off
 the echelon form itself, and those echelon rows, renamed to the image
 space, are the basis of the pushforward.  All linear algebra runs over
 these fields, so every basis produced here is deterministic.  The chart
@@ -59,66 +60,35 @@ from .errors import (
 )
 
 
-def shifted_state_symbols(system) -> tuple:
+def shifted_state_symbols(states) -> tuple:
     """Coordinates of the image space: one x<i>_p1 symbol per state."""
-    return tuple(symbolic.symbol("%s_p1" % s.name) for s in system.states)
-
-
-def _chart_field(system):
-    """The chart coordinates theta_1 .. theta_n, xi_1 .. xi_m, and the field
-    QQ(x, u, theta, xi) of every component over the base space,
-    generators sorted by name."""
-    coords = tuple(symbolic.symbol("theta_%d" % (i + 1)) for i in range(system.n)) + tuple(
-        symbolic.symbol("xi_%d" % (j + 1)) for j in range(system.m))
-    return coords, symbolic.field(system.variables + coords)
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Component vector over an ordered coordinate tuple, in one function
-    field whose generators include the coordinates."""
-
-    coords: tuple
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != len(self.components):
-            raise ValueError(
-                "field has %d components for %d coordinates"
-                % (len(self.components), len(self.coords))
-            )
+    return tuple(symbolic.symbol("%s_p1" % s.name) for s in states)
 
 
 @dataclass(frozen=True)
 class Distribution:
-    """Span of finitely many vector fields over a common coordinate tuple.
+    """Span of component rows over an ordered coordinate tuple.
 
-    The basis is kept independent over the function field, so the
-    dimension is just the number of basis fields.  A result of
-    largest_projectable_subdistribution carries what the pushforward
-    reads.  chart_fields are the theta blocks of the basis fields in the
-    coordinates of chart (transform_vector_field), in basis order, with
-    components in chart.coordinate_field; the nonzero ones come first and
-    form a reduced echelon form.  witness_values are nonzero
-    denominator-free component rows spanning the same distribution
-    generically, the cleared basis among them, evaluated at the
-    equilibrium: they give the rank there where the basis has poles.
+    Each row is one basis field, with one component per coordinate, all
+    in one function field whose generators include the coordinates.  The
+    basis is kept independent over that field, so the dimension is just
+    the number of rows.
     """
 
     coords: tuple
-    fields: tuple
-    chart: object = field(default=None, compare=False, repr=False)
-    chart_fields: tuple = field(default=(), compare=False, repr=False)
-    witness_values: tuple = field(default=(), compare=False, repr=False)
+    rows: tuple
 
     def __post_init__(self):
-        for f in self.fields:
-            if f.coords != self.coords:
-                raise ValueError("basis field over foreign coordinates")
+        for row in self.rows:
+            if len(row) != len(self.coords):
+                raise ValueError(
+                    "row has %d components for %d coordinates"
+                    % (len(row), len(self.coords))
+                )
 
     @property
     def dim(self) -> int:
-        return len(self.fields)
+        return len(self.rows)
 
 
 def make_distribution(coords, rows) -> Distribution:
@@ -132,14 +102,11 @@ def make_distribution(coords, rows) -> Distribution:
     coords = tuple(coords)
     rows = [list(r) for r in rows]
     if not rows:
-        return Distribution(coords=coords, fields=())
+        return Distribution(coords, ())
     K = symbolic.field_of(a for row in rows for a in row)
     rref, pivots = symbolic.element_rref(K, [r for r in rows if any(r)], len(coords))
-    basis = [
-        VectorField(coords, tuple(symbolic.clear_element_row(K, row)[0]))
-        for row in rref[:len(pivots)]
-    ]
-    return Distribution(coords=coords, fields=tuple(basis))
+    return Distribution(coords, tuple(
+        tuple(symbolic.clear_element_row(K, row)[0]) for row in rref[:len(pivots)]))
 
 
 @dataclass(frozen=True)
@@ -218,8 +185,11 @@ def build_adapted_chart(system) -> Chart:
     variables = system.variables
     point = system.equilibrium_point()
 
-    coords, K = _chart_field(system)
-    N = symbolic.field(coords)
+    coords = tuple(symbolic.symbol("theta_%d" % (i + 1)) for i in range(n)) + tuple(
+        symbolic.symbol("xi_%d" % (j + 1)) for j in range(m))
+    # components over the base variables live in QQ(x, u, theta, xi),
+    # components in chart coordinates in QQ(theta, xi)
+    K, N = symbolic.field(variables + coords), symbolic.field(coords)
     theta, xi = coords[:n], coords[n:]
     update = [symbolic.rename(f, K, {}) for f in system.update_elements[1]]
 
@@ -259,37 +229,35 @@ def build_adapted_chart(system) -> Chart:
     )
 
 
-def transform_vector_field(v: VectorField, chart: Chart) -> VectorField:
-    """The theta block of a field over the base variables in chart
-    coordinates, a field over chart.theta.
+def transform_vector_field(row, chart: Chart) -> list:
+    """The theta row of a field over the base variables in chart
+    coordinates: its components along chart.theta.
 
-    The components of v are elements of chart.function_field, those of
+    The components of row are elements of chart.function_field, those of
     the result elements of chart.coordinate_field: the theta rows of the
     Jacobian of the forward map applied to the field, both composed with
-    the inverse map.  Chart symbols occurring in the components of v are
-    kept as they are.
+    the inverse map.  Chart symbols occurring in the components of row
+    are kept as they are.
     """
-    if v.coords != chart.system_vars:
-        raise ValueError("field is not over the chart's base variables")
     N = chart.coordinate_field
-    moved = [symbolic.compose(c, chart.inverse, N) for c in v.components]
-    return VectorField(chart.theta, tuple(apply_jacobian(N, chart.jacobian, moved)))
+    moved = [symbolic.compose(c, chart.inverse, N) for c in row]
+    return apply_jacobian(N, chart.jacobian, moved)
 
 
-def _projectability(theta_block, chart: Chart) -> bool:
-    """Whether a field with this theta block in chart coordinates pushes
+def _projectability(theta_row, chart: Chart) -> bool:
+    """Whether a field with this theta row in chart coordinates pushes
     forward to a well-defined field: every theta component is free of
     all fibre coordinates xi."""
-    return not any(symbolic.depends_on(c, x) for c in theta_block for x in chart.xi)
+    return not any(symbolic.depends_on(c, x) for c in theta_row for x in chart.xi)
 
 
-def largest_projectable_subdistribution(
-    dist: Distribution, system, chart: Chart
-) -> Distribution:
-    """The unique largest subdistribution that pushes forward under f.
+def largest_projectable_subdistribution(dist: Distribution, chart: Chart) -> tuple:
+    """The unique largest subdistribution D that pushes forward under f,
+    and its pushforward: (D, f_*D).
 
-    dist must be involutive, as every E_k is by construction: the lift
-    of an involutive Delta_k plus the input directions.  That is not
+    dist must be over the chart's base variables (ValueError otherwise)
+    and involutive, as every E_k is by construction: the lift of an
+    involutive Delta_k plus the input directions.  Involutivity is not
     checked here.
 
     Descending iteration: starting from the full distribution, keep the
@@ -298,42 +266,42 @@ def largest_projectable_subdistribution(
     is one kernel computation over the function field, because the
     derivative terms of the brackets stay in the candidate by linearity.
     At the fixed point, a projectable basis is extracted through the
-    echelon form of the theta block, and rechecked field by field.
+    echelon form of the theta rows, and rechecked field by field.  An
+    empty candidate runs through the same steps as a trivial case.
 
     The candidate fields are carried both over the base variables, in
-    chart.function_field, and as their theta blocks in chart
-    coordinates, in the narrow chart.coordinate_field, where every row
-    reduction runs.  Only the fields of dist are transformed: the kernel
-    and extraction coefficients are functions of the chart coordinates,
-    so the theta block of sum_a c_a v_a is sum_a c_a * theta(v_a), times
-    the cleared denominator's factor composed with the inverse map where
-    the base row is cleared.  The coefficients are renamed into the wide
+    chart.function_field, and as their theta rows in chart coordinates,
+    in the narrow chart.coordinate_field, where every row reduction
+    runs.  Only the rows of dist are transformed: the kernel and
+    extraction coefficients are functions of the chart coordinates, so
+    the theta row of sum_a c_a v_a is sum_a c_a * theta(v_a), times the
+    cleared denominator's factor composed with the inverse map where the
+    base row is cleared.  The coefficients are renamed into the wide
     field to combine the base rows.  Each combination is summed over one
     common denominator (symbolic.combine_rows); a row that is only read
     cleared, a kernel row or a vertical extracted row, is cleared
     straight from the combined numerators.  The extraction reduces
-    [A | I], A the theta blocks, to [E*A | E], so the theta block of an
+    [A | I], A the theta rows, to [E*A | E], so the theta row of an
     extracted field is its row of E*A, which needs no recombination.
-    The result carries these theta blocks as its chart_fields, and the
-    witness rows at the equilibrium, which the constant-dimension check
-    here reads, as its witness_values.
+    The nonzero ones among these theta rows, and the witness rows at the
+    equilibrium, which the constant-dimension check here reads, are
+    handed to pushforward_distribution.
     """
-    n = system.n
-    if dist.dim == 0:
-        return dist
-
+    if dist.coords != chart.system_vars:
+        raise ValueError("distribution is not over the chart's base variables")
+    n = len(chart.theta)
     K, N = chart.function_field, chart.coordinate_field
 
     def widened(coeffs):
         return [symbolic.rename(c, K, {}) if c else K.zero for c in coeffs]
 
-    adapted = [list(transform_vector_field(f, chart).components) for f in dist.fields]
-    cur = [list(f.components) for f in dist.fields]
+    adapted = [transform_vector_field(row, chart) for row in dist.rows]
+    cur = [list(row) for row in dist.rows]
     while True:
         reduced, pivots = symbolic.element_rref(N, [a for a in adapted if any(a)], n)
         reduced = reduced[: len(pivots)]
-        # residuals[j][a]: d/d xi_j of the theta block of field a, modulo
-        # the span of the theta blocks
+        # residuals[j][a]: d/d xi_j of the theta row of field a, modulo
+        # the span of the theta rows
         residuals = [
             [symbolic.derivative_mod_rows(N, a, x, reduced, pivots) for a in adapted]
             for x in chart.xi
@@ -347,8 +315,6 @@ def largest_projectable_subdistribution(
         kernel = symbolic.element_nullspace(N, rref, kernel_pivots, len(cur))
         if len(kernel) == len(cur):
             break
-        if not kernel:
-            return Distribution(coords=dist.coords, fields=(), chart=chart)
         new_cur, new_adapted = [], []
         for vec in kernel:
             comps, factor = symbolic.clear_fraction_row(K, *symbolic.combine_rows(
@@ -359,16 +325,16 @@ def largest_projectable_subdistribution(
                 symbolic.compose(factor, chart.inverse, N)))
         cur, adapted = new_cur, new_adapted
 
-    # Extraction: echelon-reduce the theta blocks A with an identity block
+    # Extraction: echelon-reduce the theta rows A with an identity block
     # alongside, so the transform rows E recombine the basis into fields
     # with xi-free theta components (top rows) and vertical fields
-    # (zero-theta rows).  The rref is [E*A | E], so the theta block of a
-    # recombined field is the row's own theta block.
+    # (zero-theta rows).  The rref is [E*A | E], so the theta row of a
+    # recombined field is the row's own theta row.
     aug = [a + [N.one if b == i else N.zero for b in range(len(cur))]
            for i, a in enumerate(adapted)]
     rref, _ = symbolic.element_rref(N, aug, n + len(cur))
     witness = [symbolic.clear_element_row(K, comps)[0] for comps in cur]
-    out_fields, chart_fields = [], []
+    rows, theta_rows = [], []
     for row in rref:
         theta, coeffs = row[:n], row[n:]
         numerators, denominator = symbolic.combine_rows(K, widened(coeffs), cur)
@@ -376,85 +342,76 @@ def largest_projectable_subdistribution(
         witness.append(cleared)
         # Rescaling a field by a coordinate-dependent factor changes its
         # theta components' xi-derivatives, so denominators may only be
-        # cleared on vertical rows, whose theta block is zero anyway.
+        # cleared on vertical rows, whose theta row is zero anyway.
         comps = symbolic.fraction_row(K, numerators, denominator) if any(theta) else cleared
         if not _projectability(theta, chart):
             raise NotProjectableError(
                 "projectable basis extraction failed: %s"
                 % (tuple(map(symbolic.expression, comps)),)
             )
-        out_fields.append(VectorField(dist.coords, tuple(comps)))
-        chart_fields.append(VectorField(chart.theta, tuple(theta)))
+        rows.append(tuple(comps))
+        if any(theta):
+            theta_rows.append(theta)
 
     # witness rows mix base and chart symbols: evaluate at both equilibria
     W = symbolic.element_values(K, [r for r in witness if any(r)], chart.equilibrium)
     rank_eq = symbolic.rational_rank(W, len(dist.coords))
-    if rank_eq != len(out_fields):
+    if rank_eq != len(rows):
         raise ConstantDimensionError(
             "projectable subdistribution has dimension %d generically "
-            "but %d at the equilibrium" % (len(out_fields), rank_eq)
+            "but %d at the equilibrium" % (len(rows), rank_eq)
         )
-    return Distribution(
-        coords=dist.coords,
-        fields=tuple(out_fields),
-        chart=chart,
-        chart_fields=tuple(chart_fields),
-        witness_values=tuple(map(tuple, W)),
-    )
+    return Distribution(dist.coords, tuple(rows)), pushforward_distribution(theta_rows, W, chart)
 
 
-def pushforward_distribution(dist: Distribution, system, chart: Chart) -> Distribution:
-    """Span of the basis pushforwards on the image space.
+def pushforward_distribution(theta_rows, witness_values, chart: Chart) -> Distribution:
+    """Span of the pushforwards of a projectable distribution's basis on
+    the image space.
 
     A projectable field's theta components are its pushforward, so the
-    basis is the nonzero theta blocks that dist carries, an echelon form
-    already, renamed to x+ and cleared.  The image dimension may drop.
-    The span must still have the same dimension at the equilibrium image
-    as generically, otherwise the constant-dimension assumption
-    underlying the whole analysis fails.  That is checked twice: on the
-    pushed component rows themselves, and pointwise, the witness values
-    through the update Jacobian at the equilibrium, which catches drops
-    that a rescaled basis would hide.  dist must carry its theta blocks
-    and witness values for chart, as every result of
-    largest_projectable_subdistribution does; ValueError otherwise.
+    basis is theta_rows, the nonzero theta rows of the basis in chart
+    coordinates (elements of chart.coordinate_field) in reduced echelon
+    form, renamed to x+ and cleared.  The image dimension may drop.  The
+    span must still have the same dimension at the equilibrium image as
+    generically, otherwise the constant-dimension assumption underlying
+    the whole analysis fails.  That is checked twice: on the pushed
+    component rows themselves, and pointwise, witness_values (rows of
+    rational numbers spanning the distribution at the equilibrium)
+    through the update Jacobian there, which catches drops that a
+    rescaled basis would hide.
     """
-    xplus = shifted_state_symbols(system)
-    if dist.dim == 0:
-        return Distribution(coords=xplus, fields=())
-    if dist.chart is not chart:
-        raise ValueError("distribution carries no chart forms for this chart")
+    n = len(chart.theta)
+    xplus = shifted_state_symbols(chart.system_vars[:n])
     L = symbolic.function_field(xplus)
     rename = dict(zip(chart.theta, xplus))
-    rows = [symbolic.clear_element_row(L, [symbolic.rename(c, L, rename) for c in f.components])[0]
-            for f in dist.chart_fields if any(f.components)]
+    rows = [tuple(symbolic.clear_element_row(L, [symbolic.rename(c, L, rename) for c in row])[0])
+            for row in theta_rows]
 
     generic = len(rows)
     image_point = {xp: chart.equilibrium[t] for xp, t in zip(xplus, chart.theta)}
-    at_eq = symbolic.rational_rank(symbolic.element_values(L, rows, image_point), system.n)
+    at_eq = symbolic.rational_rank(symbolic.element_values(L, rows, image_point), n)
     pushed = [[sum(w * d for w, d in zip(w_row, d_row)) for d_row in chart.df_at_equilibrium]
-              for w_row in dist.witness_values]
-    for rank in (at_eq, symbolic.rational_rank(pushed, system.n)):
+              for w_row in witness_values]
+    for rank in (at_eq, symbolic.rational_rank(pushed, n)):
         if rank != generic:
             raise ConstantDimensionError(
                 "pushforward has dimension %d generically but %d at the "
                 "equilibrium image" % (generic, rank)
             )
-    return Distribution(coords=xplus, fields=tuple(VectorField(xplus, tuple(r)) for r in rows))
+    return Distribution(xplus, tuple(rows))
 
 
-def lift_distribution(delta: Distribution, system) -> Distribution:
+def lift_distribution(delta: Distribution, chart: Chart) -> Distribution:
     """Preimage of an image-space distribution under the projection.
 
-    Renames x+ back to x in the base field, pads with zero input
-    components, and adjoins the full input directions, so the dimension
-    grows by m.
+    Renames the coordinates x+ of delta back to the states x in
+    chart.function_field, pads with zero input components, and adjoins
+    the full input directions, so the dimension grows by m.
     """
-    variables = tuple(system.variables)
-    n, m = system.n, system.m
-    _, K = _chart_field(system)
-    rename = dict(zip(shifted_state_symbols(system), system.states))
-    rows = [[symbolic.rename(c, K, rename) for c in f.components] + [K.zero] * m
-            for f in delta.fields]
-    rows += [[K.one if i == n + j else K.zero for i in range(n + m)] for j in range(m)]
-    return Distribution(coords=variables,
-                        fields=tuple(VectorField(variables, tuple(r)) for r in rows))
+    K, variables = chart.function_field, chart.system_vars
+    n, m = len(chart.theta), len(chart.xi)
+    rename = dict(zip(delta.coords, variables))
+    rows = [tuple(symbolic.rename(c, K, rename) for c in row) + (K.zero,) * m
+            for row in delta.rows]
+    rows += [tuple(K.one if i == n + j else K.zero for i in range(n + m)) for j in range(m)]
+    return Distribution(variables, tuple(rows))

@@ -19,19 +19,17 @@ from flatcheck import geometry, symbolic
 import kernel_oracle
 
 
-def is_zero_field(v: geometry.VectorField) -> bool:
-    return not any(v.components)
+def is_zero_field(row) -> bool:
+    return not any(row)
 
 
-def lie_bracket(v1: geometry.VectorField, v2: geometry.VectorField) -> geometry.VectorField:
-    """Standard Lie bracket of two fields over the same coordinates,
-    computed with sympy's arithmetic in the field of their components."""
-    if v1.coords != v2.coords:
-        raise ValueError("bracket of fields over different coordinates")
-    K = symbolic.field_of(v1.components + v2.components)
+def lie_bracket(coords, a, b) -> tuple:
+    """Standard Lie bracket of two fields, component rows over coords in
+    one function field, computed with sympy's arithmetic in that field."""
+    K = symbolic.field_of(tuple(a) + tuple(b))
     F = kernel_oracle.sympy_field(K)
-    a, b = ([kernel_oracle.to_sympy(c) for c in v.components] for v in (v1, v2))
-    gens = [F.gens[K.symbols.index(s)] for s in v1.coords]
+    a, b = ([kernel_oracle.to_sympy(c) for c in row] for row in (a, b))
+    gens = [F.gens[K.symbols.index(s)] for s in coords]
     comps = []
     for i in range(len(gens)):
         term = F.zero
@@ -41,54 +39,57 @@ def lie_bracket(v1: geometry.VectorField, v2: geometry.VectorField) -> geometry.
             if bj:
                 term -= bj * a[i].diff(x)
         comps.append(kernel_oracle.from_sympy(K, term))
-    return geometry.VectorField(v1.coords, tuple(comps))
+    return tuple(comps)
 
 
-def is_projectable(v: geometry.VectorField, chart: geometry.Chart) -> bool:
-    """Whether the field pushes forward to a well-defined field.
+def is_projectable(row, chart: geometry.Chart) -> bool:
+    """Whether the field with these components over the chart's base
+    variables pushes forward to a well-defined field.
 
     True iff every theta component, written in the adapted chart, is
     free of all fibre coordinates xi.  The theta components are those
     of transform_vector_field, the only ones it computes.
     """
-    theta_block = geometry.transform_vector_field(v, chart).components
-    return geometry._projectability(theta_block, chart)
+    return geometry._projectability(geometry.transform_vector_field(row, chart), chart)
 
 
 def is_involutive(dist: geometry.Distribution) -> bool:
     """Whether all pairwise brackets of the basis stay in the span."""
     if dist.dim <= 1:
         return True
-    rows, ncols = [list(f.components) for f in dist.fields], len(dist.coords)
+    rows, ncols = [list(row) for row in dist.rows], len(dist.coords)
     K = symbolic.field_of(a for row in rows for a in row)
     base_rank = symbolic.element_rank(K, rows, ncols)
-    for a, b in itertools.combinations(range(dist.dim), 2):
-        br = lie_bracket(dist.fields[a], dist.fields[b])
+    for a, b in itertools.combinations(dist.rows, 2):
+        br = lie_bracket(dist.coords, a, b)
         if is_zero_field(br):
             continue
-        if symbolic.element_rank(K, rows + [list(br.components)], ncols) > base_rank:
+        if symbolic.element_rank(K, rows + [list(br)], ncols) > base_rank:
             return False
     return True
 
 
-def contains_field(dist: geometry.Distribution, v: geometry.VectorField) -> bool:
-    """Membership of a field in the span of a distribution."""
-    if v.coords != dist.coords:
+def contains_field(dist: geometry.Distribution, row) -> bool:
+    """Membership of a field, a component row, in the span of a
+    distribution.  The row must be over the distribution's coordinates:
+    one component each, in a field with them among its generators."""
+    if len(row) != len(dist.coords) or not set(dist.coords) <= set(
+            symbolic.field_of(row).symbols):
         raise ValueError("field over foreign coordinates")
-    if is_zero_field(v):
+    if is_zero_field(row):
         return True
     if dist.dim == 0:
         return False
-    rows, ncols = [list(f.components) for f in dist.fields], len(dist.coords)
-    K = symbolic.field_of([a for row in rows for a in row] + list(v.components))
-    return (symbolic.element_rank(K, rows + [list(v.components)], ncols)
+    rows, ncols = [list(r) for r in dist.rows], len(dist.coords)
+    K = symbolic.field_of([a for r in rows for a in r] + list(row))
+    return (symbolic.element_rank(K, rows + [list(row)], ncols)
             == symbolic.element_rank(K, rows, ncols))
 
 
 def contains_distribution(outer: geometry.Distribution, inner: geometry.Distribution) -> bool:
     if inner.coords != outer.coords:
         raise ValueError("distribution over foreign coordinates")
-    return all(contains_field(outer, f) for f in inner.fields)
+    return all(contains_field(outer, row) for row in inner.rows)
 
 
 def controllability_ranks(system, count) -> list:
@@ -116,5 +117,5 @@ def sfl_dimensions_are_brunovsky(report) -> bool:
     feedback and state changes keep the linearization's controllability
     indices, so an SFL system has its Brunovsky form's table.  True for a
     report that is not SFL: flat4's table differs from its ranks."""
-    dims = [step.dim_delta for step in report.steps[1:]]
+    dims = [step.delta.dim for step in report.steps[1:]]
     return not report.sfl or dims == controllability_ranks(report.system, len(dims))

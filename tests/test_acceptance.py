@@ -51,14 +51,14 @@ def test_criterion_1_flagship_dimension_sequence(flat4):
     report = analysis.run_algorithm1(flat4)
     elapsed = time.perf_counter() - started
 
-    assert [s.dim_delta for s in report.steps[1:]] == [1, 3, 4]
+    assert [s.delta.dim for s in report.steps[1:]] == [1, 3, 4]
     assert report.kbar == 3
     assert report.verdict == "FLAT"
     assert report.sfl is False
-    assert report.steps[2].dim_D == 5
+    assert report.steps[2].D.dim == 5
 
     D0 = report.steps[0].D
-    rows = [list(f.components) for f in D0.fields]
+    rows = [list(row) for row in D0.rows]
     assert len(rows) == 1
     state_part = rows[0][: flat4.n]
     assert all(not e for e in state_part)
@@ -165,7 +165,7 @@ def test_criterion_5_static_feedback_linearizable_pattern(load_system, name):
     assert report.sfl is True
     assert geometry_oracles.sfl_dimensions_are_brunovsky(report)
     for step in report.steps:
-        assert step.dim_D == step.dim_E
+        assert step.D.dim == step.E.dim
         assert _span_equal(step.D, step.E)
 
     _, trace = construction.extract_flat_output(system, report)
@@ -185,7 +185,7 @@ def test_criterion_5_static_feedback_linearizable_pattern(load_system, name):
 
 def test_criterion_6_nonflat_detection(nonflat_bilinear, models_dir, capsys):
     report = analysis.run_algorithm1(nonflat_bilinear)
-    assert report.steps[0].dim_D == 0
+    assert report.steps[0].D.dim == 0
     assert report.kbar == 0
     assert report.verdict == "NOT_FLAT"
 

@@ -29,9 +29,9 @@ class TestFlagship:
         k, dim_delta, dim_E, dim_D, rho, mu = row
         step = flat4_report.steps[k]
         assert step.k == k
-        assert step.dim_delta == dim_delta
-        assert step.dim_E == dim_E
-        assert step.dim_D == dim_D
+        assert step.delta.dim == dim_delta
+        assert step.E.dim == dim_E
+        assert step.D.dim == dim_D
         assert step.rho == rho
         assert step.mu == mu
 
@@ -58,7 +58,7 @@ class TestStaticFeedbackLinearizable:
         assert report.kbar == kbar
         assert geometry_oracles.linearization_is_controllable(report.system)
         for step in report.steps:
-            assert step.dim_D == step.dim_E
+            assert step.D.dim == step.E.dim
 
     def test_single_shift_register(self, shift1):
         report = analysis.run_algorithm1(shift1)
@@ -74,7 +74,7 @@ class TestNegativeAndInvalid:
         report = analysis.run_algorithm1(nonflat_bilinear)
         assert report.verdict == "NOT_FLAT"
         assert report.kbar == 0
-        assert report.steps[0].dim_D == 0
+        assert report.steps[0].D.dim == 0
 
     def test_redundant_inputs_must_be_reduced_first(self, redundant_input):
         with pytest.raises(RedundantInputsError) as info:

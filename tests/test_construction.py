@@ -140,7 +140,7 @@ class TestPolynomialInvariants:
         def search():
             return [
                 construction.polynomial_invariants(
-                    [list(f.components) for f in low.fields],
+                    low.rows,
                     flat4.states,
                     high.dim - low.dim,
                     point,
@@ -171,12 +171,23 @@ class TestStraightening:
         st = construction.straighten_distribution_chain(
             chain, flat4_report.chart, point=point
         )
-        assert st.rest == ()
         assert len(st.blocks) == 3
         values = [[symbolic.expression(st.forward[s]) for s in block] for block in st.blocks]
         assert _same_set(values[2], [x1 * (x3 + 1)])
         assert _same_set(values[1], [x3, x2 + 3 * x4])
         assert _same_set(values[0], [x4])
+
+    def test_chain_that_does_not_fill_the_state_space(self, flat4, flat4_report):
+        """A FLAT chain ends in the whole state space; a shorter one is
+        refused before any invariant search."""
+        chain = [
+            construction.restate_distribution(d, flat4)
+            for d in flat4_report.delta_chain()
+        ]
+        point = {s: 0 for s in flat4.states}
+        with pytest.raises(FlatcheckError) as info:
+            construction.straighten_distribution_chain(chain[:-1], flat4_report.chart, point)
+        assert str(info.value) == "the distribution chain does not fill the state space"
 
     def test_fibre_change_without_rational_inverse(self):
         """A fibre change w = x1 + x1^3 of one coordinate needs a root of a

@@ -18,8 +18,9 @@ BUNDLED = sorted(p.stem for p in (pathlib.Path(__file__).resolve().parent.parent
 
 
 def _field(coords, components):
-    """A vector field from sympy expressions, read over QQ(coords)."""
-    return geometry.VectorField(coords, tuple(symbolic.to_elements(components, coords)[1]))
+    """A vector field's component row from sympy expressions, read over
+    QQ(coords)."""
+    return tuple(symbolic.to_elements(components, coords)[1])
 
 
 def _distribution(coords, rows):
@@ -30,7 +31,7 @@ def _distribution(coords, rows):
 
 def _matrix(dist):
     """The basis of a distribution as a sympy matrix, one row per field."""
-    return sp.Matrix([[symbolic.expression(c) for c in f.components] for f in dist.fields])
+    return sp.Matrix([[symbolic.expression(c) for c in row] for row in dist.rows])
 
 
 class TestDistribution:
@@ -58,9 +59,7 @@ class TestDistribution:
                 [c * r + d * s for r, s in zip(rows[0], rows[1])],
             ]
             again = _distribution(coords, mixed)
-            assert [f.components for f in again.fields] == [
-                f.components for f in reference.fields
-            ]
+            assert again.rows == reference.rows
 
     def test_contains_field(self):
         coords = (x1, x2, x3)
@@ -82,15 +81,9 @@ class TestDistribution:
 
     def test_containment_refuses_a_foreign_function_field(self):
         d = _distribution((x1, x2), [[1, 0]])
-        wider = geometry.VectorField((x1, x2), tuple(symbolic.to_elements([x1, 0], (x1, x2, x3))[1]))
+        wider = tuple(symbolic.to_elements([x1, 0], (x1, x2, x3))[1])
         with pytest.raises(ValueError):
             geometry_oracles.contains_field(d, wider)
-
-    def test_pushforward_refuses_a_distribution_without_chart_forms(self, flat4, flat4_report):
-        D = flat4_report.steps[0].D
-        foreign = geometry.Distribution(coords=D.coords, fields=D.fields)
-        with pytest.raises(ValueError):
-            geometry.pushforward_distribution(foreign, flat4, flat4_report.chart)
 
 
 class TestCombine:
@@ -131,14 +124,14 @@ class TestLieBracket:
         coords = (x1, x2)
         a = _field(coords, (1, 0))
         b = _field(coords, (0, 1))
-        assert geometry_oracles.is_zero_field(geometry_oracles.lie_bracket(a, b))
+        assert geometry_oracles.is_zero_field(geometry_oracles.lie_bracket(coords, a, b))
 
     def test_known_bracket(self):
         coords = (x1, x2)
         a = _field(coords, (1, 0))
         b = _field(coords, (0, x1))
-        result = geometry_oracles.lie_bracket(a, b)
-        assert [symbolic.expression(c) for c in result.components] == [0, 1]
+        result = geometry_oracles.lie_bracket(coords, a, b)
+        assert [symbolic.expression(c) for c in result] == [0, 1]
 
     def test_involutive_span(self):
         coords = (x1, x2, x3)
@@ -183,16 +176,15 @@ next x2 = x1
 
     def test_foreign_coordinates_rejected(self, flat4):
         chart = geometry.build_adapted_chart(flat4)
-        stray = geometry.VectorField((x1, x2), (1, 0))
+        stray = geometry.Distribution((x1, x2), ((1, 0),))
         with pytest.raises(ValueError):
-            geometry.transform_vector_field(stray, chart)
+            geometry.largest_projectable_subdistribution(stray, chart)
 
 
 class TestSequenceSteps:
-    def test_lift_of_zero_is_input_span(self, flat4):
-        xplus = geometry.shifted_state_symbols(flat4)
-        zero = geometry.Distribution(coords=xplus, fields=())
-        E = geometry.lift_distribution(zero, flat4)
+    def test_lift_of_zero_is_input_span(self, flat4, flat4_report):
+        zero = geometry.Distribution(geometry.shifted_state_symbols(flat4.states), ())
+        E = geometry.lift_distribution(zero, flat4_report.chart)
         assert E.dim == flat4.m
         M = _matrix(E)
         for i in range(M.rows):
@@ -201,12 +193,12 @@ class TestSequenceSteps:
 
     def test_flagship_first_projectable_direction(self, flat4, flat4_report):
         step0 = flat4_report.steps[0]
-        assert step0.dim_D == 1
-        field = step0.D.fields[0]
+        assert step0.D.dim == 1
+        row = step0.D.rows[0]
         for j in range(flat4.n):
-            assert sp.simplify(symbolic.expression(field.components[j])) == 0
-        K = symbolic.function_field(field.components[0].field.symbols)
-        u_part = [list(field.components[flat4.n :])]
+            assert sp.simplify(symbolic.expression(row[j])) == 0
+        K = symbolic.function_field(row[0].field.symbols)
+        u_part = [list(row[flat4.n :])]
         normalized = symbolic.element_rref(K, u_part, flat4.m)[0]
         expected = symbolic.element_rref(
             K, [symbolic.to_elements([-2, 1], K.symbols)[1]], flat4.m
@@ -217,31 +209,39 @@ class TestSequenceSteps:
         "report_fixture",
         ["flat4_report", "chain2_report", "sfl_quadratic_report", "nonflat_bilinear_report"],
     )
-    def test_carried_chart_forms_match_fresh_transforms(self, request, report_fixture):
-        """Each D carries the theta blocks of its basis fields, the
-        transform_vector_field of each, and the cut computes no xi
-        component: the chart's Jacobian has the n theta rows only."""
+    def test_carried_chart_forms_match_fresh_transforms(self, request, monkeypatch,
+                                                         report_fixture):
+        """The cut hands the pushforward the theta rows of D's basis
+        fields, the nonzero transform_vector_field of each, and computes
+        no xi component: the chart's Jacobian has the n theta rows only."""
         report = request.getfixturevalue(report_fixture)
         chart = report.chart
         assert len(chart.jacobian) == len(chart.theta)
+        handed = []
+        push = geometry.pushforward_distribution
+
+        def recorded(theta_rows, witness_values, chart):
+            handed.append(theta_rows)
+            return push(theta_rows, witness_values, chart)
+
+        monkeypatch.setattr(geometry, "pushforward_distribution", recorded)
         for step in report.steps:
-            assert step.D.chart is chart
-            assert len(step.D.chart_fields) == step.D.dim
-            for field, carried in zip(step.D.fields, step.D.chart_fields):
-                fresh = geometry.transform_vector_field(field, chart)
-                assert carried.coords == fresh.coords == chart.theta
-                assert carried.components == fresh.components
+            D, _ = geometry.largest_projectable_subdistribution(step.E, chart)
+            assert D == step.D
+            fresh = [geometry.transform_vector_field(row, chart) for row in D.rows]
+            assert handed.pop() == [t for t in fresh if any(t)]
+            assert all(len(t) == len(chart.theta) for t in fresh)
 
     def test_projectability_of_extracted_fields(self, flat4_report):
         chart = flat4_report.chart
         for step in flat4_report.steps:
-            for field in step.D.fields:
-                assert geometry_oracles.is_projectable(field, chart) is True
+            for row in step.D.rows:
+                assert geometry_oracles.is_projectable(row, chart) is True
 
-    def test_pushforward_of_first_step(self, flat4, flat4_report):
+    def test_pushforward_of_first_step(self, flat4_report):
         chart = flat4_report.chart
-        pushed = geometry.pushforward_distribution(
-            flat4_report.steps[0].D, flat4, chart
+        _, pushed = geometry.largest_projectable_subdistribution(
+            flat4_report.steps[0].E, chart
         )
         assert pushed.dim == 1
         delta1 = flat4_report.steps[1].delta
@@ -266,40 +266,41 @@ class TestSequenceSteps:
 
 
 class TestNarrowChartField:
-    """Chart forms live in QQ(theta, xi), the chart coordinates sorted by
-    name, not in the wide field of the base rows."""
+    """Chart forms, the chart's Jacobian and the theta rows the cut hands
+    to the pushforward, live in QQ(theta, xi), the chart coordinates
+    sorted by name, not in the wide field of the base rows."""
 
     @pytest.mark.parametrize("model", BUNDLED)
     def test_chart_forms_are_in_the_coordinate_field(self, model, load_system, monkeypatch):
-        charts, projectable = [], []
+        charts, handed = [], []
         build = geometry.build_adapted_chart
-        cut = geometry.largest_projectable_subdistribution
+        push = geometry.pushforward_distribution
 
         def built(system):
             charts.append(build(system))
             return charts[-1]
 
-        def recorded(*args):
-            projectable.append(cut(*args))
-            return projectable[-1]
+        def recorded(theta_rows, witness_values, chart):
+            handed.append(theta_rows)
+            return push(theta_rows, witness_values, chart)
 
         monkeypatch.setattr(geometry, "build_adapted_chart", built)
-        monkeypatch.setattr(geometry, "largest_projectable_subdistribution", recorded)
+        monkeypatch.setattr(geometry, "pushforward_distribution", recorded)
         try:
             cli._prepare(load_system(model))
         except ConstantDimensionError:
             pass
-        assert len(charts) == 1 and projectable
+        assert len(charts) == 1 and handed
         chart = charts[0]
         narrow = tuple(sorted(chart.coords, key=lambda s: s.name))
         assert len(chart.jacobian) == len(chart.theta)
         for row in chart.jacobian:
             for a in row:
                 assert a.field.symbols == narrow
-        for D in projectable:
-            for f in D.chart_fields:
-                assert f.coords == chart.theta
-                for a in f.components:
+        for theta_rows in handed:
+            for row in theta_rows:
+                assert len(row) == len(chart.theta)
+                for a in row:
                     assert a.field.symbols == narrow
 
 
@@ -324,8 +325,7 @@ class TestPushforwardBasis:
             pass
         assert images
         for image in images:
-            reference = geometry.make_distribution(
-                image.coords, [f.components for f in image.fields])
+            reference = geometry.make_distribution(image.coords, image.rows)
             assert image == reference
 
     def test_sequence_calls_no_make_distribution(self, load_system, monkeypatch):
@@ -363,11 +363,10 @@ class TestSequenceWithoutExpressions:
             raise AssertionError("a sympy expression was converted")
 
         monkeypatch.setattr(symbolic, "to_elements", refuse)
-        xplus = geometry.shifted_state_symbols(system)
-        delta = geometry.Distribution(coords=xplus, fields=())
+        delta = geometry.Distribution(geometry.shifted_state_symbols(system.states), ())
         for step in report.steps:
-            E = geometry.lift_distribution(delta, system)
-            D = geometry.largest_projectable_subdistribution(E, system, report.chart)
-            assert (delta.dim, E.dim, D.dim) == (step.dim_delta, step.dim_E, step.dim_D)
-            delta = geometry.pushforward_distribution(D, system, report.chart)
-        assert delta.dim == report.steps[-1].dim_delta
+            E = geometry.lift_distribution(delta, report.chart)
+            D, delta_next = geometry.largest_projectable_subdistribution(E, report.chart)
+            assert (delta.dim, E.dim, D.dim) == (step.delta.dim, step.E.dim, step.D.dim)
+            delta = delta_next
+        assert delta.dim == report.steps[-1].delta.dim

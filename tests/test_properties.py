@@ -6,6 +6,7 @@ verdict properties are checked against ground truth rather than against
 the implementation itself.
 """
 
+import functools
 import inspect
 import math
 import operator
@@ -50,8 +51,9 @@ def random_field(rng, coords):
 
 
 def _field(coords, components):
-    """A vector field from sympy expressions, read over QQ(coords)."""
-    return geometry.VectorField(coords, tuple(symbolic.to_elements(components, coords)[1]))
+    """A vector field's component row from sympy expressions, read over
+    QQ(coords)."""
+    return tuple(symbolic.to_elements(components, coords)[1])
 
 
 def unimodular_matrix(rng, size):
@@ -74,9 +76,9 @@ class TestBracketAlgebra:
         rng = random.Random(seed)
         a = random_field(rng, COORDS3)
         b = random_field(rng, COORDS3)
-        ab = geometry_oracles.lie_bracket(a, b)
-        ba = geometry_oracles.lie_bracket(b, a)
-        for p, q in zip(ab.components, ba.components):
+        ab = geometry_oracles.lie_bracket(COORDS3, a, b)
+        ba = geometry_oracles.lie_bracket(COORDS3, b, a)
+        for p, q in zip(ab, ba):
             assert sp.expand(symbolic.expression(p) + symbolic.expression(q)) == 0
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -85,13 +87,14 @@ class TestBracketAlgebra:
         a = random_field(rng, COORDS3)
         b = random_field(rng, COORDS3)
         c = random_field(rng, COORDS3)
+        bracket = functools.partial(geometry_oracles.lie_bracket, COORDS3)
         cyclic = [
-            geometry_oracles.lie_bracket(a, geometry_oracles.lie_bracket(b, c)),
-            geometry_oracles.lie_bracket(b, geometry_oracles.lie_bracket(c, a)),
-            geometry_oracles.lie_bracket(c, geometry_oracles.lie_bracket(a, b)),
+            bracket(a, bracket(b, c)),
+            bracket(b, bracket(c, a)),
+            bracket(c, bracket(a, b)),
         ]
         for i in range(3):
-            total = sum(symbolic.expression(f.components[i]) for f in cyclic)
+            total = sum(symbolic.expression(row[i]) for row in cyclic)
             assert sp.expand(total) == 0
 
 
@@ -122,7 +125,7 @@ class TestPushforwardCommutesWithBracket:
         jac = sp.Matrix(
             [[sp.diff(fi, c) for c in coords] for fi in forward]
         )
-        comps = jac * sp.Matrix(len(coords), 1, [symbolic.expression(c) for c in field.components])
+        comps = jac * sp.Matrix(len(coords), 1, [symbolic.expression(c) for c in field])
         pushed = [
             sp.expand(sp.cancel(comp.subs(inverse, simultaneous=True)))
             for comp in comps
@@ -140,13 +143,14 @@ class TestPushforwardCommutesWithBracket:
         a = random_field(rng, COORDS3)
         b = random_field(rng, COORDS3)
         lhs = self._pushforward(
-            geometry_oracles.lie_bracket(a, b), forward, inverse, COORDS3
+            geometry_oracles.lie_bracket(COORDS3, a, b), forward, inverse, COORDS3
         )
         rhs = geometry_oracles.lie_bracket(
+            COORDS3,
             self._pushforward(a, forward, inverse, COORDS3),
             self._pushforward(b, forward, inverse, COORDS3),
         )
-        for p, q in zip(lhs.components, rhs.components):
+        for p, q in zip(lhs, rhs):
             assert sp.expand(sp.cancel(symbolic.expression(p) - symbolic.expression(q))) == 0
 
 
@@ -161,7 +165,7 @@ def _span_equal(a, b):
 def _mixed_rows(rng, dist, K):
     """Rows spanning the same distribution over the function field, as
     elements of K."""
-    M = sp.Matrix([[symbolic.expression(c) for c in f.components] for f in dist.fields])
+    M = sp.Matrix([[symbolic.expression(c) for c in row] for row in dist.rows])
     U = unimodular_matrix(rng, M.rows)
     mixed = U * M
     if M.rows > 1:
@@ -208,9 +212,7 @@ class TestLargestProjectableSubdistribution:
             step.E.coords, _mixed_rows(rng, step.E, report.chart.function_field)
         )
         assert _span_equal(mixed, step.E)
-        recomputed = geometry.largest_projectable_subdistribution(
-            mixed, system, report.chart
-        )
+        recomputed, _ = geometry.largest_projectable_subdistribution(mixed, report.chart)
         assert _span_equal(recomputed, step.D)
 
     @pytest.mark.parametrize("seed, name, k", _lps_cases())
@@ -223,9 +225,7 @@ class TestLargestProjectableSubdistribution:
         mixed = geometry.make_distribution(
             step.D.coords, _mixed_rows(rng, step.D, report.chart.function_field)
         )
-        again = geometry.largest_projectable_subdistribution(
-            mixed, system, report.chart
-        )
+        again, _ = geometry.largest_projectable_subdistribution(mixed, report.chart)
         assert _span_equal(again, step.D)
 
 
@@ -281,11 +281,11 @@ class TestInvarianceUnderLinearStateChanges:
         assert new_report.kbar == report.kbar
         assert new_report.sfl == report.sfl
         assert geometry_oracles.sfl_dimensions_are_brunovsky(new_report)
-        assert [s.dim_delta for s in new_report.steps] == [
-            s.dim_delta for s in report.steps
+        assert [s.delta.dim for s in new_report.steps] == [
+            s.delta.dim for s in report.steps
         ]
-        assert [s.dim_D for s in new_report.steps] == [
-            s.dim_D for s in report.steps
+        assert [s.D.dim for s in new_report.steps] == [
+            s.D.dim for s in report.steps
         ]
         if new_report.flat:
             assert geometry_oracles.linearization_is_controllable(transformed)
@@ -312,8 +312,8 @@ class TestFlat4UnderLinearStateChanges:
         system = self._changed(flat4, s)
         report = analysis.run_algorithm1(system)
         assert (report.verdict, report.kbar, report.sfl) == ("FLAT", 3, False)
-        assert [(step.dim_delta, step.dim_D) for step in report.steps] == [
-            (step.dim_delta, step.dim_D) for step in flat4_report.steps]
+        assert [(step.delta.dim, step.D.dim) for step in report.steps] == [
+            (step.delta.dim, step.D.dim) for step in flat4_report.steps]
         assert geometry_oracles.linearization_is_controllable(system)
         if s == 2:
             with pytest.raises(StraighteningError) as info:
@@ -335,6 +335,80 @@ class TestFlat4UnderLinearStateChanges:
             "the chart inverse was not found: the elimination gave up on %s: no "
             "equation left has a factor linear in one of them, and none is "
             "univariate (xi = ('x1', 'x2'))" % unknowns)
+
+
+# The linear state changes of A, B and D whose chart inverse is not found,
+# and the xi of that chart (TestSmallFlatSystemsUnderLinearStateChanges).
+SMALL_FLAT_CHART_ERRORS = {
+    "B": {7701: ("x1", "x2"), 7702: ("x1", "x2"), 7703: ("x1", "x2"),
+          7705: ("x1", "x2"), 7706: ("x1", "x2"), 7707: ("x1", "x2")},
+    "D": {7700: ("x1", "x2"), 7701: ("x1", "x2"), 7702: ("x1", "x4"),
+          7703: ("x1", "x2"), 7705: ("x1", "x4"), 7706: ("x1", "x4"),
+          7707: ("x1", "x2")},
+}
+
+
+class TestSmallFlatSystemsUnderLinearStateChanges:
+    """A, B and D are flat but not static feedback linearizable, like
+    flat4, with inputs u1, u2 and u2 = 1, every other variable 0, at the
+    equilibrium:
+
+    - A: ``x1+ = x2 + u2*x3, x2+ = u1, x3+ = u2 - 1``;
+    - B: ``x1+ = x2 + u2*x3, x2+ = x3 + u1*u2, x3+ = u2 - 1 + x1``;
+    - D: ``x1+ = x2*u2, x2+ = x3 + x1, x3+ = u1 + x4*u2, x4+ = x1 + u2 - 1``.
+
+    Flatness does not depend on coordinates, so each linear state change
+    of seeds 7700-7707 is FLAT with the base's kbar and dimension table,
+    or fails honestly.  Every A case is FLAT.  For the other B and D
+    seeds no rational chart inverse is found yet, and the chart says for
+    which fibre coordinates.  These outcomes are pinned as they are: a
+    pinned ChartError may move to FLAT, a FLAT case never moves back."""
+
+    # kbar and the (dim Delta_k, dim D_k) table of each base system
+    TABLES = {"A": (2, [(0, 1), (1, 3), (3, 5)]),
+              "B": (2, [(0, 1), (1, 3), (3, 5)]),
+              "D": (3, [(0, 1), (1, 2), (2, 4), (4, 6)])}
+
+    @staticmethod
+    def _changed(name, s):
+        x4, u1, u2 = sp.symbols("x4 u1 u2")
+        states, update = {
+            "A": ((x1, x2, x3), (x2 + u2 * x3, u1, u2 - 1)),
+            "B": ((x1, x2, x3), (x2 + u2 * x3, x3 + u1 * u2, u2 - 1 + x1)),
+            "D": ((x1, x2, x3, x4), (x2 * u2, x3 + x1, u1 + x4 * u2, x1 + u2 - 1)),
+        }[name]
+        system = DiscreteTimeSystem(
+            name=name,
+            states=states,
+            inputs=(u1, u2),
+            update=update,
+            equilibrium={**dict.fromkeys(states + (u1,), 0), u2: 1},
+            source_digest=None,
+        )
+        if s is None:
+            return system
+        return _linear_state_change(system, unimodular_matrix(random.Random(s), len(states)))
+
+    @pytest.mark.parametrize("name, s", [
+        (name, s) for name in "ABD" for s in (None,) + tuple(range(7700, 7708))
+        if s not in SMALL_FLAT_CHART_ERRORS.get(name, {})])
+    def test_flat_with_the_dimensions_of_the_base(self, name, s):
+        system = self._changed(name, s)
+        report = analysis.run_algorithm1(system)
+        kbar, table = self.TABLES[name]
+        assert (report.verdict, report.kbar, report.sfl) == ("FLAT", kbar, False)
+        assert [(step.delta.dim, step.D.dim) for step in report.steps] == table
+        assert geometry_oracles.linearization_is_controllable(system)
+
+    @pytest.mark.parametrize("name, s, xi", [
+        (name, s, xi) for name, seeds in SMALL_FLAT_CHART_ERRORS.items()
+        for s, xi in seeds.items()])
+    def test_chart_inverse_not_found(self, name, s, xi):
+        with pytest.raises(ChartError) as info:
+            analysis.run_algorithm1(self._changed(name, s))
+        assert str(info.value) == (
+            "the chart inverse was not found: no solution branch is rational in u2 "
+            "(xi = %s)" % (xi,))
 
 
 class TestIr2UnderLinearStateChanges:

@@ -1,6 +1,10 @@
-"""The code-line counter of tools/code_lines.py."""
+"""The code-line counter of tools/code_lines.py, and the names of the
+benchmark's per-layer metrics."""
 
+import importlib
 import importlib.util
+import inspect
+import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -44,3 +48,40 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines] == [
         ["2", str(tmp_path / "a.py")], ["1", str(tmp_path / "b.py")], ["3", "total"]]
+
+
+# Per-layer metrics of BENCHMARK.json whose functions flatcheck no longer
+# has; a change to the benchmark replaces them.
+GONE_FROM_THE_PACKAGE = frozenset({
+    "symbolic.canonical_pair", "symbolic.clear_denominators", "symbolic.evaluate_exact",
+    "symbolic.function_field_rref", "symbolic.is_zero", "symbolic.rank_at_point",
+    "symbolic.solve_algebraic"})
+
+
+def _is_public_function(module, attr) -> bool:
+    fn = getattr(module, attr, None)
+    return (not attr.startswith("_") and inspect.isfunction(fn)
+            and fn.__module__ == module.__name__)
+
+
+def test_benchmark_per_layer_names_are_public_functions():
+    """The benchmark's tracer times the public functions of flatcheck's
+    layer modules by name, so a per-layer metric <layer>.<function>.<stat>
+    of BENCHMARK.json whose function is private, renamed or gone would
+    read 0 instead of failing.  Metrics of other sources (sympy.*,
+    import.*, trace.*) are not checked."""
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    checked, wrong = set(), []
+    for metric in per_layer:
+        parts = metric["name"].split(".")
+        if len(parts) != 3 or importlib.util.find_spec("flatcheck." + parts[0]) is None:
+            continue
+        name = "%s.%s" % tuple(parts[:2])
+        checked.add(name)
+        module = importlib.import_module("flatcheck." + parts[0])
+        # a gone name that is back must leave the exemptions
+        expected = name not in GONE_FROM_THE_PACKAGE
+        if _is_public_function(module, parts[1]) != expected:
+            wrong.append(name)
+    assert "geometry.pushforward_distribution" in checked
+    assert wrong == []
