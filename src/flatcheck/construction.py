@@ -7,7 +7,9 @@ produced is turned into explicit artifacts in four stages:
    state coordinates whose blocks mirror the chain,
 2. peel the dynamics step by step: each step splits off redundant fibre
    directions and straightens the projectable distribution of that step,
-   introducing fresh coordinates and carry-over functions,
+   introducing fresh coordinates and carry-over functions.  Every step,
+   step 0 included, runs the same body and the same redundancy test, and
+   each dependence check of block dynamics runs once,
 3. read the flat output, its components y1..ym in QQ(x, u), and the
    implicit triangular equations off the combined coordinate change,
 4. solve the triangular blocks for a difference parametrization of the
@@ -145,7 +147,7 @@ class StateTransformation:
         return tuple(s for block in self.blocks for s in block)
 
 
-def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTransformation:
+def straighten_distribution_chain(chain, point, max_degree=3) -> StateTransformation:
     """Build a state transformation adapted to a nested distribution chain.
 
     chain lists the distributions over the state symbols in ascending
@@ -159,8 +161,6 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
     if not chain:
         raise FlatcheckError("cannot straighten an empty chain")
     states = tuple(chain[0].coords)
-    if not set(states) <= set(chart.system_vars):
-        raise FlatcheckError("chain coordinates are not state variables of the chart")
     dims = [d.dim for d in chain]
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise FlatcheckError("chain dimensions must increase strictly")
@@ -205,8 +205,9 @@ def straighten_distribution_chain(chain, chart, point, max_degree=3) -> StateTra
         inverse=inverse,
         point=values,
     )
-    # each chain member must lie along its own and earlier blocks
-    for k, dist in enumerate(chain, start=1):
+    # each chain member must lie along its own and earlier blocks; the
+    # last spans every block
+    for k, dist in enumerate(chain[:-1], start=1):
         inside = {s for block in blocks[:k] for s in block}
         for row in _transform(dist, forward, new_syms, inverse):
             for c, a in zip(new_syms, row):
@@ -258,9 +259,10 @@ class DecompositionState:
     QQ(x, u), inverse_current maps x and u to elements of coordinates =
     QQ(current coordinates).  dynamics holds st.forward[s] composed with
     f per block symbol s, stands_for the values of the chart symbols
-    (theta = f, xi = xi_choice), both in base.  y_blocks and zhat_blocks
-    collect the symbols of the steps done so far, y_blocks[k - 1] and
-    zhat_blocks[k] those of step k."""
+    (theta = f, xi = xi_choice), both in base.  gamma is the fibre of the
+    next step: the inputs before step 0, block k + 1 and the eta of step
+    k after step k.  y_blocks and zhat_blocks collect the symbols of the
+    steps done so far, y_blocks[k] and zhat_blocks[k] those of step k."""
 
     system: object
     report: object
@@ -270,7 +272,7 @@ class DecompositionState:
     dynamics: dict
     stands_for: dict
     max_degree: int = 3
-    eta: list = field(default_factory=list)
+    gamma: list = field(default_factory=list)
     verticals: list = field(default_factory=list)
     forward_all: dict = field(default_factory=dict)
     inverse_current: dict = field(default_factory=dict)
@@ -356,61 +358,49 @@ def decompose_step(k, state: DecompositionState, basis):
     straighten the projectable distribution of the step.
 
     basis is the projectable distribution of step k over the base
-    variables.  Appends the symbols y split off with the redundant
-    directions (from step 1 on) and the symbols zhat of the
-    straightening to the state's blocks."""
+    variables.  Every step, step 0 included, runs the same body: the
+    fibre gamma (the inputs at step 0, else block k and the eta of the
+    step before) carries the dynamics of the blocks above, whose rank in
+    gamma gives the redundant directions mu, checked against the report.
+    Each dependence of block dynamics is checked once: those of blocks
+    k+1..kbar where the step opens, that of block k+1 again in its new
+    coordinates.  Appends the symbols y split off with the redundant
+    directions and the symbols zhat of the straightening to the state's
+    blocks."""
     report = state.report
     kbar = report.kbar
     rho_next = report.steps[k + 1].rho
     remaining = state.remaining_states(k)
-    mu_reported = report.steps[k].mu
+    gamma = state.gamma
 
-    if k == 0:
-        gamma = list(state.system.inputs)
-    else:
-        gamma = list(state.st.blocks[k - 1]) + list(state.eta)
-
-    zeta_syms, y_syms = list(gamma), []
-    if k == 0:
-        mu = 0
-        if mu_reported != 0:
-            raise FlatcheckError(
-                "analysis reported %d redundant directions at step 0 for a system "
-                "with full input rank" % mu_reported
-            )
-    else:
-        K = symbolic.field(remaining + gamma)
-        fbar_rows = []
-        for j in range(k + 1, kbar + 1):
-            fbar_rows += _fbar_block(
-                state, j, K,
-                "dynamics of block %d depend on coordinates consumed at step %d" % (j, k - 1))
-        rank_generic, rank_point = symbolic.jacobian_ranks(K, fbar_rows, gamma,
-                                                           state.point_cur)
-        if rank_point != rank_generic:
-            raise FlatcheckError(
-                "subsystem input rank drops at the equilibrium at step %d" % k
-            )
-        mu = len(gamma) - rank_generic
-        if mu != mu_reported:
-            raise FlatcheckError(
-                "redundancy mismatch at step %d: decomposition found %d, analysis "
-                "reported %d" % (k, mu, mu_reported)
-            )
-        if mu:
-            jacobian = [[symbolic.derivative(a, g) for g in gamma] for a in fbar_rows]
-            rref, pivots = symbolic.element_rref(K, jacobian, len(gamma))
-            kernel_rows = [
-                [K.zero] * len(remaining) + vec
-                for vec in symbolic.element_nullspace(K, rref, pivots, len(gamma))
-            ]
-            zeta_syms, y_syms = _split_fibre(
-                state, k, kernel_rows, remaining, gamma, len(gamma) - mu, ("zeta", "y"),
-                "redundant directions at step %d" % k)
-            K = symbolic.field(remaining + zeta_syms)
-            for j in range(k + 1, kbar + 1):
-                _fbar_block(state, j, K,
-                            "dynamics above step %d retain consumed directions" % k)
+    K = symbolic.field(remaining + gamma)
+    fbar_rows = []
+    for j in range(k + 1, kbar + 1):
+        fbar_rows += _fbar_block(
+            state, j, K,
+            "dynamics of block %d depend on coordinates consumed before step %d" % (j, k))
+    rank_generic, rank_point = symbolic.jacobian_ranks(K, fbar_rows, gamma, state.point_cur)
+    if rank_point != rank_generic:
+        raise FlatcheckError(
+            "subsystem input rank drops at the equilibrium at step %d" % k
+        )
+    mu = len(gamma) - rank_generic
+    if mu != report.steps[k].mu:
+        raise FlatcheckError(
+            "redundancy mismatch at step %d: decomposition found %d, analysis "
+            "reported %d" % (k, mu, report.steps[k].mu)
+        )
+    zeta_syms, y_syms = gamma, []
+    if mu:
+        jacobian = [[symbolic.derivative(a, g) for g in gamma] for a in fbar_rows]
+        rref, pivots = symbolic.element_rref(K, jacobian, len(gamma))
+        kernel_rows = [
+            [K.zero] * len(remaining) + vec
+            for vec in symbolic.element_nullspace(K, rref, pivots, len(gamma))
+        ]
+        zeta_syms, y_syms = _split_fibre(
+            state, k, kernel_rows, remaining, gamma, len(gamma) - mu, ("zeta", "y"),
+            "redundant directions at step %d" % k)
 
     # straighten the projectable distribution over the new fibre
     coords = remaining + zeta_syms + state.verticals
@@ -447,7 +437,7 @@ def decompose_step(k, state: DecompositionState, basis):
         "straightening at step %d" % k)
 
     # the straightened distribution must now be exactly the vertical span
-    new_coords = state.remaining_states(k) + eta_syms + state.verticals
+    new_coords = remaining + eta_syms + state.verticals
     rows = _transform(basis, state.forward_all, new_coords, state.inverse_current,
                       state.stands_for)
     n_outside = len(new_coords) - len(state.verticals)
@@ -458,13 +448,9 @@ def decompose_step(k, state: DecompositionState, basis):
                              len(state.verticals)) != basis.dim:
         raise FlatcheckError("straightened distribution at step %d lost dimension" % k)
 
-    # dynamics above the step must not see the consumed fibre directions
-    allowed_above = state.remaining_states(k) + eta_syms
-    K = symbolic.field(allowed_above)
-    for j in range(k + 2, kbar + 1):
-        _fbar_block(state, j, K,
-                    "dynamics of block %d depend on coordinates consumed at step %d" % (j, k))
-    K = symbolic.field(allowed_above + zhat_syms)
+    # block k + 1 must see the consumed fibre directions only through zhat;
+    # the blocks above it are checked where step k + 1 opens
+    K = symbolic.field(remaining + eta_syms + zhat_syms)
     next_rows = _fbar_block(
         state, k + 1, K,
         "dynamics of block %d depend on coordinates consumed at step %d" % (k + 1, k))
@@ -477,9 +463,8 @@ def decompose_step(k, state: DecompositionState, basis):
         raise FlatcheckError(
             "block %d dynamics are singular at the equilibrium" % (k + 1)
         )
-    state.eta = list(eta_syms)
-    if k:
-        state.y_blocks.append(tuple(y_syms))
+    state.gamma = list(state.st.blocks[k]) + eta_syms
+    state.y_blocks.append(tuple(y_syms))
     state.zhat_blocks.append(tuple(zhat_syms))
 
 
@@ -491,10 +476,13 @@ class DecompositionTrace:
     z_values expresses them as elements of QQ(x, u) and z_inverse goes
     the other way, into QQ(z_symbols).  combined_rows spell out the
     combined coordinate change: every transformed state and every input
-    as an element of QQ(z_symbols).  dynamics holds the transformed
-    dynamics st.forward[s] composed with f per block symbol s, in
-    QQ(x, u).  Every one of these fields has its generators sorted by
-    name."""
+    as an element of QQ(z_symbols).  Level k of the final coordinates is
+    y_blocks[k] and zhat_blocks[k], the symbols of peeling step k, and
+    the top level kbar is y_blocks[kbar], the flat output's last block;
+    y_blocks[0] is empty, since the inputs have full rank.  dynamics
+    holds the transformed dynamics st.forward[s] composed with f per
+    block symbol s, in QQ(x, u).  Every one of these fields has its
+    generators sorted by name."""
 
     system: object
     transformation: StateTransformation
@@ -506,11 +494,11 @@ class DecompositionTrace:
     y_blocks: tuple
     zhat_blocks: tuple
     y_level_symbols: tuple
-    dynamics: dict = field(default_factory=dict, compare=False, repr=False)
+    dynamics: dict = field(compare=False, repr=False)
 
     @property
     def kbar(self) -> int:
-        return len(self.y_blocks)
+        return len(self.zhat_blocks)
 
 
 def extract_flat_output(system, report, max_degree=3) -> tuple:
@@ -526,7 +514,7 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
     eq_point = system.equilibrium_point()
     state_point = {s: eq_point[s] for s in system.states}
     chain = [restate_distribution(d, system) for d in report.delta_chain()]
-    st = straighten_distribution_chain(chain, report.chart, state_point, max_degree=max_degree)
+    st = straighten_distribution_chain(chain, state_point, max_degree=max_degree)
     kbar = report.kbar
     chart = report.chart
     new = st.ordered_symbols
@@ -546,12 +534,12 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
         system=system, report=report, st=st, base=base, coordinates=coordinates,
         dynamics={s: symbolic.compose(forward_all[s], update, base) for s in new},
         stands_for=stands_for, max_degree=max_degree, forward_all=forward_all,
-        inverse_current=inverse_current, point_cur=point_cur,
+        inverse_current=inverse_current, point_cur=point_cur, gamma=list(system.inputs),
     )
     for k in range(kbar):
         decompose_step(k, state, report.steps[k].D)
 
-    top_sources = list(st.blocks[kbar - 1]) + list(state.eta)
+    top_sources = state.gamma
     top_syms = [symbolic.symbol("y%d_%d" % (kbar, i + 1)) for i in range(len(top_sources))]
     for sym, src in zip(top_syms, top_sources):
         forward_all[sym] = forward_all[src]
@@ -561,10 +549,9 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
     zhat_blocks = state.zhat_blocks
 
     z_symbols, y_level_symbols = list(top_syms), list(top_syms)
-    for k in range(kbar - 1, 0, -1):
-        z_symbols += y_blocks[k - 1] + zhat_blocks[k]
-        y_level_symbols += y_blocks[k - 1]
-    z_symbols += zhat_blocks[0]
+    for k in range(kbar - 1, -1, -1):
+        z_symbols += y_blocks[k] + zhat_blocks[k]
+        y_level_symbols += y_blocks[k]
     if len(z_symbols) != system.n + system.m:
         raise FlatcheckError(
             "decomposition produced %d final coordinates for %d variables"
@@ -625,17 +612,12 @@ class ImplicitTriangularForm:
     coordinate to its successor symbol."""
 
     blocks: tuple
-    z_symbols: tuple
     shifted: dict
-    y_symbols: tuple
     trace: DecompositionTrace
 
 
 def _level_symbols(trace: DecompositionTrace, j) -> tuple:
-    syms = list(trace.y_blocks[j - 1])
-    if j <= trace.kbar - 1:
-        syms.extend(trace.zhat_blocks[j])
-    return tuple(syms)
+    return trace.y_blocks[j] + (trace.zhat_blocks[j] if j < trace.kbar else ())
 
 
 def to_implicit_triangular(trace: DecompositionTrace):
@@ -687,9 +669,7 @@ def to_implicit_triangular(trace: DecompositionTrace):
         )
     return ImplicitTriangularForm(
         blocks=tuple(blocks),
-        z_symbols=trace.z_symbols,
         shifted=shifted,
-        y_symbols=trace.y_level_symbols,
         trace=trace,
     )
 
@@ -707,7 +687,7 @@ def _composed(elements, images, keep=()):
 
 
 def _format_equations(equations) -> str:
-    return "; ".join("%s = 0" % symbolic.expression(a) for a in equations)
+    return "; ".join("%s = 0" % symbolic.to_infix(a) for a in equations)
 
 
 def parametrize_from_triangular(form: ImplicitTriangularForm):
@@ -719,7 +699,7 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
     the jets its equations use).  Raises ImplicitSolveError when a block
     has no rational solution branch through the equilibrium."""
     trace = form.trace
-    ys = form.y_symbols
+    ys = trace.y_level_symbols
     jets = [verification.jet_symbol(j, s) for s in (0, 1) for j in range(1, len(ys) + 1)]
     param = dict(zip(list(ys) + [form.shifted[y] for y in ys],
                      symbolic.generators(symbolic.field(jets), jets)))
@@ -727,7 +707,7 @@ def parametrize_from_triangular(form: ImplicitTriangularForm):
     def at_equilibrium(sym):
         """A jet takes the equilibrium value of its component."""
         j, _ = verification.parse_jet_symbol(sym)
-        return trace.z_point[form.y_symbols[j - 1] if j is not None else sym]
+        return trace.z_point[ys[j - 1] if j is not None else sym]
 
     for block in form.blocks:
         unknowns = list(block.solved_for)

@@ -11,7 +11,7 @@ and returns with D_k.
 Conventions.  A distribution is its coordinate tuple and one row of
 components per basis field.  Every component is an element of a
 rational function field, which only the symbolic module looks inside
-(``symbolic.expression`` gives the expression), one field per space:
+(``symbolic.to_infix`` prints one), one field per space:
 over the base variables (x, u) the chart's wide field QQ(x, u, theta, xi), in
 chart coordinates the narrow field QQ(theta, xi), over the shifted state
 symbols x<i>_p1 of the image space QQ(x_p1, ...).  Lift and pushforward
@@ -137,11 +137,11 @@ class Chart:
     xi: tuple
     forward: dict
     xi_choice: tuple
-    function_field: object = field(default=None, compare=False, repr=False)
-    inverse: dict = field(default_factory=dict, compare=False, repr=False)
-    jacobian: tuple = field(default=(), compare=False, repr=False)
-    df_at_equilibrium: tuple = field(default=(), compare=False, repr=False)
-    equilibrium: dict = field(default_factory=dict, compare=False, repr=False)
+    function_field: object = field(compare=False, repr=False)
+    inverse: dict = field(compare=False, repr=False)
+    jacobian: tuple = field(compare=False, repr=False)
+    df_at_equilibrium: tuple = field(compare=False, repr=False)
+    equilibrium: dict = field(compare=False, repr=False)
 
     @property
     def coords(self) -> tuple:
@@ -346,8 +346,8 @@ def largest_projectable_subdistribution(dist: Distribution, chart: Chart) -> tup
         comps = symbolic.fraction_row(K, numerators, denominator) if any(theta) else cleared
         if not _projectability(theta, chart):
             raise NotProjectableError(
-                "projectable basis extraction failed: %s"
-                % (tuple(map(symbolic.expression, comps)),)
+                "projectable basis extraction failed: (%s)"
+                % ", ".join(map(symbolic.to_infix, comps))
             )
         rows.append(tuple(comps))
         if any(theta):

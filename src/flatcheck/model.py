@@ -107,13 +107,13 @@ def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
         raise ValidationError("system %r: %s" % (system.name, exc)) from None
     point = system.equilibrium_point()
     states = symbolic.generators(K, system.states)
-    for i, (xi, a, x) in enumerate(zip(system.states, update, states)):
+    for xi, a, x in zip(system.states, update, states):
         try:
             value, target = symbolic.element_values(K, [[a, x]], point)[0]
         except ZeroDivisionError:
             raise ValidationError(
                 "system %r: the update of %s, %s, has a pole at the marked point"
-                % (system.name, xi, system.update[i])
+                % (system.name, xi, symbolic.to_infix(a))
             ) from None
         if value != target:
             raise ValidationError(

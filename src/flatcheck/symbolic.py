@@ -98,8 +98,9 @@ polynomial ansatz over QQ.  ``to_infix`` prints an element straight
 from its canonical numerator and denominator, in plain Python, the
 string that sympy's ``str`` prints for its canonical form (the rules
 are in its docstring); it builds no expression and calls no sympy
-printer.  Expressions are built only where they are read, for the
-numeric replay, ``simulate`` and error messages: ``expression`` builds
+printer, and every error message prints its elements with it.
+Expressions are built only where they are read, for the numeric replay
+and ``simulate``: ``expression`` builds
 the one that sympy's ``.as_expr()`` builds for the element's pair,
 ``canonicalize_element`` that of its canonical form, and the model
 parser builds ``system.update`` with ``Expressions``, the counterpart
@@ -937,7 +938,7 @@ def _compose_by_index(a, substitution, target, parts=None):
     if num is a.numer and den is a.denom:
         return a
     if not den:
-        raise ZeroDivisionError("denominator of %s vanishes" % expression(a))
+        raise ZeroDivisionError("denominator of %s vanishes" % to_infix(a))
     return _element(target, num * den_den, den * num_den)
 
 
@@ -1050,7 +1051,7 @@ def solve_elements(K, elements, unknowns) -> list:
         return [{}]
     for a in nonzero:
         if a.numer.is_ground and a.denom.is_ground:
-            raise InconsistentSystemError("equation %s = 0 is a contradiction" % expression(a))
+            raise InconsistentSystemError("equation %s = 0 is a contradiction" % to_infix(a))
     position = {s: i for i, s in enumerate(K.symbols)}
     order = list(dict.fromkeys(position[u] for u in unknowns))
     # an equation free of the unknowns cannot change a solution, and any
@@ -1869,7 +1870,7 @@ def _defined(result, a, point):
     because a's denominator vanishes there.  An element is in lowest
     terms, so that is a pole, and ZeroDivisionError is raised."""
     if result is None:
-        raise ZeroDivisionError("pole at %s in %s" % (point, expression(a)))
+        raise ZeroDivisionError("pole at %s in %s" % (point, to_infix(a)))
     return result
 
 

@@ -88,13 +88,13 @@ def test_criterion_2_flagship_flat_output_and_triangular(
     assert [b.k for b in form.blocks] == [3, 2, 1]
     assert sum(len(b.residuals) for b in form.blocks) == 4
     names = {}
-    for z in form.z_symbols:
+    for z in form.trace.z_symbols:
         names[str(z)] = z
         names[str(form.shifted[z])] = form.shifted[z]
-    for y in form.y_symbols:
+    for y in form.trace.y_level_symbols:
         names[str(y)] = y
         names[str(form.shifted[y])] = form.shifted[y]
-    y3 = next(y for y in form.y_symbols if str(y) == "y3_1")
+    y3 = next(y for y in form.trace.y_level_symbols if str(y) == "y3_1")
     names[str(form.shifted[y3])] = form.shifted[y3]
     expected_blocks = {
         3: [names["y3_1_p1"] - names["zhat2_1"]],
@@ -171,7 +171,7 @@ def test_criterion_5_static_feedback_linearizable_pattern(load_system, name):
     _, trace = construction.extract_flat_output(system, report)
     form = construction.to_implicit_triangular(trace)
     assert [b.k for b in form.blocks] == [2, 1]
-    levels = [[], [], list(form.y_symbols)]
+    levels = [[], [], list(form.trace.y_level_symbols)]
     for block in form.blocks:
         assert len(block.residuals) == 1
         assert len(block.solved_for) == 1

@@ -118,3 +118,16 @@ def test_sympy_use(name):
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id in aliases}
     assert used <= allowed
+
+
+def test_expressions_are_built_only_for_floats_and_the_model():
+    """An element becomes a sympy expression only for the float replay
+    (verification) and for the update map of a reduced system (model);
+    error messages print elements with symbolic.to_infix, as documents
+    do."""
+    readers = {
+        name for name in MODULES for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Attribute) and node.attr in ("expression", "canonicalize_element")
+        and isinstance(node.value, ast.Name) and node.value.id == "symbolic"
+    }
+    assert readers == {"verification", "model"}

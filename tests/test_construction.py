@@ -168,9 +168,7 @@ class TestStraightening:
             for d in flat4_report.delta_chain()
         ]
         point = {s: 0 for s in flat4.states}
-        st = construction.straighten_distribution_chain(
-            chain, flat4_report.chart, point=point
-        )
+        st = construction.straighten_distribution_chain(chain, point=point)
         assert len(st.blocks) == 3
         values = [[symbolic.expression(st.forward[s]) for s in block] for block in st.blocks]
         assert _same_set(values[2], [x1 * (x3 + 1)])
@@ -186,7 +184,7 @@ class TestStraightening:
         ]
         point = {s: 0 for s in flat4.states}
         with pytest.raises(FlatcheckError) as info:
-            construction.straighten_distribution_chain(chain[:-1], flat4_report.chart, point)
+            construction.straighten_distribution_chain(chain[:-1], point)
         assert str(info.value) == "the distribution chain does not fill the state space"
 
     def test_fibre_change_without_rational_inverse(self):
@@ -238,14 +236,15 @@ class TestExtractFlatOutput:
         assert len(trace.z_symbols) == flat4.n + flat4.m
 
     def test_redundancy_mismatch_is_refused(self, flat4, flat4_report):
-        """The peeling counts the redundant directions of each step itself
-        and refuses a report whose mu disagrees."""
-        steps = list(flat4_report.steps)
-        steps[1] = dataclasses.replace(steps[1], mu=steps[1].mu + 1)
-        report = dataclasses.replace(flat4_report, steps=tuple(steps))
-        with pytest.raises(FlatcheckError, match="redundancy mismatch at step 1: "
-                           "decomposition found 0, analysis reported 1"):
-            construction.extract_flat_output(flat4, report)
+        """The peeling counts the redundant directions of each step itself,
+        step 0 included, and refuses a report whose mu disagrees."""
+        for k in (0, 1):
+            steps = list(flat4_report.steps)
+            steps[k] = dataclasses.replace(steps[k], mu=steps[k].mu + 1)
+            report = dataclasses.replace(flat4_report, steps=tuple(steps))
+            with pytest.raises(FlatcheckError, match="redundancy mismatch at step %d: "
+                               "decomposition found 0, analysis reported 1" % k):
+                construction.extract_flat_output(flat4, report)
 
     def test_combined_transformation(self, flat4_artifacts):
         trace = flat4_artifacts[1]
@@ -430,11 +429,33 @@ class TestPeelingOnFieldElements:
 
         monkeypatch.setattr(construction, "_transform", recorded)
         construction.extract_flat_output(system, report)
-        assert len(seen) == 2 * report.kbar + len(report.delta_chain())
+        assert len(seen) == 2 * report.kbar + len(report.delta_chain()) - 1
         for coords, rows in seen:
             for row in rows:
                 for a in row:
                     assert _used_generators(a) <= set(coords)
+
+    @pytest.mark.parametrize("model_name", ["chain2", "flat4", "sfl_quadratic", "shift1",
+                                            "redundant_input"])
+    def test_each_block_is_renamed_into_a_field_once(self, model_name, load_system,
+                                                     monkeypatch):
+        """Each dependence check of block dynamics runs once: no peeling
+        step renames a block into a field that another rename of it
+        already reached.  redundant_input is peeled after its reduction."""
+        system = load_system(model_name)
+        if model_name == "redundant_input":
+            system = model.eliminate_redundant_inputs(system).reduced
+        report = analysis.run_algorithm1(system)
+        seen = []
+        original = construction._fbar_block
+
+        def recorded(state, j, K, message):
+            seen.append((j, K.symbols))
+            return original(state, j, K, message)
+
+        monkeypatch.setattr(construction, "_fbar_block", recorded)
+        construction.extract_flat_output(system, report)
+        assert seen and len(seen) == len(set(seen))
 
     def test_transform_composes_each_element_once(self, flat4, flat4_report, monkeypatch):
         """Within one re-reading of a basis, an element shared by Jacobian
@@ -458,6 +479,6 @@ class TestPeelingOnFieldElements:
         monkeypatch.setattr(construction, "_transform", tracked)
         monkeypatch.setattr(symbolic, "compose", recorded)
         construction.extract_flat_output(flat4, flat4_report)
-        assert len(composed) == 2 * flat4_report.kbar + len(flat4_report.delta_chain())
+        assert len(composed) == 2 * flat4_report.kbar + len(flat4_report.delta_chain()) - 1
         for elements in composed:
             assert len(elements) == len(set(elements))

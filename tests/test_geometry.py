@@ -79,6 +79,12 @@ class TestDistribution:
             geometry_oracles.contains_distribution(
                 d, _distribution((x3, x4), [[1, 0]]))
 
+    def test_row_length_must_match_the_coordinates(self):
+        row = _field((x1, x2), (1, 0))
+        with pytest.raises(ValueError) as info:
+            geometry.Distribution((x1, x2, x3), (row,))
+        assert str(info.value) == "row has 2 components for 3 coordinates"
+
     def test_containment_refuses_a_foreign_function_field(self):
         d = _distribution((x1, x2), [[1, 0]])
         wider = tuple(symbolic.to_elements([x1, 0], (x1, x2, x3))[1])

@@ -412,6 +412,16 @@ next x2 = u
         else:
             assert not model.validate_system(shifted).redundant_inputs
 
+    def test_pole_message_prints_the_update_as_documents_do(self):
+        """The pole message prints the update element with to_infix, so
+        the model's expressions are not built on that error path."""
+        system = modelfile.parse_model(CHAIN.replace("next x1 = x2", "next x1 = x2^2/x1"))
+        with pytest.raises(ValidationError) as info:
+            model.validate_system(system)
+        assert str(info.value) == ("system 'chain': the update of x1, x2^2/x1, has a pole "
+                                   "at the marked point")
+        assert "update" not in vars(system)
+
     def test_redundant_inputs_flagged_not_fatal(self, redundant_input):
         report = model.validate_system(redundant_input)
         assert report.redundant_inputs
@@ -496,3 +506,26 @@ class TestDiscreteTimeSystem:
         assert symbolic.element_rank(K, full, len(system.variables)) == 2
         ijac = [[kernel_oracle.diff(f, u) for u in K.symbols[system.n :]] for f in update]
         assert (len(ijac), len(ijac[0])) == (2, 1)
+
+    def test_update_count_must_match_the_states(self):
+        system = modelfile.parse_model(CHAIN)
+        with pytest.raises(ValidationError) as info:
+            model.DiscreteTimeSystem(name="short", states=system.states, inputs=system.inputs,
+                                     update=system.update[:1], equilibrium=system.equilibrium)
+        assert str(info.value) == "system 'short': 2 states but 1 update equations"
+
+    def test_equilibrium_must_mark_every_variable(self):
+        system = modelfile.parse_model(CHAIN)
+        (u,) = system.inputs
+        partial = {v: 0 for v in system.states}
+        with pytest.raises(ValidationError) as info:
+            model.DiscreteTimeSystem(name="partial", states=system.states,
+                                     inputs=system.inputs, update=system.update,
+                                     equilibrium=partial)
+        assert str(info.value) == "system 'partial': equilibrium missing a value for %s" % u
+
+    def test_attributes_cannot_be_assigned(self):
+        system = modelfile.parse_model(CHAIN)
+        with pytest.raises(AttributeError, match="^a DiscreteTimeSystem is immutable$"):
+            system.name = "renamed"
+        assert system.name == "chain"

@@ -152,6 +152,27 @@ class TestSymbolicVerification:
         assert report.status in ("FAIL", "INCONCLUSIVE")
         assert p is None
 
+    def test_candidate_with_an_input_shift(self, chain2):
+        """A candidate built in code may use input shifts such as u_p1,
+        which the model grammar reserves; it is stacked with q = 1 and
+        its value at the equilibrium read with the shifts at u's value."""
+        x1, _ = chain2.states
+        (u,) = chain2.inputs
+        u_p1 = verification.input_shift_symbol(u, 1)
+        _, candidate = symbolic.to_elements([x1 + u_p1], list(chain2.variables) + [u_p1])
+        p, report = verification.verify_flat_output_symbolic(chain2, candidate)
+        assert p is None
+        assert (report.status, report.bound, report.detail) == (
+            "INCONCLUSIVE", 4, "stacked system unsolved at shift bound 4")
+
+    def test_candidate_with_an_unknown_symbol_is_refused(self, chain2):
+        x1, _ = chain2.states
+        w = sp.Symbol("w")
+        _, candidate = symbolic.to_elements([x1 + w], list(chain2.variables) + [w])
+        with pytest.raises(FlatcheckError) as info:
+            verification.verify_flat_output_symbolic(chain2, candidate)
+        assert str(info.value) == "candidate output uses unknown symbol w"
+
 
 def _gated_bounds(monkeypatch, system, candidate):
     """Report of verify with the rank gate held open, and per bound that
