@@ -264,15 +264,14 @@ class DecompositionState:
     k after step k.  y_blocks and zhat_blocks collect the symbols of the
     steps done so far, y_blocks[k] and zhat_blocks[k] those of step k."""
 
-    system: object
     report: object
     st: StateTransformation
     base: object
     coordinates: object
     dynamics: dict
     stands_for: dict
+    gamma: list
     max_degree: int = 3
-    gamma: list = field(default_factory=list)
     verticals: list = field(default_factory=list)
     forward_all: dict = field(default_factory=dict)
     inverse_current: dict = field(default_factory=dict)
@@ -531,7 +530,7 @@ def extract_flat_output(system, report, max_degree=3) -> tuple:
     forward_all.update(zip(system.inputs, symbolic.generators(base, system.inputs)))
     point_cur = {**st.point, **{u: eq_point[u] for u in system.inputs}}
     state = DecompositionState(
-        system=system, report=report, st=st, base=base, coordinates=coordinates,
+        report=report, st=st, base=base, coordinates=coordinates,
         dynamics={s: symbolic.compose(forward_all[s], update, base) for s in new},
         stands_for=stands_for, max_degree=max_degree, forward_all=forward_all,
         inverse_current=inverse_current, point_cur=point_cur, gamma=list(system.inputs),

@@ -194,8 +194,8 @@ class TestStraightening:
         w = sp.Symbol("w")
         K, (value,) = symbolic.to_elements([x1 + x1**3], [x1])
         state = construction.DecompositionState(
-            system=None, report=None, st=None, base=K, coordinates=K, dynamics={},
-            stands_for={}, forward_all={x1: symbolic.generators(K, [x1])[0]},
+            report=None, st=None, base=K, coordinates=K, dynamics={},
+            stands_for={}, gamma=[], forward_all={x1: symbolic.generators(K, [x1])[0]},
             point_cur={x1: 0})
         with pytest.raises(StraighteningError) as info:
             construction._change_fibre(state, {w: value}, [x1], 2)
