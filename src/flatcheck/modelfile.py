@@ -79,10 +79,11 @@ def _tokenize_line(text, line_no):
 
 class _ExprParser:
     """Precedence-climbing parser for the expression sublanguage.  The
-    actions (number, symbol, add, sub, mul, div, neg, power) build the
-    value: symbolic.Expressions or symbolic.Fractions.  Parsing starts at
-    the token index start; the tokens before it only place the end of an
-    empty expression."""
+    actions (number, symbol, add, mul, neg, power) build the value:
+    symbolic.Expressions or symbolic.Fractions; a - b is built as
+    a + (-b), and a / b as a * b^-1.  Parsing starts at the token index
+    start; the tokens before it only place the end of an empty
+    expression."""
 
     def __init__(self, tokens, symbols, line_no, actions=symbolic.Expressions, start=0):
         self.tokens = tokens
@@ -121,7 +122,7 @@ class _ExprParser:
             if tok is not None and tok.kind == "OP" and tok.text in "+-":
                 self._next()
                 rhs = self._term()
-                e = self.actions.add(e, rhs) if tok.text == "+" else self.actions.sub(e, rhs)
+                e = self.actions.add(e, rhs if tok.text == "+" else self.actions.neg(rhs))
             else:
                 return e
 
@@ -132,17 +133,17 @@ class _ExprParser:
             if tok is not None and tok.kind == "OP" and tok.text in "*/":
                 self._next()
                 rhs = self._unary()
-                e = (self.actions.mul(e, rhs) if tok.text == "*"
-                     else self._dividing(tok, self.actions.div, e, rhs))
+                if tok.text == "/":
+                    rhs = self._dividing(tok, rhs, -1)
+                e = self.actions.mul(e, rhs)
             else:
                 return e
 
-    @staticmethod
-    def _dividing(tok, action, x, y):
-        """action(x, y) for the operator tok, / or ^, which divides: a zero
-        divisor, which Fractions refuse, is a syntax error at tok."""
+    def _dividing(self, tok, x, k):
+        """x to the integer k for the operator tok, / or ^, which divides:
+        a zero divisor, which Fractions refuse, is a syntax error at tok."""
         try:
-            return action(x, y)
+            return self.actions.power(x, k)
         except symbolic.CoercionFailed:
             raise ModelSyntaxError("division by zero", tok.line, tok.column) from None
 
@@ -161,7 +162,7 @@ class _ExprParser:
         tok = self._peek()
         if tok is not None and tok.kind == "OP" and tok.text == "^":
             self._next()
-            return self._dividing(tok, self.actions.power, base, self._exponent())
+            return self._dividing(tok, base, self._exponent())
         return base
 
     def _exponent(self):

@@ -485,24 +485,15 @@ class Fractions:
 
     @staticmethod
     def add(x, y):
-        (num, den), (n, d) = x, y
-        if d == den:
-            return num + n, den
-        return num * d + n * den, den * d
+        return _fused_sum([x, y])
 
     @staticmethod
     def neg(x):
         return -x[0], x[1]
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     @staticmethod
     def mul(x, y):
         return x[0] * y[0], x[1] * y[1]
-
-    def div(self, x, y):
-        return self.mul(x, self.power(y, -1))
 
     @staticmethod
     def power(x, k):
@@ -558,10 +549,6 @@ class Expressions:
     def add(x, y):
         return _sum([x, y])
 
-    @classmethod
-    def sub(cls, x, y):
-        return _sum([x, cls.neg(y)])
-
     @staticmethod
     def neg(x):
         return _scaled(sp.S.NegativeOne, x) if x.is_Add else -x
@@ -573,12 +560,6 @@ class Expressions:
         if y.is_Rational and y and x.is_Add:
             return _scaled(y, x)
         return _merged_product(x, y)
-
-    @staticmethod
-    def div(x, y):
-        if y.is_Rational and y and x.is_Add:
-            return _scaled(1 / y, x)
-        return _merged_product(x, sp.Pow(y, sp.S.NegativeOne))
 
     @staticmethod
     def power(x, k):
@@ -667,8 +648,9 @@ def _polynomial_expression(poly):
 def _quotient_expression(P, Q):
     """The expression P / Q of the polynomials P and Q, each built as
     :func:`_polynomial_expression` builds it, divided as sympy divides
-    them."""
-    return Expressions.div(_polynomial_expression(P), _polynomial_expression(Q))
+    them: P * Q**-1."""
+    return Expressions.mul(_polynomial_expression(P),
+                           Expressions.power(_polynomial_expression(Q), -1))
 
 
 def expression(a):

@@ -66,6 +66,22 @@ class TestAnalyze:
         assert "error:" in err
         assert "update of x1" in err and "pole" in err
 
+    @pytest.mark.parametrize("name, model, message", [
+        ("rd", "states: x1\ninputs: u\nnext x1 = u^2 + x1^2\n",
+         "rank drop at equilibrium (rank 0 < n = 1)"),
+        ("ird", "states: x1, x2\ninputs: u\nnext x1 = x2\nnext x2 = x1 + u^2\n",
+         "input rank drop at equilibrium (0 < 1)"),
+    ])
+    def test_rank_drop_at_the_equilibrium_is_an_error(self, capsys, tmp_path, name, model,
+                                                      message):
+        """rd's Jacobian and ird's input columns have full rank
+        generically but not at the all-zero equilibrium."""
+        path = tmp_path / ("%s.sys" % name)
+        path.write_text("system %s\nequilibrium: all zero\n%s" % (name, model))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "error: system %r: %s\n" % (name, message) in err
+
     def test_chart_without_rational_inverse_is_an_error(self, capsys, tmp_path):
         """x1+ = u1^3 + u1 is regular in u1 at the equilibrium, but its
         inverse needs a root of a cubic, so no rational chart exists."""

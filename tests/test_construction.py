@@ -14,6 +14,8 @@ from flatcheck.errors import (
     StraighteningError,
 )
 
+from test_properties import TestSmallFlatSystemsUnderLinearStateChanges as _SmallFlat
+
 x1, x2, x3, x4 = sp.symbols("x1 x2 x3 x4")
 u1, u2 = sp.symbols("u1 u2")
 
@@ -429,7 +431,7 @@ class TestPeelingOnFieldElements:
 
         monkeypatch.setattr(construction, "_transform", recorded)
         construction.extract_flat_output(system, report)
-        assert len(seen) == 2 * report.kbar + len(report.delta_chain()) - 1
+        assert len(seen) == report.kbar + len(report.delta_chain()) - 1
         for coords, rows in seen:
             for row in rows:
                 for a in row:
@@ -457,6 +459,48 @@ class TestPeelingOnFieldElements:
         construction.extract_flat_output(system, report)
         assert seen and len(seen) == len(set(seen))
 
+    @pytest.mark.parametrize("name", ["chain2", "flat4", "sfl_quadratic", "shift1",
+                                      "quad_chain", "redundant_input", "A", "B", "D"])
+    def test_each_step_leaves_its_distribution_vertical(self, name, load_system,
+                                                        monkeypatch):
+        """Each peeling step transforms D_k once, before its straightening.
+        After the step D_k, re-read in the new coordinates (remaining,
+        eta, verticals), lies along the verticals and keeps its dimension.
+        The extraction ends with n + m final coordinates, m flat-output
+        components and an inverse in QQ(z_symbols).  redundant_input is
+        peeled after its reduction; A, B and D are the bases of
+        test_properties' small flat systems, with u2 = 1 at the
+        equilibrium."""
+        if name in ("A", "B", "D"):
+            system = _SmallFlat._changed(name, None)
+        else:
+            system = load_system(name)
+            if name == "redundant_input":
+                system = model.eliminate_redundant_inputs(system).reduced
+        report = analysis.run_algorithm1(system)
+        steps = []
+        original = construction.decompose_step
+
+        def checked(k, state, basis):
+            original(k, state, basis)
+            eta = state.gamma[len(state.st.blocks[k]):]
+            outside = state.remaining_states(k) + eta
+            rows = construction._transform(basis, state.forward_all, outside + state.verticals,
+                                           state.inverse_current, state.stands_for)
+            assert not any(a for row in rows for a in row[:len(outside)])
+            vertical = [row[len(outside):] for row in rows]
+            assert symbolic.element_rank(state.coordinates, vertical,
+                                         len(state.verticals)) == basis.dim
+            steps.append(k)
+
+        monkeypatch.setattr(construction, "decompose_step", checked)
+        components, trace = construction.extract_flat_output(system, report)
+        assert steps == list(range(report.kbar))
+        assert len(trace.z_symbols) == system.n + system.m
+        assert len(components) == system.m
+        Z = symbolic.field(trace.z_symbols)
+        assert all(a.field == Z for a in trace.z_inverse.values())
+
     def test_transform_composes_each_element_once(self, flat4, flat4_report, monkeypatch):
         """Within one re-reading of a basis, an element shared by Jacobian
         entries or basis entries is composed into the coordinates once."""
@@ -479,6 +523,6 @@ class TestPeelingOnFieldElements:
         monkeypatch.setattr(construction, "_transform", tracked)
         monkeypatch.setattr(symbolic, "compose", recorded)
         construction.extract_flat_output(flat4, flat4_report)
-        assert len(composed) == 2 * flat4_report.kbar + len(flat4_report.delta_chain()) - 1
+        assert len(composed) == flat4_report.kbar + len(flat4_report.delta_chain()) - 1
         for elements in composed:
             assert len(elements) == len(set(elements))

@@ -291,6 +291,17 @@ class TestInvarianceUnderLinearStateChanges:
             assert geometry_oracles.linearization_is_controllable(transformed)
 
 
+def _gave_up(unknowns, xi=("x1", "x2")):
+    """What the chart says when its elimination gives up on unknowns."""
+    return ("the elimination gave up on %s: no equation left has a factor linear in "
+            "one of them, and none is univariate (xi = %s)" % (unknowns, xi))
+
+
+def _not_rational(unknown, xi=("x1", "x2")):
+    """What the chart says when no solution branch is rational in unknown."""
+    return "no solution branch is rational in %s (xi = %s)" % (unknown, xi)
+
+
 class TestFlat4UnderLinearStateChanges:
     """flat4 is flat but not static feedback linearizable, and flatness
     does not depend on coordinates, so each linear state change of it is
@@ -299,9 +310,10 @@ class TestFlat4UnderLinearStateChanges:
     and for s = 3.  FLAT implies that the construction passes or fails
     honestly (StraighteningError, extract's exit 3): s = 3 builds a
     parametrization that checks, and s = 2's straightening has no
-    rational inverse in x1.  For s = 0, 1 and 4 no rational chart inverse
-    is found yet: the solver gives up, and the chart says on which
-    unknowns."""
+    rational inverse in x1.  For s = 0, 1, 4 and 5..24 no rational chart
+    inverse is found yet: the solver gives up, or no solution branch is
+    rational, and the chart says in which unknowns.  s = 9 is left out:
+    its analysis runs past 30 s."""
 
     @staticmethod
     def _changed(flat4, s):
@@ -326,15 +338,20 @@ class TestFlat4UnderLinearStateChanges:
                 construction.to_implicit_triangular(trace))
             assert verification.check_parametrization(system, p)[0]
 
-    @pytest.mark.parametrize("s, unknowns", [(0, "x3, x4, u1, u2"), (1, "x3, x4, u2"),
-                                             (4, "u1, u2")])
-    def test_chart_names_the_unknowns_left_unsolved(self, flat4, s, unknowns):
+    @pytest.mark.parametrize("s, reason", [
+        (0, _gave_up("x3, x4, u1, u2")), (1, _gave_up("x3, x4, u2")), (4, _gave_up("u1, u2")),
+        (5, _gave_up("u1, u2")), (6, _gave_up("u1, u2")), (7, _not_rational("x3")),
+        (8, _gave_up("x4, u1, u2")), (10, _not_rational("x4")), (11, _not_rational("x4")),
+        (12, _gave_up("x4, u1, u2")), (13, _not_rational("x4", ("x1", "x3"))),
+        (14, _gave_up("x1, x4, u1", ("x2", "x3"))), (15, _gave_up("x4, u1, u2")),
+        (16, _gave_up("x4, u1, u2")), (17, _gave_up("x3, x4, u2")),
+        (18, _not_rational("x4")), (19, _gave_up("x3, x4, u1, u2")),
+        (20, _gave_up("x3, x4, u2")), (21, _gave_up("u1, u2")), (22, _gave_up("x3, u1, u2")),
+        (23, _gave_up("x4, u1, u2")), (24, _not_rational("x3"))])
+    def test_chart_names_the_unknowns_left_unsolved(self, flat4, s, reason):
         with pytest.raises(ChartError) as info:
             analysis.run_algorithm1(self._changed(flat4, s))
-        assert str(info.value) == (
-            "the chart inverse was not found: the elimination gave up on %s: no "
-            "equation left has a factor linear in one of them, and none is "
-            "univariate (xi = ('x1', 'x2'))" % unknowns)
+        assert str(info.value) == "the chart inverse was not found: " + reason
 
 
 # The linear state changes of A, B and D whose chart inverse is not found,
@@ -346,6 +363,10 @@ SMALL_FLAT_CHART_ERRORS = {
           7703: ("x1", "x2"), 7705: ("x1", "x4"), 7706: ("x1", "x4"),
           7707: ("x1", "x2")},
 }
+
+# the bases of A, B and D and their linear state changes that are FLAT
+SMALL_FLAT_CASES = [(name, s) for name in "ABD" for s in (None,) + tuple(range(7700, 7708))
+                    if s not in SMALL_FLAT_CHART_ERRORS.get(name, {})]
 
 
 class TestSmallFlatSystemsUnderLinearStateChanges:
@@ -361,8 +382,9 @@ class TestSmallFlatSystemsUnderLinearStateChanges:
     of seeds 7700-7707 is FLAT with the base's kbar and dimension table,
     or fails honestly.  Every A case is FLAT.  For the other B and D
     seeds no rational chart inverse is found yet, and the chart says for
-    which fibre coordinates.  These outcomes are pinned as they are: a
-    pinned ChartError may move to FLAT, a FLAT case never moves back."""
+    which fibre coordinates.  Every FLAT case extracts a parametrization
+    that checks.  These outcomes are pinned as they are: a pinned
+    ChartError may move to FLAT, a FLAT case never moves back."""
 
     # kbar and the (dim Delta_k, dim D_k) table of each base system
     TABLES = {"A": (2, [(0, 1), (1, 3), (3, 5)]),
@@ -389,9 +411,7 @@ class TestSmallFlatSystemsUnderLinearStateChanges:
             return system
         return _linear_state_change(system, unimodular_matrix(random.Random(s), len(states)))
 
-    @pytest.mark.parametrize("name, s", [
-        (name, s) for name in "ABD" for s in (None,) + tuple(range(7700, 7708))
-        if s not in SMALL_FLAT_CHART_ERRORS.get(name, {})])
+    @pytest.mark.parametrize("name, s", SMALL_FLAT_CASES)
     def test_flat_with_the_dimensions_of_the_base(self, name, s):
         system = self._changed(name, s)
         report = analysis.run_algorithm1(system)
@@ -399,6 +419,13 @@ class TestSmallFlatSystemsUnderLinearStateChanges:
         assert (report.verdict, report.kbar, report.sfl) == ("FLAT", kbar, False)
         assert [(step.delta.dim, step.D.dim) for step in report.steps] == table
         assert geometry_oracles.linearization_is_controllable(system)
+
+    @pytest.mark.parametrize("name, s", SMALL_FLAT_CASES)
+    def test_extracts_a_parametrization_that_checks(self, name, s):
+        system = self._changed(name, s)
+        _, trace = construction.extract_flat_output(system, analysis.run_algorithm1(system))
+        p = construction.parametrize_from_triangular(construction.to_implicit_triangular(trace))
+        assert verification.check_parametrization(system, p)[0]
 
     @pytest.mark.parametrize("name, s, xi", [
         (name, s, xi) for name, seeds in SMALL_FLAT_CHART_ERRORS.items()

@@ -308,6 +308,16 @@ class TestNumericVerification:
         )
         assert result.status == "PASS"
 
+    def test_poles_in_every_resample_are_an_error(self, chain2):
+        """y1^-400 overflows at every sample near the equilibrium, so the
+        first trial gives up after its resamples."""
+        _, (a, b, c) = symbolic.to_elements(sp.sympify(("y1^-400", "y1_p1", "y1_p2")),
+                                            sp.symbols("y1 y1_p1 y1_p2"))
+        p = verification.FlatParametrization(F_x=(a, b), F_u=(c,))
+        with pytest.raises(FlatcheckError) as info:
+            verification.verify_flat_output_numeric(chain2, p)
+        assert str(info.value) == "numeric verification hit poles repeatedly in trial 0"
+
 
 class TestReplayIsPinned:
     """Every trial of three numeric replays reproduces, bit for bit, the
@@ -390,6 +400,11 @@ class TestSimulate:
             verification.simulate(flat4, [0, 0, 0, 0], [[1]])
 
     def test_pole_reports_step(self, flat4):
-        with pytest.raises(SimulationError) as info:
-            verification.simulate(flat4, [0, 0, 0, 0], [[-1, 0]])
-        assert info.value.step == 0
+        """An exact pole, a float division by zero and a float step that
+        overflows to inf without raising (x1*(x3 + 1) at x1 = x3 = 1e200)
+        all stop at the step."""
+        for x0, inputs in [([0, 0, 0, 0], [[-1, 0]]), ([0, 0, 0, 0], [[-1.0, 0.0]]),
+                           ([1e200, 0, 1e200, 0], [[0, 0]])]:
+            with pytest.raises(SimulationError) as info:
+                verification.simulate(flat4, x0, inputs)
+            assert (info.value.step, str(info.value)) == (0, "pole encountered at step 0")
