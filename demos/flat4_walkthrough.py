@@ -9,8 +9,6 @@ Usage: python3 demos/flat4_walkthrough.py
 
 import pathlib
 
-import sympy as sp
-
 from flatcheck import analysis, construction, modelfile, symbolic, verification
 
 MODEL = pathlib.Path(__file__).resolve().parent.parent / "models" / "flat4.sys"
@@ -61,12 +59,12 @@ def main():
 
     trajectory = verification.simulate(
         system,
-        [sp.Rational(1, 3), 0, 0, 0],
+        [symbolic.rational("1/3"), 0, 0, 0],
         [[0, 0]],
     )
     print()
     print("one exact step from x(0) = (1/3, 0, 0, 0) with u = (0, 0):")
-    print("  x(1) = (%s)" % ", ".join(sp.sstr(v) for v in trajectory.states[-1]))
+    print("  x(1) = (%s)" % ", ".join(map(str, trajectory.states[-1])))
 
 
 if __name__ == "__main__":

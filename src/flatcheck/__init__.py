@@ -11,29 +11,21 @@ line exposes the same pipeline.
 
 import gc
 
-# Importing sympy builds a large, long-lived heap of cyclic objects.  The
-# collector stays off while the import builds it, and gc.freeze() moves it
-# to the permanent generation, so no later collection, including those at
-# interpreter exit, scans it again.  The caller's on/off state comes back
-# even when an import fails.
-_collecting = gc.isenabled()
-gc.disable()
-try:
-    from . import (
-        analysis,
-        construction,
-        document,
-        errors,
-        geometry,
-        model,
-        modelfile,
-        symbolic,
-        verification,
-    )
-    gc.freeze()
-finally:
-    if _collecting:
-        gc.enable()
-    del _collecting
+from . import (
+    analysis,
+    construction,
+    document,
+    errors,
+    geometry,
+    model,
+    modelfile,
+    symbolic,
+    verification,
+)
+
+# The modules' objects live as long as the process: gc.freeze() moves them
+# to the permanent generation, so no collection that a command triggers
+# scans them again.
+gc.freeze()
 
 __version__ = document.VERSION

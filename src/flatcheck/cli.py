@@ -22,6 +22,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+# argparse translates its messages with gettext, which imports locale when
+# the first parser is built: it is loaded here, with the rest of a command
+import locale  # noqa: F401
 import math
 import sys
 import time

@@ -16,7 +16,7 @@ over the base variables (x, u) the chart's wide field QQ(x, u, theta, xi), in
 chart coordinates the narrow field QQ(theta, xi), over the shifted state
 symbols x<i>_p1 of the image space QQ(x_p1, ...).  Lift and pushforward
 rename generators between the spaces, and the chart renames the model's
-update elements, so the sequence builds and reads no sympy expression.
+update elements, so the sequence builds and reads no expression.
 
 Only the theta row of a field is ever written in chart coordinates:
 a field is projectable exactly when its theta components are free of

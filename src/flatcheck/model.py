@@ -23,14 +23,19 @@ class DiscreteTimeSystem:
     a pair (K, tuple of elements) with K = QQ(states, inputs) in that
     order.  A form that is not given is built from the other on its first
     read, so a system given as elements that is only analyzed builds no
-    expression.
+    expression.  The expressions may be symbolic's or sympy's, which
+    symbolic reads where it needs them, and the states, the inputs and
+    the keys of the equilibrium may be sympy Symbols: they are converted
+    to symbolic's symbols by name.
     """
 
     def __init__(self, name, states, inputs, update, equilibrium, source_digest=None,
                  elements=None):
-        vars(self).update(name=name, states=tuple(states), inputs=tuple(inputs),
-                          equilibrium=equilibrium, source_digest=source_digest,
-                          _update=update, _elements=elements)
+        vars(self).update(name=name, states=tuple(map(symbolic.as_symbol, states)),
+                          inputs=tuple(map(symbolic.as_symbol, inputs)),
+                          equilibrium={symbolic.as_symbol(v): value
+                                       for v, value in equilibrium.items()},
+                          source_digest=source_digest, _update=update, _elements=elements)
         count = len(elements[1]) if elements is not None else len(self.update)
         if count != len(self.states):
             raise ValidationError(

@@ -17,11 +17,10 @@ generated coordinate names, and ``y<digits>`` is reserved for flat outputs.
 One parser reads every expression and builds its value with one of two
 sets of actions from symbolic: ``Fractions`` for the equilibrium values
 and the elements of ``system.update_elements`` and ``parse_elements``,
-and ``Expressions`` for the sympy expressions of ``system.update``,
-which are the expressions that sympy's operators build, with their sums
-built without ``Add.flatten``.  A number token is read by
-``symbolic.rational`` into the kernel's rational number, and so are the
-equilibrium values, so this module imports no sympy.
+and ``Expressions`` for the expressions of ``system.update``, symbolic's
+own, with the structure of those that sympy's operators build.  A
+number token is read by ``symbolic.rational`` into the kernel's rational
+number, and so are the equilibrium values.
 """
 
 from __future__ import annotations

@@ -11,7 +11,15 @@ denominator or ring, or calls its ``.as_expr()``.  A field is what
 generators and ``generators`` looks them up in a field, ``rational``
 converts a number to the kernel's rationals, and ``GeneratorsError`` and
 ``CoercionFailed`` (defined in ``flatcheck.errors``) are the kernel's
-errors.  No other module of the package imports sympy.
+errors.
+
+sympy is not imported when this module is loaded, and no other module
+imports it at all: the numbers, the symbols, the expressions and the
+polynomials of the pipeline are this module's own.  ``_factors`` and
+``_cofactors`` import sympy's dense routines on the rare paths described
+below, and ``_sympify`` and ``_to_sympy`` convert sympy's expressions
+from and to this module's, for systems and expressions built in code
+with sympy.
 
 Invariant: every expression this module takes or returns is a rational
 function with rational coefficients.  Inside this module such an
@@ -30,12 +38,14 @@ exact quotient, degrees and the leading coefficient.  Its products add
 monomials with one unrolled function for each number of generators,
 compiled on the first product of that size.  No sympy ring, field or
 polynomial is built.  A field without generators is a ``FunctionField``
-too, whose elements are the constants.  Every value at a point is the
-kernel's rational number, the dtype of sympy's ``QQ``, which compares
-equal to sympy's Rational and prints the same: the parser's number
-tokens and equilibria, ``simulate``'s exact states and the entries of
-every rank test.  ``rational`` is the one conversion to it, from text,
-ints, sympy Rationals and its own type; it refuses floats.  An
+too, whose elements are the constants.  A generator is a ``Symbol``,
+one per name, which hashes as sympy's Symbol of that name.  Every value
+at a point is the kernel's rational number, a ``Rational`` (``QQ`` is
+their field), which compares equal to sympy's Rational and to
+``fractions.Fraction`` and prints as they do: the parser's number tokens
+and equilibria, ``simulate``'s exact states and the entries of every
+rank test.  ``rational`` is the one conversion to it, from text, ints,
+sympy Rationals, Fractions and its own type; it refuses floats.  An
 expression that is not rational (floats, radicals, functions) raises
 UnsupportedEquationError where it is converted, and so does a point
 value that is not a rational number.
@@ -63,10 +73,12 @@ triple, and the result is converted back once.  Where it gives up
 after its six points, sympy's dense subresultant gcd
 (``euclidtools.dmp_rr_prs_gcd``) reduces the same dicts, as dense lists
 over the same generators, to their gcd with a positive leading
-coefficient.  The solver factors an equation with sympy's
+coefficient.  The solver factors an equation (``_factors``): one linear
+in a generator whose coefficient of it and rest have a constant gcd is
+irreducible and is its own factor, and any other is factored by sympy's
 ``factortools.dmp_factor_list`` on its dense list over all generators
-of its ring (``_factors``).  These two dense routines are all that the
-kernel calls of ``sympy.polys``.  The kernel's polynomials reduce
+of its ring.  These two dense routines are all that the kernel calls of
+``sympy.polys``, and only they import it.  The kernel's polynomials reduce
 nothing on their own: ``derivative`` and ``compose_derivative`` take
 the derivative of p / q as the unreduced pair (p' q - p q', q**2), or
 (p', q) where q is free of the generator, and reduce it once,
@@ -100,20 +112,23 @@ string that sympy's ``str`` prints for its canonical form (the rules
 are in its docstring); it builds no expression and calls no sympy
 printer, and every error message prints its elements with it.
 Expressions are built only where they are read, for the numeric replay
-and ``simulate``: ``expression`` builds
-the one that sympy's ``.as_expr()`` builds for the element's pair,
-``canonicalize_element`` that of its canonical form, and the model
-parser builds ``system.update`` with ``Expressions``, the counterpart
-of ``Fractions``.  All three build sympy's own expressions, argument for
-argument, but build a sum, and a product of factors with a common base,
-without ``Add.flatten``, which would import ``sympy.tensor.tensor`` and
-``sympy.combinatorics`` on the first sum of a process; the rules they
-follow are in the docstring of ``Expressions``.  ``float_function``
-compiles expressions to one float function for the replay and
-``simulate``: it prints them, without sympy's printer, into the source
-that ``lambdify`` with the math module writes, and executes it, so the
-floats are lambdify's; the printing rules are in the docstrings of
-``_float_text`` and its helpers.
+and ``simulate``: ``expression`` builds the one that sympy's
+``.as_expr()`` builds for the element's pair, ``canonicalize_element``
+that of its canonical form, and the model parser builds
+``system.update`` with ``Expressions``, the counterpart of
+``Fractions``.  An expression is this module's own tree of the model
+grammar: ``Rational`` numbers, ``Symbol``s, sums (``Add``), products
+(``Mul``) and integer powers (``Pow``), which evaluate as sympy's
+constructors evaluate them, so each has the structure of sympy's own
+expression, argument for argument; the rules are in the docstring of
+``Expressions``, and Python's operators act on them as on sympy's.
+Their ``_sympy_`` converts them where sympy reads them.
+``float_function`` compiles expressions to one float function for the
+replay and ``simulate``: it prints them, without sympy, into the source
+that ``lambdify`` with the math module writes for sympy's, the terms and
+factors in the order of sympy's ``sort_key`` (``_sort_key``), and
+executes it, so the floats are lambdify's; the printing rules are in
+the docstrings of ``_float_text`` and its helpers.
 
 ``solve_elements`` solves by exact elimination in the fraction field,
 one unknown at a time in the caller's order, each from an equation
@@ -152,13 +167,8 @@ import itertools
 import keyword
 import math
 import operator
-
-import sympy as sp
-from sympy import QQ, ZZ
-from sympy.core.add import _addsort
-from sympy.core.mul import _keep_coeff, _mulsort
-from sympy.polys.euclidtools import dmp_rr_prs_gcd
-from sympy.polys.factortools import dmp_factor_list
+import re
+import sys
 
 from .errors import (
     CoercionFailed,
@@ -171,27 +181,349 @@ from .errors import (
 )
 
 
+class _Operators:
+    """Python's arithmetic operators on the expressions of this module,
+    as sympy's operators act on sympy's: +, -, *, / and ** to an integer
+    evaluate as :class:`Expressions` does, with ints and Rationals taken
+    for numbers.  Any other operand is left to its own operator, so an
+    expression combined with a sympy expression gives sympy's (through
+    ``_sympy_``)."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else Expressions.add(self, other)
+
+    def __radd__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else Expressions.add(other, self)
+
+    def __sub__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else Expressions.add(self, Expressions.neg(other))
+
+    def __rsub__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else Expressions.add(other, Expressions.neg(self))
+
+    def __mul__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else Expressions.mul(self, other)
+
+    def __rmul__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else Expressions.mul(other, self)
+
+    def __truediv__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else Expressions.mul(self, _inverse(other))
+
+    def __rtruediv__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else Expressions.mul(other, _inverse(self))
+
+    def __pow__(self, k):
+        return Expressions.power(self, k) if isinstance(k, int) else NotImplemented
+
+    def __neg__(self):
+        return Expressions.neg(self)
+
+    def _sympy_(self):
+        return _to_sympy(self)
+
+
+def _operand(x):
+    """x as an operand of :class:`_Operators`: an expression, an int as a
+    Rational, or None for anything else."""
+    if type(x) in _EXPRESSION_TYPES:
+        return x
+    return _rational(int(x), 1) if isinstance(x, int) else None
+
+
+def _inverse(x):
+    """x**-1; ZeroDivisionError for zero."""
+    if type(x) is Rational and not x:
+        raise ZeroDivisionError("division by zero")
+    return Expressions.power(x, -1)
+
+
+class Symbol(_Operators):
+    """A generator of a function field, identified by its name: there is
+    one symbol per name (:func:`symbol`), so two symbols are equal when
+    they are the same object.  It prints as its name, and hashes as
+    sympy's commutative Symbol of that name hashes, so sets of symbols
+    iterate in the order that sets of sympy's symbols do, and a sympy
+    Symbol, which compares equal to it, finds it as a dict key."""
+
+    __slots__ = ("name", "_hash")
+
+    def __new__(cls, name):
+        s = _SYMBOLS.get(name)
+        if s is None:
+            s = _SYMBOLS[name] = object.__new__(cls)
+            s.name, s._hash = name, hash(("Symbol", name, ("commutative", True)))
+        return s
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return self.name
+
+    __str__ = __repr__
+
+    def __reduce__(self):
+        return Symbol, (self.name,)
+
+
+_SYMBOLS = {}
+
+
 def symbol(name):
     """The symbol of a generator called name."""
-    return sp.Symbol(name)
+    return Symbol(name)
 
 
-# the kernel's rational numbers, the values at every point
-_RATIONAL = QQ.dtype
+def as_symbol(s):
+    """The symbol s, or the symbol of the name of s: a sympy Symbol is
+    converted by its name."""
+    return s if type(s) is Symbol else Symbol(s.name)
+
+
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+class Rational:
+    """A rational number numerator / denominator in lowest terms with a
+    positive denominator, the kernel's one number type: the values at
+    every point, the entries of every rank test and the numbers of
+    expressions.  Arithmetic takes Rationals and ints and reduces each
+    result with the cross gcds of its operands; comparisons also take any
+    number with integer ``numerator`` and ``denominator`` (a Fraction or
+    a sympy Rational).  It hashes as ``fractions.Fraction`` and int do,
+    and prints as ``p/q``, or ``p`` when q is 1."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __new__(cls, numerator, denominator=1):
+        if not denominator:
+            raise ZeroDivisionError("%d/0" % numerator)
+        g = math.gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        return _rational(numerator // g, denominator // g)
+
+    def __bool__(self):
+        return bool(self.numerator)
+
+    def __float__(self):
+        return self.numerator / self.denominator
+
+    def __hash__(self):
+        try:
+            inverse = pow(self.denominator, -1, _HASH_MODULUS)
+        except ValueError:
+            h = _HASH_INF
+        else:
+            h = hash(hash(abs(self.numerator)) * inverse)
+        h = h if self.numerator >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __eq__(self, other):
+        if type(other) is int:
+            return self.denominator == 1 and self.numerator == other
+        try:
+            return (self.numerator == other.numerator
+                    and self.denominator == other.denominator)
+        except AttributeError:
+            return NotImplemented
+
+    def _compare(self, other, op):
+        if type(other) is not Rational and not isinstance(other, int):
+            return NotImplemented
+        return op(self.numerator * other.denominator, other.numerator * self.denominator)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other):
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other):
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other):
+        return self._compare(other, operator.ge)
+
+    def __neg__(self):
+        return _rational(-self.numerator, self.denominator)
+
+    def __abs__(self):
+        return _rational(abs(self.numerator), self.denominator)
+
+    def __add__(self, other):
+        p, q = self.numerator, self.denominator
+        if type(other) is Rational:
+            r, s = other.numerator, other.denominator
+            g = math.gcd(q, s)
+            if g == 1:
+                return _rational(p * s + q * r, q * s)
+            q, s = q // g, s // g
+            num = p * s + r * q
+            h = math.gcd(num, g)
+            return _rational(num // h, q * s * (g // h))
+        if isinstance(other, int):
+            return _rational(p + q * other, q)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is Rational:
+            p, q = self.numerator, self.denominator
+            r, s = other.numerator, other.denominator
+            g = math.gcd(q, s)
+            if g == 1:
+                return _rational(p * s - q * r, q * s)
+            q, s = q // g, s // g
+            num = p * s - r * q
+            h = math.gcd(num, g)
+            return _rational(num // h, q * s * (g // h))
+        if isinstance(other, int):
+            return _rational(self.numerator - self.denominator * other, self.denominator)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return _rational(self.denominator * other - self.numerator, self.denominator)
+        return NotImplemented
+
+    def __mul__(self, other):
+        p, q = self.numerator, self.denominator
+        if type(other) is Rational:
+            r, s = other.numerator, other.denominator
+            g, h = math.gcd(p, s), math.gcd(r, q)
+            return _rational((p // g) * (r // h), (q // h) * (s // g))
+        if isinstance(other, int):
+            g = math.gcd(other, q)
+            return _rational(p * (other // g), q // g)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is Rational:
+            r, s = other.numerator, other.denominator
+        elif isinstance(other, int):
+            r, s = other, 1
+        else:
+            return NotImplemented
+        if not r:
+            raise ZeroDivisionError("division by zero")
+        if r < 0:
+            r, s = -r, -s
+        p, q = self.numerator, self.denominator
+        g, h = math.gcd(p, r), math.gcd(s, q)
+        return _rational((p // g) * (s // h), (q // h) * (r // g))
+
+    def __rtruediv__(self, other):
+        if isinstance(other, int):
+            return _rational(other, 1) / self
+        return NotImplemented
+
+    def __pow__(self, k):
+        """self to the integer k; ZeroDivisionError for 0 to a negative k."""
+        p, q = self.numerator, self.denominator
+        if k < 0:
+            if not p:
+                raise ZeroDivisionError("0 to a negative power")
+            p, q, k = q, p, -k
+            if q < 0:
+                p, q = -p, -q
+        return _rational(p**k, q**k)
+
+    def __repr__(self):
+        if self.denominator == 1:
+            return "%d" % self.numerator
+        return "%d/%d" % (self.numerator, self.denominator)
+
+    __str__ = __repr__
+
+    def __reduce__(self):
+        return Rational, (self.numerator, self.denominator)
+
+    def _sympy_(self):
+        return _to_sympy(self)
+
+
+def _rational(numerator, denominator):
+    """The Rational numerator / denominator, already in lowest terms with a
+    positive denominator."""
+    q = object.__new__(Rational)
+    q.numerator, q.denominator = numerator, denominator
+    return q
+
+
+class _RationalField:
+    """The field QQ of the kernel's rationals: ``QQ(p, q)`` is p/q, and
+    ``element_rref`` and ``clear_element_row`` take it for a field."""
+
+    zero, one = _rational(0, 1), _rational(1, 1)
+
+    def __call__(self, numerator, denominator=1):
+        return Rational(numerator, denominator)
+
+
+QQ = _RationalField()
+_ZERO, _ONE = QQ.zero, QQ.one
+
+# the decimal numbers of the model grammar, optionally signed
+_DECIMAL = re.compile(r"([-+]?)([0-9]*)(?:\.([0-9]*))?", re.ASCII)
 
 
 def rational(value):
-    """value as the kernel's rational number: a text that ``sp.Rational``
-    reads (ValueError, TypeError or ZeroDivisionError when it reads none),
-    an int, a sympy Rational or a kernel rational.  TypeError for a float
-    or anything else."""
-    if type(value) is _RATIONAL:
+    """value as the kernel's rational number: a text that sympy's
+    ``Rational`` reads (ValueError, TypeError or ZeroDivisionError when it
+    reads none), an int, a kernel rational or another number with integer
+    ``numerator`` and ``denominator`` (a sympy Rational or a Fraction).
+    TypeError for a float or anything else."""
+    if type(value) is Rational:
         return value
     if isinstance(value, str):
-        value = sp.Rational(value)
-    if isinstance(value, (int, sp.Rational)):
-        return _RATIONAL(value.numerator, value.denominator)
+        return _parse_rational(value)
+    if isinstance(value, int):
+        return _rational(int(value), 1)
+    numerator, denominator = (getattr(value, "numerator", None),
+                              getattr(value, "denominator", None))
+    if isinstance(numerator, int) and isinstance(denominator, int):
+        return Rational(int(numerator), int(denominator))
     raise TypeError("%r is not a rational number" % (value,))
+
+
+def _parse_rational(text):
+    """The rational number that sympy's ``Rational`` reads from text: a
+    decimal directly, anything else as ``fractions.Fraction`` reads it
+    once every space is removed, with one ``/`` at most."""
+    match = _DECIMAL.fullmatch(text)
+    if match and (match[2] or match[3]):
+        sign, whole, digits = match[1], match[2], match[3] or ""
+        numerator = int(whole + digits or "0")
+        return Rational(-numerator if sign == "-" else numerator, 10**len(digits))
+    from fractions import Fraction
+
+    if text.count("/") > 1:
+        raise TypeError("invalid input: %s" % text)
+    text = text.replace(" ", "")
+    if "/" in text:
+        p, q = text.rsplit("/", 1)
+        value = Fraction(p) / Fraction(q)
+    else:
+        try:
+            value = Fraction(text)
+        except ValueError:
+            raise TypeError("invalid input: %s" % text) from None
+    return Rational(value.numerator, value.denominator)
 
 
 @functools.cache
@@ -427,10 +759,12 @@ class FunctionField:
 @functools.cache
 def function_field(gens: tuple):
     """The field QQ(gens), its elements stored as
-    :class:`RationalFunction`, gens empty included.  Elements compare
-    their fields by identity, so the cache keeps one field per tuple of
-    generators for the life of the process, as sympy keeps its rings."""
-    return FunctionField(gens)
+    :class:`RationalFunction`, gens empty included, each generator a
+    :class:`Symbol` (a sympy Symbol is converted by its name).  Elements
+    compare their fields by identity, so the cache keeps one field per
+    tuple of generators for the life of the process, as sympy keeps its
+    rings."""
+    return FunctionField(tuple(map(as_symbol, gens)))
 
 
 def field_of(elements):
@@ -507,42 +841,158 @@ class Fractions:
 
 
 def _fraction(e, fractions):
-    """The pair of :class:`Fractions` of a rational expression.  Raises
-    CoercionFailed for anything else: floats, radicals, functions,
-    symbols outside the field."""
-    if e.is_Rational:
+    """The pair of :class:`Fractions` of an expression of this module.
+    Raises CoercionFailed for a symbol outside the field."""
+    t = type(e)
+    if t is Rational:
         return fractions.number(e)
-    if e.is_Symbol:
+    if t is Symbol:
         return fractions.symbol(e)
-    if e.is_Add or e.is_Mul:
-        combine = fractions.add if e.is_Add else fractions.mul
-        return functools.reduce(combine, [_fraction(arg, fractions) for arg in e.args])
-    if e.is_Pow and e.exp.is_Integer:
-        return fractions.power(_fraction(e.base, fractions), int(e.exp))
-    raise CoercionFailed(e)
+    if t is Pow:
+        return fractions.power(_fraction(e.base, fractions), e.exp)
+    if t is Mul:
+        pairs = [fractions.power(_fraction(b, fractions), k) for b, k in e.factors.items()]
+        if e.coeff != 1:
+            pairs.append(fractions.number(e.coeff))
+        return functools.reduce(fractions.mul, pairs)
+    pairs = [_fraction(s, fractions) if c == 1 else fractions.mul(fractions.number(c),
+                                                                  _fraction(s, fractions))
+             for s, c in e.terms.items()]
+    if e.constant:
+        pairs.append(fractions.number(e.constant))
+    return functools.reduce(fractions.add, pairs)
+
+
+class Add(_Operators):
+    """The sum constant + sum c*s over the dict terms, as sympy's ``Add``
+    evaluates it: a Rational constant, and for each term s, a symbol, a
+    power or a product without a coefficient, its nonzero Rational
+    coefficient c; at least two terms, the constant counted when nonzero.
+    Two sums are equal when they have the same constant and terms."""
+
+    __slots__ = ("constant", "terms", "_hash")
+
+    def __init__(self, constant, terms):
+        self.constant, self.terms, self._hash = constant, terms, None
+
+    def __eq__(self, other):
+        if type(other) is not Add:
+            return _unequal(other)
+        return self.constant == other.constant and self.terms == other.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(("Add", self.constant, frozenset(self.terms.items())))
+        return self._hash
+
+    @property
+    def args(self) -> list:
+        """The constant, when nonzero, and the terms c*s."""
+        terms = [_term(c, s) for s, c in self.terms.items()]
+        return [self.constant] + terms if self.constant else terms
+
+    def __repr__(self):
+        return _text(self)
+
+    __str__ = __repr__
+
+
+class Mul(_Operators):
+    """The product coeff * prod b**k over the dict factors, as sympy's
+    ``Mul`` evaluates it: a nonzero Rational coefficient, and for each
+    base b, a symbol or a sum, its nonzero integer exponent k; at least
+    two factors, the coefficient counted when it is not 1, and never a
+    coefficient times a sum alone, which is distributed.  Two products
+    are equal when they have the same coefficient and factors."""
+
+    __slots__ = ("coeff", "factors", "_hash")
+
+    def __init__(self, coeff, factors):
+        self.coeff, self.factors, self._hash = coeff, factors, None
+
+    def __eq__(self, other):
+        if type(other) is not Mul:
+            return _unequal(other)
+        return self.coeff == other.coeff and self.factors == other.factors
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(("Mul", self.coeff, frozenset(self.factors.items())))
+        return self._hash
+
+    @property
+    def args(self) -> list:
+        """The coefficient, when it is not 1, and the factors b or b**k."""
+        factors = [_power(b, k) for b, k in self.factors.items()]
+        return factors if self.coeff == 1 else [self.coeff] + factors
+
+    def __repr__(self):
+        return _text(self)
+
+    __str__ = __repr__
+
+
+class Pow(_Operators):
+    """The power base**exp of a symbol or a sum to an integer other than 0
+    and 1, as sympy's ``Pow`` keeps it."""
+
+    __slots__ = ("base", "exp", "_hash")
+
+    def __init__(self, base, exp):
+        self.base, self.exp, self._hash = base, exp, None
+
+    def __eq__(self, other):
+        if type(other) is not Pow:
+            return _unequal(other)
+        return self.exp == other.exp and self.base == other.base
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(("Pow", self.base, self.exp))
+        return self._hash
+
+    def __repr__(self):
+        return _text(self)
+
+    __str__ = __repr__
+
+
+_EXPRESSION_TYPES = (Rational, Symbol, Add, Mul, Pow)
+
+
+def _unequal(other):
+    """The comparison of an expression with an expression of another type,
+    False, or with anything else, left to it (a sympy expression compares
+    itself with the expression's ``_sympy_``)."""
+    return False if type(other) in _EXPRESSION_TYPES else NotImplemented
+_MINUS_ONE = _rational(-1, 1)
 
 
 class Expressions:
-    """Arithmetic on sympy expressions, the expressions that sympy's own
-    operators build, with the same actions as :class:`Fractions`: the
-    model parser builds ``system.update`` with them, and
-    :func:`expression` builds an element's expression.  ``number`` takes
-    the parser's kernel rational to sympy's Integer or Rational.
+    """Arithmetic on the expressions of this module, with the same actions
+    as :class:`Fractions`: the model parser builds ``system.update`` with
+    them, and :func:`expression` builds an element's expression.  Each
+    operation evaluates as sympy's operator evaluates it on commutative
+    operands with rational numbers and integer exponents, so the
+    expressions, and the source that :func:`float_function` prints for
+    them, are sympy's:
 
-    The first sum that sympy evaluates imports ``sympy.tensor.tensor``,
-    and ``sympy.combinatorics`` with it, from ``Add.flatten``; sympy's
-    ``Mul.flatten`` evaluates one to add the exponents of a base that
-    both factors of a product share.  So a sum, a rational number times a
-    sum, and a product of factors with a common base are built here as
-    sympy evaluates them for commutative operands with rational
-    coefficients and integer exponents, without that function
-    (:func:`_sum`, :func:`_scaled`, :func:`_merged_product`).  Every
-    other operand (a number that is not rational, such as the ``zoo`` of
-    1/0, and anything else) goes through sympy's operator, which gives
-    the same expression and may import them.
+    - a sum flattens the sums among its operands, adds up their rational
+      numbers into the constant and the coefficients of equal terms, and
+      drops the zero ones (``Add.flatten``);
+    - a product multiplies the rational numbers into the coefficient and
+      adds up the exponents of equal bases, dropping the zero ones; a
+      coefficient times one sum is distributed over its terms, also
+      where the other factors cancel (``Mul.flatten``, whose two-operand
+      rule distributes a rational number over a sum too);
+    - a power multiplies the exponents of a power and distributes over a
+      product (``Pow``), and the negation is the product with -1.
+
+    A power of zero to a negative exponent raises CoercionFailed, where
+    sympy builds ``zoo``.
     """
 
-    number = staticmethod(lambda q: sp.Rational(q.numerator, q.denominator))
+    number = staticmethod(lambda q: q)
     symbol = staticmethod(lambda s: s)
 
     @staticmethod
@@ -551,89 +1001,190 @@ class Expressions:
 
     @staticmethod
     def neg(x):
-        return _scaled(sp.S.NegativeOne, x) if x.is_Add else -x
+        return Expressions.mul(_MINUS_ONE, x)
 
     @staticmethod
     def mul(x, y):
-        if x.is_Rational and x and y.is_Add:
+        if type(y) is Rational:
+            x, y = y, x
+        if type(x) is Rational and x and type(y) is Add:
             return _scaled(x, y)
-        if y.is_Rational and y and x.is_Add:
-            return _scaled(y, x)
-        return _merged_product(x, y)
+        return _prod([x, y])
 
     @staticmethod
     def power(x, k):
-        return x ** sp.Integer(k)
+        """x to the integer k; x**0 is 1, even for x = 0, as in sympy."""
+        if not k:
+            return _ONE
+        if k == 1:
+            return x
+        if type(x) is Rational:
+            if not x and k < 0:
+                raise CoercionFailed("division by zero")
+            return x**k
+        coeff, factors = _coeff_factors(x)
+        return _from_factors(coeff**k, {b: e * k for b, e in factors.items()})
+
+
+def _coeff_factors(e) -> tuple:
+    """The coefficient and the factors of the expression e: a Rational and
+    a dict of the exponent of each base, a symbol or a sum."""
+    t = type(e)
+    if t is Mul:
+        return e.coeff, e.factors
+    if t is Pow:
+        return _ONE, {e.base: e.exp}
+    if t is Rational:
+        return e, {}
+    return _ONE, {e: 1}
+
+
+def _power(base, k):
+    """base**k for a base, a symbol or a sum, and an integer k other than 0."""
+    return base if k == 1 else Pow(base, k)
+
+
+def _from_factors(coeff, factors):
+    """The product of the Rational coeff and of the bases in the dict
+    factors to their nonzero exponents, as ``Mul.flatten`` ends it: zero
+    for a zero coefficient, a coefficient times a sum alone distributed
+    (:func:`_scaled`), and one factor without a coefficient on its own."""
+    if not coeff or not factors:
+        return coeff
+    if len(factors) == 1:
+        (base, k), = factors.items()
+        if coeff == 1:
+            return _power(base, k)
+        if k == 1 and type(base) is Add:
+            return _scaled(coeff, base)
+    return Mul(coeff, factors)
+
+
+def _prod(args):
+    """The product of the expressions args as ``Mul.flatten`` evaluates it
+    for more than two operands, or for two without a rational number and
+    a sum: the coefficients are multiplied and the exponents of equal
+    bases added (:func:`_from_factors`)."""
+    coeff, factors = _ONE, {}
+    for a in args:
+        c, f = _coeff_factors(a)
+        coeff = coeff * c
+        for base, k in f.items():
+            factors[base] = factors.get(base, 0) + k
+    return _from_factors(coeff, {b: k for b, k in factors.items() if k})
+
+
+def _term(c, s):
+    """The term c*s of a sum, for a nonzero Rational c and a symbol, a
+    power or a product without a coefficient s."""
+    return s if c == 1 else Mul(c, _coeff_factors(s)[1])
 
 
 def _sum(args):
-    """Add(*args) as sympy evaluates it, without ``Add.flatten`` where
-    every term is a rational number, a symbol, a power of a base that is
-    not a number, or a product with a rational coefficient, and every
-    other argument a sum of such terms: nested sums are flattened, the
-    coefficients of equal terms collected and zero ones dropped, the
-    terms sorted as ``_addsort`` sorts them and the constant put first.
-    Anything else goes to sympy's Add."""
-    constant, coefficients = sp.S.Zero, {}
-    for t in itertools.chain.from_iterable(a.args if a.is_Add else (a,) for a in args):
-        if t.is_Rational:
-            constant += t
+    """The sum of the expressions args as ``Add.flatten`` evaluates it: sums
+    are flattened, the rational numbers added into the constant and the
+    coefficients of equal terms collected, and the zero ones dropped."""
+    constant, terms = _ZERO, {}
+    for a in args:
+        t = type(a)
+        if t is Rational:
+            constant += a
             continue
-        if t.is_Mul:
-            c, s = t.as_coeff_Mul()
-            if not c.is_Rational or s.is_Add:
-                return sp.Add(*args)
-        elif t.is_Symbol or t.is_Pow and not t.base.is_Number:
-            c, s = sp.S.One, t
+        if t is Add:
+            constant += a.constant
+            items = a.terms.items()
+        elif t is Mul:
+            items = [(_from_factors(_ONE, a.factors), a.coeff)]
         else:
-            return sp.Add(*args)
-        coefficients[s] = coefficients[s] + c if s in coefficients else c
-    terms = [_keep_coeff(c, s) for s, c in coefficients.items() if c]
-    _addsort(terms)
-    if constant:
-        terms.insert(0, constant)
-    return sp.Add._from_args(terms, True)
+            items = [(a, _ONE)]
+        for s, c in items:
+            terms[s] = terms[s] + c if s in terms else c
+    terms = {s: c for s, c in terms.items() if c}
+    if not terms:
+        return constant
+    if len(terms) == 1 and not constant:
+        (s, c), = terms.items()
+        return _term(c, s)
+    return Add(constant, terms)
 
 
 def _scaled(a, b):
-    """a*b for a nonzero rational number a and a sum b, as sympy's
-    ``Mul.flatten`` evaluates a product of two factors: a is distributed
-    over the terms of b."""
-    if a is sp.S.One:
+    """a*b for a nonzero Rational a and a sum b: a distributed over the
+    constant and the terms of b."""
+    if a == 1:
         return b
-    return _sum([_keep_coeff(a, t) for t in b.args])
+    return Add(a * b.constant, {s: a * c for s, c in b.terms.items()})
 
 
-def _merged_product(x, y):
-    """x*y as sympy's ``Mul.flatten`` evaluates the product of two
-    factors, without ``Add`` where they share a base, when every factor of
-    either is a rational number or an integer power of a symbol or of a
-    sum free of infinities: the exponents of a common base are added, a
-    zero one drops its base, the factors are sorted as ``_mulsort`` sorts
-    them and the coefficient put first, and a number times a sum is
-    distributed (:func:`_scaled`).  Anything else, and factors without a
-    common base, go to sympy's Mul."""
-    xs, ys = sp.Mul.make_args(x), sp.Mul.make_args(y)
-    bases = {f.as_base_exp()[0] for f in xs if not f.is_Rational}
-    if not any(f.as_base_exp()[0] in bases for f in ys if not f.is_Rational):
-        return x * y
-    coefficient, exponents = sp.S.One, {}
-    for f in xs + ys:
-        if f.is_Rational:
-            coefficient *= f
-            continue
-        base, e = f.as_base_exp()
-        if not (f.is_commutative and e.is_Integer and (base.is_Symbol or base.is_Add)
-                and not base.has(sp.S.ComplexInfinity, sp.S.NaN)):
-            return x * y
-        exponents[base] = exponents.get(base, 0) + e
-    factors = [sp.Pow(base, e) for base, e in exponents.items() if e]
-    _mulsort(factors)
-    if coefficient is not sp.S.One:
-        if len(factors) == 1 and factors[0].is_Add:
-            return _scaled(coefficient, factors[0])
-        factors.insert(0, coefficient)
-    return sp.Mul._from_args(factors)
+def _symbols_of(e) -> set:
+    """The symbols of an expression of this module."""
+    t = type(e)
+    if t is Symbol:
+        return {e}
+    if t is Add:
+        return set().union(*map(_symbols_of, e.terms))
+    if t is Mul:
+        return set().union(*map(_symbols_of, e.factors))
+    if t is Pow:
+        return _symbols_of(e.base)
+    return set()
+
+
+def _from_sympy(e):
+    """The expression of this module that the sympy expression e
+    evaluates to, its symbols converted by name.  It reads e's ``is_*``
+    flags, ``args``, ``p``, ``q`` and ``name`` and imports no sympy.
+    Raises CoercionFailed with the first node that is not a rational
+    number, a symbol, a sum, a product or an integer power."""
+    if getattr(e, "is_Rational", False):
+        return Rational(int(e.p), int(e.q))
+    if getattr(e, "is_Symbol", False):
+        return Symbol(e.name)
+    if getattr(e, "is_Add", False):
+        return _sum([_from_sympy(a) for a in e.args])
+    if getattr(e, "is_Mul", False):
+        return _prod([_from_sympy(a) for a in e.args])
+    if getattr(e, "is_Pow", False) and e.exp.is_Integer:
+        try:
+            return Expressions.power(_from_sympy(e.base), int(e.exp))
+        except CoercionFailed:
+            raise CoercionFailed(e) from None
+    raise CoercionFailed(e)
+
+
+def _sympify(e):
+    """sympy's expression of e, a text or any other value that
+    ``sympy.sympify`` reads; the one place where a sympy input is read."""
+    import sympy
+
+    return sympy.sympify(e)
+
+
+def _expression_of(e):
+    """e as an expression of this module: itself, an int as a Rational,
+    and anything else read by :func:`_sympify` and converted by
+    :func:`_from_sympy`, which raises CoercionFailed."""
+    if type(e) in _EXPRESSION_TYPES:
+        return e
+    if isinstance(e, int):
+        return _rational(int(e), 1)
+    return _from_sympy(_sympify(e))
+
+
+def _to_sympy(e):
+    """sympy's expression of an expression of this module, built with
+    sympy's own constructors; the ``_sympy_`` of each of its types, so
+    sympy reads them where it reads its own."""
+    import sympy
+
+    t = type(e)
+    if t is Rational:
+        return sympy.Rational(e.numerator, e.denominator)
+    if t is Symbol:
+        return sympy.Symbol(e.name)
+    if t is Pow:
+        return sympy.Pow(_to_sympy(e.base), e.exp)
+    return (sympy.Add if t is Add else sympy.Mul)(*map(_to_sympy, e.args))
 
 
 def _polynomial_expression(poly):
@@ -641,7 +1192,7 @@ def _polynomial_expression(poly):
     builds for the same terms: the sum of its terms, each its coefficient
     times the powers of the generators."""
     symbols = poly.ring.symbols
-    return _sum([sp.Mul(sp.Integer(c), *[sp.Pow(g, e) for g, e in zip(symbols, monom) if e])
+    return _sum([_from_factors(_rational(c, 1), {g: e for g, e in zip(symbols, monom) if e})
                  for monom, c in poly.iterterms()])
 
 
@@ -654,10 +1205,62 @@ def _quotient_expression(P, Q):
 
 
 def expression(a):
-    """The sympy expression of the element a of a function field, the one
-    that sympy's ``FracElement.as_expr()`` builds for its pair (numerator
-    over denominator), built with :class:`Expressions`."""
+    """The expression of the element a of a function field, the one that
+    sympy's ``FracElement.as_expr()`` builds for its pair (numerator over
+    denominator), built with :class:`Expressions`."""
     return _quotient_expression(a.numer, a.denom)
+
+
+# the class keys of sympy's sort_key for a number, a symbol, a product and
+# a sum, and the key of the number 1
+_NUMBER_CLASS, _SYMBOL_CLASS, _MUL_CLASS, _ADD_CLASS = (
+    (1, 0, "Number"), (2, 0, "Symbol"), (3, 0, "Mul"), (3, 1, "Add"))
+_ONE_KEY = (_NUMBER_CLASS, (0, ()), (), _ONE)
+
+
+def _sort_key(e) -> tuple:
+    """sympy's ``sort_key`` of the expression e, the order of the terms and
+    factors that sympy prints: (class key, (count, keys of the
+    arguments), key of the exponent, coefficient) of e's part without its
+    coefficient, and of the base of a power, as ``Expr.sort_key`` builds
+    it; a number sorts by its value, before any symbol, a symbol by its
+    name, and a sum and a product by their printed arguments."""
+    t = type(e)
+    if t is Rational:
+        return _NUMBER_CLASS, (0, ()), (), e
+    coeff, rest = (e.coeff, _from_factors(_ONE, e.factors)) if t is Mul else (_ONE, e)
+    exp = _ONE_KEY
+    if type(rest) is Pow:
+        exp, rest = (_NUMBER_CLASS, (0, ()), (), rest.exp), rest.base
+    if type(rest) is Symbol:
+        return _SYMBOL_CLASS, (1, (rest.name,)), exp, coeff
+    if type(rest) is Add:
+        cls, keys = _ADD_CLASS, tuple(map(_sort_key, _ordered_terms(rest)))
+    else:
+        cls, keys = _MUL_CLASS, tuple(map(_sort_key, _ordered_factors(rest)))
+    return cls, (len(keys), keys), exp, coeff
+
+
+def _ordered_factors(e) -> list:
+    """sympy's ``as_ordered_factors`` of the product e: its arguments by
+    :func:`_sort_key`, the coefficient first."""
+    return sorted(e.args, key=_sort_key)
+
+
+def _ordered_terms(e) -> list:
+    """sympy's ``as_ordered_terms`` of the sum e.  A positive constant and
+    one term c*b with c < 0 and b a symbol or a power keep that order
+    (``1 - x``).  Otherwise the terms are in descending lexicographic
+    order of their exponents over the bases of all terms, which are
+    sorted by :func:`_sort_key`; the constant's exponents are zero."""
+    if e.constant > 0 and len(e.terms) == 1:
+        (s, c), = e.terms.items()
+        if c < 0 and type(s) is not Mul:
+            return e.args
+    terms = [(a, _coeff_factors(a)[1]) for a in e.args]
+    bases = sorted({b for _, factors in terms for b in factors}, key=_sort_key)
+    terms.sort(key=lambda term: [-term[1].get(b, 0) for b in bases])
+    return [a for a, _ in terms]
 
 
 # sympy.printing.precedence's levels of a sum, a product, a power and an atom
@@ -667,15 +1270,15 @@ _ADD, _MUL, _POW, _ATOM = 40, 50, 60, 1000
 def _precedence(e):
     """The precedence that sympy's printers give e: a product with a
     negative coefficient and a negative number bind as a sum."""
-    if e.is_Add:
+    t = type(e)
+    if t is Add:
         return _ADD
-    if e.is_Mul:
-        c = e.args[0]
-        return _ADD if c.is_Number and c.is_extended_negative else _MUL
-    if e.is_Pow:
+    if t is Mul:
+        return _ADD if e.coeff < 0 else _MUL
+    if t is Pow:
         return _POW
-    if e.is_Rational:
-        return _ADD if e.p < 0 else _ATOM if e.is_Integer else _MUL
+    if t is Rational:
+        return _ADD if e.numerator < 0 else _ATOM if e.denominator == 1 else _MUL
     return _ATOM
 
 
@@ -687,31 +1290,34 @@ def _parenthesize(e, level, names):
 def _float_text(e, names):
     """e as lambdify's ``LambdaPrinter`` prints it for the math module,
     each argument symbol by its name in names.  Raises
-    UnsupportedEquationError for any node but integers, rationals, the
-    argument symbols, sums, products and integer powers."""
-    if e.is_Integer:
-        return str(e.p)
-    if e.is_Rational:
-        return "%d/%d" % (e.p, e.q)
-    if e.is_Symbol and e in names:
-        return names[e]
-    if e.is_Add:
+    UnsupportedEquationError for a symbol that names lacks."""
+    t = type(e)
+    if t is Rational:
+        return str(e)
+    if t is Symbol:
+        if e in names:
+            return names[e]
+        raise UnsupportedEquationError("the float replay cannot evaluate %s (Symbol)" % e)
+    if t is Add:
         return _float_sum(e, names)
-    if e.is_Mul:
+    if t is Mul:
         return _float_product(e, names)
-    if e.is_Pow and e.exp.is_Integer:
-        if e.exp is sp.S.NegativeOne:
-            return "1/%s" % _parenthesize(e.base, _POW, names)
-        return "%s**%s" % (_parenthesize(e.base, _POW, names), _parenthesize(e.exp, _POW, names))
-    raise UnsupportedEquationError("the float replay cannot evaluate %s (%s)"
-                                   % (e, type(e).__name__))
+    if e.exp == -1:
+        return "1/%s" % _parenthesize(e.base, _POW, names)
+    return "%s**%s" % (_parenthesize(e.base, _POW, names),
+                       e.exp if e.exp > 0 else "(%d)" % e.exp)
+
+
+def _text(e) -> str:
+    """e printed as :func:`_float_text` prints it, every symbol by its name."""
+    return _float_text(e, {s: s.name for s in _symbols_of(e)})
 
 
 def _float_sum(e, names):
     """``StrPrinter._print_Add``: the terms in sympy's printing order,
     each term's leading minus sign pulled out as the operator."""
     parts = []
-    for term in e.as_ordered_terms():
+    for term in _ordered_terms(e):
         t = _float_text(term, names)
         parts += ["-", t[1:]] if t.startswith("-") else ["+", t]
     sign = parts.pop(0)
@@ -723,25 +1329,23 @@ def _float_product(e, names):
     leading minus sign, and the factors with a negative exponent go
     under one division sign, in sympy's factor order."""
     level = _precedence(e)
-    factors = e.as_ordered_factors()
+    factors = _ordered_factors(e)
     sign = ""
-    c = e.args[0]
-    if c.is_Number and c.is_extended_negative:
+    if e.coeff < 0:
         sign = "-"
-        factors = [f for f in factors if not f.is_Number]
-        if c is not sp.S.NegativeOne:
-            factors.insert(0, -c)
+        factors = factors[1:]
+        if e.coeff != -1:
+            factors.insert(0, -e.coeff)
     numerator, denominator = [], []
     for f in factors:
-        if f.is_Pow and f.exp.is_Integer and f.exp.is_negative:
-            if f.exp is sp.S.NegativeOne:
-                text = _parenthesize(f.base, level, names)
-                denominator.append("(%s)" % text if f.base.is_Mul else text)
+        if type(f) is Pow and f.exp < 0:
+            if f.exp == -1:
+                denominator.append(_parenthesize(f.base, level, names))
             else:
                 denominator.append("%s**%d" % (_parenthesize(f.base, _POW, names), -f.exp))
         else:
             numerator.append(f)
-    numerator = numerator or [sp.S.One]
+    numerator = numerator or [_ONE]
     if len(numerator) == 1 and sign:
         text = sign + _parenthesize(numerator[0], (_POW + _MUL) / 2, names)
     else:
@@ -756,7 +1360,16 @@ def _float_source(variables, exprs):
     list(exprs), modules="math")`` writes: one ``return`` of the list of
     the expressions' values, each printed by :func:`_float_text`.  An
     argument whose name is not a safe Python identifier (a keyword such as
-    ``lambda``) is called ``_<position>`` instead."""
+    ``lambda``) is called ``_<position>`` instead.  Variables and
+    expressions given in sympy are converted (:func:`_expression_of`);
+    UnsupportedEquationError where one is not rational."""
+    variables = [as_symbol(s) for s in variables]
+    try:
+        exprs = [_expression_of(e) for e in exprs]
+    except CoercionFailed as exc:
+        node = exc.args[0]
+        raise UnsupportedEquationError("the float replay cannot evaluate %s (%s)"
+                                       % (node, type(node).__name__)) from None
     names = {s: s.name if s.name.isidentifier() and not keyword.iskeyword(s.name) else "_%d" % i
              for i, s in enumerate(variables)}
     return "def _lambdifygenerated(%s):\n    return [%s]\n" % (
@@ -778,22 +1391,26 @@ def float_function(variables, exprs):
 def to_elements(exprs, gens=None):
     """Field elements of a sequence of rational expressions.
 
-    The field is K = QQ(gens), gens defaulting to the free symbols of all
-    expressions sorted by name, none for constants.  Returns (K,
-    elements).  Raises UnsupportedEquationError when some expression is
-    not a rational function of gens with rational coefficients (floats
-    count as inexact, hence not rational).
+    The expressions are this module's, ints, or anything that sympy reads
+    (:func:`_expression_of`), and gens symbols of this module or sympy's,
+    converted by name.  The field is K = QQ(gens), gens defaulting to the
+    free symbols of all expressions sorted by name, none for constants.
+    Returns (K, elements).  Raises UnsupportedEquationError when some
+    expression is not a rational function of gens with rational
+    coefficients (floats count as inexact, hence not rational).
     """
-    exprs = [sp.sympify(e) for e in exprs]
+    exprs = [e if isinstance(e, (int,) + _EXPRESSION_TYPES) else _sympify(e) for e in exprs]
     if gens is None:
-        K = field(set().union(*(e.free_symbols for e in exprs)))
+        K = field(set().union(*(
+            _symbols_of(e) if isinstance(e, _EXPRESSION_TYPES) else
+            {as_symbol(s) for s in getattr(e, "free_symbols", ())} for e in exprs)))
     else:
-        K = function_field(tuple(gens))
+        K = function_field(tuple(map(as_symbol, gens)))
     fractions = Fractions(K)
     elements = []
     for e in exprs:
         try:
-            elements.append(fractions.element(_fraction(e, fractions)))
+            elements.append(fractions.element(_fraction(_expression_of(e), fractions)))
         except CoercionFailed:
             raise UnsupportedEquationError(
                 "%s is not a rational function of (%s) with rational coefficients"
@@ -832,7 +1449,7 @@ def canonicalize_element(a):
     constant.  Equal elements of any two fields give the same
     expression."""
     if not a:
-        return sp.Integer(0)
+        return _ZERO
     return _quotient_expression(*_canonical_polys(a))
 
 
@@ -1145,7 +1762,22 @@ def _split(polys, open_, steps, irrational, unsolved):
 def _factors(p) -> list:
     """The irreducible factors of the nonzero polynomial p over the
     integers, in the order of sympy's ``factortools.dmp_factor_list`` on
-    p's dense list over all generators of its ring."""
+    p's dense list over all generators of its ring.
+
+    A p = a*x + b linear in a generator x, the first such, with a constant
+    gcd of a and b is irreducible: its one factor is p over its integer
+    content, with the sign that makes its leading coefficient positive,
+    which is sympy's factor, and sympy is not imported.  Where that gcd
+    is not a constant, p is reducible, and sympy factors it."""
+    i = next((i for i, d in enumerate(p.degrees()) if d == 1), None)
+    if i is not None:
+        a, b = p.coeff_wrt(i, 1), p.coeff_wrt(i, 0)
+        if a.is_ground or b and _cofactors(a, b)[0].is_ground:
+            content = math.gcd(*p.itercoeffs())
+            return [p.quo_ground(content if p.LC > 0 else -content)]
+    from sympy import ZZ
+    from sympy.polys.factortools import dmp_factor_list
+
     ring = p.ring
     k = ring.ngens
     _, factors = dmp_factor_list(_to_dense(p, k), k - 1, ZZ)
@@ -1354,6 +1986,9 @@ def _cofactors(p, q) -> tuple:
     try:
         return tuple(map(up, _heugcd(f, g)))
     except HeuristicGCDFailed:
+        from sympy import ZZ
+        from sympy.polys.euclidtools import dmp_rr_prs_gcd
+
         k = len(used)
         triple = dmp_rr_prs_gcd(_to_dense(f, k), _to_dense(g, k), k - 1, ZZ)
         return tuple(up(_from_dense(part, k)) for part in triple)
@@ -1736,7 +2371,7 @@ def annihilating_polynomials(rows, degree, L):
     for vec in kernel:
         coeffs, _ = clear_element_row(QQ, vec)
         yield _element(L, ring.from_dict(
-            {m: QQ.numer(c) for m, c in zip(monomials, coeffs) if c}), ring.one)
+            {m: c.numerator for m, c in zip(monomials, coeffs) if c}), ring.one)
 
 
 @functools.lru_cache(maxsize=64)
@@ -1983,8 +2618,8 @@ def clear_element_row(K, row):
     if not nonzero:
         return list(row), K.one
     if K is QQ:
-        common = math.lcm(*(K.denom(a) for a in nonzero))
-        numerators = [K.numer(a * common) for a in nonzero]
+        common = math.lcm(*(a.denominator for a in nonzero))
+        numerators = [(a * common).numerator for a in nonzero]
         factor = QQ(common, math.gcd(*numerators))
         if numerators[0] < 0:
             factor = -factor

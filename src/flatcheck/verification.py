@@ -18,7 +18,7 @@ source that sympy's lambdify would write for them.  A symbolic PASS
 is required for a certified result; the numeric check only ever adds
 falsification power.  ``simulate`` steps exactly, in the kernel's
 rational numbers (``symbolic.rational``), when every value it is given
-is rational, and in floats otherwise.  This module imports no sympy.
+is rational, and in floats otherwise.
 """
 
 from dataclasses import dataclass
@@ -492,7 +492,7 @@ def simulate(system, x0, inputs) -> Trajectory:
     """Iterate the dynamics from x0 under the given input sequence.
 
     Evaluation is exact over the rationals when symbolic.rational reads
-    every value (ints, sympy's and the kernel's rationals), and the
+    every value (ints, Fractions, sympy's and the kernel's rationals), and the
     states and inputs are then kernel rationals; otherwise it is in
     floating point, where a value that is not finite is refused before
     the first step.  A pole aborts with the step index."""

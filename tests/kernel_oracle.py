@@ -5,7 +5,9 @@ polynomials of its own, in lowest terms, and sympy's ``ZZ.frac_field``
 stores the same canonical pair.  So an element converts both ways term
 for term, and sympy's arithmetic, ``.diff``, ``cofactors`` and reduction
 serve as the oracle of the kernel's.  The program itself builds no sympy
-ring or field.
+ring or field.  An expression of flatcheck converts to the sympy
+expression of the same structure (``expression_to_sympy``), which the
+tests compare with sympy's own evaluation.
 """
 
 import sympy as sp
@@ -16,8 +18,9 @@ from flatcheck import symbolic
 
 def sympy_field(K):
     """sympy's field of fractions (a ``FracField``) with the generators of
-    the kernel field or ring K, in K's order."""
-    return sp.ZZ.frac_field(*K.symbols).field
+    the kernel field or ring K, in K's order, as sympy Symbols of the
+    same names."""
+    return sp.ZZ.frac_field(*[sp.Symbol(s.name) for s in K.symbols]).field
 
 
 def poly_to_sympy(p):
@@ -29,7 +32,7 @@ def poly_to_sympy(p):
 def poly_from_sympy(P):
     """The sympy integer polynomial P as a polynomial of the kernel ring
     with P's generators."""
-    ring = symbolic.function_field(tuple(P.ring.symbols)).ring
+    ring = symbolic.function_field(tuple(symbolic.symbol(s.name) for s in P.ring.symbols)).ring
     return ring.from_dict({m: int(c) for m, c in P.items()})
 
 
@@ -53,3 +56,22 @@ def diff(a, s):
     field, taken by sympy's ``FracElement.diff``."""
     F = sympy_field(a.field)
     return from_sympy(a.field, to_sympy(a).diff(F.gens[a.field.symbols.index(s)]))
+
+
+def expression_to_sympy(e):
+    """The sympy expression with the structure of e, an expression of
+    symbolic: each sum, product and power built from e's own arguments
+    without evaluation, a sum's constant and a product's coefficient
+    first and the other arguments sorted as sympy sorts them.  So it is
+    sympy's evaluated expression, argument for argument, exactly when e
+    has the structure that sympy's evaluation gives."""
+    if isinstance(e, symbolic.Rational):
+        return sp.Rational(e.numerator, e.denominator)
+    if isinstance(e, symbolic.Symbol):
+        return sp.Symbol(e.name)
+    if isinstance(e, symbolic.Pow):
+        return sp.Pow(expression_to_sympy(e.base), e.exp, evaluate=False)
+    args = [expression_to_sympy(a) for a in e.args]
+    numbers, rest = [a for a in args if a.is_Number], [a for a in args if not a.is_Number]
+    rest.sort(key=sp.core.basic._args_sortkey)
+    return (sp.Add if isinstance(e, symbolic.Add) else sp.Mul)._from_args(numbers + rest)

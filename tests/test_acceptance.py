@@ -113,7 +113,7 @@ def test_criterion_3_parametrization_identities(flat4, flat4_artifacts):
     _, _, _, p = flat4_artifacts
     exprs = [symbolic.expression(a) for a in p.F_x + p.F_u]
     jets = sorted(
-        {s for e in exprs for s in e.free_symbols},
+        {s for a in p.F_x + p.F_u for s in symbolic.used_symbols(a)},
         key=lambda s: s.name,
     )
     shifted = [verification.jet_symbol(j, s + 1)

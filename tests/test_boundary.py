@@ -1,5 +1,5 @@
 """The kernel boundary: only flatcheck.symbolic knows how a rational
-function is stored.
+function is stored, and no module imports sympy where it is loaded.
 
 Every module of the package is parsed, not imported, and its syntax tree
 is searched: for imports of sympy, for the names of sympy's domain and
@@ -9,8 +9,9 @@ kernel through symbolic's functions and an element's truth value and
 equality alone.  They take no derivative with ``.diff`` and build no
 expression with ``.as_expr()``, the calls of sympy's elements:
 ``symbolic.derivative`` reduces through symbolic's own gcd, and
-``symbolic.expression`` builds sympy's expression without
-``Add.flatten`` and its import of ``sympy.tensor.tensor``.
+``symbolic.expression`` builds symbolic's own expression.  sympy is
+imported only inside the few functions that need it, and none of them
+is reached by a command on a bundled model.
 """
 
 import ast
@@ -29,36 +30,27 @@ KERNEL_ATTRIBUTES = {
     "is_ground", "iterterms", "to_sympy", "from_sympy", "frac_field", "raw_new", "diff",
     "as_expr",
 }
-# the attributes of sympy that a module may use: none, so no module but
-# symbolic imports sympy; values at points are the kernel's rationals,
-# which symbolic.rational makes
-SYMPY_USE = {}
+# the functions that import sympy, each when it is called, and what they
+# import: the factorization where an equation has no linear factor that
+# is provably irreducible, the dense gcd where the heuristic gcd gives
+# up, and the conversions of sympy's input and to sympy's expressions
+FUNCTION_IMPORTS = {
+    ("symbolic", "_factors"): {"from sympy import ZZ",
+                               "from sympy.polys.factortools import dmp_factor_list"},
+    ("symbolic", "_cofactors"): {"from sympy import ZZ",
+                                 "from sympy.polys.euclidtools import dmp_rr_prs_gcd"},
+    ("symbolic", "_sympify"): {"import sympy"},
+    ("symbolic", "_to_sympy"): {"import sympy"},
+}
 
 
 def _tree(name):
     return ast.parse((PACKAGE / ("%s.py" % name)).read_text(encoding="utf-8"))
 
 
-def _sympy_aliases(tree) -> tuple:
-    """The imports of sympy, ``from <module>`` for a from-import, and the
-    local names bound to sympy."""
-    modules, aliases = [], set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "sympy":
-                    modules.append(alias.name)
-                    aliases.add(alias.asname or alias.name)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
-            modules.append("from " + node.module)
-    return modules, aliases
-
-
 @pytest.mark.parametrize("name", MODULES)
-def test_no_polys_import_and_no_kernel_names(name):
+def test_no_kernel_names(name):
     tree = _tree(name)
-    modules, _ = _sympy_aliases(tree)
-    assert not [m for m in modules if "sympy.polys" in m]
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -66,35 +58,36 @@ def test_no_polys_import_and_no_kernel_names(name):
     assert not named & KERNEL_NAMES
 
 
-def test_kernel_polys_imports():
-    """symbolic imports from sympy.polys exactly these names: the dense
-    subresultant gcd of euclidtools (``dmp_rr_prs_gcd``) and the
-    factorization of factortools (``dmp_factor_list``), the surface that
-    is left for a kernel of flatcheck's own to replace.  Its polynomials,
-    fields, row reduction, coprimality proof and errors are its own, so
-    neither sympy.polys.rings, .fields, .matrices nor .polyerrors is among
-    them, and no other dense routine (``dup_gcd`` among them)."""
-    tree = _tree("symbolic")
-    imported = {(node.module, alias.name) for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and "sympy.polys" in (node.module or "")
-                for alias in node.names}
-    assert imported == {("sympy.polys.euclidtools", "dmp_rr_prs_gcd"),
-                        ("sympy.polys.factortools", "dmp_factor_list")}
-    # nor is sympy.polys imported or read as a module
-    modules, aliases = _sympy_aliases(tree)
-    assert not [m for m in modules if m.startswith("sympy.polys")]
-    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                and node.attr == "polys" and isinstance(node.value, ast.Name)
-                and node.value.id in aliases]
+def _sympy_imports(tree) -> dict:
+    """The imports of sympy in tree by the name of the function that holds
+    them, None for the module level, each as its source text."""
+    found = {}
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Import):
+            found.setdefault(function, set()).update(
+                "import " + alias.name for alias in node.names
+                if alias.name.partition(".")[0] == "sympy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "sympy":
+            found.setdefault(function, set()).update(
+                "from %s import %s" % (node.module, alias.name) for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return {function: imports for function, imports in found.items() if imports}
 
 
-def test_kernel_core_imports():
-    """symbolic imports from exactly these modules of sympy.core: the
-    pieces of sympy's own sum evaluation that symbolic.Expressions builds
-    sums with, without ``Add.flatten``."""
-    modules, _ = _sympy_aliases(_tree("symbolic"))
-    assert {m for m in modules if "sympy.core" in m} == {
-        "from sympy.core.add", "from sympy.core.mul"}
+def test_sympy_is_imported_only_by_the_named_functions():
+    """No module of the package imports sympy at module level, so
+    importing it loads no sympy; only the functions of FUNCTION_IMPORTS
+    import it, and only what they name."""
+    found = {(name, function): imports
+             for name in MODULES + ["symbolic"]
+             for function, imports in _sympy_imports(_tree(name)).items()}
+    assert found == FUNCTION_IMPORTS
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -108,20 +101,8 @@ def test_no_element_internals(name):
     assert not read
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_sympy_use(name):
-    tree = _tree(name)
-    modules, aliases = _sympy_aliases(tree)
-    allowed = SYMPY_USE.get(name, set())
-    # sympy itself is imported, so every use is an attribute read below
-    assert modules == (["sympy"] if allowed else [])
-    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id in aliases}
-    assert used <= allowed
-
-
 def test_expressions_are_built_only_for_floats_and_the_model():
-    """An element becomes a sympy expression only for the float replay
+    """An element becomes an expression only for the float replay
     (verification) and for the update map of a reduced system (model);
     error messages print elements with symbolic.to_infix, as documents
     do."""

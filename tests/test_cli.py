@@ -670,13 +670,12 @@ class TestExpressionBoundary:
 
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
-# prints the lazily loaded sympy modules that the command imported
+# runs one command line and prints the sympy modules loaded at its end
 _LOADED = (
     "import sys\n"
     "from flatcheck import cli\n"
     "cli.main(sys.argv[1:])\n"
-    "print('loaded:', sorted(m for m in sys.modules if m == 'sympy.tensor.tensor'\n"
-    "                        or m.startswith(('sympy.combinatorics', 'sympy.codegen'))))\n"
+    "print('loaded:', sorted(m for m in sys.modules if m.partition('.')[0] == 'sympy'))\n"
 )
 # a model whose update multiplies a base by itself
 REPEATED_BASE = """system repeated
@@ -688,16 +687,30 @@ next x2 = u
 """
 
 
+def _corpus(seeds=(1, 2, 3)) -> list:
+    """The members of the benchmark's seeded corpus (perfbench/generate.py)
+    for each seed."""
+    path = str(MODELS_DIR.parent / "perfbench")
+    sys.path.insert(0, path)
+    try:
+        import generate
+    finally:
+        sys.path.remove(path)
+    return [member for seed in seeds for member in generate.corpus(seed)]
+
+
+CORPUS = _corpus()
+
+
 class TestImportBoundary:
-    """No command imports sympy.tensor.tensor or sympy.combinatorics,
-    which the first sum that sympy's ``Add.flatten`` evaluates loads, or
-    sympy.codegen, which lambdify's code printer loads: a fresh
-    interpreter that runs analyze or extract on any bundled model or on a
-    model with a repeated base, any verify of the golden records, or a
-    float simulate imports none of them.  The analysis builds no sympy
-    expression, the expressions of the numeric replay and of simulate are
-    built by symbolic.Expressions, without ``Add.flatten``, and
-    symbolic.float_function prints them without sympy's printer."""
+    """No command imports sympy: a fresh interpreter that runs analyze or
+    extract on any bundled model, on a model with a repeated base or on a
+    member of the benchmark's generated corpus (seeds 1-3), verify on any
+    golden record or on x1 of a flat corpus member, or a float simulate,
+    has no sympy module loaded at its end.  The numbers, symbols,
+    expressions and polynomials of the pipeline are symbolic's own;
+    extract quad_chain factors an equation linear in a generator without
+    sympy's factorization."""
 
     @pytest.mark.parametrize(
         "command, name",
@@ -710,6 +723,16 @@ class TestImportBoundary:
     @pytest.mark.parametrize("name, output", VERIFY_CASES)
     def test_verify(self, name, output):
         self._check(["verify", model_path(MODELS_DIR, name), "--output", output])
+
+    @pytest.mark.parametrize("index", range(len(CORPUS)))
+    def test_generated_corpus(self, index, tmp_path):
+        member = CORPUS[index]
+        path = tmp_path / ("%s.sys" % member["name"])
+        path.write_text(member["text"], encoding="utf-8")
+        for command in ("analyze", "extract"):
+            self._check([command, str(path), "--json", str(tmp_path / "doc.json")])
+        if member["expected"]["verdict"] == "FLAT":
+            self._check(["verify", str(path), "--output", "x1"])
 
     def test_repeated_base(self, tmp_path):
         model = tmp_path / "repeated.sys"
@@ -765,7 +788,7 @@ class TestRanksByEvaluation:
         reduce = symbolic.element_rref
 
         def rational_only(K, rows, ncols):
-            if K is not sympy.QQ:
+            if K is not symbolic.QQ:
                 raise AssertionError("row reduction over %s" % K)
             return reduce(K, rows, ncols)
 

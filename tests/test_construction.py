@@ -312,7 +312,7 @@ class TestImplicitTriangularForm:
         shift_u = {
             u: sp.Symbol("%s_p1" % u.name) for u in flat4.inputs
         }
-        current = {z: symbolic.expression(a) for z, a in trace.z_values.items()}
+        current = {z: sp.sympify(symbolic.expression(a)) for z, a in trace.z_values.items()}
         ahead = {}
         for z, e in current.items():
             stepped = e.subs(shift_u, simultaneous=True).subs(
@@ -321,9 +321,8 @@ class TestImplicitTriangularForm:
             ahead[form.shifted[z]] = stepped
         for block in form.blocks:
             for residual in block.residuals:
-                value = symbolic.expression(residual).subs(ahead, simultaneous=True).subs(
-                    current, simultaneous=True
-                )
+                value = sp.sympify(symbolic.expression(residual)).subs(
+                    ahead, simultaneous=True).subs(current, simultaneous=True)
                 assert sp.simplify(value) == 0
 
 

@@ -1,10 +1,8 @@
 """Importing flatcheck and the cycle collector.
 
-The package import runs with the collector off, freezes the heap it
-leaves behind (sympy's module graph among it) and gives the caller back
-the collector's on/off state, also when the import fails.  Only the
-first import of the package runs that code, so each case runs in a
-fresh interpreter.
+The package import loads no sympy and leaves the collector as it found
+it, on or off.  Only the first import of the package runs its code, so
+each case runs in a fresh interpreter.
 """
 
 import os
@@ -26,32 +24,10 @@ def _run(code):
     return proc.stdout.split()
 
 
-# the permanent generation need not start empty: 3.12 freezes objects of
-# its own start-up, so the cases compare its size before and after
-def test_enabled_collector_stays_enabled_and_the_import_heap_is_frozen():
-    before, enabled, after = _run(
-        "import gc\n"
-        "before = gc.get_freeze_count()\n"
-        "import flatcheck\n"
-        "print(before, gc.isenabled(), gc.get_freeze_count())\n"
-    )
-    assert enabled == "True"
-    assert int(after) > int(before)
-
-
-def test_disabled_collector_stays_disabled():
-    assert _run("import gc; gc.disable(); import flatcheck; print(gc.isenabled())") == ["False"]
-
-
-def test_failed_import_restores_the_collector():
-    code = (
-        "import gc, sys\n"
-        "sys.modules['flatcheck.analysis'] = None\n"
-        "before = gc.get_freeze_count()\n"
-        "try:\n"
-        "    import flatcheck\n"
-        "except ImportError:\n"
-        "    print('ImportError', gc.isenabled(), gc.get_freeze_count() - before)\n"
-    )
-    # a half-done import freezes nothing
-    assert _run(code) == ["ImportError", "True", "0"]
+def test_import_leaves_the_collector_as_it_found_it():
+    for switch, state in (("gc.enable()", "True"), ("gc.disable()", "False")):
+        assert _run("import gc, sys\n%s\n"
+                    "import flatcheck\n"
+                    "print(gc.isenabled(),\n"
+                    "      any(m.partition('.')[0] == 'sympy' for m in sys.modules))"
+                    % switch) == [state, "False"]

@@ -19,8 +19,8 @@ import sympy as sp
 
 from flatcheck import (analysis, cli, construction, geometry, model, modelfile, symbolic,
                        verification)
-from flatcheck.errors import (ChartError, ConstantDimensionError, StraighteningError,
-                              UnsupportedEquationError)
+from flatcheck.errors import (ChartError, ConstantDimensionError, ModelSyntaxError,
+                              StraighteningError, UnsupportedEquationError)
 from flatcheck.model import DiscreteTimeSystem
 
 import geometry_oracles
@@ -236,7 +236,7 @@ def _linear_state_change(system, T):
     xs = sp.Matrix(n, 1, list(system.states))
     old_in_new = Tinv * xs
     subs = {s: old_in_new[i] for i, s in enumerate(system.states)}
-    f = sp.Matrix(n, 1, [e.subs(subs, simultaneous=True) for e in system.update])
+    f = sp.Matrix(n, 1, [sp.sympify(e).subs(subs, simultaneous=True) for e in system.update])
     new_f = sp.expand(T * f)
     return DiscreteTimeSystem(
         name=system.name + "T",
@@ -542,7 +542,7 @@ class TestRedundantInputExtension:
             for un, e in zip(reduction.reduced.inputs, reduction.kept_functions)
         }
         presented = [
-            sp.cancel(symbolic.expression(c).subs(back, simultaneous=True))
+            sp.cancel(sp.sympify(symbolic.expression(c)).subs(back, simultaneous=True))
             for c in flat_output
         ]
         presented.extend(reduction.removed_coordinates)
@@ -574,7 +574,7 @@ class TestRedundantInputExtension:
             for un, e in zip(reduction.reduced.inputs, reduction.kept_functions)
         }
         candidate = tuple(
-            sp.cancel(symbolic.expression(c).subs(back, simultaneous=True))
+            sp.cancel(sp.sympify(symbolic.expression(c)).subs(back, simultaneous=True))
             for c in flat_output
         ) + tuple(reduction.removed_coordinates)
         _, candidate = symbolic.to_elements(candidate, redundant.variables)
@@ -623,7 +623,7 @@ class TestPrinterOracle:
     def test_matches_evaluated_canonical_form(self, seed):
         rng = random.Random(seed + 7000)
         names = rng.sample(PRINTER_NAMES, rng.randint(2, len(PRINTER_NAMES)))
-        K = symbolic.function_field(tuple(sp.Symbol(name) for name in names))
+        K = symbolic.function_field(tuple(symbolic.symbol(name) for name in names))
         F = kernel_oracle.sympy_field(K)
         num_shape, den_shape = self.SHAPES[seed % 3], self.SHAPES[seed // 3 % 3]
         num, num_scale = _printer_polynomial(rng, F.ring, num_shape)
@@ -631,7 +631,8 @@ class TestPrinterOracle:
             num = -num
         den, den_scale = _printer_polynomial(rng, F.ring, den_shape)
         a = kernel_oracle.from_sympy(K, F.new(num * den_scale, den * num_scale))
-        expected = sp.sstr(symbolic.canonicalize_element(a)).replace("**", "^")
+        expected = sp.sstr(kernel_oracle.expression_to_sympy(
+            symbolic.canonicalize_element(a))).replace("**", "^")
         assert symbolic.to_infix(a) == expected
 
     # (numerator, denominator, string) over the generators of GENERATORS,
@@ -686,7 +687,8 @@ class TestPrinterOracle:
             [sp.sympify(numerator.replace("^", "**")) / sp.sympify(denominator.replace("^", "**"))],
             gens)
         assert symbolic.to_infix(a) == expected
-        assert sp.sstr(symbolic.canonicalize_element(a)).replace("**", "^") == expected
+        assert sp.sstr(kernel_oracle.expression_to_sympy(
+            symbolic.canonicalize_element(a))).replace("**", "^") == expected
 
     # names of the kinds the program makes: parameters, shifted outputs,
     # new coordinates and reduced inputs
@@ -699,7 +701,7 @@ class TestPrinterOracle:
         most 4, with rational coefficients, over the program's names."""
         rng = random.Random(seed + 7100)
         names = rng.sample(self.PROGRAM_NAMES, rng.randint(1, 6))
-        K = symbolic.function_field(tuple(sp.Symbol(name) for name in names))
+        K = symbolic.function_field(tuple(symbolic.symbol(name) for name in names))
         F = kernel_oracle.sympy_field(K)
         parts = []
         for _ in range(2):
@@ -714,21 +716,21 @@ class TestPrinterOracle:
             parts.append((F.ring({m: int(c * scale) for m, c in coeffs.items()}), scale))
         (num, num_scale), (den, den_scale) = parts
         a = kernel_oracle.from_sympy(K, F.new(num * den_scale, den * num_scale))
-        expected = sp.sstr(symbolic.canonicalize_element(a)).replace("**", "^")
+        expected = sp.sstr(kernel_oracle.expression_to_sympy(
+            symbolic.canonicalize_element(a))).replace("**", "^")
         assert symbolic.to_infix(a) == expected
 
 
 class _SympyOperators:
     """The oracle action set of the parser: sympy's own operators, which
     evaluate every sum through ``Add.flatten``, on the sympy number of
-    each number token, a kernel rational."""
+    each number token, a kernel rational, and the sympy Symbol of each
+    identifier."""
 
     number = staticmethod(lambda q: sp.Rational(q.numerator, q.denominator))
-    symbol = staticmethod(lambda s: s)
+    symbol = staticmethod(lambda s: sp.Symbol(s.name))
     add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
-    div = staticmethod(operator.truediv)
     neg = staticmethod(operator.neg)
 
     @staticmethod
@@ -769,16 +771,43 @@ def _same_expression(a, b) -> bool:
 
 def _parse_with(text, actions):
     """The parser's value of text over EXPRESSION_NAMES, built by actions."""
-    symbols = {name: sp.Symbol(name) for name in EXPRESSION_NAMES}
+    symbols = {name: symbolic.symbol(name) for name in EXPRESSION_NAMES}
     return modelfile._ExprParser(modelfile._tokenize_line(text, 1), symbols, 1, actions).parse()
 
 
+def _parse_both(text):
+    """text parsed with symbolic.Expressions, None where the parser refuses
+    a division by zero, and with sympy's own operators."""
+    try:
+        ours = _parse_with(text, symbolic.Expressions)
+    except ModelSyntaxError as exc:
+        assert "division by zero" in str(exc)
+        ours = None
+    return ours, _parse_with(text, _SympyOperators)
+
+
+def _assert_same_as_sympy(text):
+    """symbolic.Expressions builds sympy's expression for text, argument
+    for argument.  Where it refuses a division by zero, the parser's
+    Fractions refuse it too; where sympy's expression has zoo or nan,
+    symbolic's cannot be the same."""
+    ours, theirs = _parse_both(text)
+    if ours is None:
+        K = symbolic.function_field(tuple(map(symbolic.symbol, EXPRESSION_NAMES)))
+        with pytest.raises(ModelSyntaxError, match="division by zero"):
+            _parse_with(text, symbolic.Fractions(K))
+    else:
+        assert _same_expression(kernel_oracle.expression_to_sympy(ours), theirs), text
+
+
 class TestExpressionsOracle:
-    """symbolic.Expressions builds sums without sympy's ``Add.flatten``.
-    The expressions it builds, and those of symbolic.expression and
-    symbolic.canonicalize_element, are sympy's own, argument for
-    argument: the numeric replay lambdifies them, so their operation
-    order fixes its floats."""
+    """symbolic.Expressions evaluates sums, products and powers as sympy
+    does, without sympy.  The expressions it builds, and those of
+    symbolic.expression and symbolic.canonicalize_element, have the
+    structure of sympy's own, argument for argument: the numeric replay
+    prints them as lambdify prints sympy's, so their operation order
+    fixes its floats.  A division by zero, which sympy evaluates to zoo,
+    is a syntax error of the parser."""
 
     PINNED = [
         "-(x1 + 2*x2)", "3 - (x1 - x2)", "-(x1 - 1)*x2", "2*(x1 + 1) - 2*x1",
@@ -791,16 +820,13 @@ class TestExpressionsOracle:
 
     @pytest.mark.parametrize("text", PINNED)
     def test_pinned_text(self, text):
-        assert _same_expression(_parse_with(text, symbolic.Expressions),
-                                _parse_with(text, _SympyOperators))
+        _assert_same_as_sympy(text)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_texts(self, seed):
         rng = random.Random(seed + 7200)
         for _ in range(20):
-            text = _model_text(rng, rng.randint(1, 5))
-            assert _same_expression(_parse_with(text, symbolic.Expressions),
-                                    _parse_with(text, _SympyOperators)), text
+            _assert_same_as_sympy(_model_text(rng, rng.randint(1, 5)))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_element_expressions(self, seed):
@@ -809,16 +835,17 @@ class TestExpressionsOracle:
         canonical form's negated ones."""
         rng = random.Random(seed + 7300)
         names = rng.sample(PRINTER_NAMES, rng.randint(2, len(PRINTER_NAMES)))
-        K = symbolic.function_field(tuple(sp.Symbol(name) for name in names))
+        K = symbolic.function_field(tuple(symbolic.symbol(name) for name in names))
         F = kernel_oracle.sympy_field(K)
         shapes = TestPrinterOracle.SHAPES
         num, num_scale = _printer_polynomial(rng, F.ring, shapes[seed % 3])
         den, den_scale = _printer_polynomial(rng, F.ring, shapes[seed // 3 % 3])
         num = num * den_scale * rng.choice((1, -1))
         a = kernel_oracle.from_sympy(K, F.new(num, den * num_scale))
-        assert _same_expression(symbolic.expression(a), kernel_oracle.to_sympy(a).as_expr())
+        assert _same_expression(kernel_oracle.expression_to_sympy(symbolic.expression(a)),
+                                kernel_oracle.to_sympy(a).as_expr())
         P, Q = map(kernel_oracle.poly_to_sympy, symbolic._canonical_polys(a))
-        assert _same_expression(symbolic.canonicalize_element(a),
+        assert _same_expression(kernel_oracle.expression_to_sympy(symbolic.canonicalize_element(a)),
                                 P.as_expr() if Q.is_one else P.as_expr() / Q.as_expr())
 
 
@@ -836,9 +863,10 @@ KEYWORD_TWIN = KEYWORD_MODEL.replace("lambda", "lambda0").replace("if", "if0")
 
 
 def _lambdify_source(variables, exprs, names) -> str:
-    """The source of sympy's lambdify of the expressions for the math
-    module, its arguments renamed to names."""
-    fn = sp.lambdify(variables, list(exprs), modules="math", docstring_limit=0)
+    """The source of sympy's lambdify of the expressions, read by sympy,
+    for the math module, its arguments renamed to names."""
+    fn = sp.lambdify(list(map(sp.sympify, variables)), list(map(sp.sympify, exprs)),
+                     modules="math", docstring_limit=0)
     rename = dict(zip(inspect.signature(fn).parameters, names))
     return re.sub(r"\w+", lambda m: rename.get(m.group(), m.group()), inspect.getsource(fn))
 
@@ -919,12 +947,13 @@ class TestFloatSourceOracle:
     def test_random_texts(self, seed):
         rng = random.Random(seed + 7400)
         for _ in range(20):
-            e = _parse_with(_model_text(rng, rng.randint(1, 5)), symbolic.Expressions)
-            if e.has(sp.S.ComplexInfinity, sp.S.NaN):
-                with pytest.raises(UnsupportedEquationError):
-                    symbolic.float_function(self.X, [e])
-            else:
+            e, theirs = _parse_both(_model_text(rng, rng.randint(1, 5)))
+            if e is not None:
                 _assert_lambdify_source(self.X, [e])
+            elif theirs.has(sp.S.ComplexInfinity, sp.S.NaN):
+                # a sympy expression with zoo converts to no float function
+                with pytest.raises(UnsupportedEquationError):
+                    symbolic.float_function(self.X, [theirs])
 
     def test_keyword_names(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -1,6 +1,7 @@
 """Tests of the symbolic substrate: canonical forms, ranks, solving."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -746,7 +747,9 @@ class TestKernelOracle:
                 rows[i] = [sum((cj * r[j] for cj, r in zip(c, rows)), Q.zero)
                            for j in range(ncols)]
         reference, pivots = DomainMatrix(rows, (nrows, ncols), Q).rref()
-        assert symbolic.element_rref(Q, rows, ncols) == (reference.to_list(), tuple(pivots))
+        rows = [[symbolic.QQ(a.numerator, a.denominator) for a in row] for row in rows]
+        assert symbolic.element_rref(symbolic.QQ, rows, ncols) == (reference.to_list(),
+                                                                   tuple(pivots))
 
     def test_element_rref_of_zero_rows(self):
         K, _ = self._fields()
@@ -1404,6 +1407,130 @@ class TestRational:
         with pytest.raises(UnsupportedEquationError,
                            match=r"point value x = 0\.5 is not a rational number"):
             symbolic.element_values(K, [[a]], {x: 0.5})
+
+
+class TestRationalArithmetic:
+    """The kernel's Rational against fractions.Fraction: arithmetic with
+    Rationals and ints, powers, comparisons, hashes and printing; and
+    symbolic.rational against sympy's Rational on texts, the errors
+    included."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_fraction(self, seed):
+        rng = random.Random(seed + 9700)
+        for _ in range(50):
+            p, q = rng.randint(-60, 60), rng.randint(1, 60)
+            r, s = rng.randint(-60, 60), rng.choice((1, rng.randint(1, 60)))
+            a, b = symbolic.QQ(p, q), symbolic.QQ(r, s)
+            f, g = Fraction(p, q), Fraction(r, s)
+            k = rng.randint(-5, 5)
+            results = [(a + b, f + g), (a - b, f - g), (a * b, f * g), (a + k, f + k),
+                       (k - a, k - f), (a * k, f * k), (k * a, k * f), (-a, -f), (abs(a), abs(f)),
+                       (a ** abs(k), f ** abs(k))]
+            if g:
+                results += [(a / b, f / g), (a ** -abs(k) if f else a, f ** -abs(k) if f else f)]
+            if k:
+                results += [(a / k, f / k)]
+            if f:
+                results += [(k / a, k / f)]
+            for ours, theirs in results:
+                assert type(ours) is symbolic.Rational
+                assert (ours.numerator, ours.denominator) == (theirs.numerator, theirs.denominator)
+                assert hash(ours) == hash(theirs) and str(ours) == str(theirs)
+            assert [a < b, a <= b, a > b, a >= b, a == b, a < k, a > k, a == k] == [
+                f < g, f <= g, f > g, f >= g, f == g, f < k, f > k, f == k]
+            assert float(a) == float(f) and bool(a) == bool(f)
+
+    def test_division_by_zero(self):
+        for divide in (lambda: symbolic.QQ(1, 2) / symbolic.QQ(0), lambda: symbolic.QQ(1) / 0,
+                       lambda: 1 / symbolic.QQ(0), lambda: symbolic.QQ(0) ** -1,
+                       lambda: symbolic.QQ(1, 0)):
+            with pytest.raises(ZeroDivisionError):
+                divide()
+
+    @pytest.mark.parametrize("text", [
+        "0.5", "-0.25", "+3", "3.", ".5", "007", "1e3", "-1.5E-2", " 1 / 2 ", "- 0.5", "3/-4",
+        "1_000", "", ".", "-", "1/0", "1/2/3", "nan", "inf", "0x10", "1/a", "a"])
+    def test_reads_texts_as_sympy(self, text):
+        try:
+            expected = sp.Rational(text)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                symbolic.rational(text)
+        else:
+            assert symbolic.rational(text) == expected
+            assert str(symbolic.rational(text)) == str(expected)
+
+    def test_reads_fractions(self):
+        assert symbolic.rational(Fraction(-6, 4)) == symbolic.QQ(-3, 2)
+
+
+class TestFactorShortcut:
+    """_factors returns an equation linear in a generator, whose
+    coefficient of it and rest have a constant gcd, as its one factor
+    without sympy, and sympy's dmp_factor_list gives the same list, the
+    factor's sign included: on primitive polynomials, on ones with an
+    integer content and on ones with a negative leading coefficient, over
+    1 to 6 generators.  Any other equation is factored by sympy."""
+
+    KINDS = ("primitive", "content", "negated")
+
+    @staticmethod
+    def _sympy_factors(p):
+        from sympy.polys.factortools import dmp_factor_list
+
+        k = p.ring.ngens
+        _, factors = dmp_factor_list(symbolic._to_dense(p, k), k - 1, sp.ZZ)
+        return [p.ring.from_dict(symbolic._from_dense(f, k)) for f, _ in factors]
+
+    @staticmethod
+    def _linear(rng, ring, i):
+        """a*x_i + b, a and b free of x_i and of degree 0 or 2 in every
+        generator before x_i, so x_i is the first generator p is linear
+        in, with a constant gcd of a and b."""
+        def part(terms):
+            poly = {}
+            for _ in range(terms):
+                monom = tuple(0 if j == i else rng.choice((0, 2)) if j < i else
+                              rng.randint(0, 2) for j in range(ring.ngens))
+                poly[monom] = poly.get(monom, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+            return ring.from_dict({m: c for m, c in poly.items() if c})
+
+        while True:
+            if rng.random() < 0.6:
+                a = part(rng.randint(1, 3))
+            else:
+                a = ring.ground_new(rng.choice((1, -2)))
+            b = part(rng.randint(0, 3))
+            if a and symbolic._cofactors(a, b)[0].is_ground:
+                return a * ring.gens[i] + b
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_dmp_factor_list(self, seed, monkeypatch):
+        rng = random.Random(seed + 9800)
+        ngens = 1 + seed % 6
+        ring = symbolic.function_field(tuple(symbolic.symbol("v%d" % j)
+                                             for j in range(ngens))).ring
+        p = self._linear(rng, ring, rng.randrange(ngens))
+        kind = self.KINDS[seed // 6 % 3]
+        if kind == "content":
+            p = p * ring.ground_new(rng.randint(2, 6))
+        elif kind == "negated" and p.LC > 0 or kind != "negated" and p.LC < 0:
+            p = -p
+        expected = self._sympy_factors(p)
+
+        def refuse(*args):
+            raise AssertionError("sympy factored %s" % (p,))
+
+        monkeypatch.setattr("sympy.polys.factortools.dmp_factor_list", refuse)
+        assert symbolic._factors(p) == expected
+
+    def test_reducible_linear_equation_goes_to_sympy(self):
+        ring = symbolic.function_field(tuple(map(symbolic.symbol, ("x", "y")))).ring
+        x, y = ring.gens
+        one = ring.one
+        p = (y + one) * (x * y - one - one) * ring.ground_new(3)
+        assert symbolic._factors(p) == self._sympy_factors(p) == [y + one, x * y - one - one]
 
 
 class TestToInfix:

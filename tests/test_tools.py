@@ -1,5 +1,6 @@
-"""The code-line counter of tools/code_lines.py, and the names of the
-benchmark's per-layer metrics."""
+"""The code-line counter of tools/code_lines.py, the summary of
+tools/bench_pairs.py, and the names of the benchmark's per-layer
+metrics."""
 
 import importlib
 import importlib.util
@@ -11,6 +12,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
 code_lines = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(code_lines)
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -48,6 +52,26 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines] == [
         ["2", str(tmp_path / "a.py")], ["1", str(tmp_path / "b.py")], ["3", "total"]]
+
+
+def test_pair_summary_counts_the_wins_in_the_better_direction():
+    """Each side's median and quartiles and the pairs in which the change
+    reads better: lower for a time, and ties count for neither side."""
+    spec = {"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower"},
+                           {"name": "score", "unit": "1", "better": "higher"}]}
+    pairs = [(0.30, 0.06, 1, 2), (0.36, 0.07, 1, 1), (0.32, 0.32, 3, 2), (0.34, 0.05, 2, 1)]
+    runs = [{"seed": i + 1,
+             "parent": {"correct": True, "failed": 0, "metrics": {"setup_s": p, "score": a}},
+             "change": {"correct": True, "failed": i == 3, "metrics": {"setup_s": c, "score": b}}}
+            for i, (p, c, a, b) in enumerate(pairs)]
+    record = bench_pairs._workload_record(runs, spec)
+    setup = record["metrics"]["setup_s"]
+    assert (setup["change_wins"], setup["pairs"]) == (3, 4)
+    assert setup["parent"]["median"] == 0.33 and setup["change"]["median"] == 0.065
+    assert setup["parent"]["q1"] < setup["parent"]["median"] < setup["parent"]["q3"]
+    assert record["metrics"]["score"]["change_wins"] == 1
+    assert record["failed"] == {"parent": 0, "change": 1}
+    assert record["correct"] == {"parent": True, "change": True}
 
 
 # Per-layer metrics of BENCHMARK.json whose functions flatcheck no longer
