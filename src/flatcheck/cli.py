@@ -23,7 +23,8 @@ import argparse
 import contextlib
 import csv
 # argparse translates its messages with gettext, which imports locale when
-# the first parser is built: it is loaded here, with the rest of a command
+# the first parser is built: it is loaded here with the CLI's other
+# modules, so a command's own run imports no module
 import locale  # noqa: F401
 import math
 import sys

@@ -17,9 +17,8 @@ sympy is not imported when this module is loaded, and no other module
 imports it at all: the numbers, the symbols, the expressions and the
 polynomials of the pipeline are this module's own.  ``_factors`` and
 ``_cofactors`` import sympy's dense routines on the rare paths described
-below, and ``_sympify`` and ``_to_sympy`` convert sympy's expressions
-from and to this module's, for systems and expressions built in code
-with sympy.
+below, and ``_sympify`` reads sympy's expressions into this module's,
+for systems and expressions built in code with sympy.
 
 Invariant: every expression this module takes or returns is a rational
 function with rational coefficients.  Inside this module such an
@@ -121,8 +120,7 @@ grammar: ``Rational`` numbers, ``Symbol``s, sums (``Add``), products
 (``Mul``) and integer powers (``Pow``), which evaluate as sympy's
 constructors evaluate them, so each has the structure of sympy's own
 expression, argument for argument; the rules are in the docstring of
-``Expressions``, and Python's operators act on them as on sympy's.
-Their ``_sympy_`` converts them where sympy reads them.
+``Expressions``.
 ``float_function`` compiles expressions to one float function for the
 replay and ``simulate``: it prints them, without sympy, into the source
 that ``lambdify`` with the math module writes for sympy's, the terms and
@@ -181,80 +179,12 @@ from .errors import (
 )
 
 
-class _Operators:
-    """Python's arithmetic operators on the expressions of this module,
-    as sympy's operators act on sympy's: +, -, *, / and ** to an integer
-    evaluate as :class:`Expressions` does, with ints and Rationals taken
-    for numbers.  Any other operand is left to its own operator, so an
-    expression combined with a sympy expression gives sympy's (through
-    ``_sympy_``)."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else Expressions.add(self, other)
-
-    def __radd__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else Expressions.add(other, self)
-
-    def __sub__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else Expressions.add(self, Expressions.neg(other))
-
-    def __rsub__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else Expressions.add(other, Expressions.neg(self))
-
-    def __mul__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else Expressions.mul(self, other)
-
-    def __rmul__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else Expressions.mul(other, self)
-
-    def __truediv__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else Expressions.mul(self, _inverse(other))
-
-    def __rtruediv__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else Expressions.mul(other, _inverse(self))
-
-    def __pow__(self, k):
-        return Expressions.power(self, k) if isinstance(k, int) else NotImplemented
-
-    def __neg__(self):
-        return Expressions.neg(self)
-
-    def _sympy_(self):
-        return _to_sympy(self)
-
-
-def _operand(x):
-    """x as an operand of :class:`_Operators`: an expression, an int as a
-    Rational, or None for anything else."""
-    if type(x) in _EXPRESSION_TYPES:
-        return x
-    return _rational(int(x), 1) if isinstance(x, int) else None
-
-
-def _inverse(x):
-    """x**-1; ZeroDivisionError for zero."""
-    if type(x) is Rational and not x:
-        raise ZeroDivisionError("division by zero")
-    return Expressions.power(x, -1)
-
-
-class Symbol(_Operators):
+class Symbol:
     """A generator of a function field, identified by its name: there is
     one symbol per name (:func:`symbol`), so two symbols are equal when
     they are the same object.  It prints as its name, and hashes as
     sympy's commutative Symbol of that name hashes, so sets of symbols
-    iterate in the order that sets of sympy's symbols do, and a sympy
-    Symbol, which compares equal to it, finds it as a dict key."""
+    iterate in the order that sets of sympy's symbols do."""
 
     __slots__ = ("name", "_hash")
 
@@ -452,9 +382,6 @@ class Rational:
 
     def __reduce__(self):
         return Rational, (self.numerator, self.denominator)
-
-    def _sympy_(self):
-        return _to_sympy(self)
 
 
 def _rational(numerator, denominator):
@@ -756,15 +683,20 @@ class FunctionField:
         return "FunctionField(%s)" % ", ".join(map(str, self.symbols))
 
 
-@functools.cache
 def function_field(gens: tuple):
     """The field QQ(gens), its elements stored as
     :class:`RationalFunction`, gens empty included, each generator a
-    :class:`Symbol` (a sympy Symbol is converted by its name).  Elements
+    :class:`Symbol` (a sympy Symbol is converted by its name)."""
+    return _function_field(tuple(map(as_symbol, gens)))
+
+
+@functools.cache
+def _function_field(symbols: tuple):
+    """The one field of a tuple of :class:`Symbol` generators: elements
     compare their fields by identity, so the cache keeps one field per
     tuple of generators for the life of the process, as sympy keeps its
     rings."""
-    return FunctionField(tuple(map(as_symbol, gens)))
+    return FunctionField(symbols)
 
 
 def field_of(elements):
@@ -863,7 +795,7 @@ def _fraction(e, fractions):
     return functools.reduce(fractions.add, pairs)
 
 
-class Add(_Operators):
+class Add:
     """The sum constant + sum c*s over the dict terms, as sympy's ``Add``
     evaluates it: a Rational constant, and for each term s, a symbol, a
     power or a product without a coefficient, its nonzero Rational
@@ -897,7 +829,7 @@ class Add(_Operators):
     __str__ = __repr__
 
 
-class Mul(_Operators):
+class Mul:
     """The product coeff * prod b**k over the dict factors, as sympy's
     ``Mul`` evaluates it: a nonzero Rational coefficient, and for each
     base b, a symbol or a sum, its nonzero integer exponent k; at least
@@ -932,7 +864,7 @@ class Mul(_Operators):
     __str__ = __repr__
 
 
-class Pow(_Operators):
+class Pow:
     """The power base**exp of a symbol or a sum to an integer other than 0
     and 1, as sympy's ``Pow`` keeps it."""
 
@@ -962,9 +894,10 @@ _EXPRESSION_TYPES = (Rational, Symbol, Add, Mul, Pow)
 
 def _unequal(other):
     """The comparison of an expression with an expression of another type,
-    False, or with anything else, left to it (a sympy expression compares
-    itself with the expression's ``_sympy_``)."""
+    False, or with anything else, left to it."""
     return False if type(other) in _EXPRESSION_TYPES else NotImplemented
+
+
 _MINUS_ONE = _rational(-1, 1)
 
 
@@ -1169,22 +1102,6 @@ def _expression_of(e):
     if isinstance(e, int):
         return _rational(int(e), 1)
     return _from_sympy(_sympify(e))
-
-
-def _to_sympy(e):
-    """sympy's expression of an expression of this module, built with
-    sympy's own constructors; the ``_sympy_`` of each of its types, so
-    sympy reads them where it reads its own."""
-    import sympy
-
-    t = type(e)
-    if t is Rational:
-        return sympy.Rational(e.numerator, e.denominator)
-    if t is Symbol:
-        return sympy.Symbol(e.name)
-    if t is Pow:
-        return sympy.Pow(_to_sympy(e.base), e.exp)
-    return (sympy.Add if t is Add else sympy.Mul)(*map(_to_sympy, e.args))
 
 
 def _polynomial_expression(poly):

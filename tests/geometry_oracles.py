@@ -29,7 +29,7 @@ def lie_bracket(coords, a, b) -> tuple:
     K = symbolic.field_of(tuple(a) + tuple(b))
     F = kernel_oracle.sympy_field(K)
     a, b = ([kernel_oracle.to_sympy(c) for c in row] for row in (a, b))
-    gens = [F.gens[K.symbols.index(s)] for s in coords]
+    gens = [F.gens[K.symbols.index(symbolic.as_symbol(s))] for s in coords]
     comps = []
     for i in range(len(gens)):
         term = F.zero
@@ -96,10 +96,12 @@ def controllability_ranks(system, count) -> list:
     """The ranks of [B, AB, ..., A^(k-1) B] for k = 1, ..., count, where
     (A, B) is the linearization of x+ = f(x, u) at the equilibrium,
     computed with sympy matrices from system.update."""
-    f = sp.Matrix(system.update)
-    point = system.equilibrium_point()
-    A = f.jacobian(system.states).subs(point)
-    blocks = [f.jacobian(system.inputs).subs(point)]
+    sympy_of = kernel_oracle.sympy_symbol
+    f = sp.Matrix(kernel_oracle.sympy_update(system))
+    point = {sympy_of(s): sp.Rational(int(v.numerator), int(v.denominator))
+             for s, v in system.equilibrium_point().items()}
+    A = f.jacobian([sympy_of(s) for s in system.states]).subs(point)
+    blocks = [f.jacobian([sympy_of(s) for s in system.inputs]).subs(point)]
     while len(blocks) < count:
         blocks.append(A * blocks[-1])
     return [sp.Matrix.hstack(*blocks[:k]).rank() for k in range(1, count + 1)]

@@ -42,6 +42,30 @@ def to_sympy(a):
     return F.raw_new(poly_to_sympy(a.numer), poly_to_sympy(a.denom))
 
 
+def as_expr(a):
+    """sympy's expression of the kernel element a, the ``as_expr()`` of
+    its pair in sympy's field, its generators sympy Symbols of the same
+    names."""
+    return to_sympy(a).as_expr()
+
+
+def sympy_symbol(s):
+    """sympy's Symbol of the name of the flatcheck symbol s."""
+    return sp.Symbol(s.name)
+
+
+def symbols(seq) -> list:
+    """flatcheck's symbols of the names of the symbols in seq, sympy's or
+    flatcheck's."""
+    return [symbolic.as_symbol(s) for s in seq]
+
+
+def keyed(values) -> dict:
+    """The values keyed by flatcheck's symbols of the names of its
+    keys, sympy's or flatcheck's."""
+    return {symbolic.as_symbol(s): v for s, v in values.items()}
+
+
 def from_sympy(K, f):
     """The element of the kernel field K whose pair is that of f: a sympy
     ``FracElement`` over K's generators, or an expression, which sympy
@@ -53,9 +77,34 @@ def from_sympy(K, f):
 
 def diff(a, s):
     """The derivative of the kernel element a in the generator s of its
-    field, taken by sympy's ``FracElement.diff``."""
+    field (flatcheck's symbol or sympy's of the same name), taken by
+    sympy's ``FracElement.diff``."""
     F = sympy_field(a.field)
-    return from_sympy(a.field, to_sympy(a).diff(F.gens[a.field.symbols.index(s)]))
+    return from_sympy(a.field,
+                      to_sympy(a).diff(F.gens[a.field.symbols.index(symbolic.as_symbol(s))]))
+
+
+OWN_EXPRESSIONS = (symbolic.Rational, symbolic.Symbol, symbolic.Add, symbolic.Mul, symbolic.Pow)
+
+
+def sympy_expression(e):
+    """sympy's expression of e: flatcheck's own expression rebuilt with
+    sympy's constructors, which evaluate it, and a sympy expression or a
+    number as sympy reads it."""
+    if not isinstance(e, OWN_EXPRESSIONS):
+        return sp.sympify(e)
+    if isinstance(e, (symbolic.Rational, symbolic.Symbol)):
+        return expression_to_sympy(e)
+    if isinstance(e, symbolic.Pow):
+        return sp.Pow(sympy_expression(e.base), e.exp)
+    return (sp.Add if isinstance(e, symbolic.Add) else sp.Mul)(*map(sympy_expression, e.args))
+
+
+def sympy_update(system) -> list:
+    """system.update as sympy expressions (:func:`sympy_expression`): a
+    parsed model's, flatcheck's own, and those of a system built in code
+    with sympy."""
+    return [sympy_expression(e) for e in system.update]
 
 
 def expression_to_sympy(e):

@@ -76,8 +76,8 @@ def test_criterion_2_flagship_flat_output_and_triangular(
     flat4_artifacts, models_dir, capsys
 ):
     flat_output, trace, form, p = flat4_artifacts
-    assert sp.expand(symbolic.expression(flat_output[0]) - x1 * (x3 + 1)) == 0
-    assert sp.expand(symbolic.expression(flat_output[1]) - (x2 + 3 * x4)) == 0
+    assert sp.expand(kernel_oracle.as_expr(flat_output[0]) - x1 * (x3 + 1)) == 0
+    assert sp.expand(kernel_oracle.as_expr(flat_output[1]) - (x2 + 3 * x4)) == 0
 
     code = cli.main(["extract", str(models_dir / "flat4.sys")])
     out = capsys.readouterr().out
@@ -89,13 +89,11 @@ def test_criterion_2_flagship_flat_output_and_triangular(
     assert sum(len(b.residuals) for b in form.blocks) == 4
     names = {}
     for z in form.trace.z_symbols:
-        names[str(z)] = z
-        names[str(form.shifted[z])] = form.shifted[z]
+        names[str(z)] = kernel_oracle.sympy_symbol(z)
+        names[str(form.shifted[z])] = kernel_oracle.sympy_symbol(form.shifted[z])
     for y in form.trace.y_level_symbols:
-        names[str(y)] = y
-        names[str(form.shifted[y])] = form.shifted[y]
-    y3 = next(y for y in form.trace.y_level_symbols if str(y) == "y3_1")
-    names[str(form.shifted[y3])] = form.shifted[y3]
+        names[str(y)] = kernel_oracle.sympy_symbol(y)
+        names[str(form.shifted[y])] = kernel_oracle.sympy_symbol(form.shifted[y])
     expected_blocks = {
         3: [names["y3_1_p1"] - names["zhat2_1"]],
         2: [
@@ -105,7 +103,7 @@ def test_criterion_2_flagship_flat_output_and_triangular(
         1: [names["zhat1_1_p1"] - names["y3_1"] - names["zhat0_1"]],
     }
     for block in form.blocks:
-        residuals = [symbolic.expression(r) for r in block.residuals]
+        residuals = [kernel_oracle.as_expr(r) for r in block.residuals]
         assert _same_residual_set(residuals, expected_blocks[block.k])
 
 
@@ -134,7 +132,7 @@ def test_criterion_3_parametrization_identities(flat4, flat4_artifacts):
     for j, bound in enumerate(p.R, start=1):
         top = verification.jet_symbol(j, bound)
         for e in p.F_x:
-            assert sp.diff(symbolic.expression(e), top) == 0
+            assert sp.diff(kernel_oracle.as_expr(e), kernel_oracle.sympy_symbol(top)) == 0
 
     ok, detail = verification.check_parametrization(flat4, p)
     assert ok, detail
@@ -178,8 +176,9 @@ def test_criterion_5_static_feedback_linearizable_pattern(load_system, name):
         levels[block.k - 1] = list(block.solved_for)
     for block in form.blocks:
         upstream = levels[block.k][0]
-        residual = symbolic.expression(block.residuals[0])
-        delay = form.shifted[upstream] - block.solved_for[0]
+        residual = kernel_oracle.as_expr(block.residuals[0])
+        delay = (kernel_oracle.sympy_symbol(form.shifted[upstream])
+                 - kernel_oracle.sympy_symbol(block.solved_for[0]))
         assert sp.expand(residual - delay) == 0 or sp.expand(residual + delay) == 0
 
 
@@ -221,7 +220,8 @@ def test_criterion_8_mutation_is_detected(flat4, flat4_artifacts):
     y1_jet = verification.jet_symbol(1, 0)
     mutated = FlatParametrization(
         F_x=p.F_x,
-        F_u=(kernel_oracle.from_sympy(p.F_u[0].field, symbolic.expression(p.F_u[0]) + y1_jet),)
+        F_u=(kernel_oracle.from_sympy(
+            p.F_u[0].field, kernel_oracle.as_expr(p.F_u[0]) + kernel_oracle.sympy_symbol(y1_jet)),)
         + tuple(p.F_u[1:]),
     )
     report = verification.verify_flat_output_numeric(

@@ -33,14 +33,13 @@ KERNEL_ATTRIBUTES = {
 # the functions that import sympy, each when it is called, and what they
 # import: the factorization where an equation has no linear factor that
 # is provably irreducible, the dense gcd where the heuristic gcd gives
-# up, and the conversions of sympy's input and to sympy's expressions
+# up, and the conversion of sympy's input
 FUNCTION_IMPORTS = {
     ("symbolic", "_factors"): {"from sympy import ZZ",
                                "from sympy.polys.factortools import dmp_factor_list"},
     ("symbolic", "_cofactors"): {"from sympy import ZZ",
                                  "from sympy.polys.euclidtools import dmp_rr_prs_gcd"},
     ("symbolic", "_sympify"): {"import sympy"},
-    ("symbolic", "_to_sympy"): {"import sympy"},
 }
 
 

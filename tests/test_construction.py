@@ -14,10 +14,12 @@ from flatcheck.errors import (
     StraighteningError,
 )
 
+import kernel_oracle
 from test_properties import TestSmallFlatSystemsUnderLinearStateChanges as _SmallFlat
 
 x1, x2, x3, x4 = sp.symbols("x1 x2 x3 x4")
 u1, u2 = sp.symbols("u1 u2")
+_symbol, _point = symbolic.as_symbol, kernel_oracle.keyed
 
 
 def _same_set(actual, expected):
@@ -39,7 +41,8 @@ def _invariants(rows, variables, count, point, **options):
     """polynomial_invariants on expression rows, read over QQ(variables);
     the invariants come back as expressions, after a check that the
     gradients returned with them are their jacobian_at the point."""
-    _, elements = symbolic.to_elements([e for row in rows for e in row], tuple(variables))
+    variables, point = tuple(map(_symbol, variables)), _point(point)
+    _, elements = symbolic.to_elements([e for row in rows for e in row], variables)
     width = len(variables)
     element_rows = [elements[i:i + width] for i in range(0, len(elements), width)]
     found, gradients = construction.polynomial_invariants(
@@ -47,7 +50,7 @@ def _invariants(rows, variables, count, point, **options):
     grad_vars = options.get("gradient_variables", variables)
     assert list(gradients) == symbolic.jacobian_at(
         symbolic.field(variables), found, grad_vars, point)
-    return [symbolic.expression(h) for h in found]
+    return [kernel_oracle.as_expr(h) for h in found]
 
 
 @pytest.fixture(scope="module",
@@ -108,9 +111,9 @@ class TestPolynomialInvariants:
         field, with their gradients in the caller's order."""
         _, row = symbolic.to_elements([x1, 1], (x2, x1, x3))
         found, gradients = construction.polynomial_invariants(
-            [row], (x2, x1), 1, {x1: 0, x2: 0})
+            [row], (_symbol(x2), _symbol(x1)), 1, _point({x1: 0, x2: 0}))
         assert symbolic.function_field(found[0].field.symbols) == symbolic.field((x1, x2))
-        assert sp.expand(symbolic.expression(found[0]) - (2 * x2 - x1**2)) == 0
+        assert sp.expand(kernel_oracle.as_expr(found[0]) - (2 * x2 - x1**2)) == 0
         assert gradients == ([2, 0],)
 
     def test_degree_cap_failure(self):
@@ -123,10 +126,12 @@ class TestPolynomialInvariants:
         a = sp.Symbol("a")
         _, row = symbolic.to_elements([1, a], (x1, x2, a))
         with pytest.raises(symbolic.GeneratorsError):
-            construction.polynomial_invariants([row], (x1, x2), 1, {x1: 0, x2: 0, a: 0})
+            construction.polynomial_invariants([row], (_symbol(x1), _symbol(x2)), 1,
+                                               _point({x1: 0, x2: 0, a: 0}))
 
     def test_no_invariants_asked(self):
-        assert construction.polynomial_invariants([], (x1, x2), 0, {}) == ((), ())
+        assert construction.polynomial_invariants([], (_symbol(x1), _symbol(x2)), 0,
+                                                  {}) == ((), ())
 
     def test_flagship_chain_without_expression_conversion(
         self, flat4, flat4_report, monkeypatch
@@ -172,7 +177,7 @@ class TestStraightening:
         point = {s: 0 for s in flat4.states}
         st = construction.straighten_distribution_chain(chain, point=point)
         assert len(st.blocks) == 3
-        values = [[symbolic.expression(st.forward[s]) for s in block] for block in st.blocks]
+        values = [[kernel_oracle.as_expr(st.forward[s]) for s in block] for block in st.blocks]
         assert _same_set(values[2], [x1 * (x3 + 1)])
         assert _same_set(values[1], [x3, x2 + 3 * x4])
         assert _same_set(values[0], [x4])
@@ -193,18 +198,18 @@ class TestStraightening:
         """A fibre change w = x1 + x1^3 of one coordinate needs a root of a
         cubic to give x1 back, so the peeling refuses it with its reason,
         and leaves the state as it was."""
-        w = sp.Symbol("w")
-        K, (value,) = symbolic.to_elements([x1 + x1**3], [x1])
+        w, x = symbolic.symbol("w"), _symbol(x1)
+        K, (value,) = symbolic.to_elements([x1 + x1**3], [x])
         state = construction.DecompositionState(
             report=None, st=None, base=K, coordinates=K, dynamics={},
-            stands_for={}, gamma=[], forward_all={x1: symbolic.generators(K, [x1])[0]},
-            point_cur={x1: 0})
+            stands_for={}, gamma=[], forward_all={x: symbolic.generators(K, [x])[0]},
+            point_cur={x: 0})
         with pytest.raises(StraighteningError) as info:
-            construction._change_fibre(state, {w: value}, [x1], 2)
+            construction._change_fibre(state, {w: value}, [x], 2)
         assert str(info.value) == ("fibre transformation at step 2 could not be "
                                    "inverted rationally: no solution branch is "
                                    "rational in x1")
-        assert state.coordinates is K and set(state.forward_all) == {x1}
+        assert state.coordinates is K and set(state.forward_all) == {x}
 
     def test_forward_inverse_roundtrip(self, extracted):
         """The chart and the straightening, each inverted by its branch
@@ -220,12 +225,12 @@ class TestExtractFlatOutput:
     def test_flagship_components(self, flat4_artifacts):
         flat_output = flat4_artifacts[0]
         assert len(flat_output) == 2
-        assert sp.simplify(symbolic.expression(flat_output[0]) - x1 * (x3 + 1)) == 0
-        assert sp.simplify(symbolic.expression(flat_output[1]) - (x2 + 3 * x4)) == 0
+        assert sp.simplify(kernel_oracle.as_expr(flat_output[0]) - x1 * (x3 + 1)) == 0
+        assert sp.simplify(kernel_oracle.as_expr(flat_output[1]) - (x2 + 3 * x4)) == 0
 
     def test_final_coordinates_in_original_variables(self, flat4_artifacts):
         trace = flat4_artifacts[1]
-        values = {str(z): symbolic.expression(a) for z, a in trace.z_values.items()}
+        values = {str(z): kernel_oracle.as_expr(a) for z, a in trace.z_values.items()}
         assert sp.simplify(values["y3_1"] - x1 * (x3 + 1)) == 0
         assert sp.simplify(values["y2_1"] - (x2 + 3 * x4)) == 0
         assert sp.simplify(values["zhat2_1"] - (x2 + x3 + 3 * x4)) == 0
@@ -250,8 +255,8 @@ class TestExtractFlatOutput:
 
     def test_combined_transformation(self, flat4_artifacts):
         trace = flat4_artifacts[1]
-        z = {str(s): s for s in trace.z_symbols}
-        rows = {str(sym): symbolic.expression(a) for sym, a in trace.combined_rows}
+        z = {str(s): kernel_oracle.sympy_symbol(s) for s in trace.z_symbols}
+        rows = {str(sym): kernel_oracle.as_expr(a) for sym, a in trace.combined_rows}
         assert sp.simplify(rows["xbar1_1"] - z["zhat1_1"]) == 0
         assert sp.simplify(rows["xbar2_1"] - (z["zhat2_1"] - z["y2_1"])) == 0
         assert sp.simplify(rows["xbar2_2"] - z["y2_1"]) == 0
@@ -280,7 +285,7 @@ class TestExtractFlatOutput:
 class TestImplicitTriangularForm:
     def test_flagship_blocks(self, flat4_artifacts):
         form = flat4_artifacts[2]
-        residuals = [[symbolic.expression(r) for r in b.residuals] for b in form.blocks]
+        residuals = [[kernel_oracle.as_expr(r) for r in b.residuals] for b in form.blocks]
         assert [b.k for b in form.blocks] == [3, 2, 1]
         y3_1, y2_1 = sp.symbols("y3_1 y2_1")
         zhat2_1, zhat1_1, zhat1_2, zhat0_1 = sp.symbols(
@@ -308,20 +313,22 @@ class TestImplicitTriangularForm:
         each residual must give the zero function of (x, u, u+)."""
         trace = flat4_artifacts[1]
         form = flat4_artifacts[2]
-        updates = {s: f for s, f in zip(flat4.states, flat4.update)}
+        updates = {kernel_oracle.sympy_symbol(s): f
+                   for s, f in zip(flat4.states, kernel_oracle.sympy_update(flat4))}
         shift_u = {
-            u: sp.Symbol("%s_p1" % u.name) for u in flat4.inputs
+            sp.Symbol(u.name): sp.Symbol("%s_p1" % u.name) for u in flat4.inputs
         }
-        current = {z: sp.sympify(symbolic.expression(a)) for z, a in trace.z_values.items()}
+        current = {kernel_oracle.sympy_symbol(z): kernel_oracle.as_expr(a)
+                   for z, a in trace.z_values.items()}
         ahead = {}
         for z, e in current.items():
             stepped = e.subs(shift_u, simultaneous=True).subs(
                 updates, simultaneous=True
             )
-            ahead[form.shifted[z]] = stepped
+            ahead[sp.Symbol(form.shifted[symbolic.symbol(z.name)].name)] = stepped
         for block in form.blocks:
             for residual in block.residuals:
-                value = sp.sympify(symbolic.expression(residual)).subs(
+                value = kernel_oracle.as_expr(residual).subs(
                     ahead, simultaneous=True).subs(current, simultaneous=True)
                 assert sp.simplify(value) == 0
 
@@ -340,7 +347,7 @@ class TestParametrization:
             -y1 * y1_p2 + y1 * y2_p1 + y2_p1,
         ]
         for got, want in zip(p.F_x, expected_x):
-            assert sp.simplify(symbolic.expression(got) - want) == 0
+            assert sp.simplify(kernel_oracle.as_expr(got) - want) == 0
         expected_u = [
             2 * y1
             + 2 * y1_p1 * y1_p3
@@ -351,31 +358,31 @@ class TestParametrization:
             -y1 - y1_p1 * y1_p3 + y1_p1 * y2_p2 + y2_p2,
         ]
         for got, want in zip(p.F_u, expected_u):
-            assert sp.simplify(symbolic.expression(got) - want) == 0
+            assert sp.simplify(kernel_oracle.as_expr(got) - want) == 0
 
     def test_chain2_parametrization(self, chain2, chain2_report):
         flat_output, trace = construction.extract_flat_output(chain2, chain2_report)
-        assert sp.simplify(symbolic.expression(flat_output[0]) - x1) == 0
+        assert sp.simplify(kernel_oracle.as_expr(flat_output[0]) - x1) == 0
         form = construction.to_implicit_triangular(trace)
         p = construction.parametrize_from_triangular(form)
         y1, y1_p1, y1_p2 = sp.symbols("y1 y1_p1 y1_p2")
         assert p.R == (2,)
-        assert sp.simplify(symbolic.expression(p.F_x[0]) - y1) == 0
-        assert sp.simplify(symbolic.expression(p.F_x[1]) - y1_p1) == 0
-        assert sp.simplify(symbolic.expression(p.F_u[0]) - y1_p2) == 0
+        assert sp.simplify(kernel_oracle.as_expr(p.F_x[0]) - y1) == 0
+        assert sp.simplify(kernel_oracle.as_expr(p.F_x[1]) - y1_p1) == 0
+        assert sp.simplify(kernel_oracle.as_expr(p.F_u[0]) - y1_p2) == 0
 
     def test_quadratic_output_function(self, sfl_quadratic, sfl_quadratic_report):
         flat_output, trace = construction.extract_flat_output(
             sfl_quadratic, sfl_quadratic_report
         )
-        assert sp.simplify(symbolic.expression(flat_output[0]) - (x2 - x1**2)) == 0
+        assert sp.simplify(kernel_oracle.as_expr(flat_output[0]) - (x2 - x1**2)) == 0
         form = construction.to_implicit_triangular(trace)
         p = construction.parametrize_from_triangular(form)
         y1, y1_p1, y1_p2 = sp.symbols("y1 y1_p1 y1_p2")
         assert p.R == (2,)
-        assert sp.simplify(symbolic.expression(p.F_x[0]) - y1_p1) == 0
-        assert sp.simplify(symbolic.expression(p.F_x[1]) - (y1 + y1_p1**2)) == 0
-        assert sp.simplify(symbolic.expression(p.F_u[0]) - y1_p2) == 0
+        assert sp.simplify(kernel_oracle.as_expr(p.F_x[0]) - y1_p1) == 0
+        assert sp.simplify(kernel_oracle.as_expr(p.F_x[1]) - (y1 + y1_p1**2)) == 0
+        assert sp.simplify(kernel_oracle.as_expr(p.F_u[0]) - y1_p2) == 0
 
     def test_irrational_solve_fails_honestly(self, quad_chain):
         report = analysis.run_algorithm1(quad_chain)

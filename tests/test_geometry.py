@@ -24,14 +24,16 @@ def _field(coords, components):
 
 
 def _distribution(coords, rows):
-    """make_distribution of rows of sympy expressions, read over QQ(coords)."""
+    """make_distribution of rows of sympy expressions, read over QQ(coords),
+    over flatcheck's symbols of the coordinates' names."""
     return geometry.make_distribution(
-        coords, [symbolic.to_elements(row, coords)[1] for row in rows])
+        tuple(map(symbolic.as_symbol, coords)),
+        [symbolic.to_elements(row, coords)[1] for row in rows])
 
 
 def _matrix(dist):
     """The basis of a distribution as a sympy matrix, one row per field."""
-    return sp.Matrix([[symbolic.expression(c) for c in row] for row in dist.rows])
+    return sp.Matrix([[kernel_oracle.as_expr(c) for c in row] for row in dist.rows])
 
 
 class TestDistribution:
@@ -202,7 +204,7 @@ class TestSequenceSteps:
         assert step0.D.dim == 1
         row = step0.D.rows[0]
         for j in range(flat4.n):
-            assert sp.simplify(symbolic.expression(row[j])) == 0
+            assert sp.simplify(kernel_oracle.as_expr(row[j])) == 0
         K = symbolic.function_field(row[0].field.symbols)
         u_part = [list(row[flat4.n :])]
         normalized = symbolic.element_rref(K, u_part, flat4.m)[0]

@@ -54,9 +54,9 @@ class TestParseModel:
         system = modelfile.parse_model(
             text.replace("equilibrium: all zero", "equilibrium: x1=1, x2=1, u=1")
         )
-        u = system.inputs[0]
-        x1 = system.states[0]
-        assert sp.simplify(system.update[1] - (u / 2 + x1**2 - sp.Rational(1, 2))) == 0
+        u, x1 = sp.symbols("u x1")
+        assert sp.simplify(kernel_oracle.expression_to_sympy(system.update[1])
+                           - (u / 2 + x1**2 - sp.Rational(1, 2))) == 0
 
     @pytest.mark.parametrize(
         "mutation",
@@ -207,7 +207,7 @@ class TestParseExpression:
 
     def test_resolves_system_symbols(self):
         system = modelfile.parse_model(CHAIN)
-        x1, x2 = system.states
+        x1, x2 = sp.symbols("x1 x2")
         expected = symbolic.to_elements([x1 * (x2 + 1) ** 2], system.variables)[1]
         assert modelfile.parse_elements(["x1*(x2+1)^2"], system) == expected
 
@@ -338,9 +338,6 @@ class TestParsedElements:
         for expr in (u / (x1 - x1), sp.Pow(x1 - x1, -1, evaluate=False)):
             with pytest.raises(UnsupportedEquationError):
                 symbolic.to_elements([expr], system.variables)
-        # symbolic's own operators refuse the division when it is built
-        with pytest.raises(ZeroDivisionError):
-            system.inputs[0] / (system.states[0] - system.states[0])
 
     def test_division_by_zero_keeps_syntax_errors(self):
         """The first error in reading order is the one reported."""
@@ -377,8 +374,7 @@ next x2 = u
 
     def test_non_rational_update_rejected(self):
         system = modelfile.parse_model(CHAIN)
-        x1, x2 = system.states
-        (u,) = system.inputs
+        x1, x2, u = sp.symbols("x1 x2 u")
         trig = model.DiscreteTimeSystem(
             name="trig",
             states=system.states,
@@ -440,9 +436,10 @@ class TestEliminateRedundantInputs:
         assert reduced.m == 1
         u1, u2 = redundant_input.inputs
         uhat = reduced.inputs[0]
-        assert sp.simplify(symbolic.expression(reduction.kept_functions[0]) - (u1 + u2)) == 0
+        assert sp.simplify(kernel_oracle.as_expr(reduction.kept_functions[0])
+                           - sp.Symbol(u1.name) - sp.Symbol(u2.name)) == 0
         assert reduction.removed_coordinates == (u2,)
-        assert sp.simplify(reduced.update[1] - uhat) == 0
+        assert kernel_oracle.expression_to_sympy(reduced.update[1]) == sp.Symbol(uhat.name)
         report = model.validate_system(reduced)
         assert not report.redundant_inputs
 

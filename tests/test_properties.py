@@ -79,7 +79,7 @@ class TestBracketAlgebra:
         ab = geometry_oracles.lie_bracket(COORDS3, a, b)
         ba = geometry_oracles.lie_bracket(COORDS3, b, a)
         for p, q in zip(ab, ba):
-            assert sp.expand(symbolic.expression(p) + symbolic.expression(q)) == 0
+            assert sp.expand(kernel_oracle.as_expr(p) + kernel_oracle.as_expr(q)) == 0
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_jacobi_identity(self, seed):
@@ -94,7 +94,7 @@ class TestBracketAlgebra:
             bracket(c, bracket(a, b)),
         ]
         for i in range(3):
-            total = sum(symbolic.expression(row[i]) for row in cyclic)
+            total = sum(kernel_oracle.as_expr(row[i]) for row in cyclic)
             assert sp.expand(total) == 0
 
 
@@ -125,7 +125,7 @@ class TestPushforwardCommutesWithBracket:
         jac = sp.Matrix(
             [[sp.diff(fi, c) for c in coords] for fi in forward]
         )
-        comps = jac * sp.Matrix(len(coords), 1, [symbolic.expression(c) for c in field])
+        comps = jac * sp.Matrix(len(coords), 1, [kernel_oracle.as_expr(c) for c in field])
         pushed = [
             sp.expand(sp.cancel(comp.subs(inverse, simultaneous=True)))
             for comp in comps
@@ -151,7 +151,7 @@ class TestPushforwardCommutesWithBracket:
             self._pushforward(b, forward, inverse, COORDS3),
         )
         for p, q in zip(lhs, rhs):
-            assert sp.expand(sp.cancel(symbolic.expression(p) - symbolic.expression(q))) == 0
+            assert sp.expand(sp.cancel(kernel_oracle.as_expr(p) - kernel_oracle.as_expr(q))) == 0
 
 
 def _span_equal(a, b):
@@ -165,14 +165,15 @@ def _span_equal(a, b):
 def _mixed_rows(rng, dist, K):
     """Rows spanning the same distribution over the function field, as
     elements of K."""
-    M = sp.Matrix([[symbolic.expression(c) for c in row] for row in dist.rows])
+    M = sp.Matrix([[kernel_oracle.as_expr(c) for c in row] for row in dist.rows])
     U = unimodular_matrix(rng, M.rows)
     mixed = U * M
     if M.rows > 1:
         i = rng.randrange(M.rows)
         j = rng.randrange(M.rows)
         if i != j:
-            f = random_polynomial(rng, dist.coords[:2], max_terms=2, max_degree=1)
+            f = random_polynomial(rng, [kernel_oracle.sympy_symbol(c) for c in dist.coords[:2]],
+                                  max_terms=2, max_degree=1)
             for c in range(M.cols):
                 mixed[i, c] = sp.expand(mixed[i, c] + f * mixed[j, c])
     return [symbolic.to_elements(list(mixed[i, :]), K.symbols)[1] for i in range(M.rows)]
@@ -233,10 +234,11 @@ def _linear_state_change(system, T):
     """Conjugate the dynamics by the linear state map w = T x."""
     n = len(system.states)
     Tinv = T.inv()
-    xs = sp.Matrix(n, 1, list(system.states))
-    old_in_new = Tinv * xs
-    subs = {s: old_in_new[i] for i, s in enumerate(system.states)}
-    f = sp.Matrix(n, 1, [sp.sympify(e).subs(subs, simultaneous=True) for e in system.update])
+    states = [kernel_oracle.sympy_symbol(s) for s in system.states]
+    old_in_new = Tinv * sp.Matrix(n, 1, states)
+    subs = {s: old_in_new[i] for i, s in enumerate(states)}
+    f = sp.Matrix(n, 1, [e.subs(subs, simultaneous=True)
+                         for e in kernel_oracle.sympy_update(system)])
     new_f = sp.expand(T * f)
     return DiscreteTimeSystem(
         name=system.name + "T",
@@ -491,7 +493,7 @@ class TestIntegratorExtensionPreservesFlatness:
         assert geometry_oracles.sfl_dimensions_are_brunovsky(base_report)
         w = sp.Symbol("w")
         v = sp.Symbol("v")
-        u = base.inputs[0]
+        u = kernel_oracle.sympy_symbol(base.inputs[0])
         extended = DiscreteTimeSystem(
             name=base.name + "Ext",
             states=base.states + (w,),
@@ -511,7 +513,7 @@ class TestRedundantInputExtension:
     def test_removed_input_becomes_component(self, seed):
         rng = random.Random(seed + 7000)
         base = _random_flat_chain(rng)
-        u = base.inputs[0]
+        u = kernel_oracle.sympy_symbol(base.inputs[0])
         u1s, u2s = sp.symbols("ua ub")
         a = rng.choice([1, 2, 3])
         combined = u1s + a * u2s
@@ -538,16 +540,16 @@ class TestRedundantInputExtension:
             reduction.reduced, report
         )
         back = {
-            un: symbolic.expression(e)
+            kernel_oracle.sympy_symbol(un): kernel_oracle.as_expr(e)
             for un, e in zip(reduction.reduced.inputs, reduction.kept_functions)
         }
         presented = [
-            sp.cancel(sp.sympify(symbolic.expression(c)).subs(back, simultaneous=True))
+            sp.cancel(kernel_oracle.as_expr(c).subs(back, simultaneous=True))
             for c in flat_output
         ]
-        presented.extend(reduction.removed_coordinates)
+        presented.extend(map(kernel_oracle.sympy_symbol, reduction.removed_coordinates))
         assert len(presented) == redundant.m
-        assert any(sp.simplify(c - removed) == 0 for c in presented)
+        assert any(sp.simplify(c - kernel_oracle.sympy_symbol(removed)) == 0 for c in presented)
 
     @pytest.mark.parametrize("seed", list(range(10)))
     def test_extended_output_verifies_on_original(self, seed):
@@ -555,7 +557,7 @@ class TestRedundantInputExtension:
         unreduced system; checked symbolically on a subset for cost."""
         rng = random.Random(seed + 8000)
         base = _random_flat_chain(rng)
-        u = base.inputs[0]
+        u = kernel_oracle.sympy_symbol(base.inputs[0])
         u1s, u2s = sp.symbols("ua ub")
         combined = u1s + rng.choice([1, 2]) * u2s
         redundant = DiscreteTimeSystem(
@@ -570,13 +572,13 @@ class TestRedundantInputExtension:
         report = analysis.run_algorithm1(reduction.reduced)
         flat_output, _ = construction.extract_flat_output(reduction.reduced, report)
         back = {
-            un: symbolic.expression(e)
+            kernel_oracle.sympy_symbol(un): kernel_oracle.as_expr(e)
             for un, e in zip(reduction.reduced.inputs, reduction.kept_functions)
         }
         candidate = tuple(
-            sp.cancel(sp.sympify(symbolic.expression(c)).subs(back, simultaneous=True))
+            sp.cancel(kernel_oracle.as_expr(c).subs(back, simultaneous=True))
             for c in flat_output
-        ) + tuple(reduction.removed_coordinates)
+        ) + tuple(map(kernel_oracle.sympy_symbol, reduction.removed_coordinates))
         _, candidate = symbolic.to_elements(candidate, redundant.variables)
         p, sym_report = verification.verify_flat_output_symbolic(
             redundant, candidate
@@ -865,7 +867,8 @@ KEYWORD_TWIN = KEYWORD_MODEL.replace("lambda", "lambda0").replace("if", "if0")
 def _lambdify_source(variables, exprs, names) -> str:
     """The source of sympy's lambdify of the expressions, read by sympy,
     for the math module, its arguments renamed to names."""
-    fn = sp.lambdify(list(map(sp.sympify, variables)), list(map(sp.sympify, exprs)),
+    fn = sp.lambdify(list(map(kernel_oracle.sympy_symbol, variables)),
+                     list(map(kernel_oracle.sympy_expression, exprs)),
                      modules="math", docstring_limit=0)
     rename = dict(zip(inspect.signature(fn).parameters, names))
     return re.sub(r"\w+", lambda m: rename.get(m.group(), m.group()), inspect.getsource(fn))

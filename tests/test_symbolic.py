@@ -39,7 +39,7 @@ def _canonical(e):
 class TestCanonicalize:
     def test_cancels_common_factors(self):
         e = (x**2 - 1) / (x - 1)
-        assert _canonical(e) == x + 1
+        assert kernel_oracle.expression_to_sympy(_canonical(e)) == x + 1
 
     def test_idempotent(self):
         e = (x * y + y) / (y**2 + y)
@@ -79,7 +79,8 @@ def _generic_rank(M):
 
 def _rank_at_point(M, point):
     K, rows = _elements(M)
-    return symbolic.rational_rank(symbolic.element_values(K, rows, point), M.cols)
+    return symbolic.rational_rank(
+        symbolic.element_values(K, rows, kernel_oracle.keyed(point)), M.cols)
 
 
 class TestFunctionFieldRref:
@@ -176,9 +177,10 @@ def _jacobian_rank(functions, variables, point=None):
     """jacobian_rank of expressions converted over QQ(their free symbols
     sorted by name), or the rank of their jacobian_at a given point."""
     K, elements = symbolic.to_elements(functions)
+    variables = kernel_oracle.symbols(variables)
     if point is None:
         return symbolic.jacobian_rank(K, elements, variables)
-    rows = symbolic.jacobian_at(K, elements, variables, point)
+    rows = symbolic.jacobian_at(K, elements, variables, kernel_oracle.keyed(point))
     return symbolic.rational_rank(rows, len(variables))
 
 
@@ -251,7 +253,7 @@ class TestRankCertificate:
         a, _ = symbolic._certificate_point(2)
         functions = [x**2 / 2 - a * x, y]
         wider, elements = symbolic.to_elements(functions, (sp.Symbol("w"), x, y))
-        assert symbolic.jacobian_rank(wider, elements, [x, y]) == 2
+        assert symbolic.jacobian_rank(wider, elements, kernel_oracle.symbols([x, y])) == 2
         assert fraction_field_rrefs == [(2, 2)]
 
     def test_rows_certify_at_the_point_of_the_generators_they_use(
@@ -351,8 +353,9 @@ class TestJacobianAtPoint:
             # a dependent function makes the ranks fall short
             functions.append(functions[0] * functions[-1] + 1)
         K, elements = symbolic.to_elements(functions, (x, y, z))
-        variables = rng.sample([x, y, z], rng.randint(1, 3))
-        point = {g: sp.Rational(rng.randint(-2, 2), rng.randint(1, 2)) for g in (x, y, z)}
+        variables = kernel_oracle.symbols(rng.sample([x, y, z], rng.randint(1, 3)))
+        point = kernel_oracle.keyed(
+            {g: sp.Rational(rng.randint(-2, 2), rng.randint(1, 2)) for g in (x, y, z)})
         return K, elements, variables, point, [[kernel_oracle.diff(a, v) for v in variables]
                                                for a in elements]
 
@@ -372,12 +375,14 @@ class TestJacobianAtPoint:
 
     def test_point_rank_falls_short(self):
         K, elements = symbolic.to_elements([x * y])
-        assert symbolic.jacobian_ranks(K, elements, [x, y], {x: 0, y: 0}) == (1, 0)
+        assert symbolic.jacobian_ranks(K, elements, kernel_oracle.symbols([x, y]),
+                                       kernel_oracle.keyed({x: 0, y: 0})) == (1, 0)
 
     def test_pole_of_an_element_raises_without_a_column_for_it(self):
         K, elements = symbolic.to_elements([1 / x + y])
         with pytest.raises(ZeroDivisionError):
-            symbolic.jacobian_at(K, elements, [y], {x: 0, y: 1})
+            symbolic.jacobian_at(K, elements, kernel_oracle.symbols([y]),
+                                 kernel_oracle.keyed({x: 0, y: 1}))
 
     def test_full_rank_at_the_point_skips_the_generic_rank(self, monkeypatch):
         def refuse(*args):
@@ -385,7 +390,8 @@ class TestJacobianAtPoint:
 
         monkeypatch.setattr(symbolic, "jacobian_rank", refuse)
         K, elements = symbolic.to_elements([x * y, x + y**2])
-        assert symbolic.jacobian_ranks(K, elements, [x, y], {x: 1, y: 2}) == (2, 2)
+        assert symbolic.jacobian_ranks(K, elements, kernel_oracle.symbols([x, y]),
+                                       kernel_oracle.keyed({x: 1, y: 2})) == (2, 2)
 
     def test_completion_keeps_columns_in_the_order_tried(self):
         QQ = symbolic.QQ
@@ -400,12 +406,12 @@ class TestJacobianAtPoint:
 
 def _solve(equations, unknowns):
     """solve_elements on expressions = 0 over QQ(the unknowns and their
-    free symbols, sorted by name); the branches as expressions, in the
-    order the elimination finds them."""
+    free symbols, sorted by name); the branches as sympy expressions keyed
+    by sympy's symbols, in the order the elimination finds them."""
     symbols = set(unknowns).union(*(sp.sympify(e).free_symbols for e in equations))
     K, elements = symbolic.to_elements(equations, sorted(symbols, key=lambda s: s.name))
-    return [{s: symbolic.expression(v) for s, v in sol.items()}
-            for sol in symbolic.solve_elements(K, elements, unknowns)]
+    return [{kernel_oracle.sympy_symbol(s): kernel_oracle.as_expr(v) for s, v in sol.items()}
+            for sol in symbolic.solve_elements(K, elements, kernel_oracle.symbols(unknowns))]
 
 
 class TestSolveAlgebraic:
@@ -432,14 +438,14 @@ class TestSolveAlgebraic:
     def test_only_irrational_branches_raise(self):
         with pytest.raises(IrrationalSolutionError) as info:
             _solve([x**2 - 2], [x])
-        assert info.value.unknown == x
+        assert info.value.unknown is symbolic.symbol("x")
 
     def test_giving_up_names_the_unknowns_left(self):
         # neither equation has a factor linear in x or y, and neither is
         # univariate, so the elimination has no step to take
         with pytest.raises(UnsolvedEquationsError) as info:
             _solve([x**2 + y**2 - 2, x**2 - y**3], [x, y, z])
-        assert info.value.unknowns == (x, y)
+        assert info.value.unknowns == (symbolic.symbol("x"), symbolic.symbol("y"))
         assert isinstance(info.value, UnsupportedEquationError)
 
     def test_irrational_branches_are_dropped(self):
@@ -530,8 +536,9 @@ class TestSolveAgainstSympy:
     @staticmethod
     def _check_chart_inverse(system):
         chart = geometry.build_adapted_chart(system)
-        equations = [c - symbolic.expression(chart.forward[c]) for c in chart.coords]
-        unknowns = list(system.variables)
+        equations = [kernel_oracle.sympy_symbol(c) - kernel_oracle.as_expr(chart.forward[c])
+                     for c in chart.coords]
+        unknowns = [kernel_oracle.sympy_symbol(v) for v in system.variables]
         ours = _solve(equations, unknowns)
         oracle = sp.solve(equations, unknowns, dict=True)
         assert ours
@@ -570,7 +577,7 @@ class TestSolveAgainstSympy:
 
 def _cleared(row):
     K, elements = symbolic.to_elements(row)
-    return [symbolic.expression(a) for a in symbolic.clear_element_row(K, elements)[0]]
+    return [kernel_oracle.as_expr(a) for a in symbolic.clear_element_row(K, elements)[0]]
 
 
 class TestClearDenominators:
@@ -776,7 +783,8 @@ class TestKernelOracle:
         # 1 / a swaps the parts: a generator only its denominator uses
         for b in [a, 1 / a] if a else [a]:
             for s, g in zip(self.GENS, F.gens):
-                assert symbolic.depends_on(kernel_oracle.from_sympy(K, b), s) == bool(b.diff(g))
+                assert (symbolic.depends_on(kernel_oracle.from_sympy(K, b), symbolic.as_symbol(s))
+                        == bool(b.diff(g)))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_derivative_mod_rows_matches_stepwise_elimination(self, seed):
@@ -796,7 +804,7 @@ class TestKernelOracle:
             for r, pc in zip(rref, pivots):
                 fac = expected[pc]
                 expected = [a - fac * to_sympy(b) for a, b in zip(expected, r)]
-            got = symbolic.derivative_mod_rows(K, row, s, rref, pivots)
+            got = symbolic.derivative_mod_rows(K, row, symbolic.as_symbol(s), rref, pivots)
             assert [_pair(a) for a in got] == [_pair(b) for b in expected]
 
     @pytest.mark.parametrize("seed", range(20))
@@ -1025,7 +1033,7 @@ class TestKernelOracle:
         rng = random.Random(seed + 9100)
         K, _ = self._fields()
         a = kernel_oracle.from_sympy(K, _oracle_entry(rng, self.GENS))
-        for s in self.GENS:
+        for s in kernel_oracle.symbols(self.GENS):
             assert _pair(symbolic.derivative(a, s)) == _pair(kernel_oracle.diff(a, s))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -1033,10 +1041,10 @@ class TestKernelOracle:
         rng = random.Random(seed + 9200)
         a_, b_ = sp.symbols("a b")
         (K, _), target = self._fields(), symbolic.function_field((a_, b_))
-        images = {s: kernel_oracle.from_sympy(target, e)
+        images = {symbolic.as_symbol(s): kernel_oracle.from_sympy(target, e)
                   for s, e in [(x, a_ + b_), (y, a_ * b_ - 1), (z, a_ / (b_ + 2))]}
         a = kernel_oracle.from_sympy(K, _oracle_entry(rng, self.GENS))
-        for s in self.GENS:
+        for s in kernel_oracle.symbols(self.GENS):
             try:
                 expected = _pair(symbolic.compose(kernel_oracle.diff(a, s), images, target))
             except ZeroDivisionError:
@@ -1058,12 +1066,12 @@ class TestKernelOracle:
     def test_defining_equations_match_subtraction(self, seed):
         rng = random.Random(seed + 9400)
         s, t = sp.symbols("s t")
-        definitions = {s: _element(_oracle_entry(rng, (x, y)) + x),
-                       t: _element(_oracle_entry(rng, (y,)) + y)}
+        definitions = {symbolic.as_symbol(s): _element(_oracle_entry(rng, (x, y)) + x),
+                       symbolic.as_symbol(t): _element(_oracle_entry(rng, (y,)) + y)}
         K = symbolic.field((x, y, s, t))
         equations = symbolic.defining_equations(K, definitions)
         for g, (sym, v) in zip(equations, definitions.items()):
-            expected = (kernel_oracle.sympy_field(K).from_expr(sym)
+            expected = (kernel_oracle.sympy_field(K).from_expr(kernel_oracle.sympy_symbol(sym))
                         - kernel_oracle.to_sympy(symbolic.rename(v, K, {})))
             assert _pair(g) == _pair(expected)
 
@@ -1157,7 +1165,8 @@ class TestRename:
         a, b = sp.symbols("a b")
         source, (e,) = symbolic.to_elements([(x**2 + y) / (x - y)], (x, y))
         target = symbolic.function_field((a, b, z))
-        moved = symbolic.rename(e, target, {x: b, y: a})
+        moved = symbolic.rename(e, target, dict(zip(kernel_oracle.symbols((x, y)),
+                                                    kernel_oracle.symbols((b, a)))))
         # canonical form: equal to the same function converted directly
         assert moved == kernel_oracle.from_sympy(target, (b**2 + a) / (b - a))
         assert moved.denom.LC > 0
@@ -1173,7 +1182,7 @@ class TestComposeIntoAnotherField:
         a, b = sp.symbols("a b")
         _, (e,) = symbolic.to_elements([(x**2 + y) / (x - y)], (x, y))
         target, (p, q) = symbolic.to_elements([a * b, a + 1], (a, b))
-        moved = symbolic.compose(e, {x: p, y: q}, target)
+        moved = symbolic.compose(e, kernel_oracle.keyed({x: p, y: q}), target)
         assert moved == kernel_oracle.from_sympy(target, ((a * b) ** 2 + a + 1) / (a * b - a - 1))
 
     def test_generator_without_image_raises(self):
@@ -1192,7 +1201,7 @@ class TestComposeIntoAnotherField:
             raise AssertionError("a renaming went through the substitution")
 
         monkeypatch.setattr(symbolic, "_compose_by_index", refuse)
-        moved = symbolic.compose(e, {x: B, y: A, z: A}, target)
+        moved = symbolic.compose(e, kernel_oracle.keyed({x: B, y: A, z: A}), target)
         assert moved == kernel_oracle.from_sympy(target, (b**2 + a) / (b - a))
 
     @pytest.mark.parametrize("images", [
@@ -1205,7 +1214,8 @@ class TestComposeIntoAnotherField:
         a, b = sp.symbols("a b")
         _, (e,) = symbolic.to_elements([(x**2 + y) / (x + 2 * y)], (x, y))
         target = symbolic.function_field((a, b))
-        chosen = {s: kernel_oracle.from_sympy(target, v) for s, v in images(a, b).items()}
+        chosen = {symbolic.as_symbol(s): kernel_oracle.from_sympy(target, v)
+                  for s, v in images(a, b).items()}
         expected = ((x**2 + y) / (x + 2 * y)).subs(images(a, b), simultaneous=True)
         assert symbolic.compose(e, chosen, target) == \
             kernel_oracle.from_sympy(target, sp.cancel(expected))
@@ -1214,7 +1224,7 @@ class TestComposeIntoAnotherField:
         a, b = sp.symbols("a b")
         _, (e,) = symbolic.to_elements([x + 1], (x, y))
         target, (p, q) = symbolic.to_elements([a * b, 1 / a], (a, b))
-        moved = symbolic.compose(e, {x: p, y: q, z: q}, target)
+        moved = symbolic.compose(e, kernel_oracle.keyed({x: p, y: q, z: q}), target)
         assert moved == kernel_oracle.from_sympy(target, a * b + 1)
 
 
@@ -1222,8 +1232,9 @@ class TestSolveElements:
     def test_same_branches_as_the_expression_solver(self):
         equations = [x**2 - y**2, x * z - 1]
         K, elements = symbolic.to_elements(equations, (x, y, z))
-        found = symbolic.solve_elements(K, elements, [x, z])
-        as_expressions = [{s: symbolic.expression(v) for s, v in sol.items()} for sol in found]
+        found = symbolic.solve_elements(K, elements, kernel_oracle.symbols([x, z]))
+        as_expressions = [{kernel_oracle.sympy_symbol(s): kernel_oracle.as_expr(v)
+                           for s, v in sol.items()} for sol in found]
         assert all(v.field is K for sol in found for v in sol.values())
         oracle = sp.solve(equations, [x, z], dict=True)
         assert _canonical_branches(as_expressions) == _canonical_branches(oracle)
@@ -1235,22 +1246,23 @@ class TestCompose:
 
     def test_simultaneous(self):
         K, (e, a, b) = symbolic.to_elements([x - 2 * y, y, x], (x, y))
-        assert symbolic.compose(e, {x: a, y: b}) == kernel_oracle.from_sympy(K, y - 2 * x)
+        assert (symbolic.compose(e, kernel_oracle.keyed({x: a, y: b}))
+                == kernel_oracle.from_sympy(K, y - 2 * x))
 
     def test_result_in_lowest_terms(self):
         K, (e, image) = symbolic.to_elements([x / (x + y), x * z], (x, y, z))
-        result = symbolic.compose(e, {y: image})
+        result = symbolic.compose(e, kernel_oracle.keyed({y: image}))
         expected = kernel_oracle.from_sympy(K, 1 / (z + 1))
         assert (result.numer, result.denom) == (expected.numer, expected.denom)
 
     def test_removable_singularity_is_not_a_pole(self):
         K, (e, one) = symbolic.to_elements([(x**2 - 1) / (x - 1), sp.Integer(1)], (x,))
-        assert symbolic.compose(e, {x: one}) == kernel_oracle.from_sympy(K, 2)
+        assert symbolic.compose(e, kernel_oracle.keyed({x: one})) == kernel_oracle.from_sympy(K, 2)
 
     def test_vanishing_denominator_raises(self):
         _, (e, image) = symbolic.to_elements([1 / (x - y), y], (x, y))
         with pytest.raises(ZeroDivisionError):
-            symbolic.compose(e, {x: image})
+            symbolic.compose(e, kernel_oracle.keyed({x: image}))
 
     def test_generators_the_element_does_not_use_are_ignored(self):
         _, (e, image) = symbolic.to_elements([x + 1, x**2], (x, y))
@@ -1270,24 +1282,31 @@ class TestBranchThrough:
 
     def _branches(self, *branches):
         K = symbolic.function_field((x, y))
-        return K, [{s: kernel_oracle.from_sympy(K, v) for s, v in b.items()} for b in branches]
+        return K, [{symbolic.as_symbol(s): kernel_oracle.from_sympy(K, v) for s, v in b.items()}
+                   for b in branches]
+
+    @staticmethod
+    def _through(K, sols, unknowns, point):
+        """branch_through with the unknowns and the point's keys by name."""
+        return symbolic.branch_through(K, sols, kernel_oracle.symbols(unknowns),
+                                       kernel_oracle.keyed(point))
 
     def test_first_passing_branch(self):
         K, sols = self._branches({x: y - 1}, {x: 2 * y}, {x: y**2})
-        assert symbolic.branch_through(K, sols, [x], {x: 2, y: 1}) is sols[1]
+        assert self._through(K, sols, [x], {x: 2, y: 1}) is sols[1]
 
     def test_pole_at_the_point_is_skipped(self):
         K, sols = self._branches({x: 1 / (y - 1)}, {x: y + 1})
-        assert symbolic.branch_through(K, sols, [x], {x: 2, y: 1}) is sols[1]
+        assert self._through(K, sols, [x], {x: 2, y: 1}) is sols[1]
 
     def test_branch_missing_an_unknown_is_skipped(self):
         K, sols = self._branches({x: y + 1}, {x: y + 1, y: sp.Integer(1)})
-        assert symbolic.branch_through(K, sols, [x, y], {x: 2, y: 1}) is sols[1]
+        assert self._through(K, sols, [x, y], {x: 2, y: 1}) is sols[1]
 
     def test_raises_when_no_branch_passes(self):
         K, sols = self._branches({x: y - 1}, {x: 1 / (y - 1)})
         with pytest.raises(UnsupportedEquationError) as info:
-            symbolic.branch_through(K, sols, [x], {x: 2, y: 1})
+            self._through(K, sols, [x], {x: 2, y: 1})
         assert str(info.value) == "no solved branch passes through the point"
 
     def test_invert_through_the_point(self):
@@ -1296,10 +1315,13 @@ class TestBranchThrough:
         s, t = sp.symbols("s t")
         K = symbolic.field((s, t, x, y))
         P = symbolic.field((x, y))
-        definitions = {s: kernel_oracle.from_sympy(P, x * y), t: kernel_oracle.from_sympy(P, y)}
-        branch, values = symbolic.invert(K, definitions, [x, y], {x: 2, y: 1})
-        assert {v: symbolic.expression(a) for v, a in branch.items()} == {x: s / t, y: t}
-        assert values == {s: 2, t: 1}
+        definitions = kernel_oracle.keyed({s: kernel_oracle.from_sympy(P, x * y),
+                                           t: kernel_oracle.from_sympy(P, y)})
+        branch, values = symbolic.invert(K, definitions, kernel_oracle.symbols([x, y]),
+                                         kernel_oracle.keyed({x: 2, y: 1}))
+        assert ({v: kernel_oracle.as_expr(a) for v, a in branch.items()}
+                == kernel_oracle.keyed({x: s / t, y: t}))
+        assert values == kernel_oracle.keyed({s: 2, t: 1})
 
     def test_invert_raises_where_the_jacobian_is_singular(self):
         """At y = 0 the change (x y, y) is singular: its only branch has a
@@ -1308,16 +1330,16 @@ class TestBranchThrough:
         K = symbolic.field((s, t, x, y))
         P = symbolic.field((x, y))
         with pytest.raises(UnsupportedEquationError) as info:
-            symbolic.invert(K, {s: kernel_oracle.from_sympy(P, x * y),
-                                t: kernel_oracle.from_sympy(P, y)},
-                            [x, y], {x: 2, y: 0})
+            symbolic.invert(K, kernel_oracle.keyed({s: kernel_oracle.from_sympy(P, x * y),
+                                                     t: kernel_oracle.from_sympy(P, y)}),
+                            kernel_oracle.symbols([x, y]), kernel_oracle.keyed({x: 2, y: 0}))
         assert str(info.value) == "no solved branch passes through the point"
 
 
 def _value(e, point):
     """element_values of one expression over QQ(its free symbols)."""
     K, (a,) = symbolic.to_elements([e])
-    (value,), = symbolic.element_values(K, [[a]], point)
+    (value,), = symbolic.element_values(K, [[a]], kernel_oracle.keyed(point))
     return value
 
 
@@ -1339,7 +1361,22 @@ class TestEvaluateExact:
             _value(x * y, {x: 1})
         # a generator the element does not use needs no value
         K, (a,) = symbolic.to_elements([x + 1], (x, y))
-        assert symbolic.element_values(K, [[a]], {x: 1}) == [[2]]
+        assert symbolic.element_values(K, [[a]], kernel_oracle.keyed({x: 1})) == [[2]]
+
+
+class TestFunctionField:
+    def test_one_field_per_tuple_of_generator_names(self):
+        """function_field converts its generators by name before it looks
+        the field up, so sympy Symbols, with assumptions or without, give
+        the field of flatcheck's symbols of their names."""
+        ours = symbolic.function_field((symbolic.symbol("x"), symbolic.symbol("y")))
+        assert ours.symbols == (symbolic.symbol("x"), symbolic.symbol("y"))
+        for gens in [(sp.Symbol("x", real=True), sp.Symbol("y")), (x, y),
+                     sp.symbols("x y", positive=True)]:
+            assert symbolic.function_field(gens) is ours
+        assert symbolic.function_field((sp.Symbol("x", real=True),)) is \
+            symbolic.function_field((symbolic.symbol("x"),))
+        assert symbolic.function_field((y, x)) is not ours
 
 
 class TestFieldWithoutGenerators:
@@ -1403,10 +1440,11 @@ class TestRational:
 
     def test_point_values_must_be_rational(self):
         K, (a,) = symbolic.to_elements([x + 1])
-        assert symbolic.element_values(K, [[a]], {x: sp.Rational(1, 2)}) == [[sp.Rational(3, 2)]]
+        assert (symbolic.element_values(K, [[a]], kernel_oracle.keyed({x: sp.Rational(1, 2)}))
+                == [[sp.Rational(3, 2)]])
         with pytest.raises(UnsupportedEquationError,
                            match=r"point value x = 0\.5 is not a rational number"):
-            symbolic.element_values(K, [[a]], {x: 0.5})
+            symbolic.element_values(K, [[a]], kernel_oracle.keyed({x: 0.5}))
 
 
 class TestRationalArithmetic:

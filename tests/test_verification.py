@@ -38,12 +38,11 @@ def _system_element(system, e, shifts=2):
 
 class TestShiftFunction:
     def test_jet_mode_bumps_shifts(self):
-        y1 = verification.jet_symbol(1, 0)
-        y1_p1 = verification.jet_symbol(1, 1)
-        y1_p2 = verification.jet_symbol(1, 2)
-        _, (a,) = symbolic.to_elements([y1**2 + y1_p1])
+        y1, y1_p1, y1_p2 = (verification.jet_symbol(1, k) for k in range(3))
+        Y1, Y1_p1, Y1_p2 = map(kernel_oracle.sympy_symbol, (y1, y1_p1, y1_p2))
+        _, (a,) = symbolic.to_elements([Y1**2 + Y1_p1])
         shifted = verification.shift_function(a)
-        assert symbolic.expression(shifted) == y1_p1**2 + y1_p2
+        assert kernel_oracle.as_expr(shifted) == Y1_p1**2 + Y1_p2
         assert set(shifted.field.symbols) == {y1_p1, y1_p2}
 
     def test_jet_mode_rejects_foreign_symbols(self):
@@ -52,12 +51,11 @@ class TestShiftFunction:
             verification.shift_function(a)
 
     def test_system_mode_substitutes_dynamics(self, chain2):
-        xa, xb = chain2.states
-        u = chain2.inputs[0]
+        xa, xb, u = map(kernel_oracle.sympy_symbol, chain2.variables)
         a = _system_element(chain2, xa + xb)
         shifted = verification.shift_function(a, chain2)
         assert shifted.field == a.field
-        assert symbolic.expression(shifted) == xb + u
+        assert kernel_oracle.as_expr(shifted) == xb + u
 
     def test_system_mode_bumps_input_shifts(self, chain2):
         u = chain2.inputs[0]
@@ -85,7 +83,8 @@ def _candidate(system, exprs):
 def _perturbed(p):
     """p with y1 added to the first input's parametrization."""
     y1 = verification.jet_symbol(1, 0)
-    perturbed = kernel_oracle.from_sympy(p.F_u[0].field, symbolic.expression(p.F_u[0]) + y1)
+    perturbed = kernel_oracle.from_sympy(
+        p.F_u[0].field, kernel_oracle.as_expr(p.F_u[0]) + kernel_oracle.sympy_symbol(y1))
     return verification.FlatParametrization(
         F_x=p.F_x, F_u=(perturbed, p.F_u[1])
     )
@@ -156,18 +155,17 @@ class TestSymbolicVerification:
         """A candidate built in code may use input shifts such as u_p1,
         which the model grammar reserves; it is stacked with q = 1 and
         its value at the equilibrium read with the shifts at u's value."""
-        x1, _ = chain2.states
         (u,) = chain2.inputs
         u_p1 = verification.input_shift_symbol(u, 1)
-        _, candidate = symbolic.to_elements([x1 + u_p1], list(chain2.variables) + [u_p1])
+        x1, u_p1_ = map(kernel_oracle.sympy_symbol, (chain2.states[0], u_p1))
+        _, candidate = symbolic.to_elements([x1 + u_p1_], list(chain2.variables) + [u_p1])
         p, report = verification.verify_flat_output_symbolic(chain2, candidate)
         assert p is None
         assert (report.status, report.bound, report.detail) == (
             "INCONCLUSIVE", 4, "stacked system unsolved at shift bound 4")
 
     def test_candidate_with_an_unknown_symbol_is_refused(self, chain2):
-        x1, _ = chain2.states
-        w = sp.Symbol("w")
+        x1, w = sp.symbols("x1 w")
         _, candidate = symbolic.to_elements([x1 + w], list(chain2.variables) + [w])
         with pytest.raises(FlatcheckError) as info:
             verification.verify_flat_output_symbolic(chain2, candidate)
