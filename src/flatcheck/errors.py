@@ -38,10 +38,11 @@ class InconsistentSystemError(FlatcheckError):
 
 
 class UnsupportedEquationError(FlatcheckError):
-    """An expression is not a rational function with rational coefficients,
-    or no solved branch can be picked at a point: none is rational
-    (IrrationalSolutionError), the solver gave up (UnsolvedEquationsError),
-    or none passes through the point."""
+    """A value is not one that exact rational arithmetic takes (a point
+    value that is not a rational number, or a symbol that the float replay
+    has no argument for), or no solved branch can be picked at a point:
+    none is rational (IrrationalSolutionError), the solver gave up
+    (UnsolvedEquationsError), or none passes through the point."""
 
 
 class IrrationalSolutionError(UnsupportedEquationError):

@@ -94,8 +94,8 @@ class Distribution:
 def make_distribution(coords, rows) -> Distribution:
     """Build a distribution from component rows, dropping dependent ones.
 
-    The rows hold elements of one function field (symbolic.to_elements
-    reads expressions) and stay in it.  They are reduced to echelon form
+    The rows hold elements of one function field (modelfile.parse_elements
+    reads them from model text) and stay in it.  They are reduced to echelon form
     and cleared to primitive polynomial vectors, which makes the stored
     basis canonical for the span.
     """

@@ -18,29 +18,25 @@ from . import symbolic
 class DiscreteTimeSystem:
     """Immutable description of x+ = f(x, u) with a marked equilibrium.
 
-    The update map is given as expressions, update, which may also be a
-    function of no arguments that builds them, and optionally as elements,
-    a pair (K, tuple of elements) with K = QQ(states, inputs) in that
-    order.  A form that is not given is built from the other on its first
-    read, so a system given as elements that is only analyzed builds no
-    expression.  The expressions may be symbolic's or sympy's, which
-    symbolic reads where it needs them, and the states, the inputs and
-    the keys of the equilibrium may be sympy Symbols: they are converted
-    to symbolic's symbols by name.
+    A system enters the library as model text (``modelfile.parse_model``)
+    or as the result of an input reduction; both have built its update map
+    as elements.  ``update_elements`` is that map, a pair (K, tuple of
+    elements) with K = QQ(states, inputs) in that order; a stage that
+    needs it in another field renames these elements.  update is a
+    function of no arguments that builds the map's expressions, called on
+    the first read of ``update``, so a system that is only analyzed builds
+    no expression.
     """
 
-    def __init__(self, name, states, inputs, update, equilibrium, source_digest=None,
-                 elements=None):
-        vars(self).update(name=name, states=tuple(map(symbolic.as_symbol, states)),
-                          inputs=tuple(map(symbolic.as_symbol, inputs)),
-                          equilibrium={symbolic.as_symbol(v): value
-                                       for v, value in equilibrium.items()},
-                          source_digest=source_digest, _update=update, _elements=elements)
-        count = len(elements[1]) if elements is not None else len(self.update)
-        if count != len(self.states):
+    def __init__(self, name, states, inputs, update, equilibrium, elements,
+                 source_digest=None):
+        vars(self).update(name=name, states=tuple(states), inputs=tuple(inputs),
+                          equilibrium=dict(equilibrium), source_digest=source_digest,
+                          _update=update, update_elements=elements)
+        if len(elements[1]) != len(self.states):
             raise ValidationError(
                 "system %r: %d states but %d update equations"
-                % (self.name, len(self.states), count)
+                % (self.name, len(self.states), len(elements[1]))
             )
         for v in self.variables:
             if v not in self.equilibrium:
@@ -54,21 +50,7 @@ class DiscreteTimeSystem:
     @functools.cached_property
     def update(self) -> tuple:
         """The update map as expressions, one per state."""
-        return tuple(self._update() if callable(self._update) else self._update)
-
-    @functools.cached_property
-    def update_elements(self) -> tuple:
-        """The update map as (K, elements) with K = QQ(variables), variables
-        in the system's order, states first.
-
-        This is the one conversion of the model's update map; a stage that
-        needs it in another field renames these elements.  Raises
-        UnsupportedEquationError when the map is not rational.
-        """
-        if self._elements is not None:
-            return self._elements
-        K, elements = symbolic.to_elements(self.update, self.variables)
-        return K, tuple(elements)
+        return tuple(self._update())
 
     @property
     def n(self) -> int:
@@ -98,18 +80,15 @@ class ValidationReport:
 def validate_system(system: DiscreteTimeSystem) -> ValidationReport:
     """Check submersivity, the fixed point, and input rank.
 
-    Raises ValidationError when the update map is not rational in the
-    system variables, when it is not a submersion (generically or at the
-    equilibrium), when the marked point is a pole of it or not a fixed
-    point, or when the input rank drops at the equilibrium.  A generic
-    input-rank deficit is not an error; it is reported through the
-    redundant_inputs flag so the caller can eliminate the redundancy.
+    Raises ValidationError when the update map is not a submersion
+    (generically or at the equilibrium), when the marked point is a pole
+    of it or not a fixed point, or when the input rank drops at the
+    equilibrium.  A generic input-rank deficit is not an error; it is
+    reported through the redundant_inputs flag so the caller can
+    eliminate the redundancy.
     """
     n, m = system.n, system.m
-    try:
-        K, update = system.update_elements
-    except UnsupportedEquationError as exc:
-        raise ValidationError("system %r: %s" % (system.name, exc)) from None
+    K, update = system.update_elements
     point = system.equilibrium_point()
     states = symbolic.generators(K, system.states)
     for xi, a, x in zip(system.states, update, states):
@@ -239,8 +218,8 @@ def eliminate_redundant_inputs(system: DiscreteTimeSystem) -> InputReduction:
         inputs=uhat,
         update=lambda: tuple(map(symbolic.canonicalize_element, new_update)),
         equilibrium=new_equilibrium,
-        source_digest=system.source_digest,
         elements=(R, tuple(new_update)),
+        source_digest=system.source_digest,
     )
     return InputReduction(
         reduced=reduced,

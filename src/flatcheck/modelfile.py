@@ -373,8 +373,8 @@ def parse_model(text: str, source_name: str = "<string>") -> DiscreteTimeSystem:
                                  [statements[nm] for nm in state_names], symbols),
         equilibrium={v: equilibrium[v] for v in
                      [symbols[nm] for nm in state_names + input_names]},
-        source_digest=digest,
         elements=(K, tuple(fractions.element(updates[nm]) for nm in state_names)),
+        source_digest=digest,
     )
 
 

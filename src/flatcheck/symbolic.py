@@ -15,10 +15,10 @@ errors.
 
 sympy is not imported when this module is loaded, and no other module
 imports it at all: the numbers, the symbols, the expressions and the
-polynomials of the pipeline are this module's own.  ``_factors`` and
-``_cofactors`` import sympy's dense routines on the rare paths described
-below, and ``_sympify`` reads sympy's expressions into this module's,
-for systems and expressions built in code with sympy.
+polynomials of the pipeline are this module's own.  Only ``_factors``
+and ``_cofactors`` import sympy, its dense routines on the rare paths
+described below.  Systems and expressions come in as text of the model
+grammar only, read by ``flatcheck.modelfile``.
 
 Invariant: every expression this module takes or returns is a rational
 function with rational coefficients.  Inside this module such an
@@ -38,16 +38,14 @@ monomials with one unrolled function for each number of generators,
 compiled on the first product of that size.  No sympy ring, field or
 polynomial is built.  A field without generators is a ``FunctionField``
 too, whose elements are the constants.  A generator is a ``Symbol``,
-one per name, which hashes as sympy's Symbol of that name.  Every value
-at a point is the kernel's rational number, a ``Rational`` (``QQ`` is
-their field), which compares equal to sympy's Rational and to
-``fractions.Fraction`` and prints as they do: the parser's number tokens
-and equilibria, ``simulate``'s exact states and the entries of every
-rank test.  ``rational`` is the one conversion to it, from text, ints,
-sympy Rationals, Fractions and its own type; it refuses floats.  An
-expression that is not rational (floats, radicals, functions) raises
-UnsupportedEquationError where it is converted, and so does a point
-value that is not a rational number.
+one per name, which hashes as its name.  Every value at a point is the
+kernel's rational number, a ``Rational`` (``QQ`` is their field), which
+compares equal to sympy's Rational and to ``fractions.Fraction`` and
+prints as they do: the parser's number tokens and equilibria,
+``simulate``'s exact states and the entries of every rank test.
+``rational`` is the one conversion to it, from text, ints, sympy
+Rationals, Fractions and its own type; it refuses floats.  A point value
+that is not a rational number raises UnsupportedEquationError.
 
 How a pair is reduced.  Every fraction that needs a gcd goes through
 one routine, ``_cofactors``: it returns the gcd of numerator and
@@ -86,8 +84,7 @@ the derivative of p / q as the unreduced pair (p' q - p q', q**2), or
 is in lowest terms already, without a gcd.
 
 Elements come in without an expression: the model parser builds them
-with the gcd-free arithmetic of ``Fractions``, and ``to_elements``
-converts expressions built in code the same way.  ``rename`` and
+with the gcd-free arithmetic of ``Fractions``.  ``rename`` and
 ``compose`` move elements between fields and coordinates; ``compose``
 renames, without a gcd, when its images only rename generators.  Every
 sum of products that is kept is built over one denominator and takes
@@ -182,9 +179,7 @@ from .errors import (
 class Symbol:
     """A generator of a function field, identified by its name: there is
     one symbol per name (:func:`symbol`), so two symbols are equal when
-    they are the same object.  It prints as its name, and hashes as
-    sympy's commutative Symbol of that name hashes, so sets of symbols
-    iterate in the order that sets of sympy's symbols do."""
+    they are the same object.  It prints and hashes as its name."""
 
     __slots__ = ("name", "_hash")
 
@@ -192,7 +187,7 @@ class Symbol:
         s = _SYMBOLS.get(name)
         if s is None:
             s = _SYMBOLS[name] = object.__new__(cls)
-            s.name, s._hash = name, hash(("Symbol", name, ("commutative", True)))
+            s.name, s._hash = name, hash(name)
         return s
 
     def __hash__(self):
@@ -213,12 +208,6 @@ _SYMBOLS = {}
 def symbol(name):
     """The symbol of a generator called name."""
     return Symbol(name)
-
-
-def as_symbol(s):
-    """The symbol s, or the symbol of the name of s: a sympy Symbol is
-    converted by its name."""
-    return s if type(s) is Symbol else Symbol(s.name)
 
 
 _HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
@@ -683,20 +672,13 @@ class FunctionField:
         return "FunctionField(%s)" % ", ".join(map(str, self.symbols))
 
 
-def function_field(gens: tuple):
-    """The field QQ(gens), its elements stored as
-    :class:`RationalFunction`, gens empty included, each generator a
-    :class:`Symbol` (a sympy Symbol is converted by its name)."""
-    return _function_field(tuple(map(as_symbol, gens)))
-
-
 @functools.cache
-def _function_field(symbols: tuple):
-    """The one field of a tuple of :class:`Symbol` generators: elements
-    compare their fields by identity, so the cache keeps one field per
-    tuple of generators for the life of the process, as sympy keeps its
-    rings."""
-    return FunctionField(symbols)
+def function_field(gens: tuple):
+    """The field QQ(gens) of a tuple of :class:`Symbol` generators, gens
+    empty included, its elements stored as :class:`RationalFunction`:
+    elements compare their fields by identity, so the cache keeps one
+    field per tuple of generators for the life of the process."""
+    return FunctionField(gens)
 
 
 def field_of(elements):
@@ -727,9 +709,8 @@ class Fractions:
     every product multiply out, and a negative power swaps the parts, so
     a pair need not be in lowest terms; ``element`` reduces it once.
     The model parser builds its elements and equilibrium values with
-    these operations, and :func:`_fraction` converts an expression with
-    them.  Raises CoercionFailed for a symbol that is not a generator of
-    K and for a division by zero.
+    these operations.  Raises CoercionFailed for a symbol that is not a
+    generator of K and for a division by zero.
     """
 
     def __init__(self, K):
@@ -741,7 +722,7 @@ class Fractions:
         return _element(self.field, *pair)
 
     def number(self, q):
-        """The rational number q, a kernel rational or a sympy Rational."""
+        """The rational number q, a kernel rational."""
         return self.ring.ground_new(q.numerator), self.ring.ground_new(q.denominator)
 
     def symbol(self, s):
@@ -770,29 +751,6 @@ class Fractions:
                 raise CoercionFailed("division by zero")
             num, den, k = den, num, -k
         return num**k, den**k
-
-
-def _fraction(e, fractions):
-    """The pair of :class:`Fractions` of an expression of this module.
-    Raises CoercionFailed for a symbol outside the field."""
-    t = type(e)
-    if t is Rational:
-        return fractions.number(e)
-    if t is Symbol:
-        return fractions.symbol(e)
-    if t is Pow:
-        return fractions.power(_fraction(e.base, fractions), e.exp)
-    if t is Mul:
-        pairs = [fractions.power(_fraction(b, fractions), k) for b, k in e.factors.items()]
-        if e.coeff != 1:
-            pairs.append(fractions.number(e.coeff))
-        return functools.reduce(fractions.mul, pairs)
-    pairs = [_fraction(s, fractions) if c == 1 else fractions.mul(fractions.number(c),
-                                                                  _fraction(s, fractions))
-             for s, c in e.terms.items()]
-    if e.constant:
-        pairs.append(fractions.number(e.constant))
-    return functools.reduce(fractions.add, pairs)
 
 
 class Add:
@@ -1063,47 +1021,6 @@ def _symbols_of(e) -> set:
     return set()
 
 
-def _from_sympy(e):
-    """The expression of this module that the sympy expression e
-    evaluates to, its symbols converted by name.  It reads e's ``is_*``
-    flags, ``args``, ``p``, ``q`` and ``name`` and imports no sympy.
-    Raises CoercionFailed with the first node that is not a rational
-    number, a symbol, a sum, a product or an integer power."""
-    if getattr(e, "is_Rational", False):
-        return Rational(int(e.p), int(e.q))
-    if getattr(e, "is_Symbol", False):
-        return Symbol(e.name)
-    if getattr(e, "is_Add", False):
-        return _sum([_from_sympy(a) for a in e.args])
-    if getattr(e, "is_Mul", False):
-        return _prod([_from_sympy(a) for a in e.args])
-    if getattr(e, "is_Pow", False) and e.exp.is_Integer:
-        try:
-            return Expressions.power(_from_sympy(e.base), int(e.exp))
-        except CoercionFailed:
-            raise CoercionFailed(e) from None
-    raise CoercionFailed(e)
-
-
-def _sympify(e):
-    """sympy's expression of e, a text or any other value that
-    ``sympy.sympify`` reads; the one place where a sympy input is read."""
-    import sympy
-
-    return sympy.sympify(e)
-
-
-def _expression_of(e):
-    """e as an expression of this module: itself, an int as a Rational,
-    and anything else read by :func:`_sympify` and converted by
-    :func:`_from_sympy`, which raises CoercionFailed."""
-    if type(e) in _EXPRESSION_TYPES:
-        return e
-    if isinstance(e, int):
-        return _rational(int(e), 1)
-    return _from_sympy(_sympify(e))
-
-
 def _polynomial_expression(poly):
     """The expression of a polynomial that sympy's ``PolyElement.as_expr()``
     builds for the same terms: the sum of its terms, each its coefficient
@@ -1277,16 +1194,7 @@ def _float_source(variables, exprs):
     list(exprs), modules="math")`` writes: one ``return`` of the list of
     the expressions' values, each printed by :func:`_float_text`.  An
     argument whose name is not a safe Python identifier (a keyword such as
-    ``lambda``) is called ``_<position>`` instead.  Variables and
-    expressions given in sympy are converted (:func:`_expression_of`);
-    UnsupportedEquationError where one is not rational."""
-    variables = [as_symbol(s) for s in variables]
-    try:
-        exprs = [_expression_of(e) for e in exprs]
-    except CoercionFailed as exc:
-        node = exc.args[0]
-        raise UnsupportedEquationError("the float replay cannot evaluate %s (%s)"
-                                       % (node, type(node).__name__)) from None
+    ``lambda``) is called ``_<position>`` instead."""
     names = {s: s.name if s.name.isidentifier() and not keyword.iskeyword(s.name) else "_%d" % i
              for i, s in enumerate(variables)}
     return "def _lambdifygenerated(%s):\n    return [%s]\n" % (
@@ -1303,37 +1211,6 @@ def float_function(variables, exprs):
     namespace = {}
     exec(_float_source(variables, exprs), namespace)
     return namespace["_lambdifygenerated"]
-
-
-def to_elements(exprs, gens=None):
-    """Field elements of a sequence of rational expressions.
-
-    The expressions are this module's, ints, or anything that sympy reads
-    (:func:`_expression_of`), and gens symbols of this module or sympy's,
-    converted by name.  The field is K = QQ(gens), gens defaulting to the
-    free symbols of all expressions sorted by name, none for constants.
-    Returns (K, elements).  Raises UnsupportedEquationError when some
-    expression is not a rational function of gens with rational
-    coefficients (floats count as inexact, hence not rational).
-    """
-    exprs = [e if isinstance(e, (int,) + _EXPRESSION_TYPES) else _sympify(e) for e in exprs]
-    if gens is None:
-        K = field(set().union(*(
-            _symbols_of(e) if isinstance(e, _EXPRESSION_TYPES) else
-            {as_symbol(s) for s in getattr(e, "free_symbols", ())} for e in exprs)))
-    else:
-        K = function_field(tuple(map(as_symbol, gens)))
-    fractions = Fractions(K)
-    elements = []
-    for e in exprs:
-        try:
-            elements.append(fractions.element(_fraction(_expression_of(e), fractions)))
-        except CoercionFailed:
-            raise UnsupportedEquationError(
-                "%s is not a rational function of (%s) with rational coefficients"
-                % (e, ", ".join(map(str, K.symbols)))
-            ) from None
-    return K, elements
 
 
 @functools.lru_cache(maxsize=256)

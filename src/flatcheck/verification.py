@@ -385,31 +385,26 @@ def _update_function(system):
 def verify_flat_output_numeric(
     system,
     p: FlatParametrization,
+    candidate,
     trials=20,
     horizon=20,
     tol=1e-9,
     seed=0,
     box=0.1,
-    candidate=None,
 ):
     """Replay random output trajectories through the parametrization.
 
     Each trial samples a y-trajectory componentwise uniform in a box
-    around the equilibrium's output image, computes states and inputs via
-    the parametrization, and measures the worst dynamics residual; when
-    the candidate (field elements, as for verify_flat_output_symbolic)
-    is supplied, the outputs are replayed and compared to the samples.
+    around the equilibrium's image under the candidate (field elements,
+    as for verify_flat_output_symbolic), computes states and inputs via
+    the parametrization, measures the worst dynamics residual, and
+    replays the candidate's outputs to compare them to the samples.
     Trials are independent, seeded by (seed, index), and merged in index
     order, so reports are reproducible.  Pole hits
     resample the trial a bounded number of times."""
     m = len(p.F_u)
-    comps = None
-    if candidate is not None:
-        comps, q = _candidate_parts(system, candidate)
-        centers = [float(v) for v in _equilibrium_jet_values(system, comps, q)]
-    else:
-        centers = [0.0] * m
-        q = 0
+    comps, q = _candidate_parts(system, candidate)
+    centers = [float(v) for v in _equilibrium_jet_values(system, comps, q)]
     max_r = max(p.R)
     length = horizon + max_r + q + 2
     jets_used = _by_name(set().union(*map(symbolic.used_symbols, list(p.F_x) + list(p.F_u))))
@@ -417,12 +412,10 @@ def verify_flat_output_numeric(
     fx_fn = symbolic.float_function(jets_used, [symbolic.expression(a) for a in p.F_x])
     fu_fn = symbolic.float_function(jets_used, [symbolic.expression(a) for a in p.F_u])
     f_fn = _update_function(system)
-    phi_fn = None
-    if comps is not None:
-        phi_vars = list(system.states) + [
-            input_shift_symbol(u, s) for s in range(q + 1) for u in system.inputs
-        ]
-        phi_fn = symbolic.float_function(phi_vars, [symbolic.expression(c) for c in comps])
+    phi_vars = list(system.states) + [
+        input_shift_symbol(u, s) for s in range(q + 1) for u in system.inputs
+    ]
+    phi_fn = symbolic.float_function(phi_vars, [symbolic.expression(c) for c in comps])
 
     def jet_values(samples, k):
         return [samples[j - 1][k + s] for j, s in jet_index]
@@ -444,13 +437,12 @@ def verify_flat_output_numeric(
                     for a, b in zip(f_fn(*(xs[k] + us[k])), xs[k + 1]):
                         residual = max(residual, abs(a - b))
                 replay = 0.0
-                if phi_fn is not None:
-                    for k in range(horizon):
-                        args = list(xs[k])
-                        for s in range(q + 1):
-                            args.extend(us[k + s])
-                        for j, value in enumerate(phi_fn(*args)):
-                            replay = max(replay, abs(value - samples[j][k]))
+                for k in range(horizon):
+                    args = list(xs[k])
+                    for s in range(q + 1):
+                        args.extend(us[k + s])
+                    for j, value in enumerate(phi_fn(*args)):
+                        replay = max(replay, abs(value - samples[j][k]))
                 values = [v for row in xs + us for v in row] + [residual, replay]
                 if any(v != v or abs(v) == float("inf") for v in values):
                     raise ZeroDivisionError("non-finite value")

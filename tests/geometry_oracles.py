@@ -29,7 +29,7 @@ def lie_bracket(coords, a, b) -> tuple:
     K = symbolic.field_of(tuple(a) + tuple(b))
     F = kernel_oracle.sympy_field(K)
     a, b = ([kernel_oracle.to_sympy(c) for c in row] for row in (a, b))
-    gens = [F.gens[K.symbols.index(symbolic.as_symbol(s))] for s in coords]
+    gens = [F.gens[K.symbols.index(symbolic.symbol(s.name))] for s in coords]
     comps = []
     for i in range(len(gens)):
         term = F.zero

@@ -8,12 +8,20 @@ serve as the oracle of the kernel's.  The program itself builds no sympy
 ring or field.  An expression of flatcheck converts to the sympy
 expression of the same structure (``expression_to_sympy``), which the
 tests compare with sympy's own evaluation.
+
+The library reads systems and expressions only as model text.  The tests
+build them with sympy as well, and convert them here: ``elements`` to
+field elements, ``expression`` to flatcheck's expression, and ``system``
+to a ``DiscreteTimeSystem``.
 """
+
+import functools
 
 import sympy as sp
 from sympy.polys.fields import FracElement
 
 from flatcheck import symbolic
+from flatcheck.model import DiscreteTimeSystem
 
 
 def sympy_field(K):
@@ -57,21 +65,86 @@ def sympy_symbol(s):
 def symbols(seq) -> list:
     """flatcheck's symbols of the names of the symbols in seq, sympy's or
     flatcheck's."""
-    return [symbolic.as_symbol(s) for s in seq]
+    return [symbolic.symbol(s.name) for s in seq]
+
+
+def function_field(gens):
+    """The kernel field of flatcheck's symbols of the names of gens,
+    sympy's or flatcheck's symbols, in their order."""
+    return symbolic.function_field(tuple(symbols(gens)))
 
 
 def keyed(values) -> dict:
     """The values keyed by flatcheck's symbols of the names of its
     keys, sympy's or flatcheck's."""
-    return {symbolic.as_symbol(s): v for s, v in values.items()}
+    return {symbolic.symbol(s.name): v for s, v in values.items()}
+
+
+def _build(e, actions):
+    """The sympy expression e built with the actions of
+    ``symbolic.Fractions`` or ``symbolic.Expressions``, symbols by name.
+    A product takes its number last, so that Expressions, which
+    distributes a number over a sum, builds the product that sympy's
+    ``Mul.flatten`` builds.  TypeError for a node that is not a rational
+    number, a symbol, a sum, a product or an integer power."""
+    if e.is_Symbol:
+        return actions.symbol(symbolic.symbol(e.name))
+    if e.is_Rational:
+        return actions.number(symbolic.rational(e))
+    if e.is_Add:
+        return functools.reduce(actions.add, [_build(a, actions) for a in e.args])
+    if e.is_Mul:
+        return functools.reduce(actions.mul, [_build(a, actions) for a in reversed(e.args)])
+    if e.is_Pow and e.exp.is_Integer:
+        return actions.power(_build(e.base, actions), int(e.exp))
+    raise TypeError("%s is not a rational function" % e)
+
+
+def elements(exprs, gens=None):
+    """(K, elements) of the expressions (sympy's, flatcheck's, texts that
+    sympy reads, or numbers) in K = QQ(gens), gens sympy's or flatcheck's
+    symbols and by default the expressions' symbols sorted by name.  Each
+    is built with ``symbolic.Fractions`` and reduced once, as the model
+    parser builds an update."""
+    exprs = [sympy_expression(e) for e in exprs]
+    if gens is None:
+        K = symbolic.field(symbols(set().union(*(e.free_symbols for e in exprs))))
+    else:
+        K = function_field(gens)
+    fractions = symbolic.Fractions(K)
+    return K, [fractions.element(_build(e, fractions)) for e in exprs]
+
+
+def expression(e):
+    """flatcheck's expression of e, as :func:`elements` reads it, built with
+    ``symbolic.Expressions``."""
+    return _build(sympy_expression(e), symbolic.Expressions)
+
+
+def system(name, states, inputs, update, equilibrium) -> DiscreteTimeSystem:
+    """The system x+ = update of the states and inputs, sympy's or
+    flatcheck's symbols and expressions, at the equilibrium, a dict keyed
+    by either's symbols: its elements in QQ(states, inputs), and its
+    update expressions built on their first read (:func:`expression`)."""
+    states, inputs = tuple(symbols(states)), tuple(symbols(inputs))
+    update = [sympy_expression(e) for e in update]
+    K, update_elements = elements(update, states + inputs)
+    return DiscreteTimeSystem(name=name, states=states, inputs=inputs,
+                              update=lambda: tuple(map(expression, update)),
+                              equilibrium=keyed(equilibrium),
+                              elements=(K, tuple(update_elements)))
 
 
 def from_sympy(K, f):
     """The element of the kernel field K whose pair is that of f: a sympy
     ``FracElement`` over K's generators, or an expression, which sympy
-    converts and reduces."""
+    converts and reduces.  sympy inverts an element for a negative power
+    without fixing the sign of its pair, so the expression's pair takes
+    the kernel's sign: the denominator's leading coefficient positive."""
     if not isinstance(f, FracElement):
         f = sympy_field(K).from_expr(sp.sympify(f))
+        if f.denom.LC < 0:
+            f = f.field.raw_new(-f.numer, -f.denom)
     return symbolic.RationalFunction(K, poly_from_sympy(f.numer), poly_from_sympy(f.denom))
 
 
@@ -81,7 +154,7 @@ def diff(a, s):
     sympy's ``FracElement.diff``."""
     F = sympy_field(a.field)
     return from_sympy(a.field,
-                      to_sympy(a).diff(F.gens[a.field.symbols.index(symbolic.as_symbol(s))]))
+                      to_sympy(a).diff(F.gens[a.field.symbols.index(symbolic.symbol(s.name))]))
 
 
 OWN_EXPRESSIONS = (symbolic.Rational, symbolic.Symbol, symbolic.Add, symbolic.Mul, symbolic.Pow)
@@ -101,9 +174,8 @@ def sympy_expression(e):
 
 
 def sympy_update(system) -> list:
-    """system.update as sympy expressions (:func:`sympy_expression`): a
-    parsed model's, flatcheck's own, and those of a system built in code
-    with sympy."""
+    """system.update, flatcheck's expressions, as sympy's
+    (:func:`sympy_expression`)."""
     return [sympy_expression(e) for e in system.update]
 
 

@@ -65,7 +65,7 @@ def test_criterion_1_flagship_dimension_sequence(flat4):
     K = symbolic.function_field(rows[0][0].field.symbols)
     u_part = symbolic.element_rref(K, [rows[0][flat4.n :]], flat4.m)[0]
     expected = symbolic.element_rref(
-        K, [symbolic.to_elements([-2, 1], K.symbols)[1]], flat4.m
+        K, [kernel_oracle.elements([-2, 1], K.symbols)[1]], flat4.m
     )[0]
     assert u_part == expected
 
@@ -116,10 +116,10 @@ def test_criterion_3_parametrization_identities(flat4, flat4_artifacts):
     )
     shifted = [verification.jet_symbol(j, s + 1)
                for j, s in map(verification.parse_jet_symbol, jets)]
-    K, elements = symbolic.to_elements(exprs, sorted(set(jets + shifted), key=str))
+    K, elements = kernel_oracle.elements(exprs, sorted(set(jets + shifted), key=str))
     # x+ = f(x, u) along the parametrization: F_x shifted once equals f
     # composed with (F_x, F_u)
-    _, update = symbolic.to_elements(flat4.update, flat4.variables)
+    _, update = kernel_oracle.elements(flat4.update, flat4.variables)
     images = dict(zip(flat4.variables, elements))
     for i in range(flat4.n):
         ahead = verification.shift_function(elements[i])

@@ -10,8 +10,8 @@ equality alone.  They take no derivative with ``.diff`` and build no
 expression with ``.as_expr()``, the calls of sympy's elements:
 ``symbolic.derivative`` reduces through symbolic's own gcd, and
 ``symbolic.expression`` builds symbolic's own expression.  sympy is
-imported only inside the few functions that need it, and none of them
-is reached by a command on a bundled model.
+imported only inside ``symbolic._factors`` and ``symbolic._cofactors``,
+and neither reaches it on a command on a bundled model.
 """
 
 import ast
@@ -32,14 +32,14 @@ KERNEL_ATTRIBUTES = {
 }
 # the functions that import sympy, each when it is called, and what they
 # import: the factorization where an equation has no linear factor that
-# is provably irreducible, the dense gcd where the heuristic gcd gives
-# up, and the conversion of sympy's input
+# is provably irreducible, and the dense gcd where the heuristic gcd gives
+# up.  Systems and expressions enter as model text, so no sympy input is
+# read.
 FUNCTION_IMPORTS = {
     ("symbolic", "_factors"): {"from sympy import ZZ",
                                "from sympy.polys.factortools import dmp_factor_list"},
     ("symbolic", "_cofactors"): {"from sympy import ZZ",
                                  "from sympy.polys.euclidtools import dmp_rr_prs_gcd"},
-    ("symbolic", "_sympify"): {"import sympy"},
 }
 
 

@@ -8,12 +8,11 @@ import subprocess
 import sys
 
 import pytest
-import sympy
 
 from flatcheck import cli, symbolic, verification
 
 import geometry_oracles
-from test_golden import MODELS, VERIFY_CASES, _golden_paths
+from test_golden import VERIFY_CASES
 
 
 def run(capsys, *argv):
@@ -503,172 +502,7 @@ class TestSimulate:
         assert "non-numeric entry in row 2" in err
 
 
-class TestNoSympyCalls:
-    """The pipeline decides in the exact kernel: none of sympy's own
-    solve, cancel, together, simplify or subs is reached."""
-
-    @pytest.mark.parametrize("name", ["solve", "cancel", "together", "simplify"])
-    def test_extract_and_verify_without(self, name, capsys, models_dir, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sympy.%s was called" % name)
-
-        defining = getattr(sympy, name).__module__
-        for module in ("sympy", defining.rpartition(".")[0], defining):
-            monkeypatch.setattr(sys.modules[module], name, refuse)
-        for model in ("chain2", "flat4", "redundant_input"):
-            code, out, _ = run(capsys, "extract", model_path(models_dir, model))
-            assert code == 0, model
-            assert "verification: symbolic PASS" in out
-        code, out, _ = run(
-            capsys, "verify", model_path(models_dir, "chain2"), "--output", "x1"
-        )
-        assert code == 0
-        assert "symbolic: PASS" in out
-
-    def test_flat4_without_subs(self, capsys, models_dir, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Basic.subs was called")
-
-        monkeypatch.setattr(sympy.core.basic.Basic, "subs", refuse)
-        flat4 = model_path(models_dir, "flat4")
-        code, out, _ = run(capsys, "analyze", flat4)
-        assert code == 0
-        code, out, _ = run(capsys, "extract", flat4)
-        assert code == 0
-        assert "verification: symbolic PASS" in out
-        code, out, _ = run(capsys, "verify", flat4, "--output", "x1*x3 + x1; x2 + 3*x4")
-        assert code == 0
-        assert "symbolic: PASS" in out
-
-
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
-ANALYZED_FLAT = sorted(
-    path.stem.partition("-")[2] for path in GOLDEN_DIR.glob("analyze-*.txt")
-    if path.read_text(encoding="utf-8").startswith("exit 0\n"))
-EXTRACTED = sorted(path.stem.partition("-")[2] for path in GOLDEN_DIR.glob("extract-*.txt"))
-
-
-def _golden_record(stem) -> tuple:
-    """The exit line and the stdout of the golden record called stem."""
-    text = (GOLDEN_DIR / ("%s.txt" % stem)).read_text(encoding="utf-8")
-    exit_line, _, rest = text.partition("--- stdout\n")
-    return exit_line, rest.partition("--- stderr\n")[0]
-
-
-class TestNoSympyPrinter:
-    """No command line prints through sympy's printer: with the printer's
-    sums, products and powers refused, analyze on every bundled model that
-    it calls flat, extract on every bundled model and every verify of the
-    golden records still write their golden bytes.  Documents and tables
-    are printed by symbolic.to_infix, and the numeric replay's float
-    functions by symbolic.float_function, which writes lambdify's source
-    without lambdify."""
-
-    @pytest.fixture(autouse=True)
-    def refuse_printer(self, monkeypatch):
-        from sympy.printing.str import StrPrinter
-
-        for name in ("_print_Add", "_print_Mul", "_print_Pow"):
-            def refuse(self, expr, *args, name=name, **kwargs):
-                raise AssertionError("StrPrinter.%s printed %s" % (name, expr.func))
-
-            monkeypatch.setattr(StrPrinter, name, refuse)
-
-    def _check(self, capsys, stem, *argv):
-        code, out, _ = run(capsys, *argv)
-        assert ("exit %d\n" % code, out) == _golden_record(stem)
-
-    @pytest.mark.parametrize("model", ANALYZED_FLAT)
-    def test_analyze_json_without_printer(self, model, capsys, models_dir, tmp_path):
-        doc = tmp_path / "doc.json"
-        self._check(capsys, "analyze-%s" % model,
-                    "analyze", model_path(models_dir, model), "--json", str(doc))
-        assert doc.read_bytes() == (GOLDEN_DIR / ("analyze-%s.json" % model)).read_bytes()
-
-    @pytest.mark.parametrize("model", EXTRACTED)
-    def test_extract_json_without_printer(self, model, capsys, models_dir, tmp_path):
-        doc, golden = tmp_path / "doc.json", GOLDEN_DIR / ("extract-%s.json" % model)
-        self._check(capsys, "extract-%s" % model,
-                    "extract", model_path(models_dir, model), "--json", str(doc))
-        assert doc.exists() == golden.exists()
-        assert not golden.exists() or doc.read_bytes() == golden.read_bytes()
-
-    @pytest.mark.parametrize("model, output", VERIFY_CASES)
-    def test_verify_without_printer(self, model, output, capsys, models_dir):
-        stem = _golden_paths("verify", model, output)[0].stem
-        self._check(capsys, stem, "verify", model_path(models_dir, model), "--output", output)
-
-
-class TestNoSympyRing:
-    """No command line builds a sympy polynomial ring or field of
-    fractions: with ``PolyRing.__new__`` and ``FracField.__new__``
-    refused, analyze and extract on every bundled model and every verify
-    of the golden records still write their golden bytes.  The kernel
-    stores rational functions in symbolic's own polynomials and reduces
-    every fraction through its own gcd (symbolic._cofactors)."""
-
-    @pytest.fixture(autouse=True)
-    def refuse_rings(self, monkeypatch):
-        from sympy.polys.fields import FracField
-        from sympy.polys.rings import PolyRing
-
-        for cls in (PolyRing, FracField):
-            def refuse(*args, name=cls.__name__, **kwargs):
-                raise AssertionError("a sympy %s was built" % name)
-
-            monkeypatch.setattr(cls, "__new__", refuse)
-
-    @pytest.mark.parametrize("command", ["analyze", "extract"])
-    @pytest.mark.parametrize("model", MODELS)
-    def test_analysis(self, command, model, capsys, models_dir, tmp_path):
-        doc, golden = tmp_path / "doc.json", GOLDEN_DIR / ("%s-%s.json" % (command, model))
-        code, out, _ = run(capsys, command, model_path(models_dir, model), "--json", str(doc))
-        assert ("exit %d\n" % code, out) == _golden_record("%s-%s" % (command, model))
-        assert doc.exists() == golden.exists()
-        assert not golden.exists() or doc.read_bytes() == golden.read_bytes()
-
-    @pytest.mark.parametrize("model, output", VERIFY_CASES)
-    def test_verify(self, model, output, capsys, models_dir):
-        code, out, _ = run(capsys, "verify", model_path(models_dir, model), "--output", output)
-        stem = _golden_paths("verify", model, output)[0].stem
-        assert ("exit %d\n" % code, out) == _golden_record(stem)
-
-
-class TestExpressionBoundary:
-    """No expression enters the field-element kernel on the command line
-    for a model file: the parser builds the update map and the candidate
-    components as elements, and the input reduction keeps its results as
-    elements."""
-
-    @staticmethod
-    def _record(monkeypatch):
-        converted = []
-        fractions = symbolic.to_elements
-
-        def recorded(exprs, gens=None):
-            exprs = list(exprs)
-            converted.extend(exprs)
-            return fractions(exprs, gens)
-
-        monkeypatch.setattr(symbolic, "to_elements", recorded)
-        return converted
-
-    def test_flat4_converts_no_expression(self, capsys, models_dir, monkeypatch, tmp_path):
-        converted = self._record(monkeypatch)
-        flat4 = model_path(models_dir, "flat4")
-        code, _, _ = run(capsys, "extract", flat4, "--json", str(tmp_path / "flat4.json"))
-        assert code == 0
-        code, _, _ = run(capsys, "verify", flat4, "--output", "x1*x3 + x1; x2 + 3*x4")
-        assert code == 0
-        assert converted == []
-
-    def test_reduction_converts_no_expression(self, capsys, models_dir, monkeypatch):
-        converted = self._record(monkeypatch)
-        code, _, _ = run(capsys, "extract", model_path(models_dir, "redundant_input"))
-        assert code == 0
-        assert converted == []
-
-
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 # runs one command line and prints the sympy modules loaded at its end
 _LOADED = (
@@ -739,10 +573,11 @@ class TestImportBoundary:
         model.write_text(REPEATED_BASE)
         self._check(["extract", str(model), "--json", str(tmp_path / "doc.json")])
 
-    def test_float_simulate(self):
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_float_simulate(self, exact):
         golden = MODELS_DIR.parent / "tests" / "golden"
         self._check(["simulate", model_path(MODELS_DIR, "flat4"), "--x0", "0.01,-0.02,0.015,0.005",
-                     "--inputs-file", str(golden / "simulate-flat4-inputs.csv")])
+                     "--inputs-file", str(golden / "simulate-flat4-inputs.csv"), *exact])
 
     @staticmethod
     def _check(argv):

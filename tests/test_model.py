@@ -208,7 +208,7 @@ class TestParseExpression:
     def test_resolves_system_symbols(self):
         system = modelfile.parse_model(CHAIN)
         x1, x2 = sp.symbols("x1 x2")
-        expected = symbolic.to_elements([x1 * (x2 + 1) ** 2], system.variables)[1]
+        expected = kernel_oracle.elements([x1 * (x2 + 1) ** 2], system.variables)[1]
         assert modelfile.parse_elements(["x1*(x2+1)^2"], system) == expected
 
     def test_unknown_identifier(self):
@@ -220,6 +220,34 @@ class TestParseExpression:
         system = modelfile.parse_model(CHAIN)
         with pytest.raises(ModelSyntaxError):
             modelfile.parse_elements(["   "], system)
+
+    @pytest.mark.parametrize("entry", ["update", "candidate"])
+    @pytest.mark.parametrize("text, column, message", [
+        ("sin(x1)", 1, "unknown identifier 'sin'"),
+        ("exp(u)", 1, "unknown identifier 'exp'"),
+        ("sqrt(x1)", 1, "unknown identifier 'sqrt'"),
+        ("abs(x1)", 1, "unknown identifier 'abs'"),
+        ("pi*x1", 1, "unknown identifier 'pi'"),
+        ("I*u", 1, "unknown identifier 'I'"),
+        ("x2 + E", 6, "unknown identifier 'E'"),
+        ("x1^(1/2)", 4, "exponent must be an integer literal"),
+        ("x1^0.5", 4, "exponent must be an integer literal"),
+        ("x1^x2", 4, "exponent must be an integer literal"),
+    ])
+    def test_only_rational_functions_are_read(self, text, column, message, entry):
+        """Model text is the only way an update or a candidate enters the
+        library, and it holds rational functions only: a function, a
+        named constant or a non-integer exponent is refused at its token,
+        in an update line and in a candidate alike."""
+        if entry == "update":
+            line, column = 7, column + len("next x2 = ")
+            with pytest.raises(ModelSyntaxError) as info:
+                modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = " + text))
+        else:
+            line = 1
+            with pytest.raises(ModelSyntaxError) as info:
+                modelfile.parse_elements(["x1", text], modelfile.parse_model(CHAIN))
+        assert str(info.value) == "line %d, column %d: %s" % (line, column, message)
 
 
 def _generated_models(seeds=(1, 2)) -> list:
@@ -299,7 +327,7 @@ class TestParsedElements:
         system = modelfile.parse_model(text)
         K, elements = system.update_elements
         assert K == symbolic.function_field(system.variables)
-        assert list(elements) == symbolic.to_elements(system.update, system.variables)[1]
+        assert list(elements) == kernel_oracle.elements(system.update, system.variables)[1]
         expected = [sp.sympify(rhs) for rhs in _next_lines(text)]
         assert ([sp.srepr(kernel_oracle.expression_to_sympy(e)) for e in system.update]
                 == [sp.srepr(e) for e in expected])
@@ -317,14 +345,13 @@ class TestParsedElements:
             with pytest.raises(ModelSyntaxError, match="division by zero"):
                 modelfile.parse_elements(texts, system)
             return
-        expected = symbolic.to_elements(exprs, system.variables)[1]
+        expected = kernel_oracle.elements(exprs, system.variables)[1]
         assert modelfile.parse_elements(texts, system) == expected
 
     def test_division_by_zero_is_a_syntax_error(self):
         """A zero divisor is refused at its / or ^, in a model and in a
         candidate alike, even where sympy's expression would be rational
-        (zoo**0 is 1).  Expressions built in code are refused on their
-        conversion."""
+        (zoo**0 is 1)."""
         system = modelfile.parse_model(CHAIN)
         for update, column in [("u/(x1 - x1)", 12), ("x2 + (1/0)^0 - 1", 18),
                                ("u*(x1 - x1)^-2", 22)]:
@@ -334,10 +361,6 @@ class TestParsedElements:
             with pytest.raises(ModelSyntaxError) as info:
                 modelfile.parse_elements(["x1", update], system)
             assert str(info.value) == "line 1, column %d: division by zero" % (column - 10)
-        x1, u = sp.symbols("x1 u")
-        for expr in (u / (x1 - x1), sp.Pow(x1 - x1, -1, evaluate=False)):
-            with pytest.raises(UnsupportedEquationError):
-                symbolic.to_elements([expr], system.variables)
 
     def test_division_by_zero_keeps_syntax_errors(self):
         """The first error in reading order is the one reported."""
@@ -346,6 +369,53 @@ class TestParsedElements:
             with pytest.raises(ModelSyntaxError) as info:
                 modelfile.parse_model(CHAIN.replace("next x2 = u", "next x2 = " + update))
             assert str(info.value) == "line 7, " + message
+
+
+def _random_sympy(rng):
+    """sympy's expression of a random model text in x1, x2 and u, its
+    decimals read as rationals; a text with a zero divisor is drawn
+    again."""
+    while True:
+        e = sp.sympify(_random_text(rng, ["x1", "x2", "u"], 4), rational=True)
+        if not e.has(sp.zoo, sp.nan):
+            return e
+
+
+class TestSympyHelpers:
+    """The helpers of tests/kernel_oracle.py, by which the tests build
+    systems, expressions and elements with sympy, build what the model
+    parser builds from the same text."""
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_system_of_a_bundled_model(self, name):
+        text = (ROOT / "models" / ("%s.sys" % name)).read_text(encoding="utf-8")
+        parsed = modelfile.parse_model(text)
+        built = kernel_oracle.system(
+            parsed.name, [sp.Symbol(s.name) for s in parsed.states],
+            [sp.Symbol(s.name) for s in parsed.inputs],
+            [sp.sympify(rhs, rational=True) for rhs in _next_lines(text)],
+            {sp.Symbol(v.name): value for v, value in parsed.equilibrium.items()})
+        assert (built.name, built.states, built.inputs) == (
+            parsed.name, parsed.states, parsed.inputs)
+        assert built.equilibrium_point() == parsed.equilibrium_point()
+        assert built.update_elements == parsed.update_elements
+        assert ([sp.srepr(kernel_oracle.expression_to_sympy(e)) for e in built.update]
+                == [sp.srepr(kernel_oracle.expression_to_sympy(e)) for e in parsed.update])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_expression_has_the_structure_sympy_evaluates(self, seed):
+        e = _random_sympy(random.Random(seed + 60))
+        ours = kernel_oracle.expression(e)
+        assert sp.srepr(kernel_oracle.expression_to_sympy(ours)) == sp.srepr(e)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_elements_are_the_fractions_sympy_reduces(self, seed):
+        """The elements' pairs are sympy's reduced pairs, signs included:
+        seed 8 draws a negative power whose pair sympy leaves with a
+        negative leading denominator coefficient."""
+        e = _random_sympy(random.Random(seed + 60))
+        K, (a,) = kernel_oracle.elements([e], sp.symbols("x1 x2 u"))
+        assert a == kernel_oracle.from_sympy(K, e)
 
 
 class TestValidateSystem:
@@ -372,26 +442,13 @@ next x2 = u
         with pytest.raises(ValidationError):
             model.validate_system(modelfile.parse_model(text))
 
-    def test_non_rational_update_rejected(self):
-        system = modelfile.parse_model(CHAIN)
-        x1, x2, u = sp.symbols("x1 x2 u")
-        trig = model.DiscreteTimeSystem(
-            name="trig",
-            states=system.states,
-            inputs=system.inputs,
-            update=(x2 + sp.sin(x1), u),
-            equilibrium=system.equilibrium,
-        )
-        with pytest.raises(ValidationError):
-            model.validate_system(trig)
-
     def test_float_equilibrium_rejected(self):
         """A code-built system may mark its point with any numbers; a float
         is not a rational number, whatever its value."""
         system = modelfile.parse_model(CHAIN)
         x1, x2 = system.states
         (u,) = system.inputs
-        floating = model.DiscreteTimeSystem(
+        floating = kernel_oracle.system(
             name="floating", states=system.states, inputs=system.inputs,
             update=(x2, u), equilibrium={x1: sp.Integer(0), x2: 0, u: 0.0})
         with pytest.raises(UnsupportedEquationError,
@@ -404,7 +461,7 @@ next x2 = u
         system = modelfile.parse_model(CHAIN)
         x1, x2 = system.states
         (u,) = system.inputs
-        shifted = model.DiscreteTimeSystem(
+        shifted = kernel_oracle.system(
             name="shifted", states=system.states, inputs=system.inputs,
             update=(x2, u), equilibrium={x1: sp.Rational(1, 2), x2: sp.Rational(1, 2), u: u_value})
         if u_value == 1:
@@ -503,7 +560,7 @@ next x1 = x1
 class TestDiscreteTimeSystem:
     def test_jacobians(self):
         system = modelfile.parse_model(CHAIN)
-        K, update = symbolic.to_elements(system.update, system.variables)
+        K, update = kernel_oracle.elements(system.update, system.variables)
         full = [[kernel_oracle.diff(f, v) for v in K.symbols] for f in update]
         assert symbolic.element_rank(K, full, len(system.variables)) == 2
         ijac = [[kernel_oracle.diff(f, u) for u in K.symbols[system.n :]] for f in update]
@@ -511,9 +568,11 @@ class TestDiscreteTimeSystem:
 
     def test_update_count_must_match_the_states(self):
         system = modelfile.parse_model(CHAIN)
+        K, update = system.update_elements
         with pytest.raises(ValidationError) as info:
             model.DiscreteTimeSystem(name="short", states=system.states, inputs=system.inputs,
-                                     update=system.update[:1], equilibrium=system.equilibrium)
+                                     update=lambda: system.update[:1],
+                                     equilibrium=system.equilibrium, elements=(K, update[:1]))
         assert str(info.value) == "system 'short': 2 states but 1 update equations"
 
     def test_equilibrium_must_mark_every_variable(self):
@@ -522,9 +581,33 @@ class TestDiscreteTimeSystem:
         partial = {v: 0 for v in system.states}
         with pytest.raises(ValidationError) as info:
             model.DiscreteTimeSystem(name="partial", states=system.states,
-                                     inputs=system.inputs, update=system.update,
-                                     equilibrium=partial)
+                                     inputs=system.inputs, update=lambda: system.update,
+                                     equilibrium=partial, elements=system.update_elements)
         assert str(info.value) == "system 'partial': equilibrium missing a value for %s" % u
+
+    def test_elements_are_required(self):
+        system = modelfile.parse_model(CHAIN)
+        with pytest.raises(TypeError, match="elements"):
+            model.DiscreteTimeSystem(name="bare", states=system.states, inputs=system.inputs,
+                                     update=lambda: system.update,
+                                     equilibrium=system.equilibrium)
+
+    def test_update_is_built_once_on_its_first_read(self):
+        system = modelfile.parse_model(CHAIN)
+        builds = []
+
+        def build():
+            builds.append(None)
+            return list(system.update)
+
+        built = model.DiscreteTimeSystem(name="built", states=system.states,
+                                         inputs=system.inputs, update=build,
+                                         equilibrium=system.equilibrium,
+                                         elements=system.update_elements)
+        model.validate_system(built)
+        assert builds == []
+        assert built.update == system.update and built.update == system.update
+        assert builds == [None]
 
     def test_attributes_cannot_be_assigned(self):
         system = modelfile.parse_model(CHAIN)

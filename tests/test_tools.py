@@ -8,6 +8,8 @@ import inspect
 import json
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
 code_lines = importlib.util.module_from_spec(_spec)
@@ -52,6 +54,14 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines] == [
         ["2", str(tmp_path / "a.py")], ["1", str(tmp_path / "b.py")], ["3", "total"]]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["no/such/module.py"]])
+def test_a_path_that_does_not_exist_prints_the_usage(argv, capsys):
+    assert code_lines.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == code_lines.USAGE
 
 
 def test_pair_summary_counts_the_wins_in_the_better_direction():

@@ -33,20 +33,20 @@ def _system_element(system, e, shifts=2):
     """e as an element of QQ(states, input shifts up to shifts)."""
     gens = list(system.states) + [verification.input_shift_symbol(u, s)
                                   for u in system.inputs for s in range(shifts + 1)]
-    return symbolic.to_elements([e], gens)[1][0]
+    return kernel_oracle.elements([e], gens)[1][0]
 
 
 class TestShiftFunction:
     def test_jet_mode_bumps_shifts(self):
         y1, y1_p1, y1_p2 = (verification.jet_symbol(1, k) for k in range(3))
         Y1, Y1_p1, Y1_p2 = map(kernel_oracle.sympy_symbol, (y1, y1_p1, y1_p2))
-        _, (a,) = symbolic.to_elements([Y1**2 + Y1_p1])
+        _, (a,) = kernel_oracle.elements([Y1**2 + Y1_p1])
         shifted = verification.shift_function(a)
         assert kernel_oracle.as_expr(shifted) == Y1_p1**2 + Y1_p2
         assert set(shifted.field.symbols) == {y1_p1, y1_p2}
 
     def test_jet_mode_rejects_foreign_symbols(self):
-        _, (a,) = symbolic.to_elements([x1 + 1])
+        _, (a,) = kernel_oracle.elements([x1 + 1])
         with pytest.raises(FlatcheckError):
             verification.shift_function(a)
 
@@ -77,7 +77,7 @@ class TestShiftFunction:
 
 def _candidate(system, exprs):
     """Candidate components as elements of QQ(the system's variables)."""
-    return symbolic.to_elements(exprs, system.variables)[1]
+    return kernel_oracle.elements(exprs, system.variables)[1]
 
 
 def _perturbed(p):
@@ -110,7 +110,7 @@ class TestCheckParametrization:
         ids=["non-jet", "constant"],
     )
     def test_refusals(self, chain2, exprs, symbols, detail):
-        _, (a, b, c) = symbolic.to_elements(sp.sympify(exprs), sp.symbols(symbols))
+        _, (a, b, c) = kernel_oracle.elements(sp.sympify(exprs), sp.symbols(symbols))
         p = verification.FlatParametrization(F_x=(a, b), F_u=(c,))
         assert verification.check_parametrization(chain2, p) == (False, detail)
 
@@ -158,7 +158,7 @@ class TestSymbolicVerification:
         (u,) = chain2.inputs
         u_p1 = verification.input_shift_symbol(u, 1)
         x1, u_p1_ = map(kernel_oracle.sympy_symbol, (chain2.states[0], u_p1))
-        _, candidate = symbolic.to_elements([x1 + u_p1_], list(chain2.variables) + [u_p1])
+        _, candidate = kernel_oracle.elements([x1 + u_p1_], list(chain2.variables) + [u_p1])
         p, report = verification.verify_flat_output_symbolic(chain2, candidate)
         assert p is None
         assert (report.status, report.bound, report.detail) == (
@@ -166,7 +166,7 @@ class TestSymbolicVerification:
 
     def test_candidate_with_an_unknown_symbol_is_refused(self, chain2):
         x1, w = sp.symbols("x1 w")
-        _, candidate = symbolic.to_elements([x1 + w], list(chain2.variables) + [w])
+        _, candidate = kernel_oracle.elements([x1 + w], list(chain2.variables) + [w])
         with pytest.raises(FlatcheckError) as info:
             verification.verify_flat_output_symbolic(chain2, candidate)
         assert str(info.value) == "candidate output uses unknown symbol w"
@@ -241,7 +241,7 @@ class TestRankGate:
         """A pole at the certificate point gives no rows, and no rows are
         no proof: the gate stays open."""
         (value,) = symbolic._certificate_point(1)
-        K, (pole,) = symbolic.to_elements([1 / (x1 - value)], [x1])
+        K, (pole,) = kernel_oracle.elements([1 / (x1 - value)], [x1])
         assert symbolic.certificate_jacobian(K, [pole], [x1]) is None
         variables = list(chain2.states) + [
             verification.input_shift_symbol(chain2.inputs[0], s) for s in range(3)]
@@ -270,18 +270,18 @@ class TestNumericVerification:
         assert len(result.trial_records) == 20
 
     def test_deterministic_across_runs(self, flat4, flat4_artifacts):
-        p = flat4_artifacts[3]
-        a = verification.verify_flat_output_numeric(flat4, p, trials=5, seed=3)
-        b = verification.verify_flat_output_numeric(flat4, p, trials=5, seed=3)
+        flat_output, p = flat4_artifacts[0], flat4_artifacts[3]
+        a = verification.verify_flat_output_numeric(flat4, p, flat_output, trials=5, seed=3)
+        b = verification.verify_flat_output_numeric(flat4, p, flat_output, trials=5, seed=3)
         assert a.max_residual == b.max_residual
         assert [t.residual for t in a.trial_records] == [
             t.residual for t in b.trial_records
         ]
 
     def test_seed_changes_samples(self, flat4, flat4_artifacts):
-        p = flat4_artifacts[3]
-        a = verification.verify_flat_output_numeric(flat4, p, trials=5, seed=0)
-        b = verification.verify_flat_output_numeric(flat4, p, trials=5, seed=1)
+        flat_output, p = flat4_artifacts[0], flat4_artifacts[3]
+        a = verification.verify_flat_output_numeric(flat4, p, flat_output, trials=5, seed=0)
+        b = verification.verify_flat_output_numeric(flat4, p, flat_output, trials=5, seed=1)
         assert [t.residual for t in a.trial_records] != [
             t.residual for t in b.trial_records
         ]
@@ -289,7 +289,7 @@ class TestNumericVerification:
     def test_mutated_parametrization_fails_every_trial(self, flat4, flat4_artifacts):
         broken = _perturbed(flat4_artifacts[3])
         result = verification.verify_flat_output_numeric(
-            flat4, broken, trials=20, horizon=20, seed=0
+            flat4, broken, flat4_artifacts[0], trials=20, horizon=20, seed=0
         )
         assert result.status == "FAIL"
         for trial in result.trial_records:
@@ -309,12 +309,30 @@ class TestNumericVerification:
     def test_poles_in_every_resample_are_an_error(self, chain2):
         """y1^-400 overflows at every sample near the equilibrium, so the
         first trial gives up after its resamples."""
-        _, (a, b, c) = symbolic.to_elements(sp.sympify(("y1^-400", "y1_p1", "y1_p2")),
-                                            sp.symbols("y1 y1_p1 y1_p2"))
+        _, (a, b, c) = kernel_oracle.elements(sp.sympify(("y1^-400", "y1_p1", "y1_p2")),
+                                              sp.symbols("y1 y1_p1 y1_p2"))
         p = verification.FlatParametrization(F_x=(a, b), F_u=(c,))
         with pytest.raises(FlatcheckError) as info:
-            verification.verify_flat_output_numeric(chain2, p)
+            verification.verify_flat_output_numeric(chain2, p,
+                                                    modelfile.parse_elements(["x1"], chain2))
         assert str(info.value) == "numeric verification hit poles repeatedly in trial 0"
+
+    def test_candidate_is_required(self, flat4, flat4_artifacts):
+        with pytest.raises(TypeError, match="candidate"):
+            verification.verify_flat_output_numeric(flat4, flat4_artifacts[3])
+
+    @pytest.mark.parametrize("output", ["1/(x1 + 1)", "2/(x1 - 1)", "-1/(x1 + 3)"])
+    def test_samples_are_centred_at_the_candidates_equilibrium_value(self, chain2, output):
+        """For y = c/(x1 - a), x1 = a + c/y has its pole at y = 0, while the
+        equilibrium x1 = 0 gives y = -c/a.  With a box of size 0 every
+        sample is the centre, so the replay passes exactly only when the
+        centre is the candidate's value at the equilibrium."""
+        candidate = modelfile.parse_elements([output], chain2)
+        p, symbolic_report = verification.verify_flat_output_symbolic(chain2, candidate)
+        assert symbolic_report.status == "PASS"
+        result = verification.verify_flat_output_numeric(chain2, p, candidate,
+                                                         trials=2, box=0.0)
+        assert (result.status, result.max_residual) == ("PASS", 0.0)
 
 
 class TestReplayIsPinned:

@@ -9,7 +9,9 @@ counts on each of its lines.
 
 Each PATH is a module or a directory searched for modules; the default,
 for a run from the root of the repository, is src/flatcheck.  Prints the
-count of each module and the total.
+count of each module and the total.  A PATH that does not exist (an
+option such as --help among them) prints the usage line to stderr and
+exits with status 2.
 """
 
 import ast
@@ -45,8 +47,16 @@ def code_lines(path) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+USAGE = "usage: python tools/code_lines.py [PATH ...]"
+
+
 def main(argv) -> int:
     paths = [pathlib.Path(a) for a in argv] or [pathlib.Path("src/flatcheck")]
+    missing = [str(p) for p in paths if not p.exists()]
+    if missing:
+        print("%s\nno such file or directory: %s" % (USAGE, ", ".join(missing)),
+              file=sys.stderr)
+        return 2
     modules = sorted(m for p in paths for m in (p.rglob("*.py") if p.is_dir() else [p]))
     total = 0
     for module in modules:
